@@ -27,6 +27,17 @@ fn bench_signed_bags(c: &mut Criterion) {
     group.bench_function("plus_1k", |bch| bch.iter(|| a.plus(&b)));
     group.bench_function("minus_1k", |bch| bch.iter(|| a.minus(&b)));
     group.bench_function("negated_1k", |bch| bch.iter(|| a.negated()));
+    // What a snapshot costs (epoch publish, history, checkpoint capture,
+    // read answer) as the view grows. Tuples arrive in scattered order,
+    // as a join's output does, so chunks are split, not packed.
+    for n in [1_000i64, 10_000, 100_000] {
+        let view: SignedBag = (0..n)
+            .map(|i| Tuple::ints([(i * 7919) % n, i % 7]))
+            .collect();
+        group.bench_function(BenchmarkId::new("clone", n), |bch| {
+            bch.iter(|| view.clone())
+        });
+    }
     group.finish();
 }
 

@@ -513,7 +513,7 @@ pub fn report(result: &ServingResult) -> Json {
                 "N concurrent ReadClients over SharedFifo channels against a \
                  ReadServer worker pool, while one maintenance loop streams \
                  updates through the warehouse; every committed event publishes \
-                 an epoch snapshot (copy-on-publish) into the registry the \
+                 a structurally shared epoch snapshot into the registry the \
                  servers read, so reads never block maintenance; readers are \
                  split across the three section-3 consistency levels and every \
                  distinct strong answer is replayed against the section-3.1 \

@@ -215,9 +215,8 @@ fn deploy(cfg: &ThroughputConfig) -> Deployment {
         warehouse: Warehouse::new(),
     };
     // Throughput runs measure maintenance, not the §3.1 history audit:
-    // without this, cloning the ever-growing MV after every event is
-    // O(U²) CPU per view and (on few cores) drowns the I/O waiting both
-    // runtimes are supposed to expose.
+    // without this, every event keeps one more snapshot of each MV it
+    // reached alive for the whole run.
     d.warehouse.set_record_history(false);
     for s in 0..cfg.sources {
         let (source, views) = build_source(s, cfg);

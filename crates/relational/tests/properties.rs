@@ -1,7 +1,9 @@
 //! Property-based tests for the signed-bag algebra laws of paper §4.1.
 
+use std::collections::BTreeMap;
+
 use eca_relational::algebra::{cross, equijoin, project, select};
-use eca_relational::{CmpOp, Predicate, SignedBag, Tuple};
+use eca_relational::{CmpOp, Predicate, SignedBag, Tuple, Value};
 use proptest::prelude::*;
 
 /// Strategy: a small signed bag of 2-attribute integer tuples with counts in
@@ -16,7 +18,147 @@ fn signed_bag() -> impl Strategy<Value = SignedBag> {
     })
 }
 
+/// One step of the model test. Keys are drawn from a domain wide enough
+/// that a run of up to 120 steps grows the bag through several chunk
+/// splits (half the runs end above 128 tuples) and narrow enough that
+/// adds collide and cancel.
+#[derive(Clone, Debug)]
+enum Op {
+    Add(i64, i64),
+    Merge(Vec<(i64, i64)>),
+    MergeNegated(Vec<(i64, i64)>),
+    MergeDistinct(Vec<(i64, i64)>),
+    /// Remove every tuple whose key is `r` modulo `m`.
+    RemoveWhere(i64, i64),
+    /// Keep a clone and the model state it must forever equal.
+    Snapshot,
+}
+
+fn entries() -> impl Strategy<Value = Vec<(i64, i64)>> {
+    prop::collection::vec((0i64..400, -2i64..=2), 0..40)
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0i64..400, -2i64..=2).prop_map(|(k, c)| Op::Add(k, c)),
+        // A second, positive-only add keeps the bag growing on balance.
+        (0i64..400, 1i64..=2).prop_map(|(k, c)| Op::Add(k, c)),
+        entries().prop_map(Op::Merge),
+        entries().prop_map(Op::MergeNegated),
+        entries().prop_map(Op::MergeDistinct),
+        (2i64..9).prop_map(|m| Op::RemoveWhere(m - 2, m)),
+        Just(Op::Snapshot),
+    ]
+}
+
+fn key(k: i64) -> Tuple {
+    Tuple::ints([k, k % 3])
+}
+
+fn bag_of(entries: &[(i64, i64)]) -> SignedBag {
+    let mut bag = SignedBag::new();
+    for (k, c) in entries {
+        bag.add(key(*k), *c);
+    }
+    bag
+}
+
+/// The reference semantics: a plain ordered map, zero counts pruned.
+type Model = BTreeMap<Tuple, i64>;
+
+fn model_add(model: &mut Model, t: Tuple, delta: i64) {
+    let c = model.entry(t.clone()).or_insert(0);
+    *c += delta;
+    if *c == 0 {
+        model.remove(&t);
+    }
+}
+
+fn model_apply(model: &mut Model, op: &Op) {
+    match op {
+        Op::Add(k, c) => model_add(model, key(*k), *c),
+        Op::Merge(es) => {
+            for (t, c) in bag_of(es).iter() {
+                model_add(model, t.clone(), c);
+            }
+        }
+        Op::MergeNegated(es) => {
+            for (t, c) in bag_of(es).iter() {
+                model_add(model, t.clone(), -c);
+            }
+        }
+        Op::MergeDistinct(es) => {
+            for (t, c) in bag_of(es).iter() {
+                if c < 0 {
+                    model_add(model, t.clone(), c);
+                } else if model.get(t).copied().unwrap_or(0) <= 0 {
+                    model_add(model, t.clone(), 1);
+                }
+            }
+        }
+        Op::RemoveWhere(r, m) => model.retain(|t, _| !residue_is(t, *r, *m)),
+        Op::Snapshot => {}
+    }
+}
+
+fn residue_is(t: &Tuple, r: i64, m: i64) -> bool {
+    matches!(t.get(0), Some(Value::Int(k)) if k % m == r)
+}
+
+fn assert_matches(bag: &SignedBag, model: &Model) {
+    assert_eq!(bag.distinct_len(), model.len());
+    assert_eq!(bag.is_empty(), model.is_empty());
+    assert!(bag.iter().eq(model.iter().map(|(t, c)| (t, *c))));
+}
+
+fn assert_counts_match(bag: &SignedBag, model: &Model) {
+    assert_matches(bag, model);
+    for k in 0..400 {
+        assert_eq!(bag.count(&key(k)), model.get(&key(k)).copied().unwrap_or(0));
+    }
+}
+
 proptest! {
+    #[test]
+    fn bag_follows_a_btreemap_model_and_clones_are_snapshots(
+        ops in prop::collection::vec(op(), 0..120),
+    ) {
+        let mut bag = SignedBag::new();
+        let mut model = Model::new();
+        let mut snapshots: Vec<(SignedBag, Model)> = Vec::new();
+        for op in &ops {
+            match op {
+                Op::Add(k, c) => bag.add(key(*k), *c),
+                Op::Merge(es) => bag.merge(&bag_of(es)),
+                Op::MergeNegated(es) => bag.merge_negated(&bag_of(es)),
+                Op::MergeDistinct(es) => bag.merge_distinct(&bag_of(es)),
+                Op::RemoveWhere(r, m) => {
+                    let before = bag.distinct_len();
+                    let removed = bag.remove_where(|t| residue_is(t, *r, *m));
+                    prop_assert_eq!(before - removed, bag.distinct_len());
+                }
+                Op::Snapshot => snapshots.push((bag.clone(), model.clone())),
+            }
+            model_apply(&mut model, op);
+            assert_matches(&bag, &model);
+        }
+        // Snapshot isolation: no later write reached an earlier clone.
+        assert_counts_match(&bag, &model);
+        for (snap, at) in &snapshots {
+            assert_counts_match(snap, at);
+        }
+        // Content decides equality and every rendering, not the order of
+        // insertion (and so not where the chunk boundaries fell).
+        let mut rebuilt = SignedBag::new();
+        for (t, c) in model.iter().rev() {
+            rebuilt.add(t.clone(), *c);
+        }
+        prop_assert_eq!(&rebuilt, &bag);
+        prop_assert!(rebuilt.iter().eq(bag.iter()));
+        prop_assert_eq!(format!("{rebuilt:?}"), format!("{bag:?}"));
+        prop_assert_eq!(rebuilt.encoded_len(), bag.encoded_len());
+    }
+
     #[test]
     fn plus_is_commutative(a in signed_bag(), b in signed_bag()) {
         prop_assert_eq!(a.plus(&b), b.plus(&a));

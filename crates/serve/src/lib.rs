@@ -152,7 +152,7 @@ impl ReadServer {
                     view,
                     epoch: snap.epoch,
                     latest: snap.latest,
-                    rows: (*snap.rows).clone(),
+                    rows: snap.rows,
                 },
                 None => Message::ReadError {
                     id,

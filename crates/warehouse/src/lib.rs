@@ -246,8 +246,9 @@ impl Warehouse {
     /// registered so far is published (initial state = epoch 0,
     /// quiesced), and from now on every processed event publishes the
     /// affected view's new state into the returned [`EpochRegistry`] —
-    /// copy-on-publish, so readers share `Arc` snapshots and never
-    /// contend with maintenance. `ring_cap` bounds each view's window
+    /// as a clone that shares its chunks with the maintainer's bag, so
+    /// a publish costs no per-tuple work and readers never contend
+    /// with maintenance. `ring_cap` bounds each view's window
     /// of retained epochs. Call after [`Warehouse::add_view`]; views
     /// added later are not served.
     ///
@@ -276,10 +277,13 @@ impl Warehouse {
     }
 
     /// Toggle per-event state-history recording (on by default). The
-    /// history feeds the §3.1 consistency checker; long throughput runs
-    /// can switch it off so maintenance cost stays O(event) instead of
-    /// cloning an ever-growing `MV` after every event. Initial states
-    /// are always kept.
+    /// history feeds the §3.1 consistency checker. Each recorded state
+    /// is a clone of `MV`, which shares its chunks with the live bag and
+    /// with its neighbours in the history, so an entry costs a chunk
+    /// spine plus the chunks that event changed — not a copy of the
+    /// view. Long throughput runs can still switch it off: the history
+    /// grows by one entry per event for as long as the run lasts.
+    /// Initial states are always kept.
     pub fn set_record_history(&mut self, on: bool) {
         self.record_history = on;
     }

@@ -2,12 +2,16 @@
 //!
 //! Maintenance (any of the three runtimes) *publishes* view snapshots
 //! into an [`EpochRegistry`]; the read-serving layer (`eca-serve`)
-//! *reads* them. Publication is copy-on-publish: each event's
-//! materialized state is cloned once into an `Arc` and pushed onto a
-//! bounded per-view ring, so readers never take a lock the maintainer
-//! holds during query evaluation — heavy read traffic cannot block
-//! maintenance, and vice versa. The registry is the §3 consistency
-//! hierarchy made operational:
+//! *reads* them. Publication is by structural sharing: a [`SignedBag`]
+//! is a spine of reference-counted chunks, so the clone pushed onto a
+//! view's bounded ring costs one pointer pair per chunk — not a copy per
+//! tuple — and shares every chunk with the maintainer's own state until
+//! the maintainer next writes to it (which copies just the chunks that
+//! write touches). A ring of `n` epochs therefore holds one view plus
+//! the chunks that changed across those epochs, not `n` views. Readers
+//! never take a lock the maintainer holds during query evaluation —
+//! heavy read traffic cannot block maintenance, and vice versa. The
+//! registry is the §3 consistency hierarchy made operational:
 //!
 //! * every ring entry is a *published epoch* — [`ReadLevel::Convergent`]
 //!   may serve any of them;
@@ -21,7 +25,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 use eca_relational::SignedBag;
 use eca_wire::ReadLevel;
@@ -34,17 +38,17 @@ pub struct ReadSnapshot {
     /// Latest epoch published anywhere in the registry at serve time;
     /// `latest - epoch` is the answer's staleness in epochs.
     pub latest: u64,
-    /// The rows, shared with the publisher (copy-on-publish).
-    pub rows: Arc<SignedBag>,
+    /// The rows; their chunks are shared with the ring entry served.
+    pub rows: SignedBag,
 }
 
 struct ViewSlot {
     /// Published `(epoch, state)` pairs, oldest first. Never empty: the
     /// initial state is published at registration.
-    ring: VecDeque<(u64, Arc<SignedBag>)>,
+    ring: VecDeque<(u64, SignedBag)>,
     /// The latest snapshot published while the maintainer was quiescent
     /// — the §3.1-history state strong reads serve.
-    strong: (u64, Arc<SignedBag>),
+    strong: (u64, SignedBag),
 }
 
 /// Shared epoch store: one slot per view, a global epoch counter, and a
@@ -73,10 +77,9 @@ impl EpochRegistry {
         let slots = initial
             .into_iter()
             .map(|state| {
-                let rows = Arc::new(state);
                 Mutex::new(ViewSlot {
-                    ring: VecDeque::from([(0, Arc::clone(&rows))]),
-                    strong: (0, rows),
+                    ring: VecDeque::from([(0, state.clone())]),
+                    strong: (0, state),
                 })
             })
             .collect();
@@ -108,13 +111,16 @@ impl EpochRegistry {
     /// maintainer's own locks.
     pub fn publish(&self, view: usize, state: &SignedBag, quiescent: bool) -> u64 {
         let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        let rows = Arc::new(state.clone());
+        // Both clones happen before the slot lock is taken: readers wait
+        // only for the ring push.
+        let rows = state.clone();
+        let strong = quiescent.then(|| rows.clone());
         let mut slot = lock(&self.slots[view]);
-        slot.ring.push_back((epoch, Arc::clone(&rows)));
+        slot.ring.push_back((epoch, rows));
         if slot.ring.len() > self.ring_cap {
             slot.ring.pop_front();
         }
-        if quiescent {
+        if let Some(rows) = strong {
             slot.strong = (epoch, rows);
         }
         epoch
@@ -177,7 +183,7 @@ mod tests {
         for level in ReadLevel::all() {
             let snap = reg.read(1, level, 0).unwrap();
             assert_eq!(snap.epoch, 0);
-            assert_eq!(*snap.rows, bag(2));
+            assert_eq!(snap.rows, bag(2));
         }
         assert!(reg.read(2, ReadLevel::Weak, 0).is_none());
     }
@@ -191,7 +197,7 @@ mod tests {
         assert!(e2 > e1);
         let snap = reg.read(0, ReadLevel::Strong, 0).unwrap();
         assert_eq!(snap.epoch, e2);
-        assert_eq!(*snap.rows, bag(2));
+        assert_eq!(snap.rows, bag(2));
         assert_eq!(reg.strong_epoch(0), Some(e2));
     }
 
@@ -208,7 +214,29 @@ mod tests {
         let floor = epochs[3];
         let snap = reg.read(0, ReadLevel::Weak, floor).unwrap();
         assert!(snap.epoch >= floor);
-        assert_eq!(*snap.rows, bag(3));
+        assert_eq!(snap.rows, bag(3));
+    }
+
+    #[test]
+    fn a_served_snapshot_is_untouched_by_later_publishes() {
+        // The publisher keeps writing to the bag it published from, as a
+        // maintainer does; a reader holding an earlier snapshot shares
+        // storage with it and must still see the state at its epoch.
+        let initial = || (0..500).map(|i| Tuple::ints([i])).collect::<SignedBag>();
+        let mut state = initial();
+        let reg = EpochRegistry::new([state.clone()], 2);
+        let snap = reg.read(0, ReadLevel::Strong, 0).unwrap();
+        for i in 0..40 {
+            state.add(Tuple::ints([i * 13]), -1);
+            state.add(Tuple::ints([1000 + i]), 1);
+            reg.publish(0, &state, true);
+        }
+        assert_eq!(snap.epoch, 0);
+        assert_eq!(snap.rows, initial());
+        // Epoch 0 has long left the 2-deep ring; the newest read differs.
+        let newest = reg.read(0, ReadLevel::Strong, 0).unwrap();
+        assert_eq!(newest.rows, state);
+        assert_ne!(newest.rows, snap.rows);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   the wire, matching the paper's per-tuple byte accounting.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use eca_relational::{Sign, SignedBag, Tuple, Value};
+use eca_relational::{SignedBag, Tuple, Value};
 
 /// Errors raised while decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,16 +127,22 @@ impl Encoder {
     }
 
     /// Write a signed bag as a stream of occurrences.
+    ///
+    /// One pass over the bag by reference: the occurrence count is summed
+    /// while the tuples are written and patched into the header after.
     pub fn put_bag(&mut self, bag: &SignedBag) {
-        let occurrences = bag.pos_len() + bag.neg_len();
-        self.buf.put_u32(occurrences as u32);
-        for st in bag.iter_occurrences() {
-            self.buf.put_u8(match st.sign {
-                Sign::Plus => 0,
-                Sign::Minus => 1,
-            });
-            self.put_tuple(&st.tuple);
+        let header = self.buf.len();
+        self.buf.put_u32(0);
+        let mut occurrences = 0u64;
+        for (tuple, count) in bag.iter() {
+            let sign = u8::from(count < 0);
+            for _ in 0..count.unsigned_abs() {
+                self.buf.put_u8(sign);
+                self.put_tuple(tuple);
+            }
+            occurrences += count.unsigned_abs();
         }
+        self.buf.as_mut()[header..header + 4].copy_from_slice(&(occurrences as u32).to_be_bytes());
     }
 }
 

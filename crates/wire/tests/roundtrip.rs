@@ -5,7 +5,7 @@
 
 use eca_core::{QueryId, ViewDef};
 use eca_relational::{CmpOp, Predicate, Schema, SignedBag, Tuple, Update, Value};
-use eca_wire::{read_frame, write_frame, Message, WireQuery};
+use eca_wire::{read_frame, write_frame, Decoder, Encoder, Message, WireQuery};
 use proptest::prelude::*;
 
 fn value() -> impl Strategy<Value = Value> {
@@ -58,6 +58,29 @@ proptest! {
         // real codec: message = 1 tag + 8 id + payload.
         let m = Message::QueryAnswer { id: QueryId(1), answer: answer.clone() };
         prop_assert_eq!(m.encoded_len(), 9 + answer.encoded_len());
+    }
+
+    /// The bag payload is pinned byte for byte — a u32 occurrence count,
+    /// then per occurrence (tuples in value order, a count of `n` written
+    /// `n` times) a sign byte and the tuple — and `encoded_len` is the
+    /// length of exactly those bytes.
+    #[test]
+    fn bag_bytes_are_the_occurrence_stream(answer in bag()) {
+        let mut e = Encoder::new();
+        e.put_bag(&answer);
+        let bytes = e.finish();
+        prop_assert_eq!(answer.encoded_len(), bytes.len());
+
+        let mut want = Encoder::new();
+        want.put_u32(answer.iter_occurrences().count() as u32);
+        for (t, c) in answer.iter() {
+            for _ in 0..c.unsigned_abs() {
+                want.put_u8(u8::from(c < 0));
+                want.put_tuple(t);
+            }
+        }
+        prop_assert_eq!(&bytes, &want.finish());
+        prop_assert_eq!(Decoder::new(bytes).get_bag().unwrap(), answer);
     }
 
     /// Every message variant survives encode → frame → unframe → decode —
