@@ -1,16 +1,21 @@
-//! Chaos simulation: the multi-source warehouse driven over faulty
-//! channels.
+//! The scheduler: one warehouse over many autonomous sources (paper §1
+//! Figure 1.1), every channel a link stack that can be made faulty.
 //!
-//! [`ChaosSimulation`] mirrors [`MultiSimulation`](crate::MultiSimulation)
-//! — same sites, same event vocabulary (`S_up`/`S_qu`/`W_up`/`W_ans`),
-//! same [`Policy`] scheduling and RNG draw order — but each site's
-//! channel is a pair of [`ReliableLink`]s over [`FaultyTransport`]s, so
-//! the paper's §2 assumptions (reliable, FIFO, exactly-once delivery)
-//! hold only as far as the session layer and the warehouse recovery
-//! policy restore them. A fault-free [`ChaosProfile`] makes the stack
-//! transparent: the scheduler takes exactly the same RNG draws and the
-//! *logical* meters charge exactly the same bytes and messages as the
-//! plain in-memory run, so golden traces carry over unchanged.
+//! [`ChaosSimulation`] is the only engine in this crate. Each registered
+//! source owns its script and its own channel; a single
+//! [`Warehouse`] hosts every view and routes events per channel. The §3
+//! FIFO assumption holds *per channel* — the interleaving **across**
+//! channels is what a [`Policy`] schedules, out of the four §3 events
+//! (`S_up`/`S_qu`/`W_up`/`W_ans`). A channel is a pair of
+//! [`ReliableLink`]s over [`FaultyTransport`]s, so the paper's §2
+//! assumptions (reliable, FIFO, exactly-once delivery) hold only as far
+//! as the session layer and the warehouse recovery policy restore them.
+//! The default [`ChaosProfile::none`] makes the stack transparent: the
+//! scheduler draws the RNG exactly as a scheduler over bare in-memory
+//! FIFOs would and the *logical* meters charge exactly the same bytes
+//! and messages — the fingerprints pinned in `tests/golden_trace.rs`
+//! (captured before any transport existed, and from the plain
+//! multi-source scheduler this engine replaced) hold it to that.
 //!
 //! Fault handling during a run:
 //!
@@ -50,15 +55,23 @@ use eca_wire::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::multi::{SiteId, SiteReport, ViewRunReport};
-use crate::{Policy, SimError, TraceEvent};
+use crate::{Policy, SimError, SiteReport, TraceEvent, ViewRunReport};
 
 /// Scheduler iterations before a run is declared livelocked. Generous:
 /// idle iterations are cheap virtual-clock ticks, and even a fully
 /// wedged link needs only a few thousand of them to trip its retry cap.
 const STEP_CAP: u64 = 2_000_000;
 
+/// A view registered without a factory cannot be rebuilt after a
+/// warehouse crash; [`ChaosSimulation::run`] refuses such a schedule.
+const CRASH_NEEDS_FACTORY: &str = "warehouse crash scheduled but a view was registered without \
+                                   a factory (use add_view_with_factory)";
+
 type ChaosLink = ReliableLink<FaultyTransport<InMemoryFifo>>;
+
+/// Handle to a source site registered with a [`ChaosSimulation`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SiteId(pub usize);
 
 /// Which site a scripted restart kills.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -103,8 +116,7 @@ pub struct ChaosProfile {
 
 impl ChaosProfile {
     /// A profile that never injects anything — the stack becomes
-    /// transparent and runs match [`MultiSimulation`](crate::MultiSimulation)
-    /// exactly.
+    /// transparent and runs match a scheduler over bare FIFOs exactly.
     pub fn none() -> Self {
         ChaosProfile {
             s2w: FaultPlan::none(),
@@ -127,26 +139,22 @@ impl ChaosProfile {
     /// The same profile with scripted **source** restarts at the given
     /// scheduler steps (the historical vocabulary; see
     /// [`ChaosProfile::with_warehouse_crashes`] for the other side).
-    pub fn with_restarts(mut self, steps: &[u64]) -> Self {
-        self.restarts = steps
-            .iter()
-            .map(|&at| Restart {
-                at,
-                site: RestartSite::Source,
-            })
-            .collect();
-        self.restarts.sort_unstable();
-        self
+    pub fn with_restarts(self, steps: &[u64]) -> Self {
+        self.schedule(steps, RestartSite::Source)
     }
 
     /// The same profile with scripted **warehouse** crashes at the given
     /// scheduler steps. The warehouse is global, so schedule these on
     /// one site only; each fires once.
-    pub fn with_warehouse_crashes(mut self, steps: &[u64]) -> Self {
-        self.restarts.extend(steps.iter().map(|&at| Restart {
-            at,
-            site: RestartSite::Warehouse,
-        }));
+    pub fn with_warehouse_crashes(self, steps: &[u64]) -> Self {
+        self.schedule(steps, RestartSite::Warehouse)
+    }
+
+    /// Add restarts of `site` at `steps` to the schedule, keeping it
+    /// ordered by step (the two `with_*` builders chain in either order).
+    fn schedule(mut self, steps: &[u64], site: RestartSite) -> Self {
+        self.restarts
+            .extend(steps.iter().map(|&at| Restart { at, site }));
         self.restarts.sort_unstable();
         self
     }
@@ -234,8 +242,8 @@ impl LinkOverhead {
 pub struct ChaosRunReport {
     /// One report per hosted view, in registration order.
     pub views: Vec<ViewRunReport>,
-    /// One *logical* meter report per site — directly comparable to a
-    /// fault-free [`MultiRunReport`](crate::MultiRunReport).
+    /// One *logical* meter report per site: what a fault-free run
+    /// charges, whatever the wire had to carry to get there.
     pub sites: Vec<SiteReport>,
     /// Raw-vs-logical accounting per site.
     pub overhead: Vec<LinkOverhead>,
@@ -302,7 +310,8 @@ struct ChaosViewInfo {
     factory: Option<Box<dyn Fn() -> Box<dyn ViewMaintainer>>>,
 }
 
-/// One warehouse over several sources, every channel faulty on purpose.
+/// One warehouse runtime scheduled over several autonomous sources,
+/// each channel fault-free unless its [`ChaosProfile`] says otherwise.
 ///
 /// ```
 /// use eca_core::{algorithms::AlgorithmKind, ViewDef};
@@ -505,8 +514,18 @@ impl ChaosSimulation {
     /// # Errors
     /// Propagates warehouse, source, transport and codec errors; a run
     /// that cannot settle within the step cap reports
-    /// [`SimError::Protocol`] (livelock).
+    /// [`SimError::Protocol`] (livelock), and so does — before the first
+    /// step — a schedule with a [`RestartSite::Warehouse`] event while
+    /// some view has no factory to rebuild it from.
     pub fn run(mut self, policy: Policy) -> Result<ChaosRunReport, SimError> {
+        let crashes = self
+            .sites
+            .iter()
+            .flat_map(|s| &s.profile.restarts)
+            .any(|r| r.site == RestartSite::Warehouse);
+        if crashes && self.views.iter().any(|v| v.factory.is_none()) {
+            return Err(SimError::Protocol(CRASH_NEEDS_FACTORY));
+        }
         let mut steps = 0u64;
         match policy {
             Policy::Serial => {
@@ -539,9 +558,9 @@ impl ChaosSimulation {
                     }
                     self.fire_due_restarts(steps)?;
                     self.heal_failures()?;
-                    // Identical enabled-event vocabulary and push order
-                    // to `MultiSimulation::run`, so a fault-free run
-                    // takes exactly the same RNG draws.
+                    // The enabled-event vocabulary and push order are
+                    // pinned by the golden fingerprints: a fault-free
+                    // run must keep taking exactly these RNG draws.
                     let mut enabled: Vec<(usize, u8)> = Vec::new();
                     for i in 0..self.sites.len() {
                         if !self.sites[i].script.is_empty() {
@@ -577,8 +596,7 @@ impl ChaosSimulation {
     }
 
     /// Tick, deliver and heal until every link settles and every app
-    /// message is consumed — the fault-aware analogue of
-    /// `MultiSimulation::drain_all`.
+    /// message is consumed.
     fn settle(&mut self, steps: &mut u64) -> Result<(), SimError> {
         loop {
             *steps += 1;
@@ -671,10 +689,7 @@ impl ChaosSimulation {
         }
         for info in &self.views {
             let Some(factory) = &info.factory else {
-                return Err(SimError::Protocol(
-                    "warehouse crash scheduled but a view was registered without a factory \
-                     (use add_view_with_factory)",
-                ));
+                return Err(SimError::Protocol(CRASH_NEEDS_FACTORY));
             };
             fresh.add_view(self.sites[info.site].source_id, factory())?;
         }
@@ -1016,6 +1031,7 @@ impl ChaosSimulation {
                     warehouse_view_states: self.warehouse.view_states(id).to_vec(),
                     final_mv: self.warehouse.materialized(id).clone(),
                     final_source_view: info.source_states.last().cloned().unwrap_or_default(),
+                    selfmaint: self.warehouse.maintainer(id).selfmaint_stats(),
                 }
             })
             .collect();
@@ -1033,6 +1049,7 @@ impl ChaosSimulation {
                 answer_tuples: s.logical.answer_tuples(),
                 bytes_s2w: s.logical.bytes_s2w(),
                 bytes_w2s: s.logical.bytes_w2s(),
+                io_reads: s.source.io_meter().query_reads(),
             })
             .collect();
         let overhead = self
@@ -1060,7 +1077,6 @@ impl ChaosSimulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MultiSimulation;
     use eca_core::algorithms::AlgorithmKind;
     use eca_core::ViewDef;
     use eca_relational::{Predicate, Schema, Tuple};
@@ -1121,10 +1137,29 @@ mod tests {
         (source, view, script)
     }
 
-    fn build_chaos(kind: AlgorithmKind, profiles: [ChaosProfile; 2]) -> ChaosSimulation {
+    /// The two sites, one view each maintained by `kind`, channels
+    /// following `profiles`. `keyed` declares every attribute of every
+    /// base relation a key, so self-maintaining algorithms cover them.
+    fn build_sites(
+        kind: AlgorithmKind,
+        profiles: [ChaosProfile; 2],
+        keyed: bool,
+    ) -> ChaosSimulation {
         let mut sim = ChaosSimulation::new();
         let fixtures = [("a", site_a()), ("b", site_b())];
-        for ((name, (source, view, script)), profile) in fixtures.into_iter().zip(profiles) {
+        for ((name, (source, mut view, script)), profile) in fixtures.into_iter().zip(profiles) {
+            if keyed {
+                let schemas: Vec<Schema> = view
+                    .base()
+                    .iter()
+                    .map(|s| {
+                        let attrs: Vec<&str> = s.attrs().iter().map(String::as_str).collect();
+                        Schema::with_key(s.relation(), &attrs, &attrs).unwrap()
+                    })
+                    .collect();
+                let (cond, proj) = (view.cond().clone(), view.proj().to_vec());
+                view = ViewDef::new(view.name(), schemas, cond, proj).unwrap();
+            }
             let snapshot = source.snapshot();
             let initial = view.eval(&snapshot).unwrap();
             let maintainer = kind
@@ -1136,60 +1171,176 @@ mod tests {
         sim
     }
 
-    fn build_multi(kind: AlgorithmKind) -> MultiSimulation {
-        let mut sim = MultiSimulation::new();
-        for (name, (source, view, script)) in [("a", site_a()), ("b", site_b())] {
-            let snapshot = source.snapshot();
-            let initial = view.eval(&snapshot).unwrap();
-            let maintainer = kind
-                .instantiate_with_base(&view, initial, Some(snapshot))
-                .unwrap();
-            let site = sim.add_source(name, source, script);
-            sim.add_view(site, maintainer).unwrap();
-        }
-        sim
+    fn build_chaos(kind: AlgorithmKind, profiles: [ChaosProfile; 2]) -> ChaosSimulation {
+        build_sites(kind, profiles, false)
     }
 
-    /// The acceptance bar for the session layer's transparency: with no
-    /// faults, the chaos stack takes the same scheduling decisions and
-    /// charges the same logical meters as the plain in-memory run.
+    /// Both channels fault-free: the plain multi-source deployment.
+    fn build(kind: AlgorithmKind) -> ChaosSimulation {
+        build_chaos(kind, [ChaosProfile::none(), ChaosProfile::none()])
+    }
+
+    fn build_keyed(kind: AlgorithmKind) -> ChaosSimulation {
+        build_sites(kind, [ChaosProfile::none(), ChaosProfile::none()], true)
+    }
+
+    fn assert_strongly_consistent(report: &ChaosRunReport, label: &str) {
+        for v in &report.views {
+            let c = eca_consistency::check(&v.source_view_states, &v.warehouse_view_states);
+            assert!(
+                c.level() >= eca_consistency::Level::StronglyConsistent,
+                "{label}, view {}: {:?}",
+                v.view_name,
+                c.level()
+            );
+        }
+    }
+
     #[test]
-    fn fault_free_run_matches_plain_multi_simulation_exactly() {
+    fn two_sources_two_views_converge_under_every_policy() {
         for policy in [
             Policy::Serial,
             Policy::AllUpdatesFirst,
             Policy::Random { seed: 11 },
-            Policy::Random { seed: 42 },
         ] {
-            let plain = build_multi(AlgorithmKind::Eca).run(policy).unwrap();
-            let chaos = build_chaos(
-                AlgorithmKind::Eca,
-                [ChaosProfile::none(), ChaosProfile::none()],
-            )
-            .run(policy)
-            .unwrap();
-            assert!(chaos.quiescent && chaos.converged(), "{policy:?}");
-            for (p, c) in plain.sites.iter().zip(&chaos.sites) {
-                assert_eq!(p.query_messages, c.query_messages, "{policy:?} {}", p.name);
-                assert_eq!(p.answer_messages, c.answer_messages, "{policy:?}");
-                assert_eq!(p.notification_messages, c.notification_messages);
-                assert_eq!(p.answer_bytes, c.answer_bytes, "{policy:?}");
-                assert_eq!(p.bytes_s2w, c.bytes_s2w, "{policy:?}");
-                assert_eq!(p.bytes_w2s, c.bytes_w2s, "{policy:?}");
-            }
-            for (p, c) in plain.views.iter().zip(&chaos.views) {
-                assert_eq!(p.final_mv, c.final_mv, "{policy:?}");
-            }
-            let s = chaos.stats;
+            let report = build(AlgorithmKind::Eca).run(policy).unwrap();
+            assert!(report.quiescent, "{policy:?}");
+            assert!(report.converged(), "{policy:?}");
+            assert_eq!(report.views.len(), 2);
+            assert_eq!(report.sites.len(), 2);
+            // Fault-free: nothing injected, nothing healed — but the wire
+            // still paid for frames and acks.
+            let s = report.stats;
             assert_eq!(
                 (s.drops, s.duplicates, s.retransmits, s.resets, s.restarts),
                 (0, 0, 0, 0, 0),
                 "{policy:?}"
             );
-            // The wire still paid for frames and acks.
-            for o in &chaos.overhead {
+            for o in &report.overhead {
                 assert!(o.raw_bytes > o.logical_bytes);
             }
+        }
+    }
+
+    #[test]
+    fn each_view_is_strongly_consistent_under_random_interleavings() {
+        for seed in 0..15 {
+            let report = build(AlgorithmKind::Eca)
+                .run(Policy::Random { seed })
+                .unwrap();
+            assert_strongly_consistent(&report, &format!("seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn per_site_meters_are_independent() {
+        let report = build(AlgorithmKind::Eca)
+            .run(Policy::AllUpdatesFirst)
+            .unwrap();
+        // ECA: each site's k effective updates cost it k queries and k
+        // answers, whatever the other site did.
+        for (site, k) in report.sites.iter().zip([4, 3]) {
+            assert_eq!(site.notification_messages, k, "{}", site.name);
+            assert_eq!(site.query_messages, k, "{}", site.name);
+            assert_eq!(site.answer_messages, k, "{}", site.name);
+            assert!(site.answer_bytes > 0);
+            assert!(site.io_reads > 0);
+        }
+    }
+
+    #[test]
+    fn eca_aux_is_strongly_consistent_across_sites() {
+        for seed in 0..15 {
+            let report = build_keyed(AlgorithmKind::EcaAux)
+                .run(Policy::Random { seed })
+                .unwrap();
+            assert!(report.quiescent, "seed {seed}");
+            assert!(report.converged(), "seed {seed}");
+            assert_strongly_consistent(&report, &format!("seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn eca_aux_keeps_every_link_quiet() {
+        // Self-maintained views: per-link meters must show the savings —
+        // notifications flow, but no query or answer ever crosses.
+        let report = build_keyed(AlgorithmKind::EcaAux)
+            .run(Policy::AllUpdatesFirst)
+            .unwrap();
+        assert!(report.converged());
+        for (site, k) in report.sites.iter().zip([4, 3]) {
+            assert_eq!(site.notification_messages, k, "{}", site.name);
+            assert_eq!(site.query_messages, 0, "{}", site.name);
+            assert_eq!(site.answer_messages, 0, "{}", site.name);
+            assert_eq!(site.answer_bytes, 0, "{}", site.name);
+            assert_eq!(site.io_reads, 0, "{}", site.name);
+        }
+        for v in &report.views {
+            assert!(v.selfmaint.is_some(), "{} reports aux stats", v.view_name);
+        }
+    }
+
+    #[test]
+    fn cross_channel_ids_may_collide_but_route_correctly() {
+        // Both sessions start their global id space at 1; the same
+        // numeric id on different channels must reach different views.
+        let report = build(AlgorithmKind::Eca)
+            .run(Policy::Random { seed: 3 })
+            .unwrap();
+        let answered_at = |site: SiteId| -> Vec<QueryId> {
+            report
+                .trace
+                .iter()
+                .filter_map(|(s, e)| match e {
+                    TraceEvent::WarehouseAnswer { id } if *s == site => Some(*id),
+                    _ => None,
+                })
+                .collect()
+        };
+        let (ids_a, ids_b) = (answered_at(SiteId(0)), answered_at(SiteId(1)));
+        assert!(!ids_a.is_empty() && !ids_b.is_empty());
+        assert!(ids_a.iter().any(|id| ids_b.contains(id)));
+        assert!(report.converged());
+    }
+
+    #[test]
+    fn restart_builders_chain_in_either_order() {
+        let a = ChaosProfile::none()
+            .with_warehouse_crashes(&[5])
+            .with_restarts(&[9, 2]);
+        let b = ChaosProfile::none()
+            .with_restarts(&[9, 2])
+            .with_warehouse_crashes(&[5]);
+        assert_eq!(a.restarts, b.restarts);
+        let at = |at, site| Restart { at, site };
+        assert_eq!(
+            a.restarts,
+            [
+                at(2, RestartSite::Source),
+                at(5, RestartSite::Warehouse),
+                at(9, RestartSite::Source),
+            ]
+        );
+    }
+
+    /// A warehouse crash needs every view's factory. The schedule is
+    /// refused up front — even a crash step the run would never reach —
+    /// rather than mid-run, after steps executed and the durability
+    /// directory was written.
+    #[test]
+    fn warehouse_crash_without_factories_is_refused_before_the_first_step() {
+        for at in [5, u64::MAX] {
+            let profiles = [
+                ChaosProfile::none().with_warehouse_crashes(&[at]),
+                ChaosProfile::none(),
+            ];
+            let err = build_chaos(AlgorithmKind::Eca, profiles)
+                .run(Policy::Random { seed: 17 })
+                .unwrap_err();
+            assert!(
+                matches!(err, SimError::Protocol(CRASH_NEEDS_FACTORY)),
+                "crash at {at}: {err}"
+            );
         }
     }
 
@@ -1215,12 +1366,7 @@ mod tests {
 
     #[test]
     fn faulty_run_matches_fault_free_golden_views() {
-        let golden = build_chaos(
-            AlgorithmKind::Eca,
-            [ChaosProfile::none(), ChaosProfile::none()],
-        )
-        .run(Policy::Serial)
-        .unwrap();
+        let golden = build(AlgorithmKind::Eca).run(Policy::Serial).unwrap();
         let noisy = build_chaos(
             AlgorithmKind::Eca,
             [
@@ -1370,16 +1516,8 @@ mod tests {
     fn durable_fault_free_run_matches_plain_chaos_exactly() {
         let dir = sim_tmpdir("fault-free-identity");
         for policy in [Policy::Serial, Policy::Random { seed: 42 }] {
-            let plain = build_chaos(
-                AlgorithmKind::Eca,
-                [ChaosProfile::none(), ChaosProfile::none()],
-            )
-            .run(policy)
-            .unwrap();
-            let mut durable = build_chaos(
-                AlgorithmKind::Eca,
-                [ChaosProfile::none(), ChaosProfile::none()],
-            );
+            let plain = build(AlgorithmKind::Eca).run(policy).unwrap();
+            let mut durable = build(AlgorithmKind::Eca);
             let _ = std::fs::remove_dir_all(&dir);
             durable
                 .enable_durability(DurabilityConfig::new(&dir))

@@ -8,12 +8,15 @@
 //! * `S_qu` — the source evaluates a query on its *current* state,
 //! * `W_ans` — the warehouse receives the answer and updates the view.
 //!
-//! Since the transport re-layering, the simulator is a pure *scheduler*:
-//! messages move through an [`eca_wire::InMemoryFifo`] pair (encoded on
-//! send, decoded on delivery, so byte counts are real and codec faults
-//! surface as [`SimError::Transport`]), maintenance state lives in an
-//! [`eca_warehouse::Warehouse`] runtime, and the simulator only decides
-//! *when* each enabled transport event fires, under a [`Policy`]:
+//! The simulator is a pure *scheduler*, and there is one of it:
+//! [`ChaosSimulation`] drives one [`eca_warehouse::Warehouse`] runtime
+//! over any number of autonomous sources, each on its own channel.
+//! Messages move through an `eca_wire` link stack (encoded on send,
+//! decoded on delivery, so byte counts are real and codec faults surface
+//! as [`SimError::Transport`]) that is transparent unless a
+//! [`ChaosProfile`] injects faults or crashes, maintenance state lives in
+//! the warehouse runtime, and the engine only decides *when* each enabled
+//! event fires, under a [`Policy`]:
 //!
 //! * [`Policy::Serial`] — each update fully settles before the next: the
 //!   favorable case where ECA degenerates to the basic algorithm,
@@ -25,38 +28,33 @@
 //!
 //! Every run records the source's view states `V[ss_0..ss_p]` and each
 //! warehouse state, which `eca-consistency` checks against the §3
-//! correctness hierarchy. [`MultiSimulation`] drives one warehouse over
-//! *several* autonomous sources, each with its own channel and script.
+//! correctness hierarchy. [`Simulation`] is the engine's 1×1
+//! constructor — one source, one view, a flat [`RunReport`] — for the
+//! paper's base setting.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chaos;
 pub mod equiv;
-pub mod multi;
 pub mod report;
 pub mod trace;
 
-use std::collections::VecDeque;
-
 use eca_core::maintainer::ViewMaintainer;
-use eca_core::ViewDef;
-use eca_relational::{SignedBag, Update};
+use eca_relational::Update;
 use eca_source::Source;
-use eca_warehouse::{SourceId, ViewId, Warehouse, WarehouseError};
-use eca_wire::{InMemoryFifo, Message, TransferMeter, Transport, TransportError, WireQuery};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use eca_warehouse::WarehouseError;
+use eca_wire::TransportError;
 
 pub use chaos::{
     ChaosProfile, ChaosRunReport, ChaosSimulation, ChaosStats, LinkOverhead, Restart, RestartSite,
+    SiteId,
 };
 pub use equiv::{
     run_equivalence, run_reactor_tcp, EquivCase, EquivOutcome, EquivSource, EquivTriple,
     MeterCounts,
 };
-pub use multi::{MultiRunReport, MultiSimulation, SiteId, SiteReport, ViewRunReport};
-pub use report::RunReport;
+pub use report::{RunReport, SiteReport, ViewRunReport};
 pub use trace::TraceEvent;
 
 /// How source and warehouse events interleave.
@@ -67,6 +65,14 @@ pub enum Policy {
     Serial,
     /// All updates execute at the source before any query arrives there.
     /// The anomaly interleaving of Examples 2–4; ECA's worst case.
+    ///
+    /// With several sites, every script runs first and then the channels
+    /// settle site by site: a site's notifications are all delivered
+    /// before any of *its* queries is answered, but one site's answers
+    /// may precede another site's notifications. Channels are
+    /// independent (§7), so this fixes each site's event order and every
+    /// view's history; only the cross-site interleaving of the global
+    /// trace is left to the engine.
     AllUpdatesFirst,
     /// Seeded uniform choice among all enabled events each step.
     Random {
@@ -82,9 +88,8 @@ pub enum SimError {
     Core(eca_core::CoreError),
     /// The source failed to answer a query.
     Source(eca_source::SourceError),
-    /// A message failed to decode (indicates a codec bug).
-    Decode(eca_wire::DecodeError),
-    /// The transport failed to move a message.
+    /// The transport failed to move a message (codec faults arrive as
+    /// [`TransportError::Decode`]).
     Transport(TransportError),
     /// The warehouse runtime failed.
     Warehouse(WarehouseError),
@@ -99,7 +104,6 @@ impl std::fmt::Display for SimError {
         match self {
             SimError::Core(e) => write!(f, "warehouse error: {e}"),
             SimError::Source(e) => write!(f, "source error: {e}"),
-            SimError::Decode(e) => write!(f, "decode error: {e}"),
             SimError::Transport(e) => write!(f, "transport error: {e}"),
             SimError::Warehouse(e) => write!(f, "warehouse runtime error: {e}"),
             SimError::Protocol(what) => write!(f, "protocol violation: {what}"),
@@ -121,20 +125,9 @@ impl From<eca_source::SourceError> for SimError {
     }
 }
 
-impl From<eca_wire::DecodeError> for SimError {
-    fn from(e: eca_wire::DecodeError) -> Self {
-        SimError::Decode(e)
-    }
-}
-
 impl From<TransportError> for SimError {
     fn from(e: TransportError) -> Self {
-        // Preserve the historical Decode variant for codec faults so
-        // callers matching on it keep working.
-        match e {
-            TransportError::Decode(d) => SimError::Decode(d),
-            other => SimError::Transport(other),
-        }
+        SimError::Transport(e)
     }
 }
 
@@ -147,7 +140,9 @@ impl From<WarehouseError> for SimError {
     }
 }
 
-/// The wired-up system: source, warehouse runtime, transport, script.
+/// The paper's base setting — one source, one view — as a 1×1
+/// [`ChaosSimulation`]: the same engine, scheduler and link stack, with
+/// the report flattened to site 0 / view 0.
 ///
 /// ```
 /// use eca_core::{algorithms::AlgorithmKind, ViewDef};
@@ -179,22 +174,7 @@ impl From<WarehouseError> for SimError {
 /// assert_eq!(report.maintenance_messages(), 4); // 2k for ECA
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub struct Simulation {
-    source: Source,
-    warehouse: Warehouse,
-    source_id: SourceId,
-    view_id: ViewId,
-    view: ViewDef,
-    /// The source's endpoint of the in-memory channel pair.
-    src_end: InMemoryFifo,
-    /// The warehouse's endpoint.
-    wh_end: InMemoryFifo,
-    script: VecDeque<Update>,
-    meter: TransferMeter,
-    source_view_states: Vec<SignedBag>,
-    notifications_sent: u64,
-    trace: Vec<TraceEvent>,
-}
+pub struct Simulation(ChaosSimulation);
 
 impl Simulation {
     /// Wire a source and a warehouse algorithm with an update script.
@@ -210,211 +190,38 @@ impl Simulation {
         maintainer: Box<dyn ViewMaintainer>,
         script: Vec<Update>,
     ) -> Result<Self, SimError> {
-        let view = maintainer.view().clone();
-        let initial_source_view = view.eval(&source.snapshot())?;
-        let mut warehouse = Warehouse::new();
-        let source_id = warehouse.add_source("source");
-        let view_id = warehouse.add_view(source_id, maintainer)?;
-        let meter = TransferMeter::new();
-        let (src_end, wh_end) = InMemoryFifo::pair(meter.clone());
-        Ok(Simulation {
-            source,
-            warehouse,
-            source_id,
-            view_id,
-            view,
-            src_end,
-            wh_end,
-            script: script.into(),
-            meter,
-            source_view_states: vec![initial_source_view],
-            notifications_sent: 0,
-            trace: Vec::new(),
-        })
+        let mut engine = ChaosSimulation::new();
+        let site = engine.add_source("source", source, script);
+        engine.add_view(site, maintainer)?;
+        Ok(Simulation(engine))
     }
 
     /// Run to quiescence under `policy` and report.
     ///
     /// # Errors
     /// Propagates warehouse, source, transport and codec errors.
-    pub fn run(mut self, policy: Policy) -> Result<RunReport, SimError> {
-        match policy {
-            Policy::Serial => {
-                while self.source_has_update() {
-                    self.step_source_update()?;
-                    self.drain()?;
-                }
-            }
-            Policy::AllUpdatesFirst => {
-                // 1. All updates execute at the source.
-                while self.source_has_update() {
-                    self.step_source_update()?;
-                }
-                // 2. The warehouse processes every notification (emitting
-                //    queries) before the source answers anything.
-                while self.warehouse_has_message() {
-                    self.step_warehouse_deliver()?;
-                }
-                // 3. Everything settles.
-                self.drain()?;
-            }
-            Policy::Random { seed } => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                loop {
-                    let mut enabled = Vec::with_capacity(3);
-                    if self.source_has_update() {
-                        enabled.push(0u8);
-                    }
-                    if self.source_has_query() {
-                        enabled.push(1);
-                    }
-                    if self.warehouse_has_message() {
-                        enabled.push(2);
-                    }
-                    if enabled.is_empty() {
-                        break;
-                    }
-                    match enabled[rng.gen_range(0..enabled.len())] {
-                        0 => self.step_source_update()?,
-                        1 => self.step_source_answer()?,
-                        _ => self.step_warehouse_deliver()?,
-                    }
-                }
-            }
-        }
-        Ok(self.into_report())
-    }
-
-    fn source_has_update(&self) -> bool {
-        !self.script.is_empty()
-    }
-
-    fn source_has_query(&mut self) -> bool {
-        self.src_end.has_inbound()
-    }
-
-    fn warehouse_has_message(&mut self) -> bool {
-        self.wh_end.has_inbound()
-    }
-
-    /// Settle all in-flight work (no further updates).
-    fn drain(&mut self) -> Result<(), SimError> {
-        while self.source_has_query() || self.warehouse_has_message() {
-            while self.warehouse_has_message() {
-                self.step_warehouse_deliver()?;
-            }
-            while self.source_has_query() {
-                self.step_source_answer()?;
-            }
-        }
-        Ok(())
-    }
-
-    /// `S_up`: execute the next scripted update, notify the warehouse.
-    fn step_source_update(&mut self) -> Result<(), SimError> {
-        let Some(update) = self.script.pop_front() else {
-            return Err(SimError::Protocol("S_up fired with an empty script"));
-        };
-        let effective = self.source.execute_update(&update);
-        self.trace.push(TraceEvent::SourceUpdate {
-            update: update.clone(),
-            effective,
-        });
-        if effective {
-            self.source_view_states
-                .push(self.view.eval(&self.source.snapshot())?);
-            self.src_end.send(&Message::UpdateNotification { update })?;
-            self.notifications_sent += 1;
-        }
-        Ok(())
-    }
-
-    /// `S_qu`: answer the oldest pending query on the current state.
-    fn step_source_answer(&mut self) -> Result<(), SimError> {
-        let msg = self.src_end.try_recv()?;
-        let Some(Message::QueryRequest { id, query }) = msg else {
-            return Err(SimError::Protocol(
-                "S_qu fired without a QueryRequest pending",
-            ));
-        };
-        let answer = self.source.answer(&query)?;
-        self.trace.push(TraceEvent::SourceAnswer {
-            id,
-            tuples: answer.pos_len() + answer.neg_len(),
-        });
-        let payload_bytes = answer.encoded_len() as u64;
-        let tuples = answer.pos_len() + answer.neg_len();
-        self.meter.record_answer_payload(payload_bytes, tuples);
-        self.src_end.send(&Message::QueryAnswer { id, answer })?;
-        Ok(())
-    }
-
-    /// `W_up`/`W_ans`: deliver the oldest source→warehouse message.
-    fn step_warehouse_deliver(&mut self) -> Result<(), SimError> {
-        // The transport decodes on delivery: byte counts and decodability
-        // are exercised on every message.
-        let Some(msg) = self.wh_end.try_recv()? else {
-            return Err(SimError::Protocol(
-                "warehouse delivery fired with an empty channel",
-            ));
-        };
-        let outbound = match msg {
-            Message::UpdateNotification { update } => {
-                let queries = self.warehouse.on_update(self.source_id, &update)?;
-                self.trace.push(TraceEvent::WarehouseUpdate {
-                    update,
-                    queries_sent: queries.iter().map(|q| q.id).collect(),
-                });
-                queries
-            }
-            Message::QueryAnswer { id, answer } => {
-                let queries = self.warehouse.on_answer(self.source_id, id, answer)?;
-                self.trace.push(TraceEvent::WarehouseAnswer { id });
-                queries
-            }
-            Message::QueryRequest { .. } => {
-                return Err(SimError::Protocol("s2w never carries QueryRequest"));
-            }
-            Message::Frame { .. } | Message::Ack { .. } | Message::Hello { .. } => {
-                return Err(SimError::Protocol(
-                    "session-layer envelope leaked past the transport",
-                ));
-            }
-            Message::ReadQuery { .. } | Message::ReadAnswer { .. } | Message::ReadError { .. } => {
-                return Err(SimError::Protocol(
-                    "read-serving message on a maintenance channel",
-                ));
-            }
-        };
-        for q in outbound {
-            self.wh_end.send(&Message::QueryRequest {
-                id: q.id,
-                query: WireQuery::from_query(&q.query),
-            })?;
-        }
-        Ok(())
-    }
-
-    fn into_report(self) -> RunReport {
-        let final_source_view = self.source_view_states.last().cloned().unwrap_or_default();
-        RunReport {
-            algorithm: self.warehouse.maintainer(self.view_id).algorithm(),
-            source_view_states: self.source_view_states,
-            warehouse_view_states: self.warehouse.view_states(self.view_id).to_vec(),
-            final_mv: self.warehouse.materialized(self.view_id).clone(),
-            final_source_view,
-            quiescent: self.warehouse.is_quiescent(),
-            query_messages: self.meter.messages_w2s(),
-            answer_messages: self.meter.messages_s2w() - self.notifications_sent,
-            notification_messages: self.notifications_sent,
-            answer_bytes: self.meter.answer_bytes(),
-            answer_tuples: self.meter.answer_tuples(),
-            bytes_s2w: self.meter.bytes_s2w(),
-            bytes_w2s: self.meter.bytes_w2s(),
-            io_reads: self.source.io_meter().query_reads(),
-            selfmaint: self.warehouse.maintainer(self.view_id).selfmaint_stats(),
-            trace: self.trace,
-        }
+    pub fn run(self, policy: Policy) -> Result<RunReport, SimError> {
+        let mut report = self.0.run(policy)?;
+        // `new` registered exactly one site and one view.
+        let (view, site) = (report.views.remove(0), &report.sites[0]);
+        Ok(RunReport {
+            algorithm: view.algorithm,
+            source_view_states: view.source_view_states,
+            warehouse_view_states: view.warehouse_view_states,
+            final_mv: view.final_mv,
+            final_source_view: view.final_source_view,
+            quiescent: report.quiescent,
+            query_messages: site.query_messages,
+            answer_messages: site.answer_messages,
+            notification_messages: site.notification_messages,
+            answer_bytes: site.answer_bytes,
+            answer_tuples: site.answer_tuples,
+            bytes_s2w: site.bytes_s2w,
+            bytes_w2s: site.bytes_w2s,
+            io_reads: site.io_reads,
+            selfmaint: view.selfmaint,
+            trace: report.trace.into_iter().map(|(_, e)| e).collect(),
+        })
     }
 }
 
@@ -422,6 +229,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use eca_core::algorithms::AlgorithmKind;
+    use eca_core::ViewDef;
     use eca_relational::{Predicate, Schema, Tuple};
     use eca_storage::Scenario;
 

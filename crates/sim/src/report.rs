@@ -3,6 +3,7 @@
 use eca_core::maintainer::SelfMaintStats;
 use eca_relational::SignedBag;
 
+use crate::chaos::SiteId;
 use crate::trace::TraceEvent;
 
 /// Everything observed during one simulation run.
@@ -58,6 +59,63 @@ impl RunReport {
     pub fn converged(&self) -> bool {
         self.final_mv == self.final_source_view
     }
+}
+
+/// Per-view outcome of an engine run, in the shape
+/// `eca_consistency::check` consumes.
+#[derive(Clone, Debug)]
+pub struct ViewRunReport {
+    /// The view's name.
+    pub view_name: String,
+    /// The site the view is maintained over.
+    pub site: SiteId,
+    /// The maintaining algorithm's label.
+    pub algorithm: &'static str,
+    /// The view evaluated at its source after the initial state and each
+    /// effective update there.
+    pub source_view_states: Vec<SignedBag>,
+    /// `MV` after the initial state and each warehouse event that
+    /// reached this view.
+    pub warehouse_view_states: Vec<SignedBag>,
+    /// The final materialized view.
+    pub final_mv: SignedBag,
+    /// The final source-side view state.
+    pub final_source_view: SignedBag,
+    /// Self-maintenance statistics, when the algorithm keeps auxiliary
+    /// views.
+    pub selfmaint: Option<SelfMaintStats>,
+}
+
+impl ViewRunReport {
+    /// Convergence (§3.1): final `MV` equals the view over the final
+    /// source state.
+    pub fn converged(&self) -> bool {
+        self.final_mv == self.final_source_view
+    }
+}
+
+/// Per-site message/byte meters of an engine run.
+#[derive(Clone, Debug)]
+pub struct SiteReport {
+    /// The site's registered name.
+    pub name: String,
+    /// Query messages warehouse → this site.
+    pub query_messages: u64,
+    /// Answer messages this site → warehouse.
+    pub answer_messages: u64,
+    /// Update notifications this site → warehouse.
+    pub notification_messages: u64,
+    /// Answer payload bytes from this site (the paper's `B`).
+    pub answer_bytes: u64,
+    /// Answer payload tuple occurrences from this site.
+    pub answer_tuples: u64,
+    /// Total bytes this site → warehouse.
+    pub bytes_s2w: u64,
+    /// Total bytes warehouse → this site.
+    pub bytes_w2s: u64,
+    /// Block reads this site charged to query evaluation (the paper's
+    /// `IO`).
+    pub io_reads: u64,
 }
 
 #[cfg(test)]

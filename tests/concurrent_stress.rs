@@ -1,7 +1,7 @@
 //! Concurrent-runtime stress: 4 sources × 8 views × 200 scripted
 //! updates, exercised two ways —
 //!
-//! * a `MultiSimulation` run under `Policy::Random` (deterministic,
+//! * a `ChaosSimulation` run under `Policy::Random` (deterministic,
 //!   scheduler-randomized interleaving), and
 //! * the real threaded runtime: `ConcurrentWarehouse::pump_all` against
 //!   scripted source threads that *randomly interleave* executing
@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 use eca_core::algorithms::AlgorithmKind;
 use eca_core::{QueryId, ViewDef};
 use eca_relational::{Predicate, Schema, SignedBag, Tuple, Update};
-use eca_sim::{MultiSimulation, Policy};
+use eca_sim::{ChaosSimulation, Policy};
 use eca_source::Source;
 use eca_storage::Scenario;
 use eca_warehouse::{SourceId, Warehouse};
@@ -95,7 +95,7 @@ fn build_script(s: usize) -> Vec<Update> {
 
 #[test]
 fn multi_sim_stress_under_random_policy_is_strongly_consistent() {
-    let mut sim = MultiSimulation::new();
+    let mut sim = ChaosSimulation::new();
     let mut sites = Vec::new();
     for s in 0..SOURCES {
         let site = sim.add_source(format!("s{s}"), build_source(s), build_script(s));

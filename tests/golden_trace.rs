@@ -11,7 +11,8 @@ use eca_core::algorithms::AlgorithmKind;
 use eca_core::ViewDef;
 use eca_relational::{Predicate, Schema, Tuple, Update};
 use eca_sim::{
-    run_equivalence, run_reactor_tcp, EquivCase, EquivSource, Policy, RunReport, Simulation,
+    run_equivalence, run_reactor_tcp, ChaosRunReport, ChaosSimulation, EquivCase, EquivSource,
+    Policy, RunReport, Simulation, SiteId, TraceEvent,
 };
 use eca_source::Source;
 use eca_storage::Scenario;
@@ -293,6 +294,153 @@ fn tcp_reactor_matches_in_memory_golden() {
             } else {
                 assert_eq!(got, *want, "{name} over TCP at {workers} workers");
             }
+        }
+    }
+}
+
+/// Two-relation join source for the multi-site fixture: `ra(A, B)` ⋈
+/// `rb(B, C)`, one row preloaded on the side named by `preload`.
+fn join_site(ra: &str, rb: &str, preload: (&str, [i64; 2])) -> Source {
+    let mut source = Source::new(Scenario::Indexed);
+    source
+        .add_relation(Schema::new(ra, &["A", "B"]), 20, Some("B"), &[])
+        .unwrap();
+    source
+        .add_relation(Schema::new(rb, &["B", "C"]), 20, Some("B"), &[])
+        .unwrap();
+    source.load(preload.0, [Tuple::ints(preload.1)]).unwrap();
+    source
+}
+
+fn join_view(name: &str, ra: &str, rb: &str, proj: usize) -> ViewDef {
+    ViewDef::new(
+        name,
+        vec![Schema::new(ra, &["A", "B"]), Schema::new(rb, &["B", "C"])],
+        Predicate::col_eq(1, 2),
+        vec![proj],
+    )
+    .unwrap()
+}
+
+/// Three autonomous sites, two views each, four algorithms: Example 2's
+/// relations with a delete in the script, a second join site, and the
+/// Example 6 workload maintained by ECA and (keyed) ECA-Aux side by
+/// side.
+fn multi_site_sim() -> ChaosSimulation {
+    let workload = Example6::new(Params::default(), 42);
+    type Site = (
+        &'static str,
+        Source,
+        Vec<Update>,
+        Vec<(ViewDef, AlgorithmKind)>,
+    );
+    let sites: Vec<Site> = vec![
+        (
+            "a",
+            join_site("r1", "r2", ("r1", [1, 2])),
+            vec![
+                Update::insert("r2", Tuple::ints([2, 3])),
+                Update::insert("r1", Tuple::ints([4, 2])),
+                Update::delete("r2", Tuple::ints([2, 3])),
+                Update::insert("r2", Tuple::ints([2, 7])),
+            ],
+            vec![
+                (join_view("Va0", "r1", "r2", 0), AlgorithmKind::Eca),
+                (join_view("Va1", "r1", "r2", 3), AlgorithmKind::Lca),
+            ],
+        ),
+        (
+            "b",
+            join_site("r3", "r4", ("r4", [5, 6])),
+            vec![
+                Update::insert("r3", Tuple::ints([9, 5])),
+                Update::delete("r4", Tuple::ints([5, 6])),
+                Update::insert("r4", Tuple::ints([5, 8])),
+            ],
+            vec![
+                (join_view("Vb0", "r3", "r4", 0), AlgorithmKind::EcaOptimized),
+                (join_view("Vb1", "r3", "r4", 3), AlgorithmKind::Eca),
+            ],
+        ),
+        (
+            "c",
+            workload.build_source(Scenario::Indexed).unwrap(),
+            workload.updates(6, UpdateMix::Mixed),
+            vec![
+                (Example6::view().unwrap(), AlgorithmKind::Eca),
+                (Example6::keyed_view().unwrap(), AlgorithmKind::EcaAux),
+            ],
+        ),
+    ];
+    let mut sim = ChaosSimulation::new();
+    for (name, source, script, views) in sites {
+        let snapshot = source.snapshot();
+        let site = sim.add_source(name, source, script);
+        for (view, kind) in views {
+            let initial = view.eval(&snapshot).unwrap();
+            let maintainer = kind
+                .instantiate_with_base(&view, initial, Some(snapshot.clone()))
+                .unwrap();
+            sim.add_view(site, maintainer).unwrap();
+        }
+    }
+    sim
+}
+
+/// The multi-site counterpart of [`fingerprint`]: per-site trace order
+/// and meters, then per-view source and warehouse histories. The global
+/// cross-site interleaving of the trace is deliberately left out — it is
+/// the one thing `Policy::AllUpdatesFirst` does not pin.
+fn multi_site_fingerprint(report: &ChaosRunReport) -> u64 {
+    let mut rendered = String::new();
+    for (i, s) in report.sites.iter().enumerate() {
+        let own: Vec<&TraceEvent> = report
+            .trace
+            .iter()
+            .filter(|(site, _)| *site == SiteId(i))
+            .map(|(_, e)| e)
+            .collect();
+        rendered.push_str(&format!(
+            "{}:{own:?}|q{} a{} n{} ab{} at{} s2w{} w2s{}\n",
+            s.name,
+            s.query_messages,
+            s.answer_messages,
+            s.notification_messages,
+            s.answer_bytes,
+            s.answer_tuples,
+            s.bytes_s2w,
+            s.bytes_w2s,
+        ));
+    }
+    for v in &report.views {
+        rendered.push_str(&format!(
+            "{}@{}:{:?}|{:?}\n",
+            v.view_name, v.site.0, v.source_view_states, v.warehouse_view_states
+        ));
+    }
+    fnv1a(rendered.as_bytes())
+}
+
+/// Captured from the plain multi-source scheduler (no link stack) at
+/// the commit before it was deleted: the one engine, with its
+/// fault-free `ReliableLink`/`FaultyTransport` stack in the path, must
+/// reproduce every per-site trace, meter and per-view history.
+#[test]
+fn multi_site_fingerprints_are_stable() {
+    let expected: &[(Policy, u64)] = &[
+        (Policy::Serial, 0x93332a3121c929cb),
+        (Policy::AllUpdatesFirst, 0x039429173f6e7401),
+        (Policy::Random { seed: 11 }, 0x6700126edab1e12c),
+        (Policy::Random { seed: 42 }, 0x6b7d5c42a89a8f7c),
+    ];
+    for (policy, want) in expected {
+        let report = multi_site_sim().run(*policy).unwrap();
+        assert!(report.quiescent && report.converged(), "{policy:?}");
+        let got = multi_site_fingerprint(&report);
+        if std::env::var("GOLDEN_PRINT").is_ok() {
+            println!("({policy:?}, 0x{got:016x}),");
+        } else {
+            assert_eq!(got, *want, "{policy:?}");
         }
     }
 }
