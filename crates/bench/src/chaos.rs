@@ -190,9 +190,16 @@ fn single_site(fixture: Fixture, profile: ChaosProfile) -> ChaosSimulation {
     sim
 }
 
-/// A scratch durability directory for one crash-family run.
+/// A scratch durability directory for one crash-family run, private to
+/// this call: two sweeps in one process (parallel tests) must not wipe
+/// each other's logs.
 fn tmpdir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("eca-chaos-bench-{tag}-{}", std::process::id()));
+    static CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!(
+        "eca-chaos-bench-{tag}-{}-{call}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir

@@ -1,277 +1,120 @@
-//! The concurrent warehouse runtime: one pump thread per source.
+//! The thread-per-source driver: one pump thread per source.
 //!
 //! The paper's premise (§1, Figure 1.1) is that sources are autonomous —
 //! nothing synchronizes update streams arriving from different sites, and
 //! §7 observes that with single-source views "ECA is simply applied to
 //! each view separately". That independence is exactly what this module
-//! exploits: warehouse state is **sharded by source**. Each
-//! [`ConcurrentWarehouse`] shard owns the session and the views routed to
-//! one source, behind its own lock, so pump threads progress without ever
-//! contending — the lock is the fallback that would serialize access if a
-//! future view spanned sources (none do today; see DESIGN.md §9).
+//! exploits: warehouse state is already one shard per source, so
+//! [`Warehouse::into_concurrent`] only puts each shard behind its own
+//! lock and pump threads progress without ever contending — the lock is
+//! the fallback that would serialize access if a future view spanned
+//! sources (none do today; see DESIGN.md §9).
 //!
 //! Correctness needs no cross-source ordering: ECA's §3 argument relies
 //! only on per-channel FIFO delivery of `W_up`/`W_ans` events, which each
 //! pump thread preserves by construction (it is the only consumer of its
 //! transport, and it applies events in arrival order under the shard
 //! lock). The deterministic single-threaded [`Warehouse`] remains the
-//! default for the simulator and all golden traces; this runtime is for
+//! default for the simulator and all golden traces; this driver is for
 //! wall-clock throughput.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use eca_core::QueryId;
-use eca_durable::{SourceCheckpoint, ViewCheckpoint, WalRecord};
-use eca_relational::{SignedBag, Update};
-use eca_wire::{Message, Transport, WireQuery};
+use eca_wire::Transport;
 
-use crate::durability::SourceDurability;
-use crate::publish::EpochRegistry;
-use crate::session::{RouteKind, Session};
-use crate::{SourceId, ViewId, ViewStatus, Warehouse, WarehouseError};
+use crate::shard::{self, Shard};
+use crate::{SourceId, Warehouse, WarehouseError};
 
-/// One view hosted inside a shard. The global [`ViewId`] → (shard,
-/// local) mapping lives in [`ConcurrentWarehouse::view_index`].
-pub(crate) struct ShardView {
-    pub(crate) maintainer: Box<dyn eca_core::ViewMaintainer>,
-    pub(crate) states: Vec<SignedBag>,
-    /// Global view index — the slot this view publishes to in the
-    /// serving registry (shard-local indices are meaningless there).
-    pub(crate) global: usize,
-    /// Carried-over [`ViewStatus::Degraded`]: the view skips updates
-    /// until its in-flight resync answer installs `V(ss)`.
-    pub(crate) degraded: bool,
-}
-
-/// All warehouse state owned by one source's pump thread (or, in the
-/// reactor runtime, by whichever pooled worker currently holds the
-/// station's claim — see `reactor.rs`).
-pub(crate) struct Shard {
-    session: Session,
-    pub(crate) views: Vec<ShardView>,
-    record_history: bool,
-    /// Shared epoch publication, carried over from the serial
-    /// warehouse's [`Warehouse::enable_serving`] across the reshape.
-    publisher: Option<Arc<EpochRegistry>>,
-    /// Write-ahead log + checkpoints for this source channel, carried
-    /// over from the serial warehouse's durability state. Shards log the
-    /// same events the serial runtime does, so a crashed concurrent
-    /// deployment recovers through the (serial)
-    /// [`Warehouse::recover_durability`] path before reshaping again.
-    durability: Option<SourceDurability>,
-    /// Update notifications applied on this channel over its whole life.
-    notifications_seen: u64,
-}
-
-impl Shard {
-    /// A `W_up` event: fan the update out to every view in this shard
-    /// (they are all over this source by construction). Returned messages
-    /// carry session-global ids; `Route.view` holds *shard-local* view
-    /// indices.
-    pub(crate) fn on_update(&mut self, update: &Update) -> Result<Vec<Message>, WarehouseError> {
-        let mut out = Vec::new();
-        for idx in 0..self.views.len() {
-            if self.views[idx].degraded {
-                // Skip: the update's effects are inside the coming V(ss).
-                continue;
-            }
-            let emitted = self.views[idx].maintainer.on_update(update)?;
-            self.record_states(idx);
-            for q in emitted {
-                let query = WireQuery::from_query(&q.query);
-                let id = self.session.register(idx, q.id, query.clone());
-                out.push(Message::QueryRequest { id, query });
-            }
-        }
-        self.notifications_seen += 1;
-        self.log_event(|| WalRecord::Update(update.clone()))?;
-        Ok(out)
-    }
-
-    /// A `W_ans` event: demux strictly by id, as in the serial runtime.
-    pub(crate) fn on_answer(
-        &mut self,
-        id: QueryId,
-        answer: SignedBag,
-    ) -> Result<Vec<Message>, WarehouseError> {
-        let keep = self.durability.is_some().then(|| answer.clone());
-        let route = self.session.take(id)?;
-        if route.kind == RouteKind::Resync {
-            // A carried-over resync completing on this shard: install
-            // the fresh V(ss) wholesale and resume maintenance.
-            let entry = &mut self.views[route.view];
-            entry.maintainer.reset_to(answer)?;
-            entry.degraded = false;
-            self.record_states(route.view);
-            if let Some(answer) = keep {
-                self.log_event(move || WalRecord::Answer { id: id.0, answer })?;
-            }
-            return Ok(Vec::new());
-        }
-        let emitted = self.views[route.view]
-            .maintainer
-            .on_answer(route.local, answer)?;
-        self.record_states(route.view);
-        let mut out = Vec::new();
-        for q in emitted {
-            let query = WireQuery::from_query(&q.query);
-            let id = self.session.register(route.view, q.id, query.clone());
-            out.push(Message::QueryRequest { id, query });
-        }
-        if let Some(answer) = keep {
-            self.log_event(move || WalRecord::Answer { id: id.0, answer })?;
-        }
-        Ok(out)
-    }
-
-    /// Append one committed event to the shard's log (no-op without
-    /// durability), then cut a checkpoint if one is due and the shard is
-    /// quiescent — same discipline as the serial runtime, under the
-    /// shard lock.
-    fn log_event(&mut self, record: impl FnOnce() -> WalRecord) -> Result<(), WarehouseError> {
-        if self.durability.is_none() {
-            return Ok(());
-        }
-        let record = record();
-        self.durability
-            .as_mut()
-            .expect("checked above")
-            .log(&record)?;
-        self.maybe_checkpoint()
-    }
-
-    fn maybe_checkpoint(&mut self) -> Result<(), WarehouseError> {
-        let due = self
-            .durability
-            .as_ref()
-            .is_some_and(SourceDurability::due_for_checkpoint);
-        if !due || !self.is_quiescent() || self.views.iter().any(|v| v.degraded) {
-            return Ok(());
-        }
-        let wal_gen = self.durability.as_ref().expect("checked above").next_gen();
-        let ckpt = SourceCheckpoint {
-            epoch: self.session.epoch(),
-            next_global_id: self.session.next_global_id(),
-            notifications_applied: self.notifications_seen,
-            wal_gen,
-            views: self
-                .views
-                .iter()
-                .map(|v| ViewCheckpoint {
-                    mv: v.maintainer.materialized().clone(),
-                    aux: v.maintainer.checkpoint_aux(),
-                })
-                .collect(),
-        };
-        self.durability
-            .as_mut()
-            .expect("checked above")
-            .cut(&ckpt)?;
-        Ok(())
-    }
-
-    /// Force buffered WAL records to disk regardless of policy (clean
-    /// shutdown). No-op without durability.
-    pub(crate) fn sync_durability(&mut self) -> Result<(), WarehouseError> {
-        if let Some(d) = &mut self.durability {
-            d.sync()?;
-        }
-        Ok(())
-    }
-
-    fn record_states(&mut self, idx: usize) {
-        if !self.record_history {
-            let _ = self.views[idx].maintainer.drain_intermediate_states();
-        } else {
-            let entry = &mut self.views[idx];
-            let intermediates = entry.maintainer.drain_intermediate_states();
-            if intermediates.is_empty() {
-                entry.states.push(entry.maintainer.materialized().clone());
-            } else {
-                entry.states.extend(intermediates);
-            }
-        }
-        if let Some(registry) = &self.publisher {
-            let entry = &self.views[idx];
-            registry.publish(
-                entry.global,
-                entry.maintainer.materialized(),
-                entry.maintainer.is_quiescent(),
-            );
-        }
-    }
-
-    pub(crate) fn is_quiescent(&self) -> bool {
-        self.session.pending() == 0 && self.views.iter().all(|v| v.maintainer.is_quiescent())
-    }
-}
-
-/// The sharded-by-source reshaping shared by the concurrent and reactor
-/// runtimes: per-source [`Shard`]s behind their own locks plus the global
-/// [`ViewId`] → (shard, local) routing index.
+/// A warehouse's shards behind per-source locks, plus the lock-free
+/// tables beside them — what both threaded drivers are built on.
 pub(crate) struct ShardSet {
     pub(crate) names: Vec<String>,
     pub(crate) shards: Vec<Mutex<Shard>>,
+    /// Global [`crate::ViewId`] → (shard, shard-local index).
     pub(crate) view_index: Vec<(usize, usize)>,
 }
 
+impl ShardSet {
+    /// The lock around `source`'s shard.
+    ///
+    /// # Errors
+    /// [`WarehouseError::UnknownSource`] for an unregistered handle.
+    pub(crate) fn shard(&self, source: SourceId) -> Result<&Mutex<Shard>, WarehouseError> {
+        Ok(&self.shards[shard::checked(source, self.shards.len())?])
+    }
+}
+
 impl Warehouse {
-    /// Reshape into per-source shards. Sessions move wholesale — epochs,
-    /// id allocators and in-flight queries survive the reshape (pending
-    /// routes are rewritten from global to shard-local view indices), as
-    /// do per-view degraded states and any durability state, so a
-    /// recovered warehouse can be reshaped mid-resync.
+    /// Put every shard behind its own lock. Nothing is reshaped:
+    /// sessions, in-flight queries, degraded views, logs and serving
+    /// slots are the same objects the serial driver was using.
     pub(crate) fn into_shards(self) -> ShardSet {
-        let durability = self.durability.map(|d| {
-            assert!(
-                !d.replaying,
-                "cannot reshape a warehouse while recovery replay is in progress"
-            );
-            d.per_source
-        });
-        let mut names = Vec::with_capacity(self.sources.len());
-        let mut shards: Vec<Shard> = Vec::with_capacity(self.sources.len());
-        for entry in self.sources {
-            names.push(entry.name);
-            shards.push(Shard {
-                session: entry.session,
-                views: Vec::new(),
-                record_history: self.record_history,
-                publisher: self.publisher.clone(),
-                durability: None,
-                notifications_seen: entry.notifications_seen,
-            });
-        }
-        if let Some(per_source) = durability {
-            for (shard, sd) in shards.iter_mut().zip(per_source) {
-                shard.durability = Some(sd);
-            }
-        }
-        let mut view_index = Vec::with_capacity(self.views.len());
-        for (global, entry) in self.views.into_iter().enumerate() {
-            let shard = entry.source.0;
-            view_index.push((shard, shards[shard].views.len()));
-            debug_assert_eq!(view_index.len() - 1, global);
-            shards[shard].views.push(ShardView {
-                maintainer: entry.maintainer,
-                states: entry.states,
-                global,
-                degraded: entry.status == ViewStatus::Degraded,
-            });
-        }
-        // In-flight routes still name global view indices; rewrite them
-        // to this shard's local ones.
-        for shard in &mut shards {
-            let map = view_index.clone();
-            shard.session.remap_views(move |global| map[global].1);
-        }
         ShardSet {
-            names,
-            shards: shards.into_iter().map(Mutex::new).collect(),
-            view_index,
+            names: self.names,
+            shards: self.shards.into_iter().map(Mutex::new).collect(),
+            view_index: self.view_index,
         }
     }
 }
+
+/// The result accessors the two threaded drivers share, generated once
+/// for each over its `set: ShardSet` field.
+macro_rules! shard_set_accessors {
+    ($driver:ty) => {
+        impl $driver {
+            /// Number of source shards.
+            pub fn source_count(&self) -> usize {
+                self.set.shards.len()
+            }
+
+            /// The name a source was registered under.
+            pub fn source_name(&self, source: $crate::SourceId) -> &str {
+                &self.set.names[source.0]
+            }
+
+            /// The current materialized state of a view (cloned out of
+            /// its shard).
+            pub fn materialized(&self, view: $crate::ViewId) -> eca_relational::SignedBag {
+                let (shard, local) = self.set.view_index[view.0];
+                let shard = $crate::lock(&self.set.shards[shard]);
+                shard.views[local].maintainer.materialized().clone()
+            }
+
+            /// Every `MV` state a view passed through, starting with its
+            /// initial state — the warehouse half of the §3.1
+            /// consistency check.
+            pub fn view_states(&self, view: $crate::ViewId) -> Vec<eca_relational::SignedBag> {
+                let (shard, local) = self.set.view_index[view.0];
+                $crate::lock(&self.set.shards[shard]).views[local]
+                    .states
+                    .clone()
+            }
+
+            /// Whether every shard is quiescent.
+            pub fn is_quiescent(&self) -> bool {
+                self.set
+                    .shards
+                    .iter()
+                    .all(|s| $crate::lock(s).is_quiescent())
+            }
+
+            /// Force every shard's buffered WAL records to disk
+            /// regardless of the fsync policy (clean-shutdown helper).
+            /// No-op without durability.
+            ///
+            /// # Errors
+            /// [`WarehouseError::Durability`](crate::WarehouseError::Durability)
+            /// on filesystem failures.
+            pub fn sync_durability(&self) -> Result<(), $crate::WarehouseError> {
+                self.set
+                    .shards
+                    .iter()
+                    .try_for_each(|s| $crate::lock(s).sync_durability())
+            }
+        }
+    };
+}
+pub(crate) use shard_set_accessors;
 
 /// A warehouse whose per-source state lives behind per-source locks so
 /// one pump thread per source can run maintenance concurrently.
@@ -281,52 +124,30 @@ impl Warehouse {
 /// from threads you manage yourself), then read results through the same
 /// accessors the serial runtime offers.
 pub struct ConcurrentWarehouse {
-    names: Vec<String>,
-    shards: Vec<Mutex<Shard>>,
-    /// Global [`ViewId`] → (shard, shard-local index).
-    view_index: Vec<(usize, usize)>,
+    pub(crate) set: ShardSet,
     /// Longest silence a pump tolerates while its shard has queries
     /// outstanding before declaring the source stalled.
     stall_timeout: std::time::Duration,
 }
 
-/// Shard-lock helper: recovers from poisoning so a panicked pump thread
-/// cannot wedge result accessors (the data is a consistent prefix —
-/// maintainers mutate under the lock one event at a time).
-pub(crate) fn lock(shard: &Mutex<Shard>) -> std::sync::MutexGuard<'_, Shard> {
-    shard
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 impl Warehouse {
-    /// Reshape this warehouse into the sharded concurrent runtime.
+    /// Hand this warehouse's shards to the thread-per-source driver.
     ///
     /// Sessions, in-flight queries, degraded-view states and durability
-    /// all carry over, so this is sound mid-traffic — including right
-    /// after [`Warehouse::recover_durability`], while resyncs are still
-    /// outstanding.
+    /// all carry over untouched, so this is sound mid-traffic —
+    /// including right after [`Warehouse::recover_durability`], while
+    /// resyncs are still outstanding.
     pub fn into_concurrent(self) -> ConcurrentWarehouse {
-        let ShardSet {
-            names,
-            shards,
-            view_index,
-        } = self.into_shards();
         ConcurrentWarehouse {
-            names,
-            shards,
-            view_index,
+            set: self.into_shards(),
             stall_timeout: std::time::Duration::from_secs(30),
         }
     }
 }
 
-impl ConcurrentWarehouse {
-    /// Number of source shards.
-    pub fn source_count(&self) -> usize {
-        self.shards.len()
-    }
+shard_set_accessors!(ConcurrentWarehouse);
 
+impl ConcurrentWarehouse {
     /// Change the pump stall timeout (default 30 s): the longest silence
     /// a pump thread tolerates while queries are outstanding before it
     /// gives up with [`WarehouseError::SourceStalled`]. Tests drop this
@@ -334,46 +155,6 @@ impl ConcurrentWarehouse {
     /// the suite.
     pub fn set_stall_timeout(&mut self, timeout: std::time::Duration) {
         self.stall_timeout = timeout;
-    }
-
-    /// The name a source was registered under.
-    pub fn source_name(&self, source: SourceId) -> &str {
-        &self.names[source.0]
-    }
-
-    /// The current materialized state of a view (cloned out of its
-    /// shard).
-    pub fn materialized(&self, view: ViewId) -> SignedBag {
-        let (shard, local) = self.view_index[view.0];
-        lock(&self.shards[shard]).views[local]
-            .maintainer
-            .materialized()
-            .clone()
-    }
-
-    /// Every `MV` state a view passed through, starting with its initial
-    /// state — the warehouse half of the §3.1 consistency check.
-    pub fn view_states(&self, view: ViewId) -> Vec<SignedBag> {
-        let (shard, local) = self.view_index[view.0];
-        lock(&self.shards[shard]).views[local].states.clone()
-    }
-
-    /// Whether every shard is quiescent.
-    pub fn is_quiescent(&self) -> bool {
-        self.shards.iter().all(|s| lock(s).is_quiescent())
-    }
-
-    /// Force every shard's buffered WAL records to disk regardless of
-    /// the fsync policy (clean-shutdown helper). No-op without
-    /// durability.
-    ///
-    /// # Errors
-    /// [`WarehouseError::Durability`] on filesystem failures.
-    pub fn sync_durability(&self) -> Result<(), WarehouseError> {
-        for shard in &self.shards {
-            lock(shard).sync_durability()?;
-        }
-        Ok(())
     }
 
     /// Pump one source's transport until `expected_notifications` update
@@ -387,6 +168,7 @@ impl ConcurrentWarehouse {
     /// [`eca_wire::SharedFifo`] share one meter.
     ///
     /// # Errors
+    /// [`WarehouseError::UnknownSource`] for an unregistered handle;
     /// [`WarehouseError::SourceHungUp`] if the peer disconnects before
     /// the shard settles; [`WarehouseError::SourceStalled`] if nothing
     /// arrives for a full stall timeout while the shard is unsettled (a
@@ -399,52 +181,14 @@ impl ConcurrentWarehouse {
         transport: &mut dyn Transport,
         expected_notifications: u64,
     ) -> Result<u64, WarehouseError> {
-        let shard = &self.shards[source.0];
-        let mut notifications = 0u64;
-        let mut processed = 0u64;
-        loop {
-            if notifications >= expected_notifications && lock(shard).is_quiescent() {
-                return Ok(processed);
-            }
-            let msg = match transport.recv_timeout(self.stall_timeout) {
-                Ok(Some(msg)) => msg,
-                Ok(None) => return Err(WarehouseError::SourceHungUp { source: source.0 }),
-                Err(eca_wire::TransportError::Timeout) => {
-                    return Err(WarehouseError::SourceStalled { source: source.0 })
-                }
-                Err(e) => return Err(e.into()),
-            };
-            processed += 1;
-            let replies = match msg {
-                Message::UpdateNotification { update } => {
-                    notifications += 1;
-                    lock(shard).on_update(&update)?
-                }
-                Message::QueryAnswer { id, answer } => lock(shard).on_answer(id, answer)?,
-                Message::QueryRequest { .. } => {
-                    return Err(WarehouseError::UnexpectedMessage {
-                        kind: "QueryRequest",
-                    })
-                }
-                // Session-layer envelopes are consumed by `ReliableLink`;
-                // one surfacing here means the channel is mis-stacked.
-                Message::Frame { .. } | Message::Ack { .. } | Message::Hello { .. } => {
-                    return Err(WarehouseError::UnexpectedMessage {
-                        kind: "session-layer",
-                    })
-                }
-                // Read-serving traffic belongs on `eca-serve` channels,
-                // never on a maintenance channel.
-                Message::ReadQuery { .. }
-                | Message::ReadAnswer { .. }
-                | Message::ReadError { .. } => {
-                    return Err(WarehouseError::UnexpectedMessage { kind: "read-layer" })
-                }
-            };
-            for reply in replies {
-                transport.send(&reply)?;
-            }
-        }
+        shard::pump_until_settled(
+            self.set.shard(source)?,
+            source,
+            transport,
+            expected_notifications,
+            self.stall_timeout,
+            false,
+        )
     }
 
     /// Spawn one pump thread per endpoint and drive every source to
@@ -454,11 +198,16 @@ impl ConcurrentWarehouse {
     /// number of messages processed.
     ///
     /// # Errors
-    /// The first error any pump thread hit.
+    /// [`WarehouseError::UnknownSource`], before any thread is spawned,
+    /// if an endpoint names an unregistered source; otherwise the first
+    /// error any pump thread hit.
     pub fn pump_all(
         &self,
         endpoints: Vec<(SourceId, Box<dyn Transport + Send>, u64)>,
     ) -> Result<u64, WarehouseError> {
+        for (source, ..) in &endpoints {
+            self.set.shard(*source)?;
+        }
         let results: Vec<Result<u64, WarehouseError>> = std::thread::scope(|scope| {
             let handles: Vec<_> = endpoints
                 .into_iter()
@@ -466,7 +215,10 @@ impl ConcurrentWarehouse {
                     scope.spawn(move || self.pump(source, transport.as_mut(), expected))
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
         });
         let mut total = 0u64;
         for r in results {
@@ -481,8 +233,8 @@ mod tests {
     use super::*;
     use eca_core::algorithms::AlgorithmKind;
     use eca_core::{BaseDb, ViewDef};
-    use eca_relational::{Predicate, Schema, Tuple};
-    use eca_wire::{SharedFifo, TransferMeter};
+    use eca_relational::{Predicate, Schema, Tuple, Update};
+    use eca_wire::{Message, SharedFifo, TransferMeter};
 
     fn view_def(name: &str, r1: &str, r2: &str) -> ViewDef {
         ViewDef::new(
@@ -565,40 +317,76 @@ mod tests {
         }
     }
 
-    /// Sessions carry over the reshape: a query put in flight on the
-    /// serial warehouse is answered through its shard afterwards — same
-    /// global id, route remapped to the shard-local view index — and the
-    /// view converges.
+    /// Sessions carry over to both threaded drivers untouched: a query
+    /// put in flight on the serial warehouse is answered through its
+    /// shard afterwards — same global id, same epoch, same shard-local
+    /// route — and the view converges.
     #[test]
     fn into_concurrent_carries_in_flight_sessions() {
-        let mut wh = Warehouse::new();
-        let src = wh.add_source("s");
         let view = view_def("V", "r1", "r2");
         let mut db = BaseDb::new();
         db.register("r1");
         db.register("r2");
         db.insert("r1", Tuple::ints([1, 2]));
-        let initial = view.eval(&db).unwrap();
-        let id = wh
-            .add_view(src, AlgorithmKind::Eca.instantiate(&view, initial).unwrap())
-            .unwrap();
         let u = Update::insert("r2", Tuple::ints([2, 3]));
-        db.apply(&u);
-        let qs = wh.on_update(src, &u).unwrap();
-        assert_eq!(qs.len(), 1);
-        let epoch_before = wh.epoch(src);
+        // A serial warehouse one reset in (epoch 1), with one query in
+        // flight: returns it with the handles and the carried query.
+        let in_flight = || {
+            let mut wh = Warehouse::new();
+            let src = wh.add_source("s");
+            let initial = view.eval(&db).unwrap();
+            let id = wh
+                .add_view(src, AlgorithmKind::Eca.instantiate(&view, initial).unwrap())
+                .unwrap();
+            assert!(wh.on_reset(src, false).unwrap().is_empty());
+            let mut qs = wh.on_update(src, &u).unwrap();
+            assert_eq!((qs.len(), wh.epoch(src)), (1, 1));
+            (wh, src, id, qs.remove(0))
+        };
+        let mut after = db.clone();
+        after.apply(&u);
+        // Answer the carried query straight through the driver's shard.
+        let answer_carried =
+            |set: &ShardSet, src: SourceId, q: &eca_core::maintainer::OutboundQuery| {
+                let mut shard = crate::lock(set.shard(src).unwrap());
+                assert_eq!(shard.session.epoch(), 1);
+                assert_eq!(shard.session.oldest_pending(), Some(q.id));
+                let answer = q.query.eval(&after).unwrap();
+                assert!(shard.on_answer(q.id, answer).unwrap().is_empty());
+            };
 
+        let (wh, src, id, q) = in_flight();
         let cw = wh.into_concurrent();
         assert!(!cw.is_quiescent(), "the in-flight query survived");
-        {
-            let mut shard = lock(&cw.shards[src.0]);
-            assert_eq!(shard.session.epoch(), epoch_before);
-            let answer = qs[0].query.eval(&db).unwrap();
-            let replies = shard.on_answer(qs[0].id, answer).unwrap();
-            assert!(replies.is_empty());
-        }
+        answer_carried(&cw.set, src, &q);
         assert!(cw.is_quiescent());
-        assert_eq!(cw.materialized(id), view.eval(&db).unwrap());
+        assert_eq!(cw.materialized(id), view.eval(&after).unwrap());
+
+        let (wh, src, id, q) = in_flight();
+        let rw = wh.into_reactor(2);
+        assert!(!rw.is_quiescent(), "the in-flight query survived");
+        answer_carried(&rw.set, src, &q);
+        assert!(rw.is_quiescent());
+        assert_eq!(rw.materialized(id), view.eval(&after).unwrap());
+    }
+
+    /// A handle the warehouse never issued is a typed error on the
+    /// pump paths, raised before any thread is spawned or any message
+    /// read — not an index panic.
+    #[test]
+    fn unregistered_source_is_a_typed_error() {
+        let mut wh = Warehouse::new();
+        wh.add_source("s");
+        let cw = wh.into_concurrent();
+        let (_src_end, mut wh_end) = SharedFifo::pair(TransferMeter::new());
+        assert!(matches!(
+            cw.pump(SourceId(7), &mut wh_end, 1),
+            Err(WarehouseError::UnknownSource { id: 7 })
+        ));
+        assert!(matches!(
+            cw.pump_all(vec![(SourceId(7), Box::new(wh_end), 1)]),
+            Err(WarehouseError::UnknownSource { id: 7 })
+        ));
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Durable warehouse state: WAL hooks, quiescent checkpoints, crash
 //! recovery.
 //!
-//! The serial [`Warehouse`] (and, after
-//! [`Warehouse::into_concurrent`]/`into_reactor`, each per-source shard)
-//! can be given a disk via [`Warehouse::enable_durability`]: every
-//! committed maintenance event on a source channel — applied update
-//! notifications, applied answers (by session-global id), epoch bumps,
-//! watermark jumps — is appended to that channel's write-ahead log
-//! (`eca-durable`), and a checkpoint of view bags + session counters is
-//! cut at the first quiescent point after every
-//! [`eca_durable::DurabilityConfig::checkpoint_every`] events.
+//! A [`Warehouse`] can be given a disk via
+//! [`Warehouse::enable_durability`]: every committed maintenance event
+//! on a source channel — applied update notifications, applied answers
+//! (by session-global id), epoch bumps, watermark jumps — is appended to
+//! that channel's write-ahead log (`eca-durable`), and a checkpoint of
+//! view bags + session counters is cut at the first quiescent point
+//! after every [`eca_durable::DurabilityConfig::checkpoint_every`]
+//! events. The log belongs to the channel's shard, so it keeps being
+//! written, unchanged, under [`Warehouse::into_concurrent`] and
+//! [`Warehouse::into_reactor`].
 //!
 //! Because per-source processing is single-threaded and deterministic
 //! (sequential global ids, deterministic maintainer emissions), the log
@@ -33,11 +34,10 @@ use eca_durable::{
 };
 use eca_wire::Message;
 
+use crate::shard::Shard;
 use crate::{SourceId, ViewStatus, Warehouse, WarehouseError};
 
-/// Durable bookkeeping for one source channel. Owned by the serial
-/// warehouse, and moved into the channel's shard when the warehouse is
-/// reshaped for the concurrent/reactor runtimes.
+/// Durable bookkeeping for one source channel, owned by its shard.
 pub(crate) struct SourceDurability {
     config: DurabilityConfig,
     source: usize,
@@ -131,16 +131,6 @@ impl SourceDurability {
     }
 }
 
-/// The warehouse-wide durable state behind
-/// [`Warehouse::enable_durability`].
-pub(crate) struct WarehouseDurability {
-    /// One entry per source, in registration order.
-    pub(crate) per_source: Vec<SourceDurability>,
-    /// While `true` (log replay during recovery), events are *not*
-    /// re-logged — they are already in the log being replayed.
-    pub(crate) replaying: bool,
-}
-
 /// How one source channel came back from a crash.
 #[derive(Debug)]
 pub enum RecoveryOutcome {
@@ -207,17 +197,184 @@ enum Plan {
     Full,
 }
 
+impl Plan {
+    /// Read source `s`'s checkpoint and log tail and decide how a
+    /// channel hosting `views` views can come back.
+    fn read(config: &DurabilityConfig, s: usize, views: usize) -> Result<Plan, WarehouseError> {
+        let loaded = match SourceCheckpoint::load(&config.checkpoint_path(s)) {
+            Ok(loaded) => loaded,
+            Err(DurableError::Io(e)) => return Err(DurableError::Io(e).into()),
+            // Checksum-valid but undecodable: version skew — fall
+            // back rather than brick the restart.
+            Err(_) => None,
+        };
+        let Some(ckpt) = loaded.filter(|ckpt| ckpt.views.len() == views) else {
+            return Ok(Plan::Full);
+        };
+        let wal_path = config.wal_path(s, ckpt.wal_gen);
+        // An undecodable record past a valid checksum is version skew
+        // too: the log cannot be trusted.
+        let Ok(scan) = Wal::scan(&wal_path) else {
+            return Ok(Plan::Full);
+        };
+        Wal::truncate_torn_tail(&wal_path, &scan)?;
+        Ok(Plan::Incremental {
+            ckpt,
+            records: scan.records,
+        })
+    }
+}
+
+impl Shard {
+    /// Append one committed event to the channel's log (no-op without
+    /// durability), then cut a checkpoint if one is due and the channel
+    /// is quiescent.
+    pub(crate) fn log_event(
+        &mut self,
+        record: impl FnOnce() -> WalRecord,
+    ) -> Result<(), WarehouseError> {
+        let Some(d) = &mut self.durability else {
+            return Ok(());
+        };
+        d.log(&record())?;
+        self.maybe_checkpoint()
+    }
+
+    /// Cut a checkpoint if one is due and the channel is quiescent
+    /// (nothing pending, every view active and settled — so no in-flight
+    /// compensation state needs serializing).
+    fn maybe_checkpoint(&mut self) -> Result<(), WarehouseError> {
+        let due = self
+            .durability
+            .as_ref()
+            .is_some_and(SourceDurability::due_for_checkpoint);
+        if !due || !self.is_quiescent() {
+            return Ok(());
+        }
+        let Some(d) = &mut self.durability else {
+            return Ok(());
+        };
+        d.cut(&SourceCheckpoint {
+            epoch: self.session.epoch(),
+            next_global_id: self.session.next_global_id(),
+            notifications_applied: self.notifications_seen,
+            wal_gen: d.next_gen(),
+            views: self
+                .views
+                .iter()
+                .map(|v| ViewCheckpoint {
+                    mv: v.maintainer.materialized().clone(),
+                    aux: v.maintainer.checkpoint_aux(),
+                })
+                .collect(),
+        })?;
+        Ok(())
+    }
+
+    /// Force buffered WAL records to disk regardless of policy (clean
+    /// shutdown). No-op without durability.
+    pub(crate) fn sync_durability(&mut self) -> Result<(), WarehouseError> {
+        if let Some(d) = &mut self.durability {
+            d.sync()?;
+        }
+        Ok(())
+    }
+
+    /// Raise the notification watermark to `sent` (never lowers it),
+    /// logging the jump.
+    fn note_watermark(&mut self, sent: u64) -> Result<(), WarehouseError> {
+        if sent > self.notifications_seen {
+            self.notifications_seen = sent;
+            self.log_event(|| WalRecord::Watermark { applied: sent })?;
+        }
+        Ok(())
+    }
+
+    /// Bring this channel back per `plan`: restore + replay, resume (or
+    /// restart) the durable lineage, then reset the channel — the crash
+    /// killed the connection — so an incremental channel re-issues its
+    /// in-flight queries and an unusable one degrades to full resyncs.
+    fn recover(
+        &mut self,
+        config: &DurabilityConfig,
+        source: SourceId,
+        plan: Plan,
+    ) -> Result<RecoveryOutcome, WarehouseError> {
+        // Replay runs with no log installed: the events it applies are
+        // the ones already in the log being replayed.
+        let resumed = match plan {
+            Plan::Incremental { ckpt, records } => {
+                let (gen, replayed) = (ckpt.wal_gen, records.len() as u64);
+                if self.restore_and_replay(ckpt, records) {
+                    Some((gen, replayed))
+                } else {
+                    // Partial replay may have left garbage: restart the
+                    // durable lineage and let the resync overwrite the
+                    // in-memory state wholesale.
+                    for v in &mut self.views {
+                        v.states = vec![v.maintainer.materialized().clone()];
+                    }
+                    None
+                }
+            }
+            Plan::Full => None,
+        };
+        self.durability = Some(match resumed {
+            Some((gen, replayed)) => SourceDurability::resume(config, source.0, gen, replayed)?,
+            None => SourceDurability::fresh(config, source.0)?,
+        });
+        let messages = self.on_reset(resumed.is_none())?;
+        Ok(match resumed {
+            Some((_, replayed)) => RecoveryOutcome::Incremental {
+                source,
+                replayed,
+                notifications_seen: self.notifications_seen,
+                messages,
+            },
+            None => RecoveryOutcome::Full { source, messages },
+        })
+    }
+
+    /// Restore the channel from `ckpt` and replay `records` through the
+    /// ordinary event handlers (outbound queries discarded — they were
+    /// on the wire before the crash). Returns `false` on any mismatch.
+    fn restore_and_replay(&mut self, ckpt: SourceCheckpoint, records: Vec<WalRecord>) -> bool {
+        self.session
+            .restore_durable(ckpt.epoch, ckpt.next_global_id);
+        self.notifications_seen = ckpt.notifications_applied;
+        for (entry, vck) in self.views.iter_mut().zip(ckpt.views) {
+            if entry
+                .maintainer
+                .restore_checkpoint(vck.mv, vck.aux)
+                .is_err()
+            {
+                return false;
+            }
+            entry.status = ViewStatus::Active;
+            entry.states = vec![entry.maintainer.materialized().clone()];
+        }
+        records.into_iter().all(|record| match record {
+            WalRecord::Update(update) => self.on_update(&update).is_ok(),
+            WalRecord::Answer { id, answer } => self.on_answer(QueryId(id), answer).is_ok(),
+            WalRecord::EpochBump { notifications_lost } => {
+                self.on_reset(notifications_lost).is_ok()
+            }
+            WalRecord::Watermark { applied } => self.note_watermark(applied).is_ok(),
+        })
+    }
+}
+
 impl Warehouse {
     /// Whether durability is enabled.
     pub fn durability_enabled(&self) -> bool {
-        self.durability.is_some()
+        self.shards.iter().any(|s| s.durability.is_some())
     }
 
     /// Update notifications applied (and accounted) on `source`'s
     /// channel over its whole life — the watermark an incremental
     /// resync resumes from.
     pub fn notifications_seen(&self, source: SourceId) -> u64 {
-        self.sources[source.0].notifications_seen
+        self.shards[source.0].notifications_seen
     }
 
     /// Turn on durability: every source channel gets a write-ahead log
@@ -238,20 +395,13 @@ impl Warehouse {
     /// [`WarehouseError::Durability`] on filesystem failures.
     pub fn enable_durability(&mut self, config: DurabilityConfig) -> Result<(), WarehouseError> {
         assert!(
-            self.durability.is_none(),
+            !self.durability_enabled(),
             "durability is already enabled on this warehouse"
         );
         std::fs::create_dir_all(&config.dir).map_err(DurableError::Io)?;
-        let mut per_source = Vec::with_capacity(self.sources.len());
-        for s in 0..self.sources.len() {
-            per_source.push(SourceDurability::fresh(&config, s)?);
-        }
-        self.durability = Some(WarehouseDurability {
-            per_source,
-            replaying: false,
-        });
-        for s in 0..self.sources.len() {
-            self.maybe_checkpoint(s)?;
+        for (s, shard) in self.shards.iter_mut().enumerate() {
+            shard.durability = Some(SourceDurability::fresh(&config, s)?);
+            shard.maybe_checkpoint()?;
         }
         Ok(())
     }
@@ -262,12 +412,7 @@ impl Warehouse {
     /// # Errors
     /// [`WarehouseError::Durability`] on filesystem failures.
     pub fn sync_durability(&mut self) -> Result<(), WarehouseError> {
-        if let Some(d) = &mut self.durability {
-            for sd in &mut d.per_source {
-                sd.sync()?;
-            }
-        }
-        Ok(())
+        self.shards.iter_mut().try_for_each(Shard::sync_durability)
     }
 
     /// Record that the source has accounted for `sent` notifications on
@@ -285,74 +430,7 @@ impl Warehouse {
         source: SourceId,
         sent: u64,
     ) -> Result<(), WarehouseError> {
-        if source.0 >= self.sources.len() {
-            return Err(WarehouseError::UnknownSource { id: source.0 });
-        }
-        if sent > self.sources[source.0].notifications_seen {
-            self.sources[source.0].notifications_seen = sent;
-            self.log_event(source.0, || WalRecord::Watermark { applied: sent })?;
-        }
-        Ok(())
-    }
-
-    /// Whether committed events should be logged right now (durability
-    /// on and not replaying).
-    pub(crate) fn logging_live(&self) -> bool {
-        matches!(&self.durability, Some(d) if !d.replaying)
-    }
-
-    /// Append one committed event to `source`'s log (no-op without
-    /// durability or during replay), then cut a checkpoint if one is
-    /// due and the channel is quiescent.
-    pub(crate) fn log_event(
-        &mut self,
-        source: usize,
-        record: impl FnOnce() -> WalRecord,
-    ) -> Result<(), WarehouseError> {
-        let logging = matches!(&self.durability, Some(d) if !d.replaying);
-        if !logging {
-            return Ok(());
-        }
-        let record = record();
-        self.durability.as_mut().expect("checked above").per_source[source].log(&record)?;
-        self.maybe_checkpoint(source)
-    }
-
-    /// Cut a checkpoint of `source`'s channel if one is due and the
-    /// channel is quiescent (nothing pending, every view active and
-    /// settled — so no in-flight compensation state needs serializing).
-    fn maybe_checkpoint(&mut self, source: usize) -> Result<(), WarehouseError> {
-        let due = match &self.durability {
-            Some(d) if !d.replaying => d.per_source[source].due_for_checkpoint(),
-            _ => false,
-        };
-        if !due || !self.source_quiescent(SourceId(source)) {
-            return Ok(());
-        }
-        let wal_gen =
-            self.durability.as_ref().expect("checked above").per_source[source].next_gen();
-        let ckpt = self.build_checkpoint(source, wal_gen);
-        self.durability.as_mut().expect("checked above").per_source[source].cut(&ckpt)?;
-        Ok(())
-    }
-
-    /// Serialize `source`'s durable state at a quiescent point.
-    fn build_checkpoint(&self, source: usize, wal_gen: u64) -> SourceCheckpoint {
-        let entry = &self.sources[source];
-        SourceCheckpoint {
-            epoch: entry.session.epoch(),
-            next_global_id: entry.session.next_global_id(),
-            notifications_applied: entry.notifications_seen,
-            wal_gen,
-            views: entry
-                .views
-                .iter()
-                .map(|v| ViewCheckpoint {
-                    mv: self.views[v.0].maintainer.materialized().clone(),
-                    aux: self.views[v.0].maintainer.checkpoint_aux(),
-                })
-                .collect(),
-        }
+        self.shard_mut(source)?.note_watermark(sent)
     }
 
     /// Restart from disk after a crash. Call on a freshly built
@@ -384,156 +462,21 @@ impl Warehouse {
         config: DurabilityConfig,
     ) -> Result<Vec<RecoveryOutcome>, WarehouseError> {
         assert!(
-            self.durability.is_none(),
+            !self.durability_enabled(),
             "recover_durability needs a fresh warehouse without durability enabled"
         );
         std::fs::create_dir_all(&config.dir).map_err(DurableError::Io)?;
-
-        // Phase 1: read disk and decide a plan per source.
-        let mut plans = Vec::with_capacity(self.sources.len());
-        for s in 0..self.sources.len() {
-            let loaded = match SourceCheckpoint::load(&config.checkpoint_path(s)) {
-                Ok(loaded) => loaded,
-                Err(DurableError::Io(e)) => return Err(DurableError::Io(e).into()),
-                // Checksum-valid but undecodable: version skew — fall
-                // back rather than brick the restart.
-                Err(_) => None,
-            };
-            let plan = match loaded {
-                Some(ckpt) if ckpt.views.len() == self.sources[s].views.len() => {
-                    let wal_path = config.wal_path(s, ckpt.wal_gen);
-                    match Wal::scan(&wal_path) {
-                        Ok(scan) => {
-                            Wal::truncate_torn_tail(&wal_path, &scan)?;
-                            Plan::Incremental {
-                                ckpt,
-                                records: scan.records,
-                            }
-                        }
-                        // Undecodable record past a valid checksum:
-                        // version skew — the log cannot be trusted.
-                        Err(_) => Plan::Full,
-                    }
-                }
-                _ => Plan::Full,
-            };
-            plans.push(plan);
+        // Read every channel's disk state before touching any shard, so
+        // an unreadable directory fails the call with nothing changed.
+        let mut plans = Vec::with_capacity(self.shards.len());
+        for (s, shard) in self.shards.iter().enumerate() {
+            plans.push(Plan::read(&config, s, shard.views.len())?);
         }
-
-        // Phase 2: open the logs and install durability in replay mode,
-        // so the replayed events are not re-logged.
-        let mut per_source = Vec::with_capacity(self.sources.len());
-        for (s, plan) in plans.iter().enumerate() {
-            let sd = match plan {
-                Plan::Incremental { ckpt, records } => {
-                    SourceDurability::resume(&config, s, ckpt.wal_gen, records.len() as u64)?
-                }
-                Plan::Full => SourceDurability::fresh(&config, s)?,
-            };
-            per_source.push(sd);
-        }
-        self.durability = Some(WarehouseDurability {
-            per_source,
-            replaying: true,
-        });
-
-        // Phase 3: restore + replay per source; downgrade to Full on
-        // any mismatch between the log and the deployment.
-        let mut incremental: Vec<Option<u64>> = Vec::with_capacity(plans.len());
-        for (s, plan) in plans.into_iter().enumerate() {
-            match plan {
-                Plan::Incremental { ckpt, records } => {
-                    let replayed = records.len() as u64;
-                    if self.restore_and_replay(s, ckpt, records) {
-                        incremental.push(Some(replayed));
-                    } else {
-                        // Partial replay may have left garbage: wipe the
-                        // durable lineage and let the resync overwrite
-                        // the in-memory state wholesale.
-                        let sd = SourceDurability::fresh(&config, s)?;
-                        self.durability
-                            .as_mut()
-                            .expect("installed above")
-                            .per_source[s] = sd;
-                        for v in self.sources[s].views.clone() {
-                            let entry = &mut self.views[v.0];
-                            entry.states = vec![entry.maintainer.materialized().clone()];
-                        }
-                        incremental.push(None);
-                    }
-                }
-                Plan::Full => incremental.push(None),
-            }
-        }
-
-        // Phase 4: live again. Reset every channel (the crash killed
-        // the connections): incremental channels re-issue their
-        // in-flight queries, unusable ones degrade to full resyncs.
-        self.durability.as_mut().expect("installed above").replaying = false;
-        let mut outcomes = Vec::with_capacity(incremental.len());
-        for (s, inc) in incremental.into_iter().enumerate() {
-            let source = SourceId(s);
-            let messages = self.on_reset(source, inc.is_none())?;
-            outcomes.push(match inc {
-                Some(replayed) => RecoveryOutcome::Incremental {
-                    source,
-                    replayed,
-                    notifications_seen: self.sources[s].notifications_seen,
-                    messages,
-                },
-                None => RecoveryOutcome::Full { source, messages },
-            });
+        let mut outcomes = Vec::with_capacity(plans.len());
+        for (s, (shard, plan)) in self.shards.iter_mut().zip(plans).enumerate() {
+            outcomes.push(shard.recover(&config, SourceId(s), plan)?);
         }
         Ok(outcomes)
-    }
-
-    /// Restore `source` from `ckpt` and replay `records` through the
-    /// ordinary event handlers (outbound queries discarded — they were
-    /// on the wire before the crash). Returns `false` on any mismatch.
-    fn restore_and_replay(
-        &mut self,
-        s: usize,
-        ckpt: SourceCheckpoint,
-        records: Vec<WalRecord>,
-    ) -> bool {
-        self.sources[s]
-            .session
-            .restore_durable(ckpt.epoch, ckpt.next_global_id);
-        self.sources[s].notifications_seen = ckpt.notifications_applied;
-        let view_ids = self.sources[s].views.clone();
-        for (v, vck) in view_ids.iter().zip(ckpt.views) {
-            let entry = &mut self.views[v.0];
-            if entry
-                .maintainer
-                .restore_checkpoint(vck.mv, vck.aux)
-                .is_err()
-            {
-                return false;
-            }
-            entry.status = ViewStatus::Active;
-            entry.states = vec![entry.maintainer.materialized().clone()];
-        }
-        let source = SourceId(s);
-        for record in records {
-            let ok = match record {
-                WalRecord::Update(update) => self.on_update(source, &update).is_ok(),
-                WalRecord::Answer { id, answer } => {
-                    self.on_answer(source, QueryId(id), answer).is_ok()
-                }
-                WalRecord::EpochBump { notifications_lost } => {
-                    self.on_reset(source, notifications_lost).is_ok()
-                }
-                WalRecord::Watermark { applied } => {
-                    let seen = &mut self.sources[s].notifications_seen;
-                    *seen = (*seen).max(applied);
-                    true
-                }
-            };
-            if !ok {
-                return false;
-            }
-        }
-        true
     }
 }
 

@@ -1,13 +1,17 @@
 //! The warehouse runtime (paper §1 Figure 1.1, §7).
 //!
 //! A [`Warehouse`] owns a set of [`ViewMaintainer`]s spread over any
-//! number of autonomous sources. Each source channel gets a
-//! [`Session`] with its own query-id space and pending-query FIFO; each
-//! inbound update notification is routed to every view over that source
+//! number of autonomous sources. Each source channel is one
+//! `Shard` — a [`Session`] with its own query-id space and
+//! pending-query FIFO plus the views over that source; each inbound
+//! update notification is routed to every view over that source
 //! (paper §7: *"in a warehouse consisting of multiple views where each
 //! view is over data from a single source, ECA is simply applied to each
 //! view separately"*), and each answer is demultiplexed back to the
-//! owning maintainer **strictly by query id**.
+//! owning maintainer **strictly by query id**. The shard is the only
+//! state machine: this serial `Warehouse`, the thread-per-source
+//! [`ConcurrentWarehouse`] and the pooled [`ReactorWarehouse`] are three
+//! drivers over the same shards.
 //!
 //! The runtime is transport-agnostic: [`Warehouse::on_update`] /
 //! [`Warehouse::on_answer`] react to already-delivered events (the
@@ -19,22 +23,22 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod concurrent;
 pub mod durability;
 pub mod publish;
 pub mod reactor;
 pub mod session;
+mod shard;
 
-use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use eca_core::maintainer::OutboundQuery;
 use eca_core::{CoreError, QueryId, ViewMaintainer};
-use eca_durable::WalRecord;
 use eca_relational::{SignedBag, Update};
-use eca_wire::{Message, Transport, TransportError, WireQuery};
+use eca_wire::{Message, Transport, TransportError};
 
 pub use concurrent::ConcurrentWarehouse;
 pub use durability::RecoveryOutcome;
@@ -42,6 +46,19 @@ pub use eca_durable::{DurabilityConfig, DurableError, FsyncPolicy};
 pub use publish::{EpochRegistry, ReadSnapshot};
 pub use reactor::{connect_source, ReactorWarehouse};
 pub use session::{PendingQuery, Route, RouteKind, Session};
+use shard::{Settings, Shard};
+
+/// Crate-wide lock helper: recovers from poisoning, so a panicked pump
+/// thread or worker cannot wedge its peers or the result accessors.
+/// Every mutex in this crate guards data that is a consistent prefix
+/// after each single update — maintainers mutate under the shard lock
+/// one event at a time; inboxes and snapshot rings change by whole
+/// pushes and pops.
+pub(crate) fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Handle to a registered source channel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -155,20 +172,6 @@ impl From<TransportError> for WarehouseError {
     }
 }
 
-struct SourceEntry {
-    name: String,
-    session: Session,
-    /// Routing index: handles of the views over this source, in
-    /// registration order. Maintained by [`Warehouse::add_view`] so
-    /// update fan-out never rescans (or re-allocates) the view table.
-    views: Vec<ViewId>,
-    /// Update notifications applied on this channel over its whole life
-    /// (including notifications subsumed by a completed resync — see
-    /// [`Warehouse::note_source_watermark`]). This is the watermark an
-    /// incremental crash recovery resumes the source's stream from.
-    notifications_seen: u64,
-}
-
 /// Health of a hosted view with respect to channel faults.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ViewStatus {
@@ -193,33 +196,17 @@ pub struct RecoveryStats {
     pub resyncs_completed: u64,
 }
 
-struct ViewEntry {
-    source: SourceId,
-    maintainer: Box<dyn ViewMaintainer>,
-    status: ViewStatus,
-    /// `MV` after the initial state and each event that reached this
-    /// view, including every intermediate state a maintainer reports via
-    /// [`ViewMaintainer::drain_intermediate_states`] — the history the
-    /// §3.1 consistency checker needs.
-    states: Vec<SignedBag>,
-}
-
-/// A warehouse runtime hosting many views over many sources.
+/// A warehouse runtime hosting many views over many sources: one
+/// `Shard` per source, driven serially.
 pub struct Warehouse {
-    sources: Vec<SourceEntry>,
-    views: Vec<ViewEntry>,
-    record_history: bool,
-    max_retries: u32,
-    recovery: RecoveryStats,
-    /// Epoch publication for the read-serving layer, enabled by
-    /// [`Warehouse::enable_serving`]. `None` keeps maintenance-only
-    /// deployments free of per-event snapshot clones.
-    publisher: Option<Arc<EpochRegistry>>,
-    /// Write-ahead logging + checkpoints, enabled by
-    /// [`Warehouse::enable_durability`] /
-    /// [`Warehouse::recover_durability`]. `None` keeps volatile
-    /// deployments free of any disk traffic.
-    durability: Option<durability::WarehouseDurability>,
+    /// Registered source names; `names[s]` belongs to `shards[s]`.
+    names: Vec<String>,
+    shards: Vec<Shard>,
+    /// Global [`ViewId`] → (shard, shard-local index).
+    view_index: Vec<(usize, usize)>,
+    /// What the next registered shard starts with; setters also update
+    /// every existing shard's copy.
+    settings: Settings,
 }
 
 impl Default for Warehouse {
@@ -232,14 +219,36 @@ impl Warehouse {
     /// An empty warehouse.
     pub fn new() -> Self {
         Warehouse {
-            sources: Vec::new(),
-            views: Vec::new(),
-            record_history: true,
-            max_retries: 3,
-            recovery: RecoveryStats::default(),
-            publisher: None,
-            durability: None,
+            names: Vec::new(),
+            shards: Vec::new(),
+            view_index: Vec::new(),
+            settings: Settings {
+                record_history: true,
+                max_retries: 3,
+                publisher: None,
+            },
         }
+    }
+
+    fn configure(&mut self, set: impl Fn(&mut Settings)) {
+        set(&mut self.settings);
+        for shard in &mut self.shards {
+            set(&mut shard.settings);
+        }
+    }
+
+    /// The shard behind a source handle.
+    ///
+    /// # Errors
+    /// [`WarehouseError::UnknownSource`] for an unregistered handle.
+    fn shard_mut(&mut self, source: SourceId) -> Result<&mut Shard, WarehouseError> {
+        let s = shard::checked(source, self.shards.len())?;
+        Ok(&mut self.shards[s])
+    }
+
+    fn view(&self, view: ViewId) -> &shard::ShardView {
+        let (shard, local) = self.view_index[view.0];
+        &self.shards[shard].views[local]
     }
 
     /// Turn on epoch publication for the read-serving layer: every view
@@ -250,30 +259,33 @@ impl Warehouse {
     /// a publish costs no per-tuple work and readers never contend
     /// with maintenance. `ring_cap` bounds each view's window
     /// of retained epochs. Call after [`Warehouse::add_view`]; views
-    /// added later are not served.
+    /// added later are maintained but not served.
     ///
-    /// The registry survives [`Warehouse::into_concurrent`] and the
-    /// reactor reshaping — shards keep publishing into the same store.
+    /// The registry survives [`Warehouse::into_concurrent`] and
+    /// [`Warehouse::into_reactor`] — the shards keep publishing into
+    /// the same store.
     pub fn enable_serving(&mut self, ring_cap: usize) -> Arc<EpochRegistry> {
-        let registry = Arc::new(EpochRegistry::new(
-            self.views
-                .iter()
-                .map(|v| v.maintainer.materialized().clone()),
-            ring_cap,
-        ));
-        self.publisher = Some(Arc::clone(&registry));
+        let initial = (0..self.view_index.len()).map(|v| self.materialized(ViewId(v)).clone());
+        let registry = Arc::new(EpochRegistry::new(initial, ring_cap));
+        self.configure(|s| s.publisher = Some(Arc::clone(&registry)));
         registry
     }
 
     /// How many times an in-flight query may be re-issued across channel
     /// resets before its view is degraded to a full resync (default 3).
     pub fn set_max_retries(&mut self, n: u32) {
-        self.max_retries = n;
+        self.configure(|s| s.max_retries = n);
     }
 
-    /// Recovery activity so far.
+    /// Recovery activity so far, summed over every source channel.
     pub fn recovery_stats(&self) -> RecoveryStats {
-        self.recovery
+        let mut total = RecoveryStats::default();
+        for shard in &self.shards {
+            total.reissued += shard.recovery.reissued;
+            total.resyncs_started += shard.recovery.resyncs_started;
+            total.resyncs_completed += shard.recovery.resyncs_completed;
+        }
+        total
     }
 
     /// Toggle per-event state-history recording (on by default). The
@@ -285,18 +297,14 @@ impl Warehouse {
     /// grows by one entry per event for as long as the run lasts.
     /// Initial states are always kept.
     pub fn set_record_history(&mut self, on: bool) {
-        self.record_history = on;
+        self.configure(|s| s.record_history = on);
     }
 
     /// Register a source channel.
     pub fn add_source(&mut self, name: impl Into<String>) -> SourceId {
-        self.sources.push(SourceEntry {
-            name: name.into(),
-            session: Session::new(),
-            views: Vec::new(),
-            notifications_seen: 0,
-        });
-        SourceId(self.sources.len() - 1)
+        self.names.push(name.into());
+        self.shards.push(Shard::new(self.settings.clone()));
+        SourceId(self.shards.len() - 1)
     }
 
     /// Host a view maintained over `source`'s base relations.
@@ -308,139 +316,75 @@ impl Warehouse {
         source: SourceId,
         maintainer: Box<dyn ViewMaintainer>,
     ) -> Result<ViewId, WarehouseError> {
-        if source.0 >= self.sources.len() {
-            return Err(WarehouseError::UnknownSource { id: source.0 });
-        }
-        let initial = maintainer.materialized().clone();
-        self.views.push(ViewEntry {
-            source,
-            maintainer,
-            status: ViewStatus::Active,
-            states: vec![initial],
-        });
-        let id = ViewId(self.views.len() - 1);
-        self.sources[source.0].views.push(id);
+        let id = ViewId(self.view_index.len());
+        let local = self.shard_mut(source)?.add_view(id, maintainer);
+        self.view_index.push((source.0, local));
         Ok(id)
     }
 
     /// Number of registered sources.
     pub fn source_count(&self) -> usize {
-        self.sources.len()
+        self.shards.len()
     }
 
     /// Number of hosted views.
     pub fn view_count(&self) -> usize {
-        self.views.len()
+        self.view_index.len()
     }
 
     /// The name a source was registered under.
     pub fn source_name(&self, source: SourceId) -> &str {
-        &self.sources[source.0].name
+        &self.names[source.0]
     }
 
     /// The session state of a source channel.
     pub fn session(&self, source: SourceId) -> &Session {
-        &self.sources[source.0].session
+        &self.shards[source.0].session
     }
 
     /// The maintainer behind a view handle.
     pub fn maintainer(&self, view: ViewId) -> &dyn ViewMaintainer {
-        self.views[view.0].maintainer.as_ref()
+        self.view(view).maintainer.as_ref()
     }
 
     /// The current materialized state of a view.
     pub fn materialized(&self, view: ViewId) -> &SignedBag {
-        self.views[view.0].maintainer.materialized()
+        self.view(view).maintainer.materialized()
     }
 
     /// Every `MV` state a view passed through, starting with its initial
     /// state — the warehouse half of the §3.1 consistency check.
     pub fn view_states(&self, view: ViewId) -> &[SignedBag] {
-        &self.views[view.0].states
+        &self.view(view).states
     }
 
     /// Handles of the views maintained over `source`, in registration
-    /// order. Served from the precomputed routing index — no scan, no
+    /// order. Served from the shard's own table — no scan, no
     /// allocation.
     pub fn views_over(&self, source: SourceId) -> &[ViewId] {
-        &self.sources[source.0].views
+        &self.shards[source.0].view_ids
     }
 
     /// The fault status of a view.
     pub fn view_status(&self, view: ViewId) -> ViewStatus {
-        self.views[view.0].status
+        self.view(view).status
     }
 
     /// The current epoch of a source channel.
     pub fn epoch(&self, source: SourceId) -> u64 {
-        self.sources[source.0].session.epoch()
+        self.shards[source.0].session.epoch()
     }
 
     /// Whether every view is quiescent (and healthy) and no query is
     /// outstanding.
     pub fn is_quiescent(&self) -> bool {
-        self.sources.iter().all(|s| s.session.pending() == 0)
-            && self
-                .views
-                .iter()
-                .all(|v| v.status == ViewStatus::Active && v.maintainer.is_quiescent())
+        self.shards.iter().all(Shard::is_quiescent)
     }
 
     /// Whether one source's channel is settled: nothing pending on its
     /// session and every view over it healthy and quiescent.
     pub fn source_quiescent(&self, source: SourceId) -> bool {
-        self.sources[source.0].session.pending() == 0
-            && self.sources[source.0].views.iter().all(|v| {
-                self.views[v.0].status == ViewStatus::Active
-                    && self.views[v.0].maintainer.is_quiescent()
-            })
-    }
-
-    /// Record the state(s) view `idx` reached during the event just
-    /// processed, and publish the new materialized state to the serving
-    /// registry if one is attached.
-    fn record_states(&mut self, idx: usize) {
-        if !self.record_history {
-            // Still drain intermediates so maintainers don't accumulate.
-            let _ = self.views[idx].maintainer.drain_intermediate_states();
-        } else {
-            let entry = &mut self.views[idx];
-            let intermediates = entry.maintainer.drain_intermediate_states();
-            if intermediates.is_empty() {
-                entry.states.push(entry.maintainer.materialized().clone());
-            } else {
-                entry.states.extend(intermediates);
-            }
-        }
-        if let Some(registry) = &self.publisher {
-            let entry = &self.views[idx];
-            // Quiescent ⇒ no compensation in flight for this view ⇒ the
-            // state is V at a real source state (§3.1 history member) —
-            // eligible to serve strong reads.
-            let quiescent = entry.status == ViewStatus::Active && entry.maintainer.is_quiescent();
-            registry.publish(idx, entry.maintainer.materialized(), quiescent);
-        }
-    }
-
-    /// Remap maintainer-local outbound queries into `source`'s global id
-    /// space.
-    fn register_outbound(
-        &mut self,
-        source: SourceId,
-        view_idx: usize,
-        emitted: Vec<OutboundQuery>,
-    ) -> Vec<OutboundQuery> {
-        emitted
-            .into_iter()
-            .map(|q| OutboundQuery {
-                id: self.sources[source.0].session.register(
-                    view_idx,
-                    q.id,
-                    WireQuery::from_query(&q.query),
-                ),
-                query: q.query,
-            })
-            .collect()
+        self.shards[source.0].is_quiescent()
     }
 
     /// A `W_up` event: route an update notification from `source` to
@@ -453,28 +397,7 @@ impl Warehouse {
         source: SourceId,
         update: &Update,
     ) -> Result<Vec<OutboundQuery>, WarehouseError> {
-        if source.0 >= self.sources.len() {
-            return Err(WarehouseError::UnknownSource { id: source.0 });
-        }
-        let mut out = Vec::new();
-        // Routing index, not a scan: registration order equals global
-        // view-index order, so fan-out order is unchanged.
-        for k in 0..self.sources[source.0].views.len() {
-            let idx = self.sources[source.0].views[k].0;
-            if self.views[idx].status == ViewStatus::Degraded {
-                // Skip: a notification arriving before the resync answer
-                // was *sent* before that answer (per-channel FIFO), so
-                // its update executed before the resync query was
-                // evaluated and is already inside the coming V(ss).
-                continue;
-            }
-            let emitted = self.views[idx].maintainer.on_update(update)?;
-            self.record_states(idx);
-            out.extend(self.register_outbound(source, idx, emitted));
-        }
-        self.sources[source.0].notifications_seen += 1;
-        self.log_event(source.0, || WalRecord::Update(update.clone()))?;
-        Ok(out)
+        self.shard_mut(source)?.on_update(update)
     }
 
     /// A `W_ans` event: deliver an answer from `source` to the view that
@@ -490,35 +413,7 @@ impl Warehouse {
         id: QueryId,
         answer: SignedBag,
     ) -> Result<Vec<OutboundQuery>, WarehouseError> {
-        if source.0 >= self.sources.len() {
-            return Err(WarehouseError::UnknownSource { id: source.0 });
-        }
-        // Copied up front only when the answer will be logged: the
-        // maintainer consumes the bag on the apply path below.
-        let keep = self.logging_live().then(|| answer.clone());
-        let route = self.sources[source.0].session.take(id)?;
-        if route.kind == RouteKind::Resync {
-            // The answer is a fresh V(ss): install it wholesale and
-            // resume incremental maintenance (Alg. D.1's MV ← A).
-            let entry = &mut self.views[route.view];
-            entry.maintainer.reset_to(answer)?;
-            entry.status = ViewStatus::Active;
-            self.recovery.resyncs_completed += 1;
-            self.record_states(route.view);
-            if let Some(answer) = keep {
-                self.log_event(source.0, move || WalRecord::Answer { id: id.0, answer })?;
-            }
-            return Ok(Vec::new());
-        }
-        let emitted = self.views[route.view]
-            .maintainer
-            .on_answer(route.local, answer)?;
-        self.record_states(route.view);
-        let out = self.register_outbound(source, route.view, emitted);
-        if let Some(answer) = keep {
-            self.log_event(source.0, move || WalRecord::Answer { id: id.0, answer })?;
-        }
-        Ok(out)
+        self.shard_mut(source)?.on_answer(id, answer)
     }
 
     /// React to a reset of `source`'s channel: bump the session epoch
@@ -555,57 +450,7 @@ impl Warehouse {
         source: SourceId,
         notifications_lost: bool,
     ) -> Result<Vec<Message>, WarehouseError> {
-        if source.0 >= self.sources.len() {
-            return Err(WarehouseError::UnknownSource { id: source.0 });
-        }
-        let drained = self.sources[source.0].session.bump_epoch();
-
-        // Pass 1: which views must fall back to a full resync?
-        let mut degrade: BTreeSet<usize> = BTreeSet::new();
-        if notifications_lost {
-            degrade.extend(self.sources[source.0].views.iter().map(|v| v.0));
-        }
-        for pq in &drained {
-            if pq.route.kind == RouteKind::Update
-                && (!self.views[pq.route.view].maintainer.reissue_safe()
-                    || pq.retries + 1 > self.max_retries)
-            {
-                degrade.insert(pq.route.view);
-            }
-        }
-
-        // Pass 2: re-issue survivors (and in-flight resyncs) in the old
-        // emission order; drop maintenance queries of degraded views.
-        let mut out = Vec::new();
-        let mut resyncing: BTreeSet<usize> = BTreeSet::new();
-        for pq in drained {
-            let (kind, view) = (pq.route.kind, pq.route.view);
-            if kind == RouteKind::Update && degrade.contains(&view) {
-                continue;
-            }
-            if kind == RouteKind::Resync {
-                resyncing.insert(view);
-            }
-            let (id, query) = self.sources[source.0].session.reissue(pq);
-            self.recovery.reissued += 1;
-            out.push(Message::QueryRequest { id, query });
-        }
-
-        // Pass 3: newly degraded views get marked and sent one resync.
-        for idx in degrade {
-            self.views[idx].status = ViewStatus::Degraded;
-            if resyncing.contains(&idx) {
-                continue; // its resync from a prior reset was re-issued
-            }
-            let query = WireQuery::from_query(&self.views[idx].maintainer.view().as_query());
-            let id = self.sources[source.0]
-                .session
-                .register_resync(idx, query.clone());
-            self.recovery.resyncs_started += 1;
-            out.push(Message::QueryRequest { id, query });
-        }
-        self.log_event(source.0, || WalRecord::EpochBump { notifications_lost })?;
-        Ok(out)
+        self.shard_mut(source)?.on_reset(notifications_lost)
     }
 
     /// Process one decoded inbound message from `source`, returning the
@@ -620,34 +465,7 @@ impl Warehouse {
         source: SourceId,
         msg: Message,
     ) -> Result<Vec<Message>, WarehouseError> {
-        let outbound = match msg {
-            Message::UpdateNotification { update } => self.on_update(source, &update)?,
-            Message::QueryAnswer { id, answer } => self.on_answer(source, id, answer)?,
-            Message::QueryRequest { .. } => {
-                return Err(WarehouseError::UnexpectedMessage {
-                    kind: "QueryRequest",
-                })
-            }
-            // Session-layer envelopes are consumed by `ReliableLink`;
-            // one surfacing here means the channel is mis-stacked.
-            Message::Frame { .. } | Message::Ack { .. } | Message::Hello { .. } => {
-                return Err(WarehouseError::UnexpectedMessage {
-                    kind: "session-layer",
-                })
-            }
-            // Read-serving traffic belongs on `eca-serve` channels,
-            // never on a maintenance channel.
-            Message::ReadQuery { .. } | Message::ReadAnswer { .. } | Message::ReadError { .. } => {
-                return Err(WarehouseError::UnexpectedMessage { kind: "read-layer" })
-            }
-        };
-        Ok(outbound
-            .into_iter()
-            .map(|q| Message::QueryRequest {
-                id: q.id,
-                query: WireQuery::from_query(&q.query),
-            })
-            .collect())
+        self.shard_mut(source)?.on_message(msg)
     }
 
     /// Drain and process every message currently available on `source`'s
@@ -664,12 +482,7 @@ impl Warehouse {
     ) -> Result<usize, WarehouseError> {
         let mut processed = 0;
         while let Some(msg) = transport.try_recv()? {
-            if let Message::QueryAnswer { answer, .. } = &msg {
-                transport.meter().record_answer_payload(
-                    answer.encoded_len() as u64,
-                    answer.pos_len() + answer.neg_len(),
-                );
-            }
+            shard::meter_answer(transport, &msg);
             for reply in self.on_message(source, msg)? {
                 transport.send(&reply)?;
             }
@@ -681,14 +494,17 @@ impl Warehouse {
     /// Pump `source`'s transport until `expected_notifications` update
     /// notifications have arrived and the channel is settled
     /// ([`Warehouse::source_quiescent`]), blocking at most `stall` for
-    /// each message. Returns the number of messages processed.
+    /// each message. Answer payloads are charged to the transport's
+    /// meter, as in [`Warehouse::pump`]. Returns the number of messages
+    /// processed.
     ///
     /// # Errors
     /// [`WarehouseError::SourceStalled`] when nothing arrives for a full
     /// `stall` while queries are outstanding (the fault-recovery signal —
     /// reset the channel and call [`Warehouse::on_reset`]);
     /// [`WarehouseError::SourceHungUp`] on disconnect before settling;
-    /// transport, routing and maintainer failures.
+    /// [`WarehouseError::UnknownSource`]; transport, routing and
+    /// maintainer failures.
     pub fn pump_until_settled(
         &mut self,
         source: SourceId,
@@ -696,32 +512,16 @@ impl Warehouse {
         expected_notifications: u64,
         stall: Duration,
     ) -> Result<usize, WarehouseError> {
-        let mut notifications = 0u64;
-        let mut processed = 0;
-        while notifications < expected_notifications || !self.source_quiescent(source) {
-            let msg = match transport.recv_timeout(stall) {
-                Ok(Some(msg)) => msg,
-                Ok(None) => return Err(WarehouseError::SourceHungUp { source: source.0 }),
-                Err(TransportError::Timeout) => {
-                    return Err(WarehouseError::SourceStalled { source: source.0 })
-                }
-                Err(e) => return Err(e.into()),
-            };
-            if matches!(msg, Message::UpdateNotification { .. }) {
-                notifications += 1;
-            }
-            if let Message::QueryAnswer { answer, .. } = &msg {
-                transport.meter().record_answer_payload(
-                    answer.encoded_len() as u64,
-                    answer.pos_len() + answer.neg_len(),
-                );
-            }
-            for reply in self.on_message(source, msg)? {
-                transport.send(&reply)?;
-            }
-            processed += 1;
-        }
-        Ok(processed)
+        let shard = self.shard_mut(source)?;
+        shard::pump_until_settled(
+            shard,
+            source,
+            transport,
+            expected_notifications,
+            stall,
+            true,
+        )
+        .map(|processed| processed as usize)
     }
 }
 
@@ -731,6 +531,7 @@ mod tests {
     use eca_core::algorithms::AlgorithmKind;
     use eca_core::{BaseDb, ViewDef};
     use eca_relational::{Predicate, Schema, Tuple};
+    use eca_wire::WireQuery;
 
     /// Two views sharing r2: V1 = π_W(r1 ⋈ r2), V2 = π_Y(r2 ⋈ r3).
     fn two_views() -> (ViewDef, ViewDef) {
@@ -1215,6 +1016,42 @@ mod tests {
         assert_eq!(wh.recovery_stats().reissued, 2, "resyncs re-issued");
         assert_eq!(wh.view_status(i1), ViewStatus::Degraded);
         assert_eq!(wh.epoch(src), 2);
+    }
+
+    /// A view registered after `enable_serving` is maintained but not
+    /// served: its events publish nothing, consume no epoch, and reads
+    /// of it keep answering "unknown view".
+    #[test]
+    fn view_added_after_enable_serving_is_maintained_but_not_served() {
+        let (mut wh, src, i1, _, v1, v2, mut db) = hub_over_one_source();
+        let registry = wh.enable_serving(4);
+        let late = wh
+            .add_view(
+                src,
+                AlgorithmKind::Eca
+                    .instantiate(&v2, v2.eval(&db).unwrap())
+                    .unwrap(),
+            )
+            .unwrap();
+        assert_eq!(registry.view_count(), 2);
+
+        // Touches only the two V2 views (the served one and the late one).
+        let u = Update::insert("r3", Tuple::ints([7, 5]));
+        db.apply(&u);
+        let queries = wh.on_update(src, &u).unwrap();
+        assert_eq!(queries.len(), 2);
+        for q in &queries {
+            wh.on_answer(src, q.id, q.query.eval(&db).unwrap()).unwrap();
+        }
+        assert!(wh.is_quiescent());
+        assert_eq!(*wh.materialized(late), v2.eval(&db).unwrap());
+        assert_eq!(*wh.materialized(i1), v1.eval(&db).unwrap());
+        // One W_up per served view plus one W_ans for the served V2; the
+        // late view's two events consumed nothing.
+        assert_eq!(registry.latest(), 3);
+        assert!(registry
+            .read(late.0, eca_wire::ReadLevel::Strong, 0)
+            .is_none());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Epoch publication: the maintenance → serving handoff.
 //!
-//! Maintenance (any of the three runtimes) *publishes* view snapshots
+//! Maintenance (under any of the three drivers) *publishes* view snapshots
 //! into an [`EpochRegistry`]; the read-serving layer (`eca-serve`)
 //! *reads* them. Publication is by structural sharing: a [`SignedBag`]
 //! is a spine of reference-counted chunks, so the clone pushed onto a
@@ -25,10 +25,12 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
 use eca_relational::SignedBag;
 use eca_wire::ReadLevel;
+
+use crate::lock;
 
 /// One served snapshot plus the epoch metadata a read answer carries.
 #[derive(Clone, Debug)]
@@ -60,13 +62,6 @@ pub struct EpochRegistry {
     rotation: AtomicU64,
     ring_cap: usize,
     slots: Vec<Mutex<ViewSlot>>,
-}
-
-/// Lock helper mirroring the shard-lock discipline: publication state
-/// stays readable even if a panicking thread poisoned a slot.
-fn lock(slot: &Mutex<ViewSlot>) -> MutexGuard<'_, ViewSlot> {
-    slot.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl EpochRegistry {
@@ -104,18 +99,23 @@ impl EpochRegistry {
     /// Publish `state` as view `view`'s newest epoch. `quiescent` marks
     /// a state reached with no compensation in flight — exactly the
     /// §3.1-history membership strong reads rely on. Returns the epoch
-    /// assigned.
+    /// assigned. A view registered after the registry was built has no
+    /// slot and is not served: nothing is published, no epoch is
+    /// consumed, and the latest epoch is returned unchanged.
     ///
     /// Called by the maintainer after every processed event; readers
     /// only ever contend for the brief ring push below, never for the
     /// maintainer's own locks.
     pub fn publish(&self, view: usize, state: &SignedBag, quiescent: bool) -> u64 {
+        let Some(slot) = self.slots.get(view) else {
+            return self.latest();
+        };
         let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
         // Both clones happen before the slot lock is taken: readers wait
         // only for the ring push.
         let rows = state.clone();
         let strong = quiescent.then(|| rows.clone());
-        let mut slot = lock(&self.slots[view]);
+        let mut slot = lock(slot);
         slot.ring.push_back((epoch, rows));
         if slot.ring.len() > self.ring_cap {
             slot.ring.pop_front();

@@ -1,14 +1,13 @@
-//! The reactor warehouse runtime: a fixed worker pool multiplexing many
-//! sources over `Transport::poll()` readiness instead of one blocked OS
-//! thread per source.
+//! The reactor driver: a fixed worker pool multiplexing many sources
+//! over `Transport::poll()` readiness instead of one blocked OS thread
+//! per source.
 //!
 //! `ConcurrentWarehouse` scales the paper's event loop (§3, Figure 1.1)
 //! by parking one thread per source in `recv`. That design tops out at
 //! tens of sources: each idle channel still costs a kernel thread, and
 //! the scheduler — not maintenance work — becomes the bottleneck. The
-//! reactor keeps the same sharded-by-source state (the `Shard` type is
-//! shared with `concurrent.rs`) but drives *all* channels from a small
-//! fixed pool:
+//! reactor drives the same per-source shards, behind the same locks,
+//! but serves *all* channels from a small fixed pool:
 //!
 //! * **Poll loop.** Each source gets a `Station` wrapping its
 //!   transport, a bounded inbox and per-station progress counters. A
@@ -44,8 +43,8 @@
 //!
 //! The serial [`Warehouse`] remains the golden-trace reference; the
 //! reactor must (and is tested to) produce byte-identical meters and
-//! state histories on every scenario, because per-source event order is
-//! identical in all three runtimes.
+//! state histories on every scenario, because every driver applies the
+//! same per-source event order to the same shard state machine.
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -53,14 +52,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use eca_relational::SignedBag;
 use eca_wire::{
     read_frame_capped, write_frame, Message, PollWaker, Poller, Readiness, Role, TcpTransport,
     TransferMeter, Transport, TransportError,
 };
 
-use crate::concurrent::{lock, Shard, ShardSet};
-use crate::{SourceId, ViewId, Warehouse, WarehouseError};
+use crate::concurrent::{shard_set_accessors, ShardSet};
+use crate::shard::checked;
+use crate::{lock, SourceId, Warehouse, WarehouseError};
 
 /// How long the accept loop waits for a connection's opening
 /// [`Message::Hello`] frame before declaring the handshake dead. Dialers
@@ -216,10 +215,7 @@ struct RunState {
 
 impl RunState {
     fn fail(&self, err: WarehouseError) {
-        let mut slot = self
-            .error
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut slot = lock(&self.error);
         if slot.is_none() {
             *slot = Some(err);
         }
@@ -228,24 +224,15 @@ impl RunState {
     }
 
     fn failed(&self) -> bool {
-        self.error
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .is_some()
+        lock(&self.error).is_some()
     }
 
     fn touch_progress(&self) {
-        *self
-            .last_progress
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Instant::now();
+        *lock(&self.last_progress) = Instant::now();
     }
 
     fn since_progress(&self) -> Duration {
-        self.last_progress
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .elapsed()
+        lock(&self.last_progress).elapsed()
     }
 
     /// Unblock the accept loop at end of run (first caller wins). The
@@ -268,33 +255,24 @@ impl RunState {
 /// [`ReactorWarehouse::run`], then read results through the same
 /// accessors the other runtimes offer.
 pub struct ReactorWarehouse {
-    names: Vec<String>,
-    shards: Vec<Mutex<Shard>>,
-    /// Global [`ViewId`] → (shard, shard-local index).
-    view_index: Vec<(usize, usize)>,
+    pub(crate) set: ShardSet,
     workers: usize,
     inbox_cap: usize,
     stall_timeout: Duration,
 }
 
 impl Warehouse {
-    /// Reshape this warehouse into the reactor runtime with a fixed
-    /// worker pool. Like [`Warehouse::into_concurrent`], this must
-    /// happen before any traffic.
+    /// Hand this warehouse's shards to the reactor driver with a fixed
+    /// worker pool. Like [`Warehouse::into_concurrent`], everything
+    /// carries over untouched — in-flight queries, degraded views and
+    /// durability included — so this is sound mid-traffic.
     ///
     /// # Panics
-    /// If `workers == 0` or any session has outstanding queries.
+    /// If `workers == 0`.
     pub fn into_reactor(self, workers: usize) -> ReactorWarehouse {
         assert!(workers > 0, "reactor needs at least one worker");
-        let ShardSet {
-            names,
-            shards,
-            view_index,
-        } = self.into_shards();
         ReactorWarehouse {
-            names,
-            shards,
-            view_index,
+            set: self.into_shards(),
             workers,
             inbox_cap: 64,
             stall_timeout: Duration::from_secs(30),
@@ -302,20 +280,12 @@ impl Warehouse {
     }
 }
 
-impl ReactorWarehouse {
-    /// Number of source shards.
-    pub fn source_count(&self) -> usize {
-        self.shards.len()
-    }
+shard_set_accessors!(ReactorWarehouse);
 
+impl ReactorWarehouse {
     /// Number of pooled workers [`ReactorWarehouse::run`] spawns.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The name a source was registered under.
-    pub fn source_name(&self, source: SourceId) -> &str {
-        &self.names[source.0]
     }
 
     /// Bound each station's inbox (default 64 events). Once full, the
@@ -337,28 +307,6 @@ impl ReactorWarehouse {
         self.stall_timeout = timeout;
     }
 
-    /// The current materialized state of a view (cloned out of its
-    /// shard).
-    pub fn materialized(&self, view: ViewId) -> SignedBag {
-        let (shard, local) = self.view_index[view.0];
-        lock(&self.shards[shard]).views[local]
-            .maintainer
-            .materialized()
-            .clone()
-    }
-
-    /// Every `MV` state a view passed through, starting with its initial
-    /// state — the warehouse half of the §3.1 consistency check.
-    pub fn view_states(&self, view: ViewId) -> Vec<SignedBag> {
-        let (shard, local) = self.view_index[view.0];
-        lock(&self.shards[shard]).views[local].states.clone()
-    }
-
-    /// Whether every shard is quiescent.
-    pub fn is_quiescent(&self) -> bool {
-        self.shards.iter().all(|s| lock(s).is_quiescent())
-    }
-
     /// Drive every source to completion on the worker pool. `endpoints`
     /// pairs each source with its transport and the number of update
     /// notifications to expect, exactly like
@@ -370,6 +318,8 @@ impl ReactorWarehouse {
     /// the source side.
     ///
     /// # Errors
+    /// [`WarehouseError::UnknownSource`], before any thread is spawned,
+    /// if an endpoint names an unregistered source;
     /// [`WarehouseError::WakerRejected`] if any transport refuses the
     /// shared poll waker — the reactor's parking discipline requires
     /// arrival notifications from every channel, so registration fails
@@ -386,6 +336,7 @@ impl ReactorWarehouse {
         let waker = PollWaker::new();
         let mut stations = Vec::with_capacity(endpoints.len());
         for (source, mut transport, expected) in endpoints {
+            self.set.shard(source)?;
             let st_waker = PollWaker::chained(Arc::clone(&waker));
             if !transport.set_waker(Arc::clone(&st_waker)) {
                 return Err(WarehouseError::WakerRejected { source: source.0 });
@@ -396,7 +347,7 @@ impl ReactorWarehouse {
         // born settled; count the rest.
         let mut remaining = 0usize;
         for st in &stations {
-            if st.expected == 0 && lock(&self.shards[st.source]).is_quiescent() {
+            if st.expected == 0 && lock(&self.set.shards[st.source]).is_quiescent() {
                 st.done.store(true, Ordering::Release);
             } else {
                 remaining += 1;
@@ -467,7 +418,7 @@ impl ReactorWarehouse {
         poller: &Arc<Poller>,
         expected: &[u64],
     ) -> Result<u64, WarehouseError> {
-        let n = self.shards.len();
+        let n = self.set.shards.len();
         assert_eq!(
             expected.len(),
             n,
@@ -476,7 +427,7 @@ impl ReactorWarehouse {
         let mut born_settled = vec![false; n];
         let mut remaining = 0usize;
         for s in 0..n {
-            if expected[s] == 0 && lock(&self.shards[s]).is_quiescent() {
+            if expected[s] == 0 && lock(&self.set.shards[s]).is_quiescent() {
                 born_settled[s] = true;
             } else {
                 remaining += 1;
@@ -513,12 +464,7 @@ impl ReactorWarehouse {
 
     /// Extract the run result once every pool thread has joined.
     fn into_outcome(state: RunState) -> Result<u64, WarehouseError> {
-        if let Some(err) = state
-            .error
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take()
-        {
+        if let Some(err) = lock(&state.error).take() {
             return Err(err);
         }
         Ok(state.processed.load(Ordering::Acquire))
@@ -595,10 +541,7 @@ impl ReactorWarehouse {
         let Some(epoch) = Self::handshake(&stream) else {
             return Ok(());
         };
-        let source = epoch as usize;
-        if source >= state.stations.len() {
-            return Err(WarehouseError::UnknownSource { id: source });
-        }
+        let source = checked(SourceId(epoch as usize), state.stations.len())?;
         stream
             .set_read_timeout(None)
             .map_err(|e| WarehouseError::Transport(TransportError::Io(e)))?;
@@ -791,10 +734,7 @@ impl ReactorWarehouse {
                 .saturating_sub(st.queued.load(Ordering::Acquire))
         };
         if room > 0 {
-            let mut transport = st
-                .transport
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut transport = lock(&st.transport);
             loop {
                 if room == 0 {
                     // Quantum exhausted. Hand-off path: backpressure —
@@ -818,10 +758,7 @@ impl ReactorWarehouse {
                             transport.send(&reply)?;
                         }
                     } else {
-                        let mut inbox = st
-                            .inbox
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
+                        let mut inbox = lock(&st.inbox);
                         inbox.extend(scratch.drain(..));
                         st.queued.store(inbox.len(), Ordering::Release);
                     }
@@ -855,11 +792,7 @@ impl ReactorWarehouse {
         // (on the home worker) so it is raised exactly once.
         if st.closed.load(Ordering::Acquire)
             && !st.done.load(Ordering::Acquire)
-            && st
-                .inbox
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .is_empty()
+            && lock(&st.inbox).is_empty()
             && !st.busy.load(Ordering::Acquire)
         {
             // Re-check settledness under the claim so a processor that
@@ -868,13 +801,7 @@ impl ReactorWarehouse {
             if !st.busy.swap(true, Ordering::AcqRel) {
                 let settled = st.done.load(Ordering::Acquire) || self.try_settle(state, st);
                 st.busy.store(false, Ordering::Release);
-                if !settled
-                    && st
-                        .inbox
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .is_empty()
-                {
+                if !settled && lock(&st.inbox).is_empty() {
                     return Err(WarehouseError::SourceHungUp { source: st.source });
                 }
             }
@@ -921,36 +848,14 @@ impl ReactorWarehouse {
         batch: &mut Vec<Message>,
         replies: &mut Vec<Message>,
     ) -> Result<(), WarehouseError> {
-        let shard = &self.shards[st.source];
+        let shard = &self.set.shards[st.source];
         let handled = batch.len() as u64;
         let mut notifications = 0u64;
         for msg in batch.drain(..) {
-            match msg {
-                Message::UpdateNotification { update } => {
-                    notifications += 1;
-                    replies.extend(lock(shard).on_update(&update)?);
-                }
-                Message::QueryAnswer { id, answer } => {
-                    replies.extend(lock(shard).on_answer(id, answer)?);
-                }
-                Message::QueryRequest { .. } => {
-                    return Err(WarehouseError::UnexpectedMessage {
-                        kind: "QueryRequest",
-                    })
-                }
-                Message::Frame { .. } | Message::Ack { .. } | Message::Hello { .. } => {
-                    return Err(WarehouseError::UnexpectedMessage {
-                        kind: "session-layer",
-                    })
-                }
-                // Read-serving traffic belongs on `eca-serve` channels,
-                // never on a maintenance channel.
-                Message::ReadQuery { .. }
-                | Message::ReadAnswer { .. }
-                | Message::ReadError { .. } => {
-                    return Err(WarehouseError::UnexpectedMessage { kind: "read-layer" })
-                }
+            if matches!(msg, Message::UpdateNotification { .. }) {
+                notifications += 1;
             }
+            replies.extend(lock(shard).on_message(msg)?);
         }
         if notifications > 0 {
             st.notifications.fetch_add(notifications, Ordering::AcqRel);
@@ -973,10 +878,7 @@ impl ReactorWarehouse {
         let mut progress = false;
         loop {
             let was_full = {
-                let mut inbox = st
-                    .inbox
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                let mut inbox = lock(&st.inbox);
                 if inbox.is_empty() {
                     break;
                 }
@@ -993,10 +895,7 @@ impl ReactorWarehouse {
             progress = true;
             self.apply_batch(state, st, batch, replies)?;
             if !replies.is_empty() {
-                let mut transport = st
-                    .transport
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                let mut transport = lock(&st.transport);
                 for reply in replies.drain(..) {
                     transport.send(&reply)?;
                 }
@@ -1019,15 +918,10 @@ impl ReactorWarehouse {
         if st.notifications.load(Ordering::Acquire) < st.expected {
             return false;
         }
-        if !st
-            .inbox
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .is_empty()
-        {
+        if !lock(&st.inbox).is_empty() {
             return false;
         }
-        if !lock(&self.shards[st.source]).is_quiescent() {
+        if !lock(&self.set.shards[st.source]).is_quiescent() {
             return false;
         }
         st.done.store(true, Ordering::Release);
@@ -1231,6 +1125,21 @@ mod tests {
         assert!(matches!(
             rw.run(vec![(src, Box::new(wh_end), 1)]),
             Err(WarehouseError::SourceHungUp { source: 0 })
+        ));
+    }
+
+    /// An endpoint naming a source the warehouse never registered is a
+    /// typed error raised before any worker is spawned — not an index
+    /// panic while counting born-settled stations.
+    #[test]
+    fn unregistered_source_is_a_typed_error() {
+        let mut wh = Warehouse::new();
+        wh.add_source("s");
+        let rw = wh.into_reactor(2);
+        let (_src_end, wh_end) = SharedFifo::pair(TransferMeter::new());
+        assert!(matches!(
+            rw.run(vec![(SourceId(7), Box::new(wh_end), 1)]),
+            Err(WarehouseError::UnknownSource { id: 7 })
         ));
     }
 

@@ -40,7 +40,8 @@ pub enum RouteKind {
 /// Where a pending query came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Route {
-    /// Index of the owning view in the warehouse's view table.
+    /// Index of the owning view within its source's shard — the
+    /// shard-local index, not the global `ViewId`.
     pub view: usize,
     /// The maintainer-local id the answer must be delivered under
     /// (meaningless for [`RouteKind::Resync`] queries, which bypass the
@@ -105,15 +106,6 @@ impl Session {
     pub fn restore_durable(&mut self, epoch: u64, next_global_id: u64) {
         self.epoch = epoch;
         self.ids.resume_at(next_global_id);
-    }
-
-    /// Rewrite the view index inside every pending route (global view
-    /// indices → shard-local ones when a warehouse with in-flight
-    /// queries is reshaped into per-source shards).
-    pub fn remap_views(&mut self, map: impl Fn(usize) -> usize) {
-        for pq in self.pending.values_mut() {
-            pq.route.view = map(pq.route.view);
-        }
     }
 
     /// Allocate a global id for a maintenance query emitted by `view`
@@ -193,14 +185,6 @@ impl Session {
         }
         self.pending.clear();
         drained
-    }
-
-    /// Retire every pending query owned by `view` (used when the view is
-    /// degraded to a resync outside of an epoch bump).
-    pub fn purge_view(&mut self, view: usize) {
-        self.pending.retain(|_, pq| pq.route.view != view);
-        let live = &self.pending;
-        self.fifo.retain(|id| live.contains_key(id));
     }
 
     /// Number of outstanding queries on this channel.
@@ -319,18 +303,5 @@ mod tests {
         assert!(a2 > r, "ids keep growing across epochs");
         let route = s.take(a2).unwrap();
         assert_eq!((route.view, route.local), (0, QueryId(1)));
-    }
-
-    #[test]
-    fn purge_view_drops_only_that_views_queries() {
-        let mut s = Session::new();
-        let a = s.register(0, QueryId(1), q());
-        let _b = s.register(1, QueryId(1), q());
-        let c = s.register(0, QueryId(2), q());
-        s.purge_view(0);
-        assert_eq!(s.pending(), 1);
-        assert!(s.take(a).is_err());
-        assert!(s.take(c).is_err());
-        assert_eq!(s.oldest_pending(), Some(QueryId(2)));
     }
 }
