@@ -8,7 +8,7 @@
 //! * predicate pushdown pays off most on selective single-relation
 //!   conjuncts;
 //! * multi-term queries (1/4/16 terms) answer faster with term batching
-//!   and parallel term evaluation at the source.
+//!   at the source.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use eca_core::Query;
@@ -111,11 +111,6 @@ fn bench_multi_term(c: &mut Criterion) {
         batched.enable_term_batching();
         group.bench_function(BenchmarkId::new("batched", k), |b| {
             b.iter(|| batched.answer(black_box(&wire)).unwrap())
-        });
-        let mut parallel = workload.build_source(Scenario::Indexed).unwrap();
-        parallel.enable_term_batching();
-        group.bench_function(BenchmarkId::new("parallel", k), |b| {
-            b.iter(|| parallel.answer_parallel(black_box(&wire)).unwrap())
         });
     }
     group.finish();

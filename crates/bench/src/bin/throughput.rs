@@ -1,56 +1,35 @@
-//! End-to-end throughput sweep: serial vs concurrent warehouse runtime,
-//! plus the thread-per-source vs reactor scaling curve.
+//! The three `eca-bench` gates that still carry a claim, in one run:
 //!
-//! Writes `results/throughput.json` and the repo-root
-//! `BENCH_throughput.json`, prints summary tables, and exits non-zero
-//! if the concurrent runtime is not faster than serial on every
-//! scenario, or the reactor does not beat thread-per-source at ≥32
-//! sources (the CI gates).
+//! * **selfmaint** — ECA-Aux on the keyed fig-6.x scenario answers ≥50%
+//!   of compensating queries locally, cuts maintenance messages ≥50% vs
+//!   ECA, and the measured count equals the exact closed form
+//!   `M = 2k(1−f)`;
+//! * **serving** — a reader fleet across the three §3 consistency levels
+//!   against a live maintenance stream completes every read with zero
+//!   monotonicity violations, every strong answer a §3.1 state-history
+//!   member, throughput above a sanity floor;
+//! * **recovery** — a warehouse crashed mid-run recovers from its WAL +
+//!   checkpoint, converges to the fault-free golden views, and spends
+//!   at most half the extra messages and bytes of the §4 full-RV
+//!   fallback (measured: zero extra).
+//!
+//! Writes `results/{selfmaint,serving,recovery}.json` and the repo-root
+//! `BENCH_throughput.json` embedding all three, prints summary tables,
+//! and exits non-zero if any gate fails.
 //!
 //! ```text
-//! throughput [--smoke] [--scaling-smoke] [--tcp-scaling-smoke]
-//!            [--selfmaint-smoke] [--serving-smoke] [--recovery-smoke]
-//!            [--workers N] [--reactor-workers N]
-//!            [--io-latency-us N] [--out PATH] [--root PATH]
+//! throughput [--smoke] [--out PATH] [--root PATH]
 //! ```
 //!
-//! `--workers` sizes the source-side answer pool of the serial-vs-
-//! concurrent sweep; `--reactor-workers` sizes the reactor pool of the
-//! scaling sweep (default 2 — on few cores a small pool wins, and every
-//! scaling point records the value used).
-//!
-//! `--scaling-smoke` runs *only* the reduced scaling gate (32 sources,
-//! threaded vs reactor) and skips the artifact files — the fast CI
-//! check that the reactor's advantage has not regressed.
-//! `--tcp-scaling-smoke` is the same gate over loopback TCP: every link
-//! a real socket, thread-per-connection vs the readiness-driven
-//! reactor (listener + poller), non-zero exit unless the reactor wins.
-//! The TCP gate point is 128 sources — past the crossover where
-//! thread-per-connection's per-thread cost overtakes its direct-wakeup
-//! advantage (the full sweep charts the whole curve from 32 up).
-//! `--selfmaint-smoke` runs only the self-maintenance gate: ECA-Aux on
-//! the keyed fig-6.x scenario must answer ≥50% of compensating queries
-//! locally and cut maintenance messages ≥50% vs ECA, with the exact
-//! closed-form prediction matching the meter; it also refreshes
-//! `results/selfmaint.json`.
-//! `--serving-smoke` runs only the mixed read/write serving gate: a
-//! reduced reader fleet against a live maintenance stream must complete
-//! every read with zero monotonicity violations, every strong answer in
-//! the §3.1 state history, and throughput above a sanity floor; it also
-//! refreshes `results/serving.json`. The full (non-smoke) run measures
-//! the ≥1000-reader configuration and embeds the result in the main
-//! artifact.
-//! `--recovery-smoke` runs only the crash-recovery gate: a warehouse
-//! crashed mid-run must recover from its WAL + checkpoint, converge to
-//! the fault-free golden views, and spend at most half the extra
-//! messages (and bytes) of the full-RV fallback; it also refreshes
-//! `results/recovery.json`. The full run sweeps a checkpoint-cadence
-//! ladder for the recovery-time-vs-checkpoint-age curve.
+//! `--smoke` keeps the serving fleet at 64 readers (the full run fields
+//! ≥1000) and the recovery sweep at one checkpoint cadence (the full run
+//! walks the cadence ladder for the recovery-time-vs-checkpoint-age
+//! curve). `--root` moves the embedded document (default
+//! `BENCH_throughput.json`); `--out` writes a second copy of it.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
-use eca_bench::throughput::{report, scaling_sweep, sweep, tcp_scaling_sweep, ScalingResult};
+use eca_bench::json::Json;
 
 /// The self-maintenance measurement point: k Mixed updates on the keyed
 /// fig-6.x scenario (seed pinned so the artifact is reproducible).
@@ -59,83 +38,28 @@ const SELFMAINT_SEED: u64 = 1;
 
 struct Args {
     smoke: bool,
-    scaling_smoke: bool,
-    tcp_scaling_smoke: bool,
-    selfmaint_smoke: bool,
-    serving_smoke: bool,
-    recovery_smoke: bool,
-    workers: usize,
-    reactor_workers: usize,
-    io_latency: Duration,
-    out: PathBuf,
+    out: Option<PathBuf>,
     root: PathBuf,
 }
 
 fn parse_args() -> Args {
-    // Default latency models a 1995-era disk conservatively: ~1ms per
-    // block (real seek+rotate was nearer 10ms). The paper's cost model
-    // counts blocks; this prices them.
     let mut parsed = Args {
         smoke: false,
-        scaling_smoke: false,
-        tcp_scaling_smoke: false,
-        selfmaint_smoke: false,
-        serving_smoke: false,
-        recovery_smoke: false,
-        workers: 8,
-        reactor_workers: 2,
-        io_latency: Duration::from_micros(1000),
-        out: PathBuf::from("results/throughput.json"),
+        out: None,
         root: PathBuf::from("BENCH_throughput.json"),
     };
     let mut args = std::env::args().skip(1);
+    let path_arg = |flag: &str, args: &mut dyn Iterator<Item = String>| {
+        PathBuf::from(args.next().unwrap_or_else(|| {
+            eprintln!("{flag} requires a path argument");
+            std::process::exit(2);
+        }))
+    };
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => parsed.smoke = true,
-            "--scaling-smoke" => parsed.scaling_smoke = true,
-            "--tcp-scaling-smoke" => parsed.tcp_scaling_smoke = true,
-            "--selfmaint-smoke" => parsed.selfmaint_smoke = true,
-            "--serving-smoke" => parsed.serving_smoke = true,
-            "--recovery-smoke" => parsed.recovery_smoke = true,
-            "--workers" => {
-                parsed.workers = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&w| w > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--workers requires a positive integer argument");
-                        std::process::exit(2);
-                    });
-            }
-            "--reactor-workers" => {
-                parsed.reactor_workers = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&w| w > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--reactor-workers requires a positive integer argument");
-                        std::process::exit(2);
-                    });
-            }
-            "--io-latency-us" => {
-                let us: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--io-latency-us requires an integer argument");
-                    std::process::exit(2);
-                });
-                parsed.io_latency = Duration::from_micros(us);
-            }
-            "--out" => {
-                parsed.out = PathBuf::from(args.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a path argument");
-                    std::process::exit(2);
-                }));
-            }
-            "--root" => {
-                parsed.root = PathBuf::from(args.next().unwrap_or_else(|| {
-                    eprintln!("--root requires a path argument");
-                    std::process::exit(2);
-                }));
-            }
+            "--out" => parsed.out = Some(path_arg("--out", &mut args)),
+            "--root" => parsed.root = path_arg("--root", &mut args),
             other => {
                 eprintln!("unknown argument {other:?}");
                 std::process::exit(2);
@@ -195,134 +119,21 @@ fn print_recovery(points: &[eca_bench::recovery::RecoveryPoint]) {
     }
 }
 
-fn write_recovery(points: &[eca_bench::recovery::RecoveryPoint]) {
-    let doc = eca_bench::recovery::report(points).pretty();
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/recovery.json", doc).expect("write recovery artifact");
-    println!("wrote results/recovery.json");
-}
-
-fn print_scaling(scaling: &[ScalingResult]) {
-    println!(
-        "{:>7} {:>6} {:>7} {:>7} {:>12} {:>12} {:>8}",
-        "sources", "views", "updates", "workers", "threaded u/s", "reactor u/s", "speedup"
-    );
-    for r in scaling {
-        println!(
-            "{:>7} {:>6} {:>7} {:>7} {:>12.0} {:>12.0} {:>7.2}x",
-            r.config.sources,
-            r.config.total_views(),
-            r.config.updates_per_source,
-            r.config.workers,
-            r.threaded.updates_per_sec,
-            r.reactor.updates_per_sec,
-            r.speedup()
-        );
+fn write_doc(path: &std::path::Path, doc: &Json) {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).expect("create artifact dir");
     }
-}
-
-/// The reactor must beat the thread-per-source baseline at every point
-/// with `min_sources` or more sources. In-memory links gate at 32; the
-/// loopback-TCP gate sits at 128, past the crossover where
-/// thread-per-connection's direct kernel wakeups stop compensating for
-/// its per-thread cost (the full TCP curve still charts the small-N
-/// points where the baseline legitimately competes).
-fn gate_scaling(scaling: &[ScalingResult], min_sources: usize) -> bool {
-    let slow: Vec<_> = scaling
-        .iter()
-        .filter(|r| r.config.sources >= min_sources && r.speedup() <= 1.0)
-        .collect();
-    for r in &slow {
-        eprintln!(
-            "FAIL: reactor not faster than thread-per-source at {} sources ({:.2}x)",
-            r.config.sources,
-            r.speedup()
-        );
-    }
-    slow.is_empty()
+    std::fs::write(path, doc.pretty()).expect("write artifact");
+    println!("wrote {}", path.display());
 }
 
 fn main() {
     let args = parse_args();
 
-    if args.scaling_smoke {
-        let scaling = scaling_sweep(true, args.reactor_workers);
-        print_scaling(&scaling);
-        if !gate_scaling(&scaling, 32) {
-            std::process::exit(1);
-        }
-        return;
-    }
+    let selfmaint_doc = eca_bench::selfmaint::report(SELFMAINT_K, SELFMAINT_SEED);
+    write_doc("results/selfmaint.json".as_ref(), &selfmaint_doc);
+    let selfmaint_ok = eca_bench::selfmaint::smoke(SELFMAINT_K, SELFMAINT_SEED);
 
-    if args.tcp_scaling_smoke {
-        let tcp = tcp_scaling_sweep(true, args.reactor_workers);
-        print_scaling(&tcp);
-        if !gate_scaling(&tcp, 128) {
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if args.selfmaint_smoke {
-        let doc = eca_bench::selfmaint::report(SELFMAINT_K, SELFMAINT_SEED).pretty();
-        std::fs::create_dir_all("results").expect("create results dir");
-        std::fs::write("results/selfmaint.json", doc).expect("write selfmaint artifact");
-        println!("wrote results/selfmaint.json");
-        if !eca_bench::selfmaint::smoke(SELFMAINT_K, SELFMAINT_SEED) {
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if args.serving_smoke {
-        let result = eca_bench::serving::run(eca_bench::serving::ServingConfig::smoke());
-        print_serving(&result);
-        let doc = eca_bench::serving::report(&result).pretty();
-        std::fs::create_dir_all("results").expect("create results dir");
-        std::fs::write("results/serving.json", doc).expect("write serving artifact");
-        println!("wrote results/serving.json");
-        if !eca_bench::serving::smoke(&result) {
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if args.recovery_smoke {
-        let points = eca_bench::recovery::sweep(true);
-        print_recovery(&points);
-        write_recovery(&points);
-        if !eca_bench::recovery::violations(&points).is_empty() {
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    let results = sweep(args.smoke, args.io_latency, args.workers);
-    println!(
-        "{:>7} {:>5} {:>7} {:>12} {:>12} {:>8}",
-        "sources", "views", "updates", "serial u/s", "conc u/s", "speedup"
-    );
-    for r in &results {
-        println!(
-            "{:>7} {:>5} {:>7} {:>12.0} {:>12.0} {:>7.2}x",
-            r.config.sources,
-            r.config.views_per_source,
-            r.config.updates_per_source,
-            r.serial.updates_per_sec,
-            r.concurrent.updates_per_sec,
-            r.speedup()
-        );
-    }
-
-    let scaling = scaling_sweep(args.smoke, args.reactor_workers);
-    print_scaling(&scaling);
-
-    let tcp_scaling = tcp_scaling_sweep(args.smoke, args.reactor_workers);
-    println!("loopback TCP:");
-    print_scaling(&tcp_scaling);
-
-    // Mixed read/write serving: the full run fields the ≥1000-reader
-    // configuration; `--smoke` keeps the reduced fleet.
     let serving_cfg = if args.smoke {
         eca_bench::serving::ServingConfig::smoke()
     } else {
@@ -331,44 +142,28 @@ fn main() {
     let serving = eca_bench::serving::run(serving_cfg);
     print_serving(&serving);
     let serving_doc = eca_bench::serving::report(&serving);
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/serving.json", serving_doc.pretty()).expect("write serving artifact");
-    println!("wrote results/serving.json");
+    write_doc("results/serving.json".as_ref(), &serving_doc);
 
-    // Crash recovery: the full run walks the checkpoint-cadence ladder
-    // for the recovery-time-vs-checkpoint-age curve.
     let recovery_points = eca_bench::recovery::sweep(args.smoke);
     print_recovery(&recovery_points);
     let recovery_doc = eca_bench::recovery::report(&recovery_points);
-    write_recovery(&recovery_points);
+    write_doc("results/recovery.json".as_ref(), &recovery_doc);
 
-    let doc = report(
-        &results,
-        &scaling,
-        &tcp_scaling,
-        eca_bench::selfmaint::report(SELFMAINT_K, SELFMAINT_SEED),
-        serving_doc,
-        recovery_doc,
-    )
-    .pretty();
-    if let Some(dir) = args.out.parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
+    let doc = Json::obj([
+        (
+            "benchmark",
+            Json::str("eca-bench gates: self-maintenance, read serving, crash recovery"),
+        ),
+        ("selfmaint", selfmaint_doc),
+        ("serving", serving_doc),
+        ("recovery", recovery_doc),
+    ]);
+    write_doc(&args.root, &doc);
+    if let Some(out) = &args.out {
+        write_doc(out, &doc);
     }
-    std::fs::write(&args.out, &doc).expect("write results artifact");
-    std::fs::write(&args.root, &doc).expect("write root artifact");
-    println!("wrote {} and {}", args.out.display(), args.root.display());
 
-    let mut failed = false;
-    let slow: Vec<_> = results.iter().filter(|r| r.speedup() <= 1.0).collect();
-    if !slow.is_empty() {
-        eprintln!(
-            "FAIL: concurrent runtime not faster than serial on {} scenario(s)",
-            slow.len()
-        );
-        failed = true;
-    }
-    failed |= !gate_scaling(&scaling, 32);
-    failed |= !gate_scaling(&tcp_scaling, 128);
+    let mut failed = !selfmaint_ok;
     failed |= !eca_bench::serving::smoke(&serving);
     let recovery_violations = eca_bench::recovery::violations(&recovery_points);
     if !recovery_violations.is_empty() {

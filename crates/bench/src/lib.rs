@@ -24,7 +24,6 @@ pub mod recovery;
 pub mod scenario_file;
 pub mod selfmaint;
 pub mod serving;
-pub mod throughput;
 
 use eca_core::algorithms::AlgorithmKind;
 use eca_sim::{Policy, RunReport, Simulation};

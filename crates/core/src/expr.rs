@@ -335,39 +335,6 @@ impl Query {
         Ok(out)
     }
 
-    /// Evaluate terms concurrently, one worker thread per term, and merge
-    /// the signed sum. Answers equal [`Query::eval`] exactly: merging
-    /// signed bags is commutative and associative, so term completion
-    /// order cannot change the result.
-    ///
-    /// # Errors
-    /// Propagates relational evaluation errors (the first failing term in
-    /// term order).
-    pub fn eval_parallel(
-        &self,
-        db: &(impl BaseLookup + Sync),
-    ) -> Result<SignedBag, RelationalError> {
-        if self.terms.len() <= 1 {
-            return self.eval(db);
-        }
-        let results: Vec<Result<SignedBag, RelationalError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .terms
-                .iter()
-                .map(|term| scope.spawn(|| term.eval(&self.view, db)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("term evaluation thread panicked"))
-                .collect()
-        });
-        let mut out = SignedBag::new();
-        for r in results {
-            out.merge(&r?);
-        }
-        Ok(out)
-    }
-
     /// Encoded payload size under the wire codec: 2-byte term count plus
     /// term encodings.
     pub fn encoded_len(&self) -> usize {
@@ -573,29 +540,6 @@ mod tests {
             sum.merge(&part.eval(&db).unwrap());
         }
         assert_eq!(whole, sum);
-    }
-
-    #[test]
-    fn parallel_eval_matches_sequential() {
-        let v = view2();
-        let mut db = BaseDb::for_view(&v);
-        for i in 0..20i64 {
-            db.insert("r1", Tuple::ints([i, i % 4]));
-            db.insert("r2", Tuple::ints([i % 4, i]));
-        }
-        let u1 = Update::insert("r2", Tuple::ints([2, 3]));
-        let u2 = Update::insert("r1", Tuple::ints([4, 2]));
-        let u3 = Update::delete("r1", Tuple::ints([1, 2]));
-        let q1 = v.substitute(&u1).unwrap();
-        let q2 = v.substitute(&u2).unwrap().minus(&q1.substitute(&u2));
-        let q3 = v
-            .substitute(&u3)
-            .unwrap()
-            .minus(&q1.substitute(&u3))
-            .minus(&q2.substitute(&u3));
-        for q in [&v.as_query(), &q1, &q2, &q3] {
-            assert_eq!(q.eval_parallel(&db).unwrap(), q.eval(&db).unwrap());
-        }
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Runtime-equivalence harness: one deployment, three runtimes, one
-//! verdict.
+//! Runtime-equivalence harness: one deployment, both warehouse drivers,
+//! one verdict.
 //!
 //! The §3 correctness argument never mentions threads: it needs FIFO
-//! delivery per channel and atomic per-event state transitions. All
-//! three warehouse runtimes — the serial [`Warehouse`], the
-//! thread-per-source [`eca_warehouse::ConcurrentWarehouse`], and the
-//! worker-pool [`eca_warehouse::ReactorWarehouse`] — promise exactly
+//! delivery per channel and atomic per-event state transitions. Both
+//! warehouse drivers — the serial [`Warehouse`] and the worker-pool
+//! [`eca_warehouse::ReactorWarehouse`] at any pool size — promise exactly
 //! that, and the `serve` protocol (whole script first, then answers in
 //! query order) makes each channel's event sequence *deterministic*: the
 //! warehouse sees `U_1 … U_n` then `A_1 … A_m` per source regardless of
@@ -94,21 +93,19 @@ impl EquivOutcome {
     }
 }
 
-/// All three runtimes' outcomes for one deployment.
+/// Both drivers' outcomes for one deployment.
 #[derive(Debug)]
-pub struct EquivTriple {
+pub struct EquivPair {
     /// The serial single-threaded reference.
     pub serial: EquivOutcome,
-    /// Thread-per-source (`ConcurrentWarehouse::pump_all`).
-    pub concurrent: EquivOutcome,
     /// Worker-pool reactor (`ReactorWarehouse::run`).
     pub reactor: EquivOutcome,
 }
 
-impl EquivTriple {
-    /// Whether the three runtimes agree on every observable.
+impl EquivPair {
+    /// Whether the two drivers agree on every observable.
     pub fn agree(&self) -> bool {
-        self.serial == self.concurrent && self.serial == self.reactor
+        self.serial == self.reactor
     }
 }
 
@@ -204,41 +201,6 @@ fn run_serial(case: EquivCase) -> Result<EquivOutcome, SimError> {
     Ok(outcome_of(states, finals, &w.meters))
 }
 
-/// Thread-per-source: `pump_all` against one `Source::serve` thread per
-/// site.
-fn run_concurrent(case: EquivCase) -> Result<EquivOutcome, SimError> {
-    let w = wire(case)?;
-    let cw = w.warehouse.into_concurrent();
-    let endpoints: Vec<(SourceId, Box<dyn Transport + Send>, u64)> = w
-        .wh_ends
-        .into_iter()
-        .enumerate()
-        .map(|(s, t)| {
-            (
-                SourceId(s),
-                Box::new(t) as Box<dyn Transport + Send>,
-                w.scripts[s].len() as u64,
-            )
-        })
-        .collect();
-    std::thread::scope(|scope| -> Result<(), SimError> {
-        for ((mut source, mut src_end), script) in
-            w.sources.into_iter().zip(w.src_ends).zip(&w.scripts)
-        {
-            scope.spawn(move || {
-                source
-                    .serve(&mut src_end, script)
-                    .expect("equiv source serve failed");
-            });
-        }
-        cw.pump_all(endpoints)?;
-        Ok(())
-    })?;
-    let states = w.view_ids.iter().map(|id| cw.view_states(*id)).collect();
-    let finals = w.view_ids.iter().map(|id| cw.materialized(*id)).collect();
-    Ok(outcome_of(states, finals, &w.meters))
-}
-
 /// Reactor: the whole source fleet multiplexed on one thread against a
 /// fixed worker pool.
 fn run_reactor(case: EquivCase, workers: usize) -> Result<EquivOutcome, SimError> {
@@ -284,8 +246,8 @@ fn run_reactor(case: EquivCase, workers: usize) -> Result<EquivOutcome, SimError
 /// [`eca_warehouse::ReactorWarehouse::run_listener`] endpoint, open with
 /// the `Hello` handshake, and all warehouse-side readiness is
 /// multiplexed by one [`Poller`] thread. Meters are read on the *source*
-/// side of each link (the metering point every concurrent runtime
-/// shares; the handshake frame travels outside it), so the outcome must
+/// side of each link (the metering point of every threaded run; the
+/// handshake frame travels outside it), so the outcome must
 /// still be byte-identical to the in-memory runs — that is the
 /// golden-trace claim `tests/golden_trace.rs` pins.
 ///
@@ -336,18 +298,17 @@ pub fn run_reactor_tcp(case: EquivCase, workers: usize) -> Result<EquivOutcome, 
     Ok(outcome_of(states, finals, &meters))
 }
 
-/// Build the same deployment three times (via `build`) and run it under
-/// all three runtimes. `workers` sizes the reactor pool.
+/// Build the same deployment twice (via `build`) and run it under both
+/// drivers. `workers` sizes the reactor pool.
 ///
 /// # Errors
-/// The first runtime failure, in serial → concurrent → reactor order.
+/// The first driver failure, in serial → reactor order.
 pub fn run_equivalence(
     build: &dyn Fn() -> EquivCase,
     workers: usize,
-) -> Result<EquivTriple, SimError> {
-    Ok(EquivTriple {
+) -> Result<EquivPair, SimError> {
+    Ok(EquivPair {
         serial: run_serial(build())?,
-        concurrent: run_concurrent(build())?,
         reactor: run_reactor(build(), workers)?,
     })
 }
@@ -394,14 +355,13 @@ mod tests {
     }
 
     #[test]
-    fn three_runtimes_agree_on_a_two_site_deployment() {
-        let triple = run_equivalence(&two_site_case, 2).unwrap();
-        assert_eq!(triple.serial, triple.concurrent);
-        assert_eq!(triple.serial, triple.reactor);
-        assert!(triple.agree());
+    fn serial_and_reactor_agree_on_a_two_site_deployment() {
+        let pair = run_equivalence(&two_site_case, 2).unwrap();
+        assert_eq!(pair.serial, pair.reactor);
+        assert!(pair.agree());
         // And the run actually did something.
-        assert!(triple.serial.meters[0].answer_bytes > 0);
-        assert!(triple.serial.view_states[0].len() > 1);
+        assert!(pair.serial.meters[0].answer_bytes > 0);
+        assert!(pair.serial.view_states[0].len() > 1);
     }
 
     /// Swapping the reactor's in-memory links for real loopback sockets

@@ -51,8 +51,7 @@ pub use chaos::{
     SiteId,
 };
 pub use equiv::{
-    run_equivalence, run_reactor_tcp, EquivCase, EquivOutcome, EquivSource, EquivTriple,
-    MeterCounts,
+    run_equivalence, run_reactor_tcp, EquivCase, EquivOutcome, EquivPair, EquivSource, MeterCounts,
 };
 pub use report::{RunReport, SiteReport, ViewRunReport};
 pub use trace::TraceEvent;

@@ -16,8 +16,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use eca_core::basedb::BaseDb;
@@ -130,9 +129,6 @@ pub struct Source {
     updates_executed: u64,
     /// Count of queries answered.
     queries_answered: u64,
-    /// Simulated device latency paid per metered block read while
-    /// answering a query. Zero (the default) disables the simulation.
-    io_latency: Duration,
 }
 
 impl Source {
@@ -143,7 +139,6 @@ impl Source {
             catalog: Vec::new(),
             updates_executed: 0,
             queries_answered: 0,
-            io_latency: Duration::ZERO,
         }
     }
 
@@ -211,21 +206,6 @@ impl Source {
         self.engine.enable_term_batching();
     }
 
-    /// Pay a simulated device latency of `per_block` for every block read
-    /// charged while answering a query. The paper's cost model (§6,
-    /// Appendix D) is block I/O; this turns the counted blocks into wall
-    /// time so throughput experiments observe the waiting the counts
-    /// imply. Zero (the default) leaves evaluation instantaneous and all
-    /// deterministic tests unaffected.
-    pub fn set_io_latency(&mut self, per_block: Duration) {
-        self.io_latency = per_block;
-    }
-
-    /// Sleep for `blocks` worth of simulated device time.
-    fn pay_io_latency(&self, blocks: u64) {
-        pay_latency(self.io_latency, blocks);
-    }
-
     /// Updates executed so far.
     pub fn updates_executed(&self) -> u64 {
         self.updates_executed
@@ -256,25 +236,7 @@ impl Source {
         let rebuilt = query
             .to_query(&self.catalog)
             .map_err(SourceError::BadQuery)?;
-        let before = self.engine.meter().query_reads();
         let answer = self.engine.eval_query(&rebuilt)?;
-        self.pay_io_latency(self.engine.meter().query_reads() - before);
-        self.queries_answered += 1;
-        Ok(answer)
-    }
-
-    /// Like [`Source::answer`] but evaluates the query's terms on worker
-    /// threads. Answers are identical; block-read totals can differ only
-    /// when term batching is enabled (racing threads may both pay for a
-    /// scan before either memoizes it).
-    ///
-    /// # Errors
-    /// As [`Source::answer`].
-    pub fn answer_parallel(&mut self, query: &WireQuery) -> Result<SignedBag, SourceError> {
-        let rebuilt = query
-            .to_query(&self.catalog)
-            .map_err(SourceError::BadQuery)?;
-        let answer = self.engine.eval_query_parallel(&rebuilt)?;
         self.queries_answered += 1;
         Ok(answer)
     }
@@ -305,174 +267,6 @@ impl Source {
         Ok(stats)
     }
 
-    /// Like [`Source::serve`], but answers up to `workers` outstanding
-    /// queries concurrently, each on a private read-only snapshot of the
-    /// post-script base relations. Per-connection FIFO answer order is
-    /// preserved — a sequencer releases completed answers strictly in the
-    /// order their queries arrived, so the warehouse observes exactly the
-    /// event history §3's channel assumption promises — and every block
-    /// read a worker performs is re-charged to this source's main
-    /// [`IoMeter`], keeping `M`/`B`/read accounting identical to the
-    /// serial loop. With `workers <= 1` this *is* [`Source::serve`].
-    ///
-    /// Snapshots are sound here because `serve`'s protocol executes the
-    /// whole script before the answer phase: base relations no longer
-    /// change while queries are in flight, so "state at query receipt"
-    /// and "state at pool start" coincide.
-    ///
-    /// # Errors
-    /// As [`Source::serve`]; worker-side evaluation errors are propagated
-    /// to the caller.
-    pub fn serve_pool(
-        &mut self,
-        transport: &mut dyn Transport,
-        script: &[Update],
-        workers: usize,
-    ) -> Result<ServeStats, SourceError> {
-        let mut stats = self.run_script(transport, script)?;
-        if workers <= 1 {
-            self.answer_loop(transport, &mut stats)?;
-            return Ok(stats);
-        }
-
-        let catalog = &self.catalog;
-        let io_latency = self.io_latency;
-        let main_meter = self.engine.meter().clone();
-        let snapshots: Vec<StorageEngine> = (0..workers)
-            .map(|_| self.engine.snapshot_reader(IoMeter::new()))
-            .collect();
-        // One waker for both wake sources: the transport notifies on every
-        // inbound frame (and on peer hang-up), workers notify on every
-        // completed answer. The dispatcher parks on it instead of spinning
-        // through 1 ms polls — an idle source burns ~0 CPU, which matters
-        // once 100+ sources share a box with the reactor.
-        let waker = PollWaker::new();
-        let transport_wakes = transport.set_waker(std::sync::Arc::clone(&waker));
-        let pool = PoolShared::new(std::sync::Arc::clone(&waker));
-
-        let outcome = std::thread::scope(|scope| -> Result<PoolTally, SourceError> {
-            for snapshot in snapshots {
-                let pool = &pool;
-                scope.spawn(move || pool.worker(snapshot, catalog, io_latency));
-            }
-
-            let mut tally = PoolTally::default();
-            let mut replay = ReplayCache::new();
-            let mut in_flight: std::collections::BTreeSet<QueryId> =
-                std::collections::BTreeSet::new();
-            let mut next_seq = 0u64; // next job number to hand out
-            let mut next_to_send = 0u64; // FIFO sequencer cursor
-            let mut hung_up = false;
-            let mut sent = 0u64;
-
-            // Classify one inbound message: enqueue fresh queries;
-            // answer replay-cached duplicates immediately; silently drop
-            // duplicates whose original is still in flight (its answer is
-            // coming, in FIFO position).
-            macro_rules! dispatch {
-                ($msg:expr) => {{
-                    let Message::QueryRequest { id, query } = $msg else {
-                        return Err(SourceError::Protocol(
-                            "warehouse -> source carries only QueryRequest",
-                        ));
-                    };
-                    if let Some(answer) = replay.get(id) {
-                        tally.duplicates += 1;
-                        let answer = answer.clone();
-                        transport.meter().record_answer_payload(
-                            answer.encoded_len() as u64,
-                            answer.pos_len() + answer.neg_len(),
-                        );
-                        transport.send(&Message::QueryAnswer { id, answer })?;
-                    } else if in_flight.contains(&id) {
-                        tally.duplicates += 1;
-                    } else {
-                        in_flight.insert(id);
-                        pool.enqueue(PoolJob {
-                            seq: next_seq,
-                            id,
-                            query,
-                        });
-                        next_seq += 1;
-                    }
-                }};
-            }
-
-            loop {
-                // Snapshot the waker epoch *before* harvesting results and
-                // polling: anything that lands mid-iteration bumps it, so
-                // the park below returns immediately instead of sleeping
-                // through the event.
-                let seen = waker.epoch();
-                // Release every answer that is ready *and* next in FIFO
-                // order. After a hang-up the peer no longer wants them,
-                // so completed work is drained and discarded.
-                for (id, answer, reads) in pool.take_ready(&mut next_to_send)? {
-                    main_meter.charge_read(reads);
-                    sent += 1;
-                    in_flight.remove(&id);
-                    replay.put(id, answer.clone());
-                    if hung_up {
-                        continue;
-                    }
-                    transport.meter().record_answer_payload(
-                        answer.encoded_len() as u64,
-                        answer.pos_len() + answer.neg_len(),
-                    );
-                    transport.send(&Message::QueryAnswer { id, answer })?;
-                    tally.answered += 1;
-                }
-                let outstanding = next_seq - sent;
-                if hung_up && outstanding == 0 {
-                    break;
-                }
-                if outstanding == 0 {
-                    // Nothing in flight: block until the warehouse speaks
-                    // or hangs up.
-                    match transport.recv() {
-                        Ok(Some(msg)) => dispatch!(msg),
-                        Ok(None) => hung_up = true,
-                        Err(TransportError::Timeout) => {}
-                        Err(TransportError::Decode(_)) => tally.decode_skips += 1,
-                        Err(e) => return Err(e.into()),
-                    }
-                    continue;
-                }
-                match transport.poll()? {
-                    Readiness::Ready => match transport.try_recv() {
-                        Ok(Some(msg)) => dispatch!(msg),
-                        Ok(None) => {}
-                        Err(TransportError::Decode(_)) => tally.decode_skips += 1,
-                        Err(e) => return Err(e.into()),
-                    },
-                    Readiness::Closed => hung_up = true,
-                    // Idle with answers outstanding: park until a worker
-                    // finishes or the transport speaks. Bounded in case the
-                    // transport cannot deliver wake-ups (then this is the
-                    // old 1 ms poll); with waker coverage the bound only
-                    // backstops a lost notification.
-                    Readiness::Idle => {
-                        let bound = if transport_wakes {
-                            Duration::from_millis(50)
-                        } else {
-                            Duration::from_millis(1)
-                        };
-                        waker.wait(seen, bound);
-                    }
-                }
-            }
-            pool.shutdown();
-            Ok(tally)
-        });
-        pool.shutdown(); // idempotent; covers the early-error path
-        let tally = outcome?;
-        stats.answers = tally.answered;
-        stats.duplicates = tally.duplicates;
-        stats.decode_skips = tally.decode_skips;
-        self.queries_answered += stats.answers;
-        Ok(stats)
-    }
-
     /// Execute `script`, notifying the warehouse of each effective update
     /// (the `S_up` half of a serve session).
     fn run_script(
@@ -496,11 +290,6 @@ impl Source {
     /// Answer queries one at a time until the warehouse hangs up (the
     /// `S_qu` half of a serve session), filling `stats.answers`,
     /// `stats.duplicates` and `stats.decode_skips`.
-    ///
-    /// Hardened against a faulty channel: a recv timeout is retried, an
-    /// undecodable frame is skipped (and counted), and a duplicate query
-    /// id is answered from the bounded replay cache with the *original*
-    /// answer bytes rather than re-evaluated on the current state.
     fn answer_loop(
         &mut self,
         transport: &mut dyn Transport,
@@ -508,36 +297,60 @@ impl Source {
     ) -> Result<(), SourceError> {
         let mut replay = ReplayCache::new();
         loop {
-            let msg = match transport.recv() {
-                Ok(Some(msg)) => msg,
-                Ok(None) => return Ok(()),
-                Err(TransportError::Timeout) => continue,
-                Err(TransportError::Decode(_)) => {
-                    stats.decode_skips += 1;
-                    continue;
-                }
-                Err(e) => return Err(e.into()),
-            };
-            let Message::QueryRequest { id, query } = msg else {
-                return Err(SourceError::Protocol(
-                    "warehouse -> source carries only QueryRequest",
-                ));
-            };
-            let answer = if let Some(cached) = replay.get(id) {
-                stats.duplicates += 1;
-                cached.clone()
-            } else {
-                let answer = self.answer(&query)?;
-                replay.put(id, answer.clone());
-                stats.answers += 1;
-                answer
-            };
-            transport.meter().record_answer_payload(
-                answer.encoded_len() as u64,
-                answer.pos_len() + answer.neg_len(),
-            );
-            transport.send(&Message::QueryAnswer { id, answer })?;
+            let received = transport.recv();
+            if matches!(received, Ok(None)) {
+                return Ok(());
+            }
+            self.answer_received(transport, received, &mut replay, stats)?;
         }
+    }
+
+    /// The one answer path behind [`Source::serve`] and [`serve_fleet`]:
+    /// take what a receive call returned and, if it is a query, answer
+    /// it on `transport`, charging the payload to the transport's meter
+    /// (the paper's `B`). Returns whether a query was answered.
+    ///
+    /// Hardened against a faulty channel: a recv timeout (or nothing
+    /// there) is a no-op, an undecodable frame is skipped (and counted),
+    /// and a duplicate query id is answered from the bounded replay
+    /// cache with the *original* answer bytes rather than re-evaluated on
+    /// the current state.
+    fn answer_received(
+        &mut self,
+        transport: &mut dyn Transport,
+        received: Result<Option<Message>, TransportError>,
+        replay: &mut ReplayCache,
+        stats: &mut ServeStats,
+    ) -> Result<bool, SourceError> {
+        let msg = match received {
+            Ok(Some(msg)) => msg,
+            Ok(None) | Err(TransportError::Timeout) => return Ok(false),
+            Err(TransportError::Decode(_)) => {
+                stats.decode_skips += 1;
+                return Ok(false);
+            }
+            Err(e) => return Err(e.into()),
+        };
+        let Message::QueryRequest { id, query } = msg else {
+            return Err(SourceError::Protocol(
+                "warehouse -> source carries only QueryRequest",
+            ));
+        };
+        let answer = if let Some(cached) = replay.get(id) {
+            stats.duplicates += 1;
+            cached.clone()
+        } else {
+            let answer = self.answer(&query)?;
+            replay.put(id, answer.clone());
+            stats.answers += 1;
+            answer
+        };
+        transport.meter().record_answer_payload(
+            answer.encoded_len() as u64,
+            answer.pos_len() + answer.neg_len(),
+        );
+        transport.send(&Message::QueryAnswer { id, answer })?;
+        Ok(true)
     }
 
     /// A logical snapshot of the current base relations — used by the
@@ -556,15 +369,6 @@ impl Source {
             }
         }
         db
-    }
-}
-
-/// Sleep for `blocks` worth of simulated device time (free-standing so
-/// pool workers can pay without a `Source` handle).
-fn pay_latency(per_block: Duration, blocks: u64) {
-    if per_block > Duration::ZERO && blocks > 0 {
-        let capped = blocks.min(u64::from(u32::MAX)) as u32;
-        std::thread::sleep(per_block.saturating_mul(capped));
     }
 }
 
@@ -590,10 +394,8 @@ pub struct FleetMember {
 /// is ready. Per-channel FIFO is untouched: each channel still sends its
 /// script in order and answers its queries in arrival order.
 ///
-/// Scaling benchmarks use this to drive 100+ sources without the
-/// source-side thread count confounding the warehouse-side comparison:
-/// thread-per-source vs reactor warehouses can face *identical* source
-/// fleets.
+/// This is how 100+ sources are driven against the reactor without a
+/// source-side thread per site.
 ///
 /// # Errors
 /// First member failure wins; as [`Source::serve`].
@@ -632,35 +434,13 @@ pub fn serve_fleet(members: &mut [FleetMember]) -> Result<Vec<ServeStats>, Sourc
                         break;
                     }
                     Readiness::Ready => {
-                        let msg = match m.transport.try_recv() {
-                            Ok(Some(msg)) => msg,
-                            Ok(None) => continue,
-                            Err(TransportError::Decode(_)) => {
-                                stats[i].decode_skips += 1;
-                                continue;
-                            }
-                            Err(e) => return Err(e.into()),
-                        };
-                        progress = true;
-                        let Message::QueryRequest { id, query } = msg else {
-                            return Err(SourceError::Protocol(
-                                "warehouse -> source carries only QueryRequest",
-                            ));
-                        };
-                        let answer = if let Some(cached) = replay[i].get(id) {
-                            stats[i].duplicates += 1;
-                            cached.clone()
-                        } else {
-                            let answer = m.source.answer(&query)?;
-                            replay[i].put(id, answer.clone());
-                            stats[i].answers += 1;
-                            answer
-                        };
-                        m.transport.meter().record_answer_payload(
-                            answer.encoded_len() as u64,
-                            answer.pos_len() + answer.neg_len(),
-                        );
-                        m.transport.send(&Message::QueryAnswer { id, answer })?;
+                        let received = m.transport.try_recv();
+                        progress |= m.source.answer_received(
+                            m.transport.as_mut(),
+                            received,
+                            &mut replay[i],
+                            &mut stats[i],
+                        )?;
                     }
                 }
             }
@@ -679,117 +459,6 @@ pub fn serve_fleet(members: &mut [FleetMember]) -> Result<Vec<ServeStats>, Sourc
         }
     }
     Ok(stats)
-}
-
-/// One query handed to the worker pool, tagged with its arrival sequence
-/// number — the FIFO position its answer must be released at.
-struct PoolJob {
-    seq: u64,
-    id: QueryId,
-    query: WireQuery,
-}
-
-/// Dispatcher-side counters for one `serve_pool` run.
-#[derive(Default)]
-struct PoolTally {
-    answered: u64,
-    duplicates: u64,
-    decode_skips: u64,
-}
-
-/// `(id, answer, block reads charged)` or the worker-side failure.
-type PoolResult = Result<(QueryId, SignedBag, u64), SourceError>;
-
-/// Queues shared between `serve_pool`'s dispatcher and its workers.
-struct PoolShared {
-    jobs: Mutex<(VecDeque<PoolJob>, bool)>,
-    jobs_cv: Condvar,
-    results: Mutex<BTreeMap<u64, PoolResult>>,
-    /// Shared with the dispatcher (and its transport): notified on every
-    /// completed answer so a parked dispatcher wakes. Replaces the old
-    /// results condvar, whose `wait_for_result` helper woke on *any*
-    /// non-empty result map — even one the FIFO sequencer could not
-    /// release yet — degenerating into a hot spin on out-of-order
-    /// completions.
-    waker: std::sync::Arc<PollWaker>,
-}
-
-/// Lock recovering from poisoning: a panicked worker must not wedge the
-/// dispatcher, which still needs to drain and report the error.
-fn pool_lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-impl PoolShared {
-    fn new(waker: std::sync::Arc<PollWaker>) -> Self {
-        PoolShared {
-            jobs: Mutex::new((VecDeque::new(), false)),
-            jobs_cv: Condvar::new(),
-            results: Mutex::new(BTreeMap::new()),
-            waker,
-        }
-    }
-
-    /// Enqueue a validated job for the workers.
-    fn enqueue(&self, job: PoolJob) {
-        pool_lock(&self.jobs).0.push_back(job);
-        self.jobs_cv.notify_one();
-    }
-
-    /// Remove and return every completed answer that is next in FIFO
-    /// order, advancing `next_to_send` past each. A worker error is
-    /// propagated at its FIFO position.
-    fn take_ready(
-        &self,
-        next_to_send: &mut u64,
-    ) -> Result<Vec<(QueryId, SignedBag, u64)>, SourceError> {
-        let mut ready = Vec::new();
-        let mut results = pool_lock(&self.results);
-        while let Some(result) = results.remove(next_to_send) {
-            *next_to_send += 1;
-            ready.push(result?);
-        }
-        Ok(ready)
-    }
-
-    /// Tell every worker to exit once the job queue drains. Idempotent.
-    fn shutdown(&self) {
-        pool_lock(&self.jobs).1 = true;
-        self.jobs_cv.notify_all();
-    }
-
-    /// Worker body: evaluate jobs on a private snapshot, paying the
-    /// simulated device latency for exactly the blocks this query read.
-    fn worker(&self, snapshot: StorageEngine, catalog: &[Schema], io_latency: Duration) {
-        let meter = snapshot.meter().clone();
-        loop {
-            let job = {
-                let mut guard = pool_lock(&self.jobs);
-                loop {
-                    if let Some(job) = guard.0.pop_front() {
-                        break job;
-                    }
-                    if guard.1 {
-                        return;
-                    }
-                    guard = self
-                        .jobs_cv
-                        .wait(guard)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-            };
-            let before = meter.query_reads();
-            let result = job
-                .query
-                .to_query(catalog)
-                .map_err(SourceError::BadQuery)
-                .and_then(|q| snapshot.eval_query(&q).map_err(SourceError::from));
-            let reads = meter.query_reads() - before;
-            pay_latency(io_latency, reads);
-            pool_lock(&self.results).insert(job.seq, result.map(|answer| (job.id, answer, reads)));
-            self.waker.notify();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -923,58 +592,6 @@ mod tests {
             Some(eca_wire::Message::QueryAnswer { .. })
         ));
         assert!(src_end.meter().answer_bytes() > 0);
-    }
-
-    #[test]
-    fn serve_pool_matches_serve_and_preserves_fifo_order() {
-        use eca_wire::{SharedFifo, TransferMeter};
-
-        // Reference: the serial loop.
-        let (serial_answer, serial_reads) = {
-            let (mut s, view) = example_source(Scenario::Indexed);
-            s.execute_update(&Update::insert("r2", Tuple::ints([2, 3])));
-            let q = WireQuery::from_query(&view.as_query());
-            let a = s.answer(&q).unwrap();
-            (a, s.io_meter().query_reads())
-        };
-
-        let (mut src_end, mut wh_end) = SharedFifo::pair(TransferMeter::new());
-        let (mut s, view) = example_source(Scenario::Indexed);
-        s.set_io_latency(Duration::from_micros(50));
-        let script = vec![Update::insert("r2", Tuple::ints([2, 3]))];
-        let source_thread = std::thread::spawn(move || {
-            let stats = s.serve_pool(&mut src_end, &script, 3).unwrap();
-            (stats, s.io_meter().query_reads(), s.queries_answered())
-        });
-
-        assert!(matches!(
-            wh_end.recv().unwrap(),
-            Some(Message::UpdateNotification { .. })
-        ));
-        // Four copies of the same query in flight at once.
-        let q = WireQuery::from_query(&view.as_query());
-        for i in 1..=4u64 {
-            wh_end
-                .send(&Message::QueryRequest {
-                    id: QueryId(i),
-                    query: q.clone(),
-                })
-                .unwrap();
-        }
-        for i in 1..=4u64 {
-            let Some(Message::QueryAnswer { id, answer }) = wh_end.recv().unwrap() else {
-                panic!("expected an answer");
-            };
-            assert_eq!(id, QueryId(i), "answers must come back in FIFO order");
-            assert_eq!(answer, serial_answer);
-        }
-        drop(wh_end); // hang up
-        let (stats, reads, answered) = source_thread.join().unwrap();
-        assert_eq!(stats.answers, 4);
-        assert_eq!(answered, 4);
-        // Worker reads are re-charged to the main meter: 4 copies of the
-        // query cost exactly 4x the serial single-query reads.
-        assert_eq!(reads, 4 * serial_reads);
     }
 
     /// A duplicate query id must be answered with the *original* answer

@@ -26,7 +26,6 @@
 //! exact and differentially tested against the logical evaluator.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Mutex;
 
 use eca_core::{Atom, Query, Term, ViewDef};
 use eca_relational::{SignedBag, Tuple, Update, UpdateKind, Value};
@@ -165,30 +164,6 @@ impl StorageEngine {
         &self.meter
     }
 
-    /// A read-only snapshot of the engine for one concurrent query worker.
-    ///
-    /// Tables are copied at their current contents and rebound to `meter`,
-    /// so the worker's block reads accumulate on its own meter — giving
-    /// exact per-query read deltas even when many workers run at once. The
-    /// snapshot shares no mutable state with `self`: updates applied to
-    /// the live engine after the snapshot are not visible, which is
-    /// precisely the "state as of query receipt" semantics the paper's
-    /// source model assumes. The block cache is dropped (each worker pays
-    /// cold reads, matching the paper's no-caching cost model).
-    pub fn snapshot_reader(&self, meter: IoMeter) -> StorageEngine {
-        let mut tables = self.tables.clone();
-        for table in tables.values_mut() {
-            table.rebind_meter(meter.clone());
-        }
-        StorageEngine {
-            tables,
-            scenario: self.scenario,
-            meter,
-            cache: None,
-            batching: self.batching,
-        }
-    }
-
     /// The active scenario.
     pub fn scenario(&self) -> Scenario {
         self.scenario
@@ -246,46 +221,11 @@ impl StorageEngine {
     /// [`StorageError::UnknownTable`] if the query mentions an unloaded
     /// relation; relational errors from condition evaluation.
     pub fn eval_query(&self, query: &Query) -> Result<SignedBag, StorageError> {
-        let memo = self.batching.then(|| Mutex::new(BatchMemo::default()));
+        let mut memo = self.batching.then(BatchMemo::default);
         let mut out = SignedBag::new();
         for term in query.terms() {
-            let (bag, _) = self.eval_term(query.view(), term, memo.as_ref())?;
+            let (bag, _) = self.eval_term(query.view(), term, memo.as_mut())?;
             out.merge(&bag);
-        }
-        Ok(out)
-    }
-
-    /// Evaluate the query's terms concurrently, one worker thread per
-    /// term, merging the signed sum. Answers equal
-    /// [`StorageEngine::eval_query`] exactly (signed-bag merge is
-    /// commutative). I/O totals are also identical without batching; with
-    /// batching they can exceed the sequential batched cost when two
-    /// threads race to scan the same relation before either memoizes it —
-    /// both charges are honest reads, never an undercount.
-    ///
-    /// # Errors
-    /// As [`StorageEngine::eval_query`] (first failing term in term order).
-    pub fn eval_query_parallel(&self, query: &Query) -> Result<SignedBag, StorageError> {
-        if query.terms().len() <= 1 {
-            return self.eval_query(query);
-        }
-        let memo = self.batching.then(|| Mutex::new(BatchMemo::default()));
-        let results: Vec<Result<(SignedBag, Vec<PlanStep>), StorageError>> =
-            std::thread::scope(|scope| {
-                let memo = memo.as_ref();
-                let handles: Vec<_> = query
-                    .terms()
-                    .iter()
-                    .map(|term| scope.spawn(move || self.eval_term(query.view(), term, memo)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("term evaluation thread panicked"))
-                    .collect()
-            });
-        let mut out = SignedBag::new();
-        for r in results {
-            out.merge(&r?.0);
         }
         Ok(out)
     }
@@ -295,12 +235,12 @@ impl StorageEngine {
     /// # Errors
     /// As [`StorageEngine::eval_query`].
     pub fn explain_query(&self, query: &Query) -> Result<Vec<Vec<PlanStep>>, StorageError> {
-        let memo = self.batching.then(|| Mutex::new(BatchMemo::default()));
+        let mut memo = self.batching.then(BatchMemo::default);
         query
             .terms()
             .iter()
             .map(|t| {
-                self.eval_term(query.view(), t, memo.as_ref())
+                self.eval_term(query.view(), t, memo.as_mut())
                     .map(|(_, plan)| plan)
             })
             .collect()
@@ -319,7 +259,7 @@ impl StorageEngine {
         &self,
         view: &ViewDef,
         term: &Term,
-        memo: Option<&Mutex<BatchMemo>>,
+        memo: Option<&mut BatchMemo>,
     ) -> Result<(SignedBag, Vec<PlanStep>), StorageError> {
         let n = view.base().len();
         // Join edges in (rel, local attr) form, derived from the view
@@ -387,7 +327,7 @@ impl StorageEngine {
         edges: &[JoinEdge],
         rows: &mut Vec<(Vec<Option<Tuple>>, i64)>,
         assigned: &mut [bool],
-        memo: Option<&Mutex<BatchMemo>>,
+        mut memo: Option<&mut BatchMemo>,
         plan: &mut Vec<PlanStep>,
     ) -> Result<(), StorageError> {
         while let Some(next) = pick_next(assigned, edges) {
@@ -396,13 +336,9 @@ impl StorageEngine {
 
             // A relation fully scanned by an earlier term is resident:
             // join against it in memory at zero cost.
-            let resident = memo.and_then(|m| {
-                m.lock()
-                    .expect("batch memo poisoned")
-                    .scans
-                    .get(&relation)
-                    .cloned()
-            });
+            let resident = memo
+                .as_deref()
+                .and_then(|m| m.scans.get(&relation).cloned());
             if let Some(tuples) = resident {
                 plan.push(PlanStep::SharedScan {
                     relation: relation.clone(),
@@ -433,11 +369,8 @@ impl StorageEngine {
                             .and_then(|t| t.get(e.local_attr(src)));
                         match value {
                             Some(v) => {
-                                let memoized = memo.is_some_and(|m| {
-                                    m.lock()
-                                        .expect("batch memo poisoned")
-                                        .probes
-                                        .contains_key(&(relation.clone(), attr, v.clone()))
+                                let memoized = memo.as_deref().is_some_and(|m| {
+                                    m.probes.contains_key(&(relation.clone(), attr, v.clone()))
                                 });
                                 if memoized {
                                     0
@@ -468,10 +401,8 @@ impl StorageEngine {
                             continue;
                         };
                         probes += 1;
-                        let memoized = memo.and_then(|m| {
-                            m.lock()
-                                .expect("batch memo poisoned")
-                                .probes
+                        let memoized = memo.as_deref().and_then(|m| {
+                            m.probes
                                 .get(&(relation.clone(), attr, value.clone()))
                                 .cloned()
                         });
@@ -481,8 +412,8 @@ impl StorageEngine {
                                 let fetched = table
                                     .index_lookup(attr, &value)
                                     .expect("probe edge implies index");
-                                if let Some(m) = memo {
-                                    m.lock().expect("batch memo poisoned").probes.insert(
+                                if let Some(m) = memo.as_deref_mut() {
+                                    m.probes.insert(
                                         (relation.clone(), attr, value.clone()),
                                         fetched.clone(),
                                     );
@@ -508,11 +439,8 @@ impl StorageEngine {
                     // Scan + in-memory hash join (or cross product when no
                     // edge connects).
                     let tuples = table.scan();
-                    if let Some(m) = memo {
-                        m.lock()
-                            .expect("batch memo poisoned")
-                            .scans
-                            .insert(relation.clone(), tuples.clone());
+                    if let Some(m) = memo.as_deref_mut() {
+                        m.scans.insert(relation.clone(), tuples.clone());
                     }
                     plan.push(PlanStep::Scan {
                         relation,
@@ -973,22 +901,6 @@ mod tests {
         assert!(plans[1]
             .iter()
             .all(|s| matches!(s, PlanStep::SharedScan { .. })));
-    }
-
-    #[test]
-    fn parallel_eval_matches_sequential() {
-        let view = example6_view();
-        for batching in [false, true] {
-            let mut engine = scenario1_engine(4);
-            let db = populate(&mut engine, &view);
-            if batching {
-                engine.enable_term_batching();
-            }
-            let query = four_term_query(&view);
-            let par = engine.eval_query_parallel(&query).unwrap();
-            assert_eq!(par, engine.eval_query(&query).unwrap());
-            assert_eq!(par, query.eval(&db).unwrap());
-        }
     }
 
     #[test]

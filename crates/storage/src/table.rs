@@ -82,15 +82,6 @@ impl Table {
         self.cache = Some(cache);
     }
 
-    /// Point this table at a different [`IoMeter`] and detach any shared
-    /// block cache. Used by snapshot readers so each concurrent query
-    /// worker accumulates its own exact read counts instead of
-    /// interleaving charges (or sharing cache hits) with other workers.
-    pub(crate) fn rebind_meter(&mut self, meter: IoMeter) {
-        self.meter = meter;
-        self.cache = None;
-    }
-
     /// Charge a read of the given block, unless cached.
     fn charge_block(&self, block: u64) {
         let hit = self

@@ -9,8 +9,7 @@
 //! view bags + session counters is cut at the first quiescent point
 //! after every [`eca_durable::DurabilityConfig::checkpoint_every`]
 //! events. The log belongs to the channel's shard, so it keeps being
-//! written, unchanged, under [`Warehouse::into_concurrent`] and
-//! [`Warehouse::into_reactor`].
+//! written, unchanged, under [`Warehouse::into_reactor`].
 //!
 //! Because per-source processing is single-threaded and deterministic
 //! (sequential global ids, deterministic maintainer emissions), the log

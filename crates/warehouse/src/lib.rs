@@ -9,9 +9,9 @@
 //! view is over data from a single source, ECA is simply applied to each
 //! view separately"*), and each answer is demultiplexed back to the
 //! owning maintainer **strictly by query id**. The shard is the only
-//! state machine: this serial `Warehouse`, the thread-per-source
-//! [`ConcurrentWarehouse`] and the pooled [`ReactorWarehouse`] are three
-//! drivers over the same shards.
+//! state machine: this serial `Warehouse` and the pooled
+//! [`ReactorWarehouse`] (`workers = 1..N`, the one threaded driver) are
+//! two drivers over the same shards.
 //!
 //! The runtime is transport-agnostic: [`Warehouse::on_update`] /
 //! [`Warehouse::on_answer`] react to already-delivered events (the
@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod concurrent;
 pub mod durability;
 pub mod publish;
 pub mod reactor;
@@ -40,7 +39,6 @@ use eca_core::{CoreError, QueryId, ViewMaintainer};
 use eca_relational::{SignedBag, Update};
 use eca_wire::{Message, Transport, TransportError};
 
-pub use concurrent::ConcurrentWarehouse;
 pub use durability::RecoveryOutcome;
 pub use eca_durable::{DurabilityConfig, DurableError, FsyncPolicy};
 pub use publish::{EpochRegistry, ReadSnapshot};
@@ -48,8 +46,8 @@ pub use reactor::{connect_source, ReactorWarehouse};
 pub use session::{PendingQuery, Route, RouteKind, Session};
 use shard::{Settings, Shard};
 
-/// Crate-wide lock helper: recovers from poisoning, so a panicked pump
-/// thread or worker cannot wedge its peers or the result accessors.
+/// Crate-wide lock helper: recovers from poisoning, so a panicked
+/// worker cannot wedge its peers or the result accessors.
 /// Every mutex in this crate guards data that is a consistent prefix
 /// after each single update — maintainers mutate under the shard lock
 /// one event at a time; inboxes and snapshot rings change by whole
@@ -86,8 +84,9 @@ pub enum WarehouseError {
     },
     /// The underlying transport failed.
     Transport(TransportError),
-    /// A source disconnected before its shard settled (concurrent
-    /// runtime only — the serial pump treats hang-up as end of input).
+    /// A source disconnected before its shard settled (the reactor and
+    /// [`Warehouse::pump_until_settled`]; the non-blocking
+    /// [`Warehouse::pump`] treats hang-up as end of input).
     SourceHungUp {
         /// The offending source's shard index.
         source: usize,
@@ -261,9 +260,8 @@ impl Warehouse {
     /// of retained epochs. Call after [`Warehouse::add_view`]; views
     /// added later are maintained but not served.
     ///
-    /// The registry survives [`Warehouse::into_concurrent`] and
-    /// [`Warehouse::into_reactor`] — the shards keep publishing into
-    /// the same store.
+    /// The registry survives [`Warehouse::into_reactor`] — the shards
+    /// keep publishing into the same store.
     pub fn enable_serving(&mut self, ring_cap: usize) -> Arc<EpochRegistry> {
         let initial = (0..self.view_index.len()).map(|v| self.materialized(ViewId(v)).clone());
         let registry = Arc::new(EpochRegistry::new(initial, ring_cap));
@@ -513,15 +511,7 @@ impl Warehouse {
         stall: Duration,
     ) -> Result<usize, WarehouseError> {
         let shard = self.shard_mut(source)?;
-        shard::pump_until_settled(
-            shard,
-            source,
-            transport,
-            expected_notifications,
-            stall,
-            true,
-        )
-        .map(|processed| processed as usize)
+        shard::pump_until_settled(shard, source, transport, expected_notifications, stall)
     }
 }
 
@@ -1052,6 +1042,88 @@ mod tests {
         assert!(registry
             .read(late.0, eca_wire::ReadLevel::Strong, 0)
             .is_none());
+    }
+
+    /// The blocking pump charges each answer's payload to the transport
+    /// meter exactly once (the paper's `B`): the scripted source on the
+    /// far end of the shared-meter link records nothing itself.
+    #[test]
+    fn pump_until_settled_meters_each_answer_once() {
+        use eca_wire::{SharedFifo, TransferMeter};
+        let (mut wh, src, i1, i2, v1, v2, mut db) = hub_over_one_source();
+        let meter = TransferMeter::new();
+        let (mut src_end, mut wh_end) = SharedFifo::pair(meter.clone());
+        let u = Update::insert("r2", Tuple::ints([2, 8])); // both views
+        db.apply(&u);
+
+        let (processed, payload_bytes, payload_tuples) = std::thread::scope(|scope| {
+            let db = &db;
+            let source = scope.spawn(move || {
+                src_end
+                    .send(&Message::UpdateNotification { update: u })
+                    .unwrap();
+                let catalog: Vec<_> = [("r1", ["W", "X"]), ("r2", ["X", "Y"]), ("r3", ["Y", "Z"])]
+                    .iter()
+                    .map(|(r, c)| Schema::new(*r, c))
+                    .collect();
+                let (mut bytes, mut tuples) = (0u64, 0u64);
+                while let Some(msg) = src_end.recv().unwrap() {
+                    let Message::QueryRequest { id, query } = msg else {
+                        panic!("unexpected message at source");
+                    };
+                    let answer = query.to_query(&catalog).unwrap().eval(db).unwrap();
+                    bytes += answer.encoded_len() as u64;
+                    tuples += answer.pos_len() + answer.neg_len();
+                    src_end.send(&Message::QueryAnswer { id, answer }).unwrap();
+                }
+                (bytes, tuples)
+            });
+            let processed = wh
+                .pump_until_settled(src, &mut wh_end, 1, Duration::from_secs(30))
+                .unwrap();
+            drop(wh_end); // hang up the scripted source
+            let (bytes, tuples) = source.join().unwrap();
+            (processed, bytes, tuples)
+        });
+
+        assert_eq!(processed, 3, "one notification + one answer per view");
+        assert!(wh.source_quiescent(src));
+        assert_eq!(*wh.materialized(i1), v1.eval(&db).unwrap());
+        assert_eq!(*wh.materialized(i2), v2.eval(&db).unwrap());
+        assert!(payload_bytes > 0);
+        assert_eq!(meter.answer_bytes(), payload_bytes);
+        assert_eq!(meter.answer_tuples(), payload_tuples);
+    }
+
+    /// The blocking pump's failure modes are typed errors, raised without
+    /// touching any maintainer: a silent peer stalls out, a vanished
+    /// peer is a hang-up, an unregistered handle is rejected up front.
+    #[test]
+    fn pump_until_settled_stall_and_hangup_are_typed_errors() {
+        use eca_wire::{SharedFifo, TransferMeter};
+        let (mut wh, src, ..) = hub_over_one_source();
+        let stall = Duration::from_millis(20);
+
+        let (src_end, mut wh_end) = SharedFifo::pair(TransferMeter::new());
+        // Peer stays connected but never sends the promised update.
+        assert!(matches!(
+            wh.pump_until_settled(src, &mut wh_end, 1, stall),
+            Err(WarehouseError::SourceStalled { source: 0 })
+        ));
+        assert!(matches!(
+            wh.pump_until_settled(SourceId(7), &mut wh_end, 1, stall),
+            Err(WarehouseError::UnknownSource { id: 7 })
+        ));
+        drop(src_end);
+        assert!(matches!(
+            wh.pump_until_settled(src, &mut wh_end, 1, stall),
+            Err(WarehouseError::SourceHungUp { source: 0 })
+        ));
+        // Nothing owed and nothing pending: settled without a message.
+        assert_eq!(
+            wh.pump_until_settled(src, &mut wh_end, 0, stall).unwrap(),
+            0
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Epoch publication: the maintenance → serving handoff.
 //!
-//! Maintenance (under any of the three drivers) *publishes* view snapshots
-//! into an [`EpochRegistry`]; the read-serving layer (`eca-serve`)
+//! Maintenance (under either driver) *publishes* view snapshots into an
+//! [`EpochRegistry`]; the read-serving layer (`eca-serve`)
 //! *reads* them. Publication is by structural sharing: a [`SignedBag`]
 //! is a spine of reference-counted chunks, so the clone pushed onto a
 //! view's bounded ring costs one pointer pair per chunk — not a copy per

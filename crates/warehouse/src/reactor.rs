@@ -1,13 +1,18 @@
-//! The reactor driver: a fixed worker pool multiplexing many sources
-//! over `Transport::poll()` readiness instead of one blocked OS thread
-//! per source.
+//! The reactor driver — the one threaded warehouse driver: a fixed
+//! worker pool (`workers = 1..N`) multiplexing every source channel over
+//! `Transport::poll()` readiness.
 //!
-//! `ConcurrentWarehouse` scales the paper's event loop (§3, Figure 1.1)
-//! by parking one thread per source in `recv`. That design tops out at
-//! tens of sources: each idle channel still costs a kernel thread, and
-//! the scheduler — not maintenance work — becomes the bottleneck. The
-//! reactor drives the same per-source shards, behind the same locks,
-//! but serves *all* channels from a small fixed pool:
+//! The paper's premise (§1, Figure 1.1) is that sources are autonomous —
+//! nothing synchronizes update streams arriving from different sites, and
+//! §7 observes that with single-source views "ECA is simply applied to
+//! each view separately". Warehouse state is already one shard per
+//! source, so [`Warehouse::into_reactor`] only puts each shard behind its
+//! own lock; correctness needs no cross-source ordering, because ECA's §3
+//! argument relies only on per-channel FIFO delivery of `W_up`/`W_ans`
+//! events, and the shard lock makes each event's transition atomic. A
+//! thread parked in `recv` per source would satisfy that too, but costs a
+//! kernel thread per idle channel; the reactor serves *all* channels from
+//! a small fixed pool:
 //!
 //! * **Poll loop.** Each source gets a `Station` wrapping its
 //!   transport, a bounded inbox and per-station progress counters. A
@@ -43,7 +48,7 @@
 //!
 //! The serial [`Warehouse`] remains the golden-trace reference; the
 //! reactor must (and is tested to) produce byte-identical meters and
-//! state histories on every scenario, because every driver applies the
+//! state histories on every scenario, because both drivers apply the
 //! same per-source event order to the same shard state machine.
 
 use std::collections::VecDeque;
@@ -57,9 +62,10 @@ use eca_wire::{
     TransferMeter, Transport, TransportError,
 };
 
-use crate::concurrent::{shard_set_accessors, ShardSet};
-use crate::shard::checked;
-use crate::{lock, SourceId, Warehouse, WarehouseError};
+use eca_relational::SignedBag;
+
+use crate::shard::{checked, Shard};
+use crate::{lock, SourceId, ViewId, Warehouse, WarehouseError};
 
 /// How long the accept loop waits for a connection's opening
 /// [`Message::Hello`] frame before declaring the handshake dead. Dialers
@@ -248,14 +254,27 @@ impl RunState {
     }
 }
 
+/// A warehouse's shards behind per-source locks, plus the lock-free
+/// tables beside them. Workers never contend on a shard lock (the
+/// station claim already serializes processing per source); the lock is
+/// what lets result accessors read a shard while the pool runs, and the
+/// fallback that would serialize access if a future view spanned sources
+/// (none do today; see DESIGN.md §11).
+struct ShardSet {
+    names: Vec<String>,
+    shards: Vec<Mutex<Shard>>,
+    /// Global [`ViewId`] → (shard, shard-local index).
+    view_index: Vec<(usize, usize)>,
+}
+
 /// A warehouse driven by a fixed pool of reactor workers multiplexing
-/// every source channel, instead of one pump thread per source.
+/// every source channel.
 ///
 /// Build one with [`Warehouse::into_reactor`], drive it with
 /// [`ReactorWarehouse::run`], then read results through the same
-/// accessors the other runtimes offer.
+/// accessors the serial warehouse offers.
 pub struct ReactorWarehouse {
-    pub(crate) set: ShardSet,
+    set: ShardSet,
     workers: usize,
     inbox_cap: usize,
     stall_timeout: Duration,
@@ -263,16 +282,23 @@ pub struct ReactorWarehouse {
 
 impl Warehouse {
     /// Hand this warehouse's shards to the reactor driver with a fixed
-    /// worker pool. Like [`Warehouse::into_concurrent`], everything
-    /// carries over untouched — in-flight queries, degraded views and
-    /// durability included — so this is sound mid-traffic.
+    /// worker pool, each behind its own lock. Nothing is reshaped:
+    /// sessions, in-flight queries, degraded views, logs and serving
+    /// slots are the same objects the serial driver was using, so this
+    /// is sound mid-traffic — including right after
+    /// [`Warehouse::recover_durability`], while resyncs are still
+    /// outstanding.
     ///
     /// # Panics
     /// If `workers == 0`.
     pub fn into_reactor(self, workers: usize) -> ReactorWarehouse {
         assert!(workers > 0, "reactor needs at least one worker");
         ReactorWarehouse {
-            set: self.into_shards(),
+            set: ShardSet {
+                names: self.names,
+                shards: self.shards.into_iter().map(Mutex::new).collect(),
+                view_index: self.view_index,
+            },
             workers,
             inbox_cap: 64,
             stall_timeout: Duration::from_secs(30),
@@ -280,9 +306,50 @@ impl Warehouse {
     }
 }
 
-shard_set_accessors!(ReactorWarehouse);
-
 impl ReactorWarehouse {
+    /// Number of source shards.
+    pub fn source_count(&self) -> usize {
+        self.set.shards.len()
+    }
+
+    /// The name a source was registered under.
+    pub fn source_name(&self, source: SourceId) -> &str {
+        &self.set.names[source.0]
+    }
+
+    /// The current materialized state of a view (cloned out of its
+    /// shard).
+    pub fn materialized(&self, view: ViewId) -> SignedBag {
+        let (shard, local) = self.set.view_index[view.0];
+        let shard = lock(&self.set.shards[shard]);
+        shard.views[local].maintainer.materialized().clone()
+    }
+
+    /// Every `MV` state a view passed through, starting with its initial
+    /// state — the warehouse half of the §3.1 consistency check.
+    pub fn view_states(&self, view: ViewId) -> Vec<SignedBag> {
+        let (shard, local) = self.set.view_index[view.0];
+        lock(&self.set.shards[shard]).views[local].states.clone()
+    }
+
+    /// Whether every shard is quiescent.
+    pub fn is_quiescent(&self) -> bool {
+        self.set.shards.iter().all(|s| lock(s).is_quiescent())
+    }
+
+    /// Force every shard's buffered WAL records to disk regardless of
+    /// the fsync policy (clean-shutdown helper). No-op without
+    /// durability.
+    ///
+    /// # Errors
+    /// [`WarehouseError::Durability`] on filesystem failures.
+    pub fn sync_durability(&self) -> Result<(), WarehouseError> {
+        self.set
+            .shards
+            .iter()
+            .try_for_each(|s| lock(s).sync_durability())
+    }
+
     /// Number of pooled workers [`ReactorWarehouse::run`] spawns.
     pub fn workers(&self) -> usize {
         self.workers
@@ -309,13 +376,13 @@ impl ReactorWarehouse {
 
     /// Drive every source to completion on the worker pool. `endpoints`
     /// pairs each source with its transport and the number of update
-    /// notifications to expect, exactly like
-    /// [`crate::ConcurrentWarehouse::pump_all`]. Returns the total
-    /// number of messages processed.
+    /// notifications to expect (the count of *effective* updates in that
+    /// source's script). Returns the total number of messages processed.
     ///
-    /// Answer payloads are **not** charged to the transport meter here,
-    /// matching `pump`: concurrent deployments meter each link once, on
-    /// the source side.
+    /// Answer payloads are **not** charged to the transport meter here:
+    /// threaded deployments meter each link once, on the source side
+    /// (`Source::serve`/`serve_fleet` record them), because both ends of
+    /// a [`eca_wire::SharedFifo`] share one meter.
     ///
     /// # Errors
     /// [`WarehouseError::UnknownSource`], before any thread is spawned,
@@ -336,7 +403,7 @@ impl ReactorWarehouse {
         let waker = PollWaker::new();
         let mut stations = Vec::with_capacity(endpoints.len());
         for (source, mut transport, expected) in endpoints {
-            self.set.shard(source)?;
+            checked(source, self.set.shards.len())?;
             let st_waker = PollWaker::chained(Arc::clone(&waker));
             if !transport.set_waker(Arc::clone(&st_waker)) {
                 return Err(WarehouseError::WakerRejected { source: source.0 });
@@ -1469,6 +1536,49 @@ mod tests {
         let rw = wh.into_reactor(1);
         let (_src_end, wh_end) = SharedFifo::pair(TransferMeter::new());
         assert_eq!(rw.run(vec![(src, Box::new(wh_end), 0)]).unwrap(), 0);
+    }
+
+    /// Sessions carry over to the reactor untouched: a query put in
+    /// flight on the serial warehouse (one reset in, so epoch 1) is
+    /// answered over a reactor-driven link under the same global id and
+    /// epoch, and the view converges.
+    #[test]
+    fn into_reactor_carries_in_flight_sessions() {
+        let view = view_def("V", "r1", "r2");
+        let mut db = BaseDb::new();
+        db.register("r1");
+        db.register("r2");
+        db.insert("r1", Tuple::ints([1, 2]));
+        let u = Update::insert("r2", Tuple::ints([2, 3]));
+
+        let mut wh = Warehouse::new();
+        let src = wh.add_source("s");
+        let initial = view.eval(&db).unwrap();
+        let vid = wh
+            .add_view(src, AlgorithmKind::Eca.instantiate(&view, initial).unwrap())
+            .unwrap();
+        assert!(wh.on_reset(src, false).unwrap().is_empty());
+        let q = wh.on_update(src, &u).unwrap().remove(0);
+        assert_eq!(wh.epoch(src), 1);
+        db.apply(&u);
+
+        let rw = wh.into_reactor(2);
+        assert!(!rw.is_quiescent(), "the in-flight query survived");
+        {
+            let shard = lock(&rw.set.shards[src.0]);
+            assert_eq!(shard.session.epoch(), 1);
+            assert_eq!(shard.session.oldest_pending(), Some(q.id));
+        }
+        // No notification is owed; the station settles on the answer
+        // to the carried query alone.
+        let (mut src_end, wh_end) = SharedFifo::pair(TransferMeter::new());
+        let answer = q.query.eval(&db).unwrap();
+        src_end
+            .send(&Message::QueryAnswer { id: q.id, answer })
+            .unwrap();
+        assert_eq!(rw.run(vec![(src, Box::new(wh_end), 0)]).unwrap(), 1);
+        assert!(rw.is_quiescent());
+        assert_eq!(rw.materialized(vid), view.eval(&db).unwrap());
     }
 
     /// Backpressure: a scripted flooder against a 1-slot inbox over a

@@ -8,11 +8,11 @@
 //! [`Session`], its views, its optional write-ahead log, its
 //! notification watermark and recovery counters. It is the only place
 //! maintenance events are applied; [`crate::Warehouse`] is a vector of
-//! shards, and the thread-per-source and reactor drivers put the same
-//! shards behind locks and call the same [`Shard::on_message`].
+//! shards, and the reactor driver puts the same shards behind locks and
+//! calls the same [`Shard::on_message`].
 
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use eca_core::maintainer::OutboundQuery;
@@ -309,25 +309,6 @@ pub(crate) fn checked(source: SourceId, registered: usize) -> Result<usize, Ware
     }
 }
 
-/// How a blocking pump reaches its shard: the serial warehouse owns it
-/// outright; a pump thread takes the shard lock for one event at a time,
-/// so result accessors never wait behind a blocked `recv`.
-pub(crate) trait ShardAccess {
-    fn with<R>(&mut self, f: impl FnOnce(&mut Shard) -> R) -> R;
-}
-
-impl ShardAccess for &mut Shard {
-    fn with<R>(&mut self, f: impl FnOnce(&mut Shard) -> R) -> R {
-        f(self)
-    }
-}
-
-impl ShardAccess for &Mutex<Shard> {
-    fn with<R>(&mut self, f: impl FnOnce(&mut Shard) -> R) -> R {
-        f(&mut crate::lock(self))
-    }
-}
-
 /// Charge an answer's payload to the transport's meter (the paper's `B`).
 pub(crate) fn meter_answer(transport: &mut dyn Transport, msg: &Message) {
     if let Message::QueryAnswer { answer, .. } = msg {
@@ -340,20 +321,17 @@ pub(crate) fn meter_answer(transport: &mut dyn Transport, msg: &Message) {
 
 /// Pump `transport` until `expected_notifications` update notifications
 /// have arrived and the shard is quiescent, blocking at most `stall` for
-/// each message. `meter_answers` charges answer payloads to the
-/// transport's meter; deployments whose two link ends share one meter
-/// charge them on the source side instead. Returns the number of
-/// messages processed.
+/// each message and charging answer payloads to the transport's meter.
+/// Returns the number of messages processed.
 pub(crate) fn pump_until_settled(
-    mut shard: impl ShardAccess,
+    shard: &mut Shard,
     source: SourceId,
     transport: &mut dyn Transport,
     expected_notifications: u64,
     stall: Duration,
-    meter_answers: bool,
-) -> Result<u64, WarehouseError> {
-    let (mut notifications, mut processed) = (0u64, 0u64);
-    while notifications < expected_notifications || !shard.with(|s| s.is_quiescent()) {
+) -> Result<usize, WarehouseError> {
+    let (mut notifications, mut processed) = (0u64, 0usize);
+    while notifications < expected_notifications || !shard.is_quiescent() {
         let msg = match transport.recv_timeout(stall) {
             Ok(Some(msg)) => msg,
             Ok(None) => return Err(WarehouseError::SourceHungUp { source: source.0 }),
@@ -365,10 +343,8 @@ pub(crate) fn pump_until_settled(
         if matches!(msg, Message::UpdateNotification { .. }) {
             notifications += 1;
         }
-        if meter_answers {
-            meter_answer(transport, &msg);
-        }
-        for reply in shard.with(|s| s.on_message(msg))? {
+        meter_answer(transport, &msg);
+        for reply in shard.on_message(msg)? {
             transport.send(&reply)?;
         }
         processed += 1;

@@ -254,9 +254,8 @@ fn runtime_equivalence_fingerprints_are_stable() {
             let triple = run_equivalence(build, workers).unwrap();
             assert!(
                 triple.agree(),
-                "{name}: runtimes disagree at {workers} workers\nserial:     {:?}\nconcurrent: {:?}\nreactor:    {:?}",
+                "{name}: runtimes disagree at {workers} workers\nserial:     {:?}\nreactor:    {:?}",
                 triple.serial,
-                triple.concurrent,
                 triple.reactor
             );
             let got = fnv1a(triple.serial.render().as_bytes());

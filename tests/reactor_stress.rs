@@ -1,8 +1,13 @@
-//! Reactor-runtime stress: 16 sources × 2 views each (32 views) ×
-//! ~200 updates, multiplexed over a 3-worker reactor pool against
-//! scripted source threads that *randomly interleave* executing updates
-//! with answering pending queries, so `W_up`/`W_ans` event histories
-//! race for real while many stations contend for few workers.
+//! Multi-source stress, ~200 scripted updates, exercised two ways on
+//! one set of builders —
+//!
+//! * the real threaded driver: 16 sources × 2 views each (32 views)
+//!   multiplexed over a 3-worker reactor pool against scripted source
+//!   threads that *randomly interleave* executing updates with answering
+//!   pending queries, so `W_up`/`W_ans` event histories race for real
+//!   while many stations contend for few workers, and
+//! * a `ChaosSimulation` run under `Policy::Random` (deterministic,
+//!   scheduler-randomized interleaving) over 4 sources × 50 updates.
 //!
 //! Every view must converge to its definition evaluated on the final
 //! base state, and the §3.1 checker must report strong consistency for
@@ -16,6 +21,7 @@ use std::collections::VecDeque;
 use eca_core::algorithms::AlgorithmKind;
 use eca_core::{QueryId, ViewDef};
 use eca_relational::{Predicate, Schema, SignedBag, Tuple, Update};
+use eca_sim::{ChaosSimulation, Policy};
 use eca_source::Source;
 use eca_storage::Scenario;
 use eca_warehouse::{SourceId, Warehouse};
@@ -75,12 +81,13 @@ fn build_views(s: usize) -> Vec<ViewDef> {
         .collect()
 }
 
-/// Insert/delete script for source `s`; every update is effective by
-/// construction (inserts are fresh tuples, deletes hit distinct
-/// preloaded rows), so notification counts are known up front.
-fn build_script(s: usize) -> Vec<Update> {
+/// Insert/delete script of `updates` updates for source `s`; every
+/// update is effective by construction (inserts are fresh tuples,
+/// deletes hit distinct preloaded rows), so notification counts are
+/// known up front.
+fn build_script(s: usize, updates: usize) -> Vec<Update> {
     let (r1, r2) = relation_names(s);
-    (0..UPDATES_PER_SOURCE as i64)
+    (0..updates as i64)
         .map(|i| match i % 5 {
             4 => {
                 let j = i / 5; // distinct per delete, all preloaded
@@ -208,7 +215,7 @@ fn reactor_runtime_stress_converges_strongly_consistent() {
                 drive_source(
                     build_source(s),
                     views,
-                    build_script(s),
+                    build_script(s, UPDATES_PER_SOURCE),
                     src_end,
                     0x5EAC + s as u64,
                 )
@@ -236,5 +243,40 @@ fn reactor_runtime_stress_converges_strongly_consistent() {
                 c.level()
             );
         }
+    }
+}
+
+#[test]
+fn multi_sim_stress_under_random_policy_is_strongly_consistent() {
+    const SIM_SOURCES: usize = 4;
+    const SIM_UPDATES_PER_SOURCE: usize = 50; // × 4 sources = 200 updates
+    let mut sim = ChaosSimulation::new();
+    let mut sites = Vec::new();
+    for s in 0..SIM_SOURCES {
+        let script = build_script(s, SIM_UPDATES_PER_SOURCE);
+        sites.push(sim.add_source(format!("s{s}"), build_source(s), script));
+    }
+    for (s, site) in sites.iter().enumerate() {
+        let probe = build_source(s);
+        for view in build_views(s) {
+            let initial = view.eval(&probe.snapshot()).unwrap();
+            sim.add_view(
+                *site,
+                AlgorithmKind::Eca.instantiate(&view, initial).unwrap(),
+            )
+            .unwrap();
+        }
+    }
+    let report = sim.run(Policy::Random { seed: 0xECA }).unwrap();
+    assert!(report.quiescent);
+    assert!(report.converged());
+    for v in &report.views {
+        let c = eca_consistency::check(&v.source_view_states, &v.warehouse_view_states);
+        assert!(
+            c.level() >= eca_consistency::Level::StronglyConsistent,
+            "{} is only {:?}",
+            v.view_name,
+            c.level()
+        );
     }
 }

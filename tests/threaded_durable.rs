@@ -3,7 +3,7 @@
 //!
 //! A durable serial warehouse (per-record fsync) with one source's views
 //! degraded mid-resync and the other's ECA queries in flight is handed
-//! to each threaded driver, driven to quiescence against
+//! to the reactor (at one worker and at two), driven to quiescence against
 //! `Source::serve` peers over `SharedFifo`, then dropped — the crash.
 //! A fresh serial warehouse must recover *incrementally* from what the
 //! threaded driver logged: the resync installs, the checkpoint it cut
@@ -16,8 +16,8 @@ use eca_relational::{Predicate, Schema, SignedBag, Tuple, Update};
 use eca_source::Source;
 use eca_storage::Scenario;
 use eca_warehouse::{
-    ConcurrentWarehouse, DurabilityConfig, FsyncPolicy, ReactorWarehouse, RecoveryOutcome,
-    SourceId, ViewId, ViewStatus, Warehouse, WarehouseError,
+    DurabilityConfig, FsyncPolicy, ReactorWarehouse, RecoveryOutcome, SourceId, ViewId, ViewStatus,
+    Warehouse,
 };
 use eca_wire::{Message, SharedFifo, TransferMeter, Transport};
 
@@ -99,43 +99,12 @@ fn build_warehouse() -> (Warehouse, Vec<Vec<ViewId>>) {
     (wh, ids)
 }
 
-enum Driver {
-    Concurrent(ConcurrentWarehouse),
-    Reactor(ReactorWarehouse),
-}
-
-impl Driver {
-    fn drive(
-        &self,
-        endpoints: Vec<(SourceId, Box<dyn Transport + Send>, u64)>,
-    ) -> Result<u64, WarehouseError> {
-        match self {
-            Driver::Concurrent(cw) => cw.pump_all(endpoints),
-            Driver::Reactor(rw) => rw.run(endpoints),
-        }
-    }
-
-    fn is_quiescent(&self) -> bool {
-        match self {
-            Driver::Concurrent(cw) => cw.is_quiescent(),
-            Driver::Reactor(rw) => rw.is_quiescent(),
-        }
-    }
-
-    fn materialized(&self, view: ViewId) -> SignedBag {
-        match self {
-            Driver::Concurrent(cw) => cw.materialized(view),
-            Driver::Reactor(rw) => rw.materialized(view),
-        }
-    }
-}
-
 /// One round: every source serves its slice of the script over a fresh
 /// link — all notifications first, then every query answered on the
 /// final state — with the queries already in flight queued ahead, and
-/// the driver runs until every channel has settled.
+/// the reactor runs until every channel has settled.
 fn round(
-    driver: &Driver,
+    reactor: &ReactorWarehouse,
     sources: &mut [Source],
     scripts: [&[Update]; SOURCES],
     in_flight: [Vec<Message>; SOURCES],
@@ -155,9 +124,9 @@ fn round(
             ));
             scope.spawn(move || source.serve(&mut src_end, script).unwrap());
         }
-        driver.drive(endpoints).unwrap();
+        reactor.run(endpoints).unwrap();
     });
-    assert!(driver.is_quiescent());
+    assert!(reactor.is_quiescent());
 }
 
 fn assert_converged(
@@ -179,9 +148,11 @@ fn assert_converged(
     }
 }
 
-fn durable_degraded_handoff(tag: &str, into_driver: impl FnOnce(Warehouse) -> Driver) {
-    let dir =
-        std::env::temp_dir().join(format!("eca-threaded-durable-{tag}-{}", std::process::id()));
+fn durable_degraded_handoff(workers: usize) {
+    let dir = std::env::temp_dir().join(format!(
+        "eca-threaded-durable-{workers}-{}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     let config = DurabilityConfig::new(&dir)
         .with_fsync(FsyncPolicy::PerRecord)
@@ -213,26 +184,26 @@ fn durable_degraded_handoff(tag: &str, into_driver: impl FnOnce(Warehouse) -> Dr
     assert_eq!(eca.len(), 1);
     assert!(!wh.is_quiescent());
 
-    let driver = into_driver(wh);
+    let reactor = wh.into_reactor(workers);
     round(
-        &driver,
+        &reactor,
         &mut sources,
         [&scripts[0][..3], &scripts[1][1..3]],
         [resyncs, eca],
     );
     assert_converged("after round one", &sources, &ids, |id| {
-        driver.materialized(id)
+        reactor.materialized(id)
     });
     round(
-        &driver,
+        &reactor,
         &mut sources,
         [&scripts[0][3..], &scripts[1][3..]],
         [Vec::new(), Vec::new()],
     );
     assert_converged("after round two", &sources, &ids, |id| {
-        driver.materialized(id)
+        reactor.materialized(id)
     });
-    drop(driver); // the crash: per-record fsync, so nothing is lost
+    drop(reactor); // the crash: per-record fsync, so nothing is lost
 
     let (mut wh, ids_again) = build_warehouse();
     assert_eq!(ids, ids_again);
@@ -240,7 +211,7 @@ fn durable_degraded_handoff(tag: &str, into_driver: impl FnOnce(Warehouse) -> Dr
     assert_eq!(outcomes.len(), SOURCES);
     // Round one logged 6 records on each channel (epoch bump + 3 skipped
     // updates + 2 resync installs; 3 updates + 3 answers) and ended
-    // quiescent, so the threaded driver cut a checkpoint there; only
+    // quiescent, so the reactor cut a checkpoint there; only
     // round two's update and answers (one per view) are left to replay.
     for (outcome, tail) in outcomes.iter().zip([3u64, 2]) {
         let RecoveryOutcome::Incremental {
@@ -266,6 +237,6 @@ fn durable_degraded_handoff(tag: &str, into_driver: impl FnOnce(Warehouse) -> Dr
 
 #[test]
 fn durable_degraded_warehouse_survives_the_threaded_drivers() {
-    durable_degraded_handoff("concurrent", |wh| Driver::Concurrent(wh.into_concurrent()));
-    durable_degraded_handoff("reactor", |wh| Driver::Reactor(wh.into_reactor(2)));
+    durable_degraded_handoff(1);
+    durable_degraded_handoff(2);
 }
