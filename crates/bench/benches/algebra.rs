@@ -1,12 +1,13 @@
-//! Substrate microbenchmarks: signed-bag algebra, SPJ evaluation, and the
-//! physical engine's access paths.
+//! Substrate microbenchmarks: signed-bag algebra, SPJ evaluation, the
+//! physical engine's access paths, and the wire codec and in-process
+//! channel.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eca_core::ViewDef;
 use eca_relational::{Schema, SignedBag, Tuple, Update, Value};
 use eca_source::Source;
 use eca_storage::{IoMeter, Scenario, Table};
-use eca_wire::{Message, WireQuery};
+use eca_wire::{Message, SharedFifo, TransferMeter, Transport, WireQuery};
 use eca_workload::{Example6, Params};
 
 fn calibrated_db() -> (ViewDef, eca_core::BaseDb) {
@@ -132,6 +133,35 @@ fn bench_wire_codec(c: &mut Criterion) {
     group.bench_function("decode_answer", |b| {
         b.iter(|| Message::decode(encoded.clone()).unwrap())
     });
+    group.bench_function("encoded_len_answer", |b| b.iter(|| msg.encoded_len()));
+
+    // One in-process hop: a send plus the matching pop, no codec.
+    let u1 = Update::insert("r1", Tuple::ints([9, 3]));
+    let u2 = Update::delete("r2", Tuple::ints([3, 7]));
+    let query = view
+        .substitute(&u2)
+        .unwrap()
+        .minus(&view.substitute(&u1).unwrap().substitute(&u2));
+    let hops = [
+        ("notification", Message::UpdateNotification { update: u1 }),
+        (
+            "query",
+            Message::QueryRequest {
+                id: eca_core::QueryId(2),
+                query: WireQuery::from_query(&query),
+            },
+        ),
+        ("answer", msg),
+    ];
+    let (mut src, mut wh) = SharedFifo::pair(TransferMeter::new());
+    for (name, m) in &hops {
+        group.bench_function(BenchmarkId::new("shared_fifo_roundtrip", name), |b| {
+            b.iter(|| {
+                src.send(m).unwrap();
+                wh.try_recv().unwrap()
+            })
+        });
+    }
     group.finish();
 }
 

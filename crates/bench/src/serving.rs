@@ -1,4 +1,4 @@
-//! Mixed read/write serving bench (ROADMAP item 4).
+//! Mixed read/write serving bench (DESIGN §14).
 //!
 //! One serial maintenance loop keeps a warehouse's views fresh from a
 //! live update stream while N concurrent [`eca_serve::ReadClient`]s

@@ -1,4 +1,4 @@
-//! The online read-serving front end (ROADMAP item 4).
+//! The online read-serving front end (DESIGN §14).
 //!
 //! Maintenance keeps views fresh; this crate makes them *readable under
 //! load*. A [`ReadServer`] answers [`eca_wire::Message::ReadQuery`]

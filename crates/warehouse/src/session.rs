@@ -14,14 +14,14 @@
 //! (the generator is never rewound), so an answer addressed to a query of
 //! a dead epoch routes to a retired id and is rejected by the same strict
 //! demux — stale-epoch answers can never touch maintainer state. Each
-//! pending query keeps its full [`WireQuery`] body and a retry count so
-//! the warehouse can re-issue in-flight queries of a dead epoch under
-//! fresh ids.
+//! pending query keeps its full [`Query`] and a retry count so the
+//! warehouse can re-issue in-flight queries of a dead epoch under fresh
+//! ids; only a re-issue converts it to a [`WireQuery`] again.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use eca_core::maintainer::QueryIdGen;
-use eca_core::{CoreError, QueryId};
+use eca_core::{CoreError, Query, QueryId};
 use eca_wire::WireQuery;
 
 /// Why a pending query was sent.
@@ -57,8 +57,8 @@ pub struct Route {
 pub struct PendingQuery {
     /// Demux destination.
     pub route: Route,
-    /// The self-contained query body, kept so a reset can re-send it.
-    pub query: WireQuery,
+    /// The query, kept so a reset can re-send it.
+    pub query: Query,
     /// How many times this query has been re-issued already.
     pub retries: u32,
 }
@@ -110,7 +110,7 @@ impl Session {
 
     /// Allocate a global id for a maintenance query emitted by `view`
     /// under `local`, remembering its body for possible re-issue.
-    pub fn register(&mut self, view: usize, local: QueryId, query: WireQuery) -> QueryId {
+    pub fn register(&mut self, view: usize, local: QueryId, query: Query) -> QueryId {
         self.insert(PendingQuery {
             route: Route {
                 view,
@@ -124,7 +124,7 @@ impl Session {
 
     /// Allocate a global id for a recovery resync of `view` (the full
     /// view expression; its answer will be installed via `reset_to`).
-    pub fn register_resync(&mut self, view: usize, query: WireQuery) -> QueryId {
+    pub fn register_resync(&mut self, view: usize, query: Query) -> QueryId {
         self.insert(PendingQuery {
             route: Route {
                 view,
@@ -137,11 +137,11 @@ impl Session {
     }
 
     /// Re-issue a query drained by [`Session::bump_epoch`] under a fresh
-    /// global id, counting the retry. Returns the new id and a copy of
-    /// the body to put on the wire.
+    /// global id, counting the retry. Returns the new id and the body to
+    /// put on the wire.
     pub fn reissue(&mut self, mut pq: PendingQuery) -> (QueryId, WireQuery) {
         pq.retries += 1;
-        let body = pq.query.clone();
+        let body = WireQuery::from_query(&pq.query);
         let id = self.insert(pq);
         (id, body)
     }
@@ -202,14 +202,16 @@ impl Session {
 mod tests {
     use super::*;
 
-    /// A minimal stand-in query body (sessions never interpret it).
-    fn q() -> WireQuery {
-        WireQuery {
-            relations: Vec::new(),
-            cond: eca_relational::Predicate::True,
-            proj: Vec::new(),
-            terms: Vec::new(),
-        }
+    /// A minimal stand-in query (sessions never interpret it).
+    fn q() -> Query {
+        eca_core::ViewDef::new(
+            "V",
+            vec![eca_relational::Schema::new("r", &["A"])],
+            eca_relational::Predicate::True,
+            vec![0],
+        )
+        .unwrap()
+        .as_query()
     }
 
     #[test]

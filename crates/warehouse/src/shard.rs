@@ -135,20 +135,18 @@ impl Shard {
     }
 
     /// Remap maintainer-local outbound queries into the session's global
-    /// id space, appending them to `out`.
+    /// id space, appending them to `out`. The session keeps a copy of
+    /// each query for re-issue; the wire form is built once, by whoever
+    /// sends it.
     fn register_outbound(
         &mut self,
         view: usize,
         emitted: Vec<OutboundQuery>,
         out: &mut Vec<OutboundQuery>,
     ) {
-        out.extend(emitted.into_iter().map(|q| {
-            OutboundQuery {
-                id: self
-                    .session
-                    .register(view, q.id, WireQuery::from_query(&q.query)),
-                query: q.query,
-            }
+        out.extend(emitted.into_iter().map(|q| OutboundQuery {
+            id: self.session.register(view, q.id, q.query.clone()),
+            query: q.query,
         }));
     }
 
@@ -255,10 +253,11 @@ impl Shard {
             if resyncing.contains(&idx) {
                 continue; // its resync from a prior reset was re-issued
             }
-            let query = WireQuery::from_query(&self.views[idx].maintainer.view().as_query());
-            let id = self.session.register_resync(idx, query.clone());
+            let query = self.views[idx].maintainer.view().as_query();
+            let wire = WireQuery::from_query(&query);
+            let id = self.session.register_resync(idx, query);
             self.recovery.resyncs_started += 1;
-            out.push(Message::QueryRequest { id, query });
+            out.push(Message::QueryRequest { id, query: wire });
         }
         self.log_event(|| WalRecord::EpochBump { notifications_lost })?;
         Ok(out)

@@ -398,10 +398,62 @@ impl Message {
         Ok(msg)
     }
 
-    /// Encoded size in bytes.
+    /// Encoded size in bytes: `self.encode().len()`, summed over the
+    /// message's structure without encoding it. In-process transports
+    /// meter with this instead of serialising.
     pub fn encoded_len(&self) -> usize {
-        self.encode().len()
+        1 + match self {
+            Message::UpdateNotification { update } => update_len(update),
+            Message::QueryRequest { query, .. } => 8 + wire_query_len(query),
+            Message::QueryAnswer { answer, .. } => 8 + answer.encoded_len(),
+            Message::Frame { payload, .. } => 3 * 8 + 4 + payload.len(),
+            Message::Ack { .. } => 2 * 8,
+            Message::Hello { .. } => 8,
+            Message::ReadQuery { .. } => 3 * 8 + 1,
+            Message::ReadAnswer { rows, .. } => 4 * 8 + rows.encoded_len(),
+            Message::ReadError { reason, .. } => 8 + 4 + reason.len(),
+        }
     }
+}
+
+/// Encoded size of [`put_update`]'s output.
+fn update_len(u: &Update) -> usize {
+    1 + 4 + u.relation.len() + u.tuple.encoded_len()
+}
+
+/// Encoded size of [`put_predicate`]'s output.
+fn predicate_len(p: &Predicate) -> usize {
+    1 + match p {
+        Predicate::True | Predicate::False => 0,
+        Predicate::Cmp { lhs, rhs, .. } => operand_len(lhs) + 1 + operand_len(rhs),
+        Predicate::And(a, b) | Predicate::Or(a, b) => predicate_len(a) + predicate_len(b),
+        Predicate::Not(a) => predicate_len(a),
+    }
+}
+
+/// Encoded size of [`put_operand`]'s output.
+fn operand_len(o: &Operand) -> usize {
+    1 + match o {
+        Operand::Column(_) => 4,
+        Operand::Const(v) => 1 + v.encoded_len(),
+    }
+}
+
+/// Encoded size of [`put_wire_query`]'s output.
+fn wire_query_len(q: &WireQuery) -> usize {
+    let relations: usize = q.relations.iter().map(|r| 4 + r.len()).sum();
+    let terms: usize = q
+        .terms
+        .iter()
+        .map(|t| {
+            8 + t
+                .atoms
+                .iter()
+                .map(|a| a.as_ref().map_or(1, |st| 2 + st.tuple.encoded_len()))
+                .sum::<usize>()
+        })
+        .sum();
+    2 + relations + predicate_len(&q.cond) + 2 + 4 * q.proj.len() + 2 + terms
 }
 
 fn put_update(e: &mut Encoder, u: &Update) {

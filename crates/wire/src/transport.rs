@@ -6,12 +6,17 @@
 //! physical medium — is up to the deployment. [`Transport`] captures
 //! exactly that contract: an *endpoint* of a bidirectional channel whose
 //! two directions are independently FIFO, with every message charged to a
-//! [`TransferMeter`] in its direction of travel. Two implementations:
+//! [`TransferMeter`] in its direction of travel. Three implementations:
 //!
 //! * [`InMemoryFifo`] — a deterministic in-process pair used by `eca-sim`.
-//!   Messages still round-trip through the codec on every delivery, so
-//!   byte counts are measured on real encodings and decode faults surface
-//!   exactly as they would on a real link.
+//!   Messages round-trip through the codec on every delivery, so the
+//!   simulator's byte counts are measured on real encodings and decode
+//!   faults surface exactly as they would on a real link.
+//! * [`SharedFifo`] — a `Send` in-process pair with blocking receives and
+//!   optional backpressure, for deployments whose two ends share one
+//!   process. It queues [`Message`] values without encoding them, meters
+//!   [`Message::encoded_len`] (the codec's exact size, computed without
+//!   encoding), and wakes its condvar only when a thread is parked on it.
 //! * [`TcpTransport`] — length-prefixed frames over a *non-blocking*
 //!   `std::net::TcpStream`: an incremental [`FrameDecoder`] reassembles
 //!   frames across partial reads, sends queue into a bounded outbound
@@ -23,11 +28,11 @@
 //!   connection.
 //!
 //! Metering convention: each message is charged once per meter, in its
-//! direction of travel. The [`InMemoryFifo`] pair shares one meter and
-//! charges at send time; each [`TcpTransport`] endpoint owns its meter and
-//! charges sends at write time and receives at decode time, so either
-//! side of a real deployment observes the same per-direction totals the
-//! simulator would.
+//! direction of travel. The [`InMemoryFifo`] and [`SharedFifo`] pairs
+//! each share one meter and charge at send time; each [`TcpTransport`]
+//! endpoint owns its meter and charges sends at write time and receives
+//! at decode time, so either side of a real deployment observes the same
+//! per-direction totals the simulator would.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -714,13 +719,18 @@ impl Transport for InMemoryFifo {
 // ---------------------------------------------------------------------------
 
 struct SharedLink {
-    s2w: VecDeque<Bytes>,
-    w2s: VecDeque<Bytes>,
+    s2w: VecDeque<Message>,
+    w2s: VecDeque<Message>,
     source_open: bool,
     warehouse_open: bool,
     /// Per-direction queue bound ([`SharedFifo::bounded_pair`]); `None`
     /// means unbounded, the historical behaviour.
     cap: Option<usize>,
+    /// Threads parked on the condvar: a blocked `recv`/`recv_timeout`,
+    /// or a bounded `send` waiting for a slot. Counted under the lock, so
+    /// a state change that sees zero here needs no wake syscall — any
+    /// thread about to park re-checks the state first.
+    parked: usize,
     /// Wakers registered by each endpoint ([`Transport::set_waker`]),
     /// notified when a message lands for — or the peer of — that role.
     source_waker: Option<Arc<PollWaker>>,
@@ -728,7 +738,7 @@ struct SharedLink {
 }
 
 impl SharedLink {
-    fn queue_mut(&mut self, direction: Direction) -> &mut VecDeque<Bytes> {
+    fn queue_mut(&mut self, direction: Direction) -> &mut VecDeque<Message> {
         match direction {
             Direction::SourceToWarehouse => &mut self.s2w,
             Direction::WarehouseToSource => &mut self.w2s,
@@ -762,11 +772,18 @@ impl SharedLink {
             Role::Warehouse => self.warehouse_waker = Some(waker),
         }
     }
+
+    /// Whether taking `taken` messages freed a slot a parked sender may
+    /// be waiting for.
+    fn frees_sender(&self, taken: usize) -> bool {
+        taken > 0 && self.cap.is_some() && self.parked > 0
+    }
 }
 
 /// The [`InMemoryFifo`] semantics behind `Send` + blocking primitives: the
-/// in-process transport for *threaded* deployments (the concurrent
-/// warehouse runtime and its throughput benchmarks).
+/// in-process transport for *threaded* and same-thread deployments that
+/// do not need a simulator's determinism (the reactor's in-process
+/// channels, the serving stack's maintenance feed, the benchmark rig).
 ///
 /// Differences from [`InMemoryFifo`], which remains the deterministic
 /// single-threaded simulator transport:
@@ -775,12 +792,20 @@ impl SharedLink {
 ///   `Rc<RefCell>`),
 /// * [`Transport::recv`] genuinely blocks until a message arrives or the
 ///   peer hangs up (returning `Ok(None)` only for a hang-up, exactly like
-///   [`TcpTransport`]), and
-/// * dropping an endpoint closes its side, waking any blocked peer.
+///   [`TcpTransport`]),
+/// * dropping an endpoint closes its side, waking any blocked peer,
+/// * messages are queued as values, never encoded: an in-process hop has
+///   no wire to cross, so it pays one clone instead of an encode and a
+///   decode, and
+/// * the condvar is notified only when a thread is parked on it (a
+///   blocked `recv`/`recv_timeout`, or a bounded `send` waiting for a
+///   slot), so a same-thread or poll-driven deployment makes no wake
+///   syscall per message. A registered [`PollWaker`] is notified on every
+///   send regardless.
 ///
-/// Metering matches [`InMemoryFifo`]: the pair shares one
-/// [`TransferMeter`] charged at send time, and messages round-trip
-/// through the codec on every delivery.
+/// Metering matches [`InMemoryFifo`] byte for byte: the pair shares one
+/// [`TransferMeter`] charged at send time with [`Message::encoded_len`],
+/// the exact size the codec would produce.
 pub struct SharedFifo {
     role: Role,
     link: Arc<(Mutex<SharedLink>, Condvar)>,
@@ -816,6 +841,7 @@ impl SharedFifo {
                 source_open: true,
                 warehouse_open: true,
                 cap,
+                parked: 0,
                 source_waker: None,
                 warehouse_waker: None,
             }),
@@ -844,6 +870,41 @@ impl SharedFifo {
             Err(poisoned) => poisoned.into_inner(),
         }
     }
+
+    /// Park on the condvar until notified or `timeout` elapses, counted
+    /// in [`SharedLink::parked`] so notifiers know a wake is needed.
+    fn park<'a>(
+        &'a self,
+        mut link: std::sync::MutexGuard<'a, SharedLink>,
+        timeout: Option<std::time::Duration>,
+    ) -> std::sync::MutexGuard<'a, SharedLink> {
+        link.parked += 1;
+        let mut link = match timeout {
+            None => self
+                .link
+                .1
+                .wait(link)
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+            Some(t) => match self.link.1.wait_timeout(link, t) {
+                Ok((guard, _)) => guard,
+                Err(poisoned) => poisoned.into_inner().0,
+            },
+        };
+        link.parked -= 1;
+        link
+    }
+
+    /// Pop the oldest inbound message, waking a sender parked on a full
+    /// bounded queue if that frees its slot.
+    fn pop(&self, mut link: std::sync::MutexGuard<'_, SharedLink>) -> Option<Message> {
+        let msg = link.queue_mut(self.role.inbound()).pop_front()?;
+        let wake = link.frees_sender(1);
+        drop(link);
+        if wake {
+            self.link.1.notify_all();
+        }
+        Some(msg)
+    }
 }
 
 impl Transport for SharedFifo {
@@ -852,8 +913,8 @@ impl Transport for SharedFifo {
     }
 
     fn send(&mut self, msg: &Message) -> Result<(), TransportError> {
-        let payload = msg.encode();
-        let peer_waker = {
+        let len = msg.encoded_len();
+        let (wake, peer_waker) = {
             let mut link = self.lock();
             loop {
                 if !link.open(self.role.other()) {
@@ -862,20 +923,18 @@ impl Transport for SharedFifo {
                 let cap = link.cap;
                 let queue = link.queue_mut(self.role.outbound());
                 if cap.map_or(true, |c| queue.len() < c) {
-                    queue.push_back(payload.clone());
-                    break link.waker(self.role.other());
+                    queue.push_back(msg.clone());
+                    break (link.parked > 0, link.waker(self.role.other()));
                 }
                 // Bounded and full: backpressure. Park until the peer
-                // drains a slot (every pop notifies) or hangs up.
-                link = match self.link.1.wait(link) {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
+                // drains a slot or hangs up.
+                link = self.park(link, None);
             }
         };
-        self.meter
-            .record(self.role.outbound(), payload.len() as u64);
-        self.link.1.notify_all();
+        self.meter.record(self.role.outbound(), len as u64);
+        if wake {
+            self.link.1.notify_all();
+        }
         if let Some(waker) = peer_waker {
             waker.notify();
         }
@@ -883,37 +942,20 @@ impl Transport for SharedFifo {
     }
 
     fn try_recv(&mut self) -> Result<Option<Message>, TransportError> {
-        let (popped, bounded) = {
-            let mut link = self.lock();
-            let popped = link.queue_mut(self.role.inbound()).pop_front();
-            (popped, link.cap.is_some())
-        };
-        match popped {
-            Some(payload) => {
-                if bounded {
-                    self.link.1.notify_all(); // free a sender slot
-                }
-                Ok(Some(Message::decode(payload)?))
-            }
-            None => Ok(None),
-        }
+        Ok(self.pop(self.lock()))
     }
 
     fn drain_into(&mut self, out: &mut Vec<Message>, max: usize) -> Result<usize, TransportError> {
         // One lock for the whole batch instead of one per message.
-        let (payloads, bounded) = {
+        let (taken, wake) = {
             let mut link = self.lock();
             let queue = link.queue_mut(self.role.inbound());
             let take = queue.len().min(max);
-            let payloads: Vec<Bytes> = queue.drain(..take).collect();
-            (payloads, link.cap.is_some())
+            out.extend(queue.drain(..take));
+            (take, link.frees_sender(take))
         };
-        if bounded && !payloads.is_empty() {
+        if wake {
             self.link.1.notify_all(); // freed sender slots
-        }
-        let taken = payloads.len();
-        for payload in payloads {
-            out.push(Message::decode(payload)?);
         }
         Ok(taken)
     }
@@ -921,21 +963,13 @@ impl Transport for SharedFifo {
     fn recv(&mut self) -> Result<Option<Message>, TransportError> {
         let mut link = self.lock();
         loop {
-            if let Some(payload) = link.queue_mut(self.role.inbound()).pop_front() {
-                let bounded = link.cap.is_some();
-                drop(link);
-                if bounded {
-                    self.link.1.notify_all(); // free a sender slot
-                }
-                return Ok(Some(Message::decode(payload)?));
+            if !link.queue_mut(self.role.inbound()).is_empty() {
+                return Ok(self.pop(link));
             }
             if !link.open(self.role.other()) {
                 return Ok(None); // peer hung up cleanly
             }
-            link = match self.link.1.wait(link) {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            link = self.park(link, None);
         }
     }
 
@@ -946,13 +980,8 @@ impl Transport for SharedFifo {
         let deadline = std::time::Instant::now() + timeout;
         let mut link = self.lock();
         loop {
-            if let Some(payload) = link.queue_mut(self.role.inbound()).pop_front() {
-                let bounded = link.cap.is_some();
-                drop(link);
-                if bounded {
-                    self.link.1.notify_all(); // free a sender slot
-                }
-                return Ok(Some(Message::decode(payload)?));
+            if !link.queue_mut(self.role.inbound()).is_empty() {
+                return Ok(self.pop(link));
             }
             if !link.open(self.role.other()) {
                 return Ok(None); // peer hung up cleanly
@@ -964,10 +993,7 @@ impl Transport for SharedFifo {
             else {
                 return Err(TransportError::Timeout);
             };
-            link = match self.link.1.wait_timeout(link, remaining) {
-                Ok((guard, _)) => guard,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
+            link = self.park(link, Some(remaining));
         }
     }
 
@@ -1680,6 +1706,81 @@ mod tests {
             blocked.join().unwrap(),
             Err(TransportError::Closed)
         ));
+    }
+
+    /// Round trips per lost-wake-up test: enough that a missed notify,
+    /// were the waiter count ever wrong, strands one side.
+    const PING_PONGS: i64 = 2_000;
+
+    /// Run `f` on its own thread and fail unless it finishes within 10 s:
+    /// a lost wake-up parks a thread forever instead of failing.
+    fn within_watchdog(f: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            f();
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("ping-pong stalled or panicked: a wake-up was lost");
+    }
+
+    /// Two threads bounce [`PING_PONGS`] messages over a `SharedFifo`
+    /// built by `pair`, each receiving with `recv`, so every hop parks
+    /// the receiver and needs the sender's gated notify. `per_round`
+    /// messages go out before each reply is awaited.
+    fn ping_pong(
+        (mut src, mut wh): (SharedFifo, SharedFifo),
+        per_round: i64,
+        recv: fn(&mut SharedFifo) -> Result<Option<Message>, TransportError>,
+    ) {
+        let echo = std::thread::spawn(move || {
+            for i in 0..PING_PONGS {
+                for k in 0..per_round {
+                    assert_eq!(
+                        recv(&mut wh).unwrap(),
+                        Some(notification(i * per_round + k))
+                    );
+                }
+                wh.send(&notification(i)).unwrap();
+            }
+        });
+        for i in 0..PING_PONGS {
+            for k in 0..per_round {
+                src.send(&notification(i * per_round + k)).unwrap();
+            }
+            assert_eq!(recv(&mut src).unwrap(), Some(notification(i)));
+        }
+        echo.join().unwrap();
+    }
+
+    #[test]
+    fn shared_fifo_ping_pong_with_recv_loses_no_wake_up() {
+        within_watchdog(|| {
+            ping_pong(SharedFifo::pair(TransferMeter::new()), 1, |t| t.recv());
+        });
+    }
+
+    #[test]
+    fn shared_fifo_ping_pong_with_recv_timeout_loses_no_wake_up() {
+        // The timeout outlives the watchdog, so a lost wake-up cannot be
+        // papered over by the deadline re-check.
+        within_watchdog(|| {
+            ping_pong(SharedFifo::pair(TransferMeter::new()), 1, |t| {
+                t.recv_timeout(std::time::Duration::from_secs(60))
+            });
+        });
+    }
+
+    #[test]
+    fn bounded_fifo_ping_pong_with_parked_sender_loses_no_wake_up() {
+        // Capacity 1 and two messages per round: the second send parks
+        // on backpressure until the echo side pops the first.
+        within_watchdog(|| {
+            ping_pong(SharedFifo::bounded_pair(TransferMeter::new(), 1), 2, |t| {
+                t.recv()
+            });
+        });
     }
 
     #[test]

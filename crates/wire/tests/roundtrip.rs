@@ -1,11 +1,21 @@
 //! Property tests: every message round-trips through the codec — and
 //! through the transport framing both [`eca_wire::InMemoryFifo`] and
 //! [`eca_wire::TcpTransport`] share — and encoded sizes match the
-//! accounting helpers.
+//! accounting helpers. [`eca_wire::SharedFifo`] queues messages without
+//! encoding them and meters [`Message::encoded_len`], so the structural
+//! size is pinned here against the real encoding for every variant and
+//! arbitrary queries, and a two-way `SharedFifo` stream must meter
+//! exactly what the codec would have produced.
 
+use bytes::Bytes;
 use eca_core::{QueryId, ViewDef};
-use eca_relational::{CmpOp, Predicate, Schema, SignedBag, Tuple, Update, Value};
-use eca_wire::{read_frame, write_frame, Decoder, Encoder, Message, WireQuery};
+use eca_relational::{
+    CmpOp, Operand, Predicate, Schema, Sign, SignedBag, SignedTuple, Tuple, Update, Value,
+};
+use eca_wire::{
+    read_frame, write_frame, Decoder, Encoder, Message, ReadLevel, SharedFifo, TransferMeter,
+    Transport, WireQuery, WireTerm,
+};
 use proptest::prelude::*;
 
 fn value() -> impl Strategy<Value = Value> {
@@ -37,6 +47,134 @@ fn update() -> impl Strategy<Value = Update> {
             Update::delete(rel, t)
         }
     })
+}
+
+fn cmp_op() -> impl Strategy<Value = CmpOp> {
+    prop_oneof![
+        Just(CmpOp::Eq),
+        Just(CmpOp::Ne),
+        Just(CmpOp::Lt),
+        Just(CmpOp::Le),
+        Just(CmpOp::Gt),
+        Just(CmpOp::Ge),
+    ]
+}
+
+fn operand() -> impl Strategy<Value = Operand> {
+    prop_oneof![
+        (0usize..1000).prop_map(Operand::Column),
+        value().prop_map(Operand::Const),
+    ]
+}
+
+/// Predicate trees up to `depth` connectives deep, every node kind
+/// reachable at every level.
+fn predicate(depth: u32) -> BoxedStrategy<Predicate> {
+    let leaf = prop_oneof![
+        Just(Predicate::True),
+        Just(Predicate::False),
+        (operand(), cmp_op(), operand()).prop_map(|(lhs, op, rhs)| Predicate::Cmp { lhs, op, rhs }),
+    ];
+    if depth == 0 {
+        return leaf.boxed();
+    }
+    prop_oneof![
+        leaf,
+        (predicate(depth - 1), predicate(depth - 1))
+            .prop_map(|(a, b)| Predicate::And(Box::new(a), Box::new(b))),
+        (predicate(depth - 1), predicate(depth - 1))
+            .prop_map(|(a, b)| Predicate::Or(Box::new(a), Box::new(b))),
+        predicate(depth - 1).prop_map(|a| Predicate::Not(Box::new(a))),
+    ]
+    .boxed()
+}
+
+/// One atom slot: the base relation, or a bound tuple of either sign.
+fn atom() -> impl Strategy<Value = Option<SignedTuple>> {
+    prop_oneof![
+        Just(None),
+        (tuple(), any::<bool>()).prop_map(|(tuple, minus)| Some(SignedTuple {
+            sign: if minus { Sign::Minus } else { Sign::Plus },
+            tuple,
+        })),
+    ]
+}
+
+/// Arbitrary self-contained queries: one atom per relation in every
+/// term, as the decoder expects.
+fn wire_query() -> impl Strategy<Value = WireQuery> {
+    (
+        prop::collection::vec("[a-z]{1,8}", 1..4),
+        predicate(3),
+        prop::collection::vec(0usize..1000, 0..5),
+        prop::collection::vec((any::<i64>(), prop::collection::vec(atom(), 3)), 0..4),
+    )
+        .prop_map(|(relations, cond, proj, terms)| {
+            let terms = terms
+                .into_iter()
+                .map(|(factor, mut atoms)| {
+                    atoms.truncate(relations.len());
+                    atoms.resize(relations.len(), None);
+                    WireTerm { factor, atoms }
+                })
+                .collect();
+            WireQuery {
+                relations,
+                cond,
+                proj,
+                terms,
+            }
+        })
+}
+
+fn read_level() -> impl Strategy<Value = ReadLevel> {
+    prop_oneof![
+        Just(ReadLevel::Convergent),
+        Just(ReadLevel::Weak),
+        Just(ReadLevel::Strong),
+    ]
+}
+
+/// Every one of the nine [`Message`] variants, with arbitrary contents.
+fn message() -> impl Strategy<Value = Message> {
+    let id = || any::<u64>().prop_map(QueryId);
+    prop_oneof![
+        update().prop_map(|update| Message::UpdateNotification { update }),
+        (id(), wire_query()).prop_map(|(id, query)| Message::QueryRequest { id, query }),
+        (id(), bag()).prop_map(|(id, answer)| Message::QueryAnswer { id, answer }),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            prop::collection::vec(any::<u8>(), 0..40),
+        )
+            .prop_map(|(epoch, seq, checksum, payload)| Message::Frame {
+                epoch,
+                seq,
+                checksum,
+                payload: Bytes::from(payload),
+            }),
+        (any::<u64>(), any::<u64>()).prop_map(|(epoch, next)| Message::Ack { epoch, next }),
+        any::<u64>().prop_map(|epoch| Message::Hello { epoch }),
+        (id(), any::<u64>(), read_level(), any::<u64>()).prop_map(
+            |(id, view, level, min_epoch)| Message::ReadQuery {
+                id,
+                view,
+                level,
+                min_epoch,
+            }
+        ),
+        (id(), any::<u64>(), any::<u64>(), any::<u64>(), bag()).prop_map(
+            |(id, view, epoch, latest, rows)| Message::ReadAnswer {
+                id,
+                view,
+                epoch,
+                latest,
+                rows,
+            }
+        ),
+        (id(), "[a-z ]{0,24}").prop_map(|(id, reason)| Message::ReadError { id, reason }),
+    ]
 }
 
 proptest! {
@@ -81,6 +219,48 @@ proptest! {
         }
         prop_assert_eq!(&bytes, &want.finish());
         prop_assert_eq!(Decoder::new(bytes).get_bag().unwrap(), answer);
+    }
+
+    /// The structural size is the encoded size, for every variant and
+    /// arbitrary query shapes — the invariant `SharedFifo`'s metering
+    /// (and so every M/B figure measured over it) rests on.
+    #[test]
+    fn encoded_len_is_the_encoding_length(m in message()) {
+        let bytes = m.encode();
+        prop_assert_eq!(m.encoded_len(), bytes.len());
+        prop_assert_eq!(Message::decode(bytes).unwrap(), m);
+    }
+
+    /// A mixed two-way stream over `SharedFifo` arrives in order per
+    /// direction, unchanged, and meters exactly the sum of the
+    /// encodings it never produced.
+    #[test]
+    fn shared_fifo_meters_what_the_codec_would(
+        stream in prop::collection::vec((any::<bool>(), message()), 0..24),
+    ) {
+        let meter = TransferMeter::new();
+        let (mut src, mut wh) = SharedFifo::pair(meter.clone());
+        let (mut s2w, mut w2s) = (Vec::new(), Vec::new());
+        for (to_source, m) in &stream {
+            if *to_source {
+                wh.send(m).unwrap();
+                w2s.push(m.clone());
+            } else {
+                src.send(m).unwrap();
+                s2w.push(m.clone());
+            }
+        }
+        let bytes = |msgs: &[Message]| msgs.iter().map(|m| m.encode().len() as u64).sum::<u64>();
+        prop_assert_eq!(meter.bytes_s2w(), bytes(&s2w));
+        prop_assert_eq!(meter.bytes_w2s(), bytes(&w2s));
+        prop_assert_eq!(meter.messages_s2w(), s2w.len() as u64);
+        prop_assert_eq!(meter.messages_w2s(), w2s.len() as u64);
+        for (rx, sent) in [(&mut wh, &s2w), (&mut src, &w2s)] {
+            for m in sent {
+                prop_assert_eq!(&rx.try_recv().unwrap().expect("queued"), m);
+            }
+            prop_assert!(rx.try_recv().unwrap().is_none());
+        }
     }
 
     /// Every message variant survives encode → frame → unframe → decode —

@@ -6,8 +6,8 @@
 //! fingerprints in `golden_trace.rs`.)
 //!
 //! Scenarios: Example 2 (the paper's canonical anomaly setup), the
-//! Example 6 workload, and the 4-source × 8-view stress fixture from
-//! `concurrent_stress.rs`.
+//! Example 6 workload, and a 4-source × 8-view stress fixture shaped like
+//! the simulated run in `reactor_stress.rs`.
 
 use eca_core::algorithms::AlgorithmKind;
 use eca_core::ViewDef;
@@ -142,7 +142,8 @@ fn single_site(
     sim
 }
 
-// The concurrent_stress fixture, shrunk to its chaos-relevant core.
+// The multi-source stress fixture of `reactor_stress.rs`, shrunk to its
+// chaos-relevant core.
 const SOURCES: usize = 4;
 const UPDATES_PER_SOURCE: usize = 50;
 const JOIN_DOMAIN: i64 = 7;

@@ -133,7 +133,7 @@ fn example2_equiv_case() -> EquivCase {
 
 /// The Example 6 workload as an equivalence case. The mixed script is
 /// pre-filtered to *effective* updates (replayed against a probe copy
-/// of the source) because the concurrent runtimes are told up front how
+/// of the source) because the reactor driver is told up front how
 /// many notifications to expect — one per script entry.
 fn example6_equiv_case(seed: u64) -> EquivCase {
     let workload = Example6::new(Params::default(), seed);
@@ -235,11 +235,11 @@ fn example6_fingerprints_are_stable() {
     }
 }
 
-/// Serial, thread-per-source and reactor runtimes must produce
-/// byte-identical view-state histories, final materializations and link
-/// meters on Examples 2 and 6 — and the common outcome must match the
-/// pinned fingerprint, so a change that shifts *all three* runtimes in
-/// lockstep still shows up. The reactor is additionally run at several
+/// The serial warehouse and the reactor must produce byte-identical
+/// view-state histories, final materializations and link meters on
+/// Examples 2 and 6 — and the common outcome must match the pinned
+/// fingerprint, so a change that shifts *both* drivers in lockstep
+/// still shows up. The reactor is additionally run at several
 /// pool sizes: §3 says the verdict may not depend on scheduling.
 #[test]
 fn runtime_equivalence_fingerprints_are_stable() {
