@@ -2,8 +2,9 @@
 //!
 //! Writes `results/chaos.json`, prints a per-point table, and exits
 //! non-zero if any run fails the consistency gate (non-quiescent, or a
-//! final view differing from the fault-free golden state) — the CI
-//! smoke job runs `--smoke` (3 fixed seeds × drop/dup/reset plans).
+//! final view differing from the fault-free golden state). CI runs the
+//! full sweep and requires `results/chaos.json` to reproduce byte for
+//! byte; `--smoke` is a 3-seed subset (drop/dup/reset plans).
 //!
 //! ```text
 //! chaos [--smoke] [--out PATH]

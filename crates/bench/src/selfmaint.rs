@@ -12,7 +12,7 @@
 //!   metered [`eca_storage::Table`]s, reporting resident blocks and
 //!   charged write touches — not bare tuple counts.
 
-use eca_core::algorithms::{AlgorithmKind, EcaAux};
+use eca_core::algorithms::{AlgorithmKind, Eca, LocalRule};
 use eca_core::maintainer::{SelfMaintStats, ViewMaintainer};
 use eca_sim::{Policy, RunReport, Simulation};
 use eca_storage::{IoMeter, Scenario, Table};
@@ -171,14 +171,15 @@ pub fn storage_curve(k: u64, seed: u64) -> Vec<SelfMaintPoint> {
                 Scenario::Indexed,
                 updates.clone(),
                 |view, initial, snapshot| {
+                    let rule = LocalRule::Auxiliaries(Some(coverage.to_vec()));
                     Box::new(
-                        EcaAux::with_coverage(view.clone(), initial, &coverage, Some(&snapshot))
+                        Eca::with_rule(view.clone(), initial, rule, 1, Some(&snapshot))
                             .expect("coverage matches arity"),
                     )
                 },
                 Policy::AllUpdatesFirst,
             );
-            let stats = report.selfmaint.as_ref().expect("EcaAux reports stats");
+            let stats = report.selfmaint.as_ref().expect("ECA-Aux reports stats");
             let (aux_blocks, aux_load_writes) = aux_residency(stats, params.tuples_per_block);
             SelfMaintPoint {
                 covered: n,

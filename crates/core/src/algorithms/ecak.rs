@@ -130,10 +130,11 @@ impl ViewMaintainer for EcaKey {
         match update.kind {
             UpdateKind::Delete => {
                 // Local key-delete; no source query (paper §5.4 point 2).
-                let key_values: Vec<Value> = self
-                    .view
-                    .update_key_values(update)
-                    .expect("fully keyed view must yield key values");
+                let Some(key_values) = self.view.update_key_values(update) else {
+                    return Err(CoreError::ViewNotKeyed {
+                        view: self.view.name().to_owned(),
+                    });
+                };
                 self.key_delete(rel_idx, &key_values);
                 if !self.uqs.is_empty() {
                     // In-flight answers may still carry this key (their

@@ -43,8 +43,8 @@ struct PendingDelta {
 pub struct Lca {
     view: ViewDef,
     mv: SignedBag,
-    /// In-flight single-term queries, with owner tags.
-    unanswered: BTreeMap<QueryId, Term>,
+    /// In-flight single-term queries, with the update each one belongs to.
+    unanswered: BTreeMap<QueryId, (u64, Term)>,
     /// Per-update accumulating deltas, keyed by update sequence number.
     pending: BTreeMap<u64, PendingDelta>,
     next_seq: u64,
@@ -78,8 +78,7 @@ impl Lca {
         &self.history
     }
 
-    fn send_term(&mut self, term: Term, out: &mut Vec<OutboundQuery>) {
-        let owner = term.owner().expect("LCA terms are always owned");
+    fn send_term(&mut self, owner: u64, term: Term, out: &mut Vec<OutboundQuery>) {
         self.pending
             .entry(owner)
             .or_insert_with(|| PendingDelta {
@@ -88,7 +87,7 @@ impl Lca {
             })
             .remaining += 1;
         let id = self.ids.fresh();
-        self.unanswered.insert(id, term.clone());
+        self.unanswered.insert(id, (owner, term.clone()));
         out.push(OutboundQuery {
             id,
             query: Query::from_terms(self.view.clone(), vec![term]),
@@ -131,11 +130,14 @@ impl ViewMaintainer for Lca {
         // Compensating terms for every unanswered term, keeping ownership.
         // Collected before the own term is registered so an update never
         // compensates itself.
-        let compensations: Vec<Term> = self
+        let compensations: Vec<(u64, Term)> = self
             .unanswered
             .values()
-            .flat_map(|t| t.substitute_all_occurrences(&self.view, update))
-            .map(|t| t.negated())
+            .flat_map(|(owner, t)| {
+                t.substitute_all_occurrences(&self.view, update)
+                    .into_iter()
+                    .map(move |c| (*owner, -c))
+            })
             .collect();
 
         // V⟨U⟩ may expand to several terms for self-join views; they all
@@ -150,10 +152,10 @@ impl ViewMaintainer for Lca {
 
         let mut out = Vec::with_capacity(own_terms.len() + compensations.len());
         for t in own_terms {
-            self.send_term(t, &mut out);
+            self.send_term(seq, t, &mut out);
         }
-        for c in compensations {
-            self.send_term(c, &mut out);
+        for (owner, c) in compensations {
+            self.send_term(owner, c, &mut out);
         }
         Ok(out)
     }
@@ -163,15 +165,10 @@ impl ViewMaintainer for Lca {
         id: QueryId,
         answer: SignedBag,
     ) -> Result<Vec<OutboundQuery>, CoreError> {
-        let term = self
-            .unanswered
-            .remove(&id)
-            .ok_or(CoreError::UnknownQuery { id: id.0 })?;
-        let owner = term.owner().expect("LCA terms are always owned");
-        let pending = self
-            .pending
-            .get_mut(&owner)
-            .expect("owner registered when term was sent");
+        let unknown = || CoreError::UnknownQuery { id: id.0 };
+        let (owner, _) = self.unanswered.remove(&id).ok_or_else(unknown)?;
+        // `send_term` registers the owner before the term goes out.
+        let pending = self.pending.get_mut(&owner).ok_or_else(unknown)?;
         pending.delta.merge(&answer);
         pending.remaining -= 1;
         self.flush();

@@ -3,31 +3,28 @@
 //! | Algorithm | Paper section | Guarantee (over interleaved histories) |
 //! |---|---|---|
 //! | [`Basic`] | Alg. 5.1 (\[BLT86\] adapted) | none — exhibits anomalies |
-//! | [`Eca`] | Alg. 5.2 | strong consistency |
+//! | [`Eca`] | Alg. 5.2, App. D.2, §7 batching, auxiliary views | strong consistency |
 //! | [`EcaKey`] | §5.4 | strong consistency (keyed views) |
-//! | [`EcaLocal`] | §5.5 (future work in paper) | strong consistency on supported view classes |
 //! | [`Lca`] | §5.3 (sketched in paper) | completeness |
 //! | [`RecomputeView`] | Alg. D.1 | strong consistency |
 //! | [`StoreCopies`] | §1.2 | completeness (local replicas) |
+//!
+//! [`Eca`] is the one compensating maintainer: a [`LocalRule`] and a
+//! batch size give the `Eca`, `EcaOptimized`, `BatchEca` and `EcaAux`
+//! presets of [`AlgorithmKind`]. `EcaLocal` (§5.5) is a dispatch over
+//! the others by view shape.
 
 pub mod basic;
-pub mod batch;
-pub mod deferred;
 pub mod eca;
-pub mod eca_aux;
+mod eca_aux;
 pub mod ecak;
-pub mod ecal;
 pub mod lca;
 pub mod rv;
 pub mod sc;
 
 pub use basic::Basic;
-pub use batch::BatchEca;
-pub use deferred::Deferred;
-pub use eca::Eca;
-pub use eca_aux::EcaAux;
+pub use eca::{Eca, LocalRule};
 pub use ecak::EcaKey;
-pub use ecal::EcaLocal;
 pub use lca::Lca;
 pub use rv::RecomputeView;
 pub use sc::StoreCopies;
@@ -56,7 +53,9 @@ pub enum AlgorithmKind {
     EcaAux,
     /// ECA-Key (§5.4); requires a fully keyed view.
     EcaKey,
-    /// ECA-Local (§5.5).
+    /// ECA-Local (§5.5): every update of a single-relation view is
+    /// answered locally (`EcaOptimized`), a fully keyed view without
+    /// repeated relations runs `EcaKey`, any other view plain `Eca`.
     EcaLocal,
     /// The Lazy Compensating Algorithm (§5.3).
     Lca,
@@ -93,8 +92,8 @@ impl AlgorithmKind {
     }
 
     /// As [`AlgorithmKind::instantiate`], but supplies the source's initial
-    /// base-relation contents so replica-keeping strategies (Store-Copies)
-    /// start in sync.
+    /// base-relation contents so replica-keeping strategies (Store-Copies,
+    /// ECA-Aux) start in sync.
     ///
     /// # Errors
     /// Propagates per-algorithm construction errors.
@@ -107,13 +106,34 @@ impl AlgorithmKind {
         Ok(match self {
             AlgorithmKind::Basic => Box::new(Basic::new(view.clone(), initial)),
             AlgorithmKind::Eca => Box::new(Eca::new(view.clone(), initial)),
-            AlgorithmKind::EcaOptimized => Box::new(Eca::with_local_eval(view.clone(), initial)),
-            AlgorithmKind::EcaAux => match initial_base {
-                Some(db) => Box::new(EcaAux::with_base(view.clone(), initial, &db)),
-                None => Box::new(EcaAux::new(view.clone(), initial)),
-            },
+            AlgorithmKind::EcaOptimized => Box::new(Eca::with_rule(
+                view.clone(),
+                initial,
+                LocalRule::FullyBound,
+                1,
+                None,
+            )?),
+            AlgorithmKind::EcaAux => Box::new(Eca::with_rule(
+                view.clone(),
+                initial,
+                LocalRule::Auxiliaries(None),
+                1,
+                initial_base.as_ref(),
+            )?),
+            AlgorithmKind::BatchEca { batch_size } => {
+                Box::new(Eca::batched(view.clone(), initial, batch_size)?)
+            }
             AlgorithmKind::EcaKey => Box::new(EcaKey::new(view.clone(), initial)?),
-            AlgorithmKind::EcaLocal => Box::new(EcaLocal::new(view.clone(), initial)),
+            AlgorithmKind::EcaLocal => {
+                let kind = if view.base().len() == 1 {
+                    AlgorithmKind::EcaOptimized
+                } else if view.is_fully_keyed() && !view.has_repeated_relations() {
+                    AlgorithmKind::EcaKey
+                } else {
+                    AlgorithmKind::Eca
+                };
+                return kind.instantiate_with_base(view, initial, initial_base);
+            }
             AlgorithmKind::Lca => Box::new(Lca::new(view.clone(), initial)),
             AlgorithmKind::RecomputeView { period } => {
                 Box::new(RecomputeView::new(view.clone(), initial, period)?)
@@ -122,9 +142,6 @@ impl AlgorithmKind {
                 Some(db) => Box::new(StoreCopies::with_replicas(view.clone(), initial, db)),
                 None => Box::new(StoreCopies::new(view.clone(), initial)),
             },
-            AlgorithmKind::BatchEca { batch_size } => {
-                Box::new(BatchEca::new(view.clone(), initial, batch_size)?)
-            }
         })
     }
 
@@ -142,5 +159,112 @@ impl AlgorithmKind {
             AlgorithmKind::StoreCopies => "SC",
             AlgorithmKind::BatchEca { .. } => "Batch-ECA",
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! `EcaLocal` is a dispatch: each view shape runs another preset.
+
+    use super::*;
+    use crate::basedb::BaseDb;
+    use crate::expr::QueryId;
+    use eca_relational::{CmpOp, Predicate, Schema, SignedBag, Tuple, Update};
+
+    fn ecal(view: &ViewDef, initial: SignedBag) -> Box<dyn ViewMaintainer> {
+        AlgorithmKind::EcaLocal.instantiate(view, initial).unwrap()
+    }
+
+    fn single_rel_view() -> ViewDef {
+        // V = π_A(σ_{A < B}(r1(A,B)))
+        ViewDef::new(
+            "V",
+            vec![Schema::new("r1", &["A", "B"])],
+            Predicate::col_cmp(0, CmpOp::Lt, 1),
+            vec![0],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn single_relation_updates_are_local_and_exact() {
+        let v = single_rel_view();
+        let mut db = BaseDb::for_view(&v);
+        let mut alg = ecal(&v, SignedBag::new());
+
+        let script = [
+            Update::insert("r1", Tuple::ints([1, 5])), // passes σ
+            Update::insert("r1", Tuple::ints([9, 2])), // filtered out
+            Update::insert("r1", Tuple::ints([1, 5])), // duplicate
+            Update::delete("r1", Tuple::ints([1, 5])), // remove one copy
+        ];
+        for u in &script {
+            db.apply(u);
+            let qs = alg.on_update(u).unwrap();
+            assert!(qs.is_empty(), "single-relation ECAL never queries");
+            assert_eq!(*alg.materialized(), v.eval(&db).unwrap());
+        }
+        assert_eq!(alg.materialized().count(&Tuple::ints([1])), 1);
+    }
+
+    #[test]
+    fn single_relation_rejects_answers() {
+        let mut alg = ecal(&single_rel_view(), SignedBag::new());
+        assert!(alg.on_answer(QueryId(1), SignedBag::new()).is_err());
+        assert!(alg.is_quiescent());
+    }
+
+    #[test]
+    fn general_fallback_compensates_like_eca() {
+        // Replay Example 2; the general fallback must repair the anomaly.
+        let v = ViewDef::new(
+            "V",
+            vec![
+                Schema::new("r1", &["W", "X"]),
+                Schema::new("r2", &["X", "Y"]),
+            ],
+            Predicate::col_eq(1, 2),
+            vec![0],
+        )
+        .unwrap();
+        let mut db = BaseDb::for_view(&v);
+        db.insert("r1", Tuple::ints([1, 2]));
+        let mut alg = ecal(&v, SignedBag::new());
+
+        let u1 = Update::insert("r2", Tuple::ints([2, 3]));
+        let u2 = Update::insert("r1", Tuple::ints([4, 2]));
+        db.apply(&u1);
+        let q1 = alg.on_update(&u1).unwrap().remove(0);
+        db.apply(&u2);
+        let q2 = alg.on_update(&u2).unwrap().remove(0);
+        assert_eq!(q2.query.terms().len(), 2, "compensation expected");
+        alg.on_answer(q1.id, q1.query.eval(&db).unwrap()).unwrap();
+        alg.on_answer(q2.id, q2.query.eval(&db).unwrap()).unwrap();
+        assert_eq!(*alg.materialized(), v.eval(&db).unwrap());
+    }
+
+    #[test]
+    fn keyed_fallback_deletes_locally() {
+        let v = ViewDef::new(
+            "V",
+            vec![
+                Schema::with_key("r1", &["W", "X"], &["W"]).unwrap(),
+                Schema::with_key("r2", &["X", "Y"], &["Y"]).unwrap(),
+            ],
+            Predicate::col_eq(1, 2),
+            vec![0, 3],
+        )
+        .unwrap();
+        let mut db = BaseDb::for_view(&v);
+        db.insert("r1", Tuple::ints([1, 2]));
+        db.insert("r2", Tuple::ints([2, 3]));
+        let mut alg = ecal(&v, v.eval(&db).unwrap());
+        let u = Update::delete("r1", Tuple::ints([1, 2]));
+        db.apply(&u);
+        assert!(
+            alg.on_update(&u).unwrap().is_empty(),
+            "delete handled locally"
+        );
+        assert_eq!(*alg.materialized(), v.eval(&db).unwrap());
     }
 }

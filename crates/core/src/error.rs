@@ -36,6 +36,8 @@ pub enum CoreError {
         /// The supplied period.
         period: u64,
     },
+    /// A batching maintainer must ship a query every `n ≥ 1` updates.
+    ZeroBatchSize,
     /// The algorithm cannot atomically adopt an externally recomputed
     /// view state (RV-style resync): it maintains auxiliary state that a
     /// bare `V(ss)` answer cannot restore.
@@ -66,6 +68,7 @@ impl fmt::Display for CoreError {
             CoreError::InvalidRecomputePeriod { period } => {
                 write!(f, "recompute period must be >= 1, got {period}")
             }
+            CoreError::ZeroBatchSize => write!(f, "batch size must be >= 1"),
             CoreError::ResyncUnsupported { algorithm } => {
                 write!(
                     f,

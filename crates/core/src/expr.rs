@@ -231,6 +231,16 @@ impl Term {
     }
 }
 
+impl std::ops::Neg for Term {
+    type Output = Term;
+
+    /// The term with its coefficient negated, without copying its atoms.
+    fn neg(mut self) -> Term {
+        self.factor = -self.factor;
+        self
+    }
+}
+
 impl fmt::Debug for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.factor != 1 {
@@ -248,7 +258,7 @@ impl fmt::Debug for Term {
 }
 
 /// Scale every count of `bag` by `factor`.
-fn scale(bag: &SignedBag, factor: i64) -> SignedBag {
+pub(crate) fn scale(bag: &SignedBag, factor: i64) -> SignedBag {
     match factor {
         1 => bag.clone(),
         -1 => bag.negated(),
@@ -284,6 +294,11 @@ impl Query {
     /// The terms.
     pub fn terms(&self) -> &[Term] {
         &self.terms
+    }
+
+    /// The terms, by value.
+    pub fn into_terms(self) -> Vec<Term> {
+        self.terms
     }
 
     /// Whether the query has no terms (evaluates to ∅ trivially).

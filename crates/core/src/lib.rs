@@ -18,8 +18,9 @@
 //!   by the Store-Copies strategy and by differential checks against the
 //!   storage engine,
 //! * the algorithm family behind the [`ViewMaintainer`] trait
-//!   ([`algorithms`]): Basic (Alg. 5.1), **ECA** (Alg. 5.2), ECA-Key (§5.4),
-//!   ECA-Local (§5.5), Lazy Compensating (§5.3), Recompute-View (App. D.1)
+//!   ([`algorithms`]): Basic (Alg. 5.1), **ECA** (Alg. 5.2, with the
+//!   App. D.2, §7-batching and auxiliary-view refinements as presets),
+//!   ECA-Key (§5.4), Lazy Compensating (§5.3), Recompute-View (App. D.1)
 //!   and Store-Copies (§1.2).
 //!
 //! Transport, event interleaving, cost metering and physical evaluation are
@@ -27,10 +28,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod algorithms;
 pub mod basedb;
-pub mod composite;
 pub mod error;
 pub mod expr;
 pub mod maintainer;
@@ -38,7 +39,6 @@ pub mod parse;
 pub mod view;
 
 pub use basedb::BaseDb;
-pub use composite::CompositeView;
 pub use error::CoreError;
 pub use expr::{Atom, Query, QueryId, Term};
 pub use maintainer::{AuxDurableState, OutboundQuery, ViewMaintainer};

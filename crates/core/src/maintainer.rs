@@ -120,7 +120,9 @@ pub trait ViewMaintainer: Send {
 
     /// Self-maintenance statistics, for algorithms that answer
     /// compensating queries against warehouse-resident auxiliary views
-    /// (`EcaAux`). `None` — the default — means the algorithm has no
+    /// ([`Eca`](crate::algorithms::Eca) under
+    /// [`LocalRule::Auxiliaries`](crate::algorithms::LocalRule::Auxiliaries)).
+    /// `None` — the default — means the algorithm has no
     /// self-maintenance machinery; harnesses use this to report
     /// local-answer rates and auxiliary storage residency without
     /// downcasting.
@@ -132,7 +134,7 @@ pub trait ViewMaintainer: Send {
     /// algorithm to restart *exactly* where it left off. Checkpoints are
     /// only taken at quiescent points (`UQS = ∅`, nothing in flight), so
     /// for the paper's algorithms `MV` alone suffices — the default. A
-    /// self-maintaining algorithm (`EcaAux`) additionally snapshots its
+    /// self-maintaining algorithm (ECA under the auxiliary rule) additionally snapshots its
     /// auxiliary bags and their freshness, one [`AuxDurableState`] per
     /// base-relation slot, in slot order.
     fn checkpoint_aux(&self) -> Vec<AuxDurableState> {

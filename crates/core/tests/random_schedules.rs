@@ -12,7 +12,7 @@
 //! * LCA: additionally, the view's state history equals the source's.
 //! * Basic: converges on the all-serial schedule (but not in general).
 
-use eca_core::algorithms::{AlgorithmKind, BatchEca, Lca};
+use eca_core::algorithms::{AlgorithmKind, Eca, Lca};
 use eca_core::maintainer::{OutboundQuery, ViewMaintainer};
 use eca_core::{BaseDb, ViewDef};
 use eca_relational::{Predicate, Schema, SignedBag, Tuple, Update};
@@ -183,7 +183,7 @@ proptest! {
         batch_size in 1usize..4,
     ) {
         let view = view2();
-        let mut alg = BatchEca::new(view.clone(), initial_view(&view, &init), batch_size).unwrap();
+        let mut alg = Eca::batched(view.clone(), initial_view(&view, &init), batch_size).unwrap();
         let (src, _, _, _) = drive(&mut alg, &view, &init, &updates, &decisions);
         // Flush the possibly-partial trailing batch, then settle by
         // answering on the final state.
@@ -192,7 +192,7 @@ proptest! {
             db.insert(r, t.clone());
         }
         db.apply_all(&updates);
-        let mut queries: VecDeque<OutboundQuery> = alg.flush().unwrap().into();
+        let mut queries: VecDeque<OutboundQuery> = alg.flush().into();
         while let Some(q) = queries.pop_front() {
             let answer = q.query.eval(&db).unwrap();
             queries.extend(alg.on_answer(q.id, answer).unwrap());

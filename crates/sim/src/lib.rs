@@ -384,7 +384,7 @@ mod tests {
         assert_eq!(report.bytes_w2s, 0, "no query frame touches the wire");
         assert_eq!(report.answer_bytes, 0);
         assert_eq!(report.io_reads, 0, "the source is never consulted");
-        let stats = report.selfmaint.expect("EcaAux reports stats");
+        let stats = report.selfmaint.expect("ECA-Aux reports stats");
         assert_eq!(stats.local_updates, 2);
         assert_eq!(stats.remote_updates, 0);
         assert!(stats.aux_bytes > 0, "the savings are paid for in storage");

@@ -65,7 +65,7 @@ impl Example6 {
     /// The three base schemas with key metadata declared: every tuple is
     /// identified by its full attribute set (the generator emits bag
     /// semantics, so no proper subset is a key). Keyness is the signal
-    /// self-maintaining algorithms (`EcaAux`) use to decide which
+    /// self-maintaining algorithms (ECA-Aux) use to decide which
     /// relations get warehouse-resident auxiliary views.
     pub fn keyed_schemas() -> Vec<Schema> {
         vec![
@@ -84,7 +84,7 @@ impl Example6 {
     }
 
     /// As [`Example6::view`], over the keyed schemas — required by
-    /// algorithms that read key metadata (`EcaKey`, `EcaAux`).
+    /// algorithms that read key metadata (`EcaKey`, ECA-Aux).
     ///
     /// # Errors
     /// Never in practice; propagates view validation.

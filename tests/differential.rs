@@ -270,7 +270,10 @@ mod selfmaint_differential {
     //! byte meters, not the logical counters).
 
     use super::*;
-    use eca_core::algorithms::{AlgorithmKind, EcaAux};
+    use eca_core::algorithms::{AlgorithmKind, Eca, LocalRule};
+    use eca_core::maintainer::{OutboundQuery, SelfMaintStats, ViewMaintainer};
+    use eca_core::{CoreError, QueryId};
+    use eca_relational::SignedBag;
     use eca_sim::{Policy, RunReport, Simulation};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -306,21 +309,100 @@ mod selfmaint_differential {
         coverage: Option<&[bool]>,
         policy: Policy,
     ) -> RunReport {
+        match coverage {
+            Some(c) => run_aux(view, db, updates, c, 1, policy),
+            None => simulate(view, db, updates, policy, |initial, snapshot| {
+                AlgorithmKind::Eca
+                    .instantiate_with_base(view, initial, Some(snapshot))
+                    .unwrap()
+            }),
+        }
+    }
+
+    /// ECA under the auxiliary rule with `coverage`, sharing one query
+    /// per `batch_size` updates. After the last notification the driver
+    /// flushes the partial batch, as a batching deployment does at the
+    /// end of a stream.
+    fn run_aux(
+        view: &ViewDef,
+        db: &BaseDb,
+        updates: &[Update],
+        coverage: &[bool],
+        batch_size: usize,
+        policy: Policy,
+    ) -> RunReport {
+        let mut replay = db.clone();
+        let notifications = updates.iter().filter(|u| replay.apply(u)).count();
+        simulate(view, db, updates, policy, |initial, snapshot| {
+            let rule = LocalRule::Auxiliaries(Some(coverage.to_vec()));
+            let eca = Eca::with_rule(view.clone(), initial, rule, batch_size, Some(&snapshot));
+            Box::new(FlushAtEnd {
+                inner: eca.unwrap(),
+                remaining: notifications,
+            })
+        })
+    }
+
+    fn simulate(
+        view: &ViewDef,
+        db: &BaseDb,
+        updates: &[Update],
+        policy: Policy,
+        make: impl FnOnce(SignedBag, BaseDb) -> Box<dyn ViewMaintainer>,
+    ) -> RunReport {
         let source = build_source(view, db, Scenario::Indexed);
         let snapshot = source.snapshot();
         let initial = view.eval(&snapshot).unwrap();
-        let maintainer: Box<dyn eca_core::maintainer::ViewMaintainer> = match coverage {
-            Some(c) => {
-                Box::new(EcaAux::with_coverage(view.clone(), initial, c, Some(&snapshot)).unwrap())
-            }
-            None => AlgorithmKind::Eca
-                .instantiate_with_base(view, initial, Some(snapshot))
-                .unwrap(),
-        };
-        Simulation::new(source, maintainer, updates.to_vec())
+        Simulation::new(source, make(initial, snapshot), updates.to_vec())
             .unwrap()
             .run(policy)
             .unwrap()
+    }
+
+    /// Flushes the inner maintainer's partial batch on the last of
+    /// `remaining` notifications.
+    struct FlushAtEnd {
+        inner: Eca,
+        remaining: usize,
+    }
+
+    impl ViewMaintainer for FlushAtEnd {
+        fn algorithm(&self) -> &'static str {
+            self.inner.algorithm()
+        }
+
+        fn view(&self) -> &ViewDef {
+            self.inner.view()
+        }
+
+        fn materialized(&self) -> &SignedBag {
+            self.inner.materialized()
+        }
+
+        fn on_update(&mut self, update: &Update) -> Result<Vec<OutboundQuery>, CoreError> {
+            let mut out = self.inner.on_update(update)?;
+            self.remaining -= 1;
+            if self.remaining == 0 {
+                out.extend(self.inner.flush());
+            }
+            Ok(out)
+        }
+
+        fn on_answer(
+            &mut self,
+            id: QueryId,
+            answer: SignedBag,
+        ) -> Result<Vec<OutboundQuery>, CoreError> {
+            self.inner.on_answer(id, answer)
+        }
+
+        fn is_quiescent(&self) -> bool {
+            self.inner.is_quiescent()
+        }
+
+        fn selfmaint_stats(&self) -> Option<SelfMaintStats> {
+            self.inner.selfmaint_stats()
+        }
     }
 
     fn strongly_consistent(r: &RunReport) -> bool {
@@ -357,7 +439,7 @@ mod selfmaint_differential {
             prop_assert!(aux.maintenance_messages() <= eca.maintenance_messages());
 
             // Message count decomposes exactly: 2 per remote update.
-            let stats = aux.selfmaint.as_ref().expect("EcaAux reports stats");
+            let stats = aux.selfmaint.as_ref().expect("ECA-Aux reports stats");
             prop_assert_eq!(aux.maintenance_messages(), 2 * stats.remote_updates);
 
             // Zero-round-trip runs put zero frames on the wire: the raw
@@ -368,6 +450,38 @@ mod selfmaint_differential {
                 prop_assert_eq!(aux.answer_bytes, 0);
                 prop_assert_eq!(aux.io_reads, 0);
             }
+        }
+
+        /// The combination only one compensating maintainer can express:
+        /// auxiliary coverage × batching. Finals and histories match
+        /// plain ECA, and only updates that leave a term for the source
+        /// fill batches, so M is exactly 2⌈remote/n⌉.
+        #[test]
+        fn batched_aux_agrees_with_eca_and_meets_its_closed_form(
+            seed in 0u64..500,
+            policy_seed in 0u64..1000,
+            coverage_bits in 0u8..8,
+            batch_size in 1usize..5,
+        ) {
+            let (view, db, updates) = keyed_setup(seed);
+            let coverage = [
+                coverage_bits & 1 != 0,
+                coverage_bits & 2 != 0,
+                coverage_bits & 4 != 0,
+            ];
+            let policy = Policy::Random { seed: policy_seed };
+            let aux = run_aux(&view, &db, &updates, &coverage, batch_size, policy);
+            let eca = run(&view, &db, &updates, None, policy);
+
+            prop_assert_eq!(&aux.final_mv, &eca.final_mv, "final states diverge");
+            prop_assert!(aux.converged());
+            prop_assert!(strongly_consistent(&aux), "batched ECA-Aux history");
+            prop_assert!(aux.maintenance_messages() <= eca.maintenance_messages());
+            let stats = aux.selfmaint.as_ref().expect("ECA-Aux reports stats");
+            prop_assert_eq!(
+                aux.maintenance_messages(),
+                2 * stats.remote_updates.div_ceil(batch_size as u64)
+            );
         }
 
         #[test]
