@@ -21,12 +21,14 @@ pub mod scenario1 {
     }
 
     /// 3-update `IO_ECABest = 3·min(I, J) + 3`.
-    pub fn eca_best_3(p: &Params) -> u64 {
+    #[cfg(test)]
+    pub(super) fn eca_best_3(p: &Params) -> u64 {
         3 * p.blocks_per_relation().min(p.join_factor) + 3
     }
 
     /// 3-update `IO_ECAWorst = 3·min(I, J) + 6`.
-    pub fn eca_worst_3(p: &Params) -> u64 {
+    #[cfg(test)]
+    pub(super) fn eca_worst_3(p: &Params) -> u64 {
         eca_best_3(p) + 3
     }
 
@@ -56,12 +58,14 @@ pub mod scenario2 {
     }
 
     /// 3-update `IO_ECABest = 3·I·I′`.
-    pub fn eca_best_3(p: &Params) -> u64 {
+    #[cfg(test)]
+    pub(super) fn eca_best_3(p: &Params) -> u64 {
         3 * p.blocks_per_relation() * p.double_blocks_per_relation()
     }
 
     /// 3-update `IO_ECAWorst = 3·I·(I′ + 1)`.
-    pub fn eca_worst_3(p: &Params) -> u64 {
+    #[cfg(test)]
+    pub(super) fn eca_worst_3(p: &Params) -> u64 {
         3 * p.blocks_per_relation() * (p.double_blocks_per_relation() + 1)
     }
 

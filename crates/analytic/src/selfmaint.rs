@@ -43,7 +43,8 @@ fn local_relations(covered: &[bool]) -> impl Iterator<Item = usize> + '_ {
 }
 
 /// Expected `M_ECA-Aux = 2k(1−f)` for `k` uniform updates.
-pub fn m_eca_aux(k: u64, covered: &[bool]) -> f64 {
+#[cfg(test)]
+fn m_eca_aux(k: u64, covered: &[bool]) -> f64 {
     2.0 * k as f64 * (1.0 - local_fraction(covered))
 }
 
@@ -66,7 +67,8 @@ pub fn m_eca_aux_exact(script_relations: &[usize], covered: &[bool]) -> u64 {
 
 /// Best-case bytes: only remote updates transfer, each `S·σ·J²` as in
 /// `B_ECABest` (§6.2) — `B = remote·S·σ·J²`.
-pub fn b_eca_aux_best(p: &Params, remote_updates: u64) -> f64 {
+#[cfg(test)]
+fn b_eca_aux_best(p: &Params, remote_updates: u64) -> f64 {
     remote_updates as f64
         * p.projected_bytes as f64
         * p.selectivity

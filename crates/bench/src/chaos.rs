@@ -223,12 +223,13 @@ fn run_point(
     seed: u64,
 ) -> ChaosPoint {
     let mut sim = single_site(fixture(), family.profile(seed, rate));
-    if family == Family::Crashes {
-        let dir = tmpdir(&format!("{scenario}-{seed}-{}", (rate * 100.0) as u32));
-        sim.enable_durability(DurabilityConfig::new(&dir))
+    let dir = (family == Family::Crashes)
+        .then(|| tmpdir(&format!("{scenario}-{seed}-{}", (rate * 100.0) as u32)));
+    if let Some(dir) = &dir {
+        sim.enable_durability(DurabilityConfig::new(dir))
             .expect("durability over scratch dir");
     }
-    match sim.run(Policy::Random { seed }) {
+    let point = match sim.run(Policy::Random { seed }) {
         Ok(report) => ChaosPoint {
             scenario,
             family,
@@ -254,7 +255,12 @@ fn run_point(
             raw_bytes: 0,
             logical_bytes: 0,
         },
+    };
+    // A failing point keeps its logs for inspection.
+    if let Some(dir) = dir.filter(|_| point.ok()) {
+        let _ = std::fs::remove_dir_all(dir);
     }
+    point
 }
 
 /// The three fixed seeds both the CI smoke job and the full sweep use.

@@ -20,10 +20,8 @@
 
 pub mod chaos;
 pub mod json;
-pub mod recovery;
 pub mod scenario_file;
 pub mod selfmaint;
-pub mod serving;
 
 use eca_core::algorithms::AlgorithmKind;
 use eca_sim::{Policy, RunReport, Simulation};

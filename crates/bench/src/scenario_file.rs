@@ -47,7 +47,7 @@ pub(crate) fn fail_at(line_no: usize, message: impl std::fmt::Display) -> String
 }
 
 /// Parse `(v1,v2,…)` into a tuple.
-pub fn parse_tuple(text: &str) -> Result<Tuple, String> {
+fn parse_tuple(text: &str) -> Result<Tuple, String> {
     let trimmed = text.trim();
     let inner = trimmed
         .strip_prefix('(')

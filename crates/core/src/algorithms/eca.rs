@@ -225,7 +225,8 @@ impl Eca {
 
     /// Number of pending compensating queries `|UQS|` (auxiliary rebuild
     /// queries excluded).
-    pub fn pending_queries(&self) -> usize {
+    #[cfg(test)]
+    fn pending_queries(&self) -> usize {
         self.uqs.len()
     }
 

@@ -13,7 +13,7 @@
 use std::fmt;
 
 use eca_relational::algebra::spj;
-use eca_relational::{RelationalError, SignedBag, SignedTuple, Tuple, Update};
+use eca_relational::{RelationalError, SignedBag, SignedTuple, Update};
 
 use crate::basedb::BaseLookup;
 use crate::view::ViewDef;
@@ -322,7 +322,8 @@ impl Query {
 
     /// `Q⟨U1,…,Uk⟩` applied left to right.
     #[must_use]
-    pub fn substitute_all(&self, updates: &[Update]) -> Query {
+    #[cfg(test)]
+    fn substitute_all(&self, updates: &[Update]) -> Query {
         updates.iter().fold(self.clone(), |q, u| q.substitute(u))
     }
 
@@ -358,7 +359,8 @@ impl Query {
 
     /// Split into one single-term query per term (LCA sends terms
     /// individually so answers can be routed to their owning update).
-    pub fn split_terms(&self) -> Vec<Query> {
+    #[cfg(test)]
+    fn split_terms(&self) -> Vec<Query> {
         self.terms
             .iter()
             .map(|t| Query {
@@ -382,25 +384,6 @@ impl fmt::Debug for Query {
         }
         Ok(())
     }
-}
-
-/// Convenience: evaluate `V⟨U⟩` semantics for tuples already at hand — used
-/// by Store-Copies and by tests. Equivalent to
-/// `view.substitute(update)?.eval(db)`.
-///
-/// # Errors
-/// Propagates substitution and evaluation errors.
-pub fn update_delta(
-    view: &ViewDef,
-    update: &Update,
-    db: &impl BaseLookup,
-) -> Result<SignedBag, crate::error::CoreError> {
-    Ok(view.substitute(update)?.eval(db)?)
-}
-
-/// Helper for constructing single-tuple test bags.
-pub fn singleton_bag(tuple: Tuple) -> SignedBag {
-    SignedBag::singleton(tuple)
 }
 
 #[cfg(test)]

@@ -282,21 +282,17 @@ impl PartialEq for ViewDef {
 
 impl Eq for ViewDef {}
 
-/// Builder helpers for the common chain-join shape used throughout the
-/// paper: `r1(A,B) ⋈ r2(B,C) ⋈ r3(C,D) …` joined on adjacent attributes.
-pub mod builders {
+#[cfg(test)]
+mod tests {
     use super::*;
-    use eca_relational::Predicate;
+    use crate::basedb::BaseDb;
+    use eca_relational::{Predicate, Tuple};
 
-    /// Build a chain equi-join view: each consecutive pair of relations is
-    /// joined on `last attribute of left = first attribute of right`, with
-    /// an optional extra condition and a projection given as product
-    /// column positions.
-    ///
-    /// # Errors
-    /// Propagates [`ViewDef::new`] validation errors.
-    pub fn chain_join(
-        name: impl Into<String>,
+    /// A chain equi-join view, the shape used throughout the paper:
+    /// `r1(A,B) ⋈ r2(B,C) ⋈ r3(C,D) …`, each consecutive pair joined on
+    /// `last attribute of left = first attribute of right`.
+    fn chain_join(
+        name: &str,
         base: Vec<Schema>,
         extra_cond: Predicate,
         proj: Vec<usize>,
@@ -311,13 +307,6 @@ pub mod builders {
         }
         ViewDef::new(name, base, cond.and(extra_cond), proj)
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::basedb::BaseDb;
-    use eca_relational::{Predicate, Tuple};
 
     fn example1_view() -> ViewDef {
         // V = π_W(r1 ⋈ r2), r1(W,X), r2(X,Y)
@@ -451,7 +440,7 @@ mod tests {
             Schema::new("r2", &["X", "Y"]),
             Schema::new("r3", &["Y", "Z"]),
         ];
-        let v = builders::chain_join("V", base, Predicate::True, vec![0, 5]).unwrap();
+        let v = chain_join("V", base, Predicate::True, vec![0, 5]).unwrap();
         let mut db = BaseDb::for_view(&v);
         db.insert("r1", Tuple::ints([1, 2]));
         db.insert("r2", Tuple::ints([2, 3]));

@@ -211,25 +211,30 @@ mod tests {
 
     #[test]
     fn write_load_roundtrip() {
-        let path = tmpdir("roundtrip").join("s.ckpt");
+        let dir = tmpdir("roundtrip");
+        let path = dir.join("s.ckpt");
         let ck = sample();
         ck.write(&path).unwrap();
         assert_eq!(SourceCheckpoint::load(&path).unwrap().unwrap(), ck);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn missing_file_loads_none() {
-        let path = tmpdir("missing").join("absent.ckpt");
+        let dir = tmpdir("missing");
+        let path = dir.join("absent.ckpt");
         let _ = std::fs::remove_file(&path);
         assert!(SourceCheckpoint::load(&path).unwrap().is_none());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn damaged_checkpoint_loads_none_at_every_truncation_and_flip() {
-        let path = tmpdir("damage").join("s.ckpt");
+        let dir = tmpdir("damage");
+        let path = dir.join("s.ckpt");
         sample().write(&path).unwrap();
         let full = std::fs::read(&path).unwrap();
-        let p = tmpdir("damage").join("cut.ckpt");
+        let p = dir.join("cut.ckpt");
         for cut in 0..full.len() {
             std::fs::write(&p, &full[..cut]).unwrap();
             assert!(
@@ -246,15 +251,18 @@ mod tests {
                 "flip at {byte} must not load"
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn rewrite_replaces_atomically() {
-        let path = tmpdir("rewrite").join("s.ckpt");
+        let dir = tmpdir("rewrite");
+        let path = dir.join("s.ckpt");
         let mut ck = sample();
         ck.write(&path).unwrap();
         ck.epoch = 99;
         ck.write(&path).unwrap();
         assert_eq!(SourceCheckpoint::load(&path).unwrap().unwrap().epoch, 99);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

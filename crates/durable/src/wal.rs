@@ -135,7 +135,8 @@ impl Wal {
     /// Drop every buffered (unsynced) record — the in-process stand-in
     /// for the machine dying: whatever the policy had not yet synced is
     /// gone, whatever it had synced survives on disk.
-    pub fn simulate_crash(&mut self) {
+    #[cfg(test)]
+    fn simulate_crash(&mut self) {
         self.buf.clear();
         self.buffered = 0;
     }
@@ -203,7 +204,8 @@ mod tests {
 
     #[test]
     fn append_scan_roundtrip() {
-        let path = tmpdir("roundtrip").join("a.wal");
+        let dir = tmpdir("roundtrip");
+        let path = dir.join("a.wal");
         let _ = std::fs::remove_file(&path);
         let mut wal = Wal::open(&path, FsyncPolicy::PerRecord).unwrap();
         let records = recs(5);
@@ -213,6 +215,7 @@ mod tests {
         let scan = Wal::scan(&path).unwrap();
         assert_eq!(scan.records, records);
         assert!(!scan.torn);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -235,6 +238,7 @@ mod tests {
             assert_eq!(scan.records.len(), survive, "{policy:?}");
             assert!(!scan.torn, "{policy:?}: a lost buffer is not a torn file");
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -271,11 +275,13 @@ mod tests {
             assert_eq!(again.records, scan.records);
         }
         assert_eq!(boundaries.len(), records.len() + 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn reset_empties_the_log_and_reopen_appends_after_tail() {
-        let path = tmpdir("reset").join("a.wal");
+        let dir = tmpdir("reset");
+        let path = dir.join("a.wal");
         let _ = std::fs::remove_file(&path);
         let mut wal = Wal::open(&path, FsyncPolicy::PerRecord).unwrap();
         for r in recs(3) {
@@ -289,5 +295,6 @@ mod tests {
         let mut wal = Wal::open(&path, FsyncPolicy::PerRecord).unwrap();
         wal.append(&recs(2)[1]).unwrap();
         assert_eq!(Wal::scan(&path).unwrap().records.len(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,6 +7,8 @@
 //! run on a fixed stream; the proptest harness then drives the same
 //! invariants over random streams × random damage.
 
+use std::path::{Path, PathBuf};
+
 use eca_durable::{FsyncPolicy, SourceCheckpoint, Wal, WalRecord};
 use eca_relational::{SignedBag, Tuple, Update};
 use proptest::prelude::*;
@@ -15,16 +17,18 @@ use proptest::prelude::*;
 const LEN_BYTES: std::ops::Range<usize> = 0..4;
 const CHECKSUM_BYTES: std::ops::Range<usize> = 4..12;
 
-fn tmpfile(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("eca-durable-torn-{}", std::process::id()));
+/// A temp directory private to one test (tests run in parallel in
+/// one process); each test removes it once it passes.
+fn test_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("eca-durable-torn-{test}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{tag}.wal"))
+    dir
 }
 
-/// Write `records` through a per-record-sync WAL and return the raw
-/// file image plus each record's frame boundary offset.
-fn written_image(tag: &str, records: &[WalRecord]) -> (std::path::PathBuf, Vec<u8>, Vec<usize>) {
-    let path = tmpfile(tag);
+/// Write `records` through a per-record-sync WAL in `dir` and return the
+/// raw file image plus each record's frame boundary offset.
+fn written_image(dir: &Path, records: &[WalRecord]) -> (Vec<u8>, Vec<usize>) {
+    let path = dir.join("image.wal");
     let _ = std::fs::remove_file(&path);
     let mut wal = Wal::open(&path, FsyncPolicy::PerRecord).unwrap();
     let mut boundaries = vec![0usize];
@@ -35,7 +39,7 @@ fn written_image(tag: &str, records: &[WalRecord]) -> (std::path::PathBuf, Vec<u
     drop(wal);
     let image = std::fs::read(&path).unwrap();
     assert_eq!(*boundaries.last().unwrap(), image.len());
-    (path, image, boundaries)
+    (image, boundaries)
 }
 
 fn fixed_stream() -> Vec<WalRecord> {
@@ -65,10 +69,11 @@ fn expect_survivors(boundaries: &[usize], cut: usize) -> usize {
 
 #[test]
 fn truncation_at_every_byte_offset_of_the_final_record() {
-    let (_, image, boundaries) = written_image("trunc-final", &fixed_stream());
+    let dir = test_dir("trunc-final");
+    let (image, boundaries) = written_image(&dir, &fixed_stream());
     let records = fixed_stream();
     let last_start = boundaries[boundaries.len() - 2];
-    let path = tmpfile("trunc-final-cut");
+    let path = dir.join("cut.wal");
     // Every byte offset inside the final record, including the frame
     // header bytes and the empty and full cuts.
     for cut in last_start..=image.len() {
@@ -83,13 +88,15 @@ fn truncation_at_every_byte_offset_of_the_final_record() {
         assert!(!clean.torn);
         assert_eq!(clean.records.len(), survive);
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn bit_flips_in_every_checksum_byte_reject_the_record() {
-    let (_, image, boundaries) = written_image("flip-checksum", &fixed_stream());
+    let dir = test_dir("flip-checksum");
+    let (image, boundaries) = written_image(&dir, &fixed_stream());
     let records = fixed_stream();
-    let path = tmpfile("flip-checksum-cut");
+    let path = dir.join("cut.wal");
     for rec in 0..records.len() {
         let start = boundaries[rec];
         for byte in CHECKSUM_BYTES {
@@ -111,13 +118,15 @@ fn bit_flips_in_every_checksum_byte_reject_the_record() {
             }
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn length_corruption_never_panics_or_over_reads() {
-    let (_, image, boundaries) = written_image("flip-len", &fixed_stream());
+    let dir = test_dir("flip-len");
+    let (image, boundaries) = written_image(&dir, &fixed_stream());
     let records = fixed_stream();
-    let path = tmpfile("flip-len-cut");
+    let path = dir.join("cut.wal");
     for rec in 0..records.len() {
         let start = boundaries[rec];
         for byte in LEN_BYTES {
@@ -136,6 +145,7 @@ fn length_corruption_never_panics_or_over_reads() {
             }
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn arb_record() -> impl Strategy<Value = WalRecord> {
@@ -176,10 +186,10 @@ proptest! {
         records in prop::collection::vec(arb_record(), 1..12),
         cut_ppm in 0u64..1_000_000,
     ) {
-        let (_, image, boundaries) =
-            written_image("prop-trunc", &records);
+        let dir = test_dir("prop-trunc");
+    let (image, boundaries) = written_image(&dir, &records);
         let cut = (image.len() as u64 * cut_ppm / 1_000_000) as usize;
-        let path = tmpfile("prop-trunc-cut");
+        let path = dir.join("cut.wal");
         std::fs::write(&path, &image[..cut]).unwrap();
         let scan = Wal::scan(&path).unwrap();
         let survive = expect_survivors(&boundaries, cut);
@@ -194,6 +204,7 @@ proptest! {
         wal.append(&WalRecord::Watermark { applied: 1 }).unwrap();
         drop(wal);
         prop_assert_eq!(Wal::scan(&path).unwrap().records.len(), survive + 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Random streams × a random single-byte corruption anywhere in the
@@ -205,11 +216,12 @@ proptest! {
         pos_ppm in 0u64..1_000_000,
         flip in 1u8..=255,
     ) {
-        let (_, image, boundaries) = written_image("prop-flip", &records);
+        let dir = test_dir("prop-flip");
+    let (image, boundaries) = written_image(&dir, &records);
         let pos = ((image.len() - 1) as u64 * pos_ppm / 1_000_000) as usize;
         let mut evil = image.clone();
         evil[pos] ^= flip;
-        let path = tmpfile("prop-flip-cut");
+        let path = dir.join("cut.wal");
         std::fs::write(&path, &evil).unwrap();
         let scan = Wal::scan(&path).unwrap();
         // The frame containing `pos` is the first that may die.
@@ -221,6 +233,7 @@ proptest! {
         // frames, so truncation is always safe.
         Wal::truncate_torn_tail(&path, &scan).unwrap();
         prop_assert!(!Wal::scan(&path).unwrap().torn);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -228,7 +241,8 @@ proptest! {
 /// detected, never deserialized.
 #[test]
 fn checkpoint_damage_is_detected_not_loaded() {
-    let path = tmpfile("ckpt");
+    let dir = test_dir("ckpt");
+    let path = dir.join("s.ckpt");
     let ck = SourceCheckpoint {
         epoch: 2,
         next_global_id: 11,
@@ -247,4 +261,5 @@ fn checkpoint_damage_is_detected_not_loaded() {
     }
     std::fs::write(&path, &image).unwrap();
     assert!(SourceCheckpoint::load(&path).unwrap().is_some());
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -102,15 +102,6 @@ impl SignedBag {
         bag
     }
 
-    /// A bag holding the given signed tuples.
-    pub fn from_signed(tuples: impl IntoIterator<Item = SignedTuple>) -> Self {
-        let mut bag = SignedBag::new();
-        for st in tuples {
-            bag.add(st.tuple, st.sign.factor());
-        }
-        bag
-    }
-
     /// A bag holding a single positive tuple.
     pub fn singleton(tuple: Tuple) -> Self {
         let mut bag = SignedBag::new();
@@ -296,7 +287,8 @@ impl SignedBag {
 
     /// Whether every count is non-negative, i.e. the bag is a plain
     /// (unsigned) relation.
-    pub fn is_plain(&self) -> bool {
+    #[cfg(test)]
+    fn is_plain(&self) -> bool {
         self.entries().all(|(_, c)| *c > 0)
     }
 

@@ -45,7 +45,8 @@ impl Modification {
 }
 
 /// Expand a mixed stream of modifications into plain updates.
-pub fn expand_all<'a>(mods: impl IntoIterator<Item = &'a Modification>) -> Vec<Update> {
+#[cfg(test)]
+fn expand_all<'a>(mods: impl IntoIterator<Item = &'a Modification>) -> Vec<Update> {
     mods.into_iter().flat_map(Modification::expand).collect()
 }
 

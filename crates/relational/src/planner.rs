@@ -159,9 +159,9 @@ fn distinct_keys(bag: &SignedBag, cols: &[usize]) -> f64 {
 /// smallest bag, then repeatedly pick the candidate with the smallest
 /// estimated joined cardinality — `|acc| · |cand| / distinct-keys(cand)`
 /// when an equality edge links it to the accumulator, `|acc| · |cand|`
-/// for a cross product. Exposed for planner tests.
+/// for a cross product.
 #[must_use]
-pub fn greedy_order(plan: &TermPlan, selected: &[SignedBag]) -> Vec<usize> {
+fn greedy_order(plan: &TermPlan, selected: &[SignedBag]) -> Vec<usize> {
     let n = selected.len();
     if n <= 1 {
         return (0..n).collect();

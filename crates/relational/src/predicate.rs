@@ -4,6 +4,7 @@
 use std::fmt;
 
 use crate::error::RelationalError;
+#[cfg(test)]
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -75,9 +76,8 @@ impl Operand {
 
 /// A boolean selection predicate over tuples.
 ///
-/// Predicates refer to attributes *positionally*; use
-/// [`Predicate::named_cmp`] to build them from attribute names via a
-/// schema.
+/// Predicates refer to attributes *positionally*; resolve attribute
+/// names with [`crate::Schema::position_of`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Predicate {
     /// Always true (`σ_true` ≡ no selection).
@@ -129,7 +129,8 @@ impl Predicate {
     ///
     /// # Errors
     /// Returns [`RelationalError::UnknownAttribute`] on unresolved names.
-    pub fn named_cmp(
+    #[cfg(test)]
+    fn named_cmp(
         schema: &Schema,
         lhs: &str,
         op: CmpOp,

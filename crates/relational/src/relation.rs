@@ -31,7 +31,8 @@ impl Relation {
     /// # Errors
     /// Returns [`RelationalError::ArityMismatch`] if a tuple does not match
     /// the schema arity.
-    pub fn with_tuples(
+    #[cfg(test)]
+    fn with_tuples(
         schema: Schema,
         tuples: impl IntoIterator<Item = Tuple>,
     ) -> Result<Self, RelationalError> {

@@ -109,7 +109,8 @@ impl Schema {
     ///
     /// # Errors
     /// Returns the first [`RelationalError::UnknownAttribute`] encountered.
-    pub fn positions_of(&self, attrs: &[&str]) -> Result<Vec<usize>, RelationalError> {
+    #[cfg(test)]
+    fn positions_of(&self, attrs: &[&str]) -> Result<Vec<usize>, RelationalError> {
         attrs.iter().map(|a| self.position_of(a)).collect()
     }
 

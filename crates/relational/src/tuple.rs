@@ -107,7 +107,8 @@ impl Sign {
     }
 
     /// The opposite sign.
-    pub fn negate(self) -> Sign {
+    #[cfg(test)]
+    fn negate(self) -> Sign {
         match self {
             Sign::Plus => Sign::Minus,
             Sign::Minus => Sign::Plus,

@@ -28,6 +28,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -447,13 +448,9 @@ impl<T: Transport> ReadClient<T> {
     }
 
     /// Mutable access to the underlying transport.
-    pub fn transport_mut(&mut self) -> &mut T {
+    #[cfg(test)]
+    fn transport_mut(&mut self) -> &mut T {
         &mut self.transport
-    }
-
-    /// Give the transport back (e.g. to close it explicitly).
-    pub fn into_transport(self) -> T {
-        self.transport
     }
 
     /// Send a read without waiting for the answer. At most one read may
@@ -517,7 +514,13 @@ impl<T: Transport> ReadClient<T> {
     }
 
     fn accept(&mut self, msg: Message) -> Result<ReadOutcome, ServeError> {
-        let (id, view, level, floor) = self.pending.take().expect("accept without pending");
+        // Only reachable with a read in flight; a message outside one is
+        // unsolicited, whatever its kind.
+        let Some((id, view, level, floor)) = self.pending.take() else {
+            return Err(ServeError::Protocol {
+                kind: kind_of(&msg),
+            });
+        };
         match msg {
             Message::ReadAnswer {
                 id: got_id,
@@ -560,7 +563,7 @@ impl<T: Transport> ReadClient<T> {
 mod tests {
     use super::*;
     use eca_relational::Tuple;
-    use eca_wire::InMemoryFifo;
+    use eca_wire::SharedFifo;
 
     fn registry() -> Arc<EpochRegistry> {
         Arc::new(EpochRegistry::new(
@@ -573,7 +576,7 @@ mod tests {
     fn serve_answers_reads_and_rejects_maintenance_traffic() {
         let reg = registry();
         let server = ReadServer::new(Arc::clone(&reg));
-        let (client_end, mut server_end) = InMemoryFifo::pair(TransferMeter::new());
+        let (client_end, mut server_end) = SharedFifo::pair(TransferMeter::new());
 
         let mut client = ReadClient::new(client_end);
         client.begin_read(0, ReadLevel::Strong).unwrap();
@@ -618,7 +621,7 @@ mod tests {
         reg.publish(0, &SignedBag::from_tuples([Tuple::ints([2])]), true);
         let server = ReadServer::new(Arc::clone(&reg));
 
-        let (c1, mut s1) = InMemoryFifo::pair(TransferMeter::new());
+        let (c1, mut s1) = SharedFifo::pair(TransferMeter::new());
         let mut client = ReadClient::new(c1);
         client.begin_read(0, ReadLevel::Weak).unwrap();
         server.serve_ready(&mut s1).unwrap();
@@ -629,7 +632,7 @@ mod tests {
         // "Reconnect": a brand-new channel, floors carried over. The
         // weak read must not regress even though the oldest ring entry
         // is older than the floor.
-        let (c2, mut s2) = InMemoryFifo::pair(TransferMeter::new());
+        let (c2, mut s2) = SharedFifo::pair(TransferMeter::new());
         let mut client = ReadClient::with_floors(c2, floors);
         client.begin_read(0, ReadLevel::Weak).unwrap();
         server.serve_ready(&mut s2).unwrap();

@@ -49,7 +49,7 @@ use eca_warehouse::{
     DurabilityConfig, RecoveryOutcome, SourceId, ViewId, Warehouse, WarehouseError,
 };
 use eca_wire::{
-    FaultKind, FaultPlan, FaultyTransport, InMemoryFifo, Message, ReliableLink, TransferMeter,
+    FaultKind, FaultPlan, FaultyTransport, Message, ReliableLink, SharedFifo, TransferMeter,
     Transport, WireQuery,
 };
 use rand::rngs::StdRng;
@@ -67,7 +67,7 @@ const STEP_CAP: u64 = 2_000_000;
 const CRASH_NEEDS_FACTORY: &str = "warehouse crash scheduled but a view was registered without \
                                    a factory (use add_view_with_factory)";
 
-type ChaosLink = ReliableLink<FaultyTransport<InMemoryFifo>>;
+type ChaosLink = ReliableLink<FaultyTransport<SharedFifo>>;
 
 /// Handle to a source site registered with a [`ChaosSimulation`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -228,13 +228,6 @@ pub struct LinkOverhead {
     pub raw_messages: u64,
     /// Messages the application logically transferred, both directions.
     pub logical_messages: u64,
-}
-
-impl LinkOverhead {
-    /// Extra bytes the session layer spent restoring §2 (raw − logical).
-    pub fn overhead_bytes(&self) -> u64 {
-        self.raw_bytes.saturating_sub(self.logical_bytes)
-    }
 }
 
 /// Everything observed during one chaos run.
@@ -407,7 +400,7 @@ impl ChaosSimulation {
         let source_id = self.warehouse.add_source(name.clone());
         let logical = TransferMeter::new();
         let raw = TransferMeter::new();
-        let (src_end, wh_end) = InMemoryFifo::pair(raw.clone());
+        let (src_end, wh_end) = SharedFifo::pair(raw.clone());
         let src_link = ReliableLink::new(
             FaultyTransport::new(src_end, profile.s2w.clone()),
             logical.clone(),
@@ -738,7 +731,7 @@ impl ChaosSimulation {
             self.sites[i].answer_watermarks.clear();
             let (src_t, wh_t) = {
                 let s = &mut self.sites[i];
-                let (src_end, wh_end) = InMemoryFifo::pair(s.raw.clone());
+                let (src_end, wh_end) = SharedFifo::pair(s.raw.clone());
                 let src_t = FaultyTransport::with_origin(
                     src_end,
                     s.profile.s2w.clone(),
@@ -813,7 +806,7 @@ impl ChaosSimulation {
             // Fresh pair on the same raw meter; fault sequence numbers
             // continue from where the dead pair stopped so scripted
             // points keep their meaning and fired resets never re-fire.
-            let (src_end, wh_end) = InMemoryFifo::pair(s.raw.clone());
+            let (src_end, wh_end) = SharedFifo::pair(s.raw.clone());
             let src_t = FaultyTransport::with_origin(
                 src_end,
                 s.profile.s2w.clone(),

@@ -230,10 +230,14 @@ fn run_reactor(case: EquivCase, workers: usize) -> Result<EquivOutcome, SimError
         })
         .collect();
     std::thread::scope(|scope| -> Result<(), SimError> {
-        scope.spawn(move || {
-            serve_fleet(&mut members).expect("equiv fleet serve failed");
-        });
-        rw.run(endpoints)?;
+        let fleet = scope.spawn(move || serve_fleet(&mut members));
+        let run = rw.run(endpoints);
+        // A panic on the fleet thread is a bug: re-raise it as it was.
+        let served = fleet
+            .join()
+            .unwrap_or_else(|p| std::panic::resume_unwind(p));
+        run?;
+        served?;
         Ok(())
     })?;
     let states = w.view_ids.iter().map(|id| rw.view_states(*id)).collect();
@@ -287,10 +291,14 @@ pub fn run_reactor_tcp(case: EquivCase, workers: usize) -> Result<EquivOutcome, 
         });
     }
     std::thread::scope(|scope| -> Result<(), SimError> {
-        scope.spawn(move || {
-            serve_fleet(&mut members).expect("equiv TCP fleet serve failed");
-        });
-        rw.run_listener(listener, &poller, &expected)?;
+        let fleet = scope.spawn(move || serve_fleet(&mut members));
+        let run = rw.run_listener(listener, &poller, &expected);
+        // A panic on the fleet thread is a bug: re-raise it as it was.
+        let served = fleet
+            .join()
+            .unwrap_or_else(|p| std::panic::resume_unwind(p));
+        run?;
+        served?;
         Ok(())
     })?;
     let states = view_ids.iter().map(|id| rw.view_states(*id)).collect();

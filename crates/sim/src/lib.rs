@@ -11,9 +11,10 @@
 //! The simulator is a pure *scheduler*, and there is one of it:
 //! [`ChaosSimulation`] drives one [`eca_warehouse::Warehouse`] runtime
 //! over any number of autonomous sources, each on its own channel.
-//! Messages move through an `eca_wire` link stack (encoded on send,
-//! decoded on delivery, so byte counts are real and codec faults surface
-//! as [`SimError::Transport`]) that is transparent unless a
+//! Messages move through an `eca_wire` link stack (its `ReliableLink`
+//! encodes each message into a frame payload on send and checks and
+//! decodes it on delivery, so byte counts are real and codec faults
+//! surface as [`SimError::Transport`]) that is transparent unless a
 //! [`ChaosProfile`] injects faults or crashes, maintenance state lives in
 //! the warehouse runtime, and the engine only decides *when* each enabled
 //! event fires, under a [`Policy`]:
@@ -34,6 +35,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod chaos;
 pub mod equiv;

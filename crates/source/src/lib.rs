@@ -15,6 +15,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -592,27 +593,36 @@ mod tests {
 
     #[test]
     fn serve_notifies_and_answers_until_hangup() {
-        use eca_wire::{InMemoryFifo, TransferMeter, Transport};
+        use eca_wire::{SharedFifo, TransferMeter, Transport};
 
-        let (mut src_end, mut wh_end) = InMemoryFifo::pair(TransferMeter::new());
+        let (mut src_end, mut wh_end) = SharedFifo::pair(TransferMeter::new());
         let (mut s, view) = example_source(Scenario::Indexed);
-
-        // Queue a query "from the warehouse" before serving; the
-        // in-memory link never blocks, so serve() drains it and returns
-        // as if the peer hung up.
-        let q = WireQuery::from_query(&view.as_query());
-        wh_end
-            .send(&eca_wire::Message::QueryRequest {
-                id: eca_core::QueryId(1),
-                query: q,
-            })
-            .unwrap();
-
         let script = [
             Update::insert("r2", Tuple::ints([2, 3])),
             Update::delete("r1", Tuple::ints([9, 9])), // ineffective
         ];
-        let stats = s.serve(&mut src_end, &script).unwrap();
+
+        let stats = std::thread::scope(|scope| {
+            let served = scope.spawn(|| s.serve(&mut src_end, &script));
+            // The warehouse end sees the notification, asks one query and
+            // gets its answer, then hangs up, which ends serve().
+            assert!(matches!(
+                wh_end.recv().unwrap(),
+                Some(eca_wire::Message::UpdateNotification { .. })
+            ));
+            wh_end
+                .send(&eca_wire::Message::QueryRequest {
+                    id: eca_core::QueryId(1),
+                    query: WireQuery::from_query(&view.as_query()),
+                })
+                .unwrap();
+            assert!(matches!(
+                wh_end.recv().unwrap(),
+                Some(eca_wire::Message::QueryAnswer { .. })
+            ));
+            drop(wh_end);
+            served.join().unwrap().unwrap()
+        });
         assert_eq!(
             stats,
             ServeStats {
@@ -622,16 +632,6 @@ mod tests {
                 ..ServeStats::default()
             }
         );
-
-        // The warehouse end sees the notification then the answer.
-        assert!(matches!(
-            wh_end.recv().unwrap(),
-            Some(eca_wire::Message::UpdateNotification { .. })
-        ));
-        assert!(matches!(
-            wh_end.recv().unwrap(),
-            Some(eca_wire::Message::QueryAnswer { .. })
-        ));
         assert!(src_end.meter().answer_bytes() > 0);
     }
 
@@ -640,16 +640,15 @@ mod tests {
     /// — even if the base relations changed in between.
     #[test]
     fn duplicate_query_replayed_idempotently() {
-        use eca_wire::{InMemoryFifo, TransferMeter, Transport};
+        use eca_wire::{SharedFifo, TransferMeter, Transport};
 
-        let (mut src_end, mut wh_end) = InMemoryFifo::pair(TransferMeter::new());
+        let (mut src_end, mut wh_end) = SharedFifo::pair(TransferMeter::new());
         let (mut s, view) = example_source(Scenario::Indexed);
 
         let q = WireQuery::from_query(&view.as_query());
-        // The same query id delivered three times in a row, with a
-        // state-changing update queued *between* the duplicates. A
-        // re-evaluation would see the extra r1 tuple; the replay cache
-        // must not.
+        // The same query id delivered three times in a row. A
+        // re-evaluation would see any state change in between; the replay
+        // cache must not.
         for _ in 0..3 {
             wh_end
                 .send(&Message::QueryRequest {
@@ -658,20 +657,23 @@ mod tests {
                 })
                 .unwrap();
         }
-        let stats = s.serve(&mut src_end, &[]).unwrap();
+        let (stats, answers) = std::thread::scope(|scope| {
+            let served = scope.spawn(|| s.serve(&mut src_end, &[]));
+            let answers: Vec<SignedBag> = (0..3)
+                .map(|_| {
+                    let Some(Message::QueryAnswer { id, answer }) = wh_end.recv().unwrap() else {
+                        panic!("expected answers only");
+                    };
+                    assert_eq!(id, QueryId(7));
+                    answer
+                })
+                .collect();
+            drop(wh_end);
+            (served.join().unwrap().unwrap(), answers)
+        });
         assert_eq!(stats.answers, 1);
         assert_eq!(stats.duplicates, 2);
         assert_eq!(s.queries_answered(), 1, "evaluated exactly once");
-
-        let mut answers = Vec::new();
-        while let Some(msg) = wh_end.recv().unwrap() {
-            let Message::QueryAnswer { id, answer } = msg else {
-                panic!("expected answers only");
-            };
-            assert_eq!(id, QueryId(7));
-            answers.push(answer);
-        }
-        assert_eq!(answers.len(), 3);
         assert_eq!(answers[0], answers[1]);
         assert_eq!(answers[1], answers[2]);
     }

@@ -142,7 +142,8 @@ impl StorageEngine {
     }
 
     /// Whether multi-term batching is enabled.
-    pub fn term_batching_enabled(&self) -> bool {
+    #[cfg(test)]
+    fn term_batching_enabled(&self) -> bool {
         self.batching
     }
 
@@ -245,7 +246,8 @@ impl StorageEngine {
     ///
     /// # Errors
     /// As [`StorageEngine::eval_query`].
-    pub fn explain_query(&self, query: &Query) -> Result<Vec<Vec<PlanStep>>, StorageError> {
+    #[cfg(test)]
+    fn explain_query(&self, query: &Query) -> Result<Vec<Vec<PlanStep>>, StorageError> {
         let mut memo = self.batching.then(BatchMemo::default);
         query
             .terms()

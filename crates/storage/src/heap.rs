@@ -136,11 +136,6 @@ impl HeapFile {
         self.tuples_per_block
     }
 
-    /// The clustering attribute position, if any.
-    pub fn cluster_attr(&self) -> Option<usize> {
-        self.cluster_attr
-    }
-
     /// All stored tuples in heap order.
     pub fn tuples(&self) -> &[Tuple] {
         &self.tuples

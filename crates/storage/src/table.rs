@@ -182,7 +182,8 @@ impl Table {
     /// nested-loop executor. Each yielded chunk charges one block read
     /// (the cache is deliberately bypassed: Scenario 2's premise is three
     /// memory blocks and no more).
-    pub fn scan_blocks(&self) -> impl Iterator<Item = &[Tuple]> + '_ {
+    #[cfg(test)]
+    fn scan_blocks(&self) -> impl Iterator<Item = &[Tuple]> + '_ {
         self.heap.blocks().inspect(|_| self.meter.charge_read(1))
     }
 

@@ -365,7 +365,7 @@ impl Shard {
 
 impl Warehouse {
     /// Whether durability is enabled.
-    pub fn durability_enabled(&self) -> bool {
+    fn durability_enabled(&self) -> bool {
         self.shards.iter().any(|s| s.durability.is_some())
     }
 
@@ -610,6 +610,7 @@ mod tests {
         );
         assert!(wh.is_quiescent());
         assert_eq!(*wh.materialized(view), view_def().eval(&db).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -646,6 +647,7 @@ mod tests {
         assert!(messages.is_empty(), "nothing was in flight");
         assert_eq!(*wh.materialized(view), view_def().eval(&db).unwrap());
         assert!(wh.is_quiescent());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -691,6 +693,7 @@ mod tests {
             outcomes[0]
         );
         assert_eq!(*wh.materialized(view), view_def().eval(&db).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -727,6 +730,7 @@ mod tests {
         }
         assert_eq!(plain.view_states(v1), durable.view_states(v2));
         assert_eq!(plain.epoch(src1), durable.epoch(src2));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -745,5 +749,6 @@ mod tests {
         let outcomes = wh.recover_durability(cfg).unwrap();
         assert!(outcomes[0].is_incremental());
         assert_eq!(wh.notifications_seen(src), 7);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -359,7 +359,8 @@ impl Warehouse {
     /// Handles of the views maintained over `source`, in registration
     /// order. Served from the shard's own table — no scan, no
     /// allocation.
-    pub fn views_over(&self, source: SourceId) -> &[ViewId] {
+    #[cfg(test)]
+    fn views_over(&self, source: SourceId) -> &[ViewId] {
         &self.shards[source.0].view_ids
     }
 
@@ -381,7 +382,8 @@ impl Warehouse {
 
     /// Whether one source's channel is settled: nothing pending on its
     /// session and every view over it healthy and quiescent.
-    pub fn source_quiescent(&self, source: SourceId) -> bool {
+    #[cfg(test)]
+    fn source_quiescent(&self, source: SourceId) -> bool {
         self.shards[source.0].is_quiescent()
     }
 
@@ -490,9 +492,9 @@ impl Warehouse {
     }
 
     /// Pump `source`'s transport until `expected_notifications` update
-    /// notifications have arrived and the channel is settled
-    /// ([`Warehouse::source_quiescent`]), blocking at most `stall` for
-    /// each message. Answer payloads are charged to the transport's
+    /// notifications have arrived and the channel is settled (nothing
+    /// pending on its session, every view over it healthy and
+    /// quiescent), blocking at most `stall` for each message. Answer payloads are charged to the transport's
     /// meter, as in [`Warehouse::pump`]. Returns the number of messages
     /// processed.
     ///

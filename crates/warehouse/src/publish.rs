@@ -162,7 +162,8 @@ impl EpochRegistry {
     }
 
     /// The epoch of view `view`'s latest quiesced snapshot.
-    pub fn strong_epoch(&self, view: usize) -> Option<u64> {
+    #[cfg(test)]
+    fn strong_epoch(&self, view: usize) -> Option<u64> {
         Some(lock(self.slots.get(view)?).strong.0)
     }
 }

@@ -27,11 +27,10 @@
 //!   compensating-query answers have piled up. The claim flag keeps
 //!   processing single-threaded per station, so events still apply in
 //!   arrival order.
-//! * **Backpressure.** Inboxes are bounded: once a station holds
-//!   [`ReactorWarehouse::set_inbox_cap`] undrained events its home
-//!   worker stops polling the transport, which (over a bounded
-//!   [`eca_wire::SharedFifo`]) blocks the flooding source while every
-//!   other station keeps making progress.
+//! * **Backpressure.** Inboxes are bounded: once a station holds 64
+//!   undrained events its home worker stops polling the transport,
+//!   which (over a bounded [`eca_wire::SharedFifo`]) blocks the
+//!   flooding source while every other station keeps making progress.
 //! * **Parking.** Workers snapshot a shared [`eca_wire::PollWaker`]
 //!   epoch before scanning; if a full scan makes no progress they sleep
 //!   on the waker, which every transport notifies on arrival and every
@@ -362,7 +361,8 @@ impl ReactorWarehouse {
     ///
     /// # Panics
     /// If `cap == 0` (a zero-slot inbox could never accept an event).
-    pub fn set_inbox_cap(&mut self, cap: usize) {
+    #[cfg(test)]
+    fn set_inbox_cap(&mut self, cap: usize) {
         assert!(cap > 0, "inbox capacity must be at least 1");
         self.inbox_cap = cap;
     }

@@ -230,12 +230,6 @@ impl<T: Transport> FaultyTransport<T> {
         }
     }
 
-    /// The injection log so far (replayable: a plan and message sequence
-    /// fully determine it).
-    pub fn injection_log(&self) -> &[FaultEvent] {
-        &self.log
-    }
-
     /// Drain the injection log.
     pub fn take_log(&mut self) -> Vec<FaultEvent> {
         std::mem::take(&mut self.log)
@@ -244,11 +238,6 @@ impl<T: Transport> FaultyTransport<T> {
     /// Whether a reset fired since the last call; clears the flag.
     pub fn take_reset(&mut self) -> bool {
         std::mem::take(&mut self.reset_pending)
-    }
-
-    /// Messages currently held back by delay faults.
-    pub fn held_back(&self) -> usize {
-        self.delayed.len()
     }
 
     /// The next send sequence number.
@@ -447,7 +436,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::InMemoryFifo;
+    use crate::transport::SharedFifo;
     use eca_relational::{Tuple, Update};
 
     fn notification(n: i64) -> Message {
@@ -466,18 +455,18 @@ mod tests {
 
     #[test]
     fn no_fault_plan_is_transparent() {
-        let (src, mut wh) = InMemoryFifo::pair(TransferMeter::new());
+        let (src, mut wh) = SharedFifo::pair(TransferMeter::new());
         let mut faulty = FaultyTransport::new(src, FaultPlan::none());
         for n in 0..5 {
             faulty.send(&notification(n)).unwrap();
         }
         assert_eq!(drain(&mut wh), (0..5).map(notification).collect::<Vec<_>>());
-        assert!(faulty.injection_log().is_empty());
+        assert!(faulty.take_log().is_empty());
     }
 
     #[test]
     fn scripted_drop_and_duplicate_fire_at_exact_points() {
-        let (src, mut wh) = InMemoryFifo::pair(TransferMeter::new());
+        let (src, mut wh) = SharedFifo::pair(TransferMeter::new());
         let plan = FaultPlan::none()
             .with_scripted(1, FaultKind::Drop)
             .with_scripted(3, FaultKind::Duplicate);
@@ -496,8 +485,8 @@ mod tests {
             ]
         );
         assert_eq!(
-            faulty.injection_log(),
-            &[
+            faulty.take_log(),
+            [
                 FaultEvent {
                     seq: 1,
                     kind: FaultKind::Drop
@@ -523,7 +512,7 @@ mod tests {
         };
         let run = |batch: bool| {
             let meter = TransferMeter::new();
-            let (src_end, wh_end) = InMemoryFifo::pair(meter.clone());
+            let (src_end, wh_end) = SharedFifo::pair(meter.clone());
             let mut faulty_src = FaultyTransport::new(src_end, plan());
             // The receiving end is wrapped too: its (unused) send-path
             // faults must not perturb the receive path.
@@ -552,7 +541,7 @@ mod tests {
     /// stays queued for later receives.
     #[test]
     fn wrapped_drain_respects_max() {
-        let (src, wh_end) = InMemoryFifo::pair(TransferMeter::new());
+        let (src, wh_end) = SharedFifo::pair(TransferMeter::new());
         let mut faulty_src = FaultyTransport::new(src, FaultPlan::none());
         let mut wh = FaultyTransport::new(wh_end, FaultPlan::none());
         for n in 0..5 {
@@ -566,7 +555,7 @@ mod tests {
 
     #[test]
     fn scripted_delay_reorders() {
-        let (src, mut wh) = InMemoryFifo::pair(TransferMeter::new());
+        let (src, mut wh) = SharedFifo::pair(TransferMeter::new());
         let plan = FaultPlan::none().with_scripted(0, FaultKind::Delay(2));
         let mut faulty = FaultyTransport::new(src, plan);
         for n in 0..4 {
@@ -586,7 +575,7 @@ mod tests {
 
     #[test]
     fn corrupt_flips_a_frame_payload_byte() {
-        let (src, mut wh) = InMemoryFifo::pair(TransferMeter::new());
+        let (src, mut wh) = SharedFifo::pair(TransferMeter::new());
         let plan = FaultPlan::none().with_scripted(0, FaultKind::Corrupt);
         let mut faulty = FaultyTransport::new(src, plan);
         let payload = notification(1).encode();
@@ -614,7 +603,7 @@ mod tests {
 
     #[test]
     fn reset_kills_the_endpoint_until_observed() {
-        let (src, mut wh) = InMemoryFifo::pair(TransferMeter::new());
+        let (src, mut wh) = SharedFifo::pair(TransferMeter::new());
         let plan = FaultPlan::none().with_resets(&[1]);
         let mut faulty = FaultyTransport::new(src, plan);
         faulty.send(&notification(0)).unwrap();
@@ -634,7 +623,7 @@ mod tests {
     #[test]
     fn probabilistic_plans_are_replayable() {
         let run = |seed: u64| {
-            let (src, mut wh) = InMemoryFifo::pair(TransferMeter::new());
+            let (src, mut wh) = SharedFifo::pair(TransferMeter::new());
             let mut faulty = FaultyTransport::new(src, FaultPlan::mixed(seed, 0.3));
             for n in 0..50 {
                 let _ = faulty.send(&notification(n));

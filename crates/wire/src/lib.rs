@@ -13,8 +13,8 @@
 //!   every query carries its own relation list, condition and projection,
 //! * [`TransferMeter`] — per-direction message/byte accounting,
 //! * [`Transport`] — the channel abstraction of §3 (reliable, FIFO per
-//!   direction), with a deterministic in-process pair ([`InMemoryFifo`])
-//!   and a framed TCP implementation ([`TcpTransport`]),
+//!   direction), with an in-process pair ([`SharedFifo`]) and a framed
+//!   TCP implementation ([`TcpTransport`]),
 //! * [`FaultyTransport`] — a seed-driven decorator that *violates* the §2
 //!   channel assumptions on purpose (drops, duplicates, reorders,
 //!   corruption, resets) for chaos testing,
@@ -24,6 +24,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod codec;
 pub mod fault;
@@ -38,8 +39,8 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultyTransport};
 pub use message::{Message, ReadLevel, WireQuery, WireTerm};
 pub use meter::{Direction, TransferMeter};
 pub use poller::{PollToken, Poller};
-pub use reliable::{fnv1a_checksum, LinkStats, ReliableConfig, ReliableLink};
+pub use reliable::{fnv1a_checksum, LinkStats, ReliableLink};
 pub use transport::{
-    read_frame, read_frame_capped, write_frame, FrameDecoder, InMemoryFifo, PollWaker, Readiness,
-    Role, SharedFifo, TcpTransport, Transport, TransportError, MAX_FRAME_LEN,
+    read_frame, read_frame_capped, write_frame, FrameDecoder, PollWaker, Readiness, Role,
+    SharedFifo, TcpTransport, Transport, TransportError, MAX_FRAME_LEN,
 };

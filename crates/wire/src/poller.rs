@@ -185,7 +185,8 @@ impl Poller {
     }
 
     /// Number of live registrations (diagnostics / tests).
-    pub fn watched(&self) -> usize {
+    #[cfg(test)]
+    fn watched(&self) -> usize {
         lock(&self.shared.registry)
             .slots
             .iter()

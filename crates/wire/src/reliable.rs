@@ -48,28 +48,17 @@ pub fn fnv1a_checksum(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Tuning for the retransmission machinery (virtual-clock ticks).
-#[derive(Clone, Copy, Debug)]
-pub struct ReliableConfig {
-    /// Ticks before the first retransmission of an unacked frame.
-    pub base_timeout: u64,
-    /// Cap on the backoff shift: the timeout is
-    /// `base_timeout << min(retries, max_backoff_exp)`.
-    pub max_backoff_exp: u32,
-    /// Consecutive retransmission rounds without ack progress before the
-    /// link declares itself wedged.
-    pub max_retries: u32,
-}
+/// Virtual-clock ticks before the first retransmission of an unacked
+/// frame.
+const BASE_TIMEOUT: u64 = 32;
 
-impl Default for ReliableConfig {
-    fn default() -> Self {
-        ReliableConfig {
-            base_timeout: 32,
-            max_backoff_exp: 4,
-            max_retries: 12,
-        }
-    }
-}
+/// Cap on the backoff shift: the timeout is
+/// `BASE_TIMEOUT << min(retries, MAX_BACKOFF_EXP)`.
+const MAX_BACKOFF_EXP: u32 = 4;
+
+/// Consecutive retransmission rounds without ack progress before the
+/// link declares itself wedged.
+const MAX_RETRIES: u32 = 12;
 
 /// Counters describing what the link absorbed on behalf of the
 /// application.
@@ -90,16 +79,14 @@ pub struct LinkStats {
 /// One endpoint of a reliable session over an unreliable transport.
 ///
 /// Implements [`Transport`], so it drops into any place a plain
-/// transport is used. Like [`crate::InMemoryFifo`], `recv` does not
-/// block when the decorated transport does not: its `Ok(None)` means "no
+/// transport is used. `recv` never blocks: its `Ok(None)` means "no
 /// message released right now"; use [`Transport::recv_timeout`] for a
-/// bounded blocking wait over blocking transports.
+/// bounded blocking wait.
 pub struct ReliableLink<T: Transport> {
     inner: T,
     role: Role,
     /// The logical meter: unique application messages only.
     meter: TransferMeter,
-    config: ReliableConfig,
     epoch: u64,
     /// Virtual clock: ticks once per service pass.
     now: u64,
@@ -129,17 +116,11 @@ impl<T: Transport> ReliableLink<T> {
     /// message at (logical) send time, shared by both endpoints of a
     /// simulated channel.
     pub fn new(inner: T, meter: TransferMeter) -> Self {
-        ReliableLink::with_config(inner, meter, ReliableConfig::default())
-    }
-
-    /// Wrap `inner` with explicit retransmission tuning.
-    pub fn with_config(inner: T, meter: TransferMeter, config: ReliableConfig) -> Self {
         let role = inner.role();
         ReliableLink {
             inner,
             role,
             meter,
-            config,
             epoch: 0,
             now: 0,
             next_send_seq: 0,
@@ -166,21 +147,9 @@ impl<T: Transport> ReliableLink<T> {
         self.epoch = self.epoch.max(epoch);
     }
 
-    /// Announce the current epoch to the peer immediately.
-    pub fn announce_epoch(&mut self) {
-        let epoch = self.epoch;
-        let _ = self.inner.send(&Message::Hello { epoch });
-    }
-
     /// Frames sent but not yet acknowledged.
     pub fn in_flight(&self) -> usize {
         self.unacked.len()
-    }
-
-    /// The encoded application payloads currently unacknowledged, oldest
-    /// first — what would be lost if this endpoint's state disappeared.
-    pub fn unacked_payloads(&self) -> Vec<Bytes> {
-        self.unacked.values().cloned().collect()
     }
 
     /// Whether nothing is in flight or buffered out of order.
@@ -203,12 +172,6 @@ impl<T: Transport> ReliableLink<T> {
     /// The virtual clock.
     pub fn now(&self) -> u64 {
         self.now
-    }
-
-    /// The decorated transport's meter (envelope + retransmission
-    /// traffic: the raw side of the overhead accounting).
-    pub fn raw_meter(&self) -> &TransferMeter {
-        self.inner.meter()
     }
 
     /// The decorated transport.
@@ -306,7 +269,7 @@ impl<T: Transport> ReliableLink<T> {
             return;
         }
         self.retries += 1;
-        if self.retries > self.config.max_retries {
+        if self.retries > MAX_RETRIES {
             self.wedged = true;
             return;
         }
@@ -328,8 +291,8 @@ impl<T: Transport> ReliableLink<T> {
             let _ = self.inner.send(&frame);
             self.stats.retransmits += 1;
         }
-        let shift = self.retries.min(self.config.max_backoff_exp);
-        self.retransmit_at = Some(self.now + (self.config.base_timeout << shift));
+        let shift = self.retries.min(MAX_BACKOFF_EXP);
+        self.retransmit_at = Some(self.now + (BASE_TIMEOUT << shift));
     }
 
     fn adopt_epoch(&mut self, epoch: u64) {
@@ -389,7 +352,7 @@ impl<T: Transport> ReliableLink<T> {
                     self.retransmit_at = if self.unacked.is_empty() {
                         None
                     } else {
-                        Some(self.now + self.config.base_timeout)
+                        Some(self.now + BASE_TIMEOUT)
                     };
                 }
             }
@@ -425,7 +388,7 @@ impl<T: Transport> Transport for ReliableLink<T> {
         };
         self.unacked.insert(seq, payload);
         if self.retransmit_at.is_none() {
-            self.retransmit_at = Some(self.now + self.config.base_timeout);
+            self.retransmit_at = Some(self.now + BASE_TIMEOUT);
             self.retries = 0;
         }
         // A failed first transmission is indistinguishable from an
@@ -450,9 +413,8 @@ impl<T: Transport> Transport for ReliableLink<T> {
     }
 
     fn recv(&mut self) -> Result<Option<Message>, TransportError> {
-        // Non-blocking, like the in-memory pair: deterministic drivers
-        // schedule delivery themselves; blocking callers use
-        // `recv_timeout`.
+        // Non-blocking: deterministic drivers schedule delivery
+        // themselves; blocking callers use `recv_timeout`.
         self.try_recv()
     }
 
@@ -540,7 +502,7 @@ impl<T: Transport> Transport for ReliableLink<T> {
 mod tests {
     use super::*;
     use crate::fault::{FaultKind, FaultPlan, FaultyTransport};
-    use crate::transport::InMemoryFifo;
+    use crate::transport::SharedFifo;
     use eca_relational::{Tuple, Update};
 
     fn notification(n: i64) -> Message {
@@ -549,7 +511,7 @@ mod tests {
         }
     }
 
-    type SimLink = ReliableLink<FaultyTransport<InMemoryFifo>>;
+    type SimLink = ReliableLink<FaultyTransport<SharedFifo>>;
 
     /// A connected pair of reliable links over faulty transports sharing
     /// a logical meter (`src_plan` perturbs source→warehouse traffic,
@@ -557,7 +519,7 @@ mod tests {
     fn linked(src_plan: FaultPlan, wh_plan: FaultPlan) -> (SimLink, SimLink, TransferMeter) {
         let raw = TransferMeter::new();
         let logical = TransferMeter::new();
-        let (src_end, wh_end) = InMemoryFifo::pair(raw);
+        let (src_end, wh_end) = SharedFifo::pair(raw);
         let src = ReliableLink::new(FaultyTransport::new(src_end, src_plan), logical.clone());
         let wh = ReliableLink::new(FaultyTransport::new(wh_end, wh_plan), logical.clone());
         (src, wh, logical)
@@ -600,7 +562,7 @@ mod tests {
         );
         // Acks flowed on the raw channel only.
         assert_eq!(logical.messages_w2s(), 0);
-        assert!(src.raw_meter().messages_w2s() > 0);
+        assert!(src.inner_mut().meter().messages_w2s() > 0);
     }
 
     /// A batch drain through the session layer must equal N sequential
@@ -633,7 +595,7 @@ mod tests {
             (
                 out,
                 logical,
-                wh.raw_meter().clone(),
+                wh.inner_mut().meter().clone(),
                 wh.stats().duplicates_dropped,
             )
         };
@@ -747,7 +709,7 @@ mod tests {
         assert_eq!(src.in_flight(), 1, "payload retained while wedged");
         // Rewire over a clean channel: the unacked frame is flushed.
         let raw = TransferMeter::new();
-        let (src_end, wh_end) = InMemoryFifo::pair(raw);
+        let (src_end, wh_end) = SharedFifo::pair(raw);
         src.reconnect(FaultyTransport::new(src_end, FaultPlan::none()));
         wh.reconnect(FaultyTransport::new(wh_end, FaultPlan::none()));
         assert_eq!(drive(&mut src, &mut wh, 50_000), vec![notification(5)]);
@@ -759,10 +721,10 @@ mod tests {
     fn restart_loses_unacked_and_restarts_sequences() {
         let (mut src, mut wh, _) = linked(FaultPlan::drops(0, 1.0), FaultPlan::none());
         src.send(&notification(1)).unwrap();
-        assert_eq!(src.unacked_payloads().len(), 1);
+        assert_eq!(src.in_flight(), 1);
         // Crash semantics: state gone, fresh channel, epoch bumped.
         let raw = TransferMeter::new();
-        let (src_end, wh_end) = InMemoryFifo::pair(raw);
+        let (src_end, wh_end) = SharedFifo::pair(raw);
         src.restart(FaultyTransport::new(src_end, FaultPlan::none()), 1);
         wh.restart(FaultyTransport::new(wh_end, FaultPlan::none()), 1);
         assert_eq!(src.in_flight(), 0, "the unacked frame is gone for good");
@@ -776,7 +738,7 @@ mod tests {
     fn epoch_is_adopted_from_frames_and_hello() {
         let (mut src, mut wh, _) = linked(FaultPlan::none(), FaultPlan::none());
         wh.set_epoch(3);
-        wh.announce_epoch();
+        wh.inner_mut().send(&Message::Hello { epoch: 3 }).unwrap();
         let _ = src.try_recv().unwrap();
         assert_eq!(src.epoch(), 3, "hello carried the epoch");
         src.send(&notification(1)).unwrap();

@@ -6,17 +6,14 @@
 //! physical medium — is up to the deployment. [`Transport`] captures
 //! exactly that contract: an *endpoint* of a bidirectional channel whose
 //! two directions are independently FIFO, with every message charged to a
-//! [`TransferMeter`] in its direction of travel. Three implementations:
+//! [`TransferMeter`] in its direction of travel. Two implementations:
 //!
-//! * [`InMemoryFifo`] — a deterministic in-process pair used by `eca-sim`.
-//!   Messages round-trip through the codec on every delivery, so the
-//!   simulator's byte counts are measured on real encodings and decode
-//!   faults surface exactly as they would on a real link.
-//! * [`SharedFifo`] — a `Send` in-process pair with blocking receives and
-//!   optional backpressure, for deployments whose two ends share one
-//!   process. It queues [`Message`] values without encoding them, meters
-//!   [`Message::encoded_len`] (the codec's exact size, computed without
-//!   encoding), and wakes its condvar only when a thread is parked on it.
+//! * [`SharedFifo`] — the in-process pair, for the simulator and for
+//!   deployments whose two ends share one process. It is `Send`, has
+//!   blocking receives and optional backpressure, queues [`Message`]
+//!   values without encoding them, meters [`Message::encoded_len`] (the
+//!   codec's exact size, computed without encoding), and wakes its
+//!   condvar only when a thread is parked on it.
 //! * [`TcpTransport`] — length-prefixed frames over a *non-blocking*
 //!   `std::net::TcpStream`: an incremental [`FrameDecoder`] reassembles
 //!   frames across partial reads, sends queue into a bounded outbound
@@ -28,18 +25,16 @@
 //!   connection.
 //!
 //! Metering convention: each message is charged once per meter, in its
-//! direction of travel. The [`InMemoryFifo`] and [`SharedFifo`] pairs
-//! each share one meter and charge at send time; each [`TcpTransport`]
-//! endpoint owns its meter and charges sends at write time and receives
-//! at decode time, so either side of a real deployment observes the same
-//! per-direction totals the simulator would.
+//! direction of travel. A [`SharedFifo`] pair shares one meter and
+//! charges at send time; each [`TcpTransport`] endpoint owns its meter
+//! and charges sends at write time and receives at decode time, so
+//! either side of a real deployment observes the same per-direction
+//! totals the simulator would.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -298,9 +293,9 @@ pub trait Transport {
     fn try_recv(&mut self) -> Result<Option<Message>, TransportError>;
 
     /// Block until an inbound message arrives. `Ok(None)` means the peer
-    /// hung up cleanly and no further message will ever arrive. The
-    /// in-memory transport never blocks: its `Ok(None)` means the queue
-    /// is currently empty.
+    /// hung up cleanly and no further message will ever arrive.
+    /// [`crate::ReliableLink`] is the exception: it never blocks, and its
+    /// `Ok(None)` means no message is released right now.
     ///
     /// # Errors
     /// [`TransportError::Decode`] on a malformed frame.
@@ -588,136 +583,6 @@ impl FrameDecoder {
 // In-memory pair.
 // ---------------------------------------------------------------------------
 
-#[derive(Default)]
-struct Link {
-    s2w: VecDeque<Bytes>,
-    w2s: VecDeque<Bytes>,
-}
-
-impl Link {
-    fn queue_mut(&mut self, direction: Direction) -> &mut VecDeque<Bytes> {
-        match direction {
-            Direction::SourceToWarehouse => &mut self.s2w,
-            Direction::WarehouseToSource => &mut self.w2s,
-        }
-    }
-
-    fn queue(&self, direction: Direction) -> &VecDeque<Bytes> {
-        match direction {
-            Direction::SourceToWarehouse => &self.s2w,
-            Direction::WarehouseToSource => &self.w2s,
-        }
-    }
-}
-
-/// One endpoint of a deterministic in-process FIFO pair.
-///
-/// Both endpoints share a single [`TransferMeter`] (charged at send time)
-/// and the same pair of byte queues, so a driver holding both ends — the
-/// simulator — observes exactly the channel state the paper's event model
-/// requires. Messages are stored *encoded*; every receive decodes, so
-/// codec faults surface on delivery just as on a real link.
-pub struct InMemoryFifo {
-    role: Role,
-    link: Rc<RefCell<Link>>,
-    meter: TransferMeter,
-}
-
-impl InMemoryFifo {
-    /// A connected `(source endpoint, warehouse endpoint)` pair sharing
-    /// `meter`.
-    pub fn pair(meter: TransferMeter) -> (InMemoryFifo, InMemoryFifo) {
-        let link = Rc::new(RefCell::new(Link::default()));
-        (
-            InMemoryFifo {
-                role: Role::Source,
-                link: Rc::clone(&link),
-                meter: meter.clone(),
-            },
-            InMemoryFifo {
-                role: Role::Warehouse,
-                link,
-                meter,
-            },
-        )
-    }
-}
-
-impl Transport for InMemoryFifo {
-    fn role(&self) -> Role {
-        self.role
-    }
-
-    fn send(&mut self, msg: &Message) -> Result<(), TransportError> {
-        let payload = msg.encode();
-        self.meter
-            .record(self.role.outbound(), payload.len() as u64);
-        self.link
-            .borrow_mut()
-            .queue_mut(self.role.outbound())
-            .push_back(payload);
-        Ok(())
-    }
-
-    fn try_recv(&mut self) -> Result<Option<Message>, TransportError> {
-        let popped = self
-            .link
-            .borrow_mut()
-            .queue_mut(self.role.inbound())
-            .pop_front();
-        match popped {
-            Some(payload) => Ok(Some(Message::decode(payload)?)),
-            None => Ok(None),
-        }
-    }
-
-    fn recv(&mut self) -> Result<Option<Message>, TransportError> {
-        // In-process queues cannot block; an empty queue reads as "no
-        // message pending", which a deterministic driver interprets via
-        // `has_inbound` anyway.
-        self.try_recv()
-    }
-
-    fn recv_timeout(
-        &mut self,
-        _timeout: std::time::Duration,
-    ) -> Result<Option<Message>, TransportError> {
-        // Single-threaded: nothing can arrive while we wait, so an empty
-        // queue times out immediately rather than sleeping pointlessly.
-        if let Some(msg) = self.try_recv()? {
-            return Ok(Some(msg));
-        }
-        if self.poll()? == Readiness::Closed {
-            return Ok(None);
-        }
-        Err(TransportError::Timeout)
-    }
-
-    fn has_inbound(&mut self) -> bool {
-        !self.link.borrow().queue(self.role.inbound()).is_empty()
-    }
-
-    fn poll(&mut self) -> Result<Readiness, TransportError> {
-        if self.has_inbound() {
-            Ok(Readiness::Ready)
-        } else if Rc::strong_count(&self.link) == 1 {
-            // `pair` hands out exactly two handles to the link; being the
-            // only one left means the peer endpoint was dropped.
-            Ok(Readiness::Closed)
-        } else {
-            Ok(Readiness::Idle)
-        }
-    }
-
-    fn meter(&self) -> &TransferMeter {
-        &self.meter
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Thread-safe in-memory pair.
-// ---------------------------------------------------------------------------
-
 struct SharedLink {
     s2w: VecDeque<Message>,
     w2s: VecDeque<Message>,
@@ -780,32 +645,28 @@ impl SharedLink {
     }
 }
 
-/// The [`InMemoryFifo`] semantics behind `Send` + blocking primitives: the
-/// in-process transport for *threaded* and same-thread deployments that
-/// do not need a simulator's determinism (the reactor's in-process
-/// channels, the serving stack's maintenance feed, the benchmark rig).
+/// The in-process transport: the simulator's channels, the reactor's
+/// in-process channels, the serving stack's maintenance feed and the
+/// benchmark rig.
 ///
-/// Differences from [`InMemoryFifo`], which remains the deterministic
-/// single-threaded simulator transport:
-///
-/// * endpoints can move across threads (`Arc<Mutex>` instead of
-///   `Rc<RefCell>`),
-/// * [`Transport::recv`] genuinely blocks until a message arrives or the
-///   peer hangs up (returning `Ok(None)` only for a hang-up, exactly like
-///   [`TcpTransport`]),
-/// * dropping an endpoint closes its side, waking any blocked peer,
-/// * messages are queued as values, never encoded: an in-process hop has
+/// * Endpoints can move across threads.
+/// * [`Transport::recv`] blocks until a message arrives or the peer hangs
+///   up (returning `Ok(None)` only for a hang-up, exactly like
+///   [`TcpTransport`]); a single-threaded driver uses
+///   [`Transport::try_recv`] instead.
+/// * Dropping an endpoint closes its side, waking any blocked peer.
+/// * Messages are queued as values, never encoded: an in-process hop has
 ///   no wire to cross, so it pays one clone instead of an encode and a
-///   decode, and
-/// * the condvar is notified only when a thread is parked on it (a
+///   decode.
+/// * The condvar is notified only when a thread is parked on it (a
 ///   blocked `recv`/`recv_timeout`, or a bounded `send` waiting for a
 ///   slot), so a same-thread or poll-driven deployment makes no wake
 ///   syscall per message. A registered [`PollWaker`] is notified on every
 ///   send regardless.
 ///
-/// Metering matches [`InMemoryFifo`] byte for byte: the pair shares one
-/// [`TransferMeter`] charged at send time with [`Message::encoded_len`],
-/// the exact size the codec would produce.
+/// Both endpoints share one [`TransferMeter`], charged at send time with
+/// [`Message::encoded_len`]: the exact size the codec would produce, so
+/// byte counts match a TCP link's.
 pub struct SharedFifo {
     role: Role,
     link: Arc<(Mutex<SharedLink>, Condvar)>,
@@ -1416,10 +1277,13 @@ impl Transport for TcpTransport {
         // One service pass, then decode straight out of the frame
         // queue: the whole batch costs one read syscall sequence.
         self.pump();
-        let take = self.inbound.len().min(max);
-        for _ in 0..take {
-            let frame = self.inbound.pop_front().expect("counted above");
+        let mut take = 0;
+        while take < max {
+            let Some(frame) = self.inbound.pop_front() else {
+                break;
+            };
             out.push(Message::decode(frame)?);
+            take += 1;
         }
         if take == 0 {
             if let Some(fault) = self.take_fault() {
@@ -1495,31 +1359,8 @@ mod tests {
     }
 
     #[test]
-    fn in_memory_pair_is_fifo_and_metered() {
-        let meter = TransferMeter::new();
-        let (mut src, mut wh) = InMemoryFifo::pair(meter.clone());
-        assert_eq!(src.role(), Role::Source);
-        assert_eq!(wh.role(), Role::Warehouse);
-
-        src.send(&notification(1)).unwrap();
-        src.send(&notification(2)).unwrap();
-        assert!(wh.has_inbound());
-        assert!(!src.has_inbound());
-        assert_eq!(wh.try_recv().unwrap(), Some(notification(1)));
-        assert_eq!(wh.recv().unwrap(), Some(notification(2)));
-        assert_eq!(wh.try_recv().unwrap(), None);
-
-        assert_eq!(meter.messages_s2w(), 2);
-        assert_eq!(
-            meter.bytes_s2w(),
-            (notification(1).encoded_len() + notification(2).encoded_len()) as u64
-        );
-        assert_eq!(meter.messages_w2s(), 0);
-    }
-
-    #[test]
     fn in_memory_directions_are_independent() {
-        let (mut src, mut wh) = InMemoryFifo::pair(TransferMeter::new());
+        let (mut src, mut wh) = SharedFifo::pair(TransferMeter::new());
         let query = Message::QueryAnswer {
             id: QueryId(1),
             answer: SignedBag::new(),
@@ -1864,7 +1705,7 @@ mod tests {
 
     #[test]
     fn in_memory_poll_observes_peer_drop() {
-        let (mut src, wh) = InMemoryFifo::pair(TransferMeter::new());
+        let (mut src, wh) = SharedFifo::pair(TransferMeter::new());
         assert_eq!(src.poll().unwrap(), Readiness::Idle);
         drop(wh);
         assert_eq!(src.poll().unwrap(), Readiness::Closed);
@@ -1922,23 +1763,6 @@ mod tests {
             src.close();
             drop(src); // close() then drop: second close is a no-op
         }
-    }
-
-    #[test]
-    fn in_memory_recv_timeout_never_sleeps() {
-        let (mut src, wh) = InMemoryFifo::pair(TransferMeter::new());
-        // Empty but connected: immediate Timeout (nothing can arrive).
-        assert!(matches!(
-            src.recv_timeout(std::time::Duration::from_secs(60)),
-            Err(TransportError::Timeout)
-        ));
-        drop(wh);
-        // Peer gone: clean hang-up, not a timeout.
-        assert_eq!(
-            src.recv_timeout(std::time::Duration::from_secs(60))
-                .unwrap(),
-            None
-        );
     }
 
     #[test]

@@ -2,18 +2,18 @@
 //! the paper's §2 channel contract. For *arbitrary* bounded
 //! drop/duplicate/delay/corrupt plans — in both directions at once — any
 //! message sequence is delivered exactly once and in order, and the
-//! link's logical meter charges exactly what a plain [`InMemoryFifo`]
+//! link's logical meter charges exactly what a plain [`SharedFifo`]
 //! run charges (the differential), so reliability stays invisible to the
 //! byte accounting the paper's figures are built from.
 
 use eca_relational::{Tuple, Update};
 use eca_wire::{
-    FaultPlan, FaultyTransport, InMemoryFifo, Message, ReliableLink, TransferMeter, Transport,
+    FaultPlan, FaultyTransport, Message, ReliableLink, SharedFifo, TransferMeter, Transport,
     TransportError,
 };
 use proptest::prelude::*;
 
-type Link = ReliableLink<FaultyTransport<InMemoryFifo>>;
+type Link = ReliableLink<FaultyTransport<SharedFifo>>;
 
 fn notification(n: i64) -> Message {
     Message::UpdateNotification {
@@ -65,7 +65,7 @@ fn pump(link: &mut Link, out: &mut Vec<Message>) -> bool {
 /// swap in a clean connection; session state survives, so everything
 /// unacked is retransmitted and delivery stays exactly-once.
 fn rewire(src: &mut Link, wh: &mut Link, raw: &TransferMeter) {
-    let (src_end, wh_end) = InMemoryFifo::pair(raw.clone());
+    let (src_end, wh_end) = SharedFifo::pair(raw.clone());
     src.reconnect(FaultyTransport::new(src_end, FaultPlan::none()));
     wh.reconnect(FaultyTransport::new(wh_end, FaultPlan::none()));
 }
@@ -84,7 +84,7 @@ proptest! {
     ) {
         let raw = TransferMeter::new();
         let logical = TransferMeter::new();
-        let (src_end, wh_end) = InMemoryFifo::pair(raw.clone());
+        let (src_end, wh_end) = SharedFifo::pair(raw.clone());
         let mut src: Link = ReliableLink::new(FaultyTransport::new(src_end, s2w), logical.clone());
         let mut wh: Link = ReliableLink::new(FaultyTransport::new(wh_end, w2s), logical.clone());
 
@@ -123,7 +123,7 @@ proptest! {
         // charge the identical meter — the link's frames, acks and
         // retransmissions live on the raw meter only.
         let plain_meter = TransferMeter::new();
-        let (mut plain_src, mut plain_wh) = InMemoryFifo::pair(plain_meter.clone());
+        let (mut plain_src, mut plain_wh) = SharedFifo::pair(plain_meter.clone());
         for m in &up {
             plain_src.send(m).unwrap();
         }
@@ -131,11 +131,11 @@ proptest! {
             plain_wh.send(m).unwrap();
         }
         let mut plain_up = Vec::new();
-        while let Some(m) = plain_wh.recv().unwrap() {
+        while let Some(m) = plain_wh.try_recv().unwrap() {
             plain_up.push(m);
         }
         let mut plain_down = Vec::new();
-        while let Some(m) = plain_src.recv().unwrap() {
+        while let Some(m) = plain_src.try_recv().unwrap() {
             plain_down.push(m);
         }
         prop_assert_eq!(got_up, plain_up, "same releases as the plain run");
@@ -158,7 +158,7 @@ proptest! {
     ) {
         let raw = TransferMeter::new();
         let logical = TransferMeter::new();
-        let (src_end, wh_end) = InMemoryFifo::pair(raw.clone());
+        let (src_end, wh_end) = SharedFifo::pair(raw.clone());
         let mut src: Link =
             ReliableLink::new(FaultyTransport::new(src_end, s2w), logical.clone());
         let mut wh: Link =

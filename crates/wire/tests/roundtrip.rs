@@ -1,7 +1,6 @@
 //! Property tests: every message round-trips through the codec — and
-//! through the transport framing both [`eca_wire::InMemoryFifo`] and
-//! [`eca_wire::TcpTransport`] share — and encoded sizes match the
-//! accounting helpers. [`eca_wire::SharedFifo`] queues messages without
+//! through the transport framing [`eca_wire::TcpTransport`] uses — and
+//! encoded sizes match the accounting helpers. [`eca_wire::SharedFifo`] queues messages without
 //! encoding them and meters [`Message::encoded_len`], so the structural
 //! size is pinned here against the real encoding for every variant and
 //! arbitrary queries, and a two-way `SharedFifo` stream must meter
@@ -264,8 +263,8 @@ proptest! {
     }
 
     /// Every message variant survives encode → frame → unframe → decode —
-    /// the exact path both transports use, so a pass here certifies the
-    /// wire format for `InMemoryFifo` and `TcpTransport` alike.
+    /// the exact path `TcpTransport` uses, so a pass here certifies its
+    /// wire format.
     #[test]
     fn every_variant_roundtrips_through_framing(
         u in update(),

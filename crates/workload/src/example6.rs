@@ -67,7 +67,7 @@ impl Example6 {
     /// semantics, so no proper subset is a key). Keyness is the signal
     /// self-maintaining algorithms (ECA-Aux) use to decide which
     /// relations get warehouse-resident auxiliary views.
-    pub fn keyed_schemas() -> Vec<Schema> {
+    fn keyed_schemas() -> Vec<Schema> {
         vec![
             Schema::with_key("r1", &["W", "X"], &["W", "X"]).expect("key attrs exist"),
             Schema::with_key("r2", &["X", "Y"], &["X", "Y"]).expect("key attrs exist"),

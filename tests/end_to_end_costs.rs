@@ -165,10 +165,13 @@ fn fig65_scenario2_shapes() {
 /// Self-maintenance: ECA-Aux's measured message count must equal the
 /// exact closed form (not approximately — the local-answer rule is
 /// deterministic) at every coverage level, and the measured local
-/// fraction must match the keyness-driven prediction.
+/// fraction must match the keyness-driven prediction. At full coverage
+/// ECA-Aux answers at least half the updates locally and cuts messages
+/// by at least half against ECA; `(24, 1)` is the point
+/// `figures --selfmaint` reports.
 #[test]
 fn selfmaint_messages_match_closed_form_exactly() {
-    for (k, seed) in [(8u64, 2u64), (16, 5), (24, 9)] {
+    for (k, seed) in [(8u64, 2u64), (16, 5), (24, 9), (24, 1)] {
         for point in eca_bench::selfmaint::storage_curve(k, seed) {
             assert!(point.converged, "k={k} coverage {}", point.covered);
             assert_eq!(
@@ -188,6 +191,12 @@ fn selfmaint_messages_match_closed_form_exactly() {
                 3 => assert_eq!(f, 1.0),
                 2 => assert!((f - 1.0 / 3.0).abs() < 1e-12),
                 _ => assert_eq!(f, 0.0),
+            }
+            if point.covered == 3 {
+                let local_share = point.local_updates as f64 / k as f64;
+                let cut = 1.0 - point.messages_measured as f64 / point.messages_eca.max(1) as f64;
+                assert!(local_share >= 0.5, "k={k}: local share {local_share}");
+                assert!(cut >= 0.5, "k={k}: message cut {cut} vs ECA");
             }
         }
     }

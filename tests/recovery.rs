@@ -10,11 +10,12 @@
 //! auxiliary views must come back from the checkpoint too.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use eca_core::algorithms::AlgorithmKind;
 use eca_core::ViewDef;
-use eca_relational::{Predicate, Schema, Tuple, Update};
-use eca_sim::{ChaosProfile, ChaosRunReport, ChaosSimulation, Policy};
+use eca_relational::{Predicate, Schema, SignedBag, Tuple, Update};
+use eca_sim::{ChaosProfile, ChaosRunReport, ChaosSimulation, ChaosStats, Policy};
 use eca_source::Source;
 use eca_storage::Scenario;
 use eca_warehouse::{DurabilityConfig, FsyncPolicy};
@@ -89,8 +90,13 @@ fn crashable_sim(
     sim
 }
 
+/// A scratch durability directory private to this call: tests run in
+/// parallel in one process and must not wipe each other's logs.
 fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("eca-recovery-{tag}-{}", std::process::id()));
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let dir =
+        std::env::temp_dir().join(format!("eca-recovery-{tag}-{}-{call}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -211,6 +217,122 @@ fn crash_without_durability_converges_via_full_resync() {
         assert_eq!(report.stats.recovered_full, 1, "{label}");
         assert_eq!(report.stats.recovered_incremental, 0, "{label}");
         assert_eq!(report.stats.resync_notifications, 0, "{label}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Incremental recovery vs the §4 full-RV fallback
+// ---------------------------------------------------------------------
+
+/// Copies of the Example 6 view hosted over the one source: the full-RV
+/// fallback pays one resync round trip, with a full-view answer, per
+/// view, while the WAL tail the durable path re-sends does not depend on
+/// the view count.
+const VIEWS: usize = 4;
+
+/// Scripted updates in each run of the cadence ladder.
+const LADDER_UPDATES: usize = 24;
+
+/// The multi-view Example 6 deployment, optionally crashing the
+/// warehouse at one scheduler step.
+fn multi_view_sim(crash_at: Option<u64>) -> ChaosSimulation {
+    let (source, view, script) = {
+        let workload = Example6::new(Params::default(), 42);
+        let source = workload.build_source(Scenario::Indexed).unwrap();
+        let script = workload.updates(LADDER_UPDATES, UpdateMix::Mixed);
+        (source, Example6::view().unwrap(), script)
+    };
+    let snapshot = source.snapshot();
+    let profile = match crash_at {
+        Some(at) => ChaosProfile::none().with_warehouse_crashes(&[at]),
+        None => ChaosProfile::none(),
+    };
+    let mut sim = ChaosSimulation::new();
+    let site = sim.add_source_with("s0", source, script, profile);
+    for _ in 0..VIEWS {
+        let (view, snapshot) = (view.clone(), snapshot.clone());
+        sim.add_view_with_factory(site, move || {
+            let initial = view.eval(&snapshot).unwrap();
+            AlgorithmKind::Eca
+                .instantiate_with_base(&view, initial, Some(snapshot.clone()))
+                .unwrap()
+        })
+        .unwrap();
+    }
+    sim
+}
+
+/// What one run charged, reduced to the comparison the gate makes.
+struct RunTotals {
+    messages: u64,
+    bytes: u64,
+    finals: Vec<SignedBag>,
+    stats: ChaosStats,
+}
+
+/// Run to quiescence, require convergence, and total the logical meters
+/// of every site.
+fn run_totals(sim: ChaosSimulation, label: &str) -> RunTotals {
+    let report = sim.run(Policy::Serial).unwrap();
+    assert!(report.quiescent && report.converged(), "{label}");
+    RunTotals {
+        messages: report
+            .sites
+            .iter()
+            .map(|s| s.query_messages + s.answer_messages + s.notification_messages)
+            .sum(),
+        bytes: report.sites.iter().map(|s| s.bytes_s2w + s.bytes_w2s).sum(),
+        finals: report.views.iter().map(|v| v.final_mv.clone()).collect(),
+        stats: report.stats,
+    }
+}
+
+/// A four-view warehouse crashed mid-run, once per checkpoint cadence:
+/// recovery from WAL + checkpoint lands on the golden views, every
+/// channel recovers incrementally, and the crash costs at most half the
+/// extra messages and bytes the §4 full-RV fallback pays for the same
+/// crash, and fewer extra messages than one round trip per view. The
+/// logged events outnumber the updates (24 updates log 60 records), so
+/// replay is bounded by the cadence, not the script length.
+#[test]
+fn durable_recovery_costs_at_most_half_of_full_resync_at_every_cadence() {
+    let golden = run_totals(multi_view_sim(None), "golden");
+    let crash_at = (golden.stats.steps / 2).max(1);
+    let full = run_totals(multi_view_sim(Some(crash_at)), "full RV");
+    assert_eq!(full.finals, golden.finals, "full RV");
+    let full_extra_messages = full.messages.saturating_sub(golden.messages);
+    let full_extra_bytes = full.bytes.saturating_sub(golden.bytes);
+    assert!(full_extra_messages >= 2 * VIEWS as u64);
+    for cadence in [1, 4, 16, 64] {
+        let label = format!("checkpoint every {cadence}, crash@{crash_at}");
+        let dir = tmpdir(&format!("vs-full-c{cadence}"));
+        let mut sim = multi_view_sim(Some(crash_at));
+        sim.enable_durability(
+            DurabilityConfig::new(&dir)
+                .with_fsync(FsyncPolicy::PerRecord)
+                .with_checkpoint_every(cadence),
+        )
+        .unwrap();
+        let durable = run_totals(sim, &label);
+        assert_eq!(durable.finals, golden.finals, "{label}");
+        assert!(durable.stats.recovered_incremental >= 1, "{label}");
+        assert_eq!(durable.stats.recovered_full, 0, "{label}");
+        let extra_messages = durable.messages.saturating_sub(golden.messages);
+        let extra_bytes = durable.bytes.saturating_sub(golden.bytes);
+        assert!(
+            2 * extra_messages <= full_extra_messages,
+            "{label}: {extra_messages} extra messages vs {full_extra_messages} for full RV"
+        );
+        assert!(
+            2 * extra_bytes <= full_extra_bytes,
+            "{label}: {extra_bytes} extra bytes vs {full_extra_bytes} for full RV"
+        );
+        assert!(extra_messages < 2 * VIEWS as u64, "{label}");
+        // Replay covers only the records logged since the last checkpoint
+        // cut, so it is bounded by the cadence, and by the updates applied
+        // at every cadence shorter than the script.
+        assert!(durable.stats.wal_replayed <= cadence, "{label}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

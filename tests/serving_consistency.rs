@@ -9,9 +9,13 @@
 //! discipline from `eca-sim`, applied to the read path) and check the
 //! promises hold at every step — plus the chaos case: a client that
 //! drops mid-read and reconnects on a fresh channel at a later epoch
-//! must keep its monotonicity floor.
+//! must keep its monotonicity floor — and then hold them again with real
+//! threads: a reader fleet against a live maintenance thread.
 
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use eca_core::algorithms::AlgorithmKind;
 use eca_core::ViewDef;
@@ -340,5 +344,183 @@ fn reconnecting_client_keeps_its_monotonicity_floor() {
         "reconnected client regressed: {} < {}",
         second.epoch,
         floor
+    );
+}
+
+/// One reader of the threaded fleet: its channel, level and view, and
+/// how far through its reads it is.
+struct Reader {
+    client: ReadClient<SharedFifo>,
+    level: ReadLevel,
+    view: u64,
+    in_flight: bool,
+    done: u64,
+}
+
+/// What one reader thread brings home.
+#[derive(Default)]
+struct ReaderTally {
+    /// Reads answered.
+    reads: u64,
+    /// Distinct strong answers: `(view, epoch) → rows`.
+    strong: BTreeMap<(u64, u64), SignedBag>,
+}
+
+/// Run every reader through `reads_each` reads, multiplexed on the
+/// calling thread.
+fn drive_readers(mut readers: Vec<Reader>, reads_each: u64) -> ReaderTally {
+    let mut tally = ReaderTally::default();
+    while readers.iter().any(|r| r.done < reads_each) {
+        let mut progressed = false;
+        for r in readers.iter_mut().filter(|r| r.done < reads_each) {
+            if !r.in_flight {
+                r.client.begin_read(r.view, r.level).unwrap();
+                r.in_flight = true;
+                progressed = true;
+                continue;
+            }
+            match r.client.try_finish() {
+                Ok(None) => continue,
+                Ok(Some(out)) => {
+                    tally.reads += 1;
+                    if r.level == ReadLevel::Strong {
+                        tally
+                            .strong
+                            .entry((out.view, out.epoch))
+                            .or_insert(out.rows);
+                    }
+                }
+                // Includes a weak or strong answer below the client's
+                // floor: a monotonicity violation.
+                Err(e) => panic!("read failed: {e}"),
+            }
+            r.in_flight = false;
+            r.done += 1;
+            progressed = true;
+        }
+        if !progressed {
+            std::thread::sleep(Duration::from_micros(20));
+        }
+    }
+    tally
+}
+
+/// Stream `updates` through the warehouse, settling each one, so
+/// quiescent (strong-eligible) epochs keep advancing under the readers.
+fn maintain(mut wh: Warehouse, mut source: Source, updates: Vec<Update>) -> Warehouse {
+    let (mut src_end, mut wh_end) = SharedFifo::pair(TransferMeter::new());
+    for u in updates {
+        assert!(source.execute_update(&u));
+        src_end
+            .send(&Message::UpdateNotification { update: u })
+            .unwrap();
+        loop {
+            let mut progress = wh.pump(SourceId(0), &mut wh_end).unwrap() > 0;
+            while let Some(msg) = src_end.try_recv().unwrap() {
+                let Message::QueryRequest { id, query } = msg else {
+                    panic!("unexpected message at source");
+                };
+                let answer = source.answer(&query).unwrap();
+                src_end.send(&Message::QueryAnswer { id, answer }).unwrap();
+                progress = true;
+            }
+            if !progress && wh.is_quiescent() {
+                break;
+            }
+        }
+    }
+    wh
+}
+
+/// The serving gate with real threads: 64 `ReadClient`s, a third per §3
+/// level, read over `SharedFifo` channels from a two-thread
+/// `ReadServer` pool while a maintenance thread streams updates into two
+/// views. Every read completes, no weak or strong read falls below its
+/// client's floor, every distinct strong answer is a §3.1 state-history
+/// member, and the pool serves at least 500 reads/s. A debug build
+/// serves two orders of magnitude more, so the floor catches a stall,
+/// not noise.
+#[test]
+fn reader_fleet_stays_consistent_against_live_maintenance() {
+    const READERS: usize = 64;
+    const READER_THREADS: usize = 4;
+    const SERVER_THREADS: usize = 2;
+    const READS_EACH: u64 = 10;
+    const VIEWS: usize = 2;
+
+    let source = build_source();
+    let mut wh = Warehouse::new();
+    wh.set_record_history(true);
+    let src = wh.add_source("s0");
+    for v in 0..VIEWS {
+        let def = view_def(&format!("V{v}"));
+        let initial = def.eval(&source.snapshot()).unwrap();
+        let maintainer = AlgorithmKind::Eca.instantiate(&def, initial).unwrap();
+        wh.add_view(src, maintainer).unwrap();
+    }
+    let server = ReadServer::new(wh.enable_serving(8));
+
+    let mut server_ends: Vec<Vec<SharedFifo>> = (0..SERVER_THREADS).map(|_| Vec::new()).collect();
+    let mut fleet: Vec<Vec<Reader>> = (0..READER_THREADS).map(|_| Vec::new()).collect();
+    for i in 0..READERS {
+        let (client_end, server_end) = SharedFifo::pair(TransferMeter::new());
+        server_ends[i % SERVER_THREADS].push(server_end);
+        fleet[i % READER_THREADS].push(Reader {
+            client: ReadClient::new(client_end),
+            level: [ReadLevel::Convergent, ReadLevel::Weak, ReadLevel::Strong][i % 3],
+            view: (i % VIEWS) as u64,
+            in_flight: false,
+            done: 0,
+        });
+    }
+
+    let stop = AtomicBool::new(false);
+    let (server, stop) = (&server, &stop);
+    let (wh, tallies, read_wall) = std::thread::scope(|scope| {
+        for mut ends in server_ends {
+            scope.spawn(move || {
+                while !stop.load(Ordering::Acquire) {
+                    let served: usize = ends
+                        .iter_mut()
+                        .map(|t| server.serve_ready(t).unwrap())
+                        .sum();
+                    if served == 0 {
+                        std::thread::sleep(Duration::from_micros(20));
+                    }
+                }
+            });
+        }
+        let maintenance = scope.spawn(move || maintain(wh, source, script(40)));
+        let start = Instant::now();
+        let drivers: Vec<_> = fleet
+            .into_iter()
+            .map(|readers| scope.spawn(move || drive_readers(readers, READS_EACH)))
+            .collect();
+        let tallies: Vec<_> = drivers.into_iter().map(|d| d.join()).collect();
+        let read_wall = start.elapsed();
+        let wh = maintenance.join();
+        // Release the server pool before any panic can strand it.
+        stop.store(true, Ordering::Release);
+        let tallies: Vec<ReaderTally> = tallies.into_iter().map(Result::unwrap).collect();
+        (wh.unwrap(), tallies, read_wall)
+    });
+
+    let reads: u64 = tallies.iter().map(|t| t.reads).sum();
+    assert_eq!(reads, READERS as u64 * READS_EACH, "every read completes");
+    let mut strong = BTreeMap::new();
+    for tally in tallies {
+        strong.extend(tally.strong);
+    }
+    assert!(!strong.is_empty());
+    for ((view, epoch), rows) in &strong {
+        assert!(
+            wh.view_states(ViewId(*view as usize)).contains(rows),
+            "strong read of view {view} at epoch {epoch} is outside the 3.1 history"
+        );
+    }
+    let reads_per_sec = reads as f64 / read_wall.as_secs_f64();
+    assert!(
+        reads_per_sec >= 500.0,
+        "{reads_per_sec:.0} reads/s is below the 500/s floor"
     );
 }
