@@ -1,13 +1,14 @@
 //! Substrate microbenchmarks: signed-bag algebra, SPJ evaluation, the
-//! physical engine's access paths, and the wire codec and in-process
-//! channel.
+//! physical engine's access paths, the wire codec and in-process
+//! channel, and epoch publication for read serving.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eca_core::ViewDef;
 use eca_relational::{Schema, SignedBag, Tuple, Update, Value};
 use eca_source::Source;
 use eca_storage::{IoMeter, Scenario, Table};
-use eca_wire::{Message, SharedFifo, TransferMeter, Transport, WireQuery};
+use eca_warehouse::EpochRegistry;
+use eca_wire::{Message, ReadLevel, SharedFifo, TransferMeter, Transport, WireQuery};
 use eca_workload::{Example6, Params};
 
 fn calibrated_db() -> (ViewDef, eca_core::BaseDb) {
@@ -165,9 +166,40 @@ fn bench_wire_codec(c: &mut Criterion) {
     group.finish();
 }
 
+/// Epoch publication and registry reads on a 20k-tuple view. A publish
+/// whose state changed since the last one clones the bag's spine; one
+/// whose state did not re-publishes the newest snapshot by reference.
+fn bench_serving(c: &mut Criterion) {
+    let n = 20_000i64;
+    let mut state: SignedBag = (0..n)
+        .map(|i| Tuple::ints([(i * 7919) % n, i % 7]))
+        .collect();
+    let registry = EpochRegistry::new([state.clone()], 4);
+    let mut group = c.benchmark_group("serving");
+    // One tuple in the middle of the view, inserted and deleted in turn.
+    let probe = Tuple::ints([n / 2, -1]);
+    let mut delta = 1;
+    group.bench_function("publish_changed/20k", |b| {
+        b.iter(|| {
+            state.add(probe.clone(), delta);
+            delta = -delta;
+            registry.publish(0, &state, true)
+        })
+    });
+    group.bench_function("publish_unchanged/20k", |b| {
+        b.iter(|| registry.publish(0, &state, true))
+    });
+    for level in ReadLevel::all() {
+        group.bench_function(BenchmarkId::new("read", level.label()), |b| {
+            b.iter(|| registry.read(0, level, 0))
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_signed_bags, bench_spj, bench_physical_engine, bench_wire_codec
+    targets = bench_signed_bags, bench_spj, bench_physical_engine, bench_wire_codec, bench_serving
 }
 criterion_main!(benches);

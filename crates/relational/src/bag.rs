@@ -411,6 +411,24 @@ impl SignedBag {
         }
     }
 
+    /// Whether `self` and `other` hold the very same chunks: equal chunk
+    /// counts and every pair the same allocation. Reads the two spines
+    /// only — no entry, no refcount, no allocation.
+    ///
+    /// `true` implies equal content: a write to a chunk that a clone
+    /// shares goes through `Arc::make_mut` and so lands in a new
+    /// allocation, and an address cannot be reused while `other` keeps
+    /// the old chunk alive. The converse does not hold: equal content
+    /// built separately is `false`.
+    pub fn shares_every_chunk(&self, other: &SignedBag) -> bool {
+        self.chunks.len() == other.chunks.len()
+            && self
+                .chunks
+                .iter()
+                .zip(&other.chunks)
+                .all(|(a, b)| Arc::ptr_eq(a, b))
+    }
+
     /// Total encoded payload size in bytes under the wire codec: a 4-byte
     /// tuple count, then per occurrence a 1-byte sign plus the tuple
     /// encoding.

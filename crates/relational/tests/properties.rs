@@ -118,6 +118,20 @@ fn assert_counts_match(bag: &SignedBag, model: &Model) {
     }
 }
 
+/// Run one step of the model test on a bag.
+fn apply(bag: &mut SignedBag, op: &Op) {
+    match op {
+        Op::Add(k, c) => bag.add(key(*k), *c),
+        Op::Merge(es) => bag.merge(&bag_of(es)),
+        Op::MergeNegated(es) => bag.merge_negated(&bag_of(es)),
+        Op::MergeDistinct(es) => bag.merge_distinct(&bag_of(es)),
+        Op::RemoveWhere(r, m) => {
+            bag.remove_where(|t| residue_is(t, *r, *m));
+        }
+        Op::Snapshot => {}
+    }
+}
+
 proptest! {
     #[test]
     fn bag_follows_a_btreemap_model_and_clones_are_snapshots(
@@ -157,6 +171,51 @@ proptest! {
         prop_assert!(rebuilt.iter().eq(bag.iter()));
         prop_assert_eq!(format!("{rebuilt:?}"), format!("{bag:?}"));
         prop_assert_eq!(rebuilt.encoded_len(), bag.encoded_len());
+    }
+
+    #[test]
+    fn sharing_every_chunk_implies_equal_content(
+        history in prop::collection::vec(op(), 0..80),
+        ops in prop::collection::vec((op(), 0usize..1_000), 0..40),
+    ) {
+        let mut original = SignedBag::new();
+        for op in &history {
+            apply(&mut original, op);
+        }
+        prop_assert!(SignedBag::new().shares_every_chunk(&SignedBag::new()));
+        prop_assert!(original.shares_every_chunk(&original.clone()));
+        // Each write runs on a clone while the previous state is held, as
+        // a maintainer writes while the registry holds its newest epoch:
+        // every op, then a cancel-to-zero of one present tuple.
+        let mut bag = original.clone();
+        for (op, victim) in &ops {
+            for cancel in [false, true] {
+                let before = bag.clone();
+                if !cancel {
+                    apply(&mut bag, op);
+                } else if !bag.is_empty() {
+                    let i = victim % bag.distinct_len();
+                    let (t, c) = bag.iter().nth(i).map(|(t, c)| (t.clone(), c)).unwrap();
+                    bag.add(t, -c);
+                }
+                if bag != before {
+                    prop_assert!(!bag.shares_every_chunk(&before), "{:?} kept every chunk", op);
+                }
+                for other in [&before, &original] {
+                    if bag.shares_every_chunk(other) {
+                        prop_assert_eq!(&bag, other);
+                    }
+                }
+            }
+        }
+        // Identity, not equality: the same content built separately.
+        let entries: Vec<_> = bag.iter().collect();
+        let mut rebuilt = SignedBag::new();
+        for (t, c) in entries.into_iter().rev() {
+            rebuilt.add(t.clone(), c);
+        }
+        prop_assert_eq!(&rebuilt, &bag);
+        prop_assert_eq!(rebuilt.shares_every_chunk(&bag), bag.is_empty());
     }
 
     #[test]

@@ -73,7 +73,8 @@ pub enum ServeError {
         /// The epoch actually served.
         got: u64,
     },
-    /// The channel closed before the answer arrived.
+    /// The channel closed before the answer arrived, or before the read
+    /// could be sent.
     Disconnected,
     /// A read was begun while another was still in flight.
     Busy,
@@ -105,8 +106,13 @@ impl std::error::Error for ServeError {
 }
 
 impl From<TransportError> for ServeError {
+    /// A peer hang-up is [`ServeError::Disconnected`] whichever call
+    /// noticed it.
     fn from(e: TransportError) -> Self {
-        ServeError::Transport(e)
+        match e {
+            TransportError::Closed => ServeError::Disconnected,
+            e => ServeError::Transport(e),
+        }
     }
 }
 
@@ -493,11 +499,11 @@ impl<T: Transport> ReadClient<T> {
             Ok(Some(msg)) => self.accept(msg).map(Some),
             Ok(None) => {
                 if matches!(self.transport.poll(), Ok(eca_wire::Readiness::Closed)) {
-                    return Err(ServeError::Disconnected);
+                    return Err(self.abandon(TransportError::Closed));
                 }
                 Ok(None)
             }
-            Err(e) => Err(e.into()),
+            Err(e) => Err(self.abandon(e)),
         }
     }
 
@@ -507,10 +513,19 @@ impl<T: Transport> ReadClient<T> {
     /// As [`ReadClient::begin_read`] and [`ReadClient::try_finish`].
     pub fn read(&mut self, view: u64, level: ReadLevel) -> Result<ReadOutcome, ServeError> {
         self.begin_read(view, level)?;
-        match self.transport.recv()? {
-            Some(msg) => self.accept(msg),
-            None => Err(ServeError::Disconnected),
+        match self.transport.recv() {
+            Ok(Some(msg)) => self.accept(msg),
+            Ok(None) => Err(self.abandon(TransportError::Closed)),
+            Err(e) => Err(self.abandon(e)),
         }
+    }
+
+    /// The channel failed with a read in flight. It can no longer deliver
+    /// that answer, so the read is dropped: the next one reports the
+    /// channel's state instead of [`ServeError::Busy`].
+    fn abandon(&mut self, e: TransportError) -> ServeError {
+        self.pending = None;
+        e.into()
     }
 
     fn accept(&mut self, msg: Message) -> Result<ReadOutcome, ServeError> {
@@ -595,6 +610,27 @@ mod tests {
             Message::ReadError { reason, .. } => assert!(reason.contains("Hello")),
             other => panic!("expected ReadError, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_read_cut_off_by_a_hang_up_leaves_the_client_disconnected_not_busy() {
+        let (client_end, mut server_end) = SharedFifo::pair(TransferMeter::new());
+        let mut client = ReadClient::new(client_end);
+        std::thread::scope(|s| {
+            // The server takes the query, then hangs up without answering.
+            s.spawn(move || {
+                let query = server_end.recv().unwrap();
+                assert!(matches!(query, Some(Message::ReadQuery { .. })));
+            });
+            let first = client.read(0, ReadLevel::Strong);
+            assert!(matches!(first, Err(ServeError::Disconnected)), "{first:?}");
+        });
+        let second = client.read(0, ReadLevel::Strong);
+        assert!(
+            matches!(second, Err(ServeError::Disconnected)),
+            "{second:?}"
+        );
+        assert!(matches!(client.try_finish(), Ok(None)));
     }
 
     #[test]

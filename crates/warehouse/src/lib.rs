@@ -253,12 +253,15 @@ impl Warehouse {
     /// Turn on epoch publication for the read-serving layer: every view
     /// registered so far is published (initial state = epoch 0,
     /// quiesced), and from now on every processed event publishes the
-    /// affected view's new state into the returned [`EpochRegistry`] —
-    /// as a clone that shares its chunks with the maintainer's bag, so
-    /// a publish costs no per-tuple work and readers never contend
-    /// with maintenance. `ring_cap` bounds each view's window
-    /// of retained epochs. Call after [`Warehouse::add_view`]; views
-    /// added later are maintained but not served.
+    /// affected view's state into the returned [`EpochRegistry`]. An
+    /// unchanged state re-publishes the previous snapshot by reference;
+    /// a changed one is cloned once, sharing its chunks with the
+    /// maintainer's bag, so a publish costs no per-tuple work. Readers
+    /// share only the per-view slot lock with maintenance, held for a
+    /// ring push or an `Arc` clone, never during query evaluation.
+    /// `ring_cap` bounds each view's window of retained epochs. Call
+    /// after [`Warehouse::add_view`]; views added later are maintained
+    /// but not served.
     ///
     /// The registry survives [`Warehouse::into_reactor`] — the shards
     /// keep publishing into the same store.

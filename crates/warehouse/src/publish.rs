@@ -2,16 +2,31 @@
 //!
 //! Maintenance (under either driver) *publishes* view snapshots into an
 //! [`EpochRegistry`]; the read-serving layer (`eca-serve`)
-//! *reads* them. Publication is by structural sharing: a [`SignedBag`]
-//! is a spine of reference-counted chunks, so the clone pushed onto a
-//! view's bounded ring costs one pointer pair per chunk — not a copy per
-//! tuple — and shares every chunk with the maintainer's own state until
-//! the maintainer next writes to it (which copies just the chunks that
-//! write touches). A ring of `n` epochs therefore holds one view plus
-//! the chunks that changed across those epochs, not `n` views. Readers
-//! never take a lock the maintainer holds during query evaluation —
-//! heavy read traffic cannot block maintenance, and vice versa. The
-//! registry is the §3 consistency hierarchy made operational:
+//! *reads* them. Publication is by reference. Ring entries and the
+//! strong slot hold `Arc<SignedBag>`s, and a publish costs one snapshot
+//! per *new* state:
+//!
+//! * a state that still shares every chunk with the view's newest ring
+//!   entry ([`SignedBag::shares_every_chunk`]) is that entry's state, so
+//!   the publish pushes the same `Arc` again. Under ECA that is most
+//!   events: an update only enqueues queries, and the view changes once,
+//!   when COLLECT is installed at quiescence;
+//! * any other state is cloned once, outside the slot lock. A
+//!   [`SignedBag`] is a spine of reference-counted chunks, so the clone
+//!   costs one pointer pair per chunk — not a copy per tuple — and
+//!   shares every chunk with the maintainer's own state until the
+//!   maintainer next writes to it (which copies just the chunks that
+//!   write touches).
+//!
+//! A quiescent publish points the strong slot at the entry it pushed, so
+//! the slot never holds a copy of its own. A ring of `n` epochs holds
+//! one view plus the chunks that changed across those epochs, not `n`
+//! views. Under the per-view lock a publish only pushes and a read only
+//! clones an `Arc`; the read's bag clone, and the drop of whatever a
+//! publish evicts, run after the lock is released. Readers never take a
+//! lock the maintainer holds during query evaluation — heavy read
+//! traffic cannot block maintenance, and vice versa. The registry is
+//! the §3 consistency hierarchy made operational:
 //!
 //! * every ring entry is a *published epoch* — [`ReadLevel::Convergent`]
 //!   may serve any of them;
@@ -25,7 +40,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use eca_relational::SignedBag;
 use eca_wire::ReadLevel;
@@ -47,10 +62,11 @@ pub struct ReadSnapshot {
 struct ViewSlot {
     /// Published `(epoch, state)` pairs, oldest first. Never empty: the
     /// initial state is published at registration.
-    ring: VecDeque<(u64, SignedBag)>,
+    ring: VecDeque<(u64, Arc<SignedBag>)>,
     /// The latest snapshot published while the maintainer was quiescent
-    /// — the §3.1-history state strong reads serve.
-    strong: (u64, SignedBag),
+    /// — the §3.1-history state strong reads serve. Always the same
+    /// `Arc` as the ring entry of its epoch.
+    strong: (u64, Arc<SignedBag>),
 }
 
 /// Shared epoch store: one slot per view, a global epoch counter, and a
@@ -72,8 +88,9 @@ impl EpochRegistry {
         let slots = initial
             .into_iter()
             .map(|state| {
+                let state = Arc::new(state);
                 Mutex::new(ViewSlot {
-                    ring: VecDeque::from([(0, state.clone())]),
+                    ring: VecDeque::from([(0, Arc::clone(&state))]),
                     strong: (0, state),
                 })
             })
@@ -103,26 +120,31 @@ impl EpochRegistry {
     /// slot and is not served: nothing is published, no epoch is
     /// consumed, and the latest epoch is returned unchanged.
     ///
-    /// Called by the maintainer after every processed event; readers
-    /// only ever contend for the brief ring push below, never for the
-    /// maintainer's own locks.
+    /// Called by the maintainer after every processed event, changed or
+    /// not: every call consumes an epoch and pushes a ring entry. If
+    /// `state` shares every chunk with the newest entry, that entry's
+    /// `Arc` is pushed again; otherwise `state` is cloned (O(|V| / 64)
+    /// pointer copies) before the lock is taken. Readers contend only
+    /// for the `Arc` peek and the ring push, never for the maintainer's
+    /// own locks.
     pub fn publish(&self, view: usize, state: &SignedBag, quiescent: bool) -> u64 {
         let Some(slot) = self.slots.get(view) else {
             return self.latest();
         };
         let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        // Both clones happen before the slot lock is taken: readers wait
-        // only for the ring push.
-        let rows = state.clone();
-        let strong = quiescent.then(|| rows.clone());
+        let newest = lock(slot).ring.back().map(|(_, rows)| Arc::clone(rows));
+        let rows = match newest {
+            Some(newest) if newest.shares_every_chunk(state) => newest,
+            _ => Arc::new(state.clone()),
+        };
+        let strong = quiescent.then(|| Arc::clone(&rows));
         let mut slot = lock(slot);
         slot.ring.push_back((epoch, rows));
-        if slot.ring.len() > self.ring_cap {
-            slot.ring.pop_front();
-        }
-        if let Some(rows) = strong {
-            slot.strong = (epoch, rows);
-        }
+        // Held until the lock is released: dropping the last reference to
+        // a state frees its whole spine.
+        let _evicted = (slot.ring.len() > self.ring_cap).then(|| slot.ring.pop_front());
+        let _displaced = strong.map(|rows| std::mem::replace(&mut slot.strong, (epoch, rows)));
+        drop(slot);
         epoch
     }
 
@@ -130,34 +152,41 @@ impl EpochRegistry {
     /// floor `min_epoch` (the highest epoch that client has observed
     /// for this view — carried by the client so it survives
     /// reconnects). Returns `None` for an unknown view.
+    ///
+    /// Under the slot lock only the served entry's `Arc` is cloned; the
+    /// [`SignedBag`] clone the snapshot carries (O(|V| / 64)) runs on
+    /// the calling thread after the lock is released.
     pub fn read(&self, view: usize, level: ReadLevel, min_epoch: u64) -> Option<ReadSnapshot> {
-        let slot = lock(self.slots.get(view)?);
-        let (epoch, rows) = match level {
-            // Any published epoch: rotate through the ring so the
-            // convergent staleness distribution samples the window.
-            ReadLevel::Convergent => {
-                let i = self.rotation.fetch_add(1, Ordering::Relaxed) as usize % slot.ring.len();
-                slot.ring[i].clone()
-            }
-            // Monotonic per client: the *oldest* published epoch at or
-            // above the client's floor — maximal permissible staleness,
-            // which is what distinguishes weak from strong in the
-            // staleness histograms while keeping epochs non-regressing.
-            ReadLevel::Weak => slot
-                .ring
-                .iter()
-                .find(|(e, _)| *e >= min_epoch)
-                .or_else(|| slot.ring.back())
-                .cloned()?,
-            // Latest quiesced epoch: a §3.1-history state, and
-            // non-regressing because `strong` only moves forward.
-            ReadLevel::Strong => slot.strong.clone(),
+        let (epoch, latest, rows) = {
+            let slot = lock(self.slots.get(view)?);
+            let (epoch, rows) = match level {
+                // Any published epoch: rotate through the ring so the
+                // convergent staleness distribution samples the window.
+                ReadLevel::Convergent => {
+                    let i =
+                        self.rotation.fetch_add(1, Ordering::Relaxed) as usize % slot.ring.len();
+                    &slot.ring[i]
+                }
+                // Monotonic per client: the *oldest* published epoch at
+                // or above the client's floor — maximal permissible
+                // staleness, which is what distinguishes weak from
+                // strong in the staleness histograms while keeping
+                // epochs non-regressing.
+                ReadLevel::Weak => slot
+                    .ring
+                    .iter()
+                    .find(|(e, _)| *e >= min_epoch)
+                    .or_else(|| slot.ring.back())?,
+                // Latest quiesced epoch: a §3.1-history state, and
+                // non-regressing because `strong` only moves forward.
+                ReadLevel::Strong => &slot.strong,
+            };
+            (*epoch, self.latest(), Arc::clone(rows))
         };
-        let latest = self.latest();
         Some(ReadSnapshot {
             epoch,
             latest,
-            rows,
+            rows: SignedBag::clone(&rows),
         })
     }
 
@@ -238,6 +267,133 @@ mod tests {
         let newest = reg.read(0, ReadLevel::Strong, 0).unwrap();
         assert_eq!(newest.rows, state);
         assert_ne!(newest.rows, snap.rows);
+    }
+
+    /// A deterministic xorshift stream for the model test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    /// What the maintainer did to its bag before one publish.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Step {
+        /// Nothing: the event left the view as it was.
+        Unchanged,
+        /// A real change of content.
+        Changed,
+        /// A write that restored the content: equal, but not the same
+        /// chunks, so it is published as a new snapshot.
+        Rewritten,
+    }
+
+    /// The registry as it was before publication by reference: a clone of
+    /// the state per ring entry and one for the strong slot.
+    struct Model {
+        cap: usize,
+        ring: Vec<(u64, SignedBag)>,
+        strong: (u64, SignedBag),
+        rotation: usize,
+        latest: u64,
+    }
+
+    impl Model {
+        fn publish(&mut self, state: &SignedBag, quiescent: bool) {
+            self.latest += 1;
+            self.ring.push((self.latest, state.clone()));
+            if self.ring.len() > self.cap {
+                self.ring.remove(0);
+            }
+            if quiescent {
+                self.strong = (self.latest, state.clone());
+            }
+        }
+
+        fn read(&mut self, level: ReadLevel, floor: u64) -> (u64, u64, SignedBag) {
+            let (epoch, rows) = match level {
+                ReadLevel::Convergent => {
+                    self.rotation += 1;
+                    self.ring[(self.rotation - 1) % self.ring.len()].clone()
+                }
+                ReadLevel::Weak => self
+                    .ring
+                    .iter()
+                    .find(|(e, _)| *e >= floor)
+                    .or_else(|| self.ring.last())
+                    .cloned()
+                    .unwrap(),
+                ReadLevel::Strong => self.strong.clone(),
+            };
+            (epoch, self.latest, rows)
+        }
+    }
+
+    /// One seeded run of 80 publishes, each followed by a read at every
+    /// level and floor, checked against the model.
+    fn run_against_model(cap: usize, seed: u64) {
+        let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut state: SignedBag = (0..300).map(|i| Tuple::ints([i * 3])).collect();
+        let reg = EpochRegistry::new([state.clone()], cap);
+        let mut model = Model {
+            cap,
+            ring: vec![(0, state.clone())],
+            strong: (0, state.clone()),
+            rotation: 0,
+            latest: 0,
+        };
+        for _ in 0..80 {
+            let step = [Step::Unchanged, Step::Changed, Step::Rewritten][rng.below(3) as usize];
+            let key = Tuple::ints([rng.below(1_000) as i64]);
+            match step {
+                Step::Unchanged => {}
+                Step::Changed => state.add(key, 1 - 2 * rng.below(2) as i64),
+                Step::Rewritten => {
+                    state.add(key.clone(), 1);
+                    state.add(key, -1);
+                }
+            }
+            let quiescent = rng.below(2) == 0;
+            let before = Arc::clone(&lock(&reg.slots[0]).ring.back().unwrap().1);
+            assert_eq!(reg.publish(0, &state, quiescent), model.latest + 1);
+            model.publish(&state, quiescent);
+
+            let slot = lock(&reg.slots[0]);
+            let newest = &slot.ring.back().unwrap().1;
+            assert_eq!(Arc::ptr_eq(&before, newest), step == Step::Unchanged);
+            let ring: Vec<_> = slot.ring.iter().map(|(e, r)| (*e, (**r).clone())).collect();
+            assert_eq!(ring, model.ring, "cap {cap}, seed {seed}");
+            assert_eq!(slot.strong.0, model.strong.0);
+            if let Some((_, entry)) = slot.ring.iter().find(|(e, _)| *e == slot.strong.0) {
+                assert!(Arc::ptr_eq(entry, &slot.strong.1));
+            }
+            drop(slot);
+
+            let floors = [0, model.ring[0].0, model.latest, model.latest + 1];
+            for (level, floor) in ReadLevel::all()
+                .into_iter()
+                .flat_map(|l| floors.map(|f| (l, f)))
+            {
+                let snap = reg.read(0, level, floor).unwrap();
+                let (epoch, latest, rows) = model.read(level, floor);
+                assert_eq!((snap.epoch, snap.latest), (epoch, latest));
+                assert_eq!(snap.rows, rows, "{level:?} at floor {floor}");
+            }
+        }
+    }
+
+    #[test]
+    fn serves_exactly_what_a_clone_per_publish_registry_served() {
+        for cap in [1, 2, 8] {
+            for seed in 1..=6 {
+                run_against_model(cap, seed);
+            }
+        }
     }
 
     #[test]
