@@ -17,14 +17,13 @@
 //!
 //! Two deployment shapes share the same protocol:
 //!
-//! * [`ReadServer::serve_ready`] pumps any [`Transport`] — the bench
-//!   multiplexes thousands of in-process [`eca_wire::SharedFifo`]
-//!   clients over a few worker threads this way;
-//! * [`serve_listener`] opens a real TCP port: an accept thread admits
-//!   clients into a station table, one [`eca_wire::Poller`] thread
-//!   watches every socket, and a fixed worker pool drains whichever
-//!   stations have readable bytes (the reactor pattern of
-//!   `eca-warehouse`, applied to the read path).
+//! * [`ReadServer::serve_ready`] pumps any [`Transport`] —
+//!   `tests/serving_consistency.rs` serves in-process
+//!   [`eca_wire::SharedFifo`] clients from its own threads this way;
+//! * [`serve_listener`] opens a real TCP port on an
+//!   [`eca_wire::StationPool`], the worker pool the warehouse's reactor
+//!   also runs on: every client connection is a station owned by one
+//!   worker, and one [`eca_wire::Poller`] thread watches every socket.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,17 +31,14 @@
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use eca_core::QueryId;
 use eca_relational::SignedBag;
 use eca_warehouse::EpochRegistry;
 use eca_wire::{
-    Message, PollWaker, Poller, ReadLevel, Role, TcpTransport, TransferMeter, Transport,
-    TransportError,
+    Exit, Message, Poller, ReadLevel, StationOwner, StationPool, Transport, TransportError,
 };
 
 /// Errors raised by the serving layer (either side).
@@ -136,11 +132,6 @@ impl ReadServer {
         ReadServer { registry }
     }
 
-    /// The registry served.
-    pub fn registry(&self) -> &Arc<EpochRegistry> {
-        &self.registry
-    }
-
     /// Answer one inbound message. Read queries get a
     /// [`Message::ReadAnswer`] (or [`Message::ReadError`] for an
     /// unknown view); anything else gets a `ReadError` naming the
@@ -207,26 +198,38 @@ fn kind_of(msg: &Message) -> &'static str {
 // TCP front end.
 // ---------------------------------------------------------------------------
 
-/// One admitted client connection. `conn: None` marks a dead station
-/// awaiting compaction.
-struct Station {
-    conn: Mutex<Option<TcpTransport>>,
-}
-
-struct ListenerShared {
+/// The read server as a [`StationPool`] owner: every connection is a
+/// station, every request gets [`ReadServer::respond`]'s answer.
+struct Reads {
     server: ReadServer,
-    stations: Mutex<Vec<Arc<Station>>>,
-    waker: Arc<PollWaker>,
-    shutdown: AtomicBool,
+    /// Key for the next admitted connection.
+    next: AtomicU64,
     served: AtomicU64,
 }
 
-/// Handle to a running TCP read server; dropping it without calling
-/// [`ServeHandle::shutdown`] leaks the serving threads.
+impl StationOwner for Reads {
+    type Key = u64;
+
+    fn handle(&self, _: u64, msg: Message, replies: &mut Vec<Message>) {
+        replies.push(self.server.respond(msg));
+        self.served.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A hang-up or fault (a truncated stream, a hostile length prefix)
+    /// closes that station alone; the client's floors travel with the
+    /// client, so it loses nothing by reconnecting.
+    fn closed(&self, _: u64, _: Exit) {}
+
+    fn gate(&self, _: &TcpStream) -> Option<u64> {
+        Some(self.next.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+/// Handle to a running TCP read server. Dropping it stops accepting,
+/// joins every serving thread and hangs up every client.
 pub struct ServeHandle {
     addr: SocketAddr,
-    shared: Arc<ListenerShared>,
-    threads: Vec<JoinHandle<()>>,
+    pool: StationPool<Reads>,
 }
 
 impl ServeHandle {
@@ -237,152 +240,36 @@ impl ServeHandle {
 
     /// Total read requests served so far.
     pub fn served(&self) -> u64 {
-        self.shared.served.load(Ordering::Relaxed)
+        self.pool.owner().served.load(Ordering::Relaxed)
     }
 
-    /// Stop accepting, drain the pool and join every thread.
-    pub fn shutdown(self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.waker.notify();
-        // Unblock the accept thread with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        for t in self.threads {
-            let _ = t.join();
-        }
-        for st in self
-            .shared
-            .stations
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .drain(..)
-        {
-            if let Ok(mut guard) = st.conn.lock() {
-                if let Some(mut conn) = guard.take() {
-                    conn.close();
-                }
-            }
-        }
-    }
+    /// Stop the server: the same as dropping the handle.
+    pub fn shutdown(self) {}
 }
 
-/// Open a TCP read-serving port over `registry`: an accept thread, one
-/// poller thread watching every client socket, and `workers` serving
-/// threads multiplexing all admitted stations (readiness-driven — the
-/// reactor discipline, so thousands of mostly-idle clients cost no
-/// spinning).
+/// Open a TCP read-serving port over `registry` on a
+/// [`StationPool`]: an accept thread, one poller thread watching every
+/// client socket, and `workers` (at least one) serving threads, each the
+/// only reader of its share of the connections.
 ///
 /// # Errors
-/// Binding or poller-spawn failures.
+/// Binding, poller-spawn or thread-spawn failures.
 pub fn serve_listener(
     addr: impl ToSocketAddrs,
     registry: Arc<EpochRegistry>,
     workers: usize,
 ) -> std::io::Result<ServeHandle> {
     let listener = TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
-    let poller = Poller::new()?;
-    let shared = Arc::new(ListenerShared {
+    let reads = Reads {
         server: ReadServer::new(registry),
-        stations: Mutex::new(Vec::new()),
-        waker: PollWaker::new(),
-        shutdown: AtomicBool::new(false),
+        next: AtomicU64::new(0),
         served: AtomicU64::new(0),
-    });
-
-    let mut threads = Vec::new();
-    {
-        let shared = Arc::clone(&shared);
-        let poller = Arc::clone(&poller);
-        threads.push(std::thread::spawn(move || {
-            accept_duty(&listener, &shared, &poller);
-        }));
-    }
-    for _ in 0..workers.max(1) {
-        let shared = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || worker_duty(&shared)));
-    }
-
-    Ok(ServeHandle {
-        addr: local,
-        shared,
-        threads,
-    })
-}
-
-fn accept_duty(listener: &TcpListener, shared: &ListenerShared, poller: &Arc<Poller>) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let Ok(mut conn) = TcpTransport::new(stream, Role::Warehouse, TransferMeter::new()) else {
-            continue;
-        };
-        conn.attach_poller(Arc::clone(poller));
-        if !conn.set_waker(Arc::clone(&shared.waker)) {
-            continue; // cannot happen with a poller attached
-        }
-        let mut stations = shared
-            .stations
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // Compact dead stations while we hold the lock anyway.
-        stations.retain(|st| match st.conn.try_lock() {
-            Ok(guard) => guard.is_some(),
-            Err(_) => true, // busy in a worker — certainly alive
-        });
-        stations.push(Arc::new(Station {
-            conn: Mutex::new(Some(conn)),
-        }));
-        drop(stations);
-        shared.waker.notify();
-    }
-}
-
-fn worker_duty(shared: &ListenerShared) {
-    loop {
-        let seen = shared.waker.epoch();
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let stations: Vec<Arc<Station>> = shared
-            .stations
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone();
-        let mut progressed = false;
-        for st in &stations {
-            // Busy-claim: exactly one worker serves a station at a time.
-            let Ok(mut guard) = st.conn.try_lock() else {
-                continue;
-            };
-            let Some(conn) = guard.as_mut() else { continue };
-            match shared.server.serve_ready(conn) {
-                Ok(0) => {
-                    if matches!(conn.poll(), Ok(eca_wire::Readiness::Closed) | Err(_)) {
-                        if let Some(mut dead) = guard.take() {
-                            dead.close();
-                        }
-                    }
-                }
-                Ok(n) => {
-                    shared.served.fetch_add(n as u64, Ordering::Relaxed);
-                    progressed = true;
-                }
-                Err(_) => {
-                    // Fault (truncation, framing error, hostile prefix):
-                    // tear the connection down; the client's floor
-                    // travels with the client, so nothing is lost.
-                    if let Some(mut dead) = guard.take() {
-                        dead.close();
-                    }
-                }
-            }
-        }
-        if !progressed {
-            shared.waker.wait(seen, Duration::from_millis(25));
-        }
-    }
+    };
+    let Ok(mut pool) = StationPool::start(reads, workers, Vec::new()) else {
+        unreachable!("a pool with no stations refuses none")
+    };
+    let addr = pool.listen(listener, Poller::new()?)?;
+    Ok(ServeHandle { addr, pool })
 }
 
 // ---------------------------------------------------------------------------
@@ -578,7 +465,7 @@ impl<T: Transport> ReadClient<T> {
 mod tests {
     use super::*;
     use eca_relational::Tuple;
-    use eca_wire::SharedFifo;
+    use eca_wire::{Role, SharedFifo, TcpTransport, TransferMeter};
 
     fn registry() -> Arc<EpochRegistry> {
         Arc::new(EpochRegistry::new(
@@ -631,6 +518,62 @@ mod tests {
             "{second:?}"
         );
         assert!(matches!(client.try_finish(), Ok(None)));
+    }
+
+    fn tcp_client(addr: SocketAddr) -> ReadClient<TcpTransport> {
+        let meter = TransferMeter::new();
+        ReadClient::new(TcpTransport::connect(addr, Role::Source, meter).unwrap())
+    }
+
+    /// The TCP front end end to end: a client that sends a hostile
+    /// length prefix is torn down alone, while another client on the
+    /// same server completes reads at every level, epoch-monotone per
+    /// level, as the registry moves on.
+    #[test]
+    fn listener_tears_down_a_hostile_client_and_serves_the_rest() {
+        use std::io::{Read as _, Write as _};
+        let reg = registry();
+        let handle = serve_listener("127.0.0.1:0", Arc::clone(&reg), 2).unwrap();
+        let mut hostile = TcpStream::connect(handle.addr()).unwrap();
+        hostile.write_all(&[0xff; 4]).unwrap();
+        let mut client = tcp_client(handle.addr());
+        let mut last = BTreeMap::new();
+        for round in 0..4i64 {
+            for level in [ReadLevel::Convergent, ReadLevel::Weak, ReadLevel::Strong] {
+                let got = client.read(0, level).unwrap();
+                if level != ReadLevel::Convergent {
+                    let floor = last.insert(level, got.epoch).unwrap_or(0);
+                    assert!(got.epoch >= floor, "{level:?} went back");
+                }
+            }
+            let bag = SignedBag::from_tuples([Tuple::ints([round + 2])]);
+            reg.publish(0, &bag, round % 2 == 0);
+        }
+        assert!(last[&ReadLevel::Strong] > 0, "strong reads saw a new epoch");
+        // The server hung up on the hostile client: EOF or a reset.
+        hostile
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        match hostile.read(&mut [0u8; 1]) {
+            Ok(n) => assert_eq!(n, 0),
+            Err(e) => assert!(!matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            )),
+        }
+        assert_eq!(handle.served(), 12);
+    }
+
+    /// Dropping the handle stops the server: a client that was already
+    /// connected and served sees its next read disconnected.
+    #[test]
+    fn dropping_the_handle_hangs_up_connected_clients() {
+        let handle = serve_listener("127.0.0.1:0", registry(), 1).unwrap();
+        let mut client = tcp_client(handle.addr());
+        client.read(0, ReadLevel::Strong).unwrap();
+        drop(handle);
+        let next = client.read(0, ReadLevel::Strong);
+        assert!(matches!(next, Err(ServeError::Disconnected)), "{next:?}");
     }
 
     #[test]

@@ -330,8 +330,12 @@ mod tests {
     use eca_storage::Scenario;
 
     fn two_site_case() -> EquivCase {
+        sites_case(2)
+    }
+
+    fn sites_case(sites: usize) -> EquivCase {
         let mut sources = Vec::new();
-        for s in 0..2usize {
+        for s in 0..sites {
             let (r1, r2) = (format!("r{s}_1"), format!("r{s}_2"));
             let view = ViewDef::new(
                 format!("V{s}"),
@@ -380,5 +384,16 @@ mod tests {
         let serial = run_serial(two_site_case()).unwrap();
         let tcp = run_reactor_tcp(two_site_case(), 2).unwrap();
         assert_eq!(serial, tcp);
+    }
+
+    /// The many-channel shape: 64 sites over real sockets on a 2-worker
+    /// pool, 32 stations per worker, still byte-identical to the serial
+    /// reference on state histories, finals and per-link meters.
+    #[test]
+    fn tcp_reactor_matches_serial_at_sixty_four_sites() {
+        let serial = run_serial(sites_case(64)).unwrap();
+        let tcp = run_reactor_tcp(sites_case(64), 2).unwrap();
+        assert_eq!(serial, tcp);
+        assert_eq!(tcp.meters.len(), 64);
     }
 }

@@ -108,6 +108,13 @@ pub enum WarehouseError {
         /// The offending source's shard index.
         source: usize,
     },
+    /// The reactor was handed a second channel for a source that already
+    /// has one: two FIFOs into one session would break the per-channel
+    /// order the §3 argument relies on.
+    DuplicateSource {
+        /// The offending source's shard index.
+        source: usize,
+    },
     /// The durability layer failed (WAL append, checkpoint write, or
     /// recovery I/O).
     Durability(DurableError),
@@ -136,6 +143,9 @@ impl std::fmt::Display for WarehouseError {
                     f,
                     "source #{source}'s transport rejected the reactor's poll waker"
                 )
+            }
+            WarehouseError::DuplicateSource { source } => {
+                write!(f, "source #{source} already has a channel")
             }
             WarehouseError::Durability(e) => write!(f, "durability error: {e}"),
         }

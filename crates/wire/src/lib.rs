@@ -15,6 +15,8 @@
 //! * [`Transport`] — the channel abstraction of §3 (reliable, FIFO per
 //!   direction), with an in-process pair ([`SharedFifo`]) and a framed
 //!   TCP implementation ([`TcpTransport`]),
+//! * [`StationPool`] — the worker pool that serves many channels, each
+//!   owned by one thread, behind both TCP front ends,
 //! * [`FaultyTransport`] — a seed-driven decorator that *violates* the §2
 //!   channel assumptions on purpose (drops, duplicates, reorders,
 //!   corruption, resets) for chaos testing,
@@ -31,6 +33,7 @@ pub mod fault;
 pub mod message;
 pub mod meter;
 pub mod poller;
+pub mod pool;
 pub mod reliable;
 pub mod transport;
 
@@ -39,6 +42,7 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultyTransport};
 pub use message::{Message, ReadLevel, WireQuery, WireTerm};
 pub use meter::{Direction, TransferMeter};
 pub use poller::{PollToken, Poller};
+pub use pool::{Exit, StationOwner, StationPool};
 pub use reliable::{fnv1a_checksum, LinkStats, ReliableLink};
 pub use transport::{
     read_frame, read_frame_capped, write_frame, FrameDecoder, PollWaker, Readiness, Role,

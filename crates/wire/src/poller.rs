@@ -1,6 +1,6 @@
 //! One thread multiplexing every registered socket via `poll(2)`.
 //!
-//! The reactor runtime (`eca-warehouse`) parks its worker pool on a
+//! The station pool ([`crate::StationPool`]) parks its workers on a
 //! [`PollWaker`] eventcount and expects *transports* to notify it when
 //! something becomes receivable. `SharedFifo` can do that from the
 //! sender's thread; a TCP socket has no thread on the sending side of
@@ -10,7 +10,7 @@
 //! all of them with a single thread that sleeps in `poll(2)` over every
 //! registered descriptor and translates readiness into the exact same
 //! [`PollWaker::notify`] calls a `SharedFifo` sender would make, so the
-//! reactor cannot tell in-memory links and sockets apart.
+//! pool cannot tell in-memory links and sockets apart.
 //!
 //! ## Arming protocol (oneshot over level-triggered `poll(2)`)
 //!

@@ -160,9 +160,6 @@ pub struct PollWaker {
     /// Guards only the condvar protocol, never the counter.
     park: Mutex<()>,
     cv: Condvar,
-    /// Chained parent: every notify here also notifies it. See
-    /// [`PollWaker::chained`].
-    forward: Option<Arc<PollWaker>>,
 }
 
 impl PollWaker {
@@ -170,22 +167,6 @@ impl PollWaker {
     /// and threads.
     pub fn new() -> Arc<PollWaker> {
         Arc::new(PollWaker::default())
-    }
-
-    /// A waker whose notifications also propagate to `parent`.
-    ///
-    /// A poll loop over N endpoints parks on one shared waker, but that
-    /// waker alone cannot say *which* endpoint fired — every wake-up
-    /// costs an O(N) re-probe. Registering a chained child per endpoint
-    /// keeps the single park point (the parent) while the child's own
-    /// [`PollWaker::epoch`] records per-endpoint activity, so the loop
-    /// re-probes only endpoints whose epoch moved since they last
-    /// probed idle.
-    pub fn chained(parent: Arc<PollWaker>) -> Arc<PollWaker> {
-        Arc::new(PollWaker {
-            forward: Some(parent),
-            ..PollWaker::default()
-        })
     }
 
     /// The current generation. Snapshot this *before* polling the
@@ -203,9 +184,6 @@ impl PollWaker {
             // that has registered but not yet reached `cv.wait`.
             drop(lock_ignore_poison(&self.park));
             self.cv.notify_all();
-        }
-        if let Some(parent) = &self.forward {
-            parent.notify();
         }
     }
 
@@ -380,7 +358,7 @@ pub trait Transport {
     /// becomes receivable on this endpoint or the peer hangs up, so a
     /// multiplexing poll loop can park instead of spinning. Returns
     /// `false` when the transport cannot deliver wake-ups (the default);
-    /// callers then fall back to bounded-sleep polling.
+    /// a [`crate::StationPool`] refuses such a transport.
     fn set_waker(&mut self, _waker: Arc<PollWaker>) -> bool {
         false
     }

@@ -10,9 +10,10 @@
 //! framed TCP connection opened with a `Hello` handshake naming its
 //! [`eca_warehouse::SourceId`]. The warehouse side is
 //! [`eca_warehouse::ReactorWarehouse::run_listener`]: connections are
-//! admitted *live* while the fixed worker pool runs, each socket's
-//! readiness multiplexed by one [`eca_wire::Poller`] thread into
-//! [`eca_wire::PollWaker`] notifications. However many sources you ask
+//! admitted *live* into a running [`eca_wire::StationPool`], each socket
+//! owned by one worker and its readiness multiplexed by one
+//! [`eca_wire::Poller`] thread into [`eca_wire::PollWaker`]
+//! notifications. However many sources you ask
 //! for, the warehouse side stays at `workers + 1 accept loop + 1 poller`
 //! OS threads.
 //!
