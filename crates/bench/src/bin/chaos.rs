@@ -1,10 +1,10 @@
-//! Chaos sweep driver: fault-rate grid over the ECA warehouse stack.
+//! Chaos sweep driver: reset-rate grid over the ECA warehouse stack.
 //!
 //! Writes `results/chaos.json`, prints a per-point table, and exits
 //! non-zero if any run fails the consistency gate (non-quiescent, or a
 //! final view differing from the fault-free golden state). CI runs the
 //! full sweep and requires `results/chaos.json` to reproduce byte for
-//! byte; `--smoke` is a 3-seed subset (drop/dup/reset plans).
+//! byte; `--smoke` is a 3-seed subset (one point per family).
 //!
 //! ```text
 //! chaos [--smoke] [--out PATH]
@@ -54,7 +54,7 @@ fn main() {
         "rate",
         "ok",
         "seed",
-        "retrans",
+        "resent",
         "reissued",
         "resyncs",
         "stale",
@@ -68,7 +68,7 @@ fn main() {
             p.rate,
             if p.ok() { "ok" } else { "FAIL" },
             p.seed,
-            p.stats.retransmits,
+            p.stats.resync_notifications,
             p.stats.reissued,
             p.stats.resyncs_completed,
             p.stats.stale_answers,

@@ -1,15 +1,17 @@
-//! Chaos sweep: convergence and reliability overhead across a fault-rate
+//! Chaos sweep: convergence and recovery overhead across a fault-rate
 //! grid.
 //!
 //! Each point runs a full warehouse scenario (Example 2's anomaly script
 //! or the calibrated Example 6 workload) through the chaos harness — ECA
 //! over [`eca_sim::ChaosSimulation`]'s `ReliableLink`-over-
-//! `FaultyTransport` channels — under one fault family at one rate and
-//! one scheduler seed, then checks the run against its fault-free golden
-//! view state. The sweep records what the recovery machinery did
-//! (retransmits, re-issues, RV resyncs, stale answers) and what
-//! reliability cost on the wire (raw vs logical bytes), feeding
-//! `results/chaos.json` and the CI smoke gate.
+//! `FaultyTransport` channels — under one fault family at one per-send
+//! reset rate and one scheduler seed, then checks the run against its
+//! fault-free golden view state. The families are what a deployed
+//! channel can suffer: connection resets, source restarts and warehouse
+//! crashes, all healed by the one resume path. The sweep records what
+//! the recovery machinery did (outbox re-sends, re-issues, RV resyncs,
+//! stale answers) and what it cost on the wire (raw vs logical bytes),
+//! feeding `results/chaos.json` and the CI smoke gate.
 
 use eca_core::algorithms::AlgorithmKind;
 use eca_core::ViewDef;
@@ -26,66 +28,44 @@ use crate::json::Json;
 /// The fault families the sweep injects, one per run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Family {
-    /// Frames silently lost at the given per-message rate.
-    Drops,
-    /// Frames delivered twice.
-    Duplicates,
-    /// Frames held back and released later (reordering).
-    Reorders,
-    /// A mixed plan plus a scripted connection reset — the family that
-    /// drives query re-issue and, with retries exhausted, RV resync.
+    /// Connection resets at the given per-send rate plus one scripted
+    /// reset — the family that drives outbox re-sends, query re-issue
+    /// and, with retries exhausted, RV resync.
     Resets,
-    /// A mixed plan plus a scripted *source restart*: session state is
-    /// lost on both ends, every view over the site degrades, and each
-    /// recovers through an RV-style full resync (Alg. D.1).
+    /// Rated resets plus a scripted *source restart*: the outbox is
+    /// lost, every view over the site degrades, and each recovers
+    /// through an RV-style full resync (Alg. D.1).
     Restarts,
-    /// A mixed plan plus a scripted *warehouse crash*: the warehouse
+    /// Rated resets plus a scripted *warehouse crash*: the warehouse
     /// process dies mid-run and recovers from its WAL + checkpoint,
-    /// re-issuing in-flight queries and asking sources only for the
-    /// notification tail past the durable watermark.
+    /// re-issuing in-flight queries while the source resumes its outbox
+    /// past the durable watermark.
     Crashes,
 }
 
 impl Family {
     /// Every family, in sweep order.
-    pub fn all() -> [Family; 6] {
-        [
-            Family::Drops,
-            Family::Duplicates,
-            Family::Reorders,
-            Family::Resets,
-            Family::Restarts,
-            Family::Crashes,
-        ]
+    pub fn all() -> [Family; 3] {
+        [Family::Resets, Family::Restarts, Family::Crashes]
     }
 
     /// Label used in the table and the JSON artifact.
     pub fn label(self) -> &'static str {
         match self {
-            Family::Drops => "drops",
-            Family::Duplicates => "duplicates",
-            Family::Reorders => "reorders",
             Family::Resets => "resets",
             Family::Restarts => "restarts",
             Family::Crashes => "crashes",
         }
     }
 
-    /// The symmetric per-site profile at `rate`, seeded per run.
+    /// The symmetric per-site profile at reset rate `rate`, seeded per
+    /// run.
     fn profile(self, seed: u64, rate: f64) -> ChaosProfile {
+        let plan = FaultPlan::resets(seed, rate);
         match self {
-            Family::Drops => ChaosProfile::symmetric(FaultPlan::drops(seed, rate)),
-            Family::Duplicates => ChaosProfile::symmetric(FaultPlan::duplicates(seed, rate)),
-            Family::Reorders => ChaosProfile::symmetric(FaultPlan::delays(seed, rate, 4)),
-            Family::Resets => {
-                ChaosProfile::symmetric(FaultPlan::mixed(seed, rate).with_resets(&[6]))
-            }
-            Family::Restarts => {
-                ChaosProfile::symmetric(FaultPlan::mixed(seed, rate)).with_restarts(&[5])
-            }
-            Family::Crashes => {
-                ChaosProfile::symmetric(FaultPlan::mixed(seed, rate)).with_warehouse_crashes(&[5])
-            }
+            Family::Resets => ChaosProfile::symmetric(plan.with_resets(&[2])),
+            Family::Restarts => ChaosProfile::symmetric(plan).with_restarts(&[5]),
+            Family::Crashes => ChaosProfile::symmetric(plan).with_warehouse_crashes(&[5]),
         }
     }
 }
@@ -97,7 +77,7 @@ pub struct ChaosPoint {
     pub scenario: &'static str,
     /// Fault family injected.
     pub family: Family,
-    /// Per-message fault rate.
+    /// Per-send reset rate.
     pub rate: f64,
     /// Scheduler and fault seed.
     pub seed: u64,
@@ -107,7 +87,7 @@ pub struct ChaosPoint {
     pub matches_golden: bool,
     /// Injection and recovery counters for the run.
     pub stats: ChaosStats,
-    /// Bytes the wire actually carried (frames, acks, retransmissions).
+    /// Bytes the wire actually carried (messages and acks).
     pub raw_bytes: u64,
     /// Bytes the application logically transferred.
     pub logical_bytes: u64,
@@ -119,7 +99,9 @@ impl ChaosPoint {
         self.quiescent && self.matches_golden
     }
 
-    /// Raw-over-logical byte ratio: 1.0 means reliability was free.
+    /// Raw-over-logical byte ratio: acks push it above 1.0, and sends a
+    /// reset refused (charged to the logical ledger, never carried)
+    /// below.
     pub fn overhead_ratio(&self) -> f64 {
         if self.logical_bytes == 0 {
             return 1.0;
@@ -266,9 +248,8 @@ fn run_point(
 /// The three fixed seeds both the CI smoke job and the full sweep use.
 pub const SEEDS: [u64; 3] = [1, 2, 3];
 
-/// Run the grid. `smoke` keeps CI fast: Example 2 only, one rate, and
-/// the drop/duplicate/reset plans the ISSUE's gate names; the full sweep
-/// adds Example 6, the reorder family, and a rate ladder.
+/// Run the grid. `smoke` keeps CI fast: Example 2 only, one rate per
+/// family; the full sweep adds Example 6 and a rate ladder.
 pub fn sweep(smoke: bool) -> Vec<ChaosPoint> {
     let scenarios: Vec<ScenarioEntry> = if smoke {
         vec![("example2", example2_fixture)]
@@ -278,32 +259,17 @@ pub fn sweep(smoke: bool) -> Vec<ChaosPoint> {
             ("example6", example6_fixture),
         ]
     };
-    let families: Vec<Family> = if smoke {
-        vec![
-            Family::Drops,
-            Family::Duplicates,
-            Family::Resets,
-            Family::Crashes,
-        ]
-    } else {
-        Family::all().to_vec()
-    };
     let mut points = Vec::new();
     for (scenario, fixture) in scenarios {
         let golden_mv = golden(fixture);
-        for &family in &families {
-            // Resets mix all faults at once; their blended rates stay
-            // moderate so the scripted reset (not a wedged channel)
-            // remains the dominant recovery trigger.
+        for family in Family::all() {
             let rates: Vec<f64> = match (smoke, family) {
                 (true, Family::Resets) => vec![0.1],
-                // The smoke crash point is fault-free on the wire: the
-                // gate isolates WAL recovery, not recovery-under-loss.
-                (true, Family::Crashes) => vec![0.0],
-                (true, _) => vec![0.2],
+                // The smoke restart and crash points reset nothing else:
+                // the gate isolates the resync and the WAL recovery.
+                (true, _) => vec![0.0],
                 (false, Family::Resets) => vec![0.02, 0.05, 0.1],
-                (false, Family::Restarts | Family::Crashes) => vec![0.0, 0.05],
-                (false, _) => vec![0.05, 0.1, 0.2, 0.3],
+                (false, _) => vec![0.0, 0.05],
             };
             for &rate in &rates {
                 for seed in SEEDS {
@@ -327,8 +293,8 @@ pub fn report(points: &[ChaosPoint]) -> Json {
         (
             "description",
             Json::str(
-                "fault-rate sweep: convergence to fault-free golden state and \
-                 reliability overhead per fault family",
+                "reset-rate sweep: convergence to fault-free golden state and \
+                 recovery overhead per fault family",
             ),
         ),
         ("violations", Json::Int(violations(points).len() as i64)),
@@ -344,14 +310,8 @@ pub fn report(points: &[ChaosPoint]) -> Json {
                     ("quiescent", Json::from(p.quiescent)),
                     ("matches_golden", Json::from(p.matches_golden)),
                     ("steps", Json::from(s.steps)),
-                    ("drops", Json::from(s.drops)),
-                    ("duplicates", Json::from(s.duplicates)),
-                    ("delays", Json::from(s.delays)),
-                    ("corrupts", Json::from(s.corrupts)),
                     ("resets", Json::from(s.resets)),
-                    ("retransmits", Json::from(s.retransmits)),
-                    ("duplicates_dropped", Json::from(s.duplicates_dropped)),
-                    ("corrupt_dropped", Json::from(s.corrupt_dropped)),
+                    ("restarts", Json::from(s.restarts)),
                     ("reissued", Json::from(s.reissued)),
                     ("resyncs_started", Json::from(s.resyncs_started)),
                     ("resyncs_completed", Json::from(s.resyncs_completed)),
@@ -377,14 +337,17 @@ mod tests {
     #[test]
     fn smoke_sweep_is_clean_and_injects() {
         let points = sweep(true);
-        // 1 scenario × 4 families × 1 rate × 3 seeds.
-        assert_eq!(points.len(), 12);
+        // 1 scenario × 3 families × 1 rate × 3 seeds.
+        assert_eq!(points.len(), 9);
         assert!(violations(&points).is_empty());
-        assert!(points.iter().any(|p| p.stats.drops > 0));
-        assert!(points.iter().any(|p| p.stats.duplicates > 0));
         assert!(points
             .iter()
-            .any(|p| p.family == Family::Resets && p.stats.resets >= 1));
+            .filter(|p| p.family == Family::Resets)
+            .all(|p| p.stats.resets >= 1));
+        assert!(points
+            .iter()
+            .filter(|p| p.family == Family::Restarts)
+            .all(|p| p.stats.restarts == 1 && p.stats.resyncs_completed >= 1));
         // Every warehouse-crash point recovered from the WAL rather than
         // falling back to full RV resync.
         assert!(points.iter().any(|p| p.family == Family::Crashes));
@@ -394,9 +357,12 @@ mod tests {
             .all(|p| p.stats.warehouse_restarts == 1
                 && p.stats.recovered_incremental >= 1
                 && p.stats.recovered_full == 0));
-        // Reliability is never free under faults but the ledger stays
-        // consistent: raw ≥ logical on every point.
-        assert!(points.iter().all(|p| p.raw_bytes >= p.logical_bytes));
+        // The raw ledger is the logical one plus acks, less the sends a
+        // reset refused: where no reset fired, raw ≥ logical.
+        assert!(points
+            .iter()
+            .filter(|p| p.stats.resets == 0)
+            .all(|p| p.raw_bytes >= p.logical_bytes));
     }
 
     #[test]

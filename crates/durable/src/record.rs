@@ -9,7 +9,7 @@
 
 use bytes::{Bytes, BytesMut};
 use eca_relational::{SignedBag, Update, UpdateKind};
-use eca_wire::{fnv1a_checksum, DecodeError, Decoder, Encoder, MAX_FRAME_LEN};
+use eca_wire::{DecodeError, Decoder, Encoder, MAX_FRAME_LEN};
 
 use crate::DurableError;
 
@@ -39,14 +39,6 @@ pub enum WalRecord {
         /// every view degraded to a resync).
         notifications_lost: bool,
     },
-    /// The notifications-applied watermark jumped without individual
-    /// records — written after a *source* restart, whose lost
-    /// notifications are subsumed by the resync answer rather than
-    /// re-sent.
-    Watermark {
-        /// Total effective notifications accounted for on this channel.
-        applied: u64,
-    },
 }
 
 impl WalRecord {
@@ -56,7 +48,6 @@ impl WalRecord {
             WalRecord::Update(u) => 2 + 4 + u.relation.len() + u.tuple.encoded_len(),
             WalRecord::Answer { answer, .. } => 1 + 8 + answer.encoded_len(),
             WalRecord::EpochBump { .. } => 2,
-            WalRecord::Watermark { .. } => 9,
         }
     }
 
@@ -80,10 +71,6 @@ impl WalRecord {
             WalRecord::EpochBump { notifications_lost } => {
                 e.put_u8(2);
                 e.put_u8(u8::from(*notifications_lost));
-            }
-            WalRecord::Watermark { applied } => {
-                e.put_u8(3);
-                e.put_u64(*applied);
             }
         }
     }
@@ -121,9 +108,6 @@ impl WalRecord {
             2 => WalRecord::EpochBump {
                 notifications_lost: d.get_u8()? != 0,
             },
-            3 => WalRecord::Watermark {
-                applied: d.get_u64()?,
-            },
             tag => {
                 return Err(DecodeError::BadTag {
                     context: "WalRecord",
@@ -133,6 +117,16 @@ impl WalRecord {
         };
         Ok(rec)
     }
+}
+
+/// FNV-1a over `bytes`: the frame checksum.
+fn fnv1a_checksum(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x1_0000_01b3);
+    }
+    h
 }
 
 /// Append one frame `[u32 len][u64 fnv1a(body)][body]` to `out`, with
@@ -214,7 +208,6 @@ mod tests {
             WalRecord::EpochBump {
                 notifications_lost: false,
             },
-            WalRecord::Watermark { applied: 17 },
         ]
     }
 
@@ -265,12 +258,14 @@ mod tests {
 
     #[test]
     fn oversized_record_is_refused() {
-        let first = WalRecord::Watermark { applied: 1 };
+        let first = WalRecord::EpochBump {
+            notifications_lost: false,
+        };
         let mut out = BytesMut::new();
         put_frame(&mut out, first.encoded_len(), |e| first.encode(e)).unwrap();
-        let body = vec![0u8; MAX_FRAME_LEN];
+        let body = "\0".repeat(MAX_FRAME_LEN);
         assert!(matches!(
-            put_frame(&mut out, 4 + body.len(), |e| e.put_bytes(&body)),
+            put_frame(&mut out, 4 + body.len(), |e| e.put_str(&body)),
             Err(DurableError::RecordTooLarge { .. })
         ));
         assert_eq!(out.freeze(), framed(&first), "earlier frames untouched");

@@ -53,7 +53,9 @@ fn fixed_stream() -> Vec<WalRecord> {
         WalRecord::EpochBump {
             notifications_lost: false,
         },
-        WalRecord::Watermark { applied: 3 },
+        WalRecord::EpochBump {
+            notifications_lost: true,
+        },
         WalRecord::Answer {
             id: 2,
             answer: SignedBag::new(),
@@ -174,7 +176,6 @@ fn arb_record() -> impl Strategy<Value = WalRecord> {
         }),
         (any::<u64>(), bag).prop_map(|(id, answer)| WalRecord::Answer { id, answer }),
         any::<bool>().prop_map(|notifications_lost| WalRecord::EpochBump { notifications_lost }),
-        any::<u64>().prop_map(|applied| WalRecord::Watermark { applied }),
     ]
 }
 
@@ -201,7 +202,10 @@ proptest! {
         prop_assert_eq!(clean.records.len(), survive);
         // A healed log accepts appends again.
         let mut wal = Wal::open(&path, FsyncPolicy::PerRecord).unwrap();
-        wal.append(&WalRecord::Watermark { applied: 1 }).unwrap();
+        wal.append(&WalRecord::EpochBump {
+            notifications_lost: false,
+        })
+        .unwrap();
         drop(wal);
         prop_assert_eq!(Wal::scan(&path).unwrap().records.len(), survive + 1);
         let _ = std::fs::remove_dir_all(&dir);

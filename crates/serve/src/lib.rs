@@ -185,7 +185,6 @@ fn kind_of(msg: &Message) -> &'static str {
         Message::UpdateNotification { .. } => "UpdateNotification",
         Message::QueryRequest { .. } => "QueryRequest",
         Message::QueryAnswer { .. } => "QueryAnswer",
-        Message::Frame { .. } => "Frame",
         Message::Ack { .. } => "Ack",
         Message::Hello { .. } => "Hello",
         Message::ReadQuery { .. } => "ReadQuery",

@@ -11,11 +11,12 @@
 //! The simulator is a pure *scheduler*, and there is one of it:
 //! [`ChaosSimulation`] drives one [`eca_warehouse::Warehouse`] runtime
 //! over any number of autonomous sources, each on its own channel.
-//! Messages move through an `eca_wire` link stack (its `ReliableLink`
-//! encodes each message into a frame payload on send and checks and
-//! decodes it on delivery, so byte counts are real and codec faults
-//! surface as [`SimError::Transport`]) that is transparent unless a
-//! [`ChaosProfile`] injects faults or crashes, maintenance state lives in
+//! Messages move as [`eca_wire::Message`] values through an `eca_wire`
+//! link stack (the `ReliableLink` resume layer over a `SharedFifo`,
+//! metered by each message's structural encoded length, so byte counts
+//! match what the codec would put on a TCP link) that is transparent
+//! unless a [`ChaosProfile`] injects resets or crashes, maintenance
+//! state lives in
 //! the warehouse runtime, and the engine only decides *when* each enabled
 //! event fires, under a [`Policy`]:
 //!
@@ -89,8 +90,7 @@ pub enum SimError {
     Core(eca_core::CoreError),
     /// The source failed to answer a query.
     Source(eca_source::SourceError),
-    /// The transport failed to move a message (codec faults arrive as
-    /// [`TransportError::Decode`]).
+    /// The transport failed to move a message.
     Transport(TransportError),
     /// The warehouse runtime failed.
     Warehouse(WarehouseError),
@@ -200,7 +200,7 @@ impl Simulation {
     /// Run to quiescence under `policy` and report.
     ///
     /// # Errors
-    /// Propagates warehouse, source, transport and codec errors.
+    /// Propagates warehouse, source and transport errors.
     pub fn run(self, policy: Policy) -> Result<RunReport, SimError> {
         let mut report = self.0.run(policy)?;
         // `new` registered exactly one site and one view.
@@ -375,15 +375,15 @@ mod tests {
     #[test]
     fn eca_aux_answers_locally_with_zero_wire_traffic() {
         // A fully keyed view: every compensating query is answered at the
-        // warehouse. Logical meters (M) and raw meters (bytes on the
-        // query link) must both read zero.
+        // warehouse. The logical ledger must read zero both as messages
+        // (M) and as warehouse → source bytes: no QueryRequest crossed.
         let report = make_keyed_sim(AlgorithmKind::EcaAux, example2_script())
             .run(Policy::AllUpdatesFirst)
             .unwrap();
         assert!(report.converged());
         assert!(report.quiescent);
         assert_eq!(report.maintenance_messages(), 0);
-        assert_eq!(report.bytes_w2s, 0, "no query frame touches the wire");
+        assert_eq!(report.bytes_w2s, 0, "no QueryRequest on the logical ledger");
         assert_eq!(report.answer_bytes, 0);
         assert_eq!(report.io_reads, 0, "the source is never consulted");
         let stats = report.selfmaint.expect("ECA-Aux reports stats");

@@ -4,7 +4,7 @@
 //! A [`Warehouse`] can be given a disk via
 //! [`Warehouse::enable_durability`]: every committed maintenance event
 //! on a source channel — applied update notifications, applied answers
-//! (by session-global id), epoch bumps, watermark jumps — is appended to
+//! (by session-global id), epoch bumps — is appended to
 //! that channel's write-ahead log (`eca-durable`), and a checkpoint of
 //! view bags + session counters is cut at the first quiescent point
 //! after every [`eca_durable::DurabilityConfig::checkpoint_every`]
@@ -50,6 +50,10 @@ pub(crate) struct SourceDurability {
     /// quiescent): cut one at the first quiescent point regardless of
     /// cadence. Until it lands, a crash recovers via the full path.
     needs_baseline: bool,
+    /// The channel's notification watermark as of the last record handed
+    /// to the OS (or checkpoint cut): what a crash cannot take back, so
+    /// what the warehouse may acknowledge to the source.
+    synced_watermark: u64,
 }
 
 impl SourceDurability {
@@ -66,17 +70,20 @@ impl SourceDurability {
             gen: 0,
             records_since_checkpoint: 0,
             needs_baseline: true,
+            synced_watermark: 0,
         })
     }
 
     /// Resume appending to an existing generation after recovery
     /// (`replayed` records already in the file count against the
-    /// checkpoint cadence).
+    /// checkpoint cadence; `watermark` is the recovered, hence durable,
+    /// notification watermark).
     fn resume(
         config: &DurabilityConfig,
         source: usize,
         gen: u64,
         replayed: u64,
+        watermark: u64,
     ) -> Result<Self, DurableError> {
         let wal = Wal::open(config.wal_path(source, gen), config.fsync)?;
         config.remove_stale_wals(source, gen);
@@ -87,12 +94,17 @@ impl SourceDurability {
             gen,
             records_since_checkpoint: replayed,
             needs_baseline: false,
+            synced_watermark: watermark,
         })
     }
 
-    pub(crate) fn log(&mut self, record: &WalRecord) -> Result<(), DurableError> {
+    /// Append `record`, logged at notification watermark `watermark`.
+    pub(crate) fn log(&mut self, record: &WalRecord, watermark: u64) -> Result<(), DurableError> {
         self.wal.append(record)?;
         self.records_since_checkpoint += 1;
+        if self.wal.unsynced() == 0 {
+            self.synced_watermark = watermark;
+        }
         Ok(())
     }
 
@@ -115,6 +127,7 @@ impl SourceDurability {
         self.gen = ckpt.wal_gen;
         self.records_since_checkpoint = 0;
         self.needs_baseline = false;
+        self.synced_watermark = ckpt.notifications_applied;
         Ok(())
     }
 
@@ -123,10 +136,12 @@ impl SourceDurability {
         self.gen + 1
     }
 
-    /// Force buffered records to disk regardless of policy (clean
-    /// shutdown).
-    pub(crate) fn sync(&mut self) -> Result<(), DurableError> {
-        self.wal.sync()
+    /// Force buffered records, logged up to notification watermark
+    /// `watermark`, to disk regardless of policy (clean shutdown).
+    pub(crate) fn sync(&mut self, watermark: u64) -> Result<(), DurableError> {
+        self.wal.sync()?;
+        self.synced_watermark = watermark;
+        Ok(())
     }
 }
 
@@ -143,9 +158,8 @@ pub enum RecoveryOutcome {
         /// WAL records replayed on top of the checkpoint.
         replayed: u64,
         /// Update notifications durably accounted for — the source
-        /// should re-send its history *from this index on* (per-channel
-        /// FIFO: re-sends must precede answers to the re-issued
-        /// queries).
+        /// resumes its outbox *from this index on* (per-channel FIFO:
+        /// re-sends precede answers to the re-issued queries).
         notifications_seen: u64,
         /// Query messages to put on the fresh channel (in-flight work
         /// re-issued under the post-recovery epoch).
@@ -235,7 +249,7 @@ impl Shard {
         let Some(d) = &mut self.durability else {
             return Ok(());
         };
-        d.log(&record())?;
+        d.log(&record(), self.notifications_seen)?;
         self.maybe_checkpoint()
     }
 
@@ -274,19 +288,19 @@ impl Shard {
     /// shutdown). No-op without durability.
     pub(crate) fn sync_durability(&mut self) -> Result<(), WarehouseError> {
         if let Some(d) = &mut self.durability {
-            d.sync()?;
+            d.sync(self.notifications_seen)?;
         }
         Ok(())
     }
 
-    /// Raise the notification watermark to `sent` (never lowers it),
-    /// logging the jump.
-    fn note_watermark(&mut self, sent: u64) -> Result<(), WarehouseError> {
-        if sent > self.notifications_seen {
-            self.notifications_seen = sent;
-            self.log_event(|| WalRecord::Watermark { applied: sent })?;
-        }
-        Ok(())
+    /// The notification watermark this channel may acknowledge to its
+    /// source: everything applied on a volatile channel, everything the
+    /// log has handed to the OS (or a checkpoint holds) on a durable one
+    /// — never more than a crash would recover.
+    pub(crate) fn ack_watermark(&self) -> u64 {
+        self.durability
+            .as_ref()
+            .map_or(self.notifications_seen, |d| d.synced_watermark)
     }
 
     /// Bring this channel back per `plan`: restore + replay, resume (or
@@ -319,7 +333,9 @@ impl Shard {
             Plan::Full => None,
         };
         self.durability = Some(match resumed {
-            Some((gen, replayed)) => SourceDurability::resume(config, source.0, gen, replayed)?,
+            Some((gen, replayed)) => {
+                SourceDurability::resume(config, source.0, gen, replayed, self.notifications_seen)?
+            }
             None => SourceDurability::fresh(config, source.0)?,
         });
         let messages = self.on_reset(resumed.is_none())?;
@@ -358,7 +374,6 @@ impl Shard {
             WalRecord::EpochBump { notifications_lost } => {
                 self.on_reset(notifications_lost).is_ok()
             }
-            WalRecord::Watermark { applied } => self.note_watermark(applied).is_ok(),
         })
     }
 }
@@ -369,11 +384,20 @@ impl Warehouse {
         self.shards.iter().any(|s| s.durability.is_some())
     }
 
-    /// Update notifications applied (and accounted) on `source`'s
-    /// channel over its whole life — the watermark an incremental
-    /// resync resumes from.
+    /// Update notifications applied on `source`'s channel over its
+    /// whole life — the watermark the source's outbox resumes from after
+    /// a reset or a crash.
     pub fn notifications_seen(&self, source: SourceId) -> u64 {
         self.shards[source.0].notifications_seen
+    }
+
+    /// The notification watermark `source`'s channel may acknowledge, so
+    /// the source can trim its outbox: [`Warehouse::notifications_seen`]
+    /// on a volatile warehouse, and on a durable one only as far as the
+    /// log has handed records to the OS (per its
+    /// [`eca_durable::FsyncPolicy`]) or a checkpoint holds them.
+    pub fn ack_watermark(&self, source: SourceId) -> u64 {
+        self.shards[source.0].ack_watermark()
     }
 
     /// Turn on durability: every source channel gets a write-ahead log
@@ -412,24 +436,6 @@ impl Warehouse {
     /// [`WarehouseError::Durability`] on filesystem failures.
     pub fn sync_durability(&mut self) -> Result<(), WarehouseError> {
         self.shards.iter_mut().try_for_each(Shard::sync_durability)
-    }
-
-    /// Record that the source has accounted for `sent` notifications on
-    /// this channel even though fewer arrived — called when a completed
-    /// RV-style resync subsumes notifications lost to a *source*
-    /// restart, so a later warehouse crash does not ask for them again
-    /// (re-applying an update already inside the installed `V(ss)`
-    /// would double-count it).
-    ///
-    /// # Errors
-    /// [`WarehouseError::UnknownSource`];
-    /// [`WarehouseError::Durability`] on log append failures.
-    pub fn note_source_watermark(
-        &mut self,
-        source: SourceId,
-        sent: u64,
-    ) -> Result<(), WarehouseError> {
-        self.shard_mut(source)?.note_watermark(sent)
     }
 
     /// Restart from disk after a crash. Call on a freshly built
@@ -733,22 +739,55 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The watermark a channel acknowledges to its source only moves
+    /// forward, trails records the log has not yet handed to the OS, and
+    /// never exceeds what recovery brings back — so a source that trims
+    /// its outbox to it can always serve the post-crash tail.
     #[test]
     fn watermark_notes_are_durable_and_monotonic() {
         let dir = tmpdir("watermark");
-        let db = base_db();
+        let mut db = base_db();
+        let (mut volatile, vsrc, _) = build(&db);
         let (mut wh, src, _) = build(&db);
-        let cfg = DurabilityConfig::new(&dir).with_checkpoint_every(1_000);
+        let cfg = DurabilityConfig::new(&dir)
+            .with_fsync(eca_durable::FsyncPolicy::PerBatch(3))
+            .with_checkpoint_every(1_000);
         wh.enable_durability(cfg.clone()).unwrap();
-        wh.note_source_watermark(src, 7).unwrap();
-        wh.note_source_watermark(src, 3).unwrap(); // ignored: not ahead
-        assert_eq!(wh.notifications_seen(src), 7);
+        let mut acked = Vec::new();
+        for i in 0..4 {
+            let u = Update::insert("r2", Tuple::ints([2, 30 + i]));
+            db.apply(&u);
+            let _ = volatile.on_update(vsrc, &u).unwrap();
+            assert_eq!(
+                volatile.ack_watermark(vsrc),
+                i as u64 + 1,
+                "volatile acks on apply"
+            );
+            for q in wh.on_update(src, &u).unwrap() {
+                acked.push(wh.ack_watermark(src));
+                wh.on_answer(src, q.id, q.query.eval(&db).unwrap()).unwrap();
+                acked.push(wh.ack_watermark(src));
+            }
+        }
+        assert!(
+            acked.windows(2).all(|w| w[0] <= w[1]),
+            "monotonic: {acked:?}"
+        );
+        let last = *acked.last().unwrap();
+        assert!(
+            last < wh.notifications_seen(src),
+            "unsynced records are not acked: {acked:?}"
+        );
         drop(wh);
 
         let (mut wh, src, _) = build(&base_db());
         let outcomes = wh.recover_durability(cfg).unwrap();
         assert!(outcomes[0].is_incremental());
-        assert_eq!(wh.notifications_seen(src), 7);
+        assert!(
+            wh.notifications_seen(src) >= last,
+            "recovery keeps every ack"
+        );
+        assert_eq!(wh.ack_watermark(src), wh.notifications_seen(src));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -435,7 +435,7 @@ impl Warehouse {
     /// to recover. `notifications_lost` distinguishes the two severities:
     ///
     /// * `false` — a connection reset with no data loss on our side
-    ///   (e.g. the session layer retransmits over a new connection).
+    ///   (e.g. the source resumes its outbox on a new connection).
     ///   Pending queries of compensation-safe views are re-issued under
     ///   fresh ids (the §4 compensation argument holds no matter how
     ///   late a query is evaluated, because it stays in `UQS` and every

@@ -69,11 +69,10 @@ pub(crate) struct Shard {
     /// volatile deployments free of any disk traffic — and is how
     /// recovery replays a log without logging it again.
     pub(crate) durability: Option<SourceDurability>,
-    /// Update notifications applied on this channel over its whole life
-    /// (including notifications subsumed by a completed resync — see
-    /// [`crate::Warehouse::note_source_watermark`]). This is the
-    /// watermark an incremental crash recovery resumes the source's
-    /// stream from.
+    /// Update notifications applied on this channel over its whole life,
+    /// including those a degraded view skipped. This is the watermark a
+    /// source's outbox resumes from after a reset or a crash; a source
+    /// that cannot serve it renumbers from it.
     pub(crate) notifications_seen: u64,
 }
 
@@ -275,9 +274,10 @@ impl Shard {
                     kind: "QueryRequest",
                 })
             }
-            // Session-layer envelopes are consumed by `ReliableLink`;
-            // one surfacing here means the channel is mis-stacked.
-            Message::Frame { .. } | Message::Ack { .. } | Message::Hello { .. } => {
+            // Resume-layer acks are consumed by `ReliableLink` and a
+            // `Hello` by the TCP handshake; one surfacing here means the
+            // channel is mis-stacked.
+            Message::Ack { .. } | Message::Hello { .. } => {
                 return Err(WarehouseError::UnexpectedMessage {
                     kind: "session-layer",
                 })

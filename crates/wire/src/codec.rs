@@ -109,12 +109,6 @@ impl Encoder {
         self.buf.put_slice(s.as_bytes());
     }
 
-    /// Write a length-prefixed opaque byte string.
-    pub fn put_bytes(&mut self, b: &[u8]) {
-        self.buf.put_u32(b.len() as u32);
-        self.buf.put_slice(b);
-    }
-
     /// Write a value with its tag.
     pub fn put_value(&mut self, v: &Value) {
         match v {
@@ -217,13 +211,6 @@ impl Decoder {
         self.need(len)?;
         let bytes = self.buf.copy_to_bytes(len);
         String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
-    }
-
-    /// Read a length-prefixed opaque byte string.
-    pub fn get_bytes(&mut self) -> Result<Bytes, DecodeError> {
-        let len = self.get_u32()? as usize;
-        self.need(len)?;
-        Ok(self.buf.copy_to_bytes(len))
     }
 
     /// Read a tagged value.

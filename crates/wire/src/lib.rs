@@ -18,11 +18,13 @@
 //! * [`StationPool`] — the worker pool that serves many channels, each
 //!   owned by one thread, behind both TCP front ends,
 //! * [`FaultyTransport`] — a seed-driven decorator that *violates* the §2
-//!   channel assumptions on purpose (drops, duplicates, reorders,
-//!   corruption, resets) for chaos testing,
-//! * [`ReliableLink`] — the session layer that restores exactly-once
-//!   FIFO delivery over an arbitrary transport via sequence numbers,
-//!   cumulative acks and virtual-clock retransmission.
+//!   channel assumptions on purpose the one way a deployed channel can —
+//!   connection resets, scripted or at a per-send rate — for chaos
+//!   testing,
+//! * [`ReliableLink`] — the resume layer that restores exactly-once
+//!   FIFO delivery across resets and crashes: the source end keeps a
+//!   notification outbox the warehouse trims with cumulative acks, and a
+//!   fresh connection resumes from the warehouse's watermark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,12 +40,12 @@ pub mod reliable;
 pub mod transport;
 
 pub use codec::{DecodeError, Decoder, Encoder};
-pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultyTransport};
+pub use fault::{FaultPlan, FaultyTransport};
 pub use message::{Message, ReadLevel, WireQuery, WireTerm};
 pub use meter::{Direction, TransferMeter};
 pub use poller::{PollToken, Poller};
 pub use pool::{Exit, StationOwner, StationPool};
-pub use reliable::{fnv1a_checksum, LinkStats, ReliableLink};
+pub use reliable::{ReliableLink, Resume};
 pub use transport::{
     read_frame, read_frame_capped, write_frame, FrameDecoder, PollWaker, Readiness, Role,
     SharedFifo, TcpTransport, Transport, TransportError, MAX_FRAME_LEN,

@@ -188,26 +188,14 @@ pub enum Message {
         /// The signed answer relation.
         answer: SignedBag,
     },
-    /// Session layer: a sequenced envelope around one encoded application
-    /// message, as produced by `ReliableLink`. The payload checksum lets
-    /// the receiver detect corruption and treat the frame as dropped, to
-    /// be healed by retransmission.
-    Frame {
-        /// Session epoch the sender believes is current.
-        epoch: u64,
-        /// Monotonic per-link sequence number (0-based).
-        seq: u64,
-        /// FNV-1a over `payload`.
-        checksum: u64,
-        /// The encoded inner [`Message`].
-        payload: Bytes,
-    },
-    /// Session layer: cumulative acknowledgement — every frame with
-    /// `seq < next` has been received in order.
+    /// Resume layer, warehouse → source: cumulative acknowledgement —
+    /// the warehouse has applied (and, if durable, logged) every update
+    /// notification below watermark `next`, so the source may drop them
+    /// from its outbox.
     Ack {
-        /// Session epoch the sender believes is current.
+        /// The warehouse's session epoch.
         epoch: u64,
-        /// The next sequence number the receiver expects.
+        /// The notification watermark acknowledged.
         next: u64,
     },
     /// Session layer: announce an epoch, e.g. when a peer reconnects and
@@ -278,18 +266,6 @@ impl Message {
                 e.put_u64(id.0);
                 e.put_bag(answer);
             }
-            Message::Frame {
-                epoch,
-                seq,
-                checksum,
-                payload,
-            } => {
-                e.put_u8(3);
-                e.put_u64(*epoch);
-                e.put_u64(*seq);
-                e.put_u64(*checksum);
-                e.put_bytes(payload);
-            }
             Message::Ack { epoch, next } => {
                 e.put_u8(4);
                 e.put_u64(*epoch);
@@ -352,12 +328,6 @@ impl Message {
                 id: QueryId(d.get_u64()?),
                 answer: d.get_bag()?,
             },
-            3 => Message::Frame {
-                epoch: d.get_u64()?,
-                seq: d.get_u64()?,
-                checksum: d.get_u64()?,
-                payload: d.get_bytes()?,
-            },
             4 => Message::Ack {
                 epoch: d.get_u64()?,
                 next: d.get_u64()?,
@@ -406,7 +376,6 @@ impl Message {
             Message::UpdateNotification { update } => update_len(update),
             Message::QueryRequest { query, .. } => 8 + wire_query_len(query),
             Message::QueryAnswer { answer, .. } => 8 + answer.encoded_len(),
-            Message::Frame { payload, .. } => 3 * 8 + 4 + payload.len(),
             Message::Ack { .. } => 2 * 8,
             Message::Hello { .. } => 8,
             Message::ReadQuery { .. } => 3 * 8 + 1,
@@ -791,27 +760,30 @@ mod tests {
 
     #[test]
     fn session_layer_roundtrips() {
-        let inner = Message::UpdateNotification {
-            update: Update::insert("r2", Tuple::ints([2, 3])),
-        };
         for m in [
-            Message::Frame {
-                epoch: 3,
-                seq: 41,
-                checksum: 0xdead_beef_cafe_f00d,
-                payload: inner.encode(),
-            },
-            Message::Frame {
-                epoch: 0,
-                seq: 0,
-                checksum: 0,
-                payload: Bytes::new(),
-            },
             Message::Ack { epoch: 2, next: 17 },
             Message::Hello { epoch: 9 },
         ] {
             assert_eq!(Message::decode(m.encode()).unwrap(), m);
         }
+        // Tags 4 and 5 are pinned: TCP handshake bytes never move.
+        assert_eq!(Message::Ack { epoch: 0, next: 0 }.encode()[0], 4);
+        assert_eq!(Message::Hello { epoch: 0 }.encode()[0], 5);
+    }
+
+    /// Tag 3 once carried a sequenced frame envelope; it now decodes to a
+    /// typed error like any unknown tag.
+    #[test]
+    fn retired_frame_tag_is_a_typed_error() {
+        let mut bytes = vec![3u8];
+        bytes.extend_from_slice(&[0; 28]);
+        assert!(matches!(
+            Message::decode(Bytes::from(bytes)),
+            Err(DecodeError::BadTag {
+                context: "Message",
+                tag: 3
+            })
+        ));
     }
 
     #[test]

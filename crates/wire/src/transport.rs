@@ -272,8 +272,6 @@ pub trait Transport {
 
     /// Block until an inbound message arrives. `Ok(None)` means the peer
     /// hung up cleanly and no further message will ever arrive.
-    /// [`crate::ReliableLink`] is the exception: it never blocks, and its
-    /// `Ok(None)` means no message is released right now.
     ///
     /// # Errors
     /// [`TransportError::Decode`] on a malformed frame.

@@ -1,195 +1,262 @@
 //! Property tests: [`ReliableLink`] over [`FaultyTransport`] restores
-//! the paper's §2 channel contract. For *arbitrary* bounded
-//! drop/duplicate/delay/corrupt plans — in both directions at once — any
-//! message sequence is delivered exactly once and in order, and the
-//! link's logical meter charges exactly what a plain [`SharedFifo`]
-//! run charges (the differential), so reliability stays invisible to the
-//! byte accounting the paper's figures are built from.
+//! the paper's §2 channel contract across connection resets and
+//! warehouse crashes. For *arbitrary* message scripts with resets at
+//! arbitrary send points in both directions, and crashes that bring the
+//! warehouse back at its durable watermark, the warehouse end applies
+//! every update notification exactly once and in order, and never
+//! receives an answer ahead of a notification the source sent before
+//! it.
 
-use eca_relational::{Tuple, Update};
+use eca_core::QueryId;
+use eca_relational::{SignedBag, Tuple, Update};
 use eca_wire::{
-    FaultPlan, FaultyTransport, Message, ReliableLink, SharedFifo, TransferMeter, Transport,
-    TransportError,
+    FaultPlan, FaultyTransport, Message, ReliableLink, Resume, SharedFifo, TransferMeter, Transport,
 };
 use proptest::prelude::*;
 
 type Link = ReliableLink<FaultyTransport<SharedFifo>>;
 
-fn notification(n: i64) -> Message {
+fn notification(n: u64) -> Message {
     Message::UpdateNotification {
-        update: Update::insert("r1", Tuple::ints([n, n + 1])),
+        update: Update::insert("r1", Tuple::ints([n as i64, 0])),
     }
 }
 
-/// Bounded fault plans: each probability at most 0.4 so the channel
-/// keeps making progress (retransmission heals it without intervention
-/// in almost every round; a wedge is handled by the driver below).
-fn plan() -> impl Strategy<Value = FaultPlan> {
-    // Probabilities drawn in permille (the vendored proptest has no f64
-    // range strategy).
-    (
-        any::<u64>(),
-        0u32..400,
-        0u32..400,
-        0u32..400,
-        1u64..6,
-        0u32..400,
-    )
-        .prop_map(
-            |(seed, drop, duplicate, delay, delay_span, corrupt)| FaultPlan {
-                seed,
-                drop: f64::from(drop) / 1000.0,
-                duplicate: f64::from(duplicate) / 1000.0,
-                delay: f64::from(delay) / 1000.0,
-                delay_span,
-                corrupt: f64::from(corrupt) / 1000.0,
-                ..FaultPlan::none()
-            },
-        )
+/// What the source does next.
+#[derive(Clone, Debug)]
+enum Op {
+    /// Send the next notification.
+    Notify,
+    /// Send an answer, tagged with the notifications sent before it.
+    Answer,
+    /// The warehouse takes up to this many messages.
+    Deliver(usize),
+    /// The warehouse crashes and comes back at its durable watermark.
+    Crash,
 }
 
-/// Drain every released message; reports whether the link is wedged
-/// (retry cap exceeded — surfaces as [`TransportError::Timeout`]).
-fn pump(link: &mut Link, out: &mut Vec<Message>) -> bool {
-    loop {
-        match link.try_recv() {
-            Ok(Some(m)) => out.push(m),
-            Ok(None) => return false,
-            Err(TransportError::Timeout) => return true,
-            Err(e) => panic!("unexpected transport error: {e}"),
+fn op() -> impl Strategy<Value = Op> {
+    // Notifications and deliveries three times as likely as the rest.
+    prop_oneof![
+        Just(Op::Notify),
+        Just(Op::Notify),
+        Just(Op::Notify),
+        Just(Op::Answer),
+        (1usize..4).prop_map(Op::Deliver),
+        (1usize..4).prop_map(Op::Deliver),
+        (1usize..4).prop_map(Op::Deliver),
+        Just(Op::Crash),
+    ]
+}
+
+/// Reset points scripted on one direction's send sequence.
+fn resets() -> impl Strategy<Value = FaultPlan> {
+    prop::collection::vec(0u64..60, 0..4).prop_map(|points| FaultPlan::none().with_resets(&points))
+}
+
+/// Both ends of one channel, the warehouse modelled as the list of
+/// notifications it applied and a durable prefix of that list.
+struct Channel {
+    src: Link,
+    wh: Link,
+    plans: (FaultPlan, FaultPlan),
+    raw: TransferMeter,
+    /// Notifications sent by the source (numbered from 0).
+    sent: u64,
+    /// Notifications applied by the warehouse, in apply order.
+    applied: Vec<Message>,
+    /// How many of `applied` survive a crash.
+    durable: usize,
+    /// The warehouse makes `applied` durable every this many applies.
+    sync_every: usize,
+    resumes: u64,
+}
+
+impl Channel {
+    fn new(s2w: FaultPlan, w2s: FaultPlan, sync_every: usize, logical: &TransferMeter) -> Channel {
+        let raw = TransferMeter::new();
+        let (src_end, wh_end) = SharedFifo::pair(raw.clone());
+        Channel {
+            src: ReliableLink::new(FaultyTransport::new(src_end, s2w.clone()), logical.clone()),
+            wh: ReliableLink::new(FaultyTransport::new(wh_end, w2s.clone()), logical.clone()),
+            plans: (s2w, w2s),
+            raw,
+            sent: 0,
+            applied: Vec::new(),
+            durable: 0,
+            sync_every,
+            resumes: 0,
         }
     }
-}
 
-/// Heal a wedged channel the way the warehouse recovery policy does:
-/// swap in a clean connection; session state survives, so everything
-/// unacked is retransmitted and delivery stays exactly-once.
-fn rewire(src: &mut Link, wh: &mut Link, raw: &TransferMeter) {
-    let (src_end, wh_end) = SharedFifo::pair(raw.clone());
-    src.reconnect(FaultyTransport::new(src_end, FaultPlan::none()));
-    wh.reconnect(FaultyTransport::new(wh_end, FaultPlan::none()));
+    /// Reconnect after a reset (or a crash): both ends resume at the
+    /// warehouse's watermark, which the outbox must always cover.
+    fn reconnect(&mut self) {
+        let (src_end, wh_end) = SharedFifo::pair(self.raw.clone());
+        let src_t = FaultyTransport::with_origin(
+            src_end,
+            self.plans.0.clone(),
+            self.src.inner_mut().next_seq(),
+        );
+        let wh_t = FaultyTransport::with_origin(
+            wh_end,
+            self.plans.1.clone(),
+            self.wh.inner_mut().next_seq(),
+        );
+        let watermark = self.applied.len() as u64;
+        self.wh.resume(wh_t, watermark);
+        let resumed = self.src.resume(src_t, watermark);
+        assert_eq!(resumed, Resume::Replayed(self.sent - watermark));
+        self.resumes += 1;
+    }
+
+    /// Heal a connection killed by a scripted reset.
+    fn heal(&mut self) -> bool {
+        let dead = self.src.inner_mut().take_reset() | self.wh.inner_mut().take_reset();
+        if dead {
+            self.reconnect();
+        }
+        dead
+    }
+
+    /// The warehouse takes up to `n` messages, applying notifications
+    /// and acking its durable watermark. Returns how many it took.
+    fn deliver(&mut self, n: usize) -> usize {
+        let mut taken = 0;
+        while taken < n {
+            let Some(msg) = self.wh.try_recv().unwrap() else {
+                break;
+            };
+            taken += 1;
+            match msg {
+                Message::UpdateNotification { .. } => {
+                    assert_eq!(
+                        &msg,
+                        &notification(self.applied.len() as u64),
+                        "exactly once, in order"
+                    );
+                    self.applied.push(msg);
+                    if self.applied.len() - self.durable >= self.sync_every {
+                        self.durable = self.applied.len();
+                    }
+                }
+                Message::QueryAnswer { id, .. } => assert!(
+                    self.applied.len() as u64 >= id.0,
+                    "answer sent after {} notifications reached a warehouse at {}",
+                    id.0,
+                    self.applied.len()
+                ),
+                other => panic!("unexpected {other:?}"),
+            }
+            self.wh.ack(0, self.durable as u64);
+        }
+        // Once more in case the last ack died with a connection: after a
+        // resume the warehouse end re-sends it whatever its value.
+        self.wh.ack(0, self.durable as u64);
+        taken
+    }
+
+    fn step(&mut self, op: &Op) {
+        match op {
+            Op::Notify => {
+                self.src.send(&notification(self.sent)).unwrap();
+                self.sent += 1;
+            }
+            Op::Answer => self
+                .src
+                .send(&Message::QueryAnswer {
+                    id: QueryId(self.sent),
+                    answer: SignedBag::new(),
+                })
+                .unwrap(),
+            Op::Deliver(n) => {
+                self.deliver(*n);
+                // The source services its inbound side, consuming acks.
+                assert!(!self.src.has_inbound(), "acks never reach the caller");
+            }
+            Op::Crash => {
+                self.applied.truncate(self.durable);
+                self.reconnect();
+            }
+        }
+        self.heal();
+    }
+
+    /// Deliver and heal until nothing is left in flight.
+    fn settle(&mut self) {
+        for _ in 0..10_000 {
+            let taken = self.deliver(usize::MAX);
+            let _ = self.src.has_inbound();
+            if !self.heal() && taken == 0 {
+                return;
+            }
+        }
+        panic!("channel never settled");
+    }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Exactly-once, in-order, both directions, plus the meter
-    /// differential against a plain in-memory run of the same sends.
+    /// Exactly-once, in-order notifications and no answer overtaking a
+    /// notification sent before it, under arbitrary scripts, reset points
+    /// in both directions and crashes at the durable watermark; the
+    /// logical meter charges each message once plus each re-send.
     #[test]
     fn reliable_link_is_exactly_once_in_order_under_arbitrary_plans(
-        s2w in plan(),
-        w2s in plan(),
-        n_up in 1usize..16,
-        n_down in 0usize..8,
+        ops in prop::collection::vec(op(), 1..40),
+        s2w in resets(),
+        w2s in resets(),
+        sync_every in 1usize..4,
     ) {
-        let raw = TransferMeter::new();
         let logical = TransferMeter::new();
-        let (src_end, wh_end) = SharedFifo::pair(raw.clone());
-        let mut src: Link = ReliableLink::new(FaultyTransport::new(src_end, s2w), logical.clone());
-        let mut wh: Link = ReliableLink::new(FaultyTransport::new(wh_end, w2s), logical.clone());
-
-        let up: Vec<Message> = (0..n_up as i64).map(notification).collect();
-        let down: Vec<Message> = (1000..1000 + n_down as i64).map(notification).collect();
-        for m in &up {
-            src.send(m).unwrap();
-        }
-        for m in &down {
-            wh.send(m).unwrap();
-        }
-
-        let mut got_up = Vec::new();
-        let mut got_down = Vec::new();
-        let mut ticks = 0u32;
-        loop {
-            ticks += 1;
-            prop_assert!(ticks < 500_000, "channel never settled");
-            let wh_wedged = pump(&mut wh, &mut got_up);
-            let src_wedged = pump(&mut src, &mut got_down);
-            if wh_wedged || src_wedged {
-                rewire(&mut src, &mut wh, &raw);
-                continue;
+        let mut ch = Channel::new(s2w, w2s, sync_every, &logical);
+        let mut answers = 0u64;
+        for op in &ops {
+            if matches!(op, Op::Answer) {
+                answers += 1;
             }
-            // Settled = every frame acked and released in order; a copy
-            // still held back by a delay fault can only be a redundant
-            // duplicate or ack by then.
-            if src.is_settled() && wh.is_settled() && !src.has_inbound() && !wh.has_inbound() {
-                break;
-            }
+            ch.step(op);
         }
-        prop_assert_eq!(&got_up, &up, "s2w: exactly once, in order");
-        prop_assert_eq!(&got_down, &down, "w2s: exactly once, in order");
-
-        // Differential: the same sends over a plain in-memory pair must
-        // charge the identical meter — the link's frames, acks and
-        // retransmissions live on the raw meter only.
-        let plain_meter = TransferMeter::new();
-        let (mut plain_src, mut plain_wh) = SharedFifo::pair(plain_meter.clone());
-        for m in &up {
-            plain_src.send(m).unwrap();
+        ch.settle();
+        let all: Vec<Message> = (0..ch.sent).map(notification).collect();
+        prop_assert_eq!(&ch.applied, &all, "every notification exactly once, in order");
+        // Re-sends are logical traffic, acks are not: the logical ledger
+        // holds the script's messages plus whatever resumes re-sent.
+        prop_assert!(logical.messages_s2w() >= ch.sent + answers);
+        prop_assert_eq!(logical.messages_w2s(), 0);
+        if ch.resumes == 0 {
+            prop_assert_eq!(logical.messages_s2w(), ch.sent + answers);
         }
-        for m in &down {
-            plain_wh.send(m).unwrap();
-        }
-        let mut plain_up = Vec::new();
-        while let Some(m) = plain_wh.try_recv().unwrap() {
-            plain_up.push(m);
-        }
-        let mut plain_down = Vec::new();
-        while let Some(m) = plain_src.try_recv().unwrap() {
-            plain_down.push(m);
-        }
-        prop_assert_eq!(got_up, plain_up, "same releases as the plain run");
-        prop_assert_eq!(got_down, plain_down);
-        prop_assert_eq!(logical.messages_s2w(), plain_meter.messages_s2w());
-        prop_assert_eq!(logical.bytes_s2w(), plain_meter.bytes_s2w());
-        prop_assert_eq!(logical.messages_w2s(), plain_meter.messages_w2s());
-        prop_assert_eq!(logical.bytes_w2s(), plain_meter.bytes_w2s());
-        // Faults never inflate the logical ledger, only the raw one.
-        prop_assert!(raw.bytes_s2w() + raw.bytes_w2s() >= logical.bytes_s2w() + logical.bytes_w2s());
     }
 
-    /// Interleaved send/receive (not batch-then-drain): ordering holds
-    /// even when new sends race retransmissions of earlier frames.
+    /// Interleaved sends and deliveries under per-send reset rates in
+    /// both directions: ordering holds, and once the channel settles the
+    /// outbox holds exactly the notifications past the durable
+    /// watermark.
     #[test]
     fn interleaved_sends_stay_ordered(
-        s2w in plan(),
-        n in 2usize..12,
+        seed in any::<u64>(),
+        rate in 0u32..300,
+        n in 2u64..20,
         stride in 1usize..5,
+        sync_every in 1usize..4,
     ) {
-        let raw = TransferMeter::new();
+        let plan = FaultPlan::resets(seed, f64::from(rate) / 1000.0);
         let logical = TransferMeter::new();
-        let (src_end, wh_end) = SharedFifo::pair(raw.clone());
-        let mut src: Link =
-            ReliableLink::new(FaultyTransport::new(src_end, s2w), logical.clone());
-        let mut wh: Link =
-            ReliableLink::new(FaultyTransport::new(wh_end, FaultPlan::none()), logical.clone());
-
-        let msgs: Vec<Message> = (0..n as i64).map(notification).collect();
-        let mut got = Vec::new();
-        let mut ticks = 0u32;
-        for chunk in msgs.chunks(stride) {
-            for m in chunk {
-                src.send(m).unwrap();
+        let mut ch = Channel::new(plan.clone(), plan.reseeded(1), sync_every, &logical);
+        for i in 0..n {
+            ch.step(&Op::Notify);
+            if i % 3 == 0 {
+                ch.step(&Op::Answer);
             }
-            // A few service passes between bursts so retransmissions of
-            // older frames interleave with fresh traffic.
-            for _ in 0..3 {
-                prop_assert!(!pump(&mut wh, &mut got), "receiver cannot wedge");
-                let _ = src.try_recv();
+            if (i as usize + 1) % stride == 0 {
+                ch.step(&Op::Deliver(stride));
             }
         }
-        loop {
-            ticks += 1;
-            prop_assert!(ticks < 500_000, "channel never settled");
-            if pump(&mut wh, &mut got) | pump(&mut src, &mut Vec::new()) {
-                rewire(&mut src, &mut wh, &raw);
-                continue;
-            }
-            if src.is_settled() && wh.is_settled() && !wh.has_inbound() {
-                break;
-            }
-        }
-        prop_assert_eq!(got, msgs);
-        prop_assert_eq!(logical.messages_s2w(), n as u64);
+        ch.settle();
+        let all: Vec<Message> = (0..n).map(notification).collect();
+        prop_assert_eq!(&ch.applied, &all);
+        prop_assert_eq!(ch.src.outbox_len(), (ch.sent as usize) - ch.durable);
     }
 }

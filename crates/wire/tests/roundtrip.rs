@@ -6,7 +6,6 @@
 //! arbitrary queries, and a two-way `SharedFifo` stream must meter
 //! exactly what the codec would have produced.
 
-use bytes::Bytes;
 use eca_core::{QueryId, ViewDef};
 use eca_relational::{
     CmpOp, Operand, Predicate, Schema, Sign, SignedBag, SignedTuple, Tuple, Update, Value,
@@ -134,25 +133,13 @@ fn read_level() -> impl Strategy<Value = ReadLevel> {
     ]
 }
 
-/// Every one of the nine [`Message`] variants, with arbitrary contents.
+/// Every one of the eight [`Message`] variants, with arbitrary contents.
 fn message() -> impl Strategy<Value = Message> {
     let id = || any::<u64>().prop_map(QueryId);
     prop_oneof![
         update().prop_map(|update| Message::UpdateNotification { update }),
         (id(), wire_query()).prop_map(|(id, query)| Message::QueryRequest { id, query }),
         (id(), bag()).prop_map(|(id, answer)| Message::QueryAnswer { id, answer }),
-        (
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            prop::collection::vec(any::<u8>(), 0..40),
-        )
-            .prop_map(|(epoch, seq, checksum, payload)| Message::Frame {
-                epoch,
-                seq,
-                checksum,
-                payload: Bytes::from(payload),
-            }),
         (any::<u64>(), any::<u64>()).prop_map(|(epoch, next)| Message::Ack { epoch, next }),
         any::<u64>().prop_map(|epoch| Message::Hello { epoch }),
         (id(), any::<u64>(), read_level(), any::<u64>()).prop_map(

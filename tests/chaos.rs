@@ -1,9 +1,9 @@
-//! Chaos acceptance tests: the reliable session layer plus the
-//! warehouse recovery policy must keep every run convergent no matter
-//! what the fault layer injects — drops, duplicates, reorders, corrupt
-//! frames, connection resets and source restarts. (That a fault-free
-//! run through the full stack changes nothing is pinned by the
-//! fingerprints in `golden_trace.rs`.)
+//! Chaos acceptance tests: the resume layer plus the warehouse recovery
+//! policy must keep every run convergent whatever a deployed channel
+//! suffers — connection resets (scripted at every send point, or at a
+//! per-send rate) and source restarts. (That a fault-free run through
+//! the full stack changes nothing is pinned by the fingerprints in
+//! `golden_trace.rs`; warehouse crashes are swept in `recovery.rs`.)
 //!
 //! Scenarios: Example 2 (the paper's canonical anomaly setup), the
 //! Example 6 workload, and a 4-source × 8-view stress fixture shaped like
@@ -227,26 +227,22 @@ fn stress_chaos(profiles: impl Fn(usize) -> ChaosProfile) -> ChaosSimulation {
     sim
 }
 
-/// The per-site, per-direction fault plans every scenario is swept
-/// through: together they cover drops, duplicates, reorders, corruption
-/// and connection resets at three distinct seeds.
+/// The per-site, per-direction reset plans every scenario is swept
+/// through at three distinct seeds: resets at a per-send rate, at
+/// scripted points, and both.
 fn fault_sweeps(seed: u64) -> Vec<(&'static str, ChaosProfile)> {
     vec![
         (
-            "drops",
-            ChaosProfile::symmetric(FaultPlan::drops(seed, 0.3)),
+            "rated resets",
+            ChaosProfile::symmetric(FaultPlan::resets(seed, 0.2)),
         ),
         (
-            "duplicates",
-            ChaosProfile::symmetric(FaultPlan::duplicates(seed, 0.3)),
+            "scripted resets",
+            ChaosProfile::symmetric(FaultPlan::none().with_resets(&[1, 4, 9])),
         ),
         (
-            "reorders",
-            ChaosProfile::symmetric(FaultPlan::delays(seed, 0.3, 4)),
-        ),
-        (
-            "mixed+resets",
-            ChaosProfile::symmetric(FaultPlan::mixed(seed, 0.1).with_resets(&[6])),
+            "rated+scripted resets",
+            ChaosProfile::symmetric(FaultPlan::resets(seed, 0.1).with_resets(&[6])),
         ),
     ]
 }
@@ -264,7 +260,7 @@ fn assert_clean(report: &ChaosRunReport, label: &str) {
 // ---------------------------------------------------------------------
 
 /// Example 2 with Eca and EcaKey under `Policy::Random`, swept through
-/// all fault families at three seeds each: every run must converge to
+/// every reset family at three seeds each: every run must converge to
 /// the same final view a fault-free run produces.
 #[test]
 fn example2_converges_under_every_fault_family() {
@@ -321,6 +317,85 @@ fn example2_basic_with_resync_survives_resets() {
         assert_clean(&report, &label);
         assert_eq!(report.views[0].final_mv, golden, "{label}");
     }
+}
+
+// ---------------------------------------------------------------------
+// A reset at every send point (exhaustive, not sampled)
+// ---------------------------------------------------------------------
+
+/// Sends on each direction of a fault-free run — the points a reset
+/// sweep covers. Source → warehouse carries notifications and answers;
+/// warehouse → source carries queries and the acks, which are the raw
+/// ledger's surplus over the logical one.
+fn send_points(report: &ChaosRunReport) -> (u64, u64) {
+    let (site, overhead) = (&report.sites[0], &report.overhead[0]);
+    (
+        site.notification_messages + site.answer_messages,
+        site.query_messages + overhead.raw_messages - overhead.logical_messages,
+    )
+}
+
+/// Reset the connection at every send point of the fault-free run, in
+/// each direction, under `Policy::Serial`: every run settles on the
+/// fault-free ECA golden, and ECA and ECA-Key stay strongly consistent
+/// across the reset (Basic only converges, through its resync).
+fn sweep_reset_points(
+    kind: AlgorithmKind,
+    fixture: impl Fn() -> (Source, ViewDef, Vec<Update>),
+    tag: &str,
+) {
+    let golden = single_site(AlgorithmKind::Eca, fixture(), ChaosProfile::none())
+        .run(Policy::Serial)
+        .unwrap()
+        .views[0]
+        .final_mv
+        .clone();
+    let fault_free = single_site(kind, fixture(), ChaosProfile::none())
+        .run(Policy::Serial)
+        .unwrap();
+    let (s2w_sends, w2s_sends) = send_points(&fault_free);
+    assert!(s2w_sends > 0 && w2s_sends > 0, "{tag}: nothing was sent");
+    for (direction, sends) in [("s2w", s2w_sends), ("w2s", w2s_sends)] {
+        for at in 0..sends {
+            let label = format!("{tag} {kind:?} {direction} reset@{at}/{sends}");
+            let plan = FaultPlan::none().with_resets(&[at]);
+            let profile = match direction {
+                "s2w" => ChaosProfile {
+                    s2w: plan,
+                    ..ChaosProfile::none()
+                },
+                _ => ChaosProfile {
+                    w2s: plan,
+                    ..ChaosProfile::none()
+                },
+            };
+            let report = single_site(kind, fixture(), profile)
+                .run(Policy::Serial)
+                .unwrap();
+            assert_clean(&report, &label);
+            assert_eq!(report.stats.resets, 1, "{label}");
+            assert_eq!(report.views[0].final_mv, golden, "{label}");
+            if kind != AlgorithmKind::Basic {
+                let v = &report.views[0];
+                let c = eca_consistency::check(&v.source_view_states, &v.warehouse_view_states);
+                assert!(c.strongly_consistent, "{label}: {:?}", c.violation);
+            }
+        }
+    }
+}
+
+#[test]
+fn example2_survives_a_reset_at_every_send_point() {
+    sweep_reset_points(AlgorithmKind::Eca, example2_fixture, "example2");
+    sweep_reset_points(AlgorithmKind::EcaKey, example2_keyed_fixture, "example2");
+    sweep_reset_points(AlgorithmKind::Basic, example2_fixture, "example2");
+}
+
+#[test]
+fn example6_survives_a_reset_at_every_send_point() {
+    sweep_reset_points(AlgorithmKind::Eca, || example6_fixture(42), "example6");
+    sweep_reset_points(AlgorithmKind::EcaKey, example6_keyed_fixture, "example6");
+    sweep_reset_points(AlgorithmKind::Basic, || example6_fixture(42), "example6");
 }
 
 // ---------------------------------------------------------------------
@@ -394,11 +469,11 @@ fn example6_selfmaint_fixture() -> (Source, ViewDef, Vec<Update>) {
     (source, view, script)
 }
 
-/// Channel faults must not cost ECA-Aux its self-maintenance: drops,
-/// duplicates, reorders, corruption and connection resets are healed
-/// below the session layer, so every compensating query is still
-/// answered locally — zero logical queries, zero answer bytes — and the
-/// final view matches the fault-free ECA golden.
+/// Connection resets must not cost ECA-Aux its self-maintenance: the
+/// resume re-sends lost notifications and invalidates no auxiliary, so
+/// every compensating query is still answered locally — zero logical
+/// queries, zero answer bytes — and the final view matches the
+/// fault-free ECA golden.
 #[test]
 fn eca_aux_stays_fully_local_under_every_fault_family() {
     let golden = single_site(
@@ -470,9 +545,9 @@ fn eca_aux_rebuilds_auxiliaries_after_source_restart() {
     // pending refresh blocks `is_quiescent`).
 }
 
-/// Mid-run connection resets with faults on both directions: the session
-/// survives (`reconnect`), no auxiliary is invalidated, and
-/// self-maintenance continues without a single compensating round-trip.
+/// Mid-run connection resets on both directions: the channel resumes
+/// from the outbox, no auxiliary is invalidated, and self-maintenance
+/// continues without a single compensating round-trip.
 #[test]
 fn eca_aux_survives_resets_without_losing_locality() {
     let golden = single_site(
@@ -485,7 +560,7 @@ fn eca_aux_survives_resets_without_losing_locality() {
     .views[0]
         .final_mv
         .clone();
-    let profile = ChaosProfile::symmetric(FaultPlan::mixed(77, 0.1).with_resets(&[3, 9]));
+    let profile = ChaosProfile::symmetric(FaultPlan::resets(77, 0.1).with_resets(&[3, 9]));
     let report = single_site(AlgorithmKind::EcaAux, example6_selfmaint_fixture(), profile)
         .run(Policy::Random { seed: 55 })
         .unwrap();
@@ -499,27 +574,34 @@ fn eca_aux_survives_resets_without_losing_locality() {
 // Multi-source stress under injected faults
 // ---------------------------------------------------------------------
 
-/// The 4-source × 8-view stress scenario with a different fault family
-/// on every site — drops, duplicates, reorders, and mixed-with-resets —
-/// at three scheduler seeds. Every view must converge.
+/// The 4-source × 8-view stress scenario with a different reset plan on
+/// every site — a per-send rate, scripted points on one direction, and
+/// both — at three scheduler seeds. Every view must converge.
 #[test]
 fn multi_source_stress_converges_under_per_site_fault_mix() {
     for seed in [5, 6, 7] {
         let report = stress_chaos(|s| match s {
-            0 => ChaosProfile::symmetric(FaultPlan::drops(seed + 100, 0.15)),
-            1 => ChaosProfile::symmetric(FaultPlan::duplicates(seed + 200, 0.2)),
-            2 => ChaosProfile::symmetric(FaultPlan::delays(seed + 300, 0.2, 5)),
-            _ => ChaosProfile::symmetric(FaultPlan::mixed(seed + 400, 0.05).with_resets(&[40])),
+            0 => ChaosProfile::symmetric(FaultPlan::resets(seed + 100, 0.1)),
+            1 => ChaosProfile {
+                s2w: FaultPlan::none(),
+                w2s: FaultPlan::none().with_resets(&[3, 30, 60]),
+                restarts: vec![],
+            },
+            2 => ChaosProfile {
+                s2w: FaultPlan::none().with_resets(&[10, 50]),
+                w2s: FaultPlan::none(),
+                restarts: vec![],
+            },
+            _ => ChaosProfile::symmetric(FaultPlan::resets(seed + 400, 0.05).with_resets(&[40])),
         })
         .run(Policy::Random { seed })
         .unwrap();
         assert_clean(&report, &format!("stress seed {seed}"));
         let s = report.stats;
         assert!(
-            s.drops > 0 && s.duplicates > 0 && s.delays > 0,
-            "seed {seed}: every family must inject ({s:?})"
+            s.resets >= 6 && s.resync_notifications > 0,
+            "seed {seed}: every scripted reset must fire and resume ({s:?})"
         );
-        assert!(s.resets >= 1, "seed {seed}: the scripted reset must fire");
     }
 }
 
@@ -530,7 +612,7 @@ fn multi_source_stress_converges_under_per_site_fault_mix() {
 #[test]
 fn multi_source_stress_restart_exercises_rv_resync() {
     let report = stress_chaos(|s| match s {
-        0 => ChaosProfile::symmetric(FaultPlan::mixed(900, 0.05)).with_restarts(&[250]),
+        0 => ChaosProfile::symmetric(FaultPlan::resets(900, 0.05)).with_restarts(&[250]),
         _ => ChaosProfile::none(),
     })
     .run(Policy::Random { seed: 0xECA })
@@ -566,15 +648,15 @@ fn retry_exhaustion_falls_back_to_resync_and_converges() {
     );
 }
 
-/// A hopeless channel (100% loss) must not hang: the links wedge, the
-/// harness rewires, and if the plan keeps losing everything the run ends
-/// in a protocol error rather than spinning forever.
+/// A hopeless channel must not hang: a connection that resets on every
+/// send is reconnected and resumed again and again, and the run ends in
+/// the step-cap error rather than spinning forever.
 #[test]
 fn total_loss_is_detected_not_hung() {
-    // Total loss on the s2w direction, forever: nothing can converge,
-    // but the step cap must turn that into an error.
+    // Every s2w send resets, forever: nothing can converge, but the
+    // step cap must turn that into an error.
     let profile = ChaosProfile {
-        s2w: FaultPlan::drops(1, 1.0),
+        s2w: FaultPlan::resets(1, 1.0),
         w2s: FaultPlan::none(),
         restarts: vec![],
     };
@@ -583,7 +665,7 @@ fn total_loss_is_detected_not_hung() {
     match result {
         Err(SimError::Protocol(msg)) => assert!(msg.contains("step cap"), "{msg}"),
         Ok(report) => panic!(
-            "a run with 100% loss cannot converge, got quiescent={}",
+            "a channel that resets on every send cannot converge, got quiescent={}",
             report.quiescent
         ),
         Err(e) => panic!("expected the livelock guard, got {e}"),

@@ -266,8 +266,9 @@ mod selfmaint_differential {
     //! multi-relation scenarios under random interleavings, the
     //! self-maintaining algorithm must agree with ECA exactly, never
     //! send more messages, and — whenever every update was answered
-    //! locally — put *zero* frames on the wire (checked against the raw
-    //! byte meters, not the logical counters).
+    //! locally — send no `QueryRequest` at all (checked against the
+    //! logical ledger's warehouse→source bytes as well as its message
+    //! counters; the raw ledger also carries the resume layer's acks).
 
     use super::*;
     use eca_core::algorithms::{AlgorithmKind, Eca, LocalRule};
@@ -442,11 +443,11 @@ mod selfmaint_differential {
             let stats = aux.selfmaint.as_ref().expect("ECA-Aux reports stats");
             prop_assert_eq!(aux.maintenance_messages(), 2 * stats.remote_updates);
 
-            // Zero-round-trip runs put zero frames on the wire: the raw
-            // warehouse→source byte meter must read zero, not just the
-            // logical message counter.
+            // Zero-round-trip runs send no QueryRequest: the logical
+            // ledger's warehouse→source bytes must read zero, not just its
+            // message counter.
             if stats.remote_updates == 0 {
-                prop_assert_eq!(aux.bytes_w2s, 0, "raw frames escaped");
+                prop_assert_eq!(aux.bytes_w2s, 0, "a QueryRequest crossed");
                 prop_assert_eq!(aux.answer_bytes, 0);
                 prop_assert_eq!(aux.io_reads, 0);
             }
