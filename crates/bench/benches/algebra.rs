@@ -23,6 +23,19 @@ fn calibrated_db() -> (ViewDef, eca_core::BaseDb) {
     (view, db)
 }
 
+/// A view of `n` tuples inserted in scattered order, as a join's output
+/// arrives, so chunks are split rather than packed.
+fn scattered_tuples(n: i64) -> Vec<Tuple> {
+    (0..n)
+        .map(|i| Tuple::ints([(i * 7919) % n, i % 7]))
+        .collect()
+}
+
+/// `10_000` → `"10k"`.
+fn kilo(n: i64) -> String {
+    format!("{}k", n / 1_000)
+}
+
 fn bench_signed_bags(c: &mut Criterion) {
     let mut group = c.benchmark_group("signed_bag");
     let a: SignedBag = (0..1000).map(|i| Tuple::ints([i, i % 7])).collect();
@@ -31,16 +44,47 @@ fn bench_signed_bags(c: &mut Criterion) {
     group.bench_function("minus_1k", |bch| bch.iter(|| a.minus(&b)));
     group.bench_function("negated_1k", |bch| bch.iter(|| a.negated()));
     // What a snapshot costs (epoch publish, history, checkpoint capture,
-    // read answer) as the view grows. Tuples arrive in scattered order,
-    // as a join's output does, so chunks are split, not packed.
+    // read answer) as the view grows: a clone alone, and a clone, one
+    // write to the original and the clone's drop — a changed publish's
+    // share of the maintainer's bag.
     for n in [1_000i64, 10_000, 100_000] {
-        let view: SignedBag = (0..n)
-            .map(|i| Tuple::ints([(i * 7919) % n, i % 7]))
-            .collect();
+        let mut view: SignedBag = scattered_tuples(n).into_iter().collect();
         group.bench_function(BenchmarkId::new("clone", n), |bch| {
             bch.iter(|| view.clone())
         });
+        // One tuple in the middle of the view, inserted and deleted in turn.
+        let probe = Tuple::ints([n / 2, -1]);
+        let mut delta = 1;
+        group.bench_function(BenchmarkId::new("write_after_clone", kilo(n)), |bch| {
+            bch.iter(|| {
+                let snapshot = view.clone();
+                view.add(probe.clone(), delta);
+                delta = -delta;
+                snapshot
+            })
+        });
     }
+    // The set-up side of the trade: building a large bag from sorted
+    // input (decode, evaluation) and from scattered input, and point
+    // lookups in it.
+    let n = 100_000;
+    let sorted: Vec<Tuple> = (0..n).map(|i| Tuple::ints([i, i % 7])).collect();
+    let scattered = scattered_tuples(n);
+    for (order, tuples) in [("sorted", &sorted), ("scattered", &scattered)] {
+        group.bench_function(BenchmarkId::new(format!("build/{order}"), kilo(n)), |bch| {
+            bch.iter(|| tuples.iter().cloned().collect::<SignedBag>())
+        });
+    }
+    let view: SignedBag = scattered.into_iter().collect();
+    // Fresh tuples, so no probe is the very allocation the bag holds.
+    let probes = scattered_tuples(n);
+    let mut next = 0;
+    group.bench_function(BenchmarkId::new("count", kilo(n)), |bch| {
+        bch.iter(|| {
+            next = (next + 4_099) % probes.len();
+            view.count(&probes[next])
+        })
+    });
     group.finish();
 }
 
@@ -166,33 +210,36 @@ fn bench_wire_codec(c: &mut Criterion) {
     group.finish();
 }
 
-/// Epoch publication and registry reads on a 20k-tuple view. A publish
-/// whose state changed since the last one clones the bag's spine; one
-/// whose state did not re-publishes the newest snapshot by reference.
+/// Epoch publication and registry reads on a 20k-tuple view, and a
+/// changed publish at 100k. A publish whose state changed since the last
+/// one clones the bag; one whose state did not re-publishes the newest
+/// snapshot by reference.
 fn bench_serving(c: &mut Criterion) {
-    let n = 20_000i64;
-    let mut state: SignedBag = (0..n)
-        .map(|i| Tuple::ints([(i * 7919) % n, i % 7]))
-        .collect();
-    let registry = EpochRegistry::new([state.clone()], 4);
     let mut group = c.benchmark_group("serving");
-    // One tuple in the middle of the view, inserted and deleted in turn.
-    let probe = Tuple::ints([n / 2, -1]);
-    let mut delta = 1;
-    group.bench_function("publish_changed/20k", |b| {
-        b.iter(|| {
-            state.add(probe.clone(), delta);
-            delta = -delta;
-            registry.publish(0, &state, true)
-        })
-    });
-    group.bench_function("publish_unchanged/20k", |b| {
-        b.iter(|| registry.publish(0, &state, true))
-    });
-    for level in ReadLevel::all() {
-        group.bench_function(BenchmarkId::new("read", level.label()), |b| {
-            b.iter(|| registry.read(0, level, 0))
+    for n in [20_000i64, 100_000] {
+        let mut state: SignedBag = scattered_tuples(n).into_iter().collect();
+        let registry = EpochRegistry::new([state.clone()], 4);
+        // One tuple in the middle of the view, inserted and deleted in turn.
+        let probe = Tuple::ints([n / 2, -1]);
+        let mut delta = 1;
+        group.bench_function(BenchmarkId::new("publish_changed", kilo(n)), |b| {
+            b.iter(|| {
+                state.add(probe.clone(), delta);
+                delta = -delta;
+                registry.publish(0, &state, true)
+            })
         });
+        if n > 20_000 {
+            continue;
+        }
+        group.bench_function("publish_unchanged/20k", |b| {
+            b.iter(|| registry.publish(0, &state, true))
+        });
+        for level in ReadLevel::all() {
+            group.bench_function(BenchmarkId::new("read", level.label()), |b| {
+                b.iter(|| registry.read(0, level, 0))
+            });
+        }
     }
     group.finish();
 }

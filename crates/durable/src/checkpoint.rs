@@ -10,15 +10,15 @@
 //! previous checkpoint intact.
 
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Seek, Write};
 use std::path::Path;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use eca_core::AuxDurableState;
 use eca_relational::SignedBag;
-use eca_wire::{DecodeError, Decoder, Encoder};
+use eca_wire::{DecodeError, Decoder, MAX_FRAME_LEN};
 
-use crate::record::{put_frame, unframe};
+use crate::record::{unframe, FrameWriter};
 use crate::DurableError;
 
 /// One auxiliary-view slot inside a view checkpoint.
@@ -69,20 +69,22 @@ impl SourceCheckpoint {
         4 * 8 + 4 + views
     }
 
-    fn encode_body(&self, e: &mut Encoder) {
+    fn encode_body<W: Write + Seek>(&self, w: &mut FrameWriter<W>) -> std::io::Result<()> {
+        let e = w.encoder();
         e.put_u64(self.epoch);
         e.put_u64(self.next_global_id);
         e.put_u64(self.notifications_applied);
         e.put_u64(self.wal_gen);
         e.put_u32(self.views.len() as u32);
         for v in &self.views {
-            e.put_bag(&v.mv);
-            e.put_u32(v.aux.len() as u32);
+            put_bag(w, &v.mv)?;
+            w.encoder().put_u32(v.aux.len() as u32);
             for a in &v.aux {
-                e.put_u8(u8::from(a.fresh));
-                e.put_bag(&a.bag);
+                w.encoder().put_u8(u8::from(a.fresh));
+                put_bag(w, &a.bag)?;
             }
         }
+        Ok(())
     }
 
     fn decode_body(bytes: Bytes) -> Result<Self, DecodeError> {
@@ -115,24 +117,29 @@ impl SourceCheckpoint {
 
     /// Write atomically to `path`: temp file + sync + rename + dir
     /// sync. The body is framed exactly like a WAL record, so the same
-    /// length/checksum validation guards it, and encoded straight into
-    /// the one exactly-sized buffer that is written.
+    /// length/checksum validation guards it, and streamed to the file as
+    /// it is encoded ([`FrameWriter`]): a multi-megabyte frame buffer per
+    /// checkpoint left the process's resident set to where the allocator
+    /// happened to place each one.
     ///
     /// # Errors
     /// [`DurableError::RecordTooLarge`] past [`eca_wire::MAX_FRAME_LEN`];
     /// filesystem errors.
     pub fn write(&self, path: &Path) -> Result<(), DurableError> {
-        let mut framed = BytesMut::new();
-        put_frame(&mut framed, self.encoded_len(), |e| self.encode_body(e))?;
+        let len = self.encoded_len();
+        if len > MAX_FRAME_LEN {
+            return Err(DurableError::RecordTooLarge { len });
+        }
         let tmp = path.with_extension("ckpt.tmp");
         {
-            let mut f = OpenOptions::new()
+            let f = OpenOptions::new()
                 .create(true)
                 .write(true)
                 .truncate(true)
                 .open(&tmp)?;
-            f.write_all(framed.as_ref())?;
-            f.sync_data()?;
+            let mut w = FrameWriter::new(f)?;
+            self.encode_body(&mut w)?;
+            w.finish(len)?.sync_data()?;
         }
         std::fs::rename(&tmp, path)?;
         if let Some(dir) = path.parent() {
@@ -166,6 +173,23 @@ impl SourceCheckpoint {
         }
         Ok(Some(SourceCheckpoint::decode_body(body)?))
     }
+}
+
+/// [`eca_wire::Encoder::put_bag`]'s layout — a `u32` occurrence count,
+/// then per occurrence a sign byte and the tuple — passed on to `w` as
+/// it goes.
+fn put_bag<W: Write + Seek>(w: &mut FrameWriter<W>, bag: &SignedBag) -> std::io::Result<()> {
+    w.encoder().put_u32((bag.pos_len() + bag.neg_len()) as u32);
+    for (tuple, count) in bag.iter() {
+        let sign = u8::from(count < 0);
+        for _ in 0..count.unsigned_abs() {
+            let e = w.encoder();
+            e.put_u8(sign);
+            e.put_tuple(tuple);
+        }
+        w.pass_on()?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -215,6 +239,43 @@ mod tests {
         let path = dir.join("s.ckpt");
         let ck = sample();
         ck.write(&path).unwrap();
+        assert_eq!(SourceCheckpoint::load(&path).unwrap().unwrap(), ck);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn streamed_frame_is_the_in_memory_frame() {
+        // Bags large enough that the body crosses many 64 KiB chunks.
+        let mut big = SignedBag::new();
+        for i in 0..20_000 {
+            big.add(Tuple::ints([i, i % 7]), if i % 5 == 0 { -2 } else { 1 });
+        }
+        let mut ck = sample();
+        ck.views[1].mv = big.clone();
+        ck.views[1].aux[1].bag = big.negated();
+        let dir = tmpdir("streamed");
+        let path = dir.join("s.ckpt");
+        ck.write(&path).unwrap();
+        // The reference: the whole body in one buffer, through the wire
+        // codec's own `put_bag`.
+        let mut framed = bytes::BytesMut::new();
+        crate::record::put_frame(&mut framed, ck.encoded_len(), |e| {
+            e.put_u64(ck.epoch);
+            e.put_u64(ck.next_global_id);
+            e.put_u64(ck.notifications_applied);
+            e.put_u64(ck.wal_gen);
+            e.put_u32(ck.views.len() as u32);
+            for v in &ck.views {
+                e.put_bag(&v.mv);
+                e.put_u32(v.aux.len() as u32);
+                for a in &v.aux {
+                    e.put_u8(u8::from(a.fresh));
+                    e.put_bag(&a.bag);
+                }
+            }
+        })
+        .unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), framed.as_ref());
         assert_eq!(SourceCheckpoint::load(&path).unwrap().unwrap(), ck);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -7,6 +7,8 @@
 //! deterministic maintainer emissions), so nothing derived is ever
 //! logged.
 
+use std::io::{Seek, SeekFrom, Write};
+
 use bytes::{Bytes, BytesMut};
 use eca_relational::{SignedBag, Update, UpdateKind};
 use eca_wire::{DecodeError, Decoder, Encoder, MAX_FRAME_LEN};
@@ -121,12 +123,85 @@ impl WalRecord {
 
 /// FNV-1a over `bytes`: the frame checksum.
 fn fnv1a_checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// FNV-1a continued from the hash `h` of the bytes before `bytes`.
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x1_0000_01b3);
     }
     h
+}
+
+/// One frame laid out as [`put_frame`] lays it out, written to the start
+/// of `out` while its body is encoded: the body passes through a buffer
+/// of about 64 KiB on its way, its checksum is kept as it goes, and the
+/// header goes last, over the zeros that held its place. However large
+/// the frame, it never sits in memory whole.
+pub(crate) struct FrameWriter<W: Write + Seek> {
+    out: W,
+    pending: Encoder,
+    checksum: u64,
+    written: usize,
+}
+
+impl<W: Write + Seek> FrameWriter<W> {
+    /// Bytes gathered before they are passed on to the writer.
+    const CHUNK: usize = 64 * 1024;
+
+    pub(crate) fn new(mut out: W) -> std::io::Result<Self> {
+        out.write_all(&[0; HEADER_LEN])?;
+        Ok(FrameWriter {
+            out,
+            pending: Encoder::new(),
+            checksum: fnv1a_checksum(&[]),
+            written: 0,
+        })
+    }
+
+    /// Where the next piece of the body is encoded. Call
+    /// [`FrameWriter::pass_on`] between pieces.
+    pub(crate) fn encoder(&mut self) -> &mut Encoder {
+        &mut self.pending
+    }
+
+    /// Pass the encoded bytes on once they fill a chunk.
+    pub(crate) fn pass_on(&mut self) -> std::io::Result<()> {
+        if self.pending.len() >= Self::CHUNK {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        let mut buf = std::mem::take(&mut self.pending).into_buf();
+        self.checksum = fnv1a_extend(self.checksum, buf.as_ref());
+        self.written += buf.len();
+        self.out.write_all(buf.as_ref())?;
+        buf.clear();
+        self.pending = Encoder::with_buf(buf);
+        Ok(())
+    }
+
+    /// Write the last bytes and then the header; hand the writer back.
+    /// `body_len` is the length the body was expected to have.
+    ///
+    /// # Errors
+    /// [`DurableError::RecordTooLarge`] past [`MAX_FRAME_LEN`]; I/O
+    /// errors.
+    pub(crate) fn finish(mut self, body_len: usize) -> Result<W, DurableError> {
+        self.flush()?;
+        debug_assert_eq!(self.written, body_len, "frame body length hint");
+        if self.written > MAX_FRAME_LEN {
+            return Err(DurableError::RecordTooLarge { len: self.written });
+        }
+        self.out.seek(SeekFrom::Start(0))?;
+        self.out.write_all(&(self.written as u32).to_be_bytes())?;
+        self.out.write_all(&self.checksum.to_be_bytes())?;
+        Ok(self.out)
+    }
 }
 
 /// Append one frame `[u32 len][u64 fnv1a(body)][body]` to `out`, with

@@ -21,14 +21,16 @@ use std::sync::Arc;
 use crate::tuple::{Sign, SignedTuple, Tuple};
 
 /// Most entries a chunk holds; an insert into a full chunk splits it in
-/// half. Private on purpose: it trades spine length (clone cost) against
-/// the entries a write after a clone must copy, and nothing outside this
+/// half. Private on purpose: it trades the number of chunks against the
+/// entries a write after a clone must copy, and nothing outside this
 /// file may depend on where chunk boundaries fall.
 const CHUNK_CAP: usize = 64;
 
-/// A removal that leaves a chunk below this merges it into a neighbour
-/// when the two fit in one chunk, so the spine stays O(len / CHUNK_CAP).
-const CHUNK_MIN: usize = CHUNK_CAP / 4;
+/// Most chunks a page holds; a page that outgrows it splits in half.
+/// Private for the same reason as `CHUNK_CAP`: it trades the page vector
+/// a clone copies against the chunk pointers a write after a clone
+/// copies. Measured, not derived (DESIGN §6).
+const PAGE_CAP: usize = 32;
 
 type Entry = (Tuple, i64);
 
@@ -37,15 +39,185 @@ type Entry = (Tuple, i64);
 /// side writes to it.
 type Chunk = Arc<Vec<Entry>>;
 
-/// Whether two adjacent chunks of these sizes should become one.
-fn should_merge(a: usize, b: usize) -> bool {
-    (a < CHUNK_MIN || b < CHUNK_MIN) && a + b <= CHUNK_CAP
+/// A run of `1..=PAGE_CAP` adjacent chunks. Shared with every clone of
+/// the bag until one side writes to one of its chunks.
+#[derive(Clone)]
+struct Page {
+    chunks: Vec<Chunk>,
+    /// `fences[i]` parts `chunks[i]` from `chunks[i + 1]`, as the bag's
+    /// own fences part its pages.
+    fences: Vec<Tuple>,
 }
 
-/// Append `right`'s entries to `left` (its predecessor in the bag).
-fn absorb(left: &mut Chunk, right: Chunk) {
-    let entries = Arc::try_unwrap(right).unwrap_or_else(|shared| (*shared).clone());
-    Arc::make_mut(left).extend(entries);
+/// Whether two adjacent runs (chunks, or pages) of these sizes should
+/// become one: a removal that leaves a run below a quarter of `cap`
+/// merges it into a neighbour when the two fit in one, so the bag holds
+/// O(len / CHUNK_CAP) chunks in O(len / (CHUNK_CAP · PAGE_CAP)) pages.
+fn should_merge(a: usize, b: usize, cap: usize) -> bool {
+    (a < cap / 4 || b < cap / 4) && a + b <= cap
+}
+
+/// The value behind `arc`: moved out of the last reference, copied out
+/// of a shared one.
+fn unshare<T: Clone>(arc: Arc<T>) -> T {
+    Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone())
+}
+
+/// Remove run `i` (a page's chunk, or a bag's page) and one fence beside
+/// it: with the first run goes the fence above it, with any other the
+/// fence below.
+fn remove_run<T>(runs: &mut Vec<T>, fences: &mut Vec<Tuple>, i: usize) {
+    runs.remove(i);
+    if !fences.is_empty() {
+        fences.remove(i.saturating_sub(1));
+    }
+}
+
+/// Index of the only run that may hold `key`, given the fences that part
+/// the runs (0 if there are none).
+///
+/// A binary search narrows to a stretch of fences and a linear scan
+/// finishes: the upper levels of the binary search hit the same few
+/// fences on every call and stay cached, the last ones are cold
+/// pointer chases that a scan overlaps instead of serialising (on
+/// bags that do not fit the cache: −25 % per `add`/`count` against
+/// `partition_point` alone). A lookup runs this twice, over ≤ a few
+/// dozen fences each time, so the stretch is short: 8 beat 16 on 20k
+/// tuples.
+fn fence_index(fences: &[Tuple], key: &Tuple) -> usize {
+    const SCAN: usize = 8;
+    let (mut lo, mut hi) = (0, fences.len());
+    while hi - lo > SCAN {
+        let mid = lo + (hi - lo) / 2;
+        if fences[mid] <= *key {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo + fences[lo..hi]
+        .iter()
+        .take_while(|fence| *fence <= key)
+        .count()
+}
+
+/// A chunk of one entry, with room for `capacity`.
+fn new_chunk(tuple: Tuple, count: i64, capacity: usize) -> Chunk {
+    let mut entries = Vec::with_capacity(capacity);
+    entries.push((tuple, count));
+    Arc::new(entries)
+}
+
+impl Page {
+    /// Entries over all chunks.
+    fn len(&self) -> usize {
+        self.chunks.iter().map(|chunk| chunk.len()).sum()
+    }
+
+    /// Insert a new entry at position `ei` of chunk `ci`, splitting the
+    /// chunk first if it is full.
+    fn insert(&mut self, mut ci: usize, mut ei: usize, tuple: Tuple, count: i64) {
+        if self.chunks[ci].len() == CHUNK_CAP {
+            let upper = Arc::make_mut(&mut self.chunks[ci]).split_off(CHUNK_CAP / 2);
+            self.fences.insert(ci, upper[0].0.clone());
+            self.chunks.insert(ci + 1, Arc::new(upper));
+            // A tuple landing exactly on the cut is below the new fence
+            // and so belongs at the end of the lower half.
+            if ei > CHUNK_CAP / 2 {
+                ci += 1;
+                ei -= CHUNK_CAP / 2;
+            }
+        }
+        Arc::make_mut(&mut self.chunks[ci]).insert(ei, (tuple, count));
+    }
+
+    /// Add `delta` to entry `ei` of chunk `ci`, dropping the entry at
+    /// zero and the chunk with its last entry. Returns whether the entry
+    /// went.
+    fn adjust(&mut self, ci: usize, ei: usize, delta: i64) -> bool {
+        let chunk = Arc::make_mut(&mut self.chunks[ci]);
+        chunk[ei].1 += delta;
+        if chunk[ei].1 != 0 {
+            return false;
+        }
+        chunk.remove(ei);
+        if chunk.is_empty() {
+            remove_run(&mut self.chunks, &mut self.fences, ci);
+        } else if !self.merge_chunks_at(ci) && ci > 0 {
+            // Right neighbour first, then left.
+            self.merge_chunks_at(ci - 1);
+        }
+        true
+    }
+
+    /// Merge chunk `left + 1` into chunk `left` if the two should be one.
+    /// Returns whether they were.
+    fn merge_chunks_at(&mut self, left: usize) -> bool {
+        let Some(right) = self.chunks.get(left + 1) else {
+            return false;
+        };
+        if !should_merge(self.chunks[left].len(), right.len(), CHUNK_CAP) {
+            return false;
+        }
+        let right = unshare(self.chunks.remove(left + 1));
+        self.fences.remove(left);
+        Arc::make_mut(&mut self.chunks[left]).extend(right);
+        true
+    }
+
+    /// Append a chunk that follows every chunk here, with the fence below
+    /// it (`None` for the first chunk of a page), merging it into the
+    /// last chunk if the two should be one.
+    fn push_chunk(&mut self, fence: Option<&Tuple>, chunk: Chunk) {
+        if chunk.is_empty() {
+            return;
+        }
+        match (self.chunks.last_mut(), fence) {
+            (Some(last), _) if should_merge(last.len(), chunk.len(), CHUNK_CAP) => {
+                Arc::make_mut(last).extend(unshare(chunk));
+            }
+            (Some(_), Some(fence)) => {
+                self.fences.push(fence.clone());
+                self.chunks.push(chunk);
+            }
+            // The first chunk kept has no fence below it.
+            _ => self.chunks.push(chunk),
+        }
+    }
+
+    /// Append the page that follows this one, `fence` between the two,
+    /// merging the two chunks that meet if they should be one.
+    fn append(&mut self, fence: Tuple, next: Page) {
+        let junction = self.chunks.len().saturating_sub(1);
+        self.fences.push(fence);
+        self.fences.extend(next.fences);
+        self.chunks.extend(next.chunks);
+        self.merge_chunks_at(junction);
+    }
+
+    /// This page without the entries `pred` picks, or `None` if it picks
+    /// none. Chunks that lose nothing are shared, not copied, and `pred`
+    /// sees each entry once.
+    fn without(&self, pred: &mut impl FnMut(&Tuple) -> bool) -> Option<Page> {
+        let mut kept: Option<Page> = None;
+        for (ci, chunk) in self.chunks.iter().enumerate() {
+            let fence = ci.checked_sub(1).map(|below| &self.fences[below]);
+            let Some(first) = chunk.iter().position(|(t, _)| pred(t)) else {
+                if let Some(kept) = &mut kept {
+                    kept.push_chunk(fence, Arc::clone(chunk));
+                }
+                continue;
+            };
+            let mut entries = chunk[..first].to_vec();
+            entries.extend(chunk[first + 1..].iter().filter(|(t, _)| !pred(t)).cloned());
+            let kept = kept.get_or_insert_with(|| Page {
+                chunks: self.chunks[..ci].to_vec(),
+                fences: self.fences[..ci.saturating_sub(1)].to_vec(),
+            });
+            kept.push_chunk(fence, Arc::new(entries));
+        }
+        kept
+    }
 }
 
 /// A relation with signed replication counts.
@@ -53,13 +225,17 @@ fn absorb(left: &mut Chunk, right: Chunk) {
 /// Iteration order is deterministic (tuples in value order) so traces,
 /// tests, and wire encodings are reproducible.
 ///
-/// The bag is a spine of reference-counted sorted chunks. `clone` copies
-/// the spine — one pointer pair per chunk, no per-tuple work — and a write
-/// after a clone copies only the chunks it touches (`Arc::make_mut`), so
-/// snapshots of a large view (epoch publication, state history,
-/// checkpoints, read answers) cost O(len / chunk) and share their storage.
+/// The bag is a two-level persistent spine: a short vector of
+/// reference-counted pages, each a vector of up to `PAGE_CAP`
+/// reference-counted sorted chunks. `clone` copies the page vector — one
+/// pointer pair per page, a page per 900 (scattered inserts) to 2,048
+/// (sorted input) tuples, and no per-chunk or per-tuple work — and a write
+/// after a clone copies only the page and the chunk it touches
+/// (`Arc::make_mut`). So snapshots of a large view (epoch publication,
+/// state history, checkpoints, read answers) cost O(pages) and share
+/// their storage, and dropping one frees only what it held alone.
 /// Equality, iteration, `Debug` and the wire encoding depend on content
-/// only, never on where chunk boundaries fall.
+/// only, never on where chunk or page boundaries fall.
 ///
 /// ```
 /// use eca_relational::{SignedBag, Tuple};
@@ -76,11 +252,11 @@ fn absorb(left: &mut Chunk, right: Chunk) {
 /// ```
 #[derive(Clone, Default)]
 pub struct SignedBag {
-    chunks: Vec<Chunk>,
-    /// `fences[i]` parts `chunks[i]` from `chunks[i + 1]`: greater than
-    /// every key up to and including `chunks[i]`, and at most every key
-    /// from `chunks[i + 1]` on. Set when a chunk is created and never
-    /// tightened, so finding a key's chunk reads this array alone.
+    pages: Vec<Arc<Page>>,
+    /// `fences[i]` parts `pages[i]` from `pages[i + 1]`: greater than
+    /// every key up to and including `pages[i]`, and at most every key
+    /// from `pages[i + 1]` on. Set when a page or chunk is created and
+    /// never tightened, so finding a key's page reads this array alone.
     fences: Vec<Tuple>,
     /// Distinct tuples, i.e. entries over all chunks.
     len: usize,
@@ -113,124 +289,148 @@ impl SignedBag {
     ///
     /// A tuple at or beyond the current last one is handled without a
     /// search, so building a bag from sorted input (decoding, merging
-    /// into an empty bag) is linear and packs chunks full.
+    /// into an empty bag) is linear and packs chunks and pages full.
     pub fn add(&mut self, tuple: Tuple, delta: i64) {
         if delta == 0 {
             return;
         }
-        let Some(last) = self.chunks.last() else {
-            self.push_back(tuple, delta);
-            return;
-        };
-        let (last_key, _) = last.last().expect("no chunk is empty");
-        match tuple.cmp(last_key) {
-            Ordering::Greater => self.push_back(tuple, delta),
-            Ordering::Equal => self.adjust(self.chunks.len() - 1, last.len() - 1, delta),
-            Ordering::Less => {
-                let ci = self.chunk_index(&tuple);
-                match search(&self.chunks[ci], &tuple) {
-                    Ok(ei) => self.adjust(ci, ei, delta),
-                    Err(ei) => self.insert(ci, ei, tuple, delta),
+        let last = self
+            .pages
+            .last()
+            .and_then(|page| page.chunks.last())
+            .and_then(|chunk| chunk.last());
+        match last.map(|(key, _)| tuple.cmp(key)) {
+            None | Some(Ordering::Greater) => self.push_back(tuple, delta),
+            Some(Ordering::Equal) => {
+                let pi = self.pages.len() - 1;
+                let ci = self.pages[pi].chunks.len() - 1;
+                let ei = self.pages[pi].chunks[ci].len() - 1;
+                self.adjust(pi, ci, ei, delta);
+            }
+            Some(Ordering::Less) => {
+                let pi = fence_index(&self.fences, &tuple);
+                let page = &self.pages[pi];
+                let ci = fence_index(&page.fences, &tuple);
+                match search(&page.chunks[ci], &tuple) {
+                    Ok(ei) => self.adjust(pi, ci, ei, delta),
+                    Err(ei) => self.insert(pi, ci, ei, tuple, delta),
                 }
             }
         }
     }
 
-    /// Index of the only chunk that may hold `key` (0 in an empty bag).
-    ///
-    /// A binary search narrows to a stretch of fences and a linear scan
-    /// finishes: the upper levels of the binary search hit the same few
-    /// fences on every call and stay cached, the last ones are cold
-    /// pointer chases that a scan overlaps instead of serialising (on
-    /// bags that do not fit the cache: −25 % per `add`/`count` against
-    /// `partition_point` alone).
-    fn chunk_index(&self, key: &Tuple) -> usize {
-        const SCAN: usize = 16;
-        let (mut lo, mut hi) = (0, self.fences.len());
-        while hi - lo > SCAN {
-            let mid = lo + (hi - lo) / 2;
-            if self.fences[mid] <= *key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo + self.fences[lo..hi]
-            .iter()
-            .take_while(|fence| *fence <= key)
-            .count()
+    /// Every chunk in tuple order.
+    fn chunks(&self) -> impl Iterator<Item = &Chunk> + '_ {
+        self.pages.iter().flat_map(|page| page.chunks.iter())
     }
 
     /// Append an entry whose tuple is greater than every tuple present.
+    ///
+    /// Most bags are deltas and answers of a handful of tuples: their
+    /// first chunk starts with room for eight. A chunk that follows a
+    /// full one is part of a sorted build and will fill too: room for
+    /// `CHUNK_CAP` saves it three reallocations.
     fn push_back(&mut self, tuple: Tuple, count: i64) {
         self.len += 1;
-        if let Some(chunk) = self.chunks.last_mut() {
+        let Some(page) = self.pages.last_mut() else {
+            self.pages.push(Arc::new(Page {
+                chunks: vec![new_chunk(tuple, count, 8)],
+                fences: Vec::new(),
+            }));
+            return;
+        };
+        let page = Arc::make_mut(page);
+        if let Some(chunk) = page.chunks.last_mut() {
             if chunk.len() < CHUNK_CAP {
                 Arc::make_mut(chunk).push((tuple, count));
                 return;
             }
-            self.fences.push(tuple.clone());
         }
-        // Most bags are deltas and answers of a handful of tuples: room
-        // for eight saves them the first reallocations.
-        let mut entries = Vec::with_capacity(8);
-        entries.push((tuple, count));
-        self.chunks.push(Arc::new(entries));
+        let chunk = new_chunk(tuple.clone(), count, CHUNK_CAP);
+        if page.chunks.len() < PAGE_CAP {
+            page.fences.push(tuple);
+            page.chunks.push(chunk);
+        } else {
+            self.fences.push(tuple);
+            self.pages.push(Arc::new(Page {
+                chunks: vec![chunk],
+                fences: Vec::new(),
+            }));
+        }
     }
 
-    /// Add `delta` to an existing entry, dropping it at zero.
-    fn adjust(&mut self, ci: usize, ei: usize, delta: i64) {
-        let chunk = Arc::make_mut(&mut self.chunks[ci]);
-        chunk[ei].1 += delta;
-        if chunk[ei].1 != 0 {
+    /// Add `delta` to entry `ei` of chunk `ci` of page `pi`, dropping it
+    /// at zero.
+    fn adjust(&mut self, pi: usize, ci: usize, ei: usize, delta: i64) {
+        let page = Arc::make_mut(&mut self.pages[pi]);
+        let chunks = page.chunks.len();
+        if !page.adjust(ci, ei, delta) {
             return;
         }
-        chunk.remove(ei);
         self.len -= 1;
-        if chunk.is_empty() {
-            self.chunks.remove(ci);
-            // With the first chunk goes the fence above it, with any
-            // other the fence below.
-            if !self.fences.is_empty() {
-                self.fences.remove(ci.saturating_sub(1));
-            }
-            return;
-        }
-        // Right neighbour first, then left.
-        for left in [Some(ci), ci.checked_sub(1)].into_iter().flatten() {
-            let Some(right) = self.chunks.get(left + 1) else {
-                continue;
-            };
-            if should_merge(self.chunks[left].len(), right.len()) {
-                let right = self.chunks.remove(left + 1);
-                self.fences.remove(left);
-                absorb(&mut self.chunks[left], right);
-                return;
-            }
+        if page.chunks.is_empty() {
+            remove_run(&mut self.pages, &mut self.fences, pi);
+        } else if page.chunks.len() < chunks && !self.merge_pages_at(pi) && pi > 0 {
+            // Right neighbour first, then left.
+            self.merge_pages_at(pi - 1);
         }
     }
 
-    /// Insert a new entry at position `ei` of chunk `ci`, splitting the
-    /// chunk first if it is full.
-    fn insert(&mut self, mut ci: usize, mut ei: usize, tuple: Tuple, count: i64) {
-        if self.chunks[ci].len() == CHUNK_CAP {
-            let upper = Arc::make_mut(&mut self.chunks[ci]).split_off(CHUNK_CAP / 2);
-            self.fences.insert(ci, upper[0].0.clone());
-            self.chunks.insert(ci + 1, Arc::new(upper));
-            // A tuple landing exactly on the cut is below the new fence
-            // and so belongs at the end of the lower half.
-            if ei > CHUNK_CAP / 2 {
-                ci += 1;
-                ei -= CHUNK_CAP / 2;
-            }
+    /// Merge page `left + 1` into page `left` if the two should be one.
+    /// Returns whether they were.
+    fn merge_pages_at(&mut self, left: usize) -> bool {
+        let Some(right) = self.pages.get(left + 1) else {
+            return false;
+        };
+        if !should_merge(self.pages[left].chunks.len(), right.chunks.len(), PAGE_CAP) {
+            return false;
         }
-        Arc::make_mut(&mut self.chunks[ci]).insert(ei, (tuple, count));
+        let right = unshare(self.pages.remove(left + 1));
+        let fence = self.fences.remove(left);
+        Arc::make_mut(&mut self.pages[left]).append(fence, right);
+        true
+    }
+
+    /// Insert a new entry at position `ei` of chunk `ci` of page `pi`,
+    /// splitting the page in half if that leaves it over `PAGE_CAP`.
+    fn insert(&mut self, pi: usize, ci: usize, ei: usize, tuple: Tuple, count: i64) {
+        let page = Arc::make_mut(&mut self.pages[pi]);
+        page.insert(ci, ei, tuple, count);
         self.len += 1;
+        if page.chunks.len() > PAGE_CAP {
+            let chunks = page.chunks.split_off(PAGE_CAP / 2);
+            let mut fences = page.fences.split_off(PAGE_CAP / 2 - 1);
+            // The fence that parted the two halves' chunks parts the pages.
+            self.fences.insert(pi, fences.remove(0));
+            self.pages.insert(pi + 1, Arc::new(Page { chunks, fences }));
+        }
+    }
+
+    /// Append a page that follows every page here, with the fence below
+    /// it (`None` for the first page), merging it into the last page if
+    /// the two should be one.
+    fn push_page(&mut self, fence: Option<Tuple>, page: Arc<Page>) {
+        if page.chunks.is_empty() {
+            return;
+        }
+        match (self.pages.last_mut(), fence) {
+            (Some(last), Some(fence))
+                if should_merge(last.chunks.len(), page.chunks.len(), PAGE_CAP) =>
+            {
+                Arc::make_mut(last).append(fence, unshare(page));
+            }
+            (Some(_), Some(fence)) => {
+                self.fences.push(fence);
+                self.pages.push(page);
+            }
+            // The first page kept has no fence below it.
+            _ => self.pages.push(page),
+        }
     }
 
     /// All entries in tuple order.
     fn entries(&self) -> impl Iterator<Item = &Entry> + '_ {
-        self.chunks.iter().flat_map(|chunk| chunk.iter())
+        self.chunks().flat_map(|chunk| chunk.iter())
     }
 
     /// A new bag with every count passed through `f`; entries mapped to
@@ -248,9 +448,10 @@ impl SignedBag {
 
     /// The signed count of `tuple` (0 if absent).
     pub fn count(&self, tuple: &Tuple) -> i64 {
-        let Some(chunk) = self.chunks.get(self.chunk_index(tuple)) else {
+        let Some(page) = self.pages.get(fence_index(&self.fences, tuple)) else {
             return 0;
         };
+        let chunk = &page.chunks[fence_index(&page.fences, tuple)];
         search(chunk, tuple).map_or(0, |ei| chunk[ei].1)
     }
 
@@ -361,28 +562,19 @@ impl SignedBag {
     /// Used by ECA-Key's `key-delete` operation (paper §5.4).
     pub fn remove_where(&mut self, mut pred: impl FnMut(&Tuple) -> bool) -> usize {
         let before = self.len;
-        let chunks = std::mem::take(&mut self.chunks);
-        // Each chunk with the fence below it; the first has none.
+        let pages = std::mem::take(&mut self.pages);
+        // Each page with the fence below it; the first has none.
         let fences = std::mem::take(&mut self.fences).into_iter().map(Some);
-        for (mut chunk, fence) in chunks.into_iter().zip(std::iter::once(None).chain(fences)) {
-            // A chunk that loses nothing stays shared with earlier clones.
-            if let Some(first) = chunk.iter().position(|(t, _)| pred(t)) {
-                let mut kept = chunk[..first].to_vec();
-                kept.extend(chunk[first + 1..].iter().filter(|(t, _)| !pred(t)).cloned());
-                self.len -= chunk.len() - kept.len();
-                chunk = Arc::new(kept);
-            }
-            if chunk.is_empty() {
-                continue;
-            }
-            match self.chunks.last_mut() {
-                Some(prev) if should_merge(prev.len(), chunk.len()) => absorb(prev, chunk),
-                Some(_) => {
-                    self.fences.push(fence.expect("not the first chunk"));
-                    self.chunks.push(chunk);
+        for (page, fence) in pages.into_iter().zip(std::iter::once(None).chain(fences)) {
+            // A page that loses nothing stays shared with earlier clones.
+            let page = match page.without(&mut pred) {
+                Some(kept) => {
+                    self.len -= page.len() - kept.len();
+                    Arc::new(kept)
                 }
-                None => self.chunks.push(chunk),
-            }
+                None => page,
+            };
+            self.push_page(fence, page);
         }
         before - self.len
     }
@@ -411,21 +603,22 @@ impl SignedBag {
         }
     }
 
-    /// Whether `self` and `other` hold the very same chunks: equal chunk
-    /// counts and every pair the same allocation. Reads the two spines
-    /// only — no entry, no refcount, no allocation.
+    /// Whether `self` and `other` hold the very same pages: equal page
+    /// counts and every pair the same allocation. Reads the two page
+    /// vectors only — O(pages), no chunk, no entry, no refcount, no
+    /// allocation.
     ///
-    /// `true` implies equal content: a write to a chunk that a clone
-    /// shares goes through `Arc::make_mut` and so lands in a new
-    /// allocation, and an address cannot be reused while `other` keeps
-    /// the old chunk alive. The converse does not hold: equal content
-    /// built separately is `false`.
+    /// `true` implies equal content: a write to a page (or a chunk of
+    /// one) that a clone shares goes through `Arc::make_mut` and so lands
+    /// in a new allocation, and an address cannot be reused while `other`
+    /// keeps the old page alive. The converse does not hold: equal
+    /// content built separately is `false`.
     pub fn shares_every_chunk(&self, other: &SignedBag) -> bool {
-        self.chunks.len() == other.chunks.len()
+        self.pages.len() == other.pages.len()
             && self
-                .chunks
+                .pages
                 .iter()
-                .zip(&other.chunks)
+                .zip(&other.pages)
                 .all(|(a, b)| Arc::ptr_eq(a, b))
     }
 
@@ -618,34 +811,54 @@ mod tests {
         assert_eq!(format!("{b:?}"), "([1],-[4])");
     }
 
-    /// Every structural condition the representation relies on.
+    /// Every structural condition the representation relies on: fences
+    /// in order across and within pages, each part of its runs; chunk
+    /// and page occupancy within bounds; `len` the sum over chunks.
     fn check(bag: &SignedBag) {
-        assert_eq!(bag.fences.len(), bag.chunks.len().saturating_sub(1));
+        assert_eq!(bag.fences.len(), bag.pages.len().saturating_sub(1));
         let mut len = 0;
         let mut prev: Option<&Tuple> = None;
-        for (i, chunk) in bag.chunks.iter().enumerate() {
-            let n = chunk.len();
-            assert!((1..=CHUNK_CAP).contains(&n), "chunk {i} holds {n}");
-            if i > 0 {
-                let fence = &bag.fences[i - 1];
-                assert!(prev < Some(fence), "fence below chunk {i} too low");
-                assert!(*fence <= chunk[0].0, "fence below chunk {i} too high");
+        for (pi, page) in bag.pages.iter().enumerate() {
+            let chunks = page.chunks.len();
+            assert!(
+                (1..=PAGE_CAP).contains(&chunks),
+                "page {pi} holds {chunks} chunks"
+            );
+            assert_eq!(page.fences.len(), chunks - 1, "fences of page {pi}");
+            for (ci, chunk) in page.chunks.iter().enumerate() {
+                let n = chunk.len();
+                assert!((1..=CHUNK_CAP).contains(&n), "chunk {pi}.{ci} holds {n}");
+                let fence = match ci {
+                    0 => pi.checked_sub(1).map(|below| &bag.fences[below]),
+                    _ => Some(&page.fences[ci - 1]),
+                };
+                if let Some(fence) = fence {
+                    assert!(prev < Some(fence), "fence below chunk {pi}.{ci} too low");
+                    assert!(*fence <= chunk[0].0, "fence below chunk {pi}.{ci} too high");
+                }
+                for (t, c) in chunk.iter() {
+                    assert_ne!(*c, 0);
+                    assert!(prev < Some(t), "order in chunk {pi}.{ci}");
+                    prev = Some(t);
+                }
+                len += n;
             }
-            for (t, c) in chunk.iter() {
-                assert_ne!(*c, 0);
-                assert!(prev < Some(t), "order in chunk {i}");
-                prev = Some(t);
-            }
-            len += n;
         }
         assert_eq!(len, bag.len);
     }
 
     /// Chunks of `a` that are not the same allocation as any chunk of `b`.
     fn unshared(a: &SignedBag, b: &SignedBag) -> usize {
-        a.chunks
+        a.chunks()
+            .filter(|c| !b.chunks().any(|d| Arc::ptr_eq(c, d)))
+            .count()
+    }
+
+    /// Pages of `a` that are not the same allocation as any page of `b`.
+    fn unshared_pages(a: &SignedBag, b: &SignedBag) -> usize {
+        a.pages
             .iter()
-            .filter(|c| !b.chunks.iter().any(|d| Arc::ptr_eq(c, d)))
+            .filter(|p| !b.pages.iter().any(|q| Arc::ptr_eq(p, q)))
             .count()
     }
 
@@ -661,7 +874,7 @@ mod tests {
             bag.add(t(&[i, i % 7]), 1);
         }
         check(&bag);
-        assert!(bag.chunks.len() <= 2 * 20_000 / CHUNK_CAP + 1);
+        assert!(bag.chunks().count() <= 2 * 20_000 / CHUNK_CAP + 1);
 
         let snap = bag.clone();
         assert_eq!(unshared(&bag, &snap), 0);
@@ -683,54 +896,102 @@ mod tests {
     }
 
     #[test]
+    fn one_write_after_a_clone_unshares_at_most_a_page() {
+        let mut bag: SignedBag = scattered(100_000).map(|i| t(&[i, i % 7])).collect();
+        check(&bag);
+        // A clone costs one pointer pair per page: 91 of them here,
+        // against 2,048 chunks.
+        assert!(bag.pages.len() <= 100, "{} pages", bag.pages.len());
+        assert!(bag.chunks().count() > 20 * bag.pages.len());
+        for k in (0..100_000).step_by(997) {
+            // A new tuple: one page and the chunk it lands in (two, if
+            // that chunk splits), or two pages if the page splits too.
+            let snap = bag.clone();
+            assert!(bag.shares_every_chunk(&snap));
+            bag.add(t(&[k, -1]), 1);
+            let page_split = bag.pages.len() - snap.pages.len();
+            assert!(unshared_pages(&bag, &snap) <= 1 + page_split);
+            assert!(unshared(&bag, &snap) <= 2);
+            assert!(!bag.shares_every_chunk(&snap));
+
+            // Cancelled to zero: a page, plus the neighbour it may merge
+            // with.
+            let snap = bag.clone();
+            bag.add(t(&[k, -1]), -1);
+            assert!(unshared_pages(&bag, &snap) <= 2);
+            assert!(!bag.shares_every_chunk(&snap));
+
+            // One tuple removed by predicate: the same.
+            let snap = bag.clone();
+            let victim = t(&[k + 1, (k + 1) % 7]);
+            assert_eq!(bag.remove_where(|tp| *tp == victim), 1, "{victim:?}");
+            assert!(unshared_pages(&bag, &snap) <= 2);
+            assert!(!bag.shares_every_chunk(&snap));
+            assert_eq!(snap.count(&victim), 1);
+        }
+        check(&bag);
+        assert_eq!(bag.distinct_len(), 100_000 - 101);
+    }
+
+    #[test]
     fn chunks_stay_within_bounds_under_churn() {
+        const N: i64 = 20_000;
         let mut bag = SignedBag::new();
         // Grow by scattered inserts (splits), shrink by scattered deletes
         // (merges), regrow, then mass-delete through remove_where.
-        for i in scattered(5_000) {
+        for i in scattered(N) {
             bag.add(t(&[i]), 1);
             if i % 97 == 0 {
                 check(&bag);
             }
         }
-        let full = bag.chunks.len();
-        for i in scattered(5_000).filter(|i| i % 10 != 0) {
+        let full = bag.chunks().count();
+        let full_pages = bag.pages.len();
+        assert!(full_pages >= 8, "{full_pages} pages");
+        for i in scattered(N).filter(|i| i % 10 != 0) {
             bag.add(t(&[i]), -1);
             if i % 97 == 0 {
                 check(&bag);
             }
         }
         check(&bag);
-        assert_eq!(bag.distinct_len(), 500);
-        assert!(bag.chunks.len() <= full / 4, "merges keep the spine short");
-        for i in scattered(5_000) {
+        assert_eq!(bag.distinct_len(), N as usize / 10);
+        assert!(
+            bag.chunks().count() <= full / 4,
+            "merges keep the spine short"
+        );
+        assert!(bag.pages.len() <= full_pages / 4, "and the page vector");
+        for i in scattered(N) {
             bag.add(t(&[i]), 2);
         }
         check(&bag);
         let snap = bag.clone();
         let removed = bag.remove_where(|tp| tp.get(0) >= Some(&crate::Value::Int(100)));
         check(&bag);
-        assert_eq!(removed, 4_900);
+        assert_eq!(removed, N as usize - 100);
         assert_eq!(bag.distinct_len(), 100);
-        assert!(bag.chunks.len() <= 100 / CHUNK_MIN + 1);
+        assert!(bag.chunks().count() <= 100 / (CHUNK_CAP / 4) + 1);
+        assert_eq!(bag.pages.len(), 1);
         // Chunks that lost nothing are still the snapshot's.
         assert!(unshared(&bag, &snap) <= 1);
-        assert_eq!(snap.distinct_len(), 5_000);
-        for i in 0..5_000 {
+        assert_eq!(snap.distinct_len(), N as usize);
+        for i in 0..N {
             bag.add(t(&[i]), -bag.count(&t(&[i])));
         }
-        assert!(bag.is_empty() && bag.chunks.is_empty());
+        assert!(bag.is_empty() && bag.pages.is_empty());
     }
 
     #[test]
     fn sorted_input_packs_chunks_full() {
-        let bag = SignedBag::from_tuples((0..1_000).map(|i| t(&[i])));
+        let bag = SignedBag::from_tuples((0..10_000).map(|i| t(&[i])));
         check(&bag);
-        assert_eq!(bag.chunks.len(), 1_000_usize.div_ceil(CHUNK_CAP));
+        let chunks = 10_000_usize.div_ceil(CHUNK_CAP);
+        assert_eq!(bag.chunks().count(), chunks);
+        assert_eq!(bag.pages.len(), chunks.div_ceil(PAGE_CAP));
         // Equal content, different boundaries: still equal.
-        let shuffled = SignedBag::from_tuples(scattered(1_000).map(|i| t(&[i])));
+        let shuffled = SignedBag::from_tuples(scattered(10_000).map(|i| t(&[i])));
         check(&shuffled);
-        assert_ne!(shuffled.chunks.len(), bag.chunks.len());
+        assert_ne!(shuffled.chunks().count(), chunks);
         assert_eq!(shuffled, bag);
     }
 

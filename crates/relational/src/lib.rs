@@ -19,6 +19,7 @@
 //! operators `+` and `−` (§4.1) are exactly count addition and subtraction.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
 pub mod algebra;

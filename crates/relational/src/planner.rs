@@ -163,13 +163,10 @@ fn distinct_keys(bag: &SignedBag, cols: &[usize]) -> f64 {
 #[must_use]
 fn greedy_order(plan: &TermPlan, selected: &[SignedBag]) -> Vec<usize> {
     let n = selected.len();
-    if n <= 1 {
-        return (0..n).collect();
-    }
     let totals: Vec<f64> = selected.iter().map(total_occurrences).collect();
-    let start = (0..n)
-        .min_by(|&a, &b| totals[a].total_cmp(&totals[b]))
-        .expect("non-empty input list");
+    let Some(start) = (0..n).min_by(|&a, &b| totals[a].total_cmp(&totals[b])) else {
+        return Vec::new();
+    };
     let mut order = Vec::with_capacity(n);
     order.push(start);
     let mut joined = vec![false; n];
@@ -195,7 +192,9 @@ fn greedy_order(plan: &TermPlan, selected: &[SignedBag]) -> Vec<usize> {
                 best = Some((est, cand));
             }
         }
-        let (est, cand) = best.expect("some input still unjoined");
+        let Some((est, cand)) = best else {
+            break;
+        };
         order.push(cand);
         joined[cand] = true;
         acc_est = est.max(1.0);
@@ -265,17 +264,20 @@ pub fn spj_planned(
         (plan.offsets[first]..plan.offsets[first] + plan.arities[first]).collect();
     let mut acc = selected[first].clone();
     for &next in &order[1..] {
-        let keys: Vec<(usize, usize)> = plan
+        // Every edge into `next` starts at a column already joined.
+        let keys = plan
             .edges_to(next, &joined)
             .into_iter()
             .map(|(acc_col, cand_col)| {
-                let acc_pos = layout
-                    .iter()
-                    .position(|&c| c == acc_col)
-                    .expect("edge endpoint already joined");
-                (acc_pos, cand_col - plan.offsets[next])
+                let acc_pos = layout.iter().position(|&c| c == acc_col).ok_or(
+                    RelationalError::PositionOutOfRange {
+                        position: acc_col,
+                        arity: layout.len(),
+                    },
+                )?;
+                Ok((acc_pos, cand_col - plan.offsets[next]))
             })
-            .collect();
+            .collect::<Result<Vec<_>, RelationalError>>()?;
         acc = if keys.is_empty() {
             cross(&acc, &selected[next])
         } else {

@@ -132,6 +132,150 @@ fn apply(bag: &mut SignedBag, op: &Op) {
     }
 }
 
+/// Keys of the many-page model test: wide enough that a run of it grows
+/// the bag to several thousand chunks in dozens of pages.
+const WIDE: i64 = 24_000;
+
+/// One step of the many-page model test. Each merges a whole bag, so a
+/// step crosses chunk and page boundaries by the hundred: splits as runs
+/// land inside pages, merges as negative runs empty them.
+#[derive(Clone, Debug)]
+enum WideOp {
+    /// Merge `len` consecutive keys from `start`, each with `count`: one
+    /// sorted run.
+    Run { start: i64, len: i64, count: i64 },
+    /// Merge `len` keys `start + i · stride` (mod `WIDE`), each with
+    /// `count`: the same volume, scattered over every page.
+    Scatter {
+        start: i64,
+        len: i64,
+        stride: i64,
+        count: i64,
+    },
+    /// Remove every tuple whose key is `r` modulo `m`: a page-wide
+    /// `remove_where`.
+    RemoveWhere(i64, i64),
+    /// Remove every tuple whose key lies in `lo..hi`: one that empties a
+    /// stretch of pages and leaves the rest alone.
+    RemoveRange(i64, i64),
+    /// Keep a clone and the model state it must forever equal.
+    Snapshot,
+}
+
+/// Positive counts twice as likely as negative ones, so bags grow.
+fn wide_count() -> impl Strategy<Value = i64> {
+    prop_oneof![1i64..=2, 1i64..=2, -2i64..=-1]
+}
+
+fn wide_op() -> impl Strategy<Value = WideOp> {
+    prop_oneof![
+        (0..WIDE, 1i64..8_000, wide_count()).prop_map(|(start, len, count)| WideOp::Run {
+            start,
+            len,
+            count
+        }),
+        (
+            0..WIDE,
+            1i64..8_000,
+            prop_oneof![Just(7_919i64), Just(104_729), Just(13)],
+            wide_count()
+        )
+            .prop_map(|(start, len, stride, count)| WideOp::Scatter {
+                start,
+                len,
+                stride,
+                count
+            }),
+        (2i64..9).prop_map(|m| WideOp::RemoveWhere(m - 2, m)),
+        (0..WIDE, 0i64..6_000).prop_map(|(lo, len)| WideOp::RemoveRange(lo, lo + len)),
+        Just(WideOp::Snapshot),
+    ]
+}
+
+/// The bag a `Run` or `Scatter` step merges (keys past `WIDE` wrap).
+fn wide_delta(op: &WideOp) -> SignedBag {
+    let keys: Box<dyn Iterator<Item = i64>> = match *op {
+        WideOp::Run { start, len, .. } => Box::new(start..start + len),
+        WideOp::Scatter {
+            start, len, stride, ..
+        } => Box::new((0..len).map(move |i| start + i * stride)),
+        _ => Box::new(std::iter::empty()),
+    };
+    let count = match *op {
+        WideOp::Run { count, .. } | WideOp::Scatter { count, .. } => count,
+        _ => 0,
+    };
+    let mut delta = SignedBag::new();
+    for k in keys {
+        delta.add(key(k % WIDE), count);
+    }
+    delta
+}
+
+fn in_range(t: &Tuple, lo: i64, hi: i64) -> bool {
+    matches!(t.get(0), Some(Value::Int(k)) if (lo..hi).contains(k))
+}
+
+/// Every key's count, probed through `count` (not iteration) at a
+/// stride, against the model.
+fn assert_wide_counts_match(bag: &SignedBag, model: &Model) {
+    assert_matches(bag, model);
+    for k in (0..WIDE).step_by(37) {
+        assert_eq!(bag.count(&key(k)), model.get(&key(k)).copied().unwrap_or(0));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    #[test]
+    fn bag_spanning_many_pages_follows_the_model(
+        ops in prop::collection::vec(wide_op(), 1..24),
+    ) {
+        let mut bag = SignedBag::new();
+        let mut model = Model::new();
+        let mut snapshots: Vec<(SignedBag, Model)> = Vec::new();
+        for op in &ops {
+            match *op {
+                WideOp::Run { .. } | WideOp::Scatter { .. } => {
+                    let delta = wide_delta(op);
+                    bag.merge(&delta);
+                    for (t, c) in delta.iter() {
+                        model_add(&mut model, t.clone(), c);
+                    }
+                }
+                WideOp::RemoveWhere(r, m) => {
+                    let before = bag.distinct_len();
+                    let removed = bag.remove_where(|t| residue_is(t, r, m));
+                    prop_assert_eq!(before - removed, bag.distinct_len());
+                    model.retain(|t, _| !residue_is(t, r, m));
+                }
+                WideOp::RemoveRange(lo, hi) => {
+                    bag.remove_where(|t| in_range(t, lo, hi));
+                    model.retain(|t, _| !in_range(t, lo, hi));
+                }
+                WideOp::Snapshot => snapshots.push((bag.clone(), model.clone())),
+            }
+            assert_matches(&bag, &model);
+        }
+        assert_wide_counts_match(&bag, &model);
+        for (snap, at) in &snapshots {
+            assert_wide_counts_match(snap, at);
+        }
+        // Rebuilt from sorted input, the same content packs into other
+        // chunks and pages and is still equal in every rendering.
+        let rebuilt: SignedBag = {
+            let mut b = SignedBag::new();
+            for (t, c) in &model {
+                b.add(t.clone(), *c);
+            }
+            b
+        };
+        prop_assert_eq!(&rebuilt, &bag);
+        prop_assert_eq!(format!("{rebuilt:?}"), format!("{bag:?}"));
+        prop_assert_eq!(rebuilt.encoded_len(), bag.encoded_len());
+    }
+}
+
 proptest! {
     #[test]
     fn bag_follows_a_btreemap_model_and_clones_are_snapshots(

@@ -265,8 +265,9 @@ impl Warehouse {
     /// quiesced), and from now on every processed event publishes the
     /// affected view's state into the returned [`EpochRegistry`]. An
     /// unchanged state re-publishes the previous snapshot by reference;
-    /// a changed one is cloned once, sharing its chunks with the
-    /// maintainer's bag, so a publish costs no per-tuple work. Readers
+    /// a changed one is cloned once, sharing its pages with the
+    /// maintainer's bag, so a publish costs one pointer pair per page
+    /// and no per-chunk or per-tuple work. Readers
     /// share only the per-view slot lock with maintenance, held for a
     /// ring push or an `Arc` clone, never during query evaluation.
     /// `ring_cap` bounds each view's window of retained epochs. Call
@@ -301,9 +302,10 @@ impl Warehouse {
 
     /// Toggle per-event state-history recording (on by default). The
     /// history feeds the §3.1 consistency checker. Each recorded state
-    /// is a clone of `MV`, which shares its chunks with the live bag and
-    /// with its neighbours in the history, so an entry costs a chunk
-    /// spine plus the chunks that event changed — not a copy of the
+    /// is a clone of `MV`, which shares its pages with the live bag and
+    /// with its neighbours in the history, so an entry costs its page
+    /// vector (one pointer pair per page, a page per 900–2,048 tuples)
+    /// plus the pages and chunks that event changed — not a copy of the
     /// view. Long throughput runs can still switch it off: the history
     /// grows by one entry per event for as long as the run lasts.
     /// Initial states are always kept.

@@ -6,27 +6,29 @@
 //! strong slot hold `Arc<SignedBag>`s, and a publish costs one snapshot
 //! per *new* state:
 //!
-//! * a state that still shares every chunk with the view's newest ring
-//!   entry ([`SignedBag::shares_every_chunk`]) is that entry's state, so
-//!   the publish pushes the same `Arc` again. Under ECA that is most
-//!   events: an update only enqueues queries, and the view changes once,
-//!   when COLLECT is installed at quiescence;
+//! * a state that still shares every page with the view's newest ring
+//!   entry ([`SignedBag::shares_every_chunk`], O(pages)) is that entry's
+//!   state, so the publish pushes the same `Arc` again. Under ECA that
+//!   is most events: an update only enqueues queries, and the view
+//!   changes once, when COLLECT is installed at quiescence;
 //! * any other state is cloned once, outside the slot lock. A
-//!   [`SignedBag`] is a spine of reference-counted chunks, so the clone
-//!   costs one pointer pair per chunk — not a copy per tuple — and
-//!   shares every chunk with the maintainer's own state until the
-//!   maintainer next writes to it (which copies just the chunks that
-//!   write touches).
+//!   [`SignedBag`] is a two-level spine of reference-counted pages of
+//!   reference-counted chunks, so the clone costs one pointer pair per
+//!   page (a page per 900–2,048 tuples) — not one per chunk, nor a copy
+//!   per tuple — and shares everything with the maintainer's own state
+//!   until the maintainer next writes to it (which copies just the page
+//!   and the chunk each write touches).
 //!
 //! A quiescent publish points the strong slot at the entry it pushed, so
 //! the slot never holds a copy of its own. A ring of `n` epochs holds
-//! one view plus the chunks that changed across those epochs, not `n`
-//! views. Under the per-view lock a publish only pushes and a read only
-//! clones an `Arc`; the read's bag clone, and the drop of whatever a
-//! publish evicts, run after the lock is released. Readers never take a
-//! lock the maintainer holds during query evaluation — heavy read
-//! traffic cannot block maintenance, and vice versa. The registry is
-//! the §3 consistency hierarchy made operational:
+//! one view plus the pages and chunks that changed across those epochs,
+//! not `n` views, and evicting an epoch frees only what it held alone.
+//! Under the per-view lock a publish only pushes and a read only clones
+//! an `Arc`; the read's bag clone, and the drop of whatever a publish
+//! evicts, run after the lock is released. Readers never take a lock
+//! the maintainer holds during query evaluation — heavy read traffic
+//! cannot block maintenance, and vice versa. The registry is the §3
+//! consistency hierarchy made operational:
 //!
 //! * every ring entry is a *published epoch* — [`ReadLevel::Convergent`]
 //!   may serve any of them;
@@ -55,7 +57,7 @@ pub struct ReadSnapshot {
     /// Latest epoch published anywhere in the registry at serve time;
     /// `latest - epoch` is the answer's staleness in epochs.
     pub latest: u64,
-    /// The rows; their chunks are shared with the ring entry served.
+    /// The rows; their pages are shared with the ring entry served.
     pub rows: SignedBag,
 }
 
@@ -122,11 +124,11 @@ impl EpochRegistry {
     ///
     /// Called by the maintainer after every processed event, changed or
     /// not: every call consumes an epoch and pushes a ring entry. If
-    /// `state` shares every chunk with the newest entry, that entry's
-    /// `Arc` is pushed again; otherwise `state` is cloned (O(|V| / 64)
-    /// pointer copies) before the lock is taken. Readers contend only
-    /// for the `Arc` peek and the ring push, never for the maintainer's
-    /// own locks.
+    /// `state` shares every page with the newest entry, that entry's
+    /// `Arc` is pushed again; otherwise `state` is cloned (one pointer
+    /// pair per page, a page per 900–2,048 tuples) before the lock is
+    /// taken. Readers contend only for the `Arc` peek and the ring push,
+    /// never for the maintainer's own locks.
     pub fn publish(&self, view: usize, state: &SignedBag, quiescent: bool) -> u64 {
         let Some(slot) = self.slots.get(view) else {
             return self.latest();
@@ -141,7 +143,7 @@ impl EpochRegistry {
         let mut slot = lock(slot);
         slot.ring.push_back((epoch, rows));
         // Held until the lock is released: dropping the last reference to
-        // a state frees its whole spine.
+        // a state frees every page and chunk it held alone.
         let _evicted = (slot.ring.len() > self.ring_cap).then(|| slot.ring.pop_front());
         let _displaced = strong.map(|rows| std::mem::replace(&mut slot.strong, (epoch, rows)));
         drop(slot);
@@ -154,8 +156,9 @@ impl EpochRegistry {
     /// reconnects). Returns `None` for an unknown view.
     ///
     /// Under the slot lock only the served entry's `Arc` is cloned; the
-    /// [`SignedBag`] clone the snapshot carries (O(|V| / 64)) runs on
-    /// the calling thread after the lock is released.
+    /// [`SignedBag`] clone the snapshot carries (one pointer pair per
+    /// page, a page per 900–2,048 tuples) runs on the calling thread
+    /// after the lock is released.
     pub fn read(&self, view: usize, level: ReadLevel, min_epoch: u64) -> Option<ReadSnapshot> {
         let (epoch, latest, rows) = {
             let slot = lock(self.slots.get(view)?);
@@ -289,7 +292,7 @@ mod tests {
         /// A real change of content.
         Changed,
         /// A write that restored the content: equal, but not the same
-        /// chunks, so it is published as a new snapshot.
+        /// pages, so it is published as a new snapshot.
         Rewritten,
     }
 
