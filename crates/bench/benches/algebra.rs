@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eca_core::ViewDef;
 use eca_relational::{Schema, SignedBag, Tuple, Update, Value};
 use eca_source::Source;
-use eca_storage::{IoMeter, Scenario, Table};
+use eca_storage::{IoMeter, Scenario, StorageEngine, Table};
 use eca_warehouse::EpochRegistry;
 use eca_wire::{Message, ReadLevel, SharedFifo, TransferMeter, Transport, WireQuery};
 use eca_workload::{Example6, Params};
@@ -75,7 +75,7 @@ fn bench_signed_bags(c: &mut Criterion) {
             bch.iter(|| tuples.iter().cloned().collect::<SignedBag>())
         });
     }
-    let view: SignedBag = scattered.into_iter().collect();
+    let mut view: SignedBag = scattered.into_iter().collect();
     // Fresh tuples, so no probe is the very allocation the bag holds.
     let probes = scattered_tuples(n);
     let mut next = 0;
@@ -83,6 +83,23 @@ fn bench_signed_bags(c: &mut Criterion) {
         bch.iter(|| {
             next = (next + 4_099) % probes.len();
             view.count(&probes[next])
+        })
+    });
+    // The `MV ← MV + COLLECT` install: 40 scattered tuples, half already
+    // in the view and half new, merged in and then out again in turn, so
+    // the view is back where it started after every second call.
+    let delta: SignedBag = (0..40)
+        .map(|i| Tuple::ints([(i * 2_503) % n, if i % 2 == 0 { i % 7 } else { -1 }]))
+        .collect();
+    let mut merge_in = true;
+    group.bench_function(BenchmarkId::new("merge_delta", kilo(n)), |bch| {
+        bch.iter(|| {
+            if merge_in {
+                view.merge(&delta);
+            } else {
+                view.merge_negated(&delta);
+            }
+            merge_in = !merge_in;
         })
     });
     group.finish();
@@ -122,6 +139,36 @@ fn bench_physical_engine(c: &mut Criterion) {
         });
     }
 
+    // One compensating query through the evaluator alone: Example 6's
+    // updates on r1, r3 and r2 with only the second query pending when
+    // the third arrives, so Q3 = V<U3> − Q2<U3> has three terms.
+    let mut engine = StorageEngine::new(Scenario::Indexed);
+    let k = w.params.tuples_per_block;
+    engine
+        .create_table(Example6::schemas()[0].clone(), k, Some("X"), &[])
+        .unwrap();
+    engine
+        .create_table(Example6::schemas()[1].clone(), k, Some("X"), &["Y"])
+        .unwrap();
+    engine
+        .create_table(Example6::schemas()[2].clone(), k, Some("Y"), &[])
+        .unwrap();
+    for (rel, schema) in Example6::schemas().iter().enumerate() {
+        engine.load(schema.relation(), w.base_tuples(rel)).unwrap();
+    }
+    let [u1, u2, u3] = [
+        Update::insert("r1", Tuple::ints([4, 2])),
+        Update::insert("r3", Tuple::ints([5, 3])),
+        Update::insert("r2", Tuple::ints([2, 5])),
+    ];
+    let q1 = view.substitute(&u1).unwrap();
+    let q2 = view.substitute(&u2).unwrap().minus(&q1.substitute(&u2));
+    let q3 = view.substitute(&u3).unwrap().minus(&q2.substitute(&u3));
+    assert_eq!(q3.terms().len(), 3);
+    group.bench_function(BenchmarkId::new("eval_query", "compensating_3term"), |b| {
+        b.iter(|| engine.eval_query(&q3).unwrap())
+    });
+
     // The same access paths at the benchmark's scale, where O(n) work per
     // call shows: 10k rows, K = 20, laid out like `maintain_burst`'s r2
     // (clustered on X over 5,000 values, non-clustered index on Y over
@@ -132,7 +179,7 @@ fn bench_physical_engine(c: &mut Criterion) {
         .collect();
     let schema = Schema::new("r2", &["X", "Y"]);
     let mut table = Table::new(schema.clone(), 20, Some("X"), &["Y"], IoMeter::new()).unwrap();
-    table.load(rows.iter().cloned());
+    table.load(rows.iter().cloned()).unwrap();
     let mut next = 0;
     // A delete needs a victim, so each iteration deletes one row and
     // puts it back: the table stays at 10k rows.
@@ -141,7 +188,7 @@ fn bench_physical_engine(c: &mut Criterion) {
             let victim = &rows[next % rows.len()];
             next += 1;
             assert!(table.delete(victim));
-            table.insert(victim.clone());
+            table.insert(victim.clone()).unwrap();
         })
     });
     group.bench_function(BenchmarkId::new("unclustered_index_lookup", "10k"), |b| {

@@ -131,7 +131,7 @@ fn aux_residency(stats: &SelfMaintStats, tuples_per_block: usize) -> (u64, u64) 
             .expect("auxiliary table");
         for (tuple, count) in snap.bag.iter() {
             for _ in 0..count.max(0) {
-                table.insert(tuple.clone());
+                table.insert(tuple.clone()).expect("auxiliary heap");
             }
         }
         blocks += table.num_blocks();

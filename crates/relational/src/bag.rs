@@ -19,6 +19,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::tuple::{Sign, SignedTuple, Tuple};
+use crate::value::Value;
 
 /// Most entries a chunk holds; an insert into a full chunk splits it in
 /// half. Private on purpose: it trades the number of chunks against the
@@ -32,7 +33,99 @@ const CHUNK_CAP: usize = 64;
 /// copies. Measured, not derived (DESIGN §6).
 const PAGE_CAP: usize = 32;
 
-type Entry = (Tuple, i64);
+/// Integers with `|i| <= INT_EXACT` get a prefix slot of their own; the
+/// rest share one slot below and one above that range. Chosen so the
+/// slots of every value kind fit 32 bits.
+const INT_EXACT: i64 = (1 << 31) - 256;
+
+/// The slot of integers above `INT_EXACT`; strings follow it.
+const INT_ABOVE: u32 = (2 * INT_EXACT) as u32 + 3;
+
+/// The prefix slot of an attribute, and whether the slot determines the
+/// value. Slots ascend with the value order: a missing attribute (the
+/// tuple ended) below everything, then integers below the exact range,
+/// the exact range one slot per integer, integers above it, and strings
+/// by their first byte (the empty string first).
+fn slot(value: Option<&Value>) -> (u32, bool) {
+    match value {
+        None => (0, true),
+        Some(Value::Int(i)) if *i < -INT_EXACT => (1, false),
+        // In range, so `i + INT_EXACT + 2` lies in `2..INT_ABOVE`.
+        Some(Value::Int(i)) if *i <= INT_EXACT => ((i + INT_EXACT) as u32 + 2, true),
+        Some(Value::Int(_)) => (INT_ABOVE, false),
+        Some(Value::Str(s)) => {
+            let first = s.as_bytes().first().map_or(0, |b| 1 + u32::from(*b));
+            (INT_ABOVE + 1 + first, false)
+        }
+    }
+}
+
+/// An order-preserving code of a tuple's leading values: the slot of
+/// value 0 in the high half, the slot of value 1 in the low half, or 0
+/// there when the high slot is shared by more than one value. So
+/// `prefix(a) < prefix(b)` implies `a < b`, and `a == b` implies equal
+/// prefixes (DESIGN §6): comparing prefixes decides most comparisons
+/// without following either tuple's pointer.
+fn prefix(tuple: &Tuple) -> u64 {
+    let (high, exact) = slot(tuple.get(0));
+    let low = if exact { slot(tuple.get(1)).0 } else { 0 };
+    (u64::from(high) << 32) | u64::from(low)
+}
+
+/// A tuple with its prefix. Ordered by prefix, then by tuple — which is
+/// the tuple order, since prefixes are order-preserving.
+#[derive(Clone, PartialEq, Eq)]
+struct Key {
+    prefix: u64,
+    tuple: Tuple,
+}
+
+impl Key {
+    fn new(tuple: Tuple) -> Key {
+        Key {
+            prefix: prefix(&tuple),
+            tuple,
+        }
+    }
+
+    fn probe(&self) -> Probe<'_> {
+        Probe {
+            prefix: self.prefix,
+            tuple: &self.tuple,
+        }
+    }
+}
+
+/// A borrowed [`Key`]: what a search looks for.
+#[derive(Clone, Copy)]
+struct Probe<'a> {
+    prefix: u64,
+    tuple: &'a Tuple,
+}
+
+impl<'a> Probe<'a> {
+    fn of(tuple: &'a Tuple) -> Probe<'a> {
+        Probe {
+            prefix: prefix(tuple),
+            tuple,
+        }
+    }
+
+    /// Where the probe falls against `key`: the tuples are compared only
+    /// when the prefixes tie.
+    fn cmp(self, key: &Key) -> Ordering {
+        self.prefix
+            .cmp(&key.prefix)
+            .then_with(|| self.tuple.cmp(&key.tuple))
+    }
+}
+
+/// One distinct tuple of the bag and its signed count.
+#[derive(Clone, PartialEq, Eq)]
+struct Entry {
+    key: Key,
+    count: i64,
+}
 
 /// One sorted run of the bag: ordered by tuple, no zero counts,
 /// `1..=CHUNK_CAP` entries. Shared with every clone of the bag until one
@@ -46,7 +139,7 @@ struct Page {
     chunks: Vec<Chunk>,
     /// `fences[i]` parts `chunks[i]` from `chunks[i + 1]`, as the bag's
     /// own fences part its pages.
-    fences: Vec<Tuple>,
+    fences: Vec<Key>,
 }
 
 /// Whether two adjacent runs (chunks, or pages) of these sizes should
@@ -66,30 +159,28 @@ fn unshare<T: Clone>(arc: Arc<T>) -> T {
 /// Remove run `i` (a page's chunk, or a bag's page) and one fence beside
 /// it: with the first run goes the fence above it, with any other the
 /// fence below.
-fn remove_run<T>(runs: &mut Vec<T>, fences: &mut Vec<Tuple>, i: usize) {
+fn remove_run<T>(runs: &mut Vec<T>, fences: &mut Vec<Key>, i: usize) {
     runs.remove(i);
     if !fences.is_empty() {
         fences.remove(i.saturating_sub(1));
     }
 }
 
-/// Index of the only run that may hold `key`, given the fences that part
-/// the runs (0 if there are none).
+/// Index of the only run that may hold `probe`, given the fences that
+/// part the runs (0 if there are none).
 ///
 /// A binary search narrows to a stretch of fences and a linear scan
-/// finishes: the upper levels of the binary search hit the same few
-/// fences on every call and stay cached, the last ones are cold
-/// pointer chases that a scan overlaps instead of serialising (on
-/// bags that do not fit the cache: −25 % per `add`/`count` against
-/// `partition_point` alone). A lookup runs this twice, over ≤ a few
-/// dozen fences each time, so the stretch is short: 8 beat 16 on 20k
-/// tuples.
-fn fence_index(fences: &[Tuple], key: &Tuple) -> usize {
+/// finishes. A fence's prefix sits beside its tuple pointer, so most
+/// steps compare two integers in the fence array and follow no pointer;
+/// only a tie in prefix compares tuples. A lookup runs this twice, over
+/// ≤ a few dozen fences each time, so the stretch is short: 8 beat 16
+/// on 20k tuples.
+fn fence_index(fences: &[Key], probe: Probe<'_>) -> usize {
     const SCAN: usize = 8;
     let (mut lo, mut hi) = (0, fences.len());
     while hi - lo > SCAN {
         let mid = lo + (hi - lo) / 2;
-        if fences[mid] <= *key {
+        if probe.cmp(&fences[mid]) != Ordering::Less {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -97,14 +188,14 @@ fn fence_index(fences: &[Tuple], key: &Tuple) -> usize {
     }
     lo + fences[lo..hi]
         .iter()
-        .take_while(|fence| *fence <= key)
+        .take_while(|fence| probe.cmp(fence) != Ordering::Less)
         .count()
 }
 
 /// A chunk of one entry, with room for `capacity`.
-fn new_chunk(tuple: Tuple, count: i64, capacity: usize) -> Chunk {
+fn new_chunk(key: Key, count: i64, capacity: usize) -> Chunk {
     let mut entries = Vec::with_capacity(capacity);
-    entries.push((tuple, count));
+    entries.push(Entry { key, count });
     Arc::new(entries)
 }
 
@@ -116,10 +207,10 @@ impl Page {
 
     /// Insert a new entry at position `ei` of chunk `ci`, splitting the
     /// chunk first if it is full.
-    fn insert(&mut self, mut ci: usize, mut ei: usize, tuple: Tuple, count: i64) {
+    fn insert(&mut self, mut ci: usize, mut ei: usize, key: Key, count: i64) {
         if self.chunks[ci].len() == CHUNK_CAP {
             let upper = Arc::make_mut(&mut self.chunks[ci]).split_off(CHUNK_CAP / 2);
-            self.fences.insert(ci, upper[0].0.clone());
+            self.fences.insert(ci, upper[0].key.clone());
             self.chunks.insert(ci + 1, Arc::new(upper));
             // A tuple landing exactly on the cut is below the new fence
             // and so belongs at the end of the lower half.
@@ -128,7 +219,7 @@ impl Page {
                 ei -= CHUNK_CAP / 2;
             }
         }
-        Arc::make_mut(&mut self.chunks[ci]).insert(ei, (tuple, count));
+        Arc::make_mut(&mut self.chunks[ci]).insert(ei, Entry { key, count });
     }
 
     /// Add `delta` to entry `ei` of chunk `ci`, dropping the entry at
@@ -136,8 +227,8 @@ impl Page {
     /// went.
     fn adjust(&mut self, ci: usize, ei: usize, delta: i64) -> bool {
         let chunk = Arc::make_mut(&mut self.chunks[ci]);
-        chunk[ei].1 += delta;
-        if chunk[ei].1 != 0 {
+        chunk[ei].count += delta;
+        if chunk[ei].count != 0 {
             return false;
         }
         chunk.remove(ei);
@@ -168,7 +259,7 @@ impl Page {
     /// Append a chunk that follows every chunk here, with the fence below
     /// it (`None` for the first chunk of a page), merging it into the
     /// last chunk if the two should be one.
-    fn push_chunk(&mut self, fence: Option<&Tuple>, chunk: Chunk) {
+    fn push_chunk(&mut self, fence: Option<&Key>, chunk: Chunk) {
         if chunk.is_empty() {
             return;
         }
@@ -187,7 +278,7 @@ impl Page {
 
     /// Append the page that follows this one, `fence` between the two,
     /// merging the two chunks that meet if they should be one.
-    fn append(&mut self, fence: Tuple, next: Page) {
+    fn append(&mut self, fence: Key, next: Page) {
         let junction = self.chunks.len().saturating_sub(1);
         self.fences.push(fence);
         self.fences.extend(next.fences);
@@ -202,14 +293,19 @@ impl Page {
         let mut kept: Option<Page> = None;
         for (ci, chunk) in self.chunks.iter().enumerate() {
             let fence = ci.checked_sub(1).map(|below| &self.fences[below]);
-            let Some(first) = chunk.iter().position(|(t, _)| pred(t)) else {
+            let Some(first) = chunk.iter().position(|e| pred(&e.key.tuple)) else {
                 if let Some(kept) = &mut kept {
                     kept.push_chunk(fence, Arc::clone(chunk));
                 }
                 continue;
             };
             let mut entries = chunk[..first].to_vec();
-            entries.extend(chunk[first + 1..].iter().filter(|(t, _)| !pred(t)).cloned());
+            entries.extend(
+                chunk[first + 1..]
+                    .iter()
+                    .filter(|e| !pred(&e.key.tuple))
+                    .cloned(),
+            );
             let kept = kept.get_or_insert_with(|| Page {
                 chunks: self.chunks[..ci].to_vec(),
                 fences: self.fences[..ci.saturating_sub(1)].to_vec(),
@@ -234,6 +330,9 @@ impl Page {
 /// (`Arc::make_mut`). So snapshots of a large view (epoch publication,
 /// state history, checkpoints, read answers) cost O(pages) and share
 /// their storage, and dropping one frees only what it held alone.
+/// Every entry and fence carries an order-preserving prefix of its
+/// tuple, so a search compares integers and dereferences a tuple only on
+/// a tie (DESIGN §6).
 /// Equality, iteration, `Debug` and the wire encoding depend on content
 /// only, never on where chunk or page boundaries fall.
 ///
@@ -257,7 +356,7 @@ pub struct SignedBag {
     /// every key up to and including `pages[i]`, and at most every key
     /// from `pages[i + 1]` on. Set when a page or chunk is created and
     /// never tightened, so finding a key's page reads this array alone.
-    fences: Vec<Tuple>,
+    fences: Vec<Key>,
     /// Distinct tuples, i.e. entries over all chunks.
     len: usize,
 }
@@ -291,16 +390,24 @@ impl SignedBag {
     /// search, so building a bag from sorted input (decoding, merging
     /// into an empty bag) is linear and packs chunks and pages full.
     pub fn add(&mut self, tuple: Tuple, delta: i64) {
+        if delta != 0 {
+            self.add_key(Key::new(tuple), delta);
+        }
+    }
+
+    /// [`SignedBag::add`] of a tuple whose prefix is known.
+    fn add_key(&mut self, key: Key, delta: i64) {
         if delta == 0 {
             return;
         }
+        let probe = key.probe();
         let last = self
             .pages
             .last()
             .and_then(|page| page.chunks.last())
             .and_then(|chunk| chunk.last());
-        match last.map(|(key, _)| tuple.cmp(key)) {
-            None | Some(Ordering::Greater) => self.push_back(tuple, delta),
+        match last.map(|entry| probe.cmp(&entry.key)) {
+            None | Some(Ordering::Greater) => self.push_back(key, delta),
             Some(Ordering::Equal) => {
                 let pi = self.pages.len() - 1;
                 let ci = self.pages[pi].chunks.len() - 1;
@@ -308,12 +415,12 @@ impl SignedBag {
                 self.adjust(pi, ci, ei, delta);
             }
             Some(Ordering::Less) => {
-                let pi = fence_index(&self.fences, &tuple);
+                let pi = fence_index(&self.fences, probe);
                 let page = &self.pages[pi];
-                let ci = fence_index(&page.fences, &tuple);
-                match search(&page.chunks[ci], &tuple) {
+                let ci = fence_index(&page.fences, probe);
+                match search(&page.chunks[ci], probe) {
                     Ok(ei) => self.adjust(pi, ci, ei, delta),
-                    Err(ei) => self.insert(pi, ci, ei, tuple, delta),
+                    Err(ei) => self.insert(pi, ci, ei, key, delta),
                 }
             }
         }
@@ -330,11 +437,11 @@ impl SignedBag {
     /// first chunk starts with room for eight. A chunk that follows a
     /// full one is part of a sorted build and will fill too: room for
     /// `CHUNK_CAP` saves it three reallocations.
-    fn push_back(&mut self, tuple: Tuple, count: i64) {
+    fn push_back(&mut self, key: Key, count: i64) {
         self.len += 1;
         let Some(page) = self.pages.last_mut() else {
             self.pages.push(Arc::new(Page {
-                chunks: vec![new_chunk(tuple, count, 8)],
+                chunks: vec![new_chunk(key, count, 8)],
                 fences: Vec::new(),
             }));
             return;
@@ -342,16 +449,16 @@ impl SignedBag {
         let page = Arc::make_mut(page);
         if let Some(chunk) = page.chunks.last_mut() {
             if chunk.len() < CHUNK_CAP {
-                Arc::make_mut(chunk).push((tuple, count));
+                Arc::make_mut(chunk).push(Entry { key, count });
                 return;
             }
         }
-        let chunk = new_chunk(tuple.clone(), count, CHUNK_CAP);
+        let chunk = new_chunk(key.clone(), count, CHUNK_CAP);
         if page.chunks.len() < PAGE_CAP {
-            page.fences.push(tuple);
+            page.fences.push(key);
             page.chunks.push(chunk);
         } else {
-            self.fences.push(tuple);
+            self.fences.push(key);
             self.pages.push(Arc::new(Page {
                 chunks: vec![chunk],
                 fences: Vec::new(),
@@ -393,9 +500,9 @@ impl SignedBag {
 
     /// Insert a new entry at position `ei` of chunk `ci` of page `pi`,
     /// splitting the page in half if that leaves it over `PAGE_CAP`.
-    fn insert(&mut self, pi: usize, ci: usize, ei: usize, tuple: Tuple, count: i64) {
+    fn insert(&mut self, pi: usize, ci: usize, ei: usize, key: Key, count: i64) {
         let page = Arc::make_mut(&mut self.pages[pi]);
-        page.insert(ci, ei, tuple, count);
+        page.insert(ci, ei, key, count);
         self.len += 1;
         if page.chunks.len() > PAGE_CAP {
             let chunks = page.chunks.split_off(PAGE_CAP / 2);
@@ -409,7 +516,7 @@ impl SignedBag {
     /// Append a page that follows every page here, with the fence below
     /// it (`None` for the first page), merging it into the last page if
     /// the two should be one.
-    fn push_page(&mut self, fence: Option<Tuple>, page: Arc<Page>) {
+    fn push_page(&mut self, fence: Option<Key>, page: Arc<Page>) {
         if page.chunks.is_empty() {
             return;
         }
@@ -437,10 +544,10 @@ impl SignedBag {
     /// zero are dropped.
     fn map_counts(&self, f: impl Fn(i64) -> i64) -> SignedBag {
         let mut out = SignedBag::new();
-        for (t, c) in self.entries() {
-            let c = f(*c);
+        for entry in self.entries() {
+            let c = f(entry.count);
             if c != 0 {
-                out.push_back(t.clone(), c);
+                out.push_back(entry.key.clone(), c);
             }
         }
         out
@@ -448,11 +555,15 @@ impl SignedBag {
 
     /// The signed count of `tuple` (0 if absent).
     pub fn count(&self, tuple: &Tuple) -> i64 {
-        let Some(page) = self.pages.get(fence_index(&self.fences, tuple)) else {
+        self.count_probe(Probe::of(tuple))
+    }
+
+    fn count_probe(&self, probe: Probe<'_>) -> i64 {
+        let Some(page) = self.pages.get(fence_index(&self.fences, probe)) else {
             return 0;
         };
-        let chunk = &page.chunks[fence_index(&page.fences, tuple)];
-        search(chunk, tuple).map_or(0, |ei| chunk[ei].1)
+        let chunk = &page.chunks[fence_index(&page.fences, probe)];
+        search(chunk, probe).map_or(0, |ei| chunk[ei].count)
     }
 
     /// Whether the bag has no tuples (all counts zero).
@@ -467,15 +578,15 @@ impl SignedBag {
 
     /// Total number of positive tuple occurrences.
     pub fn pos_len(&self) -> u64 {
-        self.entries()
+        self.iter()
             .filter(|(_, c)| *c > 0)
-            .map(|(_, c)| *c as u64)
+            .map(|(_, c)| c as u64)
             .sum()
     }
 
     /// Total number of negative tuple occurrences.
     pub fn neg_len(&self) -> u64 {
-        self.entries()
+        self.iter()
             .filter(|(_, c)| *c < 0)
             .map(|(_, c)| c.unsigned_abs())
             .sum()
@@ -483,25 +594,25 @@ impl SignedBag {
 
     /// Sum of all signed counts (can be negative).
     pub fn signed_len(&self) -> i64 {
-        self.entries().map(|(_, c)| *c).sum()
+        self.iter().map(|(_, c)| c).sum()
     }
 
     /// Whether every count is non-negative, i.e. the bag is a plain
     /// (unsigned) relation.
     #[cfg(test)]
     fn is_plain(&self) -> bool {
-        self.entries().all(|(_, c)| *c > 0)
+        self.iter().all(|(_, c)| c > 0)
     }
 
     /// Iterate `(tuple, signed count)` pairs in deterministic order.
     pub fn iter(&self) -> impl Iterator<Item = (&Tuple, i64)> + '_ {
-        self.entries().map(|(t, c)| (t, *c))
+        self.entries().map(|entry| (&entry.key.tuple, entry.count))
     }
 
     /// Iterate each occurrence as a [`SignedTuple`], expanding counts.
     pub fn iter_occurrences(&self) -> impl Iterator<Item = SignedTuple> + '_ {
-        self.entries().flat_map(|(t, c)| {
-            let sign = if *c > 0 { Sign::Plus } else { Sign::Minus };
+        self.iter().flat_map(|(t, c)| {
+            let sign = if c > 0 { Sign::Plus } else { Sign::Minus };
             std::iter::repeat_with(move || SignedTuple {
                 sign,
                 tuple: t.clone(),
@@ -544,15 +655,15 @@ impl SignedBag {
 
     /// In-place `self += other`.
     pub fn merge(&mut self, other: &SignedBag) {
-        for (t, c) in other.entries() {
-            self.add(t.clone(), *c);
+        for entry in other.entries() {
+            self.add_key(entry.key.clone(), entry.count);
         }
     }
 
     /// In-place `self −= other`.
     pub fn merge_negated(&mut self, other: &SignedBag) {
-        for (t, c) in other.entries() {
-            self.add(t.clone(), -*c);
+        for entry in other.entries() {
+            self.add_key(entry.key.clone(), -entry.count);
         }
     }
 
@@ -592,13 +703,13 @@ impl SignedBag {
     /// positive count (ECAK's duplicate suppression). Negative tuples in
     /// `other` are applied as deletions.
     pub fn merge_distinct(&mut self, other: &SignedBag) {
-        for (t, c) in other.entries() {
-            if *c > 0 {
-                if self.count(t) <= 0 {
-                    self.add(t.clone(), 1);
+        for entry in other.entries() {
+            if entry.count > 0 {
+                if self.count_probe(entry.key.probe()) <= 0 {
+                    self.add_key(entry.key.clone(), 1);
                 }
             } else {
-                self.add(t.clone(), *c);
+                self.add_key(entry.key.clone(), entry.count);
             }
         }
     }
@@ -627,30 +738,32 @@ impl SignedBag {
     /// encoding.
     pub fn encoded_len(&self) -> usize {
         4 + self
-            .entries()
+            .iter()
             .map(|(t, c)| (c.unsigned_abs() as usize) * (1 + t.encoded_len()))
             .sum::<usize>()
     }
 }
 
-/// Position of `key` in a sorted chunk, or where it would go.
+/// Position of `probe` in a sorted chunk, or where it would go.
 ///
 /// Two linear scans — every `SEARCH_STRIDE`-th entry, then the stretch
-/// that scan stopped in — rather than a binary search: each comparison
-/// follows a tuple pointer to memory that is usually cold, a linear scan's
-/// loads do not depend on one another and so overlap, and a binary
-/// search's six would be paid one after the other.
-fn search(chunk: &[Entry], key: &Tuple) -> Result<usize, usize> {
+/// that scan stopped in — rather than a binary search: a tie in prefix
+/// follows a tuple pointer to memory that is usually cold, a linear
+/// scan's loads do not depend on one another and so overlap, and a
+/// binary search's six would be paid one after the other.
+fn search(chunk: &[Entry], probe: Probe<'_>) -> Result<usize, usize> {
     const SEARCH_STRIDE: usize = 8;
     let mut lo = 0;
-    while lo + SEARCH_STRIDE <= chunk.len() && chunk[lo + SEARCH_STRIDE - 1].0 < *key {
+    while lo + SEARCH_STRIDE <= chunk.len()
+        && probe.cmp(&chunk[lo + SEARCH_STRIDE - 1].key) == Ordering::Greater
+    {
         lo += SEARCH_STRIDE;
     }
-    for (i, (t, _)) in chunk.iter().enumerate().skip(lo) {
-        match t.cmp(key) {
-            Ordering::Less => {}
+    for (i, entry) in chunk.iter().enumerate().skip(lo) {
+        match probe.cmp(&entry.key) {
+            Ordering::Greater => {}
             Ordering::Equal => return Ok(i),
-            Ordering::Greater => return Err(i),
+            Ordering::Less => return Err(i),
         }
     }
     Err(chunk.len())
@@ -813,7 +926,8 @@ mod tests {
 
     /// Every structural condition the representation relies on: fences
     /// in order across and within pages, each part of its runs; chunk
-    /// and page occupancy within bounds; `len` the sum over chunks.
+    /// and page occupancy within bounds; `len` the sum over chunks; every
+    /// stored prefix the prefix of its tuple.
     fn check(bag: &SignedBag) {
         assert_eq!(bag.fences.len(), bag.pages.len().saturating_sub(1));
         let mut len = 0;
@@ -833,11 +947,18 @@ mod tests {
                     _ => Some(&page.fences[ci - 1]),
                 };
                 if let Some(fence) = fence {
+                    assert_eq!(fence.prefix, prefix(&fence.tuple));
+                    let fence = &fence.tuple;
                     assert!(prev < Some(fence), "fence below chunk {pi}.{ci} too low");
-                    assert!(*fence <= chunk[0].0, "fence below chunk {pi}.{ci} too high");
+                    assert!(
+                        *fence <= chunk[0].key.tuple,
+                        "fence below chunk {pi}.{ci} too high"
+                    );
                 }
-                for (t, c) in chunk.iter() {
-                    assert_ne!(*c, 0);
+                for entry in chunk.iter() {
+                    assert_ne!(entry.count, 0);
+                    assert_eq!(entry.key.prefix, prefix(&entry.key.tuple));
+                    let t = &entry.key.tuple;
                     assert!(prev < Some(t), "order in chunk {pi}.{ci}");
                     prev = Some(t);
                 }
@@ -845,6 +966,94 @@ mod tests {
             }
         }
         assert_eq!(len, bag.len);
+    }
+
+    /// Every value kind on both sides of every slot boundary.
+    fn boundary_values() -> Vec<crate::Value> {
+        let ints = [
+            i64::MIN,
+            -INT_EXACT - 1,
+            -INT_EXACT,
+            -INT_EXACT + 1,
+            -1,
+            0,
+            1,
+            INT_EXACT - 1,
+            INT_EXACT,
+            INT_EXACT + 1,
+            i64::MAX,
+        ];
+        let strs = ["", "\0", "a", "ab", "b", "\u{ff}"];
+        ints.into_iter()
+            .map(crate::Value::Int)
+            .chain(strs.into_iter().map(crate::Value::str))
+            .collect()
+    }
+
+    /// Prefixes ascend (not strictly) along the tuple order, and equal
+    /// tuples have equal prefixes — which gives both properties the
+    /// search relies on for every pair: `prefix(a) < prefix(b) ⇒ a < b`
+    /// and `a == b ⇒ prefix(a) == prefix(b)`.
+    #[test]
+    fn prefixes_ascend_with_the_tuple_order() {
+        let values = boundary_values();
+        let mut tuples = vec![Tuple::new([])];
+        let mut level = tuples.clone();
+        for _arity in 1..=3 {
+            level = level
+                .iter()
+                .flat_map(|t| {
+                    values
+                        .iter()
+                        .map(move |v| Tuple::new(t.values().iter().cloned().chain([v.clone()])))
+                })
+                .collect();
+            tuples.extend(level.iter().cloned());
+        }
+        tuples.sort();
+        for pair in tuples.windows(2) {
+            let (a, b) = (&pair[0], &pair[1]);
+            assert!(prefix(a) <= prefix(b), "{a:?} < {b:?}");
+        }
+        // Exact slots tell apart what they cover.
+        assert!(prefix(&t(&[1, 2])) < prefix(&t(&[1, 3])));
+        assert!(prefix(&t(&[1])) < prefix(&t(&[1, i64::MIN])));
+        assert_eq!(prefix(&t(&[1, 2, 3])), prefix(&t(&[1, 2, 4])));
+        // After an inexact first slot nothing else is read.
+        assert_eq!(prefix(&t(&[i64::MAX, 1])), prefix(&t(&[i64::MAX, 2])));
+    }
+
+    /// A tuple of arity 0–4 over the boundary values, the 32-bit edges
+    /// (±2³¹ ± 3) and a few small integers, so first values are shared.
+    fn mixed_tuple() -> impl proptest::strategy::Strategy<Value = Tuple> {
+        use proptest::prelude::*;
+        let mut values = boundary_values();
+        for edge in [1i64 << 31, -(1 << 31)] {
+            values.extend([edge - 3, edge, edge + 3].map(crate::Value::Int));
+        }
+        values.extend((2..5).map(crate::Value::Int));
+        let n = values.len();
+        prop::collection::vec((0..n).prop_map(move |i| values[i].clone()), 0..5)
+            .prop_map(Tuple::new)
+    }
+
+    proptest::proptest! {
+        /// Monotonicity on random pairs, longer tuples included.
+        #[test]
+        fn prefixes_order_random_pairs_as_tuples_do(a in mixed_tuple(), b in mixed_tuple()) {
+            match a.cmp(&b) {
+                Ordering::Less => proptest::prop_assert!(prefix(&a) <= prefix(&b)),
+                Ordering::Equal => proptest::prop_assert_eq!(prefix(&a), prefix(&b)),
+                Ordering::Greater => proptest::prop_assert!(prefix(&a) >= prefix(&b)),
+            }
+        }
+    }
+
+    /// The space the prefixes cost: 8 bytes per entry and per fence.
+    #[test]
+    fn entries_and_fences_carry_eight_bytes_of_prefix() {
+        assert_eq!(std::mem::size_of::<Key>(), 24);
+        assert_eq!(std::mem::size_of::<Entry>(), 32);
     }
 
     /// Chunks of `a` that are not the same allocation as any chunk of `b`.

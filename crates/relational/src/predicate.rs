@@ -63,11 +63,11 @@ pub enum Operand {
 }
 
 impl Operand {
-    fn resolve<'a>(&'a self, tuple: &'a Tuple) -> Result<&'a Value, RelationalError> {
+    fn resolve<'a>(&'a self, values: &'a [Value]) -> Result<&'a Value, RelationalError> {
         match self {
-            Operand::Column(i) => tuple.get(*i).ok_or(RelationalError::PositionOutOfRange {
+            Operand::Column(i) => values.get(*i).ok_or(RelationalError::PositionOutOfRange {
                 position: *i,
-                arity: tuple.arity(),
+                arity: values.len(),
             }),
             Operand::Const(v) => Ok(v),
         }
@@ -179,15 +179,24 @@ impl Predicate {
     /// Returns [`RelationalError::PositionOutOfRange`] if a column reference
     /// exceeds the tuple arity.
     pub fn eval(&self, tuple: &Tuple) -> Result<bool, RelationalError> {
+        self.eval_values(tuple.values())
+    }
+
+    /// Evaluate the predicate on the values of a tuple not yet built — a
+    /// row an evaluator assembles in a reused buffer.
+    ///
+    /// # Errors
+    /// As [`Predicate::eval`], against `values.len()`.
+    pub fn eval_values(&self, values: &[Value]) -> Result<bool, RelationalError> {
         match self {
             Predicate::True => Ok(true),
             Predicate::False => Ok(false),
             Predicate::Cmp { lhs, op, rhs } => {
-                Ok(op.eval(lhs.resolve(tuple)?, rhs.resolve(tuple)?))
+                Ok(op.eval(lhs.resolve(values)?, rhs.resolve(values)?))
             }
-            Predicate::And(a, b) => Ok(a.eval(tuple)? && b.eval(tuple)?),
-            Predicate::Or(a, b) => Ok(a.eval(tuple)? || b.eval(tuple)?),
-            Predicate::Not(p) => Ok(!p.eval(tuple)?),
+            Predicate::And(a, b) => Ok(a.eval_values(values)? && b.eval_values(values)?),
+            Predicate::Or(a, b) => Ok(a.eval_values(values)? || b.eval_values(values)?),
+            Predicate::Not(p) => Ok(!p.eval_values(values)?),
         }
     }
 
@@ -367,6 +376,18 @@ mod tests {
     fn out_of_range_column_errors() {
         let t = Tuple::ints([1]);
         assert!(Predicate::col_eq(0, 5).eval(&t).is_err());
+    }
+
+    #[test]
+    fn values_evaluate_as_their_tuple_does() {
+        let p = Predicate::col_cmp(0, CmpOp::Gt, 1).and(Predicate::col_const(2, CmpOp::Eq, 7));
+        for t in [
+            Tuple::ints([5, 1, 7]),
+            Tuple::ints([1, 5, 7]),
+            Tuple::ints([5, 1]),
+        ] {
+            assert_eq!(p.eval_values(t.values()), p.eval(&t));
+        }
     }
 
     #[test]

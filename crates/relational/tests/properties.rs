@@ -444,3 +444,165 @@ proptest! {
         prop_assert_eq!(yes.plus(&no), a);
     }
 }
+
+/// Integers on both sides of the 32-bit boundary, of where exact integer
+/// prefixes stop (2^31 − 256), and of the 64-bit extremes.
+const EDGE_INTS: [i64; 19] = [
+    i64::MIN,
+    i64::MIN + 1,
+    -(1 << 31) - 3,
+    -(1 << 31),
+    -(1 << 31) + 3,
+    -(1 << 31) + 255,
+    -(1 << 31) + 256,
+    -(1 << 31) + 257,
+    -1,
+    0,
+    1,
+    (1 << 31) - 257,
+    (1 << 31) - 256,
+    (1 << 31) - 255,
+    (1 << 31) - 3,
+    1 << 31,
+    (1 << 31) + 3,
+    i64::MAX - 1,
+    i64::MAX,
+];
+
+const EDGE_STRS: [&str; 6] = ["", "\0", "a", "ab", "b", "\u{ff}"];
+
+/// A value from a mixed domain: the edge integers, a few small ones (so
+/// tuples share first values and tie on any prefix of them), and strings
+/// that share first bytes.
+fn mixed_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (0..EDGE_INTS.len()).prop_map(|i| Value::Int(EDGE_INTS[i])),
+        (0i64..4).prop_map(Value::Int),
+        (0..EDGE_STRS.len()).prop_map(|i| Value::str(EDGE_STRS[i])),
+    ]
+}
+
+/// A tuple of arity 0–4 over the mixed domain.
+fn mixed_tuple() -> impl Strategy<Value = Tuple> {
+    prop::collection::vec(mixed_value(), 0..5).prop_map(Tuple::new)
+}
+
+/// One step of the mixed-domain model test.
+#[derive(Clone, Debug)]
+enum MixedOp {
+    Add(Tuple, i64),
+    Merge(Vec<(Tuple, i64)>),
+    MergeNegated(Vec<(Tuple, i64)>),
+    MergeDistinct(Vec<(Tuple, i64)>),
+}
+
+fn mixed_entries() -> impl Strategy<Value = Vec<(Tuple, i64)>> {
+    prop::collection::vec((mixed_tuple(), -2i64..=3), 0..60)
+}
+
+fn mixed_op() -> impl Strategy<Value = MixedOp> {
+    prop_oneof![
+        (mixed_tuple(), -2i64..=2).prop_map(|(t, c)| MixedOp::Add(t, c)),
+        mixed_entries().prop_map(MixedOp::Merge),
+        mixed_entries().prop_map(MixedOp::Merge),
+        mixed_entries().prop_map(MixedOp::MergeNegated),
+        mixed_entries().prop_map(MixedOp::MergeDistinct),
+    ]
+}
+
+fn mixed_bag(entries: &[(Tuple, i64)]) -> SignedBag {
+    let mut bag = SignedBag::new();
+    for (t, c) in entries {
+        bag.add(t.clone(), *c);
+    }
+    bag
+}
+
+proptest! {
+    /// Tuple order on the mixed domain is what the bag iterates, and the
+    /// order its searches rely on: for any two tuples, a bag holding both
+    /// lists them in `Ord` order, finds each, and finds nothing between.
+    #[test]
+    fn bag_orders_and_finds_mixed_tuples_as_ord_does(
+        pairs in prop::collection::vec((mixed_tuple(), mixed_tuple()), 1..64),
+    ) {
+        for (a, b) in &pairs {
+            let bag = SignedBag::from_tuples([a.clone(), b.clone()]);
+            let listed: Vec<&Tuple> = bag.iter().map(|(t, _)| t).collect();
+            let mut sorted = vec![a, b];
+            sorted.sort();
+            sorted.dedup();
+            prop_assert_eq!(listed, sorted);
+            let both = if a == b { 2 } else { 1 };
+            prop_assert_eq!(bag.count(a), both);
+            prop_assert_eq!(bag.count(b), both);
+        }
+        // Every tuple probed against a bag of all of them.
+        let all: Vec<Tuple> = pairs.iter().flat_map(|(a, b)| [a.clone(), b.clone()]).collect();
+        let bag: SignedBag = all.iter().cloned().collect();
+        let mut model = Model::new();
+        for t in &all {
+            model_add(&mut model, t.clone(), 1);
+        }
+        assert_counts_match_on(&bag, &model, &all);
+    }
+
+    /// The model test over the mixed domain: adds, merges (which reuse
+    /// the other bag's stored keys) and duplicate-suppressing merges,
+    /// with bags large enough to span several chunks and pages, so
+    /// searches run through fences whose leading values tie.
+    #[test]
+    fn bag_of_mixed_tuples_follows_a_btreemap_model(
+        ops in prop::collection::vec(mixed_op(), 0..120),
+        probes in prop::collection::vec(mixed_tuple(), 0..64),
+    ) {
+        let mut bag = SignedBag::new();
+        let mut model = Model::new();
+        for op in &ops {
+            match op {
+                MixedOp::Add(t, c) => {
+                    bag.add(t.clone(), *c);
+                    model_add(&mut model, t.clone(), *c);
+                }
+                MixedOp::Merge(es) => {
+                    let other = mixed_bag(es);
+                    bag.merge(&other);
+                    for (t, c) in other.iter() {
+                        model_add(&mut model, t.clone(), c);
+                    }
+                }
+                MixedOp::MergeNegated(es) => {
+                    let other = mixed_bag(es);
+                    bag.merge_negated(&other);
+                    for (t, c) in other.iter() {
+                        model_add(&mut model, t.clone(), -c);
+                    }
+                }
+                MixedOp::MergeDistinct(es) => {
+                    let other = mixed_bag(es);
+                    bag.merge_distinct(&other);
+                    for (t, c) in other.iter() {
+                        if c < 0 {
+                            model_add(&mut model, t.clone(), c);
+                        } else if model.get(t).copied().unwrap_or(0) <= 0 {
+                            model_add(&mut model, t.clone(), 1);
+                        }
+                    }
+                }
+            }
+            assert_matches(&bag, &model);
+        }
+        let present: Vec<Tuple> = model.keys().cloned().collect();
+        assert_counts_match_on(&bag, &model, &present);
+        assert_counts_match_on(&bag, &model, &probes);
+    }
+}
+
+/// `bag` and `model` agree on content and on the count of every tuple in
+/// `probes` (present or not).
+fn assert_counts_match_on(bag: &SignedBag, model: &Model, probes: &[Tuple]) {
+    assert_matches(bag, model);
+    for t in probes {
+        assert_eq!(bag.count(t), model.get(t).copied().unwrap_or(0), "{t:?}");
+    }
+}

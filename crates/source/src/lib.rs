@@ -126,10 +126,6 @@ impl ReplayCache {
 pub struct Source {
     engine: StorageEngine,
     catalog: Vec<Schema>,
-    /// Count of updates executed (the `i` in `S_up_i`).
-    updates_executed: u64,
-    /// Count of queries answered.
-    queries_answered: u64,
 }
 
 impl Source {
@@ -138,8 +134,6 @@ impl Source {
         Source {
             engine: StorageEngine::new(scenario),
             catalog: Vec::new(),
-            updates_executed: 0,
-            queries_answered: 0,
         }
     }
 
@@ -177,7 +171,7 @@ impl Source {
         if !self.catalog.iter().any(|s| s.relation() == relation) {
             return Err(SourceError::UnknownRelation(relation.to_owned()));
         }
-        self.engine.load(relation, tuples);
+        self.engine.load(relation, tuples)?;
         self.engine.meter().reset();
         Ok(())
     }
@@ -206,24 +200,10 @@ impl Source {
         self.engine.enable_term_batching();
     }
 
-    /// Updates executed so far.
-    pub fn updates_executed(&self) -> u64 {
-        self.updates_executed
-    }
-
-    /// Queries answered so far.
-    pub fn queries_answered(&self) -> u64 {
-        self.queries_answered
-    }
-
     /// Execute an update locally (the first half of an `S_up` event).
     /// Returns `false` when a delete found nothing to remove.
     pub fn execute_update(&mut self, update: &Update) -> bool {
-        let effective = self.engine.apply(update);
-        if effective {
-            self.updates_executed += 1;
-        }
-        effective
+        self.engine.apply(update)
     }
 
     /// Evaluate a wire query on the current base relations (an `S_qu`
@@ -236,9 +216,7 @@ impl Source {
         let rebuilt = query
             .to_query(&self.catalog)
             .map_err(SourceError::BadQuery)?;
-        let answer = self.engine.eval_query(&rebuilt)?;
-        self.queries_answered += 1;
-        Ok(answer)
+        Ok(self.engine.eval_query(&rebuilt)?)
     }
 
     /// Drive this source over a [`Transport`]: execute `script`, sending
@@ -497,15 +475,13 @@ mod tests {
         // Query built for U, but evaluated AFTER a further update — the
         // decoupling at the heart of the paper.
         let q = WireQuery::from_query(&view.substitute(&u).unwrap());
-        s.execute_update(&u);
-        s.execute_update(&Update::insert("r1", Tuple::ints([4, 2])));
+        assert!(s.execute_update(&u));
+        assert!(s.execute_update(&Update::insert("r1", Tuple::ints([4, 2]))));
         let a = s.answer(&q).unwrap();
         assert_eq!(
             a,
             SignedBag::from_tuples([Tuple::ints([1]), Tuple::ints([4])])
         );
-        assert_eq!(s.updates_executed(), 2);
-        assert_eq!(s.queries_answered(), 1);
     }
 
     #[test]
@@ -523,7 +499,7 @@ mod tests {
     fn ineffective_delete_not_counted() {
         let (mut s, _) = example_source(Scenario::Indexed);
         assert!(!s.execute_update(&Update::delete("r1", Tuple::ints([9, 9]))));
-        assert_eq!(s.updates_executed(), 0);
+        assert_eq!(s.io_meter().update_writes(), 0);
     }
 
     #[test]
@@ -568,7 +544,7 @@ mod tests {
         inserted.io_meter().reset();
 
         assert_eq!(loaded.snapshot(), inserted.snapshot());
-        let heap = |s: &Source| s.engine.table("r2").unwrap().scan();
+        let heap = |s: &Source| s.engine.table("r2").unwrap().scan().to_vec();
         assert_eq!(heap(&loaded), heap(&inserted));
         assert_eq!(
             loaded.io_meter().update_writes(),
@@ -577,7 +553,7 @@ mod tests {
 
         let mut bulk = fresh();
         bulk.io_meter().reset();
-        assert!(bulk.engine.load("r2", rows.iter().cloned()));
+        bulk.engine.load("r2", rows.iter().cloned()).unwrap();
         assert_eq!(bulk.io_meter().update_writes(), rows.len() as u64);
         assert_eq!(heap(&bulk), heap(&inserted));
     }
@@ -673,7 +649,13 @@ mod tests {
         });
         assert_eq!(stats.answers, 1);
         assert_eq!(stats.duplicates, 2);
-        assert_eq!(s.queries_answered(), 1, "evaluated exactly once");
+        let served = s.io_meter().query_reads();
+        s.answer(&q).unwrap();
+        assert_eq!(
+            s.io_meter().query_reads(),
+            2 * served,
+            "evaluated exactly once"
+        );
         assert_eq!(answers[0], answers[1]);
         assert_eq!(answers[1], answers[2]);
     }
@@ -747,11 +729,19 @@ mod tests {
         }
         drop(wh_ends); // hang every channel up
         let (stats, members) = fleet.join().unwrap();
+        // The reads of evaluating each channel's two queries once each.
+        let (mut reference, view) = example_source(Scenario::Indexed);
+        reference.execute_update(&Update::insert("r2", Tuple::ints([2, 3])));
+        let q = WireQuery::from_query(&view.as_query());
+        reference.answer(&q).unwrap();
+        reference.answer(&q).unwrap();
+        let two_answers = reference.io_meter().query_reads();
+        assert!(two_answers > 0);
         for (i, st) in stats.iter().enumerate() {
             assert_eq!(st.updates, 1);
             assert_eq!(st.notifications, 1);
             assert_eq!(st.answers, 2);
-            assert_eq!(members[i].source.queries_answered(), 2);
+            assert_eq!(members[i].source.io_meter().query_reads(), two_answers);
         }
         // All channels saw the same state, so all answers agree.
         assert!(expected.windows(2).all(|w| w[0] == w[1]));

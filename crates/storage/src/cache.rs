@@ -13,7 +13,7 @@
 //! not consult it.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// One cached block's identity.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -52,11 +52,18 @@ impl BlockCache {
         }
     }
 
+    /// The cache's state. A holder that panicked can at worst have left a
+    /// counter or a recency stamp one step behind, and the map stays
+    /// valid, so a poisoned lock is taken as it stands.
+    fn lock(&self) -> MutexGuard<'_, CacheInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Record an access to `(table, block)`. Returns `true` on a hit (the
     /// block read is free); on a miss the block is admitted, evicting the
     /// least recently used entry if full.
     pub fn access(&self, table: &str, block: u64) -> bool {
-        let mut inner = self.inner.lock().expect("cache mutex poisoned");
+        let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
         let id = BlockId {
@@ -88,45 +95,33 @@ impl BlockCache {
 
     /// Drop every cached block (e.g. after updates invalidate contents).
     pub fn invalidate_table(&self, table: &str) {
-        self.inner
-            .lock()
-            .expect("cache mutex poisoned")
-            .entries
-            .retain(|id, _| id.table != table);
+        self.lock().entries.retain(|id, _| id.table != table);
     }
 
     /// Cache hits so far.
     pub fn hits(&self) -> u64 {
-        self.inner.lock().expect("cache mutex poisoned").hits
+        self.lock().hits
     }
 
     /// Cache misses so far.
     pub fn misses(&self) -> u64 {
-        self.inner.lock().expect("cache mutex poisoned").misses
+        self.lock().misses
     }
 
     /// Blocks currently resident.
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("cache mutex poisoned")
-            .entries
-            .len()
+        self.lock().entries.len()
     }
 
     /// Whether nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.inner
-            .lock()
-            .expect("cache mutex poisoned")
-            .entries
-            .is_empty()
+        self.lock().entries.is_empty()
     }
 }
 
 impl std::fmt::Debug for BlockCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock().expect("cache mutex poisoned");
+        let inner = self.lock();
         write!(
             f,
             "BlockCache(cap={}, resident={}, hits={}, misses={})",

@@ -101,14 +101,89 @@ pub enum PlanStep {
 /// a relation, we go to disk to read the block") and §6.3 calls out as the
 /// obvious improvement. It assumes Scenario 1's ample memory; the
 /// Scenario-2 nested-loop executor (whose premise is three memory blocks)
-/// never consults it.
+/// never consults it. It lends the heaps' tuples rather than copying them.
 #[derive(Default)]
-struct BatchMemo {
+struct BatchMemo<'a> {
     /// Relation → tuples of a completed full scan (the relation is now
     /// memory-resident for the rest of the query).
-    scans: HashMap<String, Vec<Tuple>>,
+    scans: HashMap<&'a str, &'a [Tuple]>,
     /// `(relation, attribute, value)` → matches of a completed index probe.
-    probes: HashMap<(String, usize, Value), Vec<Tuple>>,
+    probes: HashMap<(&'a str, usize, Value), Vec<&'a Tuple>>,
+}
+
+/// The intermediate rows of one term, in one flat buffer: `width` slots
+/// per row, one per base relation (`None` until the relation is joined
+/// in), and a signed count per row. Slots lend the term's bound tuples
+/// and the heaps' tuples; nothing is copied until an output tuple is
+/// projected.
+struct Rows<'a> {
+    width: usize,
+    slots: Vec<Option<&'a Tuple>>,
+    counts: Vec<i64>,
+}
+
+impl<'a> Rows<'a> {
+    fn new(width: usize) -> Self {
+        Rows {
+            width,
+            slots: Vec::new(),
+            counts: Vec::new(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.counts.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.counts.clear();
+    }
+
+    /// Each row's slots and count.
+    fn iter(&self) -> impl Iterator<Item = (&[Option<&'a Tuple>], i64)> + '_ {
+        let width = self.width;
+        self.counts
+            .iter()
+            .enumerate()
+            .map(move |(r, &count)| (&self.slots[r * width..(r + 1) * width], count))
+    }
+
+    /// Append `row` with `tuple` in slot `rel`.
+    fn push(&mut self, row: &[Option<&'a Tuple>], count: i64, rel: usize, tuple: &'a Tuple) {
+        let start = self.slots.len();
+        self.slots.extend_from_slice(row);
+        self.slots[start + rel] = Some(tuple);
+        self.counts.push(count);
+    }
+}
+
+/// What one query's terms share: the batching memo (if on) and the
+/// buffers every term reuses — the rows, the rows the next join step
+/// builds, which relations are joined in, and one row's values.
+struct QueryState<'a> {
+    memo: Option<BatchMemo<'a>>,
+    rows: Rows<'a>,
+    next: Rows<'a>,
+    assigned: Vec<bool>,
+    values: Vec<Value>,
+}
+
+impl<'a> QueryState<'a> {
+    fn new(width: usize, batching: bool) -> Self {
+        QueryState {
+            memo: batching.then(BatchMemo::default),
+            rows: Rows::new(width),
+            next: Rows::new(width),
+            assigned: Vec::with_capacity(width),
+            values: Vec::new(),
+        }
+    }
+
+    /// Make the rows the next step built the current ones.
+    fn advance(&mut self) {
+        std::mem::swap(&mut self.rows, &mut self.next);
+    }
 }
 
 /// The metered physical engine: a set of [`Table`]s plus a scenario.
@@ -202,29 +277,37 @@ impl StorageEngine {
     }
 
     /// Apply a base-relation update. Returns `false` for an ineffective
-    /// delete or unknown table.
+    /// delete, an unknown table, or an insert into a full heap
+    /// ([`StorageError::HeapFull`]; nothing changes).
     pub fn apply(&mut self, update: &Update) -> bool {
         let Some(table) = self.tables.get_mut(&update.relation) else {
             return false;
         };
         match update.kind {
-            UpdateKind::Insert => {
-                table.insert(update.tuple.clone());
-                true
-            }
+            UpdateKind::Insert => table.insert(update.tuple.clone()).is_ok(),
             UpdateKind::Delete => table.delete(&update.tuple),
         }
     }
 
     /// Bulk-load tuples into a table — equivalent to applying one insert
     /// per tuple in order (same heap order, same update touches), without
-    /// the per-insert shifting. Returns `false` for an unknown table.
-    pub fn load(&mut self, relation: &str, tuples: impl IntoIterator<Item = Tuple>) -> bool {
-        let Some(table) = self.tables.get_mut(relation) else {
-            return false;
-        };
-        table.load(tuples);
-        true
+    /// the per-insert shifting.
+    ///
+    /// # Errors
+    /// [`StorageError::UnknownTable`] for an unregistered relation, and
+    /// [`StorageError::HeapFull`] (nothing loaded) from the table.
+    pub fn load(
+        &mut self,
+        relation: &str,
+        tuples: impl IntoIterator<Item = Tuple>,
+    ) -> Result<(), StorageError> {
+        let table = self
+            .tables
+            .get_mut(relation)
+            .ok_or_else(|| StorageError::UnknownTable {
+                table: relation.to_owned(),
+            })?;
+        table.load(tuples)
     }
 
     /// Evaluate a warehouse query physically, charging the meter.
@@ -233,12 +316,8 @@ impl StorageEngine {
     /// [`StorageError::UnknownTable`] if the query mentions an unloaded
     /// relation; relational errors from condition evaluation.
     pub fn eval_query(&self, query: &Query) -> Result<SignedBag, StorageError> {
-        let mut memo = self.batching.then(BatchMemo::default);
         let mut out = SignedBag::new();
-        for term in query.terms() {
-            let (bag, _) = self.eval_term(query.view(), term, memo.as_mut())?;
-            out.merge(&bag);
-        }
+        self.eval_terms(query, &mut out, None)?;
         Ok(out)
     }
 
@@ -248,15 +327,30 @@ impl StorageEngine {
     /// As [`StorageEngine::eval_query`].
     #[cfg(test)]
     fn explain_query(&self, query: &Query) -> Result<Vec<Vec<PlanStep>>, StorageError> {
-        let mut memo = self.batching.then(BatchMemo::default);
-        query
-            .terms()
-            .iter()
-            .map(|t| {
-                self.eval_term(query.view(), t, memo.as_mut())
-                    .map(|(_, plan)| plan)
-            })
-            .collect()
+        let mut plans = Vec::new();
+        self.eval_terms(query, &mut SignedBag::new(), Some(&mut plans))?;
+        Ok(plans)
+    }
+
+    /// Add every term of `query` into `out`, in term order; with `plans`,
+    /// also record each term's plan steps there.
+    fn eval_terms(
+        &self,
+        query: &Query,
+        out: &mut SignedBag,
+        mut plans: Option<&mut Vec<Vec<PlanStep>>>,
+    ) -> Result<(), StorageError> {
+        let view = query.view();
+        let edges = join_edges(view);
+        let mut state = QueryState::new(view.base().len(), self.batching);
+        for term in query.terms() {
+            let plan = plans.as_deref_mut().map(|plans| {
+                plans.push(Vec::new());
+                plans.last_mut()
+            });
+            self.eval_term(view, &edges, term, &mut state, out, plan.flatten())?;
+        }
+        Ok(())
     }
 
     fn table_for(&self, view: &ViewDef, rel_idx: usize) -> Result<&Table, StorageError> {
@@ -268,65 +362,57 @@ impl StorageEngine {
             })
     }
 
-    fn eval_term(
-        &self,
-        view: &ViewDef,
-        term: &Term,
-        memo: Option<&mut BatchMemo>,
-    ) -> Result<(SignedBag, Vec<PlanStep>), StorageError> {
+    /// Add one term's result into `out`.
+    fn eval_term<'a>(
+        &'a self,
+        view: &'a ViewDef,
+        edges: &[JoinEdge],
+        term: &'a Term,
+        state: &mut QueryState<'a>,
+        out: &mut SignedBag,
+        plan: Option<&mut Vec<PlanStep>>,
+    ) -> Result<(), StorageError> {
+        // One row: the bound tuples in their slots, the term's sign.
         let n = view.base().len();
-        // Join edges in (rel, local attr) form, derived from the view
-        // condition's conjunctive equi-join pairs over product columns.
-        let edges = join_edges(view);
-
-        // Intermediate rows: per-relation assignment plus a signed count.
-        let mut rows: Vec<(Vec<Option<Tuple>>, i64)> = Vec::new();
-        let mut assigned = vec![false; n];
-        let mut initial = vec![None; n];
+        state.rows.clear();
+        state.rows.slots.resize(n, None);
+        state.assigned.clear();
+        state.assigned.resize(n, false);
         let mut factor = term.factor();
         for (i, atom) in term.atoms().iter().enumerate() {
             if let Atom::Bound(st) = atom {
-                initial[i] = Some(st.tuple.clone());
+                state.rows.slots[i] = Some(&st.tuple);
                 factor *= st.sign.factor();
-                assigned[i] = true;
+                state.assigned[i] = true;
             }
         }
-        rows.push((initial, factor));
+        state.rows.counts.push(factor);
 
-        let mut plan = Vec::new();
         match self.scenario {
-            Scenario::Indexed => {
-                self.eval_indexed(view, &edges, &mut rows, &mut assigned, memo, &mut plan)?;
-            }
+            Scenario::Indexed => self.eval_indexed(view, edges, state, plan)?,
             Scenario::NestedLoop { memory_blocks } => {
-                self.eval_nested_loop(
-                    view,
-                    &edges,
-                    &mut rows,
-                    &mut assigned,
-                    memory_blocks,
-                    &mut plan,
-                )?;
+                self.eval_nested_loop(view, edges, state, memory_blocks, plan)?;
             }
         }
 
-        // Assemble product tuples, apply the full condition, project.
-        let mut out = SignedBag::new();
-        for (assignment, count) in rows {
+        // Assemble each product row, apply the full condition, project.
+        let QueryState { rows, values, .. } = state;
+        for (row, count) in rows.iter() {
             if count == 0 {
                 continue;
             }
-            let mut values = Vec::with_capacity(view.product_arity());
-            for t in assignment.iter() {
-                let t = t.as_ref().expect("all relations assigned");
-                values.extend(t.values().iter().cloned());
+            values.clear();
+            // Every slot is filled: the join steps run until every
+            // relation is assigned.
+            for tuple in row.iter().flatten() {
+                values.extend_from_slice(tuple.values());
             }
-            let product = Tuple::new(values);
-            if view.cond().eval(&product)? {
-                out.add(product.project(view.proj()), count);
+            if view.cond().eval_values(values)? {
+                let projected = Tuple::new(view.proj().iter().map(|&i| values[i].clone()));
+                out.add(projected, count);
             }
         }
-        Ok((out, plan))
+        Ok(())
     }
 
     /// Scenario 1: per relation, choose index probes vs scan+hash-join by
@@ -334,33 +420,34 @@ impl StorageEngine {
     /// earlier term of the same query are memory-resident (free), and
     /// repeated index probes for the same `(attribute, value)` are served
     /// from the memo without re-reading blocks.
-    fn eval_indexed(
-        &self,
-        view: &ViewDef,
+    fn eval_indexed<'a>(
+        &'a self,
+        view: &'a ViewDef,
         edges: &[JoinEdge],
-        rows: &mut Vec<(Vec<Option<Tuple>>, i64)>,
-        assigned: &mut [bool],
-        mut memo: Option<&mut BatchMemo>,
-        plan: &mut Vec<PlanStep>,
+        state: &mut QueryState<'a>,
+        mut plan: Option<&mut Vec<PlanStep>>,
     ) -> Result<(), StorageError> {
-        while let Some(next) = pick_next(assigned, edges) {
-            let relation = view.base()[next].relation().to_owned();
+        while let Some(next) = pick_next(&state.assigned, edges) {
+            let relation = view.base()[next].relation();
             let table = self.table_for(view, next)?;
+            let join_edge = edges
+                .iter()
+                .find(|e| e.touches(next) && state.assigned[e.other(next)]);
 
             // A relation fully scanned by an earlier term is resident:
             // join against it in memory at zero cost.
-            let resident = memo
-                .as_deref()
-                .and_then(|m| m.scans.get(&relation).cloned());
+            let resident = state
+                .memo
+                .as_ref()
+                .and_then(|m| m.scans.get(relation).copied());
             if let Some(tuples) = resident {
-                plan.push(PlanStep::SharedScan {
-                    relation: relation.clone(),
-                });
-                let join_edge = edges
-                    .iter()
-                    .find(|e| e.touches(next) && assigned[e.other(next)]);
-                *rows = extend_rows(rows, next, &tuples, join_edge);
-                assigned[next] = true;
+                if let Some(plan) = plan.as_deref_mut() {
+                    plan.push(PlanStep::SharedScan {
+                        relation: relation.to_owned(),
+                    });
+                }
+                join_rows(state, next, tuples, join_edge);
+                state.assigned[next] = true;
                 continue;
             }
 
@@ -368,119 +455,110 @@ impl StorageEngine {
             // target attribute has an index.
             let probe_edge = edges.iter().find(|e| {
                 e.touches(next)
-                    && assigned[e.other(next)]
+                    && state.assigned[e.other(next)]
                     && table.index_on(e.local_attr(next)).is_some()
             });
             let scan_cost = table.num_blocks();
             let probe_cost = probe_edge.map(|e| {
-                rows.iter()
-                    .map(|(assignment, _)| {
-                        let src = e.other(next);
-                        let attr = e.local_attr(next);
-                        let value = assignment[src]
+                let attr = e.local_attr(next);
+                state
+                    .rows
+                    .iter()
+                    .filter_map(|(row, _)| e.source_value(row, next))
+                    .map(|v| {
+                        let memoized = state
+                            .memo
                             .as_ref()
-                            .and_then(|t| t.get(e.local_attr(src)));
-                        match value {
-                            Some(v) => {
-                                let memoized = memo.as_deref().is_some_and(|m| {
-                                    m.probes.contains_key(&(relation.clone(), attr, v.clone()))
-                                });
-                                if memoized {
-                                    0
-                                } else {
-                                    table.index_lookup_cost(attr, v).unwrap_or(scan_cost)
-                                }
-                            }
-                            None => 0,
+                            .is_some_and(|m| m.probes.contains_key(&(relation, attr, v.clone())));
+                        if memoized {
+                            0
+                        } else {
+                            table.index_lookup_cost(attr, v).unwrap_or(scan_cost)
                         }
                     })
                     .sum::<u64>()
             });
 
             match (probe_edge, probe_cost) {
-                (Some(edge), Some(pc)) if pc <= scan_cost || rows.is_empty() => {
+                (Some(edge), Some(pc)) if pc <= scan_cost || state.rows.is_empty() => {
                     // Index-probe path.
                     let mut probes = 0u64;
                     let before = self.meter.query_reads();
-                    let mut new_rows = Vec::new();
                     let attr = edge.local_attr(next);
-                    for (assignment, count) in rows.iter() {
-                        let src = edge.other(next);
-                        let Some(value) = assignment[src]
-                            .as_ref()
-                            .and_then(|t| t.get(edge.local_attr(src)))
-                            .cloned()
-                        else {
+                    let QueryState {
+                        memo,
+                        rows,
+                        next: out,
+                        ..
+                    } = &mut *state;
+                    out.clear();
+                    for (row, count) in rows.iter() {
+                        let Some(value) = edge.source_value(row, next) else {
                             continue;
                         };
                         probes += 1;
-                        let memoized = memo.as_deref().and_then(|m| {
-                            m.probes
-                                .get(&(relation.clone(), attr, value.clone()))
-                                .cloned()
-                        });
-                        let matches = match memoized {
-                            Some(cached) => cached,
-                            None => {
-                                let fetched = table
-                                    .index_lookup(attr, &value)
-                                    .expect("probe edge implies index");
-                                if let Some(m) = memo.as_deref_mut() {
-                                    m.probes.insert(
-                                        (relation.clone(), attr, value.clone()),
-                                        fetched.clone(),
-                                    );
+                        match memo {
+                            Some(m) => {
+                                let matches = m
+                                    .probes
+                                    .entry((relation, attr, value.clone()))
+                                    .or_insert_with(|| {
+                                        let mut fetched = Vec::new();
+                                        table.index_visit(attr, value, |t| fetched.push(t));
+                                        fetched
+                                    });
+                                for &m in matches.iter() {
+                                    out.push(row, count, next, m);
                                 }
-                                fetched
                             }
-                        };
-                        for m in matches {
-                            let mut a = assignment.clone();
-                            a[next] = Some(m);
-                            new_rows.push((a, *count));
+                            None => {
+                                // The probe edge was chosen for its index.
+                                table.index_visit(attr, value, |m| out.push(row, count, next, m));
+                            }
                         }
                     }
-                    let blocks = self.meter.query_reads() - before;
-                    plan.push(PlanStep::Probe {
-                        relation,
-                        probes,
-                        blocks,
-                    });
-                    *rows = new_rows;
+                    state.advance();
+                    if let Some(plan) = plan.as_deref_mut() {
+                        plan.push(PlanStep::Probe {
+                            relation: relation.to_owned(),
+                            probes,
+                            blocks: self.meter.query_reads() - before,
+                        });
+                    }
                 }
                 _ => {
                     // Scan + in-memory hash join (or cross product when no
                     // edge connects).
                     let tuples = table.scan();
-                    if let Some(m) = memo.as_deref_mut() {
-                        m.scans.insert(relation.clone(), tuples.clone());
+                    if let Some(m) = &mut state.memo {
+                        m.scans.insert(relation, tuples);
                     }
-                    plan.push(PlanStep::Scan {
-                        relation,
-                        blocks: scan_cost,
-                    });
-                    let join_edge = edges
-                        .iter()
-                        .find(|e| e.touches(next) && assigned[e.other(next)]);
-                    *rows = extend_rows(rows, next, &tuples, join_edge);
+                    if let Some(plan) = plan.as_deref_mut() {
+                        plan.push(PlanStep::Scan {
+                            relation: relation.to_owned(),
+                            blocks: scan_cost,
+                        });
+                    }
+                    join_rows(state, next, tuples, join_edge);
                 }
             }
-            assigned[next] = true;
+            state.assigned[next] = true;
         }
         Ok(())
     }
 
     /// Scenario 2: left-deep block-nested loop over the unbound relations.
-    fn eval_nested_loop(
-        &self,
+    fn eval_nested_loop<'a>(
+        &'a self,
         view: &ViewDef,
         edges: &[JoinEdge],
-        rows: &mut Vec<(Vec<Option<Tuple>>, i64)>,
-        assigned: &mut [bool],
+        state: &mut QueryState<'a>,
         memory_blocks: usize,
-        plan: &mut Vec<PlanStep>,
+        mut plan: Option<&mut Vec<PlanStep>>,
     ) -> Result<(), StorageError> {
-        let unbound: Vec<usize> = (0..assigned.len()).filter(|&i| !assigned[i]).collect();
+        let unbound: Vec<usize> = (0..state.assigned.len())
+            .filter(|&i| !state.assigned[i])
+            .collect();
         let levels = unbound.len();
         if levels == 0 {
             return Ok(());
@@ -496,29 +574,24 @@ impl StorageEngine {
             // This level is re-scanned once per combination of outer chunks.
             let reads = passes_product * blocks;
             self.meter.charge_read(reads);
-            plan.push(PlanStep::NestedLoopLevel {
-                relation: view.base()[next].relation().to_owned(),
-                passes: passes_product,
-                blocks: reads,
-            });
+            if let Some(plan) = plan.as_deref_mut() {
+                plan.push(PlanStep::NestedLoopLevel {
+                    relation: view.base()[next].relation().to_owned(),
+                    passes: passes_product,
+                    blocks: reads,
+                });
+            }
             // Chunks this level contributes to inner re-scan counts.
             let chunks = blocks.div_ceil(level_blocks).max(1);
             passes_product *= chunks;
 
             // Compute the join result in memory (values are exact; the
             // charge above models the block pattern).
-            let tuples: Vec<Tuple> = table
-                .contents()
-                .iter()
-                .flat_map(|(t, c)| {
-                    std::iter::repeat_with(move || t.clone()).take(c.max(0) as usize)
-                })
-                .collect();
             let join_edge = edges
                 .iter()
-                .find(|e| e.touches(next) && assigned[e.other(next)]);
-            *rows = extend_rows(rows, next, &tuples, join_edge);
-            assigned[next] = true;
+                .find(|e| e.touches(next) && state.assigned[e.other(next)]);
+            join_rows(state, next, table.tuples(), join_edge);
+            state.assigned[next] = true;
         }
         Ok(())
     }
@@ -553,6 +626,13 @@ impl JoinEdge {
         } else {
             self.attr_b
         }
+    }
+
+    /// The value `row` offers this edge for joining in `next`: the join
+    /// attribute of the relation at the edge's other end.
+    fn source_value<'r>(&self, row: &[Option<&'r Tuple>], next: usize) -> Option<&'r Value> {
+        let src = self.other(next);
+        row[src].and_then(|t| t.get(self.local_attr(src)))
     }
 }
 
@@ -593,50 +673,46 @@ fn pick_next(assigned: &[bool], edges: &[JoinEdge]) -> Option<usize> {
     connected.or_else(|| (0..assigned.len()).find(|&i| !assigned[i]))
 }
 
-/// Extend intermediate rows with `tuples` of relation `next`, using a hash
-/// join on `join_edge` when available, else a cross product.
-fn extend_rows(
-    rows: &[(Vec<Option<Tuple>>, i64)],
+/// Join `tuples` of relation `next` into the rows, using a hash join on
+/// `join_edge` when available, else a cross product. Rows come out in
+/// row order, each row's matches in `tuples` order.
+fn join_rows<'a>(
+    state: &mut QueryState<'a>,
     next: usize,
-    tuples: &[Tuple],
+    tuples: &'a [Tuple],
     join_edge: Option<&JoinEdge>,
-) -> Vec<(Vec<Option<Tuple>>, i64)> {
-    let mut out = Vec::new();
+) {
+    let QueryState {
+        rows, next: out, ..
+    } = &mut *state;
+    out.clear();
     match join_edge {
         Some(edge) => {
             let next_attr = edge.local_attr(next);
-            let mut table: HashMap<&Value, Vec<&Tuple>> = HashMap::new();
+            let mut table: HashMap<&Value, Vec<&'a Tuple>> = HashMap::new();
             for t in tuples {
                 if let Some(v) = t.get(next_attr) {
                     table.entry(v).or_default().push(t);
                 }
             }
-            let src = edge.other(next);
-            let src_attr = edge.local_attr(src);
-            for (assignment, count) in rows {
-                let Some(value) = assignment[src].as_ref().and_then(|t| t.get(src_attr)) else {
+            for (row, count) in rows.iter() {
+                let Some(value) = edge.source_value(row, next) else {
                     continue;
                 };
-                if let Some(matches) = table.get(value) {
-                    for m in matches {
-                        let mut a = assignment.clone();
-                        a[next] = Some((*m).clone());
-                        out.push((a, *count));
-                    }
+                for &m in table.get(value).into_iter().flatten() {
+                    out.push(row, count, next, m);
                 }
             }
         }
         None => {
-            for (assignment, count) in rows {
+            for (row, count) in rows.iter() {
                 for t in tuples {
-                    let mut a = assignment.clone();
-                    a[next] = Some(t.clone());
-                    out.push((a, *count));
+                    out.push(row, count, next, t);
                 }
             }
         }
     }
-    out
+    state.advance();
 }
 
 #[cfg(test)]

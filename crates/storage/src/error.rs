@@ -26,6 +26,13 @@ pub enum StorageError {
         /// The attribute that failed to resolve.
         attribute: String,
     },
+    /// A heap would hold more occurrences than its index entries address.
+    HeapFull {
+        /// The most occurrences a heap holds.
+        limit: usize,
+    },
+    /// A clustered access on a heap that has no cluster order.
+    NotClustered,
 }
 
 impl fmt::Display for StorageError {
@@ -39,6 +46,10 @@ impl fmt::Display for StorageError {
             StorageError::BadIndexAttribute { table, attribute } => {
                 write!(f, "table {table:?} has no attribute {attribute:?} to index")
             }
+            StorageError::HeapFull { limit } => {
+                write!(f, "a heap holds at most {limit} tuple occurrences")
+            }
+            StorageError::NotClustered => write!(f, "the heap has no cluster order"),
         }
     }
 }

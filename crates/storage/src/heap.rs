@@ -67,21 +67,24 @@ impl SecondaryIndex {
 /// The capacity is the one `len` one-at-a-time pushes leave a `Vec` with
 /// (a power of two), so the first insert after a bulk load does not
 /// reallocate — momentarily doubling — an index.
-fn sorted_positions(tuples: &[Tuple], attr: usize) -> Vec<u32> {
+fn sorted_positions(tuples: &[Tuple], attr: usize) -> Result<Vec<u32>, StorageError> {
     let mut positions = Vec::with_capacity(tuples.len().next_power_of_two());
-    positions.extend(0..position(tuples.len()));
+    positions.extend(0..position(tuples.len())?);
     positions.sort_unstable_by(|&a, &b| {
         tuples[a as usize]
             .get(attr)
             .cmp(&tuples[b as usize].get(attr))
             .then(a.cmp(&b))
     });
-    positions
+    Ok(positions)
 }
 
-/// A heap offset as an index entry.
-fn position(offset: usize) -> u32 {
-    u32::try_from(offset).expect("a heap holds fewer than 2^32 tuples")
+/// A heap offset (or length) as an index entry: index entries are 4
+/// bytes, so a heap holds at most `u32::MAX` occurrences.
+fn position(offset: usize) -> Result<u32, StorageError> {
+    u32::try_from(offset).map_err(|_| StorageError::HeapFull {
+        limit: u32::MAX as usize,
+    })
 }
 
 impl HeapFile {
@@ -105,14 +108,19 @@ impl HeapFile {
     /// Maintain a secondary index on `attr` from now on (built over the
     /// current contents; a no-op if one exists). [`HeapFile::positions_with`]
     /// on `attr` then answers from it instead of scanning.
-    pub fn add_index(&mut self, attr: usize) {
+    ///
+    /// # Errors
+    /// [`StorageError::HeapFull`] if the heap holds more occurrences than
+    /// an index entry can address.
+    pub fn add_index(&mut self, attr: usize) -> Result<(), StorageError> {
         if self.indexes.iter().any(|ix| ix.attr == attr) {
-            return;
+            return Ok(());
         }
         self.indexes.push(SecondaryIndex {
             attr,
-            positions: sorted_positions(&self.tuples, attr),
+            positions: sorted_positions(&self.tuples, attr)?,
         });
+        Ok(())
     }
 
     /// Number of tuple occurrences stored.
@@ -143,7 +151,13 @@ impl HeapFile {
 
     /// Insert one tuple occurrence, preserving cluster order: a clustered
     /// insert lands after every tuple with an equal key.
-    pub fn insert(&mut self, tuple: Tuple) {
+    ///
+    /// # Errors
+    /// [`StorageError::HeapFull`], leaving the heap as it was, when the
+    /// new occurrence's position would not fit an index entry.
+    pub fn insert(&mut self, tuple: Tuple) -> Result<(), StorageError> {
+        // The length after the insert, and so every position, must fit.
+        position(self.tuples.len() + 1)?;
         let pos = match self.cluster_attr {
             None => self.tuples.len(),
             Some(attr) => {
@@ -151,16 +165,17 @@ impl HeapFile {
                 self.tuples.partition_point(|t| t.get(attr) <= key)
             }
         };
+        let pos32 = position(pos)?;
         self.tuples.insert(pos, tuple);
-        let pos = position(pos);
         for index in &mut self.indexes {
             for p in &mut index.positions {
-                *p += u32::from(*p >= pos);
+                *p += u32::from(*p >= pos32);
             }
-            let key = self.tuples[pos as usize].get(index.attr);
-            let slot = index.slot(&self.tuples, key, pos);
-            index.positions.insert(slot, pos);
+            let key = self.tuples[pos].get(index.attr);
+            let slot = index.slot(&self.tuples, key, pos32);
+            index.positions.insert(slot, pos32);
         }
+        Ok(())
     }
 
     /// Remove one occurrence of `tuple` — the first in heap order. Returns
@@ -177,10 +192,12 @@ impl HeapFile {
                     .map(|i| run.start + i)
             }
         };
-        let Some(pos) = found else {
+        // `insert` and `load` keep the length within an index entry, so
+        // every found position converts.
+        let Some(pos32) = found.and_then(|pos| position(pos).ok()) else {
             return false;
         };
-        let pos32 = position(pos);
+        let pos = pos32 as usize;
         for index in &mut self.indexes {
             let slot = index.slot(&self.tuples, tuple.get(index.attr), pos32);
             index.positions.remove(slot);
@@ -200,7 +217,11 @@ impl HeapFile {
     /// The heap gets the power-of-two capacity one-at-a-time inserts would
     /// have grown it to, so the first insert after a load does not
     /// reallocate it.
-    pub fn load(&mut self, tuples: impl IntoIterator<Item = Tuple>) -> usize {
+    ///
+    /// # Errors
+    /// [`StorageError::HeapFull`], leaving the heap as it was, when the
+    /// occurrences would not all fit an index entry's positions.
+    pub fn load(&mut self, tuples: impl IntoIterator<Item = Tuple>) -> Result<usize, StorageError> {
         let tuples = tuples.into_iter();
         let before = self.tuples.len();
         let room = (before + tuples.size_hint().0).next_power_of_two();
@@ -208,15 +229,19 @@ impl HeapFile {
         self.tuples.extend(tuples);
         let added = self.tuples.len() - before;
         if added == 0 {
-            return 0;
+            return Ok(0);
+        }
+        if let Err(full) = position(self.tuples.len()) {
+            self.tuples.truncate(before);
+            return Err(full);
         }
         if let Some(attr) = self.cluster_attr {
             self.tuples.sort_by(|a, b| a.get(attr).cmp(&b.get(attr)));
         }
         for index in &mut self.indexes {
-            index.positions = sorted_positions(&self.tuples, index.attr);
+            index.positions = sorted_positions(&self.tuples, index.attr)?;
         }
-        added
+        Ok(added)
     }
 
     /// The positions whose `attr` compares equal to `key` in a heap sorted
@@ -228,12 +253,12 @@ impl HeapFile {
     }
 
     /// The index range of tuples whose `cluster_attr` equals `value`.
-    /// Only meaningful when clustered.
-    pub fn clustered_range(&self, value: &Value) -> Range<usize> {
-        let attr = self
-            .cluster_attr
-            .expect("clustered_range on unclustered heap");
-        self.key_range(attr, Some(value))
+    ///
+    /// # Errors
+    /// [`StorageError::NotClustered`] when the heap has no cluster order.
+    pub fn clustered_range(&self, value: &Value) -> Result<Range<usize>, StorageError> {
+        let attr = self.cluster_attr.ok_or(StorageError::NotClustered)?;
+        Ok(self.key_range(attr, Some(value)))
     }
 
     /// How many distinct blocks the tuple positions in `range` span.
@@ -256,19 +281,27 @@ impl HeapFile {
     /// the secondary index on `attr` in O(log n + matches) when there is
     /// one, by a scan otherwise.
     pub fn positions_with(&self, attr: usize, value: &Value) -> Vec<usize> {
+        let mut positions = Vec::new();
+        self.visit_positions_with(attr, value, |p| positions.push(p));
+        positions
+    }
+
+    /// [`HeapFile::positions_with`] without the vector: `visit` sees each
+    /// position in ascending order.
+    pub fn visit_positions_with(&self, attr: usize, value: &Value, mut visit: impl FnMut(usize)) {
         match self.indexes.iter().find(|ix| ix.attr == attr) {
-            Some(index) => index
-                .matches(&self.tuples, value)
-                .iter()
-                .map(|&p| p as usize)
-                .collect(),
-            None => self
-                .tuples
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.get(attr) == Some(value))
-                .map(|(i, _)| i)
-                .collect(),
+            Some(index) => {
+                for &p in index.matches(&self.tuples, value) {
+                    visit(p as usize);
+                }
+            }
+            None => {
+                for (i, t) in self.tuples.iter().enumerate() {
+                    if t.get(attr) == Some(value) {
+                        visit(i);
+                    }
+                }
+            }
         }
     }
 }
@@ -291,7 +324,7 @@ mod tests {
         let mut h = HeapFile::new(3, None).unwrap();
         assert_eq!(h.num_blocks(), 0);
         for i in 0..7 {
-            h.insert(t(&[i, 0]));
+            h.insert(t(&[i, 0])).unwrap();
         }
         assert_eq!(h.len(), 7);
         assert_eq!(h.num_blocks(), 3);
@@ -301,7 +334,7 @@ mod tests {
     fn clustered_insert_keeps_order() {
         let mut h = HeapFile::new(2, Some(0)).unwrap();
         for v in [5, 1, 3, 1, 9] {
-            h.insert(t(&[v, 0]));
+            h.insert(t(&[v, 0])).unwrap();
         }
         let keys: Vec<i64> = h
             .tuples()
@@ -316,15 +349,15 @@ mod tests {
         let mut h = HeapFile::new(2, Some(0)).unwrap();
         // 6 tuples: keys 1,1,1,2,2,3 → blocks: [1,1][1,2][2,3]
         for v in [1, 1, 1, 2, 2, 3] {
-            h.insert(t(&[v, 0]));
+            h.insert(t(&[v, 0])).unwrap();
         }
-        let r1 = h.clustered_range(&Value::Int(1));
+        let r1 = h.clustered_range(&Value::Int(1)).unwrap();
         assert_eq!(r1, 0..3);
         assert_eq!(h.blocks_spanned(&r1), 2);
-        let r2 = h.clustered_range(&Value::Int(2));
+        let r2 = h.clustered_range(&Value::Int(2)).unwrap();
         assert_eq!(r2, 3..5);
         assert_eq!(h.blocks_spanned(&r2), 2);
-        let r9 = h.clustered_range(&Value::Int(9));
+        let r9 = h.clustered_range(&Value::Int(9)).unwrap();
         assert!(r9.is_empty());
         assert_eq!(h.blocks_spanned(&r9), 0);
     }
@@ -332,8 +365,8 @@ mod tests {
     #[test]
     fn delete_removes_one_occurrence() {
         let mut h = HeapFile::new(4, Some(0)).unwrap();
-        h.insert(t(&[1, 0]));
-        h.insert(t(&[1, 0]));
+        h.insert(t(&[1, 0])).unwrap();
+        h.insert(t(&[1, 0])).unwrap();
         assert!(h.delete(&t(&[1, 0])));
         assert_eq!(h.len(), 1);
         assert!(!h.delete(&t(&[9, 9])));
@@ -342,9 +375,9 @@ mod tests {
     #[test]
     fn clustered_delete_takes_the_first_equal_tuple_of_the_run() {
         let mut h = HeapFile::new(2, Some(0)).unwrap();
-        h.add_index(1);
+        h.add_index(1).unwrap();
         for v in [[2, 7], [1, 5], [2, 8], [2, 7], [3, 7]] {
-            h.insert(t(&v));
+            h.insert(t(&v)).unwrap();
         }
         // Heap: [1,5] [2,7] [2,8] [2,7] [3,7]; the victim is position 1.
         assert!(h.delete(&t(&[2, 7])));
@@ -359,9 +392,9 @@ mod tests {
     #[test]
     fn positions_with_finds_all() {
         let mut h = HeapFile::new(2, None).unwrap();
-        h.insert(t(&[1, 7]));
-        h.insert(t(&[2, 8]));
-        h.insert(t(&[3, 7]));
+        h.insert(t(&[1, 7])).unwrap();
+        h.insert(t(&[2, 8])).unwrap();
+        h.insert(t(&[3, 7])).unwrap();
         assert_eq!(h.positions_with(1, &Value::Int(7)), vec![0, 2]);
         assert!(h.positions_with(1, &Value::Int(99)).is_empty());
     }
@@ -370,7 +403,7 @@ mod tests {
     fn blocks_iterator_chunks() {
         let mut h = HeapFile::new(2, None).unwrap();
         for i in 0..5 {
-            h.insert(t(&[i]));
+            h.insert(t(&[i])).unwrap();
         }
         let sizes: Vec<usize> = h.blocks().map(<[Tuple]>::len).collect();
         assert_eq!(sizes, vec![2, 2, 1]);

@@ -32,6 +32,7 @@
 //! [`Query`]: eca_core::Query
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
 pub mod cache;

@@ -71,7 +71,7 @@ impl Table {
             indexes.push((p, IndexKind::Unclustered));
             // Lookups on the cluster attribute use the cluster order.
             if cluster_pos != Some(p) {
-                heap.add_index(p);
+                heap.add_index(p)?;
             }
         }
         Ok(Table {
@@ -138,25 +138,33 @@ impl Table {
     }
 
     /// Insert one occurrence (charged as one update touch).
-    pub fn insert(&mut self, tuple: Tuple) {
-        self.heap.insert(tuple);
+    ///
+    /// # Errors
+    /// [`StorageError::HeapFull`], with nothing inserted or charged.
+    pub fn insert(&mut self, tuple: Tuple) -> Result<(), StorageError> {
+        self.heap.insert(tuple)?;
         self.meter.charge_update(1);
         if let Some(c) = &self.cache {
             c.invalidate_table(self.schema.relation());
         }
+        Ok(())
     }
 
     /// Bulk-load occurrences: the same heap order, indexes and update
     /// touches (one per tuple) as inserting them one at a time, in
     /// O(n log n) instead of O(n²).
-    pub fn load(&mut self, tuples: impl IntoIterator<Item = Tuple>) {
-        let added = self.heap.load(tuples);
+    ///
+    /// # Errors
+    /// [`StorageError::HeapFull`], with nothing loaded or charged.
+    pub fn load(&mut self, tuples: impl IntoIterator<Item = Tuple>) -> Result<(), StorageError> {
+        let added = self.heap.load(tuples)?;
         if added > 0 {
             self.meter.charge_update(added as u64);
             if let Some(c) = &self.cache {
                 c.invalidate_table(self.schema.relation());
             }
         }
+        Ok(())
     }
 
     /// Delete one occurrence (charged as one update touch). Returns
@@ -172,10 +180,16 @@ impl Table {
         found
     }
 
-    /// Full scan: reads every block, returns all tuples.
-    pub fn scan(&self) -> Vec<Tuple> {
+    /// Full scan: reads every block, lends all tuples in heap order.
+    pub fn scan(&self) -> &[Tuple] {
         self.charge_block_range(0, self.heap.num_blocks());
-        self.heap.tuples().to_vec()
+        self.heap.tuples()
+    }
+
+    /// Every stored occurrence in heap order, charging nothing — for the
+    /// nested-loop executor, which charges its block pattern itself.
+    pub(crate) fn tuples(&self) -> &[Tuple] {
+        self.heap.tuples()
     }
 
     /// Scan block by block without buffering the whole table — used by the
@@ -190,39 +204,61 @@ impl Table {
     /// Index lookup: all occurrences with `attr == value`, charged per the
     /// index kind. Returns `None` when no index exists on `attr`.
     pub fn index_lookup(&self, attr: usize, value: &Value) -> Option<Vec<Tuple>> {
-        match self.index_on(attr)? {
-            IndexKind::Clustered => {
-                let range = self.heap.clustered_range(value);
+        let mut matches = Vec::new();
+        self.index_visit(attr, value, |t| matches.push(t.clone()))
+            .then_some(matches)
+    }
+
+    /// [`Table::index_lookup`] without the vector: the same reads, charged
+    /// in the same order, and `visit` sees each match in place, in the
+    /// order the lookup returns them. Returns whether an index exists on
+    /// `attr` (if not, nothing is visited or charged).
+    pub fn index_visit<'t>(
+        &'t self,
+        attr: usize,
+        value: &Value,
+        mut visit: impl FnMut(&'t Tuple),
+    ) -> bool {
+        let tuples = self.heap.tuples();
+        let per_block = self.heap.tuples_per_block();
+        match self.index_on(attr) {
+            None => return false,
+            Some(IndexKind::Clustered) => {
+                let range = self.clustered_run(value);
                 if !range.is_empty() {
-                    let first = (range.start / self.heap.tuples_per_block()) as u64;
+                    let first = (range.start / per_block) as u64;
                     self.charge_block_range(first, self.heap.blocks_spanned(&range));
                 }
-                Some(self.heap.tuples()[range].to_vec())
+                tuples[range].iter().for_each(visit);
             }
-            IndexKind::Unclustered => {
-                let positions = self.heap.positions_with(attr, value);
-                for &p in &positions {
-                    self.charge_block((p / self.heap.tuples_per_block()) as u64);
-                }
-                Some(
-                    positions
-                        .iter()
-                        .map(|&i| self.heap.tuples()[i].clone())
-                        .collect(),
-                )
+            Some(IndexKind::Unclustered) => {
+                self.heap.visit_positions_with(attr, value, |p| {
+                    self.charge_block((p / per_block) as u64);
+                    visit(&tuples[p]);
+                });
             }
         }
+        true
+    }
+
+    /// The heap positions a clustered lookup of `value` reads. A table
+    /// registers a clustered index exactly when its heap is clustered, so
+    /// the heap's error cannot arise here.
+    fn clustered_run(&self, value: &Value) -> std::ops::Range<usize> {
+        self.heap.clustered_range(value).unwrap_or_default()
     }
 
     /// Predicted I/O cost of an index lookup for `value` without touching
     /// the meter (used by the planner to compare access paths).
     pub fn index_lookup_cost(&self, attr: usize, value: &Value) -> Option<u64> {
         match self.index_on(attr)? {
-            IndexKind::Clustered => {
-                let range = self.heap.clustered_range(value);
-                Some(self.heap.blocks_spanned(&range))
+            IndexKind::Clustered => Some(self.heap.blocks_spanned(&self.clustered_run(value))),
+            IndexKind::Unclustered => {
+                let mut matches = 0;
+                self.heap
+                    .visit_positions_with(attr, value, |_| matches += 1);
+                Some(matches)
             }
-            IndexKind::Unclustered => Some(self.heap.positions_with(attr, value).len() as u64),
         }
     }
 
@@ -241,7 +277,7 @@ mod tests {
         let schema = Schema::new("r2", &["X", "Y"]);
         let mut t = Table::new(schema, 2, Some("X"), &["Y"], IoMeter::new()).unwrap();
         for (x, y) in [(1, 10), (1, 11), (2, 10), (3, 12), (1, 12)] {
-            t.insert(Tuple::ints([x, y]));
+            t.insert(Tuple::ints([x, y])).unwrap();
         }
         t.meter.reset(); // discard load charges
         t
@@ -302,7 +338,7 @@ mod tests {
     #[test]
     fn inserts_and_deletes_charge_updates_not_reads() {
         let mut t = table();
-        t.insert(Tuple::ints([9, 9]));
+        t.insert(Tuple::ints([9, 9])).unwrap();
         assert!(t.delete(&Tuple::ints([9, 9])));
         assert!(!t.delete(&Tuple::ints([9, 9])));
         assert_eq!(t.meter.query_reads(), 0);

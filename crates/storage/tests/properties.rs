@@ -91,23 +91,23 @@ impl Model {
 
 fn apply_heap(heap: &mut HeapFile, op: &Op) {
     match op {
-        Op::Insert(t) => heap.insert(t.clone()),
+        Op::Insert(t) => heap.insert(t.clone()).unwrap(),
         Op::Delete(t) => {
             heap.delete(t);
         }
         Op::Load(ts) => {
-            heap.load(ts.iter().cloned());
+            heap.load(ts.iter().cloned()).unwrap();
         }
     }
 }
 
 fn apply_table(table: &mut Table, op: &Op) {
     match op {
-        Op::Insert(t) => table.insert(t.clone()),
+        Op::Insert(t) => table.insert(t.clone()).unwrap(),
         Op::Delete(t) => {
             table.delete(t);
         }
-        Op::Load(ts) => table.load(ts.iter().cloned()),
+        Op::Load(ts) => table.load(ts.iter().cloned()).unwrap(),
     }
 }
 
@@ -132,7 +132,7 @@ proptest! {
         let (strs, ops) = case;
         let mut model = Model::default();
         let mut heap = HeapFile::new(3, Some(0)).unwrap();
-        heap.add_index(1);
+        heap.add_index(1).unwrap();
         for op in &ops {
             model.apply(op);
             apply_heap(&mut heap, op);
@@ -205,9 +205,9 @@ proptest! {
     fn clustered_range_equals_brute_force(data in tuples(), probe in 0i64..10) {
         let mut heap = HeapFile::new(4, Some(0)).unwrap();
         for t in &data {
-            heap.insert(t.clone());
+            heap.insert(t.clone()).unwrap();
         }
-        let range = heap.clustered_range(&Value::Int(probe));
+        let range = heap.clustered_range(&Value::Int(probe)).unwrap();
         let via_range: Vec<&Tuple> = heap.tuples()[range.clone()].iter().collect();
         let brute: Vec<&Tuple> = heap
             .tuples()
@@ -227,7 +227,7 @@ proptest! {
     fn unclustered_positions_equal_brute_force(data in tuples(), probe in 0i64..10) {
         let mut heap = HeapFile::new(4, None).unwrap();
         for t in &data {
-            heap.insert(t.clone());
+            heap.insert(t.clone()).unwrap();
         }
         let positions = heap.positions_with(1, &Value::Int(probe));
         let expected = data
@@ -244,7 +244,7 @@ proptest! {
     ) {
         let mut heap = HeapFile::new(4, Some(0)).unwrap();
         for t in &data {
-            heap.insert(t.clone());
+            heap.insert(t.clone()).unwrap();
         }
         for d in &deletions {
             heap.delete(&Tuple::ints([*d, *d]));
@@ -264,7 +264,7 @@ proptest! {
             meter.clone(),
         ).unwrap();
         for t in &data {
-            table.insert(t.clone());
+            table.insert(t.clone()).unwrap();
         }
         meter.reset();
 
@@ -287,7 +287,7 @@ proptest! {
         let mut table =
             Table::new(Schema::new("r", &["A", "B"]), 4, None, &[], meter.clone()).unwrap();
         for t in &data {
-            table.insert(t.clone());
+            table.insert(t.clone()).unwrap();
         }
         meter.reset();
         let all = table.scan();
