@@ -1,9 +1,13 @@
 //! Substrate microbenchmarks: signed-bag algebra, SPJ evaluation, the
 //! physical engine's access paths, the wire codec and in-process
-//! channel, and epoch publication for read serving.
+//! channel, a compensating query's path from maintainer to source, and
+//! epoch publication for read serving.
+
+use std::collections::VecDeque;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eca_core::ViewDef;
+use eca_core::algorithms::Eca;
+use eca_core::{ViewDef, ViewMaintainer};
 use eca_relational::{Schema, SignedBag, Tuple, Update, Value};
 use eca_source::Source;
 use eca_storage::{IoMeter, Scenario, StorageEngine, Table};
@@ -257,6 +261,71 @@ fn bench_wire_codec(c: &mut Criterion) {
     group.finish();
 }
 
+/// One compensating query's path from the maintainer to the source:
+/// ECA's `W_up` with eight queries in `UQS`, the wire form, a copy of the
+/// message, and the source answering a query whose header it has
+/// resolved before.
+fn bench_query_path(c: &mut Criterion) {
+    let w = Example6::new(Params::default(), 9);
+    let view = Example6::view().expect("static view");
+    let mut group = c.benchmark_group("query_path");
+
+    // Updates cycle over r1, r3 and r2 with fresh tuples. Each iteration
+    // handles one update and retires the oldest query with an empty
+    // answer, so UQS stays at eight.
+    let mut eca = Eca::new(view.clone(), SignedBag::new());
+    let mut pending = VecDeque::new();
+    let mut seq = 0i64;
+    let mut next_update = || {
+        seq += 1;
+        let rel = ["r1", "r3", "r2"][(seq % 3) as usize];
+        Update::insert(rel, Tuple::ints([seq % 97, seq % 89]))
+    };
+    for _ in 0..8 {
+        pending.extend(eca.on_update(&next_update()).unwrap());
+    }
+    group.bench_function("on_update_uqs8", |b| {
+        b.iter(|| {
+            pending.extend(eca.on_update(&next_update()).unwrap());
+            let oldest = pending.pop_front().unwrap();
+            eca.on_answer(oldest.id, SignedBag::new()).unwrap()
+        })
+    });
+
+    let query = pending.pop_back().unwrap().query;
+    group.bench_function("from_query", |b| b.iter(|| WireQuery::from_query(&query)));
+    let request = Message::QueryRequest {
+        id: eca_core::QueryId(1),
+        query: WireQuery::from_query(&query),
+    };
+    group.bench_function("query_request_clone", |b| b.iter(|| request.clone()));
+
+    let mut source = Source::new(Scenario::Indexed);
+    let layouts: [(&str, &[&str]); 3] = [("X", &[]), ("X", &["Y"]), ("Y", &[])];
+    for (rel, (schema, (clustered, unclustered))) in
+        Example6::schemas().into_iter().zip(layouts).enumerate()
+    {
+        let name = schema.relation().to_owned();
+        source
+            .add_relation(
+                schema,
+                w.params.tuples_per_block,
+                Some(clustered),
+                unclustered,
+            )
+            .unwrap();
+        source.load(&name, w.base_tuples(rel)).unwrap();
+    }
+    let Message::QueryRequest { query: wire, .. } = &request else {
+        unreachable!()
+    };
+    source.answer(wire).unwrap();
+    group.bench_function("source_answer_prepared", |b| {
+        b.iter(|| source.answer(wire).unwrap())
+    });
+    group.finish();
+}
+
 /// Epoch publication and registry reads on a 20k-tuple view, and a
 /// changed publish at 100k. A publish whose state changed since the last
 /// one clones the bag; one whose state did not re-publishes the newest
@@ -294,6 +363,7 @@ fn bench_serving(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_signed_bags, bench_spj, bench_physical_engine, bench_wire_codec, bench_serving
+    targets = bench_signed_bags, bench_spj, bench_physical_engine, bench_wire_codec,
+        bench_query_path, bench_serving
 }
 criterion_main!(benches);

@@ -284,13 +284,11 @@ impl Eca {
 
 /// Append `−Σ_{t ∈ pending} t⟨U⟩` to `terms`.
 fn compensate(terms: &mut Vec<Term>, view: &ViewDef, pending: &[Term], update: &Update) {
+    let start = terms.len();
     for t in pending {
-        terms.extend(
-            t.substitute_all_occurrences(view, update)
-                .into_iter()
-                .map(|s| -s),
-        );
+        t.substitute_all_occurrences(view, update, terms);
     }
+    terms[start..].iter_mut().for_each(Term::negate);
 }
 
 impl ViewMaintainer for Eca {
@@ -321,7 +319,8 @@ impl ViewMaintainer for Eca {
             _ => Vec::new(),
         };
         // q_i = V⟨U_i⟩ − Σ_{Q ∈ UQS} Q⟨U_i⟩ − Σ_{q ∈ buffer} q⟨U_i⟩
-        let mut terms = self.view.substitute(update)?.into_terms();
+        let mut terms = Vec::new();
+        self.view.substitute_into(update, &mut terms)?;
         for pending in self.uqs.values() {
             compensate(&mut terms, &self.view, pending.terms(), update);
         }
@@ -332,7 +331,13 @@ impl ViewMaintainer for Eca {
             self.local_updates += 1;
         } else {
             self.remote_updates += 1;
-            self.buffered.extend(remote);
+            // An empty buffer takes `remote`'s allocation: with batch
+            // size 1 (plain ECA) the terms are never copied.
+            if self.buffered.is_empty() {
+                self.buffered = remote;
+            } else {
+                self.buffered.extend(remote);
+            }
             self.buffered_updates += 1;
             if self.buffered_updates == self.batch_size {
                 out.extend(self.flush());

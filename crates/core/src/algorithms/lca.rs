@@ -130,15 +130,12 @@ impl ViewMaintainer for Lca {
         // Compensating terms for every unanswered term, keeping ownership.
         // Collected before the own term is registered so an update never
         // compensates itself.
-        let compensations: Vec<(u64, Term)> = self
-            .unanswered
-            .values()
-            .flat_map(|(owner, t)| {
-                t.substitute_all_occurrences(&self.view, update)
-                    .into_iter()
-                    .map(move |c| (*owner, -c))
-            })
-            .collect();
+        let mut compensations: Vec<(u64, Term)> = Vec::new();
+        let mut substituted = Vec::new();
+        for (owner, t) in self.unanswered.values() {
+            t.substitute_all_occurrences(&self.view, update, &mut substituted);
+            compensations.extend(substituted.drain(..).map(|c| (*owner, -c)));
+        }
 
         // V⟨U⟩ may expand to several terms for self-join views; they all
         // belong to this update's delta.

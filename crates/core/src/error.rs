@@ -38,6 +38,13 @@ pub enum CoreError {
     },
     /// A batching maintainer must ship a query every `n ≥ 1` updates.
     ZeroBatchSize,
+    /// A view joined more base relations than substitution can track.
+    TooManyRelations {
+        /// The number of base relations given.
+        count: usize,
+        /// The most a view may join.
+        max: usize,
+    },
     /// The algorithm cannot atomically adopt an externally recomputed
     /// view state (RV-style resync): it maintains auxiliary state that a
     /// bare `V(ss)` answer cannot restore.
@@ -69,6 +76,9 @@ impl fmt::Display for CoreError {
                 write!(f, "recompute period must be >= 1, got {period}")
             }
             CoreError::ZeroBatchSize => write!(f, "batch size must be >= 1"),
+            CoreError::TooManyRelations { count, max } => {
+                write!(f, "a view joins at most {max} base relations, got {count}")
+            }
             CoreError::ResyncUnsupported { algorithm } => {
                 write!(
                     f,

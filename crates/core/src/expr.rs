@@ -11,6 +11,7 @@
 //! (`Q⟨U1,…,Uk⟩ = ∅` when two updates hit the same relation — paper §4.2).
 
 use std::fmt;
+use std::sync::Arc;
 
 use eca_relational::algebra::spj;
 use eca_relational::{RelationalError, SignedBag, SignedTuple, Update};
@@ -99,24 +100,10 @@ impl Term {
             .count()
     }
 
-    /// `T⟨U⟩`: substitute `U`'s signed tuple for its relation. Returns
-    /// `None` (the empty query) when every occurrence of the relation is
-    /// already bound in this term, or the relation does not occur at all.
-    ///
-    /// When the view references `U`'s relation exactly once (the paper's
-    /// standing assumption in §4), this is the paper's substitution
-    /// verbatim. Views with **multiple occurrences** of a relation
-    /// (self-joins — the extension §4 sketches) are handled through
-    /// [`Term::substitute_all_occurrences`]; this method then returns the
-    /// first-occurrence binding only and is kept for single-occurrence
-    /// callers.
-    pub fn substitute(&self, view: &ViewDef, update: &Update) -> Option<Term> {
-        self.substitute_all_occurrences(view, update)
-            .into_iter()
-            .next()
-    }
-
-    /// Full multi-occurrence substitution by inclusion–exclusion.
+    /// `T⟨U⟩`, appended to `out`: full multi-occurrence substitution by
+    /// inclusion–exclusion. Nothing is appended when every occurrence of
+    /// `U`'s relation is already bound in this term, or the relation does
+    /// not occur at all (the empty query).
     ///
     /// Let `O` be the unbound occurrences of `U`'s relation in this term
     /// and `Δ` the signed updated tuple. Multilinearity of the cross
@@ -127,39 +114,66 @@ impl Term {
     /// ```
     ///
     /// so `T⟨U⟩ := Σ_{∅≠S⊆O} (−1)^{|S|+1} T[Δ@S]` preserves Lemma B.2 —
-    /// the identity all the compensation proofs rest on. For `|O| = 1`
-    /// this degenerates to the paper's single-term substitution.
-    pub fn substitute_all_occurrences(&self, view: &ViewDef, update: &Update) -> Vec<Term> {
-        let occurrences: Vec<usize> = (0..self.atoms.len())
-            .filter(|&i| {
-                view.base()[i].relation() == update.relation
-                    && matches!(self.atoms[i], Atom::Rel(_))
-            })
-            .collect();
-        if occurrences.is_empty() {
-            return Vec::new();
-        }
-        let st = update.signed_tuple();
-        let mut out = Vec::with_capacity((1usize << occurrences.len()) - 1);
-        // Enumerate non-empty subsets S of the occurrences.
-        for mask in 1u32..(1u32 << occurrences.len()) {
-            let mut atoms = self.atoms.clone();
-            let mut size = 0u32;
-            for (bit, &pos) in occurrences.iter().enumerate() {
-                if mask & (1 << bit) != 0 {
-                    atoms[pos] = Atom::Bound(st.clone());
-                    size += 1;
-                }
+    /// the identity all the compensation proofs rest on. When the view
+    /// references `U`'s relation once (the paper's standing assumption in
+    /// §4) this is the paper's single-term substitution verbatim; views
+    /// with **multiple occurrences** (self-joins, the extension §4
+    /// sketches) append one term per subset.
+    pub fn substitute_all_occurrences(&self, view: &ViewDef, update: &Update, out: &mut Vec<Term>) {
+        let slots = view.slots_of(&update.relation, |i| {
+            matches!(self.atoms.get(i), Some(Atom::Rel(_)))
+        });
+        let atom = |i: usize| self.atoms[i].clone();
+        Term::expand(
+            self.factor,
+            self.owner,
+            slots,
+            self.atoms.len(),
+            atom,
+            update,
+            out,
+        );
+    }
+
+    /// Append one term per non-empty subset `S` of the `slots` mask, in
+    /// increasing mask order: `atom(i)` outside `S`, `U`'s signed tuple
+    /// inside, and `factor · (−1)^{|S|+1}`.
+    pub(crate) fn expand(
+        factor: i64,
+        owner: Option<u64>,
+        slots: u32,
+        width: usize,
+        atom: impl Fn(usize) -> Atom,
+        update: &Update,
+        out: &mut Vec<Term>,
+    ) {
+        // `(subset − slots) & slots` steps through the subsets of `slots`
+        // in increasing order, back to 0 after the last.
+        let mut subset = 0u32;
+        loop {
+            subset = subset.wrapping_sub(slots) & slots;
+            if subset == 0 {
+                return;
             }
+            let atoms = (0..width)
+                .map(|i| match subset & (1 << i) {
+                    0 => atom(i),
+                    _ => Atom::Bound(update.signed_tuple()),
+                })
+                .collect();
             // (−1)^{|S|+1}: + for odd |S|, − for even.
-            let sign = if size % 2 == 1 { 1 } else { -1 };
+            let sign = if subset.count_ones() % 2 == 1 { 1 } else { -1 };
             out.push(Term {
-                factor: self.factor * sign,
+                factor: factor * sign,
                 atoms,
-                owner: self.owner,
+                owner,
             });
         }
-        out
+    }
+
+    /// Negate the coefficient in place.
+    pub(crate) fn negate(&mut self) {
+        self.factor = -self.factor;
     }
 
     /// A copy with the coefficient negated.
@@ -274,15 +288,24 @@ pub(crate) fn scale(bag: &SignedBag, factor: i64) -> SignedBag {
 }
 
 /// A query: a sum of terms over a view's relations (paper Eq. 4.2).
+///
+/// The terms sit behind one [`Arc`], so a clone costs two reference
+/// counts: the maintainer's `UQS` entry, the session's re-issue copy and
+/// the outbound message all share one body.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Query {
     view: ViewDef,
-    terms: Vec<Term>,
+    terms: Arc<[Term]>,
 }
 
 impl Query {
     /// Build a query from terms.
     pub fn from_terms(view: ViewDef, terms: Vec<Term>) -> Self {
+        Query::from_shared(view, terms.into())
+    }
+
+    /// Build a query over terms another query (or message) already holds.
+    pub fn from_shared(view: ViewDef, terms: Arc<[Term]>) -> Self {
         Query { view, terms }
     }
 
@@ -296,9 +319,9 @@ impl Query {
         &self.terms
     }
 
-    /// The terms, by value.
-    pub fn into_terms(self) -> Vec<Term> {
-        self.terms
+    /// The terms, as the shared body.
+    pub fn shared_terms(&self) -> &Arc<[Term]> {
+        &self.terms
     }
 
     /// Whether the query has no terms (evaluates to ∅ trivially).
@@ -310,14 +333,11 @@ impl Query {
     /// with repeated relations expand each term by inclusion–exclusion.
     #[must_use]
     pub fn substitute(&self, update: &Update) -> Query {
-        Query {
-            view: self.view.clone(),
-            terms: self
-                .terms
-                .iter()
-                .flat_map(|t| t.substitute_all_occurrences(&self.view, update))
-                .collect(),
+        let mut terms = Vec::new();
+        for t in self.terms.iter() {
+            t.substitute_all_occurrences(&self.view, update, &mut terms);
         }
+        Query::from_terms(self.view.clone(), terms)
     }
 
     /// `Q⟨U1,…,Uk⟩` applied left to right.
@@ -330,12 +350,9 @@ impl Query {
     /// Append `other`'s terms negated (the paper's `Q − Q'`).
     #[must_use]
     pub fn minus(&self, other: &Query) -> Query {
-        let mut terms = self.terms.clone();
+        let mut terms = self.terms.to_vec();
         terms.extend(other.terms.iter().map(Term::negated));
-        Query {
-            view: self.view.clone(),
-            terms,
-        }
+        Query::from_terms(self.view.clone(), terms)
     }
 
     /// Evaluate against base relation contents: the signed sum of all term
@@ -345,7 +362,7 @@ impl Query {
     /// Propagates relational evaluation errors.
     pub fn eval(&self, db: &impl BaseLookup) -> Result<SignedBag, RelationalError> {
         let mut out = SignedBag::new();
-        for term in &self.terms {
+        for term in self.terms.iter() {
             out.merge(&term.eval(&self.view, db)?);
         }
         Ok(out)
@@ -363,10 +380,7 @@ impl Query {
     fn split_terms(&self) -> Vec<Query> {
         self.terms
             .iter()
-            .map(|t| Query {
-                view: self.view.clone(),
-                terms: vec![t.clone()],
-            })
+            .map(|t| Query::from_terms(self.view.clone(), vec![t.clone()]))
             .collect()
     }
 }
@@ -545,7 +559,10 @@ mod tests {
         let v = view2();
         let base = Term::owned(1, vec![Atom::Rel(0), Atom::Rel(1)], 3);
         let u = Update::insert("r1", Tuple::ints([4, 2]));
-        let sub = base.substitute(&v, &u).unwrap();
+        let mut subs = Vec::new();
+        base.substitute_all_occurrences(&v, &u, &mut subs);
+        let sub = subs.pop().unwrap();
+        assert!(subs.is_empty());
         assert_eq!(sub.owner(), Some(3));
         assert_eq!(sub.negated().owner(), Some(3));
         assert_eq!(base.with_owner(9).owner(), Some(9));

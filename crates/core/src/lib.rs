@@ -43,7 +43,7 @@ pub use error::CoreError;
 pub use expr::{Atom, Query, QueryId, Term};
 pub use maintainer::{AuxDurableState, OutboundQuery, ViewMaintainer};
 pub use parse::{parse_view, ParseError};
-pub use view::ViewDef;
+pub use view::{QueryHeader, ViewDef};
 
 // Re-export the relational substrate so downstream users need one import.
 pub use eca_relational as relational;

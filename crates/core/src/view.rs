@@ -4,11 +4,32 @@
 use std::fmt;
 use std::sync::Arc;
 
-use eca_relational::{Predicate, Schema, SignedBag, Update};
+use eca_relational::{Predicate, RelationalError, Schema, SignedBag, Update};
 
 use crate::basedb::BaseLookup;
 use crate::error::CoreError;
 use crate::expr::{Atom, Query, Term};
+
+/// The most base relations a view may join: substitution tracks a term's
+/// occurrences of the updated relation in a 32-bit slot mask.
+const MAX_BASE_RELATIONS: usize = 32;
+
+/// What a query says about its view when it leaves the warehouse: the
+/// relation names in product order, the condition and the projection.
+///
+/// The source knows no views (paper Fig. 1.1), so every query carries
+/// one. A view builds its header once, at construction, and every query
+/// of the view shares it behind an [`Arc`]; the view's name and schemas
+/// stay at the warehouse.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct QueryHeader {
+    /// Names of the base relations `r1..rn` in product order.
+    pub relations: Vec<String>,
+    /// Selection condition over product columns.
+    pub cond: Predicate,
+    /// Projection over product columns.
+    pub proj: Vec<usize>,
+}
 
 /// A select-project-join view over named base relations.
 ///
@@ -47,8 +68,7 @@ pub struct ViewDef {
 struct ViewInner {
     name: String,
     base: Vec<Schema>,
-    cond: Predicate,
-    proj: Vec<usize>,
+    header: Arc<QueryHeader>,
     /// Cumulative column offsets of each base relation in the product.
     offsets: Vec<usize>,
     total_arity: usize,
@@ -66,43 +86,84 @@ impl ViewDef {
     ///
     /// # Errors
     /// Positional errors if `cond` or `proj` reference columns outside
-    /// the product arity.
+    /// the product arity; [`CoreError::TooManyRelations`] beyond 32 base
+    /// relations.
     pub fn new(
         name: impl Into<String>,
         base: Vec<Schema>,
         cond: Predicate,
         proj: Vec<usize>,
     ) -> Result<Self, CoreError> {
+        let header = QueryHeader {
+            relations: base.iter().map(|s| s.relation().to_owned()).collect(),
+            cond,
+            proj,
+        };
+        Self::build(name.into(), base, Arc::new(header))
+    }
+
+    /// Resolve a query header against a catalog of schemas: the view a
+    /// receiver evaluates the header's queries over. The view shares
+    /// `header`.
+    ///
+    /// # Errors
+    /// [`CoreError::UnknownRelation`] for a relation absent from
+    /// `catalog`; otherwise as [`ViewDef::new`].
+    pub fn resolve(
+        name: impl Into<String>,
+        header: Arc<QueryHeader>,
+        catalog: &[Schema],
+    ) -> Result<Self, CoreError> {
+        let base = header
+            .relations
+            .iter()
+            .map(|name| {
+                catalog
+                    .iter()
+                    .find(|s| s.relation() == name)
+                    .cloned()
+                    .ok_or_else(|| CoreError::UnknownRelation {
+                        relation: name.clone(),
+                    })
+            })
+            .collect::<Result<Vec<Schema>, CoreError>>()?;
+        Self::build(name.into(), base, header)
+    }
+
+    /// Validate `header` against `base` and assemble the view.
+    fn build(name: String, base: Vec<Schema>, header: Arc<QueryHeader>) -> Result<Self, CoreError> {
+        if base.len() > MAX_BASE_RELATIONS {
+            return Err(CoreError::TooManyRelations {
+                count: base.len(),
+                max: MAX_BASE_RELATIONS,
+            });
+        }
         let mut offsets = Vec::with_capacity(base.len());
         let mut total = 0usize;
         for s in &base {
             offsets.push(total);
             total += s.arity();
         }
-        if let Some(max) = cond.max_column() {
+        let out_of_range = |position: usize| {
+            Err(RelationalError::PositionOutOfRange {
+                position,
+                arity: total,
+            }
+            .into())
+        };
+        if let Some(max) = header.cond.max_column() {
             if max >= total {
-                return Err(eca_relational::RelationalError::PositionOutOfRange {
-                    position: max,
-                    arity: total,
-                }
-                .into());
+                return out_of_range(max);
             }
         }
-        for &p in &proj {
-            if p >= total {
-                return Err(eca_relational::RelationalError::PositionOutOfRange {
-                    position: p,
-                    arity: total,
-                }
-                .into());
-            }
+        if let Some(&p) = header.proj.iter().find(|&&p| p >= total) {
+            return out_of_range(p);
         }
         Ok(ViewDef {
             inner: Arc::new(ViewInner {
-                name: name.into(),
+                name,
                 base,
-                cond,
-                proj,
+                header,
                 offsets,
                 total_arity: total,
             }),
@@ -121,12 +182,44 @@ impl ViewDef {
 
     /// The selection condition over product columns.
     pub fn cond(&self) -> &Predicate {
-        &self.inner.cond
+        &self.inner.header.cond
     }
 
     /// The projection positions over product columns.
     pub fn proj(&self) -> &[usize] {
-        &self.inner.proj
+        &self.inner.header.proj
+    }
+
+    /// The header every query of this view carries to the source.
+    pub fn header(&self) -> &Arc<QueryHeader> {
+        &self.inner.header
+    }
+
+    /// Check that `term` fits this view: one atom per base relation, and
+    /// each bound tuple of its relation's arity.
+    ///
+    /// # Errors
+    /// [`RelationalError::ArityMismatch`] naming the term or the relation.
+    pub fn check_term(&self, term: &Term) -> Result<(), CoreError> {
+        let mismatch = |context: &str, expected: usize, actual: usize| {
+            Err(RelationalError::ArityMismatch {
+                context: context.to_owned(),
+                expected,
+                actual,
+            }
+            .into())
+        };
+        if term.atoms().len() != self.inner.base.len() {
+            return mismatch("query term", self.inner.base.len(), term.atoms().len());
+        }
+        for (atom, schema) in term.atoms().iter().zip(&self.inner.base) {
+            if let Atom::Bound(st) = atom {
+                if st.tuple.arity() != schema.arity() {
+                    return mismatch(schema.relation(), schema.arity(), st.tuple.arity());
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Arity of the full cross product.
@@ -191,12 +284,42 @@ impl ViewDef {
     /// [`CoreError::UnknownRelation`] if the update's relation is not in
     /// the view.
     pub fn substitute(&self, update: &Update) -> Result<Query, CoreError> {
-        if self.relation_index(&update.relation).is_none() {
+        let mut terms = Vec::new();
+        self.substitute_into(update, &mut terms)?;
+        Ok(Query::from_terms(self.clone(), terms))
+    }
+
+    /// [`ViewDef::substitute`]'s terms, appended to `out`.
+    ///
+    /// # Errors
+    /// As [`ViewDef::substitute`]; `out` is then unchanged.
+    pub fn substitute_into(&self, update: &Update, out: &mut Vec<Term>) -> Result<(), CoreError> {
+        let slots = self.slots_of(&update.relation, |_| true);
+        if slots == 0 {
             return Err(CoreError::UnknownRelation {
                 relation: update.relation.clone(),
             });
         }
-        Ok(self.as_query().substitute(update))
+        Term::expand(
+            1,
+            None,
+            slots,
+            self.inner.base.len(),
+            Atom::Rel,
+            update,
+            out,
+        );
+        Ok(())
+    }
+
+    /// The mask of the slots of `relation` that `keep` accepts.
+    pub(crate) fn slots_of(&self, relation: &str, keep: impl Fn(usize) -> bool) -> u32 {
+        self.inner
+            .base
+            .iter()
+            .enumerate()
+            .filter(|&(i, s)| s.relation() == relation && keep(i))
+            .fold(0, |mask, (i, _)| mask | 1 << i)
     }
 
     /// Evaluate the view on base relation contents.
@@ -231,7 +354,7 @@ impl ViewDef {
             .iter()
             .map(|&kp| {
                 let product_col = offset + kp;
-                self.inner.proj.iter().position(|&p| p == product_col)
+                self.proj().iter().position(|&p| p == product_col)
             })
             .collect()
     }
@@ -258,7 +381,9 @@ impl fmt::Debug for ViewDef {
         write!(
             f,
             "{} = pi{:?}(sigma[{}](",
-            self.inner.name, self.inner.proj, self.inner.cond
+            self.inner.name,
+            self.proj(),
+            self.cond()
         )?;
         for (i, s) in self.inner.base.iter().enumerate() {
             if i > 0 {
@@ -275,8 +400,7 @@ impl PartialEq for ViewDef {
         Arc::ptr_eq(&self.inner, &other.inner)
             || (self.inner.name == other.inner.name
                 && self.inner.base == other.inner.base
-                && self.inner.cond == other.inner.cond
-                && self.inner.proj == other.inner.proj)
+                && self.inner.header == other.inner.header)
     }
 }
 

@@ -118,7 +118,7 @@ impl SourceCheckpoint {
     /// Write atomically to `path`: temp file + sync + rename + dir
     /// sync. The body is framed exactly like a WAL record, so the same
     /// length/checksum validation guards it, and streamed to the file as
-    /// it is encoded ([`FrameWriter`]): a multi-megabyte frame buffer per
+    /// it is encoded (`FrameWriter`): a multi-megabyte frame buffer per
     /// checkpoint left the process's resident set to where the allocator
     /// happened to place each one.
     ///

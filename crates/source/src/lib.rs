@@ -18,12 +18,13 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::Duration;
 
 use eca_core::basedb::BaseDb;
-use eca_core::QueryId;
+use eca_core::{QueryHeader, QueryId, ViewDef};
 use eca_relational::{Schema, SignedBag, Update};
-use eca_storage::{IoMeter, Scenario, StorageEngine, StorageError};
+use eca_storage::{IoMeter, PreparedView, Scenario, StorageEngine, StorageError};
 use eca_wire::{Message, PollWaker, Readiness, Transport, TransportError, WireQuery};
 
 /// Errors raised by the source.
@@ -122,10 +123,68 @@ impl ReplayCache {
     }
 }
 
+/// How many distinct query headers a source keeps resolved.
+const PREPARED_CAP: usize = 16;
+
+/// The query headers a source has resolved against its catalog, newest
+/// last, at most [`PREPARED_CAP`] of them. The source still knows no
+/// views (Fig. 1.1): it learns a header only from a query that carries
+/// it, and forgets the oldest when a new one does not fit. A kept entry
+/// never goes stale: the catalog only grows, and a name resolves to its
+/// first schema.
+#[derive(Default)]
+struct Prepared {
+    entries: VecDeque<(Arc<QueryHeader>, PreparedView)>,
+}
+
+impl Prepared {
+    /// Where `header` is kept: the very same allocation first (every
+    /// query of one warehouse view over an in-process channel), then an
+    /// equal header (a query decoded from bytes).
+    fn position(&self, header: &Arc<QueryHeader>) -> Option<usize> {
+        let entries = &self.entries;
+        entries
+            .iter()
+            .position(|(h, _)| Arc::ptr_eq(h, header))
+            .or_else(|| entries.iter().position(|(h, _)| **h == **header))
+    }
+
+    /// The resolved view of `query`'s header, once every term is checked
+    /// to fit it. A header is kept only once it resolved and a query's
+    /// terms fit it.
+    fn prepare(
+        &mut self,
+        query: &WireQuery,
+        catalog: &[Schema],
+    ) -> Result<&PreparedView, SourceError> {
+        let fits = |view: &ViewDef| {
+            query
+                .terms
+                .iter()
+                .try_for_each(|t| view.check_term(t))
+                .map_err(SourceError::BadQuery)
+        };
+        if let Some(at) = self.position(&query.header) {
+            fits(self.entries[at].1.view())?;
+            return Ok(&self.entries[at].1);
+        }
+        let view = ViewDef::resolve("wire", Arc::clone(&query.header), catalog)
+            .map_err(SourceError::BadQuery)?;
+        fits(&view)?;
+        if self.entries.len() == PREPARED_CAP {
+            self.entries.pop_front();
+        }
+        self.entries
+            .push_back((Arc::clone(&query.header), PreparedView::new(view)));
+        Ok(&self.entries[self.entries.len() - 1].1)
+    }
+}
+
 /// The source site: a schema catalog over a metered storage engine.
 pub struct Source {
     engine: StorageEngine,
     catalog: Vec<Schema>,
+    prepared: Prepared,
 }
 
 impl Source {
@@ -134,6 +193,7 @@ impl Source {
         Source {
             engine: StorageEngine::new(scenario),
             catalog: Vec::new(),
+            prepared: Prepared::default(),
         }
     }
 
@@ -207,16 +267,17 @@ impl Source {
     }
 
     /// Evaluate a wire query on the current base relations (an `S_qu`
-    /// event).
+    /// event). The query's header is resolved against the catalog once
+    /// and kept for the queries that follow; every term is checked
+    /// against it.
     ///
     /// # Errors
     /// [`SourceError::BadQuery`] when the query references unknown
-    /// relations; storage errors otherwise.
+    /// relations or a term does not fit them (atom count, bound-tuple
+    /// arity); storage errors otherwise.
     pub fn answer(&mut self, query: &WireQuery) -> Result<SignedBag, SourceError> {
-        let rebuilt = query
-            .to_query(&self.catalog)
-            .map_err(SourceError::BadQuery)?;
-        Ok(self.engine.eval_query(&rebuilt)?)
+        let prepared = self.prepared.prepare(query, &self.catalog)?;
+        Ok(self.engine.eval_prepared(prepared, &query.terms)?)
     }
 
     /// Drive this source over a [`Transport`]: execute `script`, sending
@@ -443,9 +504,8 @@ pub fn serve_fleet(members: &mut [FleetMember]) -> Result<Vec<ServeStats>, Sourc
 mod tests {
     use super::*;
     use eca_core::basedb::BaseLookup;
-    use eca_core::ViewDef;
-    use eca_relational::{Predicate, Tuple};
-    use eca_wire::WireQuery;
+    use eca_core::{Atom, Query, Term};
+    use eca_relational::{Predicate, Sign, SignedTuple, Tuple};
 
     fn example_source(scenario: Scenario) -> (Source, ViewDef) {
         let mut s = Source::new(scenario);
@@ -745,6 +805,169 @@ mod tests {
         }
         // All channels saw the same state, so all answers agree.
         assert!(expected.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    /// Example 1's join under `proj`, with one term: `r1` free and `r2`
+    /// bound to `bound`.
+    fn bound_r2_query(proj: Vec<usize>, bound: Tuple) -> WireQuery {
+        let view = ViewDef::new(
+            "V",
+            vec![
+                Schema::new("r1", &["W", "X"]),
+                Schema::new("r2", &["X", "Y"]),
+            ],
+            Predicate::col_eq(1, 2),
+            proj,
+        )
+        .unwrap();
+        let term = Term::new(
+            1,
+            vec![
+                Atom::Rel(0),
+                Atom::Bound(SignedTuple {
+                    sign: Sign::Plus,
+                    tuple: bound,
+                }),
+            ],
+        );
+        WireQuery::from_query(&Query::from_terms(view, vec![term]))
+    }
+
+    /// A bound tuple of the wrong arity is a typed error under both
+    /// scenarios, never a panic and never an answer, whether or not the
+    /// projection would have read past it.
+    #[test]
+    fn wrong_arity_bound_tuple_is_a_bad_query() {
+        for scenario in [Scenario::Indexed, Scenario::nested_loop_default()] {
+            let (mut s, _) = example_source(scenario);
+            let cases = [
+                (vec![0, 3], Tuple::ints([2])),
+                (vec![0], Tuple::ints([2])),
+                (vec![0], Tuple::ints([2, 4, 6, 8])),
+            ];
+            for (proj, bound) in cases {
+                let q = bound_r2_query(proj, bound);
+                assert!(
+                    matches!(s.answer(&q), Err(SourceError::BadQuery(_))),
+                    "{scenario:?} {:?}",
+                    q.terms
+                );
+            }
+            let good = bound_r2_query(vec![0, 3], Tuple::ints([2, 4]));
+            assert_eq!(
+                s.answer(&good).unwrap(),
+                SignedBag::from_tuples([Tuple::ints([1, 4])])
+            );
+        }
+    }
+
+    /// A hand-built term with more or fewer atoms than the header has
+    /// relations is a typed error.
+    #[test]
+    fn wrong_atom_count_is_a_bad_query() {
+        let (mut s, view) = example_source(Scenario::Indexed);
+        for atoms in [
+            vec![Atom::Rel(0)],
+            vec![Atom::Rel(0), Atom::Rel(1), Atom::Rel(2)],
+        ] {
+            let q = WireQuery {
+                header: Arc::clone(view.header()),
+                terms: vec![Term::new(1, atoms)].into(),
+            };
+            assert!(matches!(s.answer(&q), Err(SourceError::BadQuery(_))));
+        }
+    }
+
+    /// The bytes a warehouse would send decode into a query the source
+    /// answers like the original, and a malformed term in those bytes
+    /// is a typed error rather than a panic.
+    #[test]
+    fn decoded_bytes_answer_like_the_sent_query() {
+        let (mut s, view) = example_source(Scenario::Indexed);
+        let sent = WireQuery::from_query(
+            &view
+                .substitute(&Update::insert("r2", Tuple::ints([2, 3])))
+                .unwrap(),
+        );
+        let wire = |query: WireQuery| {
+            let msg = Message::QueryRequest {
+                id: QueryId(4),
+                query,
+            };
+            let Message::QueryRequest { query, .. } = Message::decode(msg.encode()).unwrap() else {
+                unreachable!()
+            };
+            query
+        };
+        let decoded = wire(sent.clone());
+        assert!(!Arc::ptr_eq(&decoded.header, &sent.header));
+        assert_eq!(s.answer(&decoded).unwrap(), s.answer(&sent).unwrap());
+        assert_eq!(s.prepared.entries.len(), 1, "equal headers share an entry");
+
+        let bad = wire(bound_r2_query(vec![0, 3], Tuple::ints([2])));
+        assert!(matches!(s.answer(&bad), Err(SourceError::BadQuery(_))));
+    }
+
+    /// A peer cycling through more distinct headers than the bound gets
+    /// correct answers while the table stays at its bound; a header that
+    /// does not resolve never enters it.
+    #[test]
+    fn prepared_table_stays_bounded() {
+        let (mut s, _) = example_source(Scenario::Indexed);
+        s.execute_update(&Update::insert("r1", Tuple::ints([7, 2])));
+        let schemas = s.catalog().to_vec();
+        let mut db = BaseDb::new();
+        db.insert("r1", Tuple::ints([1, 2]));
+        db.insert("r1", Tuple::ints([7, 2]));
+        db.insert("r2", Tuple::ints([2, 4]));
+        for round in 0..2 {
+            for w in 0..(PREPARED_CAP as i64 + 4) {
+                // A distinct header per w: select W ≥ w.
+                let view = ViewDef::new(
+                    "V",
+                    schemas.clone(),
+                    Predicate::col_eq(1, 2).and(Predicate::col_const(
+                        0,
+                        eca_relational::CmpOp::Ge,
+                        w,
+                    )),
+                    vec![0, 3],
+                )
+                .unwrap();
+                let q = view.as_query();
+                assert_eq!(
+                    s.answer(&WireQuery::from_query(&q)).unwrap(),
+                    q.eval(&db).unwrap(),
+                    "round {round}, w {w}"
+                );
+                assert!(s.prepared.entries.len() <= PREPARED_CAP);
+            }
+        }
+        assert_eq!(s.prepared.entries.len(), PREPARED_CAP);
+
+        let fresh = |s: &mut Source, header: QueryHeader, terms: Vec<Term>| {
+            let q = WireQuery {
+                header: Arc::new(header),
+                terms: terms.into(),
+            };
+            assert!(matches!(s.answer(&q), Err(SourceError::BadQuery(_))));
+        };
+        let mut s = example_source(Scenario::Indexed).0;
+        let unknown = QueryHeader {
+            relations: vec!["r1".into(), "zz".into()],
+            cond: Predicate::True,
+            proj: vec![0],
+        };
+        fresh(&mut s, unknown, Vec::new());
+        let out_of_range = QueryHeader {
+            relations: vec!["r1".into(), "r2".into()],
+            cond: Predicate::col_eq(1, 2),
+            proj: vec![4],
+        };
+        fresh(&mut s, out_of_range, Vec::new());
+        let bad_term = bound_r2_query(vec![0, 3], Tuple::ints([2]));
+        fresh(&mut s, (*bad_term.header).clone(), bad_term.terms.to_vec());
+        assert!(s.prepared.entries.is_empty());
     }
 
     #[test]

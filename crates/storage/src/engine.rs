@@ -186,6 +186,26 @@ impl<'a> QueryState<'a> {
     }
 }
 
+/// A view resolved for evaluation: its definition and the equi-join
+/// edges its condition implies, derived once for every query over it.
+pub struct PreparedView {
+    view: ViewDef,
+    edges: Vec<JoinEdge>,
+}
+
+impl PreparedView {
+    /// Derive `view`'s join edges.
+    pub fn new(view: ViewDef) -> Self {
+        let edges = join_edges(&view);
+        PreparedView { view, edges }
+    }
+
+    /// The view.
+    pub fn view(&self) -> &ViewDef {
+        &self.view
+    }
+}
+
 /// The metered physical engine: a set of [`Table`]s plus a scenario.
 pub struct StorageEngine {
     tables: BTreeMap<String, Table>,
@@ -310,14 +330,28 @@ impl StorageEngine {
         table.load(tuples)
     }
 
-    /// Evaluate a warehouse query physically, charging the meter.
+    /// Evaluate a warehouse query physically, charging the meter: prepare
+    /// its view, then [`StorageEngine::eval_prepared`].
     ///
     /// # Errors
     /// [`StorageError::UnknownTable`] if the query mentions an unloaded
     /// relation; relational errors from condition evaluation.
     pub fn eval_query(&self, query: &Query) -> Result<SignedBag, StorageError> {
+        self.eval_prepared(&PreparedView::new(query.view().clone()), query.terms())
+    }
+
+    /// Evaluate `terms` over a prepared view, charging the meter. Every
+    /// term must fit the view ([`ViewDef::check_term`]).
+    ///
+    /// # Errors
+    /// As [`StorageEngine::eval_query`].
+    pub fn eval_prepared(
+        &self,
+        prepared: &PreparedView,
+        terms: &[Term],
+    ) -> Result<SignedBag, StorageError> {
         let mut out = SignedBag::new();
-        self.eval_terms(query, &mut out, None)?;
+        self.eval_terms(prepared, terms, &mut out, None)?;
         Ok(out)
     }
 
@@ -328,27 +362,33 @@ impl StorageEngine {
     #[cfg(test)]
     fn explain_query(&self, query: &Query) -> Result<Vec<Vec<PlanStep>>, StorageError> {
         let mut plans = Vec::new();
-        self.eval_terms(query, &mut SignedBag::new(), Some(&mut plans))?;
+        let prepared = PreparedView::new(query.view().clone());
+        self.eval_terms(
+            &prepared,
+            query.terms(),
+            &mut SignedBag::new(),
+            Some(&mut plans),
+        )?;
         Ok(plans)
     }
 
-    /// Add every term of `query` into `out`, in term order; with `plans`,
-    /// also record each term's plan steps there.
+    /// Add every term into `out`, in term order; with `plans`, also
+    /// record each term's plan steps there.
     fn eval_terms(
         &self,
-        query: &Query,
+        prepared: &PreparedView,
+        terms: &[Term],
         out: &mut SignedBag,
         mut plans: Option<&mut Vec<Vec<PlanStep>>>,
     ) -> Result<(), StorageError> {
-        let view = query.view();
-        let edges = join_edges(view);
+        let PreparedView { view, edges } = prepared;
         let mut state = QueryState::new(view.base().len(), self.batching);
-        for term in query.terms() {
+        for term in terms {
             let plan = plans.as_deref_mut().map(|plans| {
                 plans.push(Vec::new());
                 plans.last_mut()
             });
-            self.eval_term(view, &edges, term, &mut state, out, plan.flatten())?;
+            self.eval_term(view, edges, term, &mut state, out, plan.flatten())?;
         }
         Ok(())
     }

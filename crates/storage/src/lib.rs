@@ -43,7 +43,7 @@ pub mod io;
 pub mod table;
 
 pub use cache::BlockCache;
-pub use engine::{Scenario, StorageEngine};
+pub use engine::{PreparedView, Scenario, StorageEngine};
 pub use error::StorageError;
 pub use heap::HeapFile;
 pub use io::IoMeter;

@@ -14,9 +14,10 @@
 //! (the generator is never rewound), so an answer addressed to a query of
 //! a dead epoch routes to a retired id and is rejected by the same strict
 //! demux — stale-epoch answers can never touch maintainer state. Each
-//! pending query keeps its full [`Query`] and a retry count so the
-//! warehouse can re-issue in-flight queries of a dead epoch under fresh
-//! ids; only a re-issue converts it to a [`WireQuery`] again.
+//! pending query keeps its [`Query`] — the body the maintainer's `UQS`
+//! and the sent [`WireQuery`] share, not a copy — and a retry count so
+//! the warehouse can re-issue in-flight queries of a dead epoch under
+//! fresh ids.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -57,7 +58,8 @@ pub struct Route {
 pub struct PendingQuery {
     /// Demux destination.
     pub route: Route,
-    /// The query, kept so a reset can re-send it.
+    /// The query, kept so a reset can re-send it; it shares its body
+    /// with the maintainer's copy.
     pub query: Query,
     /// How many times this query has been re-issued already.
     pub retries: u32,

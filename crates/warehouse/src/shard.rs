@@ -134,9 +134,9 @@ impl Shard {
     }
 
     /// Remap maintainer-local outbound queries into the session's global
-    /// id space, appending them to `out`. The session keeps a copy of
-    /// each query for re-issue; the wire form is built once, by whoever
-    /// sends it.
+    /// id space, appending them to `out`. The session keeps each query
+    /// for re-issue, sharing its body with the maintainer and the wire
+    /// form.
     fn register_outbound(
         &mut self,
         view: usize,

@@ -10,7 +10,8 @@
 //!   measured on real encodings rather than estimated,
 //! * [`WireQuery`] — a *self-contained* query representation: the source
 //!   knows nothing about views (that is the premise of the paper), so
-//!   every query carries its own relation list, condition and projection,
+//!   every query carries its view's relation list, condition and
+//!   projection (one header, shared by every query of the view),
 //! * [`TransferMeter`] — per-direction message/byte accounting,
 //! * [`Transport`] — the channel abstraction of §3 (reliable, FIFO per
 //!   direction), with an in-process pair ([`SharedFifo`]) and a framed
@@ -41,7 +42,7 @@ pub mod transport;
 
 pub use codec::{DecodeError, Decoder, Encoder};
 pub use fault::{FaultPlan, FaultyTransport};
-pub use message::{Message, ReadLevel, WireQuery, WireTerm};
+pub use message::{Message, ReadLevel, WireQuery};
 pub use meter::{Direction, TransferMeter};
 pub use poller::{PollToken, Poller};
 pub use pool::{Exit, StationOwner, StationPool};

@@ -1,7 +1,9 @@
 //! Message types exchanged between source and warehouse (paper Fig. 1.1).
 
+use std::sync::Arc;
+
 use bytes::Bytes;
-use eca_core::{Atom, CoreError, Query, QueryId, Term, ViewDef};
+use eca_core::{Atom, CoreError, Query, QueryHeader, QueryId, Term, ViewDef};
 use eca_relational::{
     CmpOp, Operand, Predicate, Schema, Sign, SignedBag, SignedTuple, Update, UpdateKind,
 };
@@ -11,97 +13,45 @@ use crate::codec::{DecodeError, Decoder, Encoder};
 /// A self-contained query as sent over the wire.
 ///
 /// The source does not know the warehouse's view definitions — that is the
-/// founding assumption of the paper — so each query carries its own
-/// relation list, selection condition and projection. `WireQuery`
-/// round-trips with [`eca_core::Query`] via [`WireQuery::from_query`] and
+/// founding assumption of the paper — so each query carries its view's
+/// [`QueryHeader`]: relation list, selection condition and projection.
+/// Both halves are shared: the header with every query of the view, the
+/// terms with the [`Query`] they came from, so building and cloning a
+/// `WireQuery` only counts references. It round-trips with
+/// [`eca_core::Query`] via [`WireQuery::from_query`] and
 /// [`WireQuery::to_query`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireQuery {
-    /// Names of the base relations `r1..rn` in product order.
-    pub relations: Vec<String>,
-    /// Selection condition over product columns.
-    pub cond: Predicate,
-    /// Projection over product columns.
-    pub proj: Vec<usize>,
-    /// The sum of terms.
-    pub terms: Vec<WireTerm>,
-}
-
-/// One term of a wire query.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WireTerm {
-    /// The term coefficient (±1 in the paper's algorithms).
-    pub factor: i64,
-    /// Per relation: `None` = the base relation itself, `Some` = a bound
-    /// signed tuple.
-    pub atoms: Vec<Option<SignedTuple>>,
+    /// The view expression the terms range over.
+    pub header: Arc<QueryHeader>,
+    /// The sum of terms; the wire carries each term's factor and atoms.
+    pub terms: Arc<[Term]>,
 }
 
 impl WireQuery {
-    /// Convert a core query for transmission.
+    /// Convert a core query for transmission, sharing its header and
+    /// terms.
     pub fn from_query(query: &Query) -> Self {
         WireQuery {
-            relations: query
-                .view()
-                .base()
-                .iter()
-                .map(|s| s.relation().to_owned())
-                .collect(),
-            cond: query.view().cond().clone(),
-            proj: query.view().proj().to_vec(),
-            terms: query
-                .terms()
-                .iter()
-                .map(|t| WireTerm {
-                    factor: t.factor(),
-                    atoms: t
-                        .atoms()
-                        .iter()
-                        .map(|a| match a {
-                            Atom::Rel(_) => None,
-                            Atom::Bound(st) => Some(st.clone()),
-                        })
-                        .collect(),
-                })
-                .collect(),
+            header: Arc::clone(query.view().header()),
+            terms: Arc::clone(query.shared_terms()),
         }
     }
 
     /// Rebuild an evaluatable core query by resolving relation names
-    /// against the receiver's catalog of schemas.
+    /// against the receiver's catalog of schemas. The query shares this
+    /// one's terms.
     ///
     /// # Errors
-    /// [`CoreError::UnknownRelation`] if a relation is not in the catalog.
+    /// [`CoreError::UnknownRelation`] if a relation is not in the catalog,
+    /// and [`ViewDef::check_term`]'s arity errors for a term that does not
+    /// fit the resolved view.
     pub fn to_query(&self, catalog: &[Schema]) -> Result<Query, CoreError> {
-        let mut base = Vec::with_capacity(self.relations.len());
-        for name in &self.relations {
-            let schema = catalog
-                .iter()
-                .find(|s| s.relation() == name)
-                .ok_or_else(|| CoreError::UnknownRelation {
-                    relation: name.clone(),
-                })?;
-            base.push(schema.clone());
+        let view = ViewDef::resolve("wire", Arc::clone(&self.header), catalog)?;
+        for term in self.terms.iter() {
+            view.check_term(term)?;
         }
-        let view = ViewDef::new("wire", base, self.cond.clone(), self.proj.clone())?;
-        let terms = self
-            .terms
-            .iter()
-            .map(|t| {
-                Term::new(
-                    t.factor,
-                    t.atoms
-                        .iter()
-                        .enumerate()
-                        .map(|(i, a)| match a {
-                            None => Atom::Rel(i),
-                            Some(st) => Atom::Bound(st.clone()),
-                        })
-                        .collect(),
-                )
-            })
-            .collect();
-        Ok(Query::from_terms(view, terms))
+        Ok(Query::from_shared(view, Arc::clone(&self.terms)))
     }
 }
 
@@ -410,19 +360,23 @@ fn operand_len(o: &Operand) -> usize {
 
 /// Encoded size of [`put_wire_query`]'s output.
 fn wire_query_len(q: &WireQuery) -> usize {
-    let relations: usize = q.relations.iter().map(|r| 4 + r.len()).sum();
+    let h = &q.header;
+    let relations: usize = h.relations.iter().map(|r| 4 + r.len()).sum();
     let terms: usize = q
         .terms
         .iter()
         .map(|t| {
             8 + t
-                .atoms
+                .atoms()
                 .iter()
-                .map(|a| a.as_ref().map_or(1, |st| 2 + st.tuple.encoded_len()))
+                .map(|a| match a {
+                    Atom::Rel(_) => 1,
+                    Atom::Bound(st) => 2 + st.tuple.encoded_len(),
+                })
                 .sum::<usize>()
         })
         .sum();
-    2 + relations + predicate_len(&q.cond) + 2 + 4 * q.proj.len() + 2 + terms
+    2 + relations + predicate_len(&h.cond) + 2 + 4 * h.proj.len() + 2 + terms
 }
 
 fn put_update(e: &mut Encoder, u: &Update) {
@@ -550,22 +504,23 @@ fn get_operand(d: &mut Decoder) -> Result<Operand, DecodeError> {
 }
 
 fn put_wire_query(e: &mut Encoder, q: &WireQuery) {
-    e.put_u16(q.relations.len() as u16);
-    for r in &q.relations {
+    let h = &q.header;
+    e.put_u16(h.relations.len() as u16);
+    for r in &h.relations {
         e.put_str(r);
     }
-    put_predicate(e, &q.cond);
-    e.put_u16(q.proj.len() as u16);
-    for &p in &q.proj {
+    put_predicate(e, &h.cond);
+    e.put_u16(h.proj.len() as u16);
+    for &p in &h.proj {
         e.put_u32(p as u32);
     }
     e.put_u16(q.terms.len() as u16);
-    for t in &q.terms {
-        e.put_i64(t.factor);
-        for atom in &t.atoms {
+    for t in q.terms.iter() {
+        e.put_i64(t.factor());
+        for atom in t.atoms() {
             match atom {
-                None => e.put_u8(0),
-                Some(st) => {
+                Atom::Rel(_) => e.put_u8(0),
+                Atom::Bound(st) => {
                     e.put_u8(1);
                     e.put_u8(match st.sign {
                         Sign::Plus => 0,
@@ -595,9 +550,9 @@ fn get_wire_query(d: &mut Decoder) -> Result<WireQuery, DecodeError> {
     for _ in 0..nterms {
         let factor = d.get_i64()?;
         let mut atoms = Vec::with_capacity(nrel);
-        for _ in 0..nrel {
-            match d.get_u8()? {
-                0 => atoms.push(None),
+        for i in 0..nrel {
+            atoms.push(match d.get_u8()? {
+                0 => Atom::Rel(i),
                 1 => {
                     let sign = match d.get_u8()? {
                         0 => Sign::Plus,
@@ -609,26 +564,28 @@ fn get_wire_query(d: &mut Decoder) -> Result<WireQuery, DecodeError> {
                             })
                         }
                     };
-                    atoms.push(Some(SignedTuple {
+                    Atom::Bound(SignedTuple {
                         sign,
                         tuple: d.get_tuple()?,
-                    }));
+                    })
                 }
                 tag => {
                     return Err(DecodeError::BadTag {
-                        context: "WireTerm atom",
+                        context: "query term atom",
                         tag,
                     })
                 }
-            }
+            });
         }
-        terms.push(WireTerm { factor, atoms });
+        terms.push(Term::new(factor, atoms));
     }
     Ok(WireQuery {
-        relations,
-        cond,
-        proj,
-        terms,
+        header: Arc::new(QueryHeader {
+            relations,
+            cond,
+            proj,
+        }),
+        terms: terms.into(),
     })
 }
 

@@ -6,13 +6,16 @@
 //! arbitrary queries, and a two-way `SharedFifo` stream must meter
 //! exactly what the codec would have produced.
 
-use eca_core::{QueryId, ViewDef};
+use std::sync::Arc;
+
+use eca_core::algorithms::{Eca, Lca};
+use eca_core::{Atom, Query, QueryHeader, QueryId, Term, ViewDef, ViewMaintainer};
 use eca_relational::{
     CmpOp, Operand, Predicate, Schema, Sign, SignedBag, SignedTuple, Tuple, Update, Value,
 };
 use eca_wire::{
     read_frame, write_frame, Decoder, Encoder, Message, ReadLevel, SharedFifo, TransferMeter,
-    Transport, WireQuery, WireTerm,
+    Transport, WireQuery,
 };
 use proptest::prelude::*;
 
@@ -87,7 +90,8 @@ fn predicate(depth: u32) -> BoxedStrategy<Predicate> {
     .boxed()
 }
 
-/// One atom slot: the base relation, or a bound tuple of either sign.
+/// One atom slot: the base relation (`None`), or a bound tuple of either
+/// sign.
 fn atom() -> impl Strategy<Value = Option<SignedTuple>> {
     prop_oneof![
         Just(None),
@@ -98,8 +102,9 @@ fn atom() -> impl Strategy<Value = Option<SignedTuple>> {
     ]
 }
 
-/// Arbitrary self-contained queries: one atom per relation in every
-/// term, as the decoder expects.
+/// Arbitrary self-contained queries of core [`Term`]s: one atom per
+/// relation in every term, the base relation in slot `i` as
+/// `Atom::Rel(i)`, as the decoder builds them.
 fn wire_query() -> impl Strategy<Value = WireQuery> {
     (
         prop::collection::vec("[a-z]{1,8}", 1..4),
@@ -108,19 +113,26 @@ fn wire_query() -> impl Strategy<Value = WireQuery> {
         prop::collection::vec((any::<i64>(), prop::collection::vec(atom(), 3)), 0..4),
     )
         .prop_map(|(relations, cond, proj, terms)| {
-            let terms = terms
+            let width = relations.len();
+            let terms: Vec<Term> = terms
                 .into_iter()
                 .map(|(factor, mut atoms)| {
-                    atoms.truncate(relations.len());
-                    atoms.resize(relations.len(), None);
-                    WireTerm { factor, atoms }
+                    atoms.resize(width, None);
+                    let atoms = atoms
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, a)| a.map_or(Atom::Rel(i), Atom::Bound))
+                        .collect();
+                    Term::new(factor, atoms)
                 })
                 .collect();
             WireQuery {
-                relations,
-                cond,
-                proj,
-                terms,
+                header: Arc::new(QueryHeader {
+                    relations,
+                    cond,
+                    proj,
+                }),
+                terms: terms.into(),
             }
         })
 }
@@ -347,5 +359,101 @@ proptest! {
             db.insert("r2", Tuple::ints([*b, *a]));
         }
         prop_assert_eq!(rebuilt.eval(&db).unwrap(), q.eval(&db).unwrap());
+    }
+}
+
+/// Example 6: `V = π_{W,Z} σ_{W>Z} (r1(W,X) ⋈_X r2(X,Y) ⋈_Y r3(Y,Z))`.
+fn example6_view() -> ViewDef {
+    ViewDef::new(
+        "V",
+        vec![
+            Schema::new("r1", &["W", "X"]),
+            Schema::new("r2", &["X", "Y"]),
+            Schema::new("r3", &["Y", "Z"]),
+        ],
+        Predicate::col_eq(1, 2)
+            .and(Predicate::col_eq(3, 4))
+            .and(Predicate::col_cmp(0, CmpOp::Gt, 5)),
+        vec![0, 5],
+    )
+    .unwrap()
+}
+
+/// Example 6's three updates, all executed before any query is answered.
+fn example6_updates() -> [Update; 3] {
+    [
+        Update::insert("r1", Tuple::ints([4, 2])),
+        Update::insert("r3", Tuple::ints([5, 3])),
+        Update::insert("r2", Tuple::ints([2, 5])),
+    ]
+}
+
+/// Every query `m` emits for Example 6's updates, in order.
+fn example6_queries(m: &mut dyn ViewMaintainer) -> Vec<(QueryId, Query)> {
+    example6_updates()
+        .iter()
+        .flat_map(|u| m.on_update(u).unwrap())
+        .map(|q| (q.id, q.query))
+        .collect()
+}
+
+/// [`example6_compensating_query_bytes_are_pinned`]'s message, as hex.
+const EXAMPLE6_Q3_HEX: &str = concat!(
+    "0100000000000000030003000000027231000000027232000000027233030302",
+    "0000000001000000000002020000000003000000000004020000000000040000",
+    "0000050002000000000000000500040000000000000001000100000200000000",
+    "000000000200000000000000000500ffffffffffffffff010000020000000000",
+    "0000000400000000000000000201000002000000000000000002000000000000",
+    "00000500ffffffffffffffff0001000002000000000000000002000000000000",
+    "0000050100000200000000000000000500000000000000000300000000000000",
+    "0101000002000000000000000004000000000000000002010000020000000000",
+    "0000000200000000000000000501000002000000000000000005000000000000",
+    "000003",
+);
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// ECA's third query of Example 6, `Q3 = V⟨U3⟩ − Q1⟨U3⟩ − Q2⟨U3⟩`, is
+/// pinned byte for byte: tag, id, the header (relation names, condition,
+/// projection), then four terms of factor and atoms.
+#[test]
+fn example6_compensating_query_bytes_are_pinned() {
+    let (id, q3) = example6_queries(&mut Eca::new(example6_view(), SignedBag::new())).remove(2);
+    assert_eq!(q3.terms().len(), 4);
+    let m = Message::QueryRequest {
+        id,
+        query: WireQuery::from_query(&q3),
+    };
+    let bytes = m.encode();
+    assert_eq!(hex(&bytes), EXAMPLE6_Q3_HEX);
+    assert_eq!(m.encoded_len(), bytes.len());
+    assert_eq!(Message::decode(bytes).unwrap(), m);
+}
+
+/// LCA tags each term with the update it belongs to; the tag stays at
+/// the warehouse, so a tagged term encodes to the bytes of an untagged
+/// one.
+#[test]
+fn owner_tags_do_not_reach_the_wire() {
+    let queries = example6_queries(&mut Lca::new(example6_view(), SignedBag::new()));
+    assert!(queries.len() > 3, "LCA ships compensating terms");
+    for (id, q) in queries {
+        assert!(q.terms().iter().all(|t| t.owner().is_some()));
+        let untagged: Vec<Term> = q
+            .terms()
+            .iter()
+            .map(|t| Term::new(t.factor(), t.atoms().to_vec()))
+            .collect();
+        let plain = Query::from_terms(q.view().clone(), untagged);
+        let encode = |q: &Query| {
+            Message::QueryRequest {
+                id,
+                query: WireQuery::from_query(q),
+            }
+            .encode()
+        };
+        assert_eq!(encode(&q), encode(&plain));
     }
 }
