@@ -3,9 +3,10 @@
 //!
 //! Each point runs a full warehouse scenario (Example 2's anomaly script
 //! or the calibrated Example 6 workload) through the chaos harness — ECA
-//! over [`eca_sim::ChaosSimulation`]'s `ReliableLink`-over-
-//! `FaultyTransport` channels — under one fault family at one per-send
-//! reset rate and one scheduler seed, then checks the run against its
+//! over [`eca_sim::ChaosSimulation`]'s channels, each direction reset
+//! by an [`eca_wire::FaultClock`] and healed by the source's
+//! [`eca_wire::Outbox`] — under one fault family at one per-send reset
+//! rate and one scheduler seed, then checks the run against its
 //! fault-free golden view state. The families are what a deployed
 //! channel can suffer: connection resets, source restarts and warehouse
 //! crashes, all healed by the one resume path. The sweep records what

@@ -14,11 +14,14 @@
 //! The series builders ([`fig62_series`], [`fig63_series`],
 //! [`fig64_series`], [`fig65_series`], [`messages_series`],
 //! [`crossover_report`]) regenerate each figure/table of the paper; the
-//! `figures` binary prints them and can dump JSON artifacts.
+//! `figures` binary prints them and can dump JSON artifacts. [`equiv`]
+//! runs one deployment through both warehouse drivers over real
+//! transports, and [`chaos`] sweeps the simulator's fault families.
 
 #![forbid(unsafe_code)]
 
 pub mod chaos;
+pub mod equiv;
 pub mod json;
 pub mod scenario_file;
 pub mod selfmaint;

@@ -27,6 +27,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use eca_relational::SignedBag;
 
@@ -101,19 +102,18 @@ fn dedup_consecutive(states: &[SignedBag]) -> Vec<&SignedBag> {
 /// `source_states` must include the initial state `V[ss_0]` first, and
 /// `warehouse_states` must include the initial `MV` first.
 pub fn check(source_states: &[SignedBag], warehouse_states: &[SignedBag]) -> ConsistencyReport {
-    assert!(
-        !source_states.is_empty(),
-        "source history must include the initial state"
-    );
-    assert!(
-        !warehouse_states.is_empty(),
-        "warehouse history must include the initial state"
-    );
-
     let src = dedup_consecutive(source_states);
     let wh = dedup_consecutive(warehouse_states);
+    let (Some(&src_last), Some(&wh_last)) = (src.last(), wh.last()) else {
+        let side = if src.is_empty() {
+            "source"
+        } else {
+            "warehouse"
+        };
+        panic!("{side} history must include the initial state");
+    };
 
-    let convergent = src.last().unwrap() == wh.last().unwrap();
+    let convergent = src_last == wh_last;
 
     // Weak consistency: membership, order-free.
     let mut weakly_consistent = true;
@@ -173,9 +173,7 @@ pub fn check(source_states: &[SignedBag], warehouse_states: &[SignedBag]) -> Con
 
     if violation.is_none() && !convergent {
         violation = Some(format!(
-            "not convergent: final warehouse {:?} != final source {:?}",
-            wh.last().unwrap(),
-            src.last().unwrap()
+            "not convergent: final warehouse {wh_last:?} != final source {src_last:?}"
         ));
     }
 

@@ -1,23 +1,24 @@
 //! The scheduler: one warehouse over many autonomous sources (paper §1
-//! Figure 1.1), every channel a link stack that can be made faulty.
+//! Figure 1.1), every channel a connection that can be made faulty.
 //!
 //! [`ChaosSimulation`] is the only engine in this crate. Each registered
 //! source owns its script and its own channel; a single
 //! [`Warehouse`] hosts every view and routes events per channel. The §3
 //! FIFO assumption holds *per channel* — the interleaving **across**
 //! channels is what a [`Policy`] schedules, out of the four §3 events
-//! (`S_up`/`S_qu`/`W_up`/`W_ans`). A channel is a pair of
-//! [`ReliableLink`]s over [`FaultyTransport`]s over a [`SharedFifo`]: the
-//! simulator carries [`Message`] values, metered by their structural
-//! encoded length. The paper's §2 assumptions (reliable, FIFO,
-//! exactly-once delivery) hold across a fault only as far as the resume
-//! layer and the warehouse recovery policy restore them. The default
-//! [`ChaosProfile::none`] makes the stack transparent: the scheduler
-//! draws the RNG exactly as a scheduler over bare in-memory FIFOs would
-//! and the *logical* meters charge exactly the same bytes and messages —
+//! (`S_up`/`S_qu`/`W_up`/`W_ans`), each one call of the sans-IO code every
+//! deployment runs: [`Source::on_script_step`], [`Source::on_message`],
+//! [`Warehouse::on_message`] (plus [`Warehouse::ack`]). A channel is a
+//! queue of [`Message`] values per direction, metered by structural
+//! encoded length, whose [`FaultClock`] decides which sends reset it.
+//! The paper's §2 assumptions (reliable, FIFO, exactly-once delivery)
+//! hold across a fault only as far as the source's [`Outbox`] and the
+//! warehouse recovery policy restore them. The default
+//! [`ChaosProfile::none`] resets nothing: the RNG draws and *logical*
+//! meters are exactly those of a scheduler over bare in-memory FIFOs —
 //! the fingerprints pinned in `tests/golden_trace.rs` (captured before
-//! any transport existed, and from the plain multi-source scheduler this
-//! engine replaced) hold it to that.
+//! any transport existed, and from the plain multi-source scheduler
+//! this engine replaced) hold it to that.
 //!
 //! Every fault takes one recovery path, [`ChaosSimulation`]'s reconnect:
 //! a fresh connection on which the source resumes its notification
@@ -50,10 +51,7 @@ use eca_source::Source;
 use eca_warehouse::{
     DurabilityConfig, RecoveryOutcome, SourceId, ViewId, Warehouse, WarehouseError,
 };
-use eca_wire::{
-    FaultPlan, FaultyTransport, Message, ReliableLink, Resume, SharedFifo, TransferMeter,
-    Transport, WireQuery,
-};
+use eca_wire::{Direction, FaultClock, FaultPlan, Message, Outbox, Resume, TransferMeter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -68,8 +66,6 @@ const STEP_CAP: u64 = 100_000;
 /// warehouse crash; [`ChaosSimulation::run`] refuses such a schedule.
 const CRASH_NEEDS_FACTORY: &str = "warehouse crash scheduled but a view was registered without \
                                    a factory (use add_view_with_factory)";
-
-type ChaosLink = ReliableLink<FaultyTransport<SharedFifo>>;
 
 /// Handle to a source site registered with a [`ChaosSimulation`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -243,19 +239,69 @@ impl ChaosRunReport {
     }
 }
 
+/// One direction of a site's connection: the messages in flight, the
+/// reset clock that decides which sends the connection refuses, and the
+/// site's two meters.
+struct Lane {
+    queue: VecDeque<Message>,
+    clock: FaultClock,
+    direction: Direction,
+    logical: TransferMeter,
+    raw: TransferMeter,
+}
+
+impl Lane {
+    fn new(plan: FaultPlan, direction: Direction, meters: &(TransferMeter, TransferMeter)) -> Lane {
+        Lane {
+            queue: VecDeque::new(),
+            clock: FaultClock::new(plan),
+            direction,
+            logical: meters.0.clone(),
+            raw: meters.1.clone(),
+        }
+    }
+
+    /// An application send: charged once to the logical meter even when
+    /// the connection refuses it — the next resume re-sends a lost
+    /// notification, and the warehouse re-issues a lost query (and the
+    /// query behind a lost answer).
+    fn send(&mut self, msg: Message) {
+        self.logical
+            .record(self.direction, msg.encoded_len() as u64);
+        self.carry(msg);
+    }
+
+    /// Put `msg` on the wire unless the connection refuses it, charging
+    /// what the wire carried to the raw meter.
+    fn carry(&mut self, msg: Message) {
+        if self.clock.admit() {
+            self.raw.record(self.direction, msg.encoded_len() as u64);
+            self.queue.push_back(msg);
+        }
+    }
+
+    /// Swap in a fresh connection: whatever was in flight is lost.
+    fn reconnect(&mut self) {
+        self.queue.clear();
+        self.clock.reconnect();
+    }
+}
+
 struct ChaosSite {
     name: String,
     source_id: SourceId,
     source: Source,
     script: VecDeque<Update>,
-    src_link: ChaosLink,
-    wh_link: ChaosLink,
+    /// The source's unacked notifications, resumed on every reconnect.
+    outbox: Outbox,
+    s2w: Lane,
+    w2s: Lane,
     /// Application messages, charged once at logical send (re-sent
     /// notifications once more) — the meter whose totals match a
     /// fault-free in-memory run.
     logical: TransferMeter,
-    /// Everything the wire actually carried, shared by every channel
-    /// pair this site goes through across reconnects.
+    /// Everything the wire actually carried, acks included, across
+    /// every connection this site goes through.
     raw: TransferMeter,
     profile: ChaosProfile,
     /// Index into `profile.restarts` of the next restart still to fire.
@@ -264,6 +310,24 @@ struct ChaosSite {
     /// splits its source → warehouse count into notifications and
     /// answers.
     notifications: u64,
+}
+
+impl ChaosSite {
+    /// A source → warehouse send, kept in the outbox if a notification.
+    fn send_s2w(&mut self, msg: Message) {
+        self.outbox.push(&msg);
+        self.s2w.send(msg);
+    }
+
+    /// Whether a query waits at the source, once the acks ahead of it
+    /// have trimmed the outbox.
+    fn has_query(&mut self) -> bool {
+        while let Some(Message::Ack { next, .. }) = self.w2s.queue.front() {
+            self.outbox.trim(*next);
+            self.w2s.queue.pop_front();
+        }
+        !self.w2s.queue.is_empty()
+    }
 }
 
 struct ChaosViewInfo {
@@ -322,8 +386,6 @@ pub struct ChaosSimulation {
     /// warehouse recovers from. `None` → crashes recover via the §4
     /// amnesia fallback (full resync everywhere).
     durability: Option<DurabilityConfig>,
-    /// Forwarded retry budget, replayed onto rebuilt warehouses.
-    max_retries: Option<u32>,
     /// Recovery-stat totals absorbed from warehouses that crashed.
     recovery_base: eca_warehouse::RecoveryStats,
     recovery_time: std::time::Duration,
@@ -345,7 +407,6 @@ impl ChaosSimulation {
             trace: Vec::new(),
             stats: ChaosStats::default(),
             durability: None,
-            max_retries: None,
             recovery_base: eca_warehouse::RecoveryStats::default(),
             recovery_time: std::time::Duration::ZERO,
         }
@@ -371,26 +432,17 @@ impl ChaosSimulation {
     ) -> SiteId {
         let name = name.into();
         let source_id = self.warehouse.add_source(name.clone());
-        let logical = TransferMeter::new();
-        let raw = TransferMeter::new();
-        let (src_end, wh_end) = SharedFifo::pair(raw.clone());
-        let src_link = ReliableLink::new(
-            FaultyTransport::new(src_end, profile.s2w.clone()),
-            logical.clone(),
-        );
-        let wh_link = ReliableLink::new(
-            FaultyTransport::new(wh_end, profile.w2s.clone()),
-            logical.clone(),
-        );
+        let meters = (TransferMeter::new(), TransferMeter::new());
         self.sites.push(ChaosSite {
             name,
             source_id,
             source,
             script: script.into(),
-            src_link,
-            wh_link,
-            logical,
-            raw,
+            outbox: Outbox::default(),
+            s2w: Lane::new(profile.s2w.clone(), Direction::SourceToWarehouse, &meters),
+            w2s: Lane::new(profile.w2s.clone(), Direction::WarehouseToSource, &meters),
+            logical: meters.0,
+            raw: meters.1,
             profile,
             next_restart: 0,
             notifications: 0,
@@ -465,17 +517,10 @@ impl ChaosSimulation {
         Ok(id)
     }
 
-    /// Re-issue attempts per query before a view degrades to a resync
-    /// (forwarded to [`Warehouse::set_max_retries`]).
-    pub fn set_max_retries(&mut self, n: u32) {
-        self.max_retries = Some(n);
-        self.warehouse.set_max_retries(n);
-    }
-
     /// Run to quiescence under `policy` and report.
     ///
     /// # Errors
-    /// Propagates warehouse, source and transport errors; a run that
+    /// Propagates warehouse and source errors; a run that
     /// cannot settle within the step cap reports [`SimError::Protocol`]
     /// (livelock), and so does — before the first step — a schedule
     /// with a [`RestartSite::Warehouse`] event while some view has no
@@ -523,10 +568,10 @@ impl ChaosSimulation {
                         if !self.sites[i].script.is_empty() {
                             enabled.push((i, 0));
                         }
-                        if self.sites[i].src_link.has_inbound() {
+                        if self.sites[i].has_query() {
                             enabled.push((i, 1));
                         }
-                        if self.sites[i].wh_link.has_inbound() {
+                        if !self.sites[i].s2w.queue.is_empty() {
                             enabled.push((i, 2));
                         }
                     }
@@ -574,7 +619,7 @@ impl ChaosSimulation {
                 match due.site {
                     RestartSite::Source => {
                         self.stats.restarts += 1;
-                        self.sites[i].src_link.drop_outbox();
+                        self.sites[i].outbox.clear();
                         self.reconnect(i, None)?;
                     }
                     RestartSite::Warehouse => self.crash_warehouse()?,
@@ -590,11 +635,11 @@ impl ChaosSimulation {
             self.tick(steps)?;
             let mut progressed = self.heal_resets()?;
             for i in 0..self.sites.len() {
-                while self.sites[i].wh_link.has_inbound() {
+                while !self.sites[i].s2w.queue.is_empty() {
                     self.step_warehouse_deliver(i)?;
                     progressed = true;
                 }
-                while self.sites[i].src_link.has_inbound() {
+                while self.sites[i].has_query() {
                     self.step_source_answer(i)?;
                     progressed = true;
                 }
@@ -623,9 +668,6 @@ impl ChaosSimulation {
         // recovered maintainer's state comes from disk (or a resync),
         // never from the dead instance.
         let mut fresh = Warehouse::new();
-        if let Some(n) = self.max_retries {
-            fresh.set_max_retries(n);
-        }
         for s in &self.sites {
             let _ = fresh.add_source(s.name.clone());
         }
@@ -671,7 +713,7 @@ impl ChaosSimulation {
         for i in 0..self.sites.len() {
             let s = &mut self.sites[i];
             // Both flags are taken: each clears on observation.
-            if s.src_link.inner_mut().take_reset() | s.wh_link.inner_mut().take_reset() {
+            if s.s2w.clock.take_reset() | s.w2s.clock.take_reset() {
                 self.stats.resets += 1;
                 self.reconnect(i, None)?;
                 healed = true;
@@ -691,26 +733,19 @@ impl ChaosSimulation {
         let source_id = self.sites[i].source_id;
         let watermark = self.warehouse.notifications_seen(source_id);
         let s = &mut self.sites[i];
-        // Fresh pair on the same raw meter; fault sequence numbers
-        // continue from where the dead pair stopped so scripted points
-        // keep their meaning and fired resets never re-fire.
-        let (src_end, wh_end) = SharedFifo::pair(s.raw.clone());
-        let src_t = FaultyTransport::with_origin(
-            src_end,
-            s.profile.s2w.clone(),
-            s.src_link.inner_mut().next_seq(),
-        );
-        let wh_t = FaultyTransport::with_origin(
-            wh_end,
-            s.profile.w2s.clone(),
-            s.wh_link.inner_mut().next_seq(),
-        );
+        // Fresh connection: the reset clocks continue from where the
+        // dead one stopped, so scripted points keep their meaning and
+        // fired resets never re-fire.
+        s.s2w.reconnect();
+        s.w2s.reconnect();
         if matches!(recovered, Some(RecoveryOutcome::Full { .. })) {
             // The warehouse came back with nothing the outbox can serve.
-            s.src_link.drop_outbox();
+            s.outbox.clear();
         }
-        s.wh_link.resume(wh_t, watermark);
-        let resumed = s.src_link.resume(src_t, watermark);
+        let (resumed, tail) = s.outbox.resume(watermark);
+        for msg in tail {
+            s.s2w.send(msg.clone());
+        }
         if let Resume::Replayed(n) = resumed {
             s.notifications += n;
             self.stats.resync_notifications += n;
@@ -725,26 +760,26 @@ impl ChaosSimulation {
                 .on_reset(source_id, resumed == Resume::Resync)?,
         };
         for msg in queries {
-            self.sites[i].wh_link.send(&msg)?;
+            self.sites[i].w2s.send(msg);
         }
         Ok(())
     }
 
     /// `S_up` at site `i`.
     fn step_source_update(&mut self, i: usize) -> Result<(), SimError> {
-        let Some(update) = self.sites[i].script.pop_front() else {
+        let site = &mut self.sites[i];
+        let Some(update) = site.script.pop_front() else {
             return Err(SimError::Protocol("S_up fired with an empty script"));
         };
-        let effective = self.sites[i].source.execute_update(&update);
-        if effective {
-            let snapshot = self.sites[i].source.snapshot();
+        let notification = site.source.on_script_step(&update);
+        let effective = notification.is_some();
+        if let Some(msg) = notification {
+            let snapshot = site.source.snapshot();
             for info in self.views.iter_mut().filter(|v| v.site == i) {
                 info.source_states.push(info.view.eval(&snapshot)?);
             }
-            self.sites[i].src_link.send(&Message::UpdateNotification {
-                update: update.clone(),
-            })?;
-            self.sites[i].notifications += 1;
+            site.send_s2w(msg);
+            site.notifications += 1;
         }
         self.trace
             .push((SiteId(i), TraceEvent::SourceUpdate { update, effective }));
@@ -756,24 +791,19 @@ impl ChaosSimulation {
     /// ids.
     fn step_source_answer(&mut self, i: usize) -> Result<(), SimError> {
         let site = &mut self.sites[i];
-        let Some(Message::QueryRequest { id, query }) = site.src_link.try_recv()? else {
+        let Some(msg) = site.w2s.queue.pop_front() else {
             return Err(SimError::Protocol(
                 "S_qu fired without a QueryRequest pending",
             ));
         };
-        let answer = site.source.answer(&query)?;
-        self.trace.push((
-            SiteId(i),
-            TraceEvent::SourceAnswer {
-                id,
-                tuples: answer.pos_len() + answer.neg_len(),
-            },
-        ));
-        site.logical.record_answer_payload(
-            answer.encoded_len() as u64,
-            answer.pos_len() + answer.neg_len(),
-        );
-        site.src_link.send(&Message::QueryAnswer { id, answer })?;
+        let reply = site.source.on_message(msg)?;
+        if let Message::QueryAnswer { id, answer } = &reply {
+            let tuples = answer.pos_len() + answer.neg_len();
+            self.trace
+                .push((SiteId(i), TraceEvent::SourceAnswer { id: *id, tuples }));
+            site.logical.record_answer(answer);
+        }
+        site.send_s2w(reply);
         Ok(())
     }
 
@@ -784,62 +814,47 @@ impl ChaosSimulation {
     /// drops them.
     fn step_warehouse_deliver(&mut self, i: usize) -> Result<(), SimError> {
         let source_id = self.sites[i].source_id;
-        let Some(msg) = self.sites[i].wh_link.try_recv()? else {
+        let Some(msg) = self.sites[i].s2w.queue.pop_front() else {
             return Err(SimError::Protocol(
                 "warehouse delivery fired with an empty channel",
             ));
         };
-        let outbound = match msg {
-            Message::UpdateNotification { update } => {
-                let queries = self.warehouse.on_update(source_id, &update)?;
-                self.trace.push((
-                    SiteId(i),
-                    TraceEvent::WarehouseUpdate {
-                        update,
-                        queries_sent: queries.iter().map(|q| q.id).collect(),
-                    },
-                ));
-                queries
+        // The trace event comes from the message, before the warehouse
+        // consumes it; a stale answer leaves none.
+        let mut event = if let Message::UpdateNotification { update } = &msg {
+            Some(TraceEvent::WarehouseUpdate {
+                update: update.clone(),
+                queries_sent: Vec::new(),
+            })
+        } else if let Message::QueryAnswer { id, .. } = &msg {
+            Some(TraceEvent::WarehouseAnswer { id: *id })
+        } else {
+            None
+        };
+        let queries = match self.warehouse.on_message(source_id, msg) {
+            Ok(queries) => queries,
+            Err(WarehouseError::Core(CoreError::UnknownQuery { .. })) => {
+                self.stats.stale_answers += 1;
+                event = None;
+                Vec::new()
             }
-            Message::QueryAnswer { id, answer } => {
-                match self.warehouse.on_answer(source_id, id, answer) {
-                    Ok(queries) => {
-                        self.trace
-                            .push((SiteId(i), TraceEvent::WarehouseAnswer { id }));
-                        queries
-                    }
-                    Err(WarehouseError::Core(CoreError::UnknownQuery { .. })) => {
-                        self.stats.stale_answers += 1;
-                        Vec::new()
-                    }
-                    Err(e) => return Err(e.into()),
+            Err(e) => return Err(e.into()),
+        };
+        if let Some(TraceEvent::WarehouseUpdate { queries_sent, .. }) = &mut event {
+            for query in &queries {
+                if let Message::QueryRequest { id, .. } = query {
+                    queries_sent.push(*id);
                 }
             }
-            Message::QueryRequest { .. } => {
-                return Err(SimError::Protocol("s2w never carries QueryRequest"));
-            }
-            Message::Ack { .. } | Message::Hello { .. } => {
-                return Err(SimError::Protocol(
-                    "session-layer message leaked past the resume layer",
-                ));
-            }
-            Message::ReadQuery { .. } | Message::ReadAnswer { .. } | Message::ReadError { .. } => {
-                return Err(SimError::Protocol(
-                    "read-serving message on a maintenance channel",
-                ));
-            }
-        };
-        let link = &mut self.sites[i].wh_link;
-        for q in outbound {
-            link.send(&Message::QueryRequest {
-                id: q.id,
-                query: WireQuery::from_query(&q.query),
-            })?;
         }
-        link.ack(
-            self.warehouse.epoch(source_id),
-            self.warehouse.ack_watermark(source_id),
-        );
+        self.trace.extend(event.map(|e| (SiteId(i), e)));
+        let site = &mut self.sites[i];
+        for query in queries {
+            site.w2s.send(query);
+        }
+        if let Some(ack) = self.warehouse.ack(source_id) {
+            site.w2s.carry(ack);
+        }
         Ok(())
     }
 
@@ -1418,11 +1433,11 @@ mod tests {
                 for i in 0..sim.sites.len() {
                     if !sim.sites[i].script.is_empty() {
                         sim.step_source_update(i).unwrap();
-                        assert_eq!(sim.sites[i].src_link.outbox_len(), 1);
+                        assert_eq!(sim.sites[i].outbox.len(), 1);
                         sim.settle(&mut steps).unwrap();
                         settles += 1;
                         for s in &sim.sites {
-                            assert!(s.src_link.outbox_len() <= 1, "durable: {durable}");
+                            assert!(s.outbox.len() <= 1, "durable: {durable}");
                         }
                     }
                 }

@@ -11,14 +11,14 @@
 //! The simulator is a pure *scheduler*, and there is one of it:
 //! [`ChaosSimulation`] drives one [`eca_warehouse::Warehouse`] runtime
 //! over any number of autonomous sources, each on its own channel.
-//! Messages move as [`eca_wire::Message`] values through an `eca_wire`
-//! link stack (the `ReliableLink` resume layer over a `SharedFifo`,
-//! metered by each message's structural encoded length, so byte counts
-//! match what the codec would put on a TCP link) that is transparent
-//! unless a [`ChaosProfile`] injects resets or crashes, maintenance
-//! state lives in
-//! the warehouse runtime, and the engine only decides *when* each enabled
-//! event fires, under a [`Policy`]:
+//! Each event is one call of the sans-IO `Source`/`Warehouse` endpoints
+//! every deployment steps, and messages move between them as
+//! [`eca_wire::Message`] values (metered by each message's structural
+//! encoded length, so byte counts match what the codec would put on a
+//! TCP link) over channels that are reliable unless a [`ChaosProfile`]
+//! injects resets or crashes. Maintenance state lives in the warehouse
+//! runtime, and the engine only decides *when* each enabled event
+//! fires, under a [`Policy`]:
 //!
 //! * [`Policy::Serial`] — each update fully settles before the next: the
 //!   favorable case where ECA degenerates to the basic algorithm,
@@ -39,7 +39,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod chaos;
-pub mod equiv;
 pub mod report;
 pub mod trace;
 
@@ -47,14 +46,10 @@ use eca_core::maintainer::ViewMaintainer;
 use eca_relational::Update;
 use eca_source::Source;
 use eca_warehouse::WarehouseError;
-use eca_wire::TransportError;
 
 pub use chaos::{
     ChaosProfile, ChaosRunReport, ChaosSimulation, ChaosStats, LinkOverhead, Restart, RestartSite,
     SiteId,
-};
-pub use equiv::{
-    run_equivalence, run_reactor_tcp, EquivCase, EquivOutcome, EquivPair, EquivSource, MeterCounts,
 };
 pub use report::{RunReport, SiteReport, ViewRunReport};
 pub use trace::TraceEvent;
@@ -90,8 +85,6 @@ pub enum SimError {
     Core(eca_core::CoreError),
     /// The source failed to answer a query.
     Source(eca_source::SourceError),
-    /// The transport failed to move a message.
-    Transport(TransportError),
     /// The warehouse runtime failed.
     Warehouse(WarehouseError),
     /// A message kind arrived on a channel that never carries it, or an
@@ -105,7 +98,6 @@ impl std::fmt::Display for SimError {
         match self {
             SimError::Core(e) => write!(f, "warehouse error: {e}"),
             SimError::Source(e) => write!(f, "source error: {e}"),
-            SimError::Transport(e) => write!(f, "transport error: {e}"),
             SimError::Warehouse(e) => write!(f, "warehouse runtime error: {e}"),
             SimError::Protocol(what) => write!(f, "protocol violation: {what}"),
         }
@@ -123,12 +115,6 @@ impl From<eca_core::CoreError> for SimError {
 impl From<eca_source::SourceError> for SimError {
     fn from(e: eca_source::SourceError) -> Self {
         SimError::Source(e)
-    }
-}
-
-impl From<TransportError> for SimError {
-    fn from(e: TransportError) -> Self {
-        SimError::Transport(e)
     }
 }
 
@@ -200,7 +186,7 @@ impl Simulation {
     /// Run to quiescence under `policy` and report.
     ///
     /// # Errors
-    /// Propagates warehouse, source and transport errors.
+    /// Propagates warehouse and source errors.
     pub fn run(self, policy: Policy) -> Result<RunReport, SimError> {
         let mut report = self.0.run(policy)?;
         // `new` registered exactly one site and one view.

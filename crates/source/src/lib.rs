@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use eca_core::basedb::BaseDb;
-use eca_core::{QueryHeader, QueryId, ViewDef};
+use eca_core::{QueryHeader, ViewDef};
 use eca_relational::{Schema, SignedBag, Update};
 use eca_storage::{IoMeter, PreparedView, Scenario, StorageEngine, StorageError};
 use eca_wire::{Message, PollWaker, Readiness, Transport, TransportError, WireQuery};
@@ -78,49 +78,6 @@ pub struct ServeStats {
     pub notifications: u64,
     /// Queries answered before the warehouse hung up.
     pub answers: u64,
-    /// Duplicate queries served from the replay cache instead of being
-    /// re-evaluated (a faulty channel may deliver a query twice; the
-    /// answer must be the one the first evaluation produced, not a fresh
-    /// evaluation on a later state).
-    pub duplicates: u64,
-    /// Inbound messages dropped because they failed to decode (corrupt
-    /// frames must not kill the serving loop).
-    pub decode_skips: u64,
-}
-
-/// How many recently answered queries are kept for duplicate replay.
-const REPLAY_CACHE_CAP: usize = 64;
-
-/// Bounded FIFO cache of the most recent `(id, answer)` pairs, so a
-/// duplicate query (same id delivered twice by a faulty channel) is
-/// answered **idempotently** — with the bytes of the original
-/// evaluation — instead of being re-evaluated on a later source state
-/// (which would reintroduce exactly the §4 anomalies the algorithms
-/// compensate for).
-struct ReplayCache {
-    entries: VecDeque<(QueryId, SignedBag)>,
-}
-
-impl ReplayCache {
-    fn new() -> Self {
-        ReplayCache {
-            entries: VecDeque::new(),
-        }
-    }
-
-    fn get(&self, id: QueryId) -> Option<&SignedBag> {
-        self.entries
-            .iter()
-            .find(|(cached, _)| *cached == id)
-            .map(|(_, a)| a)
-    }
-
-    fn put(&mut self, id: QueryId, answer: SignedBag) {
-        if self.entries.len() == REPLAY_CACHE_CAP {
-            self.entries.pop_front();
-        }
-        self.entries.push_back((id, answer));
-    }
 }
 
 /// How many distinct query headers a source keeps resolved.
@@ -280,6 +237,34 @@ impl Source {
         Ok(self.engine.eval_prepared(prepared, &query.terms)?)
     }
 
+    /// An `S_up` event: execute `update` and return the notification to
+    /// send the warehouse, or `None` when the update changed nothing (a
+    /// delete that found nothing to remove).
+    pub fn on_script_step(&mut self, update: &Update) -> Option<Message> {
+        self.execute_update(update)
+            .then(|| Message::UpdateNotification {
+                update: update.clone(),
+            })
+    }
+
+    /// An `S_qu` event: answer a [`Message::QueryRequest`] on the current
+    /// state with its [`Message::QueryAnswer`]. Every driver steps this
+    /// call, the simulator included.
+    ///
+    /// # Errors
+    /// [`SourceError::Protocol`] for any other kind of message (nothing
+    /// but queries travels toward a source); otherwise as
+    /// [`Source::answer`].
+    pub fn on_message(&mut self, msg: Message) -> Result<Message, SourceError> {
+        let Message::QueryRequest { id, query } = msg else {
+            return Err(SourceError::Protocol(
+                "warehouse -> source carries only QueryRequest",
+            ));
+        };
+        let answer = self.answer(&query)?;
+        Ok(Message::QueryAnswer { id, answer })
+    }
+
     /// Drive this source over a [`Transport`]: execute `script`, sending
     /// an update notification for each effective update, then answer
     /// every incoming query on the *current* state until the warehouse
@@ -293,7 +278,8 @@ impl Source {
     /// transport's meter (the paper's `B`).
     ///
     /// # Errors
-    /// Transport failures, undecodable queries, and
+    /// Transport failures (a body that does not decode ends the session
+    /// with [`TransportError::Decode`]), bad queries, and
     /// [`SourceError::Protocol`] if the warehouse sends anything but a
     /// [`Message::QueryRequest`].
     pub fn serve(
@@ -302,7 +288,9 @@ impl Source {
         script: &[Update],
     ) -> Result<ServeStats, SourceError> {
         let mut stats = self.run_script(transport, script)?;
-        self.answer_loop(transport, &mut stats)?;
+        while let Some(msg) = transport.recv()? {
+            self.reply(transport, msg, &mut stats)?;
+        }
         Ok(stats)
     }
 
@@ -316,80 +304,30 @@ impl Source {
         let mut stats = ServeStats::default();
         for update in script {
             stats.updates += 1;
-            if self.execute_update(update) {
-                transport.send(&Message::UpdateNotification {
-                    update: update.clone(),
-                })?;
+            if let Some(notification) = self.on_script_step(update) {
+                transport.send(&notification)?;
                 stats.notifications += 1;
             }
         }
         Ok(stats)
     }
 
-    /// Answer queries one at a time until the warehouse hangs up (the
-    /// `S_qu` half of a serve session), filling `stats.answers`,
-    /// `stats.duplicates` and `stats.decode_skips`.
-    fn answer_loop(
+    /// Answer one received message on `transport`, charging the payload
+    /// to the transport's meter (the paper's `B`): the `S_qu` step behind
+    /// [`Source::serve`] and [`serve_fleet`].
+    fn reply(
         &mut self,
         transport: &mut dyn Transport,
+        msg: Message,
         stats: &mut ServeStats,
     ) -> Result<(), SourceError> {
-        let mut replay = ReplayCache::new();
-        loop {
-            let received = transport.recv();
-            if matches!(received, Ok(None)) {
-                return Ok(());
-            }
-            self.answer_received(transport, received, &mut replay, stats)?;
+        let answer = self.on_message(msg)?;
+        if let Message::QueryAnswer { answer, .. } = &answer {
+            transport.meter().record_answer(answer);
         }
-    }
-
-    /// The one answer path behind [`Source::serve`] and [`serve_fleet`]:
-    /// take what a receive call returned and, if it is a query, answer
-    /// it on `transport`, charging the payload to the transport's meter
-    /// (the paper's `B`). Returns whether a query was answered.
-    ///
-    /// Hardened against a faulty channel: a recv timeout (or nothing
-    /// there) is a no-op, an undecodable frame is skipped (and counted),
-    /// and a duplicate query id is answered from the bounded replay
-    /// cache with the *original* answer bytes rather than re-evaluated on
-    /// the current state.
-    fn answer_received(
-        &mut self,
-        transport: &mut dyn Transport,
-        received: Result<Option<Message>, TransportError>,
-        replay: &mut ReplayCache,
-        stats: &mut ServeStats,
-    ) -> Result<bool, SourceError> {
-        let msg = match received {
-            Ok(Some(msg)) => msg,
-            Ok(None) | Err(TransportError::Timeout) => return Ok(false),
-            Err(TransportError::Decode(_)) => {
-                stats.decode_skips += 1;
-                return Ok(false);
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let Message::QueryRequest { id, query } = msg else {
-            return Err(SourceError::Protocol(
-                "warehouse -> source carries only QueryRequest",
-            ));
-        };
-        let answer = if let Some(cached) = replay.get(id) {
-            stats.duplicates += 1;
-            cached.clone()
-        } else {
-            let answer = self.answer(&query)?;
-            replay.put(id, answer.clone());
-            stats.answers += 1;
-            answer
-        };
-        transport.meter().record_answer_payload(
-            answer.encoded_len() as u64,
-            answer.pos_len() + answer.neg_len(),
-        );
-        transport.send(&Message::QueryAnswer { id, answer })?;
-        Ok(true)
+        transport.send(&answer)?;
+        stats.answers += 1;
+        Ok(())
     }
 
     /// A logical snapshot of the current base relations — used by the
@@ -454,7 +392,6 @@ pub fn serve_fleet(members: &mut [FleetMember]) -> Result<Vec<ServeStats>, Sourc
     for m in members.iter_mut() {
         wakers_everywhere &= m.transport.set_waker(std::sync::Arc::clone(&waker));
     }
-    let mut replay: Vec<ReplayCache> = members.iter().map(|_| ReplayCache::new()).collect();
     let mut open: Vec<bool> = vec![true; members.len()];
     let mut live = members.len();
     while live > 0 {
@@ -473,13 +410,10 @@ pub fn serve_fleet(members: &mut [FleetMember]) -> Result<Vec<ServeStats>, Sourc
                         break;
                     }
                     Readiness::Ready => {
-                        let received = m.transport.try_recv();
-                        progress |= m.source.answer_received(
-                            m.transport.as_mut(),
-                            received,
-                            &mut replay[i],
-                            &mut stats[i],
-                        )?;
+                        if let Some(msg) = m.transport.try_recv()? {
+                            m.source.reply(m.transport.as_mut(), msg, &mut stats[i])?;
+                            progress = true;
+                        }
                     }
                 }
             }
@@ -504,7 +438,7 @@ pub fn serve_fleet(members: &mut [FleetMember]) -> Result<Vec<ServeStats>, Sourc
 mod tests {
     use super::*;
     use eca_core::basedb::BaseLookup;
-    use eca_core::{Atom, Query, Term};
+    use eca_core::{Atom, Query, QueryId, Term};
     use eca_relational::{Predicate, Sign, SignedTuple, Tuple};
 
     fn example_source(scenario: Scenario) -> (Source, ViewDef) {
@@ -665,71 +599,90 @@ mod tests {
                 updates: 2,
                 notifications: 1,
                 answers: 1,
-                ..ServeStats::default()
             }
         );
         assert!(src_end.meter().answer_bytes() > 0);
     }
 
-    /// A duplicate query id must be answered with the *original* answer
-    /// bytes (replay cache), not a fresh evaluation on the current state
-    /// — even if the base relations changed in between.
+    /// A well-framed body that is no message ends the session with a
+    /// typed decode error, as a bad frame closes a station of the pool.
     #[test]
-    fn duplicate_query_replayed_idempotently() {
-        use eca_wire::{SharedFifo, TransferMeter, Transport};
+    fn undecodable_body_over_tcp_ends_serve_with_a_decode_error() {
+        use eca_wire::{Role, TcpTransport, TransferMeter};
+        use std::io::Write as _;
 
-        let (mut src_end, mut wh_end) = SharedFifo::pair(TransferMeter::new());
-        let (mut s, view) = example_source(Scenario::Indexed);
-
-        let q = WireQuery::from_query(&view.as_query());
-        // The same query id delivered three times in a row. A
-        // re-evaluation would see any state change in between; the replay
-        // cache must not.
-        for _ in 0..3 {
-            wh_end
-                .send(&Message::QueryRequest {
-                    id: QueryId(7),
-                    query: q.clone(),
-                })
-                .unwrap();
-        }
-        let (stats, answers) = std::thread::scope(|scope| {
-            let served = scope.spawn(|| s.serve(&mut src_end, &[]));
-            let answers: Vec<SignedBag> = (0..3)
-                .map(|_| {
-                    let Some(Message::QueryAnswer { id, answer }) = wh_end.recv().unwrap() else {
-                        panic!("expected answers only");
-                    };
-                    assert_eq!(id, QueryId(7));
-                    answer
-                })
-                .collect();
-            drop(wh_end);
-            (served.join().unwrap().unwrap(), answers)
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let warehouse = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            // One byte under a valid length prefix: tag 0xFF names no
+            // message kind. Then hang up.
+            stream.write_all(&1u32.to_be_bytes()).unwrap();
+            stream.write_all(&[0xFF]).unwrap();
+            stream.flush().unwrap();
         });
-        assert_eq!(stats.answers, 1);
-        assert_eq!(stats.duplicates, 2);
-        let served = s.io_meter().query_reads();
-        s.answer(&q).unwrap();
-        assert_eq!(
-            s.io_meter().query_reads(),
-            2 * served,
-            "evaluated exactly once"
+        let (mut s, _) = example_source(Scenario::Indexed);
+        let mut link = TcpTransport::connect(addr, Role::Source, TransferMeter::new()).unwrap();
+        let served = s.serve(&mut link, &[]);
+        warehouse.join().unwrap();
+        assert!(
+            matches!(
+                served,
+                Err(SourceError::Transport(TransportError::Decode(_)))
+            ),
+            "{served:?}"
         );
-        assert_eq!(answers[0], answers[1]);
-        assert_eq!(answers[1], answers[2]);
     }
 
-    /// The replay cache is bounded: an id evicted after
-    /// `REPLAY_CACHE_CAP` newer answers is re-evaluated as fresh.
+    /// Only queries travel toward a source: an ack or a notification is
+    /// refused without touching the state.
     #[test]
-    fn replay_cache_is_bounded() {
-        let mut cache = ReplayCache::new();
-        for i in 0..=(REPLAY_CACHE_CAP as u64) {
-            cache.put(QueryId(i), SignedBag::new());
+    fn on_message_refuses_everything_but_queries() {
+        let (mut s, view) = example_source(Scenario::Indexed);
+        let refused = [
+            Message::Ack { epoch: 0, next: 1 },
+            Message::UpdateNotification {
+                update: Update::insert("r2", Tuple::ints([2, 3])),
+            },
+        ];
+        for msg in refused {
+            assert!(
+                matches!(s.on_message(msg), Err(SourceError::Protocol(_))),
+                "only queries are answered"
+            );
         }
-        assert!(cache.get(QueryId(0)).is_none(), "oldest entry evicted");
-        assert!(cache.get(QueryId(1)).is_some());
+        assert_eq!(s.io_meter().query_reads(), 0);
+        let q = WireQuery::from_query(&view.as_query());
+        let reply = s
+            .on_message(Message::QueryRequest {
+                id: QueryId(4),
+                query: q.clone(),
+            })
+            .unwrap();
+        assert_eq!(
+            reply,
+            Message::QueryAnswer {
+                id: QueryId(4),
+                answer: s.answer(&q).unwrap(),
+            }
+        );
+    }
+
+    /// An update that changes nothing notifies nothing.
+    #[test]
+    fn on_script_step_notifies_effective_updates_only() {
+        let (mut s, _) = example_source(Scenario::Indexed);
+        let insert = Update::insert("r2", Tuple::ints([2, 3]));
+        assert_eq!(
+            s.on_script_step(&insert),
+            Some(Message::UpdateNotification {
+                update: insert.clone()
+            })
+        );
+        assert_eq!(
+            s.on_script_step(&Update::delete("r1", Tuple::ints([9, 9]))),
+            None
+        );
     }
 
     /// One fleet thread driving three sources against three scripted

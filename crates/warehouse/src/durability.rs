@@ -400,6 +400,14 @@ impl Warehouse {
         self.shards[source.0].ack_watermark()
     }
 
+    /// The [`Message::Ack`] of [`Warehouse::ack_watermark`], or `None`
+    /// when it has not advanced since the last ack on this connection;
+    /// [`Warehouse::on_reset`] (so every recovery) re-arms it. Panics on
+    /// an unregistered handle, as [`Warehouse::ack_watermark`] does.
+    pub fn ack(&mut self, source: SourceId) -> Option<Message> {
+        self.shards[source.0].ack()
+    }
+
     /// Turn on durability: every source channel gets a write-ahead log
     /// under `config.dir` and a baseline checkpoint (cut immediately if
     /// the channel is quiescent, else at its first quiescent point).

@@ -13,13 +13,15 @@
 //! [`ReactorWarehouse`] (`workers = 1..N`, the one threaded driver) are
 //! two drivers over the same shards.
 //!
-//! The runtime is transport-agnostic: [`Warehouse::on_update`] /
-//! [`Warehouse::on_answer`] react to already-delivered events (the
-//! simulator's entry points), while [`Warehouse::on_message`] +
-//! [`Warehouse::pump`] speak [`eca_wire::Message`] over any
-//! [`Transport`], e.g. the real TCP link of `examples/tcp_warehouse.rs`.
-//! Interleaving is always supplied from outside — exactly the decoupling
-//! the paper studies.
+//! The runtime is sans-IO at its core: [`Warehouse::on_message`] takes
+//! one already-delivered [`eca_wire::Message`] and returns the queries to
+//! send back, and [`Warehouse::ack`] the acknowledgement a source trims
+//! its outbox by. The simulator steps exactly these calls, and
+//! [`Warehouse::pump`] loops them over any [`Transport`], e.g. the real
+//! TCP link of `examples/tcp_warehouse.rs`. [`Warehouse::on_update`] /
+//! [`Warehouse::on_answer`] apply a `W_up`/`W_ans` with the wire
+//! conversion left out. Interleaving is always supplied from outside —
+//! exactly the decoupling the paper studies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -233,7 +235,6 @@ impl Warehouse {
             view_index: Vec::new(),
             settings: Settings {
                 record_history: true,
-                max_retries: 3,
                 publisher: None,
             },
         }
@@ -281,12 +282,6 @@ impl Warehouse {
         let registry = Arc::new(EpochRegistry::new(initial, ring_cap));
         self.configure(|s| s.publisher = Some(Arc::clone(&registry)));
         registry
-    }
-
-    /// How many times an in-flight query may be re-issued across channel
-    /// resets before its view is degraded to a full resync (default 3).
-    pub fn set_max_retries(&mut self, n: u32) {
-        self.configure(|s| s.max_retries = n);
     }
 
     /// Recovery activity so far, summed over every source channel.
@@ -442,8 +437,8 @@ impl Warehouse {
     ///   fresh ids (the §4 compensation argument holds no matter how
     ///   late a query is evaluated, because it stays in `UQS` and every
     ///   intervening update compensates it). A view is instead
-    ///   **degraded** to a full resync when a query exhausted
-    ///   `max_retries` or its algorithm says re-issue is unsafe
+    ///   **degraded** to a full resync when a query was already
+    ///   re-issued three times or its algorithm says re-issue is unsafe
     ///   ([`eca_core::ViewMaintainer::reissue_safe`]).
     /// * `true` — a source restart: update notifications may have been
     ///   lost, so incremental state is unsalvageable and **every** view
@@ -916,12 +911,16 @@ mod tests {
     #[test]
     fn retry_exhaustion_degrades_then_resync_restores() {
         let (mut wh, src, i1, i2, v1, _, mut db) = hub_over_one_source();
-        wh.set_max_retries(0); // first reset already exceeds the cap
         let u = Update::insert("r2", Tuple::ints([2, 8]));
         db.apply(&u);
         let queries = wh.on_update(src, &u).unwrap();
         assert_eq!(queries.len(), 2);
 
+        // Each reset re-issues the pending queries until the next one
+        // would exceed the cap.
+        for _ in 0..shard::MAX_RETRIES {
+            wh.on_reset(src, false).unwrap();
+        }
         let out = wh.on_reset(src, false).unwrap();
         // Both views degrade; each gets exactly one resync query.
         assert_eq!(out.len(), 2);
@@ -961,6 +960,27 @@ mod tests {
             wh.on_answer(src, q.id, q.query.eval(&db).unwrap()).unwrap();
         }
         assert_eq!(*wh.materialized(i1), v1.eval(&db).unwrap());
+    }
+
+    /// The ack goes out only when the acknowledgeable watermark advanced
+    /// on this connection, and once more after every reset, whatever its
+    /// value.
+    #[test]
+    fn ack_is_sent_when_the_watermark_advances_and_after_a_reset() {
+        let (mut wh, src, ..) = hub_over_one_source();
+        assert_eq!(wh.ack(src), None, "watermark 0 needs no ack");
+        let qs = wh
+            .on_update(src, &Update::insert("r1", Tuple::ints([5, 9])))
+            .unwrap();
+        assert_eq!(wh.ack(src), Some(Message::Ack { epoch: 0, next: 1 }));
+        assert_eq!(wh.ack(src), None, "not advanced");
+        for q in qs {
+            wh.on_answer(src, q.id, SignedBag::new()).unwrap();
+        }
+        assert_eq!(wh.ack(src), None, "answers move no watermark");
+        wh.on_reset(src, false).unwrap();
+        assert_eq!(wh.ack(src), Some(Message::Ack { epoch: 1, next: 1 }));
+        assert_eq!(wh.ack(src), None);
     }
 
     /// A source restart (possible lost notifications) degrades every view

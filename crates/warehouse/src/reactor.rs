@@ -691,8 +691,8 @@ mod tests {
             fn recv(&mut self) -> Result<Option<Message>, TransportError> {
                 Ok(None)
             }
-            fn has_inbound(&mut self) -> bool {
-                false
+            fn poll(&mut self) -> Result<eca_wire::Readiness, TransportError> {
+                Ok(eca_wire::Readiness::Idle)
             }
             fn meter(&self) -> &TransferMeter {
                 &self.0

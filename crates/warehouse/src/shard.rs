@@ -26,12 +26,15 @@ use crate::publish::EpochRegistry;
 use crate::session::{RouteKind, Session};
 use crate::{RecoveryStats, SourceId, ViewId, ViewStatus, WarehouseError};
 
+/// How many times an in-flight query may be re-issued across channel
+/// resets before its view degrades to a full resync.
+pub(crate) const MAX_RETRIES: u32 = 3;
+
 /// Warehouse-wide settings every shard carries a copy of, so a shard
 /// behind a lock needs nothing but itself to process an event.
 #[derive(Clone)]
 pub(crate) struct Settings {
     pub(crate) record_history: bool,
-    pub(crate) max_retries: u32,
     /// Epoch publication for the read-serving layer; `None` keeps
     /// maintenance-only deployments free of per-event snapshot clones.
     pub(crate) publisher: Option<Arc<EpochRegistry>>,
@@ -74,6 +77,8 @@ pub(crate) struct Shard {
     /// source's outbox resumes from after a reset or a crash; a source
     /// that cannot serve it renumbers from it.
     pub(crate) notifications_seen: u64,
+    /// The watermark last acked on this connection (`None`: re-armed).
+    acked: Option<u64>,
 }
 
 impl Shard {
@@ -86,6 +91,7 @@ impl Shard {
             recovery: RecoveryStats::default(),
             durability: None,
             notifications_seen: 0,
+            acked: Some(0),
         }
     }
 
@@ -214,6 +220,7 @@ impl Shard {
         notifications_lost: bool,
     ) -> Result<Vec<Message>, WarehouseError> {
         let drained = self.session.bump_epoch();
+        self.acked = None;
 
         // Pass 1: which views must fall back to a full resync?
         let mut degrade: BTreeSet<usize> = BTreeSet::new();
@@ -223,7 +230,7 @@ impl Shard {
         for pq in &drained {
             if pq.route.kind == RouteKind::Update
                 && (!self.views[pq.route.view].maintainer.reissue_safe()
-                    || pq.retries + 1 > self.settings.max_retries)
+                    || pq.retries + 1 > MAX_RETRIES)
             {
                 degrade.insert(pq.route.view);
             }
@@ -274,9 +281,9 @@ impl Shard {
                     kind: "QueryRequest",
                 })
             }
-            // Resume-layer acks are consumed by `ReliableLink` and a
-            // `Hello` by the TCP handshake; one surfacing here means the
-            // channel is mis-stacked.
+            // Acks travel only toward a source, and a `Hello` is consumed
+            // by the TCP handshake; one surfacing here means the channel
+            // is mis-stacked.
             Message::Ack { .. } | Message::Hello { .. } => {
                 return Err(WarehouseError::UnexpectedMessage {
                     kind: "session-layer",
@@ -296,6 +303,19 @@ impl Shard {
             })
             .collect())
     }
+
+    /// See [`crate::Warehouse::ack`].
+    pub(crate) fn ack(&mut self) -> Option<Message> {
+        let next = self.ack_watermark();
+        if self.acked.is_some_and(|acked| next <= acked) {
+            return None;
+        }
+        self.acked = Some(next);
+        Some(Message::Ack {
+            epoch: self.session.epoch(),
+            next,
+        })
+    }
 }
 
 /// Raise [`WarehouseError::UnknownSource`] unless `source` indexes one of
@@ -311,10 +331,7 @@ pub(crate) fn checked(source: SourceId, registered: usize) -> Result<usize, Ware
 /// Charge an answer's payload to the transport's meter (the paper's `B`).
 pub(crate) fn meter_answer(transport: &mut dyn Transport, msg: &Message) {
     if let Message::QueryAnswer { answer, .. } = msg {
-        transport.meter().record_answer_payload(
-            answer.encoded_len() as u64,
-            answer.pos_len() + answer.neg_len(),
-        );
+        transport.meter().record_answer(answer);
     }
 }
 

@@ -18,14 +18,14 @@
 //!   TCP implementation ([`TcpTransport`]),
 //! * [`StationPool`] — the worker pool that serves many channels, each
 //!   owned by one thread, behind both TCP front ends,
-//! * [`FaultyTransport`] — a seed-driven decorator that *violates* the §2
-//!   channel assumptions on purpose the one way a deployed channel can —
-//!   connection resets, scripted or at a per-send rate — for chaos
+//! * [`FaultClock`] — a seed-driven reset schedule that *violates* the
+//!   §2 channel assumptions on purpose the one way a deployed channel
+//!   can — connection resets, scripted or at a per-send rate — for chaos
 //!   testing,
-//! * [`ReliableLink`] — the resume layer that restores exactly-once
-//!   FIFO delivery across resets and crashes: the source end keeps a
-//!   notification outbox the warehouse trims with cumulative acks, and a
-//!   fresh connection resumes from the warehouse's watermark.
+//! * [`Outbox`] — the sans-IO resume state that restores exactly-once
+//!   FIFO delivery across resets and crashes: the source keeps its
+//!   notifications until the warehouse's cumulative acks trim them, and
+//!   a fresh connection resumes from the warehouse's watermark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,12 +41,12 @@ pub mod reliable;
 pub mod transport;
 
 pub use codec::{DecodeError, Decoder, Encoder};
-pub use fault::{FaultPlan, FaultyTransport};
+pub use fault::{FaultClock, FaultPlan};
 pub use message::{Message, ReadLevel, WireQuery};
 pub use meter::{Direction, TransferMeter};
 pub use poller::{PollToken, Poller};
 pub use pool::{Exit, StationOwner, StationPool};
-pub use reliable::{ReliableLink, Resume};
+pub use reliable::{Outbox, Resume};
 pub use transport::{
     read_frame, read_frame_capped, write_frame, FrameDecoder, PollWaker, Readiness, Role,
     SharedFifo, TcpTransport, Transport, TransportError, MAX_FRAME_LEN,

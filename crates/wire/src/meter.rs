@@ -7,6 +7,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use eca_relational::SignedBag;
+
 /// Transfer direction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Direction {
@@ -64,6 +66,15 @@ impl TransferMeter {
         self.counters
             .answer_payload_tuples
             .fetch_add(tuples, Ordering::Relaxed);
+    }
+
+    /// Record `answer`'s payload (the paper's `B`): its encoded length
+    /// and its tuple occurrences, signed ones included.
+    pub fn record_answer(&self, answer: &SignedBag) {
+        self.record_answer_payload(
+            answer.encoded_len() as u64,
+            answer.pos_len() + answer.neg_len(),
+        );
     }
 
     /// Messages sent source → warehouse.
@@ -138,6 +149,17 @@ mod tests {
         m.record_answer_payload(40, 10);
         assert_eq!(m.answer_bytes(), 40);
         assert_eq!(m.answer_tuples(), 10);
+    }
+
+    #[test]
+    fn record_answer_charges_encoded_length_and_tuples() {
+        let m = TransferMeter::new();
+        let mut answer = SignedBag::new();
+        answer.add(eca_relational::Tuple::ints([1, 2]), 2);
+        answer.add(eca_relational::Tuple::ints([3, 4]), -1);
+        m.record_answer(&answer);
+        assert_eq!(m.answer_bytes(), answer.encoded_len() as u64);
+        assert_eq!(m.answer_tuples(), 3);
     }
 
     #[test]

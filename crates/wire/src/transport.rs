@@ -332,25 +332,12 @@ pub trait Transport {
         Ok(taken)
     }
 
-    /// Whether an inbound message is available now (may decode and buffer
-    /// one frame internally).
-    fn has_inbound(&mut self) -> bool;
-
     /// Probe the inbound direction without blocking or consuming a
-    /// message. The default cannot observe peer departure and never
-    /// returns [`Readiness::Closed`]; transports that can tell the
-    /// difference override it.
+    /// message (may decode and buffer frames internally).
     ///
     /// # Errors
-    /// Transport faults surfaced by the probe (e.g. a reader-thread I/O
-    /// error).
-    fn poll(&mut self) -> Result<Readiness, TransportError> {
-        if self.has_inbound() {
-            Ok(Readiness::Ready)
-        } else {
-            Ok(Readiness::Idle)
-        }
-    }
+    /// Transport faults surfaced by the probe (e.g. a truncated frame).
+    fn poll(&mut self) -> Result<Readiness, TransportError>;
 
     /// Register a [`PollWaker`] to be notified whenever a message
     /// becomes receivable on this endpoint or the peer hangs up, so a
@@ -834,10 +821,6 @@ impl Transport for SharedFifo {
         }
     }
 
-    fn has_inbound(&mut self) -> bool {
-        !self.lock().queue_mut(self.role.inbound()).is_empty()
-    }
-
     fn poll(&mut self) -> Result<Readiness, TransportError> {
         let mut link = self.lock();
         if !link.queue_mut(self.role.inbound()).is_empty() {
@@ -1269,14 +1252,6 @@ impl Transport for TcpTransport {
         Ok(take)
     }
 
-    fn has_inbound(&mut self) -> bool {
-        // The pump stashes — not swallows — any fault this probe
-        // uncovers, so the next receive reports it instead of reading
-        // clean EOF.
-        self.pump();
-        !self.inbound.is_empty()
-    }
-
     fn poll(&mut self) -> Result<Readiness, TransportError> {
         self.pump();
         if !self.inbound.is_empty() {
@@ -1435,7 +1410,6 @@ mod tests {
         assert_eq!(src.role(), Role::Source);
         src.send(&notification(1)).unwrap();
         src.send(&notification(2)).unwrap();
-        assert!(wh.has_inbound());
         assert_eq!(wh.poll().unwrap(), Readiness::Ready);
         assert_eq!(wh.try_recv().unwrap(), Some(notification(1)));
         assert_eq!(wh.recv().unwrap(), Some(notification(2)));
@@ -1787,7 +1761,7 @@ mod tests {
     }
 
     #[test]
-    fn tcp_reader_fault_survives_has_inbound_probe() {
+    fn tcp_reader_fault_survives_poll_probe() {
         use std::io::Write as _;
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -1801,26 +1775,21 @@ mod tests {
         });
         let mut src = TcpTransport::connect(addr, Role::Source, TransferMeter::new()).unwrap();
         server.join().unwrap();
-        // Probe until the reader thread has observed the truncation. The
-        // probe itself must not swallow the fault...
+        // Probe until the truncation is observed: it surfaces once as
+        // Io (with the real ErrorKind), never as a frame or a clean
+        // close...
         loop {
-            if src.has_inbound() {
-                panic!("no complete frame should ever arrive");
+            match src.poll() {
+                Ok(Readiness::Idle) => std::thread::sleep(std::time::Duration::from_millis(1)),
+                Err(TransportError::Io(e)) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof);
+                    break;
+                }
+                other => panic!("expected Io fault, got {other:?}"),
             }
-            if src.fault.is_some() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        // ...so the next receive reports Io (with the real ErrorKind)
-        // rather than the clean-EOF `Ok(None)`.
-        match src.recv() {
-            Err(TransportError::Io(e)) => {
-                assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof);
-            }
-            other => panic!("expected Io fault, got {other:?}"),
-        }
-        // The fault is reported once; afterwards the channel reads closed.
+        // ...and afterwards the channel reads closed.
+        assert_eq!(src.poll().unwrap(), Readiness::Closed);
         assert_eq!(src.recv().unwrap(), None);
     }
 

@@ -1,21 +1,18 @@
-//! Property tests: [`ReliableLink`] over [`FaultyTransport`] restores
-//! the paper's §2 channel contract across connection resets and
-//! warehouse crashes. For *arbitrary* message scripts with resets at
-//! arbitrary send points in both directions, and crashes that bring the
-//! warehouse back at its durable watermark, the warehouse end applies
-//! every update notification exactly once and in order, and never
-//! receives an answer ahead of a notification the source sent before
-//! it.
+//! Property tests: the source's [`Outbox`] over [`FaultClock`]-driven
+//! connections restores the paper's §2 channel contract across
+//! connection resets and warehouse crashes. For *arbitrary* message
+//! scripts with resets at arbitrary send points in both directions, and
+//! crashes that bring the warehouse back at its durable watermark, the
+//! warehouse applies every update notification exactly once and in
+//! order, and never receives an answer ahead of a notification the
+//! source sent before it.
+
+use std::collections::VecDeque;
 
 use eca_core::QueryId;
 use eca_relational::{SignedBag, Tuple, Update};
-use eca_wire::{
-    FaultPlan, FaultyTransport, Message, ReliableLink, Resume, SharedFifo, TransferMeter, Transport,
-};
+use eca_wire::{Direction, FaultClock, FaultPlan, Message, Outbox, Resume, TransferMeter};
 use proptest::prelude::*;
-
-type Link = ReliableLink<FaultyTransport<SharedFifo>>;
-
 fn notification(n: u64) -> Message {
     Message::UpdateNotification {
         update: Update::insert("r1", Tuple::ints([n as i64, 0])),
@@ -54,13 +51,35 @@ fn resets() -> impl Strategy<Value = FaultPlan> {
     prop::collection::vec(0u64..60, 0..4).prop_map(|points| FaultPlan::none().with_resets(&points))
 }
 
+/// One direction of a connection: the messages in flight and the clock
+/// that decides which sends reset it.
+struct Lane {
+    queue: VecDeque<Message>,
+    clock: FaultClock,
+}
+
+impl Lane {
+    fn new(plan: FaultPlan) -> Lane {
+        Lane {
+            queue: VecDeque::new(),
+            clock: FaultClock::new(plan),
+        }
+    }
+
+    fn send(&mut self, msg: Message) {
+        if self.clock.admit() {
+            self.queue.push_back(msg);
+        }
+    }
+}
+
 /// Both ends of one channel, the warehouse modelled as the list of
 /// notifications it applied and a durable prefix of that list.
 struct Channel {
-    src: Link,
-    wh: Link,
-    plans: (FaultPlan, FaultPlan),
-    raw: TransferMeter,
+    outbox: Outbox,
+    s2w: Lane,
+    w2s: Lane,
+    logical: TransferMeter,
     /// Notifications sent by the source (numbered from 0).
     sent: u64,
     /// Notifications applied by the warehouse, in apply order.
@@ -69,54 +88,81 @@ struct Channel {
     durable: usize,
     /// The warehouse makes `applied` durable every this many applies.
     sync_every: usize,
+    /// The watermark the warehouse last acked on this connection.
+    acked: Option<u64>,
     resumes: u64,
 }
 
 impl Channel {
     fn new(s2w: FaultPlan, w2s: FaultPlan, sync_every: usize, logical: &TransferMeter) -> Channel {
-        let raw = TransferMeter::new();
-        let (src_end, wh_end) = SharedFifo::pair(raw.clone());
         Channel {
-            src: ReliableLink::new(FaultyTransport::new(src_end, s2w.clone()), logical.clone()),
-            wh: ReliableLink::new(FaultyTransport::new(wh_end, w2s.clone()), logical.clone()),
-            plans: (s2w, w2s),
-            raw,
+            outbox: Outbox::default(),
+            s2w: Lane::new(s2w),
+            w2s: Lane::new(w2s),
+            logical: logical.clone(),
             sent: 0,
             applied: Vec::new(),
             durable: 0,
             sync_every,
+            acked: Some(0),
             resumes: 0,
         }
     }
 
-    /// Reconnect after a reset (or a crash): both ends resume at the
-    /// warehouse's watermark, which the outbox must always cover.
+    /// The source sends `msg`: charged once, kept if a notification.
+    fn send(&mut self, msg: Message) {
+        self.logical
+            .record(Direction::SourceToWarehouse, msg.encoded_len() as u64);
+        self.outbox.push(&msg);
+        self.s2w.send(msg);
+    }
+
+    /// Reconnect after a reset (or a crash): everything in flight is
+    /// lost, and the source resumes at the warehouse's watermark, which
+    /// the outbox must always cover.
     fn reconnect(&mut self) {
-        let (src_end, wh_end) = SharedFifo::pair(self.raw.clone());
-        let src_t = FaultyTransport::with_origin(
-            src_end,
-            self.plans.0.clone(),
-            self.src.inner_mut().next_seq(),
-        );
-        let wh_t = FaultyTransport::with_origin(
-            wh_end,
-            self.plans.1.clone(),
-            self.wh.inner_mut().next_seq(),
-        );
+        for lane in [&mut self.s2w, &mut self.w2s] {
+            lane.queue.clear();
+            lane.clock.reconnect();
+        }
+        self.acked = None;
         let watermark = self.applied.len() as u64;
-        self.wh.resume(wh_t, watermark);
-        let resumed = self.src.resume(src_t, watermark);
+        let (resumed, tail) = self.outbox.resume(watermark);
         assert_eq!(resumed, Resume::Replayed(self.sent - watermark));
+        for msg in tail {
+            self.logical
+                .record(Direction::SourceToWarehouse, msg.encoded_len() as u64);
+            self.s2w.send(msg.clone());
+        }
         self.resumes += 1;
     }
 
     /// Heal a connection killed by a scripted reset.
     fn heal(&mut self) -> bool {
-        let dead = self.src.inner_mut().take_reset() | self.wh.inner_mut().take_reset();
+        let dead = self.s2w.clock.take_reset() | self.w2s.clock.take_reset();
         if dead {
             self.reconnect();
         }
         dead
+    }
+
+    /// Ack the durable watermark if it advanced on this connection.
+    fn ack(&mut self) {
+        let next = self.durable as u64;
+        if self.acked.map_or(true, |acked| next > acked) {
+            self.acked = Some(next);
+            self.w2s.send(Message::Ack { epoch: 0, next });
+        }
+    }
+
+    /// The source absorbs the acks that reached it.
+    fn absorb_acks(&mut self) {
+        while let Some(msg) = self.w2s.queue.pop_front() {
+            let Message::Ack { next, .. } = msg else {
+                panic!("unexpected {msg:?}");
+            };
+            self.outbox.trim(next);
+        }
     }
 
     /// The warehouse takes up to `n` messages, applying notifications
@@ -124,7 +170,7 @@ impl Channel {
     fn deliver(&mut self, n: usize) -> usize {
         let mut taken = 0;
         while taken < n {
-            let Some(msg) = self.wh.try_recv().unwrap() else {
+            let Some(msg) = self.s2w.queue.pop_front() else {
                 break;
             };
             taken += 1;
@@ -148,31 +194,27 @@ impl Channel {
                 ),
                 other => panic!("unexpected {other:?}"),
             }
-            self.wh.ack(0, self.durable as u64);
+            self.ack();
         }
         // Once more in case the last ack died with a connection: after a
-        // resume the warehouse end re-sends it whatever its value.
-        self.wh.ack(0, self.durable as u64);
+        // resume the warehouse acks again whatever its value.
+        self.ack();
         taken
     }
 
     fn step(&mut self, op: &Op) {
         match op {
             Op::Notify => {
-                self.src.send(&notification(self.sent)).unwrap();
+                self.send(notification(self.sent));
                 self.sent += 1;
             }
-            Op::Answer => self
-                .src
-                .send(&Message::QueryAnswer {
-                    id: QueryId(self.sent),
-                    answer: SignedBag::new(),
-                })
-                .unwrap(),
+            Op::Answer => self.send(Message::QueryAnswer {
+                id: QueryId(self.sent),
+                answer: SignedBag::new(),
+            }),
             Op::Deliver(n) => {
                 self.deliver(*n);
-                // The source services its inbound side, consuming acks.
-                assert!(!self.src.has_inbound(), "acks never reach the caller");
+                self.absorb_acks();
             }
             Op::Crash => {
                 self.applied.truncate(self.durable);
@@ -186,7 +228,7 @@ impl Channel {
     fn settle(&mut self) {
         for _ in 0..10_000 {
             let taken = self.deliver(usize::MAX);
-            let _ = self.src.has_inbound();
+            self.absorb_acks();
             if !self.heal() && taken == 0 {
                 return;
             }
@@ -257,6 +299,6 @@ proptest! {
         ch.settle();
         let all: Vec<Message> = (0..n).map(notification).collect();
         prop_assert_eq!(&ch.applied, &all);
-        prop_assert_eq!(ch.src.outbox_len(), (ch.sent as usize) - ch.durable);
+        prop_assert_eq!(ch.outbox.len(), (ch.sent as usize) - ch.durable);
     }
 }

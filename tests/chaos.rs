@@ -627,18 +627,19 @@ fn multi_source_stress_restart_exercises_rv_resync() {
     );
 }
 
-/// Retry exhaustion is the other road into a resync: with the retry
-/// budget at zero, the first reset degrades any view with a pending
-/// query even though ECA could have re-issued safely.
+/// Retry exhaustion is the other road into a resync: when a reset kills
+/// every re-issue of a pending query, the reset after the third re-issue
+/// degrades its view even though ECA could have re-issued safely.
 #[test]
 fn retry_exhaustion_falls_back_to_resync_and_converges() {
+    // Send 1 kills the connection with a query pending; sends 2, 3 and
+    // 4 are its three re-issues, each killed in turn.
     let profile = ChaosProfile {
         s2w: FaultPlan::none(),
-        w2s: FaultPlan::none().with_resets(&[1]),
+        w2s: FaultPlan::none().with_resets(&[1, 2, 3, 4]),
         restarts: vec![],
     };
-    let mut sim = single_site(AlgorithmKind::Eca, example2_fixture(), profile);
-    sim.set_max_retries(0);
+    let sim = single_site(AlgorithmKind::Eca, example2_fixture(), profile);
     let report = sim.run(Policy::Random { seed: 4 }).unwrap();
     assert_clean(&report, "retry exhaustion");
     assert!(

@@ -7,13 +7,11 @@
 //! so any drift in event order, query-id assignment or message
 //! encoding shows up as a failure here.
 
+use eca_bench::equiv::{run_equivalence, run_reactor_tcp, EquivCase, EquivSource};
 use eca_core::algorithms::AlgorithmKind;
 use eca_core::ViewDef;
 use eca_relational::{Predicate, Schema, Tuple, Update};
-use eca_sim::{
-    run_equivalence, run_reactor_tcp, ChaosRunReport, ChaosSimulation, EquivCase, EquivSource,
-    Policy, RunReport, Simulation, SiteId, TraceEvent,
-};
+use eca_sim::{ChaosRunReport, ChaosSimulation, Policy, RunReport, Simulation, SiteId, TraceEvent};
 use eca_source::Source;
 use eca_storage::Scenario;
 use eca_workload::{Example6, Params, UpdateMix};
@@ -422,7 +420,7 @@ fn multi_site_fingerprint(report: &ChaosRunReport) -> u64 {
 
 /// Captured from the plain multi-source scheduler (no link stack) at
 /// the commit before it was deleted: the one engine, with its
-/// fault-free `ReliableLink`/`FaultyTransport` stack in the path, must
+/// fault-free outbox and reset clocks in the path, must
 /// reproduce every per-site trace, meter and per-view history.
 #[test]
 fn multi_site_fingerprints_are_stable() {
