@@ -247,8 +247,9 @@ fn run_reactor(case: EquivCase, workers: usize) -> Result<EquivOutcome, SimError
 /// Reactor over real loopback TCP: the same fleet and worker pool as
 /// `run_reactor`, but every link is a socket — sources dial a
 /// [`eca_warehouse::ReactorWarehouse::run_listener`] endpoint, open with
-/// the `Hello` handshake, and all warehouse-side readiness is
-/// multiplexed by one [`Poller`] thread. Meters are read on the *source*
+/// the `Hello` handshake, and each pool worker sleeps in `poll(2)` on its
+/// own sockets while the one `serve_fleet` thread sleeps on the source
+/// ends the same way. Meters are read on the *source*
 /// side of each link (the metering point of every threaded run; the
 /// handshake frame travels outside it), so the outcome must
 /// still be byte-identical to the in-memory runs — that is the
@@ -276,7 +277,6 @@ pub fn run_reactor_tcp(case: EquivCase, workers: usize) -> Result<EquivOutcome, 
     let io_err = |e: std::io::Error| WarehouseError::Transport(TransportError::Io(e));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").map_err(io_err)?;
     let addr = listener.local_addr().map_err(io_err)?;
-    let poller = Poller::new().map_err(io_err)?;
     let meters: Vec<TransferMeter> = (0..sources.len()).map(|_| TransferMeter::new()).collect();
     let mut members = Vec::with_capacity(sources.len());
     for ((s, source), script) in sources.into_iter().enumerate().zip(scripts) {
@@ -291,7 +291,7 @@ pub fn run_reactor_tcp(case: EquivCase, workers: usize) -> Result<EquivOutcome, 
     }
     std::thread::scope(|scope| -> Result<(), SimError> {
         let fleet = scope.spawn(move || serve_fleet(&mut members));
-        let run = rw.run_listener(listener, &poller, &expected);
+        let run = rw.run_listener(listener, &Poller::new().map_err(io_err)?, &expected);
         // A panic on the fleet thread is a bug: re-raise it as it was.
         let served = fleet
             .join()
@@ -376,7 +376,7 @@ mod tests {
     }
 
     /// Swapping the reactor's in-memory links for real loopback sockets
-    /// (listener handshake, poller readiness, framed TCP) must not
+    /// (listener handshake, socket readiness, framed TCP) must not
     /// change a single observable — states, finals, or per-link meters.
     #[test]
     fn tcp_reactor_matches_in_memory_runtimes() {

@@ -28,8 +28,6 @@ pub struct Wal {
     buf: BytesMut,
     /// Records in `buf`.
     buffered: u64,
-    /// Records written to the file since it was last reset.
-    appended: u64,
 }
 
 /// The result of scanning a log file from disk.
@@ -64,7 +62,6 @@ impl Wal {
             policy,
             buf: BytesMut::new(),
             buffered: 0,
-            appended: 0,
         })
     }
 
@@ -101,7 +98,6 @@ impl Wal {
             self.file.write_all(self.buf.as_ref())?;
             self.buf.clear();
         }
-        self.appended += self.buffered;
         self.buffered = 0;
         self.file.sync_data()?;
         Ok(())
@@ -110,26 +106,6 @@ impl Wal {
     /// Records currently exposed to a crash (appended but not synced).
     pub fn unsynced(&self) -> u64 {
         self.buffered
-    }
-
-    /// Records durably in the file since the last [`Wal::reset`].
-    pub fn synced(&self) -> u64 {
-        self.appended
-    }
-
-    /// Empty the log (after a successful checkpoint): everything the
-    /// checkpoint captured is no longer needed for redo.
-    ///
-    /// # Errors
-    /// Filesystem errors.
-    pub fn reset(&mut self) -> Result<(), DurableError> {
-        self.buf.clear();
-        self.buffered = 0;
-        self.appended = 0;
-        self.file.set_len(0)?;
-        self.file.seek(SeekFrom::End(0))?;
-        self.file.sync_data()?;
-        Ok(())
     }
 
     /// Drop every buffered (unsynced) record — the in-process stand-in
@@ -279,22 +255,17 @@ mod tests {
     }
 
     #[test]
-    fn reset_empties_the_log_and_reopen_appends_after_tail() {
-        let dir = tmpdir("reset");
+    fn reopen_appends_after_tail() {
+        let dir = tmpdir("reopen");
         let path = dir.join("a.wal");
         let _ = std::fs::remove_file(&path);
         let mut wal = Wal::open(&path, FsyncPolicy::PerRecord).unwrap();
-        for r in recs(3) {
-            wal.append(&r).unwrap();
-        }
-        wal.reset().unwrap();
-        assert_eq!(Wal::scan(&path).unwrap().records.len(), 0);
         wal.append(&recs(1)[0]).unwrap();
         drop(wal);
         // Reopen and append: the new record lands after the old tail.
         let mut wal = Wal::open(&path, FsyncPolicy::PerRecord).unwrap();
         wal.append(&recs(2)[1]).unwrap();
-        assert_eq!(Wal::scan(&path).unwrap().records.len(), 2);
+        assert_eq!(Wal::scan(&path).unwrap().records, recs(2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

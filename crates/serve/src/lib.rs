@@ -23,7 +23,7 @@
 //! * [`serve_listener`] opens a real TCP port on an
 //!   [`eca_wire::StationPool`], the worker pool the warehouse's reactor
 //!   also runs on: every client connection is a station owned by one
-//!   worker, and one [`eca_wire::Poller`] thread watches every socket.
+//!   worker, which sleeps in `poll(2)` on its own sockets.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +38,7 @@ use eca_core::QueryId;
 use eca_relational::SignedBag;
 use eca_warehouse::EpochRegistry;
 use eca_wire::{
-    Exit, Message, Poller, ReadLevel, StationOwner, StationPool, Transport, TransportError,
+    Exit, Message, ReadLevel, StartError, StationOwner, StationPool, Transport, TransportError,
 };
 
 /// Errors raised by the serving layer (either side).
@@ -247,12 +247,12 @@ impl ServeHandle {
 }
 
 /// Open a TCP read-serving port over `registry` on a
-/// [`StationPool`]: an accept thread, one poller thread watching every
-/// client socket, and `workers` (at least one) serving threads, each the
-/// only reader of its share of the connections.
+/// [`StationPool`]: an accept thread and `workers` (at least one)
+/// serving threads, each the only reader of its share of the
+/// connections and asleep in `poll(2)` on them when they are idle.
 ///
 /// # Errors
-/// Binding, poller-spawn or thread-spawn failures.
+/// Binding, wake-socket or thread-spawn failures.
 pub fn serve_listener(
     addr: impl ToSocketAddrs,
     registry: Arc<EpochRegistry>,
@@ -264,10 +264,12 @@ pub fn serve_listener(
         next: AtomicU64::new(0),
         served: AtomicU64::new(0),
     };
-    let Ok(mut pool) = StationPool::start(reads, workers, Vec::new()) else {
-        unreachable!("a pool with no stations refuses none")
+    let mut pool = match StationPool::start(reads, workers, Vec::new()) {
+        Ok(pool) => pool,
+        Err(StartError::Io(e)) => return Err(e),
+        Err(StartError::Refused(..)) => unreachable!("a pool with no stations refuses none"),
     };
-    let addr = pool.listen(listener, Poller::new()?)?;
+    let addr = pool.listen(listener)?;
     Ok(ServeHandle { addr, pool })
 }
 

@@ -367,15 +367,20 @@ pub struct FleetMember {
 /// Each member runs the same protocol as [`Source::serve`] (script first,
 /// then answer every query on the current state until its warehouse end
 /// hangs up), but instead of one blocked thread per source a single loop
-/// scans all transports and parks on a shared [`PollWaker`] when nothing
-/// is ready. Per-channel FIFO is untouched: each channel still sends its
-/// script in order and answers its queries in arrival order.
+/// scans all transports and, when nothing is ready, parks in one
+/// [`PollWaker::wait`]: in-process members notify the waker, sockets hand
+/// the wait their descriptors. Per-channel FIFO is untouched: each
+/// channel still sends its script in order and answers its queries in
+/// arrival order.
 ///
 /// This is how 100+ sources are driven against the reactor without a
 /// source-side thread per site.
 ///
 /// # Errors
-/// First member failure wins; as [`Source::serve`].
+/// First member failure wins; as [`Source::serve`]. A member whose
+/// transport can neither notify a waker nor hand over a descriptor is
+/// refused with an `Unsupported` [`TransportError::Io`] before its
+/// answer phase, since nothing could wake the loop for it.
 pub fn serve_fleet(members: &mut [FleetMember]) -> Result<Vec<ServeStats>, SourceError> {
     // Phase 1: every script in full, member order. Scripts only send, so
     // over unbounded links this cannot block; interleaving across members
@@ -387,13 +392,20 @@ pub fn serve_fleet(members: &mut [FleetMember]) -> Result<Vec<ServeStats>, Sourc
     }
 
     // Phase 2: multiplexed answer loop.
-    let waker = PollWaker::new();
-    let mut wakers_everywhere = true;
+    let io = |e| SourceError::Transport(TransportError::Io(e));
+    let waker = PollWaker::new().map_err(io)?;
     for m in members.iter_mut() {
-        wakers_everywhere &= m.transport.set_waker(std::sync::Arc::clone(&waker));
+        if !m.transport.set_waker(std::sync::Arc::clone(&waker)) && m.transport.poll_fd().is_none()
+        {
+            return Err(io(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "a fleet member's transport can neither wake nor be polled",
+            )));
+        }
     }
     let mut open: Vec<bool> = vec![true; members.len()];
     let mut live = members.len();
+    let mut fds = Vec::new();
     while live > 0 {
         let seen = waker.epoch();
         let mut progress = false;
@@ -419,16 +431,17 @@ pub fn serve_fleet(members: &mut [FleetMember]) -> Result<Vec<ServeStats>, Sourc
             }
         }
         if !progress && live > 0 {
-            // Full scan found nothing: park until any channel speaks (or
-            // hangs up — transport drops notify too). Bounded as a
-            // lost-notification backstop; without universal waker
-            // coverage it degrades to a short poll.
-            let bound = if wakers_everywhere {
-                Duration::from_millis(50)
-            } else {
-                Duration::from_millis(1)
-            };
-            waker.wait(seen, bound);
+            // Full scan found nothing: park until any channel speaks or
+            // hangs up. Bounded as a lost-notification backstop.
+            fds.clear();
+            fds.extend(
+                members
+                    .iter()
+                    .zip(&open)
+                    .filter(|(_, open)| **open)
+                    .filter_map(|(m, _)| m.transport.poll_fd()),
+            );
+            waker.wait(seen, &mut fds, Duration::from_millis(50));
         }
     }
     Ok(stats)

@@ -101,11 +101,12 @@ pub enum WarehouseError {
         /// The offending source's index.
         source: usize,
     },
-    /// A transport handed to the reactor refused the shared
-    /// [`eca_wire::PollWaker`] (`set_waker` returned `false`). The
-    /// reactor's parking discipline relies on arrival notifications from
-    /// *every* channel; silently degrading to a short poll interval
-    /// would hide the misconfiguration, so registration fails instead.
+    /// A transport handed to the reactor can neither notify its worker's
+    /// [`eca_wire::PollWaker`] (`set_waker` returned `false`) nor hand
+    /// the worker a descriptor to poll (`poll_fd` returned `None`). A
+    /// parked worker learns of arrivals only through one of them;
+    /// silently degrading to a timed poll would hide the
+    /// misconfiguration, so registration fails instead.
     WakerRejected {
         /// The offending source's shard index.
         source: usize,
@@ -143,7 +144,7 @@ impl std::fmt::Display for WarehouseError {
             WarehouseError::WakerRejected { source } => {
                 write!(
                     f,
-                    "source #{source}'s transport rejected the reactor's poll waker"
+                    "source #{source}'s transport can neither wake nor be polled by the reactor"
                 )
             }
             WarehouseError::DuplicateSource { source } => {

@@ -17,8 +17,8 @@
 //! a source hangs up or faults first, or nothing moves for a full stall
 //! timeout. [`ReactorWarehouse::run_listener`] adds the pool's accept
 //! thread: sources dial in with [`connect_source`] and a `Hello` naming
-//! their [`SourceId`], for `workers + 1 accept loop + 1 poller` OS
-//! threads however many connect.
+//! their [`SourceId`], for `workers + 1 accept loop` OS threads however
+//! many connect: each worker sleeps in `poll(2)` on its own sockets.
 //!
 //! The serial [`Warehouse`] remains the golden-trace reference; the
 //! reactor must (and is tested to) produce byte-identical meters and
@@ -31,8 +31,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use eca_wire::{
-    read_frame_capped, write_frame, Exit, Message, PollWaker, Poller, Role, StationOwner,
-    StationPool, TcpTransport, TransferMeter, Transport, TransportError,
+    read_frame_capped, write_frame, Exit, Message, PollWaker, Poller, Role, StartError,
+    StationOwner, StationPool, TcpTransport, TransferMeter, Transport, TransportError,
 };
 
 use eca_relational::SignedBag;
@@ -196,9 +196,9 @@ impl ReactorWarehouse {
     /// Before any thread is spawned: [`WarehouseError::UnknownSource`]
     /// if an endpoint names an unregistered source,
     /// [`WarehouseError::DuplicateSource`] if two endpoints name one
-    /// source, and [`WarehouseError::WakerRejected`] if a transport
-    /// cannot notify the pool of arrivals (parking needs it from every
-    /// channel). Then [`WarehouseError::SourceHungUp`] if a peer
+    /// source, and [`WarehouseError::WakerRejected`] if a transport can
+    /// neither notify the pool of arrivals nor hand it a descriptor to
+    /// poll (parking needs one of them from every channel). Then [`WarehouseError::SourceHungUp`] if a peer
     /// disconnects before its source settles;
     /// [`WarehouseError::SourceStalled`] if no message is handled for a
     /// full stall timeout while any source is unsettled; transport,
@@ -217,8 +217,8 @@ impl ReactorWarehouse {
             stations.push((s, transport));
         }
         let workers = self.workers.min(stations.len()).max(1);
-        let pool = StationPool::start(self.run_state(&expected), workers, stations)
-            .map_err(|(source, exit)| exit_error(source, exit))?;
+        let pool = StationPool::start(self.run_state(&expected)?, workers, stations)
+            .map_err(start_error)?;
         self.drive(pool)
     }
 
@@ -226,10 +226,12 @@ impl ReactorWarehouse {
     /// instead of receiving pre-built transports. Each connection on the
     /// bound `listener` must open with a [`Message::Hello`] carrying its
     /// [`SourceId`] (dial with [`connect_source`]); it then joins the
-    /// running pool as a station whose readiness `poller` watches.
-    /// `expected[s]` is the number of update notifications source `s`
-    /// will send, exactly as in [`ReactorWarehouse::run`]. Threads:
-    /// `workers.min(sources)` pooled workers plus one accept loop.
+    /// running pool as a station its home worker polls. `expected[s]` is
+    /// the number of update notifications source `s` will send, exactly
+    /// as in [`ReactorWarehouse::run`]. Threads: `workers.min(sources)`
+    /// pooled workers plus one accept loop. `_poller` is ignored: the
+    /// workers wait on their sockets themselves, and the parameter stays
+    /// only for existing callers.
     ///
     /// Sources that expect no traffic over an already-quiescent shard
     /// need not connect at all; everyone else must connect and settle
@@ -250,7 +252,7 @@ impl ReactorWarehouse {
     pub fn run_listener(
         &self,
         listener: TcpListener,
-        poller: &Arc<Poller>,
+        _poller: &Arc<Poller>,
         expected: &[u64],
     ) -> Result<u64, WarehouseError> {
         let n = self.set.shards.len();
@@ -260,18 +262,17 @@ impl ReactorWarehouse {
             "expected-notification counts must cover every source"
         );
         let expected: Vec<_> = expected.iter().copied().map(Some).collect();
-        let run = self.run_state(&expected);
-        let mut pool = StationPool::start(run, self.workers.min(n).max(1), Vec::new())
-            .map_err(|(source, exit)| exit_error(source, exit))?;
-        pool.listen(listener, Arc::clone(poller))
-            .map_err(|e| WarehouseError::Transport(TransportError::Io(e)))?;
+        let run = self.run_state(&expected)?;
+        let mut pool =
+            StationPool::start(run, self.workers.min(n).max(1), Vec::new()).map_err(start_error)?;
+        pool.listen(listener).map_err(io_error)?;
         self.drive(pool)
     }
 
     /// The pool owner for one run. `expected[s]` is `None` for a source
     /// outside the run, which counts as settled; so does a source that
     /// expects nothing over an already-quiescent shard.
-    fn run_state(&self, expected: &[Option<u64>]) -> Run {
+    fn run_state(&self, expected: &[Option<u64>]) -> Result<Run, WarehouseError> {
         let settled = expected
             .iter()
             .enumerate()
@@ -280,7 +281,7 @@ impl ReactorWarehouse {
                 AtomicBool::new(born)
             })
             .collect();
-        Run {
+        Ok(Run {
             set: Arc::clone(&self.set),
             owed: expected
                 .iter()
@@ -289,8 +290,8 @@ impl ReactorWarehouse {
             settled,
             processed: AtomicU64::new(0),
             error: Mutex::new(None),
-            monitor: PollWaker::default(),
-        }
+            monitor: PollWaker::new().map_err(io_error)?,
+        })
     }
 
     /// Wait on the calling thread until every source settles or the run
@@ -323,7 +324,7 @@ impl ReactorWarehouse {
                 return Err(WarehouseError::SourceStalled { source });
             }
             let check = (self.stall_timeout - idle).min(Duration::from_millis(50));
-            run.monitor.wait(seen, check);
+            run.monitor.wait(seen, &mut Vec::new(), check);
         }
     }
 }
@@ -344,7 +345,7 @@ struct Run {
     error: Mutex<Option<WarehouseError>>,
     /// Moved when a source settles or the run fails: the calling thread
     /// parks here, not on the pool's waker, which moves on every arrival.
-    monitor: PollWaker,
+    monitor: Arc<PollWaker>,
 }
 
 impl Run {
@@ -398,6 +399,17 @@ impl StationOwner for Run {
         checked(SourceId(epoch as usize), self.set.shards.len())
             .map_err(|err| self.fail(err))
             .ok()
+    }
+}
+
+fn io_error(e: std::io::Error) -> WarehouseError {
+    WarehouseError::Transport(TransportError::Io(e))
+}
+
+fn start_error(e: StartError<usize>) -> WarehouseError {
+    match e {
+        StartError::Refused(source, exit) => exit_error(source, exit),
+        StartError::Io(e) => io_error(e),
     }
 }
 
@@ -660,10 +672,10 @@ mod tests {
         ));
     }
 
-    /// Satellite guarantee: a transport without waker support (the
-    /// trait-default `set_waker` returns `false`) is rejected at
-    /// registration with a typed error — the old behavior silently fell
-    /// back to a 1 ms poll interval, hiding the misconfiguration.
+    /// A transport that can neither notify a waker nor hand over a
+    /// descriptor (the trait-default `set_waker` and `poll_fd`) is
+    /// rejected at registration with a typed error instead of being
+    /// served at a timed poll interval that hides the misconfiguration.
     #[test]
     fn waker_rejecting_transport_fails_registration() {
         let mut wh = Warehouse::new();
@@ -676,7 +688,8 @@ mod tests {
         wh.add_view(src, AlgorithmKind::Eca.instantiate(&view, initial).unwrap())
             .unwrap();
         let rw = wh.into_reactor(2);
-        // A transport that leans on the trait-default `set_waker`.
+        // A transport that leans on the trait-default `set_waker` and
+        // `poll_fd`.
         struct NoWaker(TransferMeter);
         impl Transport for NoWaker {
             fn role(&self) -> eca_wire::Role {

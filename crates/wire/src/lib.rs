@@ -35,7 +35,6 @@ pub mod codec;
 pub mod fault;
 pub mod message;
 pub mod meter;
-pub mod poller;
 pub mod pool;
 pub mod reliable;
 pub mod transport;
@@ -44,10 +43,9 @@ pub use codec::{DecodeError, Decoder, Encoder};
 pub use fault::{FaultClock, FaultPlan};
 pub use message::{Message, ReadLevel, WireQuery};
 pub use meter::{Direction, TransferMeter};
-pub use poller::{PollToken, Poller};
-pub use pool::{Exit, StationOwner, StationPool};
+pub use pool::{Exit, Poller, StartError, StationOwner, StationPool};
 pub use reliable::{Outbox, Resume};
 pub use transport::{
-    read_frame, read_frame_capped, write_frame, FrameDecoder, PollWaker, Readiness, Role,
+    read_frame, read_frame_capped, write_frame, FrameDecoder, PollFd, PollWaker, Readiness, Role,
     SharedFifo, TcpTransport, Transport, TransportError, MAX_FRAME_LEN,
 };

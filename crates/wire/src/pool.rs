@@ -5,18 +5,27 @@
 //! The paper's §3 argument needs each channel delivered in FIFO order and
 //! each event applied atomically, nothing more. So each channel is a
 //! *station* pinned to home worker `admission index % workers`, the only
-//! thread that ever touches its transport. A worker's scan visits every
-//! home station, drains up to 64 messages, hands each to
+//! thread that ever touches its transport. A worker's scan visits its
+//! home stations, drains up to 64 messages from each, hands each to
 //! [`StationOwner::handle`] in arrival order and sends the replies on the
-//! same transport; a scan that moves nothing parks on the pool's one
-//! [`PollWaker`], which every station's transport notifies on arrival.
+//! same transport.
+//!
+//! Each worker sleeps on its own [`PollWaker`], in one `poll(2)` over its
+//! home sockets and its wake socket. An in-process station
+//! ([`Transport::set_waker`]) notifies its home worker's waker on
+//! arrival and is visited on every scan, which costs a lock and no
+//! syscall. A socket station ([`Transport::poll_fd`]) is visited only
+//! when the worker's own `poll(2)` reported an event on it, when its
+//! last visit took a full quantum, or once per backstop interval, so an
+//! idle socket costs no read syscall per scan.
 //!
 //! Stations are admitted live, at most one per key, and an optional
 //! accept thread ([`StationPool::listen`]) names each TCP connection
 //! through [`StationOwner::gate`] or drops it. A station that hangs up,
 //! faults or is refused is reported to [`StationOwner::closed`]; the
 //! owner decides what that means. Dropping the pool stops it, joins every
-//! thread and hangs up every station.
+//! thread and hangs up every station. A pool with `w` workers and a
+//! listener runs `w + 1` threads.
 
 use std::collections::HashSet;
 use std::hash::Hash;
@@ -24,10 +33,10 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::{
-    Message, PollWaker, Poller, Readiness, Role, TcpTransport, TransferMeter, Transport,
+    Message, PollFd, PollWaker, Readiness, Role, TcpTransport, TransferMeter, Transport,
     TransportError,
 };
 
@@ -35,9 +44,26 @@ use crate::{
 /// channel cannot starve the others on its worker.
 const QUANTUM: usize = 64;
 
-/// Longest a parked worker sleeps without a notification. Every station
-/// notifies the waker, so this is only a backstop.
+/// Longest a parked worker sleeps without an event, and how often it
+/// visits every station regardless of events. Every station wakes its
+/// worker, so this is only a backstop.
 const PARK: Duration = Duration::from_millis(50);
+
+/// A stateless handle kept for the signature of callers that still pass
+/// one to `ReactorWarehouse::run_listener`, which ignores it: the pool's
+/// workers wait on their sockets themselves.
+#[derive(Debug)]
+pub struct Poller(());
+
+impl Poller {
+    /// A fresh handle.
+    ///
+    /// # Errors
+    /// None; the signature is kept for existing callers.
+    pub fn new() -> std::io::Result<Arc<Poller>> {
+        Ok(Arc::new(Poller(())))
+    }
+}
 
 /// What a pool's owner does with its stations.
 pub trait StationOwner: Send + Sync + 'static {
@@ -69,21 +95,42 @@ pub enum Exit {
     Faulted(TransportError),
     /// Its key already has a live station.
     Duplicate,
-    /// Its transport cannot notify the pool's waker.
+    /// Its transport can neither notify a waker nor hand over a
+    /// descriptor to poll.
     WakerRejected,
+}
+
+/// Why [`StationPool::start`] failed. Any worker it had started is
+/// stopped and joined before it returns.
+#[derive(Debug)]
+pub enum StartError<K> {
+    /// A station was refused ([`Exit::Duplicate`] or
+    /// [`Exit::WakerRejected`]).
+    Refused(K, Exit),
+    /// A worker's wake socket or thread could not be created.
+    Io(std::io::Error),
 }
 
 struct Station<K> {
     key: K,
     transport: Box<dyn Transport + Send>,
+    /// The transport hands over a descriptor instead of notifying.
+    polled: bool,
+    /// Visit a polled station on the next scan: it was just admitted,
+    /// its descriptor fired, or its last visit took a full quantum.
+    due: bool,
+}
+
+/// One worker's stations and the waker it sleeps on.
+struct Home<K> {
+    stations: Mutex<Vec<Station<K>>>,
+    waker: Arc<PollWaker>,
 }
 
 struct Shared<O: StationOwner> {
     owner: O,
-    waker: Arc<PollWaker>,
-    /// One station list per worker; only admission and the home worker
-    /// take the lock.
-    homes: Vec<Mutex<Vec<Station<O::Key>>>>,
+    /// One per worker; only admission and the home worker take the lock.
+    homes: Vec<Home<O::Key>>,
     keys: Mutex<HashSet<O::Key>>,
     admitted: AtomicUsize,
     stop: AtomicBool,
@@ -103,55 +150,64 @@ impl<O: StationOwner> StationPool<O> {
     /// starts.
     ///
     /// # Errors
-    /// The first refused station's key and [`Exit`]
-    /// ([`Exit::Duplicate`] or [`Exit::WakerRejected`]); no thread has
-    /// started.
+    /// The first refused station's key and [`Exit`] (before any thread
+    /// starts), or the I/O error that stopped a worker's wake socket or
+    /// thread.
     pub fn start(
         owner: O,
         workers: usize,
         stations: Vec<(O::Key, Box<dyn Transport + Send>)>,
-    ) -> Result<StationPool<O>, (O::Key, Exit)> {
+    ) -> Result<StationPool<O>, StartError<O::Key>> {
+        let homes = (0..workers.max(1))
+            .map(|_| {
+                Ok(Home {
+                    stations: Mutex::default(),
+                    waker: PollWaker::new()?,
+                })
+            })
+            .collect::<std::io::Result<_>>()
+            .map_err(StartError::Io)?;
         let shared = Arc::new(Shared {
             owner,
-            waker: PollWaker::new(),
-            homes: (0..workers.max(1)).map(|_| Mutex::default()).collect(),
+            homes,
             keys: Mutex::default(),
             admitted: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
         });
         for (key, transport) in stations {
-            shared.admit(key, transport).map_err(|exit| (key, exit))?;
+            shared
+                .admit(key, transport)
+                .map_err(|exit| StartError::Refused(key, exit))?;
         }
-        let threads = (0..shared.homes.len())
-            .map(|home| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || shared.work(home))
-            })
-            .collect();
-        Ok(StationPool {
+        let mut pool = StationPool {
             shared,
-            threads,
+            threads: Vec::new(),
             listening: None,
-        })
+        };
+        for home in 0..pool.shared.homes.len() {
+            let shared = Arc::clone(&pool.shared);
+            let thread = std::thread::Builder::new()
+                .name("eca-wire-worker".into())
+                .spawn(move || shared.work(home))
+                .map_err(StartError::Io)?;
+            pool.threads.push(thread);
+        }
+        Ok(pool)
     }
 
     /// Start the accept thread: every connection on `listener` passes
     /// [`StationOwner::gate`] and joins the running pool as a
-    /// non-blocking [`TcpTransport`] whose readiness `poller` watches.
+    /// non-blocking [`TcpTransport`] station.
     ///
     /// # Errors
     /// Reading the listener's address or spawning the thread failed.
-    pub fn listen(
-        &mut self,
-        listener: TcpListener,
-        poller: Arc<Poller>,
-    ) -> std::io::Result<SocketAddr> {
+    pub fn listen(&mut self, listener: TcpListener) -> std::io::Result<SocketAddr> {
         let addr = listener.local_addr()?;
         let shared = Arc::clone(&self.shared);
         self.threads.push(
             std::thread::Builder::new()
                 .name("eca-wire-accept".into())
-                .spawn(move || shared.accept(&listener, &poller))?,
+                .spawn(move || shared.accept(&listener))?,
         );
         self.listening = Some(addr);
         Ok(addr)
@@ -173,7 +229,9 @@ impl<O: StationOwner> StationPool<O> {
 
     fn halt(&mut self) -> std::thread::Result<()> {
         self.shared.stop.store(true, Ordering::Release);
-        self.shared.waker.notify();
+        for home in &self.shared.homes {
+            home.waker.notify();
+        }
         if let Some(addr) = self.listening.take() {
             // The accept thread sleeps in `accept`; a throwaway
             // connection wakes it to see the stop flag.
@@ -184,7 +242,7 @@ impl<O: StationOwner> StationPool<O> {
             joined = joined.and(thread.join());
         }
         for home in &self.shared.homes {
-            lock(home).clear();
+            lock(&home.stations).clear();
         }
         joined
     }
@@ -202,17 +260,25 @@ impl<O: StationOwner> Shared<O> {
         if !lock(&self.keys).insert(key) {
             return Err(Exit::Duplicate);
         }
-        if !transport.set_waker(Arc::clone(&self.waker)) {
+        let index = self.admitted.fetch_add(1, Ordering::Relaxed);
+        let home = &self.homes[index % self.homes.len()];
+        let polled = !transport.set_waker(Arc::clone(&home.waker));
+        if polled && transport.poll_fd().is_none() {
             lock(&self.keys).remove(&key);
             return Err(Exit::WakerRejected);
         }
-        let index = self.admitted.fetch_add(1, Ordering::Relaxed);
-        lock(&self.homes[index % self.homes.len()]).push(Station { key, transport });
-        self.waker.notify();
+        lock(&home.stations).push(Station {
+            key,
+            transport,
+            polled,
+            due: true,
+        });
+        // The worker may be asleep on the old descriptor set.
+        home.waker.notify();
         Ok(())
     }
 
-    fn accept(&self, listener: &TcpListener, poller: &Arc<Poller>) {
+    fn accept(&self, listener: &TcpListener) {
         for stream in listener.incoming() {
             if self.stop.load(Ordering::Acquire) {
                 return;
@@ -224,10 +290,7 @@ impl<O: StationOwner> Shared<O> {
             // The server end of the channel; its meter is private, since
             // §6 accounting reads the dialer's side.
             let admitted = match TcpTransport::new(stream, Role::Warehouse, TransferMeter::new()) {
-                Ok(mut transport) => {
-                    transport.attach_poller(Arc::clone(poller));
-                    self.admit(key, Box::new(transport))
-                }
+                Ok(transport) => self.admit(key, Box::new(transport)),
                 Err(e) => Err(Exit::Faulted(TransportError::Io(e))),
             };
             if let Err(exit) = admitted {
@@ -236,39 +299,76 @@ impl<O: StationOwner> Shared<O> {
         }
     }
 
-    /// One worker: scan the home stations until the pool stops, parking
-    /// whenever a scan moves nothing.
+    /// One worker: until the pool stops, scan the home stations, then
+    /// poll the idle sockets and the waker, sleeping there unless a
+    /// station still holds messages.
     fn work(&self, home: usize) {
+        let home = &self.homes[home];
         let mut batch = Vec::new();
         let mut replies = Vec::new();
+        // The idle sockets' poll entries and their stations' positions.
+        let mut fds: Vec<PollFd> = Vec::new();
+        let mut at: Vec<usize> = Vec::new();
+        let mut sweep = Instant::now() + PARK;
         loop {
             // Snapshot before checking the stop flag and scanning: a stop
             // or an arrival after this moves the epoch, so the wait below
             // returns at once.
-            let seen = self.waker.epoch();
+            let seen = home.waker.epoch();
             if self.stop.load(Ordering::Acquire) {
                 return;
             }
-            let mut progress = false;
-            lock(&self.homes[home]).retain_mut(|st| {
-                match self.visit(st, &mut batch, &mut replies) {
-                    Ok(moved) => progress |= moved,
-                    Err(exit) => {
-                        lock(&self.keys).remove(&st.key);
-                        self.owner.closed(st.key, exit);
-                        return false;
+            let now = Instant::now();
+            let backstop = now >= sweep;
+            if backstop {
+                sweep = now + PARK;
+            }
+            let mut busy = false;
+            fds.clear();
+            at.clear();
+            let mut stations = lock(&home.stations);
+            let mut pos = 0;
+            stations.retain_mut(|st| {
+                if !st.polled || st.due || backstop {
+                    match self.visit(st, &mut batch, &mut replies) {
+                        Ok(more) => {
+                            busy |= more;
+                            st.due = more;
+                        }
+                        Err(exit) => {
+                            lock(&self.keys).remove(&st.key);
+                            self.owner.closed(st.key, exit);
+                            return false;
+                        }
                     }
                 }
+                if let Some(fd) = st.transport.poll_fd().filter(|_| !st.due) {
+                    fds.push(fd);
+                    at.push(pos);
+                }
+                pos += 1;
                 true
             });
-            if !progress {
-                self.waker.wait(seen, PARK);
+            drop(stations);
+            if busy && fds.is_empty() {
+                continue;
+            }
+            let timeout = if busy { Duration::ZERO } else { PARK };
+            home.waker.wait(seen, &mut fds, timeout);
+            if fds.iter().any(|fd| fd.revents != 0) {
+                let mut stations = lock(&home.stations);
+                for (fd, &pos) in fds.iter().zip(&at) {
+                    // Positions hold: only this worker removes stations,
+                    // and admission appends.
+                    stations[pos].due |= fd.revents != 0;
+                }
             }
         }
     }
 
-    /// Drain, handle and answer one station. `Ok(true)` if a message
-    /// moved or is waiting, `Ok(false)` if idle, `Err` if it must leave.
+    /// Drain, handle and answer one station. `Ok(true)` if it may hold
+    /// more right now (a full quantum moved, or a probe found a message
+    /// waiting), `Ok(false)` if it is drained, `Err` if it must leave.
     fn visit(
         &self,
         st: &mut Station<O::Key>,
@@ -277,7 +377,7 @@ impl<O: StationOwner> Shared<O> {
     ) -> Result<bool, Exit> {
         // Messages drained before a fault are still handled.
         let drained = st.transport.drain_into(batch, QUANTUM);
-        let moved = !batch.is_empty();
+        let taken = batch.len();
         for msg in batch.drain(..) {
             self.owner.handle(st.key, msg, replies);
         }
@@ -285,8 +385,8 @@ impl<O: StationOwner> Shared<O> {
             st.transport.send(&reply).map_err(Exit::Faulted)?;
         }
         drained.map_err(Exit::Faulted)?;
-        if moved {
-            return Ok(true);
+        if taken > 0 {
+            return Ok(taken == QUANTUM);
         }
         match st.transport.poll().map_err(Exit::Faulted)? {
             Readiness::Ready => Ok(true),
@@ -298,4 +398,113 @@ impl<O: StationOwner> Shared<O> {
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SharedFifo;
+
+    /// Echoes every message to its sender and names every accepted
+    /// connection with a fresh key.
+    struct Echo(AtomicUsize);
+
+    impl StationOwner for Echo {
+        type Key = usize;
+
+        fn handle(&self, _: usize, msg: Message, replies: &mut Vec<Message>) {
+            replies.push(msg);
+        }
+
+        fn closed(&self, _: usize, _: Exit) {}
+
+        fn gate(&self, _: &TcpStream) -> Option<usize> {
+            Some(self.0.fetch_add(1, Ordering::Relaxed))
+        }
+    }
+
+    /// Idle gaps long enough for the worker to park, spread so the
+    /// arrivals after them land at every phase of a `PARK` timeout: a
+    /// worker that only wakes when `PARK` runs out answers half of them
+    /// after more than a quarter of it.
+    fn gaps() -> impl Iterator<Item = Duration> {
+        (0..8u32).map(|k| PARK + Duration::from_millis(7) * k)
+    }
+
+    /// One echo round trip from the client end of a station.
+    fn round_trip(client: &mut dyn Transport, n: u64) -> Duration {
+        let ping = Message::Hello { epoch: n };
+        let t0 = Instant::now();
+        client.send(&ping).unwrap();
+        let echoed = client.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(echoed, Some(ping));
+        t0.elapsed()
+    }
+
+    /// The median of round trips that each followed an idle gap, which
+    /// a prompt worker keeps far below a quarter of `PARK`.
+    fn assert_prompt(mut trips: Vec<Duration>, what: &str) {
+        trips.sort();
+        let median = trips[trips.len() / 2];
+        assert!(
+            median < PARK / 5,
+            "{what}: median round trip {median:?} after idling (all: {trips:?})"
+        );
+    }
+
+    #[test]
+    fn station_admitted_while_its_worker_is_parked_is_served_promptly() {
+        let mut pool = StationPool::start(Echo(AtomicUsize::new(0)), 1, Vec::new()).unwrap();
+        let addr = pool
+            .listen(TcpListener::bind("127.0.0.1:0").unwrap())
+            .unwrap();
+        let mut clients = Vec::new();
+        let trips = gaps()
+            .enumerate()
+            .map(|(n, gap)| {
+                // The worker parks on the stations it has; this one
+                // joins while it sleeps.
+                std::thread::sleep(gap);
+                let t0 = Instant::now();
+                let mut client =
+                    TcpTransport::connect(addr, Role::Source, TransferMeter::new()).unwrap();
+                round_trip(&mut client, n as u64);
+                clients.push(client);
+                t0.elapsed()
+            })
+            .collect();
+        assert_prompt(trips, "fresh station");
+        pool.stop().unwrap();
+    }
+
+    #[test]
+    fn worker_with_a_fifo_and_a_socket_wakes_for_either() {
+        let (mut fifo, fifo_end) = SharedFifo::pair(TransferMeter::new());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut socket = TcpTransport::connect(
+            listener.local_addr().unwrap(),
+            Role::Source,
+            TransferMeter::new(),
+        )
+        .unwrap();
+        let socket_end = TcpTransport::new(
+            listener.accept().unwrap().0,
+            Role::Warehouse,
+            TransferMeter::new(),
+        )
+        .unwrap();
+        let stations: Vec<(usize, Box<dyn Transport + Send>)> =
+            vec![(0, Box::new(fifo_end)), (1, Box::new(socket_end))];
+        let pool = StationPool::start(Echo(AtomicUsize::new(2)), 1, stations).unwrap();
+        let (mut by_fifo, mut by_socket) = (Vec::new(), Vec::new());
+        for (n, gap) in gaps().enumerate() {
+            std::thread::sleep(gap);
+            by_fifo.push(round_trip(&mut fifo, n as u64));
+            std::thread::sleep(gap);
+            by_socket.push(round_trip(&mut socket, n as u64));
+        }
+        assert_prompt(by_fifo, "in-process station");
+        assert_prompt(by_socket, "socket station");
+        pool.stop().unwrap();
+    }
 }

@@ -17,12 +17,11 @@
 //! * [`TcpTransport`] — length-prefixed frames over a *non-blocking*
 //!   `std::net::TcpStream`: an incremental [`FrameDecoder`] reassembles
 //!   frames across partial reads, sends queue into a bounded outbound
-//!   buffer when the socket would block, and an optional shared
-//!   [`Poller`](crate::Poller) thread turns fd readiness into
-//!   [`PollWaker`] notifications so hundreds of connections multiplex
-//!   onto one poll loop with **zero** per-connection threads. TCP's
-//!   in-order delivery preserves the §3 ordering assumption per
-//!   connection.
+//!   buffer when the socket would block, and [`Transport::poll_fd`]
+//!   hands a poll loop the descriptor to sleep on, so hundreds of
+//!   connections multiplex onto a few [`PollWaker::wait`] calls with
+//!   **zero** per-connection threads. TCP's in-order delivery preserves
+//!   the §3 ordering assumption per connection.
 //!
 //! Metering convention: each message is charged once per meter, in its
 //! direction of travel. A [`SharedFifo`] pair shares one meter and
@@ -35,8 +34,10 @@ use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::os::unix::net::UnixDatagram;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
@@ -127,9 +128,12 @@ impl From<std::io::Error> for TransportError {
     }
 }
 
+/// The `poll(2)` entry a multiplexing loop waits on: a descriptor, the
+/// events wanted, and the events the kernel reported.
+pub type PollFd = libc::pollfd;
+
 /// An eventcount a poll loop parks on while *many* endpoints are idle —
-/// the poll-set primitive the reactor runtime multiplexes transports
-/// with.
+/// the poll-set primitive the station pool multiplexes transports with.
 ///
 /// A loop that polls N channels needs a way to sleep until **any** of
 /// them becomes ready without racing arrivals that land between the last
@@ -140,15 +144,19 @@ impl From<std::io::Error> for TransportError {
 /// the polls), the wait returns immediately instead of sleeping through
 /// the event.
 ///
-/// Register the same waker on every transport in the set via
-/// [`Transport::set_waker`]; senders (and peer hang-ups) notify it.
+/// Channels reach the waker one of two ways. An in-process endpoint
+/// notifies it ([`Transport::set_waker`]) on every delivery and peer
+/// hang-up. A socket cannot, since nothing runs on the sending side of
+/// the syscall boundary, so it hands the loop its descriptor instead
+/// ([`Transport::poll_fd`]) and the loop passes that to
+/// [`PollWaker::wait`], which sleeps in one `poll(2)` over the given
+/// descriptors plus the waker's own wake socket.
 ///
 /// ```text
 /// let seen = waker.epoch();
 /// for t in &mut transports { match t.poll()? { ... } }
-/// if nothing_ready { waker.wait(seen, idle_bound); }
+/// if nothing_ready { waker.wait(seen, &mut socket_fds, idle_bound); }
 /// ```
-#[derive(Default)]
 pub struct PollWaker {
     /// Event counter, bumped by every notify. Atomic so the notify fast
     /// path (nobody parked) is one RMW with no lock and no syscall —
@@ -157,16 +165,29 @@ pub struct PollWaker {
     generation: AtomicU64,
     /// Parked waiter count; gates the slow path of notify.
     waiters: AtomicU64,
-    /// Guards only the condvar protocol, never the counter.
-    park: Mutex<()>,
-    cv: Condvar,
+    /// The wake socket pair, both ends non-blocking: a notify that sees
+    /// a parked waiter writes one datagram to `tx`, and every wait polls
+    /// `rx` beside its caller's descriptors.
+    tx: UnixDatagram,
+    rx: UnixDatagram,
 }
 
 impl PollWaker {
     /// A fresh waker behind an [`Arc`], ready to share across transports
     /// and threads.
-    pub fn new() -> Arc<PollWaker> {
-        Arc::new(PollWaker::default())
+    ///
+    /// # Errors
+    /// Creating the wake socket pair failed (descriptor exhaustion).
+    pub fn new() -> std::io::Result<Arc<PollWaker>> {
+        let (tx, rx) = UnixDatagram::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok(Arc::new(PollWaker {
+            generation: AtomicU64::new(0),
+            waiters: AtomicU64::new(0),
+            tx,
+            rx,
+        }))
     }
 
     /// The current generation. Snapshot this *before* polling the
@@ -180,54 +201,73 @@ impl PollWaker {
     pub fn notify(&self) {
         self.generation.fetch_add(1, Ordering::SeqCst);
         if self.waiters.load(Ordering::SeqCst) > 0 {
-            // Taking the park lock orders this notify against a waiter
-            // that has registered but not yet reached `cv.wait`.
-            drop(lock_ignore_poison(&self.park));
-            self.cv.notify_all();
+            // A full socket already holds a wake-up for the waiter.
+            let _ = self.tx.send(&[1]);
         }
     }
 
-    /// Park until a notify lands after generation `seen`, or `timeout`
-    /// elapses. Returns `true` when woken by a notify (or when one had
-    /// already landed), `false` on a plain timeout.
+    /// Park in one `poll(2)` over `fds` and the wake socket until a
+    /// notify lands after generation `seen`, one of `fds` reports an
+    /// event, or `timeout` elapses. Every entry of `fds` comes back with
+    /// fresh `revents`: when a notify had already landed, the descriptors
+    /// are still polled once, without blocking. Returns `true` when woken
+    /// by a notify or a descriptor, `false` on a plain timeout.
     ///
     /// The waiter registers *before* re-checking the epoch (both
     /// SeqCst), so a notify that misses the waiter count must have
     /// bumped the generation early enough for the re-check to see it —
-    /// the classic eventcount handshake, no wake-up lost.
-    pub fn wait(&self, seen: u64, timeout: std::time::Duration) -> bool {
-        if self.epoch() != seen {
+    /// the classic eventcount handshake, no wake-up lost. A `poll(2)`
+    /// that fails (an `ENOMEM`-class fault) sleeps out the timeout
+    /// instead of spinning.
+    pub fn wait(&self, seen: u64, fds: &mut Vec<PollFd>, timeout: Duration) -> bool {
+        if fds.is_empty() && self.epoch() != seen {
             return true;
         }
-        let deadline = std::time::Instant::now() + timeout;
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        let mut guard = lock_ignore_poison(&self.park);
+        let deadline = Instant::now() + timeout;
+        let own = fds.len();
+        fds.push(PollFd {
+            fd: self.rx.as_raw_fd(),
+            events: libc::POLLIN,
+            revents: 0,
+        });
+        // A zero-timeout probe never sleeps, so it needs no wake byte.
+        let parks = !timeout.is_zero();
+        if parks {
+            self.waiters.fetch_add(1, Ordering::SeqCst);
+        }
         let woken = loop {
-            if self.epoch() != seen {
+            let moved = self.epoch() != seen;
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            let ms = if moved {
+                0
+            } else {
+                remaining
+                    .as_nanos()
+                    .div_ceil(1_000_000)
+                    .min(i32::MAX as u128) as i32
+            };
+            if libc::poll_fds(fds, ms).is_err() {
+                fds.iter_mut().for_each(|f| f.revents = 0);
+                std::thread::sleep(remaining);
+                break self.epoch() != seen;
+            }
+            if fds[own].revents != 0 {
+                let mut buf = [0u8; 64];
+                while self.rx.recv(&mut buf).is_ok() {}
+            }
+            if moved || self.epoch() != seen || fds[..own].iter().any(|f| f.revents != 0) {
                 break true;
             }
-            let now = std::time::Instant::now();
-            let Some(remaining) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
+            if ms == 0 {
                 break false;
-            };
-            guard = match self.cv.wait_timeout(guard, remaining) {
-                Ok((g, _)) => g,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
+            }
         };
-        drop(guard);
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
+        if parks {
+            self.waiters.fetch_sub(1, Ordering::SeqCst);
+        }
+        fds.truncate(own);
         woken
     }
-}
-
-/// Mutex lock that shrugs off poisoning: waker state is a bare counter,
-/// always consistent.
-fn lock_ignore_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// What a non-blocking readiness probe observed on an endpoint.
@@ -343,9 +383,19 @@ pub trait Transport {
     /// becomes receivable on this endpoint or the peer hangs up, so a
     /// multiplexing poll loop can park instead of spinning. Returns
     /// `false` when the transport cannot deliver wake-ups (the default);
-    /// a [`crate::StationPool`] refuses such a transport.
+    /// such a transport must offer [`Transport::poll_fd`] instead, or a
+    /// [`crate::StationPool`] refuses it.
     fn set_waker(&mut self, _waker: Arc<PollWaker>) -> bool {
         false
+    }
+
+    /// The descriptor a poll loop sleeps on for this endpoint and the
+    /// events it waits for, for transports that cannot notify a waker
+    /// themselves; `None` (the default) for those that can, or neither.
+    /// The events may change after any call on the endpoint, so ask
+    /// again before every wait.
+    fn poll_fd(&self) -> Option<PollFd> {
+        None
     }
 
     /// The meter charged by this endpoint.
@@ -885,13 +935,13 @@ const TCP_READ_CHUNK: usize = 16 * 1024;
 /// keeps draining inbound so two peers flooding each other cannot
 /// deadlock. Blocking receives sleep in `poll(2)` on this socket alone.
 ///
-/// For *multiplexed* deployments, attach a shared
-/// [`Poller`](crate::Poller) ([`TcpTransport::attach_poller`]) before
-/// registering a waker: fd readiness then lands as
-/// [`PollWaker::notify`] exactly like a `SharedFifo` sender's, and the
-/// reactor drives hundreds of sockets from its fixed worker pool.
-/// Without a poller, [`Transport::set_waker`] reports `false` — there
-/// is no thread to deliver wake-ups.
+/// For *multiplexed* deployments the endpoint cannot notify a
+/// [`PollWaker`] ([`Transport::set_waker`] reports `false`: nothing runs
+/// on the sending side of the socket). It hands the poll loop its
+/// descriptor instead ([`Transport::poll_fd`]: `POLLIN`, plus `POLLOUT`
+/// while outbound bytes are pending), and the loop sleeps on it in
+/// [`PollWaker::wait`] — which is how the station pool drives hundreds
+/// of sockets from its fixed workers.
 ///
 /// TCP delivers in order, preserving the paper's §3 FIFO-channel
 /// assumption per connection.
@@ -914,19 +964,6 @@ pub struct TcpTransport {
     /// [`TcpTransport::close`] ran; the fd may be shut down.
     closed: bool,
     meter: TransferMeter,
-    /// Readiness multiplexer this endpoint's fd is (or will be)
-    /// registered with; see [`TcpTransport::attach_poller`].
-    poller: Option<Arc<crate::Poller>>,
-    /// Live registration with `poller`, created by `set_waker`.
-    poll_token: Option<crate::PollToken>,
-    /// The registration's fired-since-rearm flag, shared with the
-    /// poller thread.
-    poll_ready: Option<Arc<AtomicBool>>,
-    /// The last read drained the socket to `WouldBlock` (and re-armed
-    /// the poller). While this holds and `poll_ready` has not tripped,
-    /// the fd cannot have become readable without the poller noticing —
-    /// `pump` skips its read syscalls entirely.
-    sock_drained: bool,
 }
 
 impl TcpTransport {
@@ -953,10 +990,6 @@ impl TcpTransport {
             eof: false,
             closed: false,
             meter,
-            poller: None,
-            poll_token: None,
-            poll_ready: None,
-            sock_drained: false,
         })
     }
 
@@ -973,26 +1006,14 @@ impl TcpTransport {
         TcpTransport::new(stream, role, meter)
     }
 
-    /// Route this endpoint's readiness through `poller`: a subsequent
-    /// [`Transport::set_waker`] registers the fd and returns `true`,
-    /// letting a reactor park on its [`PollWaker`] instead of polling.
-    /// Attach *before* handing the transport to the poll loop.
-    pub fn attach_poller(&mut self, poller: Arc<crate::Poller>) {
-        self.poller = Some(poller);
-    }
-
-    /// Hang up: deregister from the poller, try to flush what the
-    /// kernel will take, and shut the socket down in both directions.
-    /// Idempotent; also invoked on drop. With no reader thread there is
-    /// nothing to join — close is O(1).
+    /// Hang up: try to flush what the kernel will take, and shut the
+    /// socket down in both directions. Idempotent; also invoked on drop.
+    /// With no reader thread there is nothing to join — close is O(1).
     pub fn close(&mut self) {
         if self.closed {
             return;
         }
         self.closed = true;
-        if let (Some(poller), Some(token)) = (&self.poller, self.poll_token.take()) {
-            poller.deregister(token);
-        }
         let _ = self.flush_outbound();
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
@@ -1035,23 +1056,11 @@ impl TcpTransport {
     /// The service pass: flush pending writes (best-effort — a write
     /// fault will re-surface as a read fault or on the next `send`),
     /// then read until `WouldBlock`/EOF, queueing every complete frame
-    /// (metered at decode time). Re-arms the poller registration when
-    /// the socket is drained, which is what makes oneshot wake-ups
-    /// loss-free (see the `poller` module docs).
+    /// (metered at decode time).
     fn pump(&mut self) {
         let _ = self.flush_outbound();
         if self.eof || self.closed {
             return;
-        }
-        if self.sock_drained {
-            // Drained, re-armed, and the registration has not fired
-            // since: the socket cannot hold unseen bytes, so skip the
-            // guaranteed-`EAGAIN` read. (Without a poller the flag is
-            // absent and every pump reads — correct, just slower.)
-            match &self.poll_ready {
-                Some(ready) if !ready.swap(false, Ordering::AcqRel) => return,
-                _ => self.sock_drained = false,
-            }
         }
         let mut chunk = [0u8; TCP_READ_CHUNK];
         loop {
@@ -1061,13 +1070,7 @@ impl TcpTransport {
                     break;
                 }
                 Ok(n) => self.decoder.extend(&chunk[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if let (Some(poller), Some(token)) = (&self.poller, self.poll_token) {
-                        poller.rearm(token);
-                        self.sock_drained = true;
-                    }
-                    break;
-                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => {
                     if self.fault.is_none() {
@@ -1121,20 +1124,23 @@ impl TcpTransport {
     /// when a flush is pending), `timeout_ms` elapses, or an error
     /// lands. `-1` blocks indefinitely.
     fn wait_io(&mut self, timeout_ms: i32) -> Result<(), TransportError> {
+        let mut fds = [self.wait_fd()];
+        libc::poll_fds(&mut fds, timeout_ms).map_err(TransportError::Io)?;
+        Ok(())
+    }
+
+    /// This socket and the events a wait on it needs: readable, plus
+    /// writable while a flush is pending.
+    fn wait_fd(&self) -> PollFd {
         let mut events = libc::POLLIN;
         if self.outbound_pending() > 0 {
             events |= libc::POLLOUT;
         }
-        let mut fds = [libc::pollfd {
+        PollFd {
             fd: self.stream.as_raw_fd(),
             events,
             revents: 0,
-        }];
-        libc::poll_fds(&mut fds, timeout_ms).map_err(TransportError::Io)?;
-        // This direct probe may have observed readiness the poller
-        // hasn't reported; the next pump must read.
-        self.sock_drained = false;
-        Ok(())
+        }
     }
 
     /// Pop the next already-pumped frame, decoding it to a message.
@@ -1267,22 +1273,8 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn set_waker(&mut self, waker: Arc<PollWaker>) -> bool {
-        match &self.poller {
-            Some(poller) => {
-                if let Some(token) = self.poll_token.take() {
-                    poller.deregister(token);
-                }
-                let token = poller.register(self.stream.as_raw_fd(), waker);
-                self.poll_token = Some(token);
-                self.poll_ready = poller.readiness(token);
-                self.sock_drained = false;
-                true
-            }
-            // No poller thread to watch the fd: wake-ups cannot be
-            // delivered, and claiming otherwise would stall the caller.
-            None => false,
-        }
+    fn poll_fd(&self) -> Option<PollFd> {
+        Some(self.wait_fd())
     }
 
     fn meter(&self) -> &TransferMeter {
@@ -1576,78 +1568,103 @@ mod tests {
 
     #[test]
     fn poll_waker_wait_returns_immediately_after_missed_notify() {
-        let waker = PollWaker::new();
+        let waker = PollWaker::new().unwrap();
         let seen = waker.epoch();
         waker.notify(); // lands between epoch() and wait(): must not be lost
         let start = std::time::Instant::now();
-        assert!(waker.wait(seen, std::time::Duration::from_secs(5)));
-        assert!(start.elapsed() < std::time::Duration::from_secs(1));
+        assert!(waker.wait(seen, &mut Vec::new(), Duration::from_secs(5)));
+        assert!(start.elapsed() < Duration::from_secs(1));
         // No event since: a fresh snapshot times out.
         let seen = waker.epoch();
-        assert!(!waker.wait(seen, std::time::Duration::from_millis(10)));
+        assert!(!waker.wait(seen, &mut Vec::new(), Duration::from_millis(10)));
+    }
+
+    #[test]
+    fn poll_waker_notify_wakes_a_parked_waiter() {
+        let waker = PollWaker::new().unwrap();
+        let seen = waker.epoch();
+        let notifier = {
+            let waker = Arc::clone(&waker);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                waker.notify();
+            })
+        };
+        let start = std::time::Instant::now();
+        assert!(waker.wait(seen, &mut Vec::new(), Duration::from_secs(5)));
+        assert!(start.elapsed() < Duration::from_secs(1));
+        notifier.join().unwrap();
+        // The wake byte was consumed: the next wait sleeps its timeout.
+        let seen = waker.epoch();
+        let start = std::time::Instant::now();
+        assert!(!waker.wait(seen, &mut Vec::new(), Duration::from_millis(20)));
+        assert!(start.elapsed() >= Duration::from_millis(20));
     }
 
     #[test]
     fn shared_fifo_send_notifies_registered_waker() {
         let (mut src, mut wh) = SharedFifo::pair(TransferMeter::new());
-        let waker = PollWaker::new();
+        let waker = PollWaker::new().unwrap();
         assert!(wh.set_waker(Arc::clone(&waker)));
+        assert!(wh.poll_fd().is_none());
         let seen = waker.epoch();
         assert_eq!(wh.poll().unwrap(), Readiness::Idle);
         let sender = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(20));
+            std::thread::sleep(Duration::from_millis(20));
             src.send(&notification(4)).unwrap();
             src
         });
-        assert!(waker.wait(seen, std::time::Duration::from_secs(5)));
+        assert!(waker.wait(seen, &mut Vec::new(), Duration::from_secs(5)));
         assert_eq!(wh.poll().unwrap(), Readiness::Ready);
         assert_eq!(wh.try_recv().unwrap(), Some(notification(4)));
         // Peer drop also notifies, so a parked loop observes Closed.
         let seen = waker.epoch();
         drop(sender.join().unwrap());
-        assert!(waker.wait(seen, std::time::Duration::from_secs(5)));
+        assert!(waker.wait(seen, &mut Vec::new(), Duration::from_secs(5)));
         assert_eq!(wh.poll().unwrap(), Readiness::Closed);
     }
 
     #[test]
-    fn tcp_poller_notifies_registered_waker() {
+    fn tcp_hands_its_fd_to_a_parked_waiter() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().unwrap();
             let mut wh = TcpTransport::new(stream, Role::Warehouse, TransferMeter::new()).unwrap();
+            std::thread::sleep(Duration::from_millis(20));
             wh.send(&notification(1)).unwrap();
-            // Dropped afterwards: the client waker must also see Closed.
+            // Dropped afterwards: the client's wait must also see Closed.
         });
         let mut src = TcpTransport::connect(addr, Role::Source, TransferMeter::new()).unwrap();
-        let waker = PollWaker::new();
-        // Without a poller there is nothing to watch the fd, so the
-        // transport must refuse the registration...
+        let waker = PollWaker::new().unwrap();
+        // Nothing runs on the sending side of a socket, so the transport
+        // refuses a waker and hands over its descriptor instead.
         assert!(!src.set_waker(Arc::clone(&waker)));
-        // ...and accept it once one is attached.
-        let poller = crate::Poller::new().unwrap();
-        src.attach_poller(Arc::clone(&poller));
-        assert!(src.set_waker(Arc::clone(&waker)));
-        let mut seen = waker.epoch();
+        let fd = src.poll_fd().unwrap();
+        assert_eq!(fd.events, libc::POLLIN);
+        let mut fds = Vec::new();
         loop {
             match src.poll().unwrap() {
                 Readiness::Ready => break,
                 Readiness::Idle => {
-                    waker.wait(seen, std::time::Duration::from_secs(5));
-                    seen = waker.epoch();
+                    fds.push(src.poll_fd().unwrap());
+                    // No notify ever lands: only the descriptor wakes it.
+                    assert!(waker.wait(waker.epoch(), &mut fds, Duration::from_secs(5)));
+                    assert_ne!(fds[0].revents & libc::POLLIN, 0);
+                    fds.clear();
                 }
                 Readiness::Closed => panic!("closed before delivering"),
             }
         }
         assert_eq!(src.try_recv().unwrap(), Some(notification(1)));
         server.join().unwrap();
-        let mut seen = waker.epoch();
         loop {
             match src.poll().unwrap() {
                 Readiness::Closed => break,
                 _ => {
-                    waker.wait(seen, std::time::Duration::from_secs(5));
-                    seen = waker.epoch();
+                    fds.push(src.poll_fd().unwrap());
+                    waker.wait(waker.epoch(), &mut fds, Duration::from_secs(5));
+                    fds.clear();
                 }
             }
         }

@@ -67,12 +67,12 @@ impl Example6 {
     /// semantics, so no proper subset is a key). Keyness is the signal
     /// self-maintaining algorithms (ECA-Aux) use to decide which
     /// relations get warehouse-resident auxiliary views.
-    fn keyed_schemas() -> Vec<Schema> {
-        vec![
-            Schema::with_key("r1", &["W", "X"], &["W", "X"]).expect("key attrs exist"),
-            Schema::with_key("r2", &["X", "Y"], &["X", "Y"]).expect("key attrs exist"),
-            Schema::with_key("r3", &["Y", "Z"], &["Y", "Z"]).expect("key attrs exist"),
-        ]
+    fn keyed_schemas() -> Result<Vec<Schema>, CoreError> {
+        Ok(vec![
+            Schema::with_key("r1", &["W", "X"], &["W", "X"])?,
+            Schema::with_key("r2", &["X", "Y"], &["X", "Y"])?,
+            Schema::with_key("r3", &["Y", "Z"], &["Y", "Z"])?,
+        ])
     }
 
     /// The view `V = π_{W,Z}(σ_{W>Z}(r1 ⋈_X r2 ⋈_Y r3))`.
@@ -89,7 +89,7 @@ impl Example6 {
     /// # Errors
     /// Never in practice; propagates view validation.
     pub fn keyed_view() -> Result<ViewDef, CoreError> {
-        Self::view_over(Self::keyed_schemas())
+        Self::view_over(Self::keyed_schemas()?)
     }
 
     fn view_over(schemas: Vec<Schema>) -> Result<ViewDef, CoreError> {

@@ -2,7 +2,9 @@
 //!
 //! Each scenario packages the view, initial base data, the update script,
 //! and the correct final view, so integration tests and the anomaly-tour
-//! example can replay them through the full simulator stack.
+//! example can replay them through the full simulator stack. A
+//! constructor's `Err` would mean a static view failed validation; none
+//! does.
 
 use eca_core::{CoreError, ViewDef};
 use eca_relational::{Predicate, Schema, SignedBag, Tuple, Update};
@@ -61,11 +63,11 @@ fn bag(tuples: &[&[i64]]) -> SignedBag {
 
 /// Example 1 (§1.1): a single insert with spaced processing — correct even
 /// for the basic algorithm.
-pub fn example1() -> Scenario {
-    Scenario {
+pub fn example1() -> Result<Scenario, CoreError> {
+    Ok(Scenario {
         name: "example1",
         description: "single insert; correct under any algorithm",
-        view: view_2rel(vec![0], false).expect("static"),
+        view: view_2rel(vec![0], false)?,
         initial: vec![
             ("r1", vec![Tuple::ints([1, 2])]),
             ("r2", vec![Tuple::ints([2, 4])]),
@@ -77,16 +79,16 @@ pub fn example1() -> Scenario {
             b
         },
         keyed: false,
-    }
+    })
 }
 
 /// Example 2 (§1.1): the insert anomaly — under the adversarial
 /// interleaving the basic algorithm duplicates `[4]`.
-pub fn example2() -> Scenario {
-    Scenario {
+pub fn example2() -> Result<Scenario, CoreError> {
+    Ok(Scenario {
         name: "example2",
         description: "insert anomaly: basic algorithm yields ([1],[4],[4])",
-        view: view_2rel(vec![0], false).expect("static"),
+        view: view_2rel(vec![0], false)?,
         initial: vec![("r1", vec![Tuple::ints([1, 2])]), ("r2", vec![])],
         updates: vec![
             Update::insert("r2", Tuple::ints([2, 3])),
@@ -94,16 +96,16 @@ pub fn example2() -> Scenario {
         ],
         expected_final: bag(&[&[1], &[4]]),
         keyed: false,
-    }
+    })
 }
 
 /// Example 3 (§1.1): the deletion anomaly — the basic algorithm leaves a
 /// phantom tuple.
-pub fn example3() -> Scenario {
-    Scenario {
+pub fn example3() -> Result<Scenario, CoreError> {
+    Ok(Scenario {
         name: "example3",
         description: "deletion anomaly: basic algorithm leaves [1,3] behind",
-        view: view_2rel(vec![0, 3], false).expect("static"),
+        view: view_2rel(vec![0, 3], false)?,
         initial: vec![
             ("r1", vec![Tuple::ints([1, 2])]),
             ("r2", vec![Tuple::ints([2, 3])]),
@@ -114,15 +116,15 @@ pub fn example3() -> Scenario {
         ],
         expected_final: SignedBag::new(),
         keyed: false,
-    }
+    })
 }
 
 /// Example 4 (§5.3): ECA handling three insertions into three relations.
-pub fn example4() -> Scenario {
-    Scenario {
+pub fn example4() -> Result<Scenario, CoreError> {
+    Ok(Scenario {
         name: "example4",
         description: "ECA with three inserts before any answer",
-        view: view_3rel().expect("static"),
+        view: view_3rel()?,
         initial: vec![
             ("r1", vec![Tuple::ints([1, 2])]),
             ("r2", vec![]),
@@ -135,15 +137,15 @@ pub fn example4() -> Scenario {
         ],
         expected_final: bag(&[&[1], &[4]]),
         keyed: false,
-    }
+    })
 }
 
 /// Example 5 (§5.4): ECA-Key with two inserts and a delete.
-pub fn example5() -> Scenario {
-    Scenario {
+pub fn example5() -> Result<Scenario, CoreError> {
+    Ok(Scenario {
         name: "example5",
         description: "ECA-Key: local key-delete plus duplicate suppression",
-        view: view_2rel(vec![0, 3], true).expect("static"),
+        view: view_2rel(vec![0, 3], true)?,
         initial: vec![
             ("r1", vec![Tuple::ints([1, 2])]),
             ("r2", vec![Tuple::ints([2, 3])]),
@@ -155,15 +157,15 @@ pub fn example5() -> Scenario {
         ],
         expected_final: bag(&[&[3, 3], &[3, 4]]),
         keyed: true,
-    }
+    })
 }
 
 /// Example 7 (App. A): three inserts with an interleaved answer.
-pub fn example7() -> Scenario {
-    Scenario {
+pub fn example7() -> Result<Scenario, CoreError> {
+    Ok(Scenario {
         name: "example7",
         description: "ECA with answers interleaved between updates",
-        view: view_3rel().expect("static"),
+        view: view_3rel()?,
         initial: vec![
             ("r1", vec![Tuple::ints([1, 2])]),
             ("r2", vec![]),
@@ -176,15 +178,15 @@ pub fn example7() -> Scenario {
         ],
         expected_final: bag(&[&[1], &[4]]),
         keyed: false,
-    }
+    })
 }
 
 /// Example 8 (App. A): two deletions under ECA.
-pub fn example8() -> Scenario {
-    Scenario {
+pub fn example8() -> Result<Scenario, CoreError> {
+    Ok(Scenario {
         name: "example8",
         description: "ECA with two deletions emptying the view",
-        view: view_2rel(vec![0], false).expect("static"),
+        view: view_2rel(vec![0], false)?,
         initial: vec![
             ("r1", vec![Tuple::ints([1, 2]), Tuple::ints([4, 2])]),
             ("r2", vec![Tuple::ints([2, 3])]),
@@ -195,15 +197,15 @@ pub fn example8() -> Scenario {
         ],
         expected_final: SignedBag::new(),
         keyed: false,
-    }
+    })
 }
 
 /// Example 9 (App. A): a deletion racing an insertion.
-pub fn example9() -> Scenario {
-    Scenario {
+pub fn example9() -> Result<Scenario, CoreError> {
+    Ok(Scenario {
         name: "example9",
         description: "ECA with a delete racing an insert",
-        view: view_2rel(vec![0], false).expect("static"),
+        view: view_2rel(vec![0], false)?,
         initial: vec![
             ("r1", vec![Tuple::ints([1, 2]), Tuple::ints([4, 2])]),
             ("r2", vec![]),
@@ -214,21 +216,20 @@ pub fn example9() -> Scenario {
         ],
         expected_final: bag(&[&[1]]),
         keyed: false,
-    }
+    })
 }
 
 /// All canned scenarios in paper order.
-pub fn all() -> Vec<Scenario> {
-    vec![
-        example1(),
-        example2(),
-        example3(),
-        example4(),
-        example5(),
-        example7(),
-        example8(),
-        example9(),
+///
+/// # Errors
+/// Never in practice; propagates view validation.
+pub fn all() -> Result<Vec<Scenario>, CoreError> {
+    [
+        example1, example2, example3, example4, example5, example7, example8, example9,
     ]
+    .iter()
+    .map(|scenario| scenario())
+    .collect()
 }
 
 #[cfg(test)]
@@ -240,7 +241,7 @@ mod tests {
     /// the base data after all updates.
     #[test]
     fn expected_finals_are_self_consistent() {
-        for sc in all() {
+        for sc in all().unwrap() {
             let mut db = BaseDb::for_view(&sc.view);
             for (rel, tuples) in &sc.initial {
                 for t in tuples {
@@ -257,16 +258,16 @@ mod tests {
 
     #[test]
     fn keyed_flags_match_views() {
-        for sc in all() {
+        for sc in all().unwrap() {
             assert_eq!(sc.view.is_fully_keyed(), sc.keyed, "{}", sc.name);
         }
     }
 
     #[test]
     fn names_are_unique() {
-        let mut names: Vec<_> = all().iter().map(|s| s.name).collect();
+        let mut names: Vec<_> = all().unwrap().iter().map(|s| s.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), all().len());
+        assert_eq!(names.len(), all().unwrap().len());
     }
 }

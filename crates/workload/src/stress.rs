@@ -48,7 +48,10 @@ impl Zipfian {
 
     /// Draw one rank.
     pub fn sample(&self, rng: &mut StdRng) -> usize {
-        let total = *self.cum.last().expect("non-empty");
+        // `new` refuses an empty domain, so `cum` has a last entry.
+        let Some(&total) = self.cum.last() else {
+            return 0;
+        };
         let draw = rng.gen_range(0..total);
         self.cum.partition_point(|&c| c <= draw)
     }

@@ -34,7 +34,7 @@ fn run(scenario: &Canned, kind: AlgorithmKind) -> Result<RunReport, Box<dyn std:
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    for scenario in scenarios::all() {
+    for scenario in scenarios::all()? {
         println!("=== {} — {}", scenario.name, scenario.description);
         println!("view: {:?}", scenario.view);
         for u in &scenario.updates {

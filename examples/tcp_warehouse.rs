@@ -11,11 +11,10 @@
 //! [`eca_warehouse::SourceId`]. The warehouse side is
 //! [`eca_warehouse::ReactorWarehouse::run_listener`]: connections are
 //! admitted *live* into a running [`eca_wire::StationPool`], each socket
-//! owned by one worker and its readiness multiplexed by one
-//! [`eca_wire::Poller`] thread into [`eca_wire::PollWaker`]
-//! notifications. However many sources you ask
-//! for, the warehouse side stays at `workers + 1 accept loop + 1 poller`
-//! OS threads.
+//! owned by one worker, which sleeps in one `poll(2)` over its own
+//! sockets and its [`eca_wire::PollWaker`]'s wake socket. However many
+//! sources you ask for, the warehouse side stays at `workers + 1 accept
+//! loop` OS threads.
 //!
 //! Each source hosts one two-relation join view; after every script
 //! drains, every materialized view is checked against its definition
@@ -149,8 +148,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         // Sample the thread count mid-run: the delta over the pre-pool
         // baseline is the warehouse's whole footprint (workers + accept
-        // loop — the poller is already in the baseline), however many
-        // sites dial in.
+        // loop), however many sites dial in.
         let sampler = scope.spawn(|| {
             std::thread::sleep(std::time::Duration::from_millis(10));
             os_threads()
@@ -161,10 +159,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             if during > before {
                 println!(
                     "OS threads mid-run: {during} — the warehouse runtime added {} \
-                     ({workers} workers + 1 accept loop; 1 poller already running), \
+                     ({} workers + 1 accept loop), \
                      independent of --sources; the {n_sources} source sites are \
                      this demo's own dialing threads",
-                    during - before
+                    during - before,
+                    workers.min(n_sources)
                 );
             }
         }

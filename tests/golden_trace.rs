@@ -268,8 +268,9 @@ fn runtime_equivalence_fingerprints_are_stable() {
     }
 }
 
-/// The reactor over real loopback TCP — listener handshake, one poller
-/// thread, framed non-blocking sockets — must land on the *same* pinned
+/// The reactor over real loopback TCP — listener handshake, workers
+/// asleep in `poll(2)` on their own sockets, framed non-blocking sockets,
+/// a source fleet parked on the same descriptor-aware waker — must land on the *same* pinned
 /// fingerprint as the in-memory runtimes: swapping every link's bytes
 /// onto the wire may not change a single observable (view-state
 /// histories, finals, or source-side link meters).

@@ -13,7 +13,7 @@ use eca_workload::scenarios;
 fn modification_expands_and_converges_under_all_algorithms() {
     // Reuse Example 1's schema/data and modify the r1 tuple's join value
     // so derived view tuples flip.
-    let sc = scenarios::example1();
+    let sc = scenarios::example1().unwrap();
     let modification = Modification::new("r1", Tuple::ints([1, 2]), Tuple::ints([1, 3]));
     let updates: Vec<Update> = modification.expand();
 
@@ -50,7 +50,7 @@ fn modification_expands_and_converges_under_all_algorithms() {
 fn racing_modification_halves_are_repaired_by_eca() {
     // The delete and insert halves execute at the source before any query
     // is answered — the anomaly-prone interleaving.
-    let sc = scenarios::example1();
+    let sc = scenarios::example1().unwrap();
     let modification = Modification::new("r2", Tuple::ints([2, 4]), Tuple::ints([2, 9]));
     let updates = modification.expand();
 

@@ -31,7 +31,7 @@ fn run(scenario: &Scenario, kind: AlgorithmKind, policy: Policy) -> Result<RunRe
 /// and the view retains the duplicate [1] (duplicate semantics matter).
 #[test]
 fn example_1_basic_correct_when_serial() {
-    let sc = scenarios::example1();
+    let sc = scenarios::example1().unwrap();
     let report = run(&sc, AlgorithmKind::Basic, Policy::Serial).unwrap();
     assert!(report.converged());
     assert_eq!(report.final_mv.count(&Tuple::ints([1])), 2);
@@ -41,7 +41,7 @@ fn example_1_basic_correct_when_serial() {
 /// under the adversarial interleaving; ECA repairs it.
 #[test]
 fn example_2_insert_anomaly_and_repair() {
-    let sc = scenarios::example2();
+    let sc = scenarios::example2().unwrap();
     let naive = run(&sc, AlgorithmKind::Basic, Policy::AllUpdatesFirst).unwrap();
     assert!(!naive.converged(), "the anomaly must reproduce");
     assert_eq!(naive.final_mv.count(&Tuple::ints([4])), 2);
@@ -59,7 +59,7 @@ fn example_2_insert_anomaly_and_repair() {
 /// Example 3: the deletion anomaly leaves a phantom [1,3]; ECA removes it.
 #[test]
 fn example_3_delete_anomaly_and_repair() {
-    let sc = scenarios::example3();
+    let sc = scenarios::example3().unwrap();
     let naive = run(&sc, AlgorithmKind::Basic, Policy::AllUpdatesFirst).unwrap();
     assert!(!naive.converged());
     assert_eq!(naive.final_mv.count(&Tuple::ints([1, 3])), 1);
@@ -72,7 +72,10 @@ fn example_3_delete_anomaly_and_repair() {
 /// Examples 4 and 7: three inserts, batched and interleaved, under ECA.
 #[test]
 fn examples_4_and_7_eca_three_inserts() {
-    for sc in [scenarios::example4(), scenarios::example7()] {
+    for sc in [
+        scenarios::example4().unwrap(),
+        scenarios::example7().unwrap(),
+    ] {
         for policy in [
             Policy::AllUpdatesFirst,
             Policy::Serial,
@@ -89,7 +92,7 @@ fn examples_4_and_7_eca_three_inserts() {
 /// delete), duplicates suppressed.
 #[test]
 fn example_5_eca_key() {
-    let sc = scenarios::example5();
+    let sc = scenarios::example5().unwrap();
     let report = run(&sc, AlgorithmKind::EcaKey, Policy::AllUpdatesFirst).unwrap();
     assert!(report.converged());
     assert_eq!(report.final_mv, sc.expected_final);
@@ -105,7 +108,10 @@ fn example_5_eca_key() {
 /// Examples 8 and 9: deletions (and a racing insert) under ECA.
 #[test]
 fn examples_8_and_9_deletions() {
-    for sc in [scenarios::example8(), scenarios::example9()] {
+    for sc in [
+        scenarios::example8().unwrap(),
+        scenarios::example9().unwrap(),
+    ] {
         let report = run(&sc, AlgorithmKind::Eca, Policy::AllUpdatesFirst).unwrap();
         assert!(report.converged(), "{}", sc.name);
         assert_eq!(report.final_mv, sc.expected_final, "{}", sc.name);
@@ -116,7 +122,7 @@ fn examples_8_and_9_deletions() {
 /// final view is right and the history is at least strongly consistent.
 #[test]
 fn all_scenarios_all_correct_algorithms() {
-    for sc in scenarios::all() {
+    for sc in scenarios::all().unwrap() {
         let mut kinds = vec![
             AlgorithmKind::Eca,
             AlgorithmKind::EcaOptimized,
@@ -169,7 +175,7 @@ fn all_scenarios_all_correct_algorithms() {
 /// LCA and SC additionally deliver completeness on every scenario.
 #[test]
 fn lca_and_sc_are_complete_on_all_scenarios() {
-    for sc in scenarios::all() {
+    for sc in scenarios::all().unwrap() {
         for kind in [AlgorithmKind::Lca, AlgorithmKind::StoreCopies] {
             for policy in [Policy::Serial, Policy::AllUpdatesFirst] {
                 let report = run(&sc, kind, policy).unwrap();
@@ -193,7 +199,7 @@ fn lca_and_sc_are_complete_on_all_scenarios() {
 /// interleaving of Example 2 it skips the intermediate source state.
 #[test]
 fn eca_is_not_complete() {
-    let sc = scenarios::example2();
+    let sc = scenarios::example2().unwrap();
     let report = run(&sc, AlgorithmKind::Eca, Policy::AllUpdatesFirst).unwrap();
     let check = eca_consistency::check(&report.source_view_states, &report.warehouse_view_states);
     assert!(check.strongly_consistent);
