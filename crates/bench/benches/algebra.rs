@@ -1,13 +1,15 @@
 //! Substrate microbenchmarks: signed-bag algebra, SPJ evaluation, the
 //! physical engine's access paths, the wire codec and in-process
-//! channel, a compensating query's path from maintainer to source, and
-//! epoch publication for read serving.
+//! channel, a compensating query's path from maintainer to source,
+//! epoch publication for read serving, and the write-ahead log's syncs
+//! and checkpoint writes.
 
 use std::collections::VecDeque;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eca_core::algorithms::Eca;
 use eca_core::{ViewDef, ViewMaintainer};
+use eca_durable::{FsyncPolicy, SourceCheckpoint, ViewCheckpoint, Wal, WalRecord};
 use eca_relational::{Schema, SignedBag, Tuple, Update, Value};
 use eca_source::Source;
 use eca_storage::{IoMeter, Scenario, StorageEngine, Table};
@@ -360,10 +362,62 @@ fn bench_serving(c: &mut Criterion) {
     group.finish();
 }
 
+/// The log's sync and the checkpoint's write, on the temp directory's
+/// file system. `wal_batch32_sync`: 32 records buffered, then one sync,
+/// into a `fresh` log (a new file each time, so the sync grows it by its
+/// first zero-filled segment) and into a `reused` one (the steady state:
+/// the sync overwrites zeros in place, and grows the file only when a
+/// batch runs past the segment). `checkpoint_write`: one 100k-tuple view,
+/// encoded, checksummed and synced in one pass.
+fn bench_durable(c: &mut Criterion) {
+    let dir = std::env::temp_dir().join(format!("eca-bench-durable-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let record = WalRecord::Answer {
+        id: 7,
+        answer: (0..4).map(|i| Tuple::ints([i, 100 + i])).collect(),
+    };
+    let batch = |wal: &mut Wal| {
+        for _ in 0..32 {
+            wal.append(&record).expect("append");
+        }
+        wal.sync().expect("sync");
+    };
+    let mut group = c.benchmark_group("durable");
+    let fresh = dir.join("fresh.wal");
+    group.bench_function(BenchmarkId::new("wal_batch32_sync", "fresh"), |b| {
+        b.iter(|| {
+            let _ = std::fs::remove_file(&fresh);
+            let mut wal = Wal::open(&fresh, FsyncPolicy::OnCheckpoint).expect("open");
+            batch(&mut wal);
+        })
+    });
+    let mut reused = Wal::open(dir.join("reused.wal"), FsyncPolicy::OnCheckpoint).expect("open");
+    batch(&mut reused);
+    group.bench_function(BenchmarkId::new("wal_batch32_sync", "reused"), |b| {
+        b.iter(|| batch(&mut reused))
+    });
+    let checkpoint = SourceCheckpoint {
+        epoch: 1,
+        next_global_id: 1,
+        notifications_applied: 0,
+        wal_gen: 1,
+        views: vec![ViewCheckpoint {
+            mv: scattered_tuples(100_000).into_iter().collect(),
+            aux: Vec::new(),
+        }],
+    };
+    let path = dir.join("view.ckpt");
+    group.bench_function(BenchmarkId::new("checkpoint_write", "100k"), |b| {
+        b.iter(|| checkpoint.write(&path).expect("checkpoint"))
+    });
+    group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_signed_bags, bench_spj, bench_physical_engine, bench_wire_codec,
-        bench_query_path, bench_serving
+        bench_query_path, bench_serving, bench_durable
 }
 criterion_main!(benches);

@@ -27,6 +27,7 @@ fn bench_compensation_growth(c: &mut Criterion) {
                     UpdateMix::CorrelatedChurn,
                     Scenario::Indexed,
                 )
+                .expect("deterministic run")
             })
         });
         group.bench_with_input(BenchmarkId::new("eca_best", k), &k, |b, &k| {
@@ -40,6 +41,7 @@ fn bench_compensation_growth(c: &mut Criterion) {
                     UpdateMix::CorrelatedChurn,
                     Scenario::Indexed,
                 )
+                .expect("deterministic run")
             })
         });
     }
@@ -64,6 +66,7 @@ fn bench_local_eval_ablation(c: &mut Criterion) {
                     UpdateMix::CorrelatedChurn,
                     Scenario::Indexed,
                 )
+                .expect("deterministic run")
             })
         });
     }

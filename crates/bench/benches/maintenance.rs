@@ -30,6 +30,7 @@ fn bench_algorithms(c: &mut Criterion) {
                     UpdateMix::Mixed,
                     Scenario::Indexed,
                 )
+                .expect("deterministic run")
             })
         });
     }
@@ -55,6 +56,7 @@ fn bench_policies(c: &mut Criterion) {
                     UpdateMix::Mixed,
                     Scenario::Indexed,
                 )
+                .expect("deterministic run")
             })
         });
     }

@@ -10,6 +10,9 @@
 //! chaos [--smoke] [--out PATH]
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use std::error::Error;
 use std::path::PathBuf;
 
 use eca_bench::chaos::{report, sweep, violations};
@@ -43,9 +46,9 @@ fn parse_args() -> Args {
     parsed
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let args = parse_args();
-    let points = sweep(args.smoke);
+    let points = sweep(args.smoke)?;
 
     println!(
         "{:>9} {:>10} {:>5} {:>5} {:>3} {:>7} {:>8} {:>7} {:>6} {:>8}",
@@ -78,9 +81,9 @@ fn main() {
 
     let doc = report(&points).pretty();
     if let Some(dir) = args.out.parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
+        std::fs::create_dir_all(dir)?;
     }
-    std::fs::write(&args.out, &doc).expect("write results artifact");
+    std::fs::write(&args.out, &doc)?;
     println!("wrote {}", args.out.display());
 
     let bad = violations(&points);
@@ -99,4 +102,5 @@ fn main() {
         }
         std::process::exit(1);
     }
+    Ok(())
 }

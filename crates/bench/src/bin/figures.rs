@@ -10,6 +10,9 @@
 //! sweeps (used by CI / the verification run). `--json DIR` additionally
 //! dumps each series as a JSON artifact.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use std::error::Error;
 use std::path::PathBuf;
 
 use eca_bench::json::ToJson;
@@ -127,16 +130,17 @@ fn parse_args() -> Options {
     opts
 }
 
-fn dump_json(dir: &Option<PathBuf>, name: &str, rows: &[FigureRow]) {
-    let Some(dir) = dir else { return };
-    std::fs::create_dir_all(dir).expect("create json dir");
+fn dump_json(dir: &Option<PathBuf>, name: &str, rows: &[FigureRow]) -> std::io::Result<()> {
+    let Some(dir) = dir else { return Ok(()) };
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
     let body = rows.to_json().pretty();
-    std::fs::write(&path, body).expect("write json");
+    std::fs::write(&path, body)?;
     println!("(wrote {})", path.display());
+    Ok(())
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let opts = parse_args();
     let seed = opts.seed;
 
@@ -153,7 +157,7 @@ fn main() {
         } else {
             vec![1, 5, 10, 20, 40, 80, 120]
         };
-        let rows = messages_series(&ks, seed);
+        let rows = messages_series(&ks, seed)?;
         println!(
             "{}",
             render_rows(
@@ -162,7 +166,7 @@ fn main() {
                 &rows
             )
         );
-        dump_json(&opts.json, "messages", &rows);
+        dump_json(&opts.json, "messages", &rows)?;
     }
 
     if opts.fig62 {
@@ -171,12 +175,12 @@ fn main() {
         } else {
             vec![1, 2, 4, 6, 8, 10, 12, 16, 20]
         };
-        let rows = fig62_series(&cs, seed);
+        let rows = fig62_series(&cs, seed)?;
         println!(
             "{}",
             render_rows("Figure 6.2 — B (bytes) vs C, k = 3", "C", &rows)
         );
-        dump_json(&opts.json, "fig62", &rows);
+        dump_json(&opts.json, "fig62", &rows)?;
     }
 
     if opts.fig63 {
@@ -185,12 +189,12 @@ fn main() {
         } else {
             vec![3, 15, 30, 45, 60, 75, 90, 105, 120]
         };
-        let rows = fig63_series(&ks, seed);
+        let rows = fig63_series(&ks, seed)?;
         println!(
             "{}",
             render_rows("Figure 6.3 — B (bytes) vs k, C = 100", "k", &rows)
         );
-        dump_json(&opts.json, "fig63", &rows);
+        dump_json(&opts.json, "fig63", &rows)?;
     }
 
     if opts.fig64 {
@@ -199,12 +203,12 @@ fn main() {
         } else {
             (1..=11).collect()
         };
-        let rows = fig64_series(&ks, seed);
+        let rows = fig64_series(&ks, seed)?;
         println!(
             "{}",
             render_rows("Figure 6.4 — IO vs k, Scenario 1 (indexed)", "k", &rows)
         );
-        dump_json(&opts.json, "fig64", &rows);
+        dump_json(&opts.json, "fig64", &rows)?;
     }
 
     if opts.fig65 {
@@ -213,7 +217,7 @@ fn main() {
         } else {
             (1..=11).collect()
         };
-        let rows = fig65_series(&ks, seed);
+        let rows = fig65_series(&ks, seed)?;
         println!(
             "{}",
             render_rows(
@@ -222,7 +226,7 @@ fn main() {
                 &rows
             )
         );
-        dump_json(&opts.json, "fig65", &rows);
+        dump_json(&opts.json, "fig65", &rows)?;
     }
 
     if opts.batch {
@@ -231,7 +235,7 @@ fn main() {
         } else {
             &[1, 2, 3, 4, 6, 8, 12, 24]
         };
-        let rows = batch_series(24, ns, seed);
+        let rows = batch_series(24, ns, seed)?;
         println!(
             "{}",
             render_rows(
@@ -240,12 +244,12 @@ fn main() {
                 &rows
             )
         );
-        dump_json(&opts.json, "batch", &rows);
+        dump_json(&opts.json, "batch", &rows)?;
     }
 
     if opts.selfmaint {
         let k = if opts.quick { 12 } else { 24 };
-        let curve = eca_bench::selfmaint::storage_curve(k, seed);
+        let curve = eca_bench::selfmaint::storage_curve(k, seed)?;
         let rows: Vec<FigureRow> = curve
             .iter()
             .map(|p| FigureRow {
@@ -278,10 +282,9 @@ fn main() {
             )
         );
         if let Some(dir) = &opts.json {
-            std::fs::create_dir_all(dir).expect("create json dir");
+            std::fs::create_dir_all(dir)?;
             let path = dir.join("selfmaint.json");
-            std::fs::write(&path, eca_bench::selfmaint::report(k, seed).pretty())
-                .expect("write selfmaint json");
+            std::fs::write(&path, eca_bench::selfmaint::report(k, seed)?.pretty())?;
             println!("(wrote {})", path.display());
         }
     }
@@ -292,7 +295,7 @@ fn main() {
             "{:<45} {:>32} {:>12} {:>12}",
             "comparison", "paper", "analytic k", "measured k"
         );
-        for line in crossover_report(seed) {
+        for line in crossover_report(seed)? {
             let fmt = |k: Option<u64>| k.map_or("none".to_owned(), |v| v.to_string());
             println!(
                 "{:<45} {:>32} {:>12} {:>12}",
@@ -304,4 +307,5 @@ fn main() {
         }
         println!();
     }
+    Ok(())
 }

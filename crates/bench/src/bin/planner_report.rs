@@ -7,10 +7,15 @@
 //! planner_report [--out PATH] [--seed N]
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use std::error::Error;
+use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
 
 use eca_bench::json::Json;
+use eca_bench::{BenchError, Context};
 use eca_core::Query;
 use eca_relational::algebra::{spj, spj_naive};
 use eca_relational::{Predicate, SignedBag, Tuple};
@@ -81,22 +86,22 @@ fn chain_cond(n_rel: usize) -> Predicate {
 }
 
 /// Logical layer: planned vs naive evaluation of one chain term.
-fn term_report(n_rel: usize, seed: u64) -> Json {
+fn term_report(n_rel: usize, seed: u64) -> Result<Json, BenchError> {
     let rows = if n_rel == 4 { 12 } else { 30 };
     let inputs = chain_inputs(n_rel, rows, 6, seed.wrapping_add(n_rel as u64));
     let refs: Vec<&SignedBag> = inputs.iter().collect();
     let cond = chain_cond(n_rel);
     let proj = vec![0usize, 2 * n_rel - 1];
-    let planned = spj(&refs, &cond, &proj).unwrap();
-    let naive = spj_naive(&refs, &cond, &proj).unwrap();
+    let planned = spj(&refs, &cond, &proj).context("planned term")?;
+    let naive = spj_naive(&refs, &cond, &proj).context("naive term")?;
     assert_eq!(planned, naive, "planned result must match the oracle");
     let planned_ns = median_nanos(30, || {
-        spj(&refs, &cond, &proj).unwrap();
+        let _ = black_box(spj(&refs, &cond, &proj));
     });
     let naive_ns = median_nanos(30, || {
-        spj_naive(&refs, &cond, &proj).unwrap();
+        let _ = black_box(spj_naive(&refs, &cond, &proj));
     });
-    Json::obj([
+    Ok(Json::obj([
         ("relations", Json::from(n_rel as u64)),
         ("rows_per_relation", Json::from(rows as u64)),
         ("answer_tuples", Json::from(planned.signed_len())),
@@ -107,46 +112,53 @@ fn term_report(n_rel: usize, seed: u64) -> Json {
             Json::from(naive_ns as f64 / planned_ns.max(1) as f64),
         ),
         ("answers_match", Json::from(true)),
-    ])
+    ]))
 }
 
 /// The 4-term compensating query of the Example-6 walk-through: after
 /// updates U1(r1), U2(r3), U3(r2), ECA's third query is
 /// `Q3 = V⟨U3⟩ − V⟨U1⟩⟨U3⟩ − V⟨U2⟩⟨U3⟩ + V⟨U1⟩⟨U2⟩⟨U3⟩`.
-fn four_term_query(workload: &Example6) -> Query {
-    let view = Example6::view().unwrap();
+fn four_term_query(workload: &Example6) -> Result<Query, BenchError> {
+    let view = Example6::view().context("static view")?;
     let updates = workload.paper_updates();
     let (u1, u3, u2) = (&updates[0], &updates[1], &updates[2]);
-    let q1 = view.substitute(u1).unwrap();
-    let q2 = view.substitute(u2).unwrap().minus(&q1.substitute(u2));
+    let q1 = view.substitute(u1).context("V<U1>")?;
+    let q2 = view
+        .substitute(u2)
+        .context("V<U2>")?
+        .minus(&q1.substitute(u2));
     let q3 = view
         .substitute(u3)
-        .unwrap()
+        .context("V<U3>")?
         .minus(&q1.substitute(u3))
         .minus(&q2.substitute(u3));
     assert_eq!(q3.terms().len(), 4, "expected the 4-term Q3");
-    q3
+    Ok(q3)
 }
 
 /// Physical layer: block reads for the 4-term query, per-term vs batched.
-fn example6_report(seed: u64) -> Json {
+fn example6_report(seed: u64) -> Result<Json, BenchError> {
     let params = Params::default();
     let workload = Example6::new(params, seed);
-    let query = four_term_query(&workload);
+    let query = four_term_query(&workload)?;
     let wire = WireQuery::from_query(&query);
 
-    let mut per_term = workload.build_source(Scenario::Indexed).unwrap();
-    let answer_plain = per_term.answer(&wire).unwrap();
+    let mut per_term = workload
+        .build_source(Scenario::Indexed)
+        .context("per-term source")?;
+    let answer_plain = per_term.answer(&wire).context("per-term answer")?;
     let io_per_term = per_term.io_meter().query_reads();
 
-    let mut batched = workload.build_source(Scenario::Indexed).unwrap();
+    let mut batched = workload
+        .build_source(Scenario::Indexed)
+        .context("batched source")?;
     batched.enable_term_batching();
-    let answer_batched = batched.answer(&wire).unwrap();
+    let answer_batched = batched.answer(&wire).context("batched answer")?;
     let io_batched = batched.io_meter().query_reads();
 
     assert_eq!(answer_plain, answer_batched, "batching changed the answer");
     let ratio = io_per_term as f64 / io_batched.max(1) as f64;
-    Json::obj([
+    Ok(Json::obj([
         ("scenario", Json::str("indexed")),
         ("query_terms", Json::from(4u64)),
         ("cardinality", Json::from(params.cardinality)),
@@ -155,13 +167,18 @@ fn example6_report(seed: u64) -> Json {
         ("io_reads_batched", Json::from(io_batched)),
         ("io_reduction", Json::from(ratio)),
         ("answers_match", Json::from(true)),
-    ])
+    ]))
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let (out, seed) = parse_args();
-    let terms = Json::arr([2usize, 3, 4].map(|n| term_report(n, seed)));
-    let example6 = example6_report(seed);
+    let terms = Json::arr(
+        [2usize, 3, 4]
+            .into_iter()
+            .map(|n| term_report(n, seed))
+            .collect::<Result<Vec<_>, _>>()?,
+    );
+    let example6 = example6_report(seed)?;
 
     if let Json::Obj(pairs) = &example6 {
         for (key, value) in pairs {
@@ -177,8 +194,9 @@ fn main() {
         ("example6_four_term_query", example6),
     ]);
     if let Some(dir) = out.parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
+        std::fs::create_dir_all(dir)?;
     }
-    std::fs::write(&out, report.pretty()).expect("write report");
+    std::fs::write(&out, report.pretty())?;
     println!("(wrote {})", out.display());
+    Ok(())
 }

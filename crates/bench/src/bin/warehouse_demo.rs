@@ -20,6 +20,8 @@
 //! correctness, consistency level and the three §6 cost factors. A sample
 //! lives at `crates/bench/scenarios/example2.eca`.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::process::ExitCode;
 
 use eca_core::{parse_view, ViewDef};
@@ -29,10 +31,11 @@ use eca_source::Source;
 use eca_storage::Scenario;
 
 use eca_bench::scenario_file::{parse_scenario, ScenarioFile};
+use eca_bench::Context;
 
 fn run(sf: &ScenarioFile, trace: bool) -> Result<bool, Box<dyn std::error::Error>> {
     let catalog: Vec<Schema> = sf.relations.iter().map(|r| r.schema.clone()).collect();
-    let (view_name, sql) = sf.view_sql.as_ref().expect("validated");
+    let (view_name, sql) = sf.view_sql.as_ref().context("a view definition")?;
     let view: ViewDef = parse_view(view_name, sql, &catalog)?;
 
     let mut source = Source::new(Scenario::Indexed);

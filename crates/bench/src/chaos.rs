@@ -14,7 +14,7 @@
 //! stale answers) and what it cost on the wire (raw vs logical bytes),
 //! feeding `results/chaos.json` and the CI smoke gate.
 
-use eca_core::algorithms::AlgorithmKind;
+use eca_core::algorithms::Eca;
 use eca_core::ViewDef;
 use eca_relational::{Predicate, Schema, SignedBag, Tuple, Update};
 use eca_sim::{ChaosProfile, ChaosSimulation, ChaosStats, Policy};
@@ -25,6 +25,7 @@ use eca_wire::FaultPlan;
 use eca_workload::{Example6, Params, UpdateMix};
 
 use crate::json::Json;
+use crate::{BenchError, Context};
 
 /// The fault families the sweep injects, one per run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -113,7 +114,7 @@ impl ChaosPoint {
 
 /// Example 2's anomaly setup: `V = π_W(r1 ⋈ r2)`, one preloaded `r1`
 /// tuple, the two-insert script.
-fn example2_fixture() -> (Source, ViewDef, Vec<Update>) {
+fn example2_fixture() -> Result<Fixture, BenchError> {
     let view = ViewDef::new(
         "V",
         vec![
@@ -123,60 +124,57 @@ fn example2_fixture() -> (Source, ViewDef, Vec<Update>) {
         Predicate::col_eq(1, 2),
         vec![0],
     )
-    .expect("static view");
+    .context("static view")?;
     let mut source = Source::new(Scenario::Indexed);
     source
         .add_relation(Schema::new("r1", &["W", "X"]), 20, Some("X"), &[])
-        .expect("static schema");
+        .context("static schema")?;
     source
         .add_relation(Schema::new("r2", &["X", "Y"]), 20, Some("X"), &[])
-        .expect("static schema");
-    source.load("r1", [Tuple::ints([1, 2])]).expect("loads");
+        .context("static schema")?;
+    source.load("r1", [Tuple::ints([1, 2])]).context("loads")?;
     let script = vec![
         Update::insert("r2", Tuple::ints([2, 3])),
         Update::insert("r1", Tuple::ints([4, 2])),
     ];
-    (source, view, script)
+    Ok((source, view, script))
 }
 
 /// The calibrated Example 6 workload with a 12-update mixed script.
-fn example6_fixture() -> (Source, ViewDef, Vec<Update>) {
+fn example6_fixture() -> Result<Fixture, BenchError> {
     let workload = Example6::new(Params::default(), 42);
     let source = workload
         .build_source(Scenario::Indexed)
-        .expect("calibrated source");
-    let view = Example6::view().expect("static view");
+        .context("calibrated source")?;
+    let view = Example6::view().context("static view")?;
     let script = workload.updates(12, UpdateMix::Mixed);
-    (source, view, script)
+    Ok((source, view, script))
 }
 
 /// A scenario fixture: preloaded source, view definition, update script.
 type Fixture = (Source, ViewDef, Vec<Update>);
 
 /// A labelled fixture builder the sweep iterates over.
-type ScenarioEntry = (&'static str, fn() -> Fixture);
+type ScenarioEntry = (&'static str, fn() -> Result<Fixture, BenchError>);
 
-fn single_site(fixture: Fixture, profile: ChaosProfile) -> ChaosSimulation {
+fn single_site(fixture: Fixture, profile: ChaosProfile) -> Result<ChaosSimulation, BenchError> {
     let (source, view, script) = fixture;
-    let snapshot = source.snapshot();
+    let initial = view.eval(&source.snapshot()).context("initial state")?;
     let mut sim = ChaosSimulation::new();
     let site = sim.add_source_with("s0", source, script, profile);
     // A factory rather than a one-shot maintainer so the crash family
     // can rebuild the warehouse process mid-run.
     sim.add_view_with_factory(site, move || {
-        let initial = view.eval(&snapshot).expect("initial state");
-        AlgorithmKind::Eca
-            .instantiate_with_base(&view, initial, Some(snapshot.clone()))
-            .expect("ECA applies to any view")
+        Box::new(Eca::new(view.clone(), initial.clone()))
     })
-    .expect("view over site");
-    sim
+    .context("view over site")?;
+    Ok(sim)
 }
 
 /// A scratch durability directory for one crash-family run, private to
 /// this call: two sweeps in one process (parallel tests) must not wipe
 /// each other's logs.
-fn tmpdir(tag: &str) -> std::path::PathBuf {
+fn tmpdir(tag: &str) -> Result<std::path::PathBuf, BenchError> {
     static CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!(
@@ -184,33 +182,32 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir
+    std::fs::create_dir_all(&dir).context("temp dir")?;
+    Ok(dir)
 }
 
-fn golden(fixture: fn() -> Fixture) -> SignedBag {
-    single_site(fixture(), ChaosProfile::none())
+fn golden(fixture: fn() -> Result<Fixture, BenchError>) -> Result<SignedBag, BenchError> {
+    let report = single_site(fixture()?, ChaosProfile::none())?
         .run(Policy::Serial)
-        .expect("fault-free run settles")
-        .views[0]
-        .final_mv
-        .clone()
+        .context("fault-free run settles")?;
+    Ok(report.views[0].final_mv.clone())
 }
 
 fn run_point(
     scenario: &'static str,
-    fixture: fn() -> Fixture,
+    fixture: fn() -> Result<Fixture, BenchError>,
     golden_mv: &SignedBag,
     family: Family,
     rate: f64,
     seed: u64,
-) -> ChaosPoint {
-    let mut sim = single_site(fixture(), family.profile(seed, rate));
+) -> Result<ChaosPoint, BenchError> {
+    let mut sim = single_site(fixture()?, family.profile(seed, rate))?;
     let dir = (family == Family::Crashes)
-        .then(|| tmpdir(&format!("{scenario}-{seed}-{}", (rate * 100.0) as u32)));
+        .then(|| tmpdir(&format!("{scenario}-{seed}-{}", (rate * 100.0) as u32)))
+        .transpose()?;
     if let Some(dir) = &dir {
         sim.enable_durability(DurabilityConfig::new(dir))
-            .expect("durability over scratch dir");
+            .context("durability over scratch dir")?;
     }
     let point = match sim.run(Policy::Random { seed }) {
         Ok(report) => ChaosPoint {
@@ -243,7 +240,7 @@ fn run_point(
     if let Some(dir) = dir.filter(|_| point.ok()) {
         let _ = std::fs::remove_dir_all(dir);
     }
-    point
+    Ok(point)
 }
 
 /// The three fixed seeds both the CI smoke job and the full sweep use.
@@ -251,7 +248,12 @@ pub const SEEDS: [u64; 3] = [1, 2, 3];
 
 /// Run the grid. `smoke` keeps CI fast: Example 2 only, one rate per
 /// family; the full sweep adds Example 6 and a rate ladder.
-pub fn sweep(smoke: bool) -> Vec<ChaosPoint> {
+///
+/// # Errors
+/// [`BenchError`] when a fixture or a fault-free golden run fails to
+/// build — a bug, since every input is fixed. A faulty run that fails is
+/// a violation point, not an error.
+pub fn sweep(smoke: bool) -> Result<Vec<ChaosPoint>, BenchError> {
     let scenarios: Vec<ScenarioEntry> = if smoke {
         vec![("example2", example2_fixture)]
     } else {
@@ -262,7 +264,7 @@ pub fn sweep(smoke: bool) -> Vec<ChaosPoint> {
     };
     let mut points = Vec::new();
     for (scenario, fixture) in scenarios {
-        let golden_mv = golden(fixture);
+        let golden_mv = golden(fixture)?;
         for family in Family::all() {
             let rates: Vec<f64> = match (smoke, family) {
                 (true, Family::Resets) => vec![0.1],
@@ -274,12 +276,14 @@ pub fn sweep(smoke: bool) -> Vec<ChaosPoint> {
             };
             for &rate in &rates {
                 for seed in SEEDS {
-                    points.push(run_point(scenario, fixture, &golden_mv, family, rate, seed));
+                    points.push(run_point(
+                        scenario, fixture, &golden_mv, family, rate, seed,
+                    )?);
                 }
             }
         }
     }
-    points
+    Ok(points)
 }
 
 /// Points that failed the consistency gate.
@@ -337,7 +341,7 @@ mod tests {
 
     #[test]
     fn smoke_sweep_is_clean_and_injects() {
-        let points = sweep(true);
+        let points = sweep(true).unwrap();
         // 1 scenario × 3 families × 1 rate × 3 seeds.
         assert_eq!(points.len(), 9);
         assert!(violations(&points).is_empty());
@@ -368,7 +372,7 @@ mod tests {
 
     #[test]
     fn crash_family_converges_on_example6_every_seed() {
-        let golden_mv = golden(example6_fixture);
+        let golden_mv = golden(example6_fixture).unwrap();
         for seed in SEEDS {
             let p = run_point(
                 "example6",
@@ -377,14 +381,15 @@ mod tests {
                 Family::Crashes,
                 0.0,
                 seed,
-            );
+            )
+            .unwrap();
             assert!(p.ok(), "{p:?}");
         }
     }
 
     #[test]
     fn report_shape_is_stable() {
-        let points = sweep(true);
+        let points = sweep(true).unwrap();
         let doc = report(&points).pretty();
         assert!(doc.contains("\"experiment\": \"chaos\""));
         assert!(doc.contains("\"violations\": 0"));

@@ -19,6 +19,7 @@
 //! transports, and [`chaos`] sweeps the simulator's fault families.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod chaos;
 pub mod equiv;
@@ -31,6 +32,54 @@ use eca_sim::{Policy, RunReport, Simulation};
 use eca_storage::Scenario;
 use eca_workload::{Example6, Params, UpdateMix};
 use json::{Json, ToJson};
+
+/// A harness run that failed: what it was doing and the error it met.
+/// Every experiment is deterministic, so one of these is a bug to
+/// report, not a condition to retry.
+#[derive(Debug)]
+pub struct BenchError {
+    what: &'static str,
+    cause: String,
+}
+
+impl BenchError {
+    /// `what` failed because of `cause`.
+    pub fn new(what: &'static str, cause: impl std::fmt::Display) -> Self {
+        BenchError {
+            what,
+            cause: cause.to_string(),
+        }
+    }
+}
+
+impl std::fmt::Display for BenchError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.what, self.cause)
+    }
+}
+
+impl std::error::Error for BenchError {}
+
+/// Name the step a fallible call belongs to, for `?`.
+pub trait Context<T> {
+    /// The value, or a [`BenchError`] saying `what` failed and why.
+    ///
+    /// # Errors
+    /// When `self` holds an error or nothing.
+    fn context(self, what: &'static str) -> Result<T, BenchError>;
+}
+
+impl<T, E: std::fmt::Display> Context<T> for Result<T, E> {
+    fn context(self, what: &'static str) -> Result<T, BenchError> {
+        self.map_err(|e| BenchError::new(what, e))
+    }
+}
+
+impl<T> Context<T> for Option<T> {
+    fn context(self, what: &'static str) -> Result<T, BenchError> {
+        self.ok_or_else(|| BenchError::new(what, "nothing there"))
+    }
+}
 
 /// Which corner of the paper's best/worst envelope a run exercises.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -119,16 +168,16 @@ pub struct Measurement {
 /// (§6.2 assumption 5), which an insert-only stream would violate badly at
 /// `k` comparable to `C`.
 ///
-/// # Panics
-/// Panics on internal simulation errors (experiments are deterministic;
-/// a failure is a bug, not an operational condition).
+/// # Errors
+/// [`BenchError`] on internal simulation errors (experiments are
+/// deterministic; a failure is a bug, not an operational condition).
 pub fn measure(
     params: Params,
     seed: u64,
     k: u64,
     corner: Corner,
     scenario: Scenario,
-) -> Measurement {
+) -> Result<Measurement, BenchError> {
     let workload = Example6::new(params, seed);
     let updates = if k == 3 {
         workload.paper_updates()
@@ -146,14 +195,20 @@ pub fn measure(
         corner.algorithm(k),
         corner.policy(),
         updates,
-    );
-    into_measurement(params, k, corner.label(), scenario, &report)
+    )?;
+    Ok(into_measurement(
+        params,
+        k,
+        corner.label(),
+        scenario,
+        &report,
+    ))
 }
 
 /// Run one experiment with explicit algorithm/policy (used by the
 /// ablations and the consistency audit example).
 ///
-/// # Panics
+/// # Errors
 /// As [`measure`].
 pub fn measure_custom(
     params: Params,
@@ -163,11 +218,11 @@ pub fn measure_custom(
     policy: Policy,
     mix: UpdateMix,
     scenario: Scenario,
-) -> Measurement {
+) -> Result<Measurement, BenchError> {
     let workload = Example6::new(params, seed);
     let updates = workload.updates(k as usize, mix);
-    let report = run_sim(&workload, scenario, kind, policy, updates);
-    into_measurement(params, k, kind.label(), scenario, &report)
+    let report = run_sim(&workload, scenario, kind, policy, updates)?;
+    Ok(into_measurement(params, k, kind.label(), scenario, &report))
 }
 
 fn run_sim(
@@ -176,18 +231,18 @@ fn run_sim(
     kind: AlgorithmKind,
     policy: Policy,
     updates: Vec<eca_relational::Update>,
-) -> RunReport {
-    let source = workload.build_source(scenario).expect("workload builds");
-    let view = Example6::view().expect("static view");
+) -> Result<RunReport, BenchError> {
+    let source = workload.build_source(scenario).context("workload builds")?;
+    let view = Example6::view().context("static view")?;
     let snapshot = source.snapshot();
-    let initial = view.eval(&snapshot).expect("initial view");
+    let initial = view.eval(&snapshot).context("initial view")?;
     let warehouse = kind
         .instantiate_with_base(&view, initial, Some(snapshot))
-        .expect("algorithm instantiation");
+        .context("algorithm instantiation")?;
     Simulation::new(source, warehouse, updates)
-        .expect("simulation wiring")
+        .context("simulation wiring")?
         .run(policy)
-        .expect("simulation run")
+        .context("simulation run")
 }
 
 fn into_measurement(
@@ -294,7 +349,10 @@ impl ToJson for CrossoverLine {
 }
 
 /// Figure 6.2: bytes transferred vs cardinality `C` (k = 3 updates).
-pub fn fig62_series(cs: &[u64], seed: u64) -> Vec<FigureRow> {
+///
+/// # Errors
+/// As [`measure`].
+pub fn fig62_series(cs: &[u64], seed: u64) -> Result<Vec<FigureRow>, BenchError> {
     cs.iter()
         .map(|&c| {
             let p = Params {
@@ -305,21 +363,24 @@ pub fn fig62_series(cs: &[u64], seed: u64) -> Vec<FigureRow> {
                 .into_iter()
                 .map(|corner| {
                     let analytic = analytic_bytes(&p, 3, corner);
-                    let m = measure(p, seed, 3, corner, Scenario::Indexed);
-                    SeriesPoint {
+                    let m = measure(p, seed, 3, corner, Scenario::Indexed)?;
+                    Ok(SeriesPoint {
                         label: corner.label(),
                         analytic,
                         measured: m.paper_bytes,
-                    }
+                    })
                 })
-                .collect();
-            FigureRow { x: c, series }
+                .collect::<Result<_, BenchError>>()?;
+            Ok(FigureRow { x: c, series })
         })
         .collect()
 }
 
 /// Figure 6.3: bytes transferred vs number of updates `k` (C = 100).
-pub fn fig63_series(ks: &[u64], seed: u64) -> Vec<FigureRow> {
+///
+/// # Errors
+/// As [`measure`].
+pub fn fig63_series(ks: &[u64], seed: u64) -> Result<Vec<FigureRow>, BenchError> {
     let p = Params::default();
     ks.iter()
         .map(|&k| {
@@ -327,30 +388,36 @@ pub fn fig63_series(ks: &[u64], seed: u64) -> Vec<FigureRow> {
                 .into_iter()
                 .map(|corner| {
                     let analytic = analytic_bytes(&p, k, corner);
-                    let m = measure(p, seed, k, corner, Scenario::Indexed);
-                    SeriesPoint {
+                    let m = measure(p, seed, k, corner, Scenario::Indexed)?;
+                    Ok(SeriesPoint {
                         label: corner.label(),
                         analytic,
                         measured: m.paper_bytes,
-                    }
+                    })
                 })
-                .collect();
-            FigureRow { x: k, series }
+                .collect::<Result<_, BenchError>>()?;
+            Ok(FigureRow { x: k, series })
         })
         .collect()
 }
 
 /// Figure 6.4: I/O vs `k`, Scenario 1 (indexes + ample memory).
-pub fn fig64_series(ks: &[u64], seed: u64) -> Vec<FigureRow> {
+///
+/// # Errors
+/// As [`measure`].
+pub fn fig64_series(ks: &[u64], seed: u64) -> Result<Vec<FigureRow>, BenchError> {
     io_series(ks, seed, Scenario::Indexed)
 }
 
 /// Figure 6.5: I/O vs `k`, Scenario 2 (no indexes, 3 memory blocks).
-pub fn fig65_series(ks: &[u64], seed: u64) -> Vec<FigureRow> {
+///
+/// # Errors
+/// As [`measure`].
+pub fn fig65_series(ks: &[u64], seed: u64) -> Result<Vec<FigureRow>, BenchError> {
     io_series(ks, seed, Scenario::nested_loop_default())
 }
 
-fn io_series(ks: &[u64], seed: u64, scenario: Scenario) -> Vec<FigureRow> {
+fn io_series(ks: &[u64], seed: u64, scenario: Scenario) -> Result<Vec<FigureRow>, BenchError> {
     let p = Params::default();
     ks.iter()
         .map(|&k| {
@@ -358,28 +425,31 @@ fn io_series(ks: &[u64], seed: u64, scenario: Scenario) -> Vec<FigureRow> {
                 .into_iter()
                 .map(|corner| {
                     let analytic = analytic_io(&p, k, corner, scenario);
-                    let m = measure(p, seed, k, corner, scenario);
-                    SeriesPoint {
+                    let m = measure(p, seed, k, corner, scenario)?;
+                    Ok(SeriesPoint {
                         label: corner.label(),
                         analytic,
                         measured: m.io_reads as f64,
-                    }
+                    })
                 })
-                .collect();
-            FigureRow { x: k, series }
+                .collect::<Result<_, BenchError>>()?;
+            Ok(FigureRow { x: k, series })
         })
         .collect()
 }
 
 /// §6.1 message-count series: `M` vs `k` for ECA and RV (s = 1 and s = k).
-pub fn messages_series(ks: &[u64], seed: u64) -> Vec<FigureRow> {
+///
+/// # Errors
+/// As [`measure`].
+pub fn messages_series(ks: &[u64], seed: u64) -> Result<Vec<FigureRow>, BenchError> {
     let p = Params::default();
     ks.iter()
         .map(|&k| {
-            let eca = measure(p, seed, k, Corner::EcaBest, Scenario::Indexed);
-            let rv1 = measure(p, seed, k, Corner::RvWorst, Scenario::Indexed);
-            let rvk = measure(p, seed, k, Corner::RvBest, Scenario::Indexed);
-            FigureRow {
+            let eca = measure(p, seed, k, Corner::EcaBest, Scenario::Indexed)?;
+            let rv1 = measure(p, seed, k, Corner::RvWorst, Scenario::Indexed)?;
+            let rvk = measure(p, seed, k, Corner::RvBest, Scenario::Indexed)?;
+            Ok(FigureRow {
                 x: k,
                 series: vec![
                     SeriesPoint {
@@ -398,7 +468,7 @@ pub fn messages_series(ks: &[u64], seed: u64) -> Vec<FigureRow> {
                         measured: rvk.maintenance_messages as f64,
                     },
                 ],
-            }
+            })
         })
         .collect()
 }
@@ -433,7 +503,14 @@ fn analytic_io(p: &Params, k: u64, corner: Corner, scenario: Scenario) -> f64 {
 
 /// Batching ablation (paper §7 future work): costs of Batch-ECA as the
 /// batch size grows, under the adversarial interleaving.
-pub fn batch_series(k: u64, batch_sizes: &[usize], seed: u64) -> Vec<FigureRow> {
+///
+/// # Errors
+/// As [`measure`].
+pub fn batch_series(
+    k: u64,
+    batch_sizes: &[usize],
+    seed: u64,
+) -> Result<Vec<FigureRow>, BenchError> {
     let p = Params::default();
     batch_sizes
         .iter()
@@ -446,9 +523,9 @@ pub fn batch_series(k: u64, batch_sizes: &[usize], seed: u64) -> Vec<FigureRow> 
                 Policy::AllUpdatesFirst,
                 UpdateMix::Mixed,
                 Scenario::Indexed,
-            );
+            )?;
             assert!(m.converged, "batch size {n} must converge");
-            FigureRow {
+            Ok(FigureRow {
                 x: n as u64,
                 series: vec![
                     SeriesPoint {
@@ -467,7 +544,7 @@ pub fn batch_series(k: u64, batch_sizes: &[usize], seed: u64) -> Vec<FigureRow> 
                         measured: m.io_reads as f64,
                     },
                 ],
-            }
+            })
         })
         .collect()
 }
@@ -486,7 +563,10 @@ pub struct CrossoverLine {
 }
 
 /// The §6.2–6.3 headline crossovers, analytic and measured.
-pub fn crossover_report(seed: u64) -> Vec<CrossoverLine> {
+///
+/// # Errors
+/// As [`measure`].
+pub fn crossover_report(seed: u64) -> Result<Vec<CrossoverLine>, BenchError> {
     use eca_analytic::crossover::crossover_k;
     let p = Params::default();
 
@@ -495,15 +575,19 @@ pub fn crossover_report(seed: u64) -> Vec<CrossoverLine> {
                           metric: fn(&Measurement) -> f64,
                           baseline_corner: Corner,
                           max_k: u64,
-                          step: u64| {
-        (1..=max_k).step_by(step as usize).find(|&k| {
-            let a = metric(&measure(p, seed, k, corner, scenario));
-            let b = metric(&measure(p, seed, k, baseline_corner, scenario));
-            a >= b
-        })
+                          step: u64|
+     -> Result<Option<u64>, BenchError> {
+        for k in (1..=max_k).step_by(step as usize) {
+            let a = metric(&measure(p, seed, k, corner, scenario)?);
+            let b = metric(&measure(p, seed, k, baseline_corner, scenario)?);
+            if a >= b {
+                return Ok(Some(k));
+            }
+        }
+        Ok(None)
     };
 
-    vec![
+    Ok(vec![
         CrossoverLine {
             comparison: "B: ECA best vs RV recompute-once",
             paper: "k = 100",
@@ -519,7 +603,7 @@ pub fn crossover_report(seed: u64) -> Vec<CrossoverLine> {
                 Corner::RvBest,
                 140,
                 1,
-            ),
+            )?,
         },
         CrossoverLine {
             comparison: "B: ECA worst vs RV recompute-once",
@@ -536,7 +620,7 @@ pub fn crossover_report(seed: u64) -> Vec<CrossoverLine> {
                 Corner::RvBest,
                 100,
                 1,
-            ),
+            )?,
         },
         CrossoverLine {
             comparison: "IO S1: ECA best vs RV recompute-once",
@@ -553,7 +637,7 @@ pub fn crossover_report(seed: u64) -> Vec<CrossoverLine> {
                 Corner::RvBest,
                 20,
                 1,
-            ),
+            )?,
         },
         CrossoverLine {
             comparison: "IO S2: ECA best vs RV recompute-once",
@@ -570,9 +654,9 @@ pub fn crossover_report(seed: u64) -> Vec<CrossoverLine> {
                 Corner::RvBest,
                 30,
                 1,
-            ),
+            )?,
         },
-    ]
+    ])
 }
 
 /// Render rows as an aligned text table.
@@ -606,7 +690,7 @@ mod tests {
     #[test]
     fn measured_rv_best_bytes_track_analytic() {
         let p = Params::default();
-        let m = measure(p, 1, 3, Corner::RvBest, Scenario::Indexed);
+        let m = measure(p, 1, 3, Corner::RvBest, Scenario::Indexed).unwrap();
         let analytic = eca_analytic::bytes::b_rv_best(&p);
         let ratio = m.paper_bytes / analytic;
         assert!((0.8..1.25).contains(&ratio), "ratio {ratio}: {m:?}");
@@ -616,7 +700,7 @@ mod tests {
     #[test]
     fn measured_eca_best_bytes_track_analytic() {
         let p = Params::default();
-        let m = measure(p, 1, 3, Corner::EcaBest, Scenario::Indexed);
+        let m = measure(p, 1, 3, Corner::EcaBest, Scenario::Indexed).unwrap();
         let analytic = eca_analytic::bytes::b_eca_best(&p, 3);
         let ratio = m.paper_bytes / analytic;
         assert!((0.5..2.0).contains(&ratio), "ratio {ratio}: {m:?}");
@@ -627,7 +711,7 @@ mod tests {
     #[test]
     fn measured_io_scenario1_rv_is_3i() {
         let p = Params::default();
-        let m = measure(p, 1, 3, Corner::RvBest, Scenario::Indexed);
+        let m = measure(p, 1, 3, Corner::RvBest, Scenario::Indexed).unwrap();
         // The paper's 3-update script inserts one tuple into each
         // relation, so each scan covers ⌈(C+1)/K⌉ blocks.
         let i_after = (p.cardinality + 1).div_ceil(p.tuples_per_block as u64);
@@ -637,16 +721,16 @@ mod tests {
     #[test]
     fn eca_beats_rv_on_bytes_at_small_k() {
         let p = Params::default();
-        let eca = measure(p, 1, 3, Corner::EcaWorst, Scenario::Indexed);
-        let rv = measure(p, 1, 3, Corner::RvBest, Scenario::Indexed);
+        let eca = measure(p, 1, 3, Corner::EcaWorst, Scenario::Indexed).unwrap();
+        let rv = measure(p, 1, 3, Corner::RvBest, Scenario::Indexed).unwrap();
         assert!(eca.paper_bytes < rv.paper_bytes, "eca {eca:?} rv {rv:?}");
     }
 
     #[test]
     fn rv_beats_eca_on_bytes_at_large_k() {
         let p = Params::default();
-        let eca = measure(p, 1, 120, Corner::EcaBest, Scenario::Indexed);
-        let rv = measure(p, 1, 120, Corner::RvBest, Scenario::Indexed);
+        let eca = measure(p, 1, 120, Corner::EcaBest, Scenario::Indexed).unwrap();
+        let rv = measure(p, 1, 120, Corner::RvBest, Scenario::Indexed).unwrap();
         assert!(
             rv.paper_bytes < eca.paper_bytes,
             "eca {} rv {}",
@@ -659,7 +743,7 @@ mod tests {
     fn all_corners_converge_and_are_strongly_consistent() {
         let p = Params::default();
         for corner in Corner::all() {
-            let m = measure(p, 2, 7, corner, Scenario::Indexed);
+            let m = measure(p, 2, 7, corner, Scenario::Indexed).unwrap();
             assert!(m.converged, "{corner:?}");
             assert!(
                 m.consistency == "StronglyConsistent" || m.consistency == "Complete",

@@ -19,7 +19,7 @@ use eca_storage::{IoMeter, Scenario, Table};
 use eca_workload::{Example6, Params, UpdateMix};
 
 use crate::json::{Json, ToJson};
-use crate::Measurement;
+use crate::{BenchError, Context, Measurement};
 
 /// One point of the coverage sweep.
 #[derive(Clone, Debug)]
@@ -88,18 +88,18 @@ fn run_keyed(
         &eca_core::ViewDef,
         eca_relational::SignedBag,
         eca_core::BaseDb,
-    ) -> Box<dyn ViewMaintainer>,
+    ) -> Result<Box<dyn ViewMaintainer>, BenchError>,
     policy: Policy,
-) -> RunReport {
-    let source = workload.build_source(scenario).expect("workload builds");
-    let view = Example6::keyed_view().expect("static view");
+) -> Result<RunReport, BenchError> {
+    let source = workload.build_source(scenario).context("workload builds")?;
+    let view = Example6::keyed_view().context("static view")?;
     let snapshot = source.snapshot();
-    let initial = view.eval(&snapshot).expect("initial view");
-    let maintainer = build(&view, initial, snapshot);
+    let initial = view.eval(&snapshot).context("initial view")?;
+    let maintainer = build(&view, initial, snapshot)?;
     Simulation::new(source, maintainer, updates)
-        .expect("simulation wiring")
+        .context("simulation wiring")?
         .run(policy)
-        .expect("simulation run")
+        .context("simulation run")
 }
 
 /// Relation indices (0..3) of an Example-6 update script.
@@ -117,10 +117,10 @@ fn script_relations(updates: &[eca_relational::Update]) -> Vec<usize> {
 
 /// Load the auxiliary snapshots into real storage tables and report
 /// `(blocks, write touches)` — the honest storage bill.
-///
-/// # Panics
-/// On storage construction errors (attribute names are generated).
-fn aux_residency(stats: &SelfMaintStats, tuples_per_block: usize) -> (u64, u64) {
+fn aux_residency(
+    stats: &SelfMaintStats,
+    tuples_per_block: usize,
+) -> Result<(u64, u64), BenchError> {
     let meter = IoMeter::new();
     let mut blocks = 0;
     for snap in &stats.auxiliaries {
@@ -128,24 +128,25 @@ fn aux_residency(stats: &SelfMaintStats, tuples_per_block: usize) -> (u64, u64) 
         let attr_refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
         let schema = eca_relational::Schema::new(&snap.relation, &attr_refs);
         let mut table = Table::new(schema, tuples_per_block, None, &[], meter.clone())
-            .expect("auxiliary table");
+            .context("auxiliary table")?;
         for (tuple, count) in snap.bag.iter() {
             for _ in 0..count.max(0) {
-                table.insert(tuple.clone()).expect("auxiliary heap");
+                table.insert(tuple.clone()).context("auxiliary heap")?;
             }
         }
         blocks += table.num_blocks();
     }
-    (blocks, meter.update_writes())
+    Ok((blocks, meter.update_writes()))
 }
 
 /// The storage-vs-message-savings curve: coverage 0..=3 relations over
 /// one `k`-update Mixed script at the fig-6.3 parameter point, under the
 /// adversarial interleaving.
 ///
-/// # Panics
-/// On simulation failures (deterministic; a failure is a bug).
-pub fn storage_curve(k: u64, seed: u64) -> Vec<SelfMaintPoint> {
+/// # Errors
+/// [`BenchError`] on simulation failures (deterministic; a failure is a
+/// bug).
+pub fn storage_curve(k: u64, seed: u64) -> Result<Vec<SelfMaintPoint>, BenchError> {
     let params = Params::default();
     let workload = Example6::new(params, seed);
     let updates = workload.updates(k as usize, UpdateMix::Mixed);
@@ -158,10 +159,10 @@ pub fn storage_curve(k: u64, seed: u64) -> Vec<SelfMaintPoint> {
         |view, initial, snapshot| {
             AlgorithmKind::EcaOptimized
                 .instantiate_with_base(view, initial, Some(snapshot))
-                .expect("ECA instantiation")
+                .context("ECA instantiation")
         },
         Policy::AllUpdatesFirst,
-    );
+    )?;
 
     (0..=3usize)
         .map(|n| {
@@ -172,16 +173,15 @@ pub fn storage_curve(k: u64, seed: u64) -> Vec<SelfMaintPoint> {
                 updates.clone(),
                 |view, initial, snapshot| {
                     let rule = LocalRule::Auxiliaries(Some(coverage.to_vec()));
-                    Box::new(
-                        Eca::with_rule(view.clone(), initial, rule, 1, Some(&snapshot))
-                            .expect("coverage matches arity"),
-                    )
+                    let eca = Eca::with_rule(view.clone(), initial, rule, 1, Some(&snapshot))
+                        .context("coverage matches arity")?;
+                    Ok(Box::new(eca) as Box<dyn ViewMaintainer>)
                 },
                 Policy::AllUpdatesFirst,
-            );
-            let stats = report.selfmaint.as_ref().expect("ECA-Aux reports stats");
-            let (aux_blocks, aux_load_writes) = aux_residency(stats, params.tuples_per_block);
-            SelfMaintPoint {
+            )?;
+            let stats = report.selfmaint.as_ref().context("ECA-Aux reports stats")?;
+            let (aux_blocks, aux_load_writes) = aux_residency(stats, params.tuples_per_block)?;
+            Ok(SelfMaintPoint {
                 covered: n,
                 k,
                 local_fraction: eca_analytic::selfmaint::local_fraction(&coverage),
@@ -197,7 +197,7 @@ pub fn storage_curve(k: u64, seed: u64) -> Vec<SelfMaintPoint> {
                 aux_blocks,
                 aux_load_writes,
                 converged: report.converged(),
-            }
+            })
         })
         .collect()
 }
@@ -206,9 +206,10 @@ pub fn storage_curve(k: u64, seed: u64) -> Vec<SelfMaintPoint> {
 /// `k`-update Mixed script (the fig-6.x comparison, extended with the
 /// self-maintaining point).
 ///
-/// # Panics
-/// On simulation failures (deterministic; a failure is a bug).
-pub fn comparison(k: u64, seed: u64) -> Vec<Measurement> {
+/// # Errors
+/// [`BenchError`] on simulation failures (deterministic; a failure is a
+/// bug).
+pub fn comparison(k: u64, seed: u64) -> Result<Vec<Measurement>, BenchError> {
     let params = Params::default();
     let workload = Example6::new(params, seed);
     let updates = workload.updates(k as usize, UpdateMix::Mixed);
@@ -228,23 +229,29 @@ pub fn comparison(k: u64, seed: u64) -> Vec<Measurement> {
             updates.clone(),
             |view, initial, snapshot| {
                 kind.instantiate_with_base(view, initial, Some(snapshot))
-                    .expect("algorithm instantiation")
+                    .context("algorithm instantiation")
             },
             Policy::AllUpdatesFirst,
-        );
-        crate::into_measurement(params, k, kind.label(), Scenario::Indexed, &report)
+        )?;
+        Ok(crate::into_measurement(
+            params,
+            k,
+            kind.label(),
+            Scenario::Indexed,
+            &report,
+        ))
     })
     .collect()
 }
 
 /// The `results/selfmaint.json` document.
 ///
-/// # Panics
+/// # Errors
 /// As [`storage_curve`] / [`comparison`].
-pub fn report(k: u64, seed: u64) -> Json {
-    let curve = storage_curve(k, seed);
-    let algorithms = comparison(k, seed);
-    Json::obj([
+pub fn report(k: u64, seed: u64) -> Result<Json, BenchError> {
+    let curve = storage_curve(k, seed)?;
+    let algorithms = comparison(k, seed)?;
+    Ok(Json::obj([
         (
             "benchmark",
             Json::str("auxiliary-view self-maintenance (ECA-Aux)"),
@@ -268,7 +275,7 @@ pub fn report(k: u64, seed: u64) -> Json {
             "algorithms",
             Json::arr(algorithms.iter().map(ToJson::to_json)),
         ),
-    ])
+    ]))
 }
 
 #[cfg(test)]
@@ -277,7 +284,7 @@ mod tests {
 
     #[test]
     fn curve_matches_closed_form_at_every_coverage() {
-        for point in storage_curve(12, 3) {
+        for point in storage_curve(12, 3).unwrap() {
             assert!(point.converged, "coverage {}", point.covered);
             assert_eq!(
                 point.messages_measured, point.messages_analytic,
@@ -295,7 +302,7 @@ mod tests {
 
     #[test]
     fn storage_rises_as_messages_fall() {
-        let curve = storage_curve(12, 3);
+        let curve = storage_curve(12, 3).unwrap();
         assert_eq!(curve[0].aux_blocks, 0, "no coverage, no storage");
         assert_eq!(curve[0].messages_measured, curve[0].messages_eca);
         assert_eq!(curve[3].messages_measured, 0, "full coverage, no wire");
@@ -309,7 +316,7 @@ mod tests {
 
     #[test]
     fn comparison_ranks_algorithms_as_expected() {
-        let ms = comparison(12, 3);
+        let ms = comparison(12, 3).unwrap();
         let by_label = |label: &str| {
             ms.iter()
                 .find(|m| m.corner == label)
@@ -331,7 +338,7 @@ mod tests {
     /// half against ECA, matching the closed form exactly.
     #[test]
     fn smoke_gate_passes_on_the_default_scenario() {
-        let curve = storage_curve(12, 1);
+        let curve = storage_curve(12, 1).unwrap();
         let full = curve.last().expect("sweep is non-empty");
         assert!(full.converged);
         let answered = full.local_updates + full.remote_updates;

@@ -16,7 +16,7 @@ use std::path::Path;
 use bytes::Bytes;
 use eca_core::AuxDurableState;
 use eca_relational::SignedBag;
-use eca_wire::{DecodeError, Decoder, MAX_FRAME_LEN};
+use eca_wire::{DecodeError, Decoder};
 
 use crate::record::{unframe, FrameWriter};
 use crate::DurableError;
@@ -56,19 +56,6 @@ pub struct SourceCheckpoint {
 }
 
 impl SourceCheckpoint {
-    /// Length of the body [`SourceCheckpoint::encode_body`] writes.
-    fn encoded_len(&self) -> usize {
-        let views: usize = self
-            .views
-            .iter()
-            .map(|v| {
-                let aux: usize = v.aux.iter().map(|a| 1 + a.bag.encoded_len()).sum();
-                v.mv.encoded_len() + 4 + aux
-            })
-            .sum();
-        4 * 8 + 4 + views
-    }
-
     fn encode_body<W: Write + Seek>(&self, w: &mut FrameWriter<W>) -> std::io::Result<()> {
         let e = w.encoder();
         e.put_u64(self.epoch);
@@ -93,12 +80,15 @@ impl SourceCheckpoint {
         let next_global_id = d.get_u64()?;
         let notifications_applied = d.get_u64()?;
         let wal_gen = d.get_u64()?;
+        // Counts are capped by the bytes left (a view takes at least 8,
+        // an auxiliary slot at least 5), so a hostile count cannot
+        // reserve more than the body could fill.
         let n_views = d.get_u32()? as usize;
-        let mut views = Vec::with_capacity(n_views.min(1024));
+        let mut views = Vec::with_capacity(n_views.min(d.remaining() / 8));
         for _ in 0..n_views {
             let mv = d.get_bag()?;
             let n_aux = d.get_u32()? as usize;
-            let mut aux = Vec::with_capacity(n_aux.min(1024));
+            let mut aux = Vec::with_capacity(n_aux.min(d.remaining() / 5));
             for _ in 0..n_aux {
                 let fresh = d.get_u8()? != 0;
                 let bag = d.get_bag()?;
@@ -117,29 +107,32 @@ impl SourceCheckpoint {
 
     /// Write atomically to `path`: temp file + sync + rename + dir
     /// sync. The body is framed exactly like a WAL record, so the same
-    /// length/checksum validation guards it, and streamed to the file as
-    /// it is encoded (`FrameWriter`): a multi-megabyte frame buffer per
+    /// length/checksum validation guards it, and streamed to the file in
+    /// one pass as it is encoded (`FrameWriter`): nothing walks the bags
+    /// ahead to size the body, and a multi-megabyte frame buffer per
     /// checkpoint left the process's resident set to where the allocator
     /// happened to place each one.
     ///
     /// # Errors
-    /// [`DurableError::RecordTooLarge`] past [`eca_wire::MAX_FRAME_LEN`];
+    /// [`DurableError::RecordTooLarge`] past [`eca_wire::MAX_FRAME_LEN`]
+    /// (the temp file is removed and the previous checkpoint stays);
     /// filesystem errors.
     pub fn write(&self, path: &Path) -> Result<(), DurableError> {
-        let len = self.encoded_len();
-        if len > MAX_FRAME_LEN {
-            return Err(DurableError::RecordTooLarge { len });
-        }
         let tmp = path.with_extension("ckpt.tmp");
-        {
-            let f = OpenOptions::new()
-                .create(true)
-                .write(true)
-                .truncate(true)
-                .open(&tmp)?;
-            let mut w = FrameWriter::new(f)?;
-            self.encode_body(&mut w)?;
-            w.finish(len)?.sync_data()?;
+        let written = OpenOptions::new()
+            .create(true)
+            .write(true)
+            .truncate(true)
+            .open(&tmp)
+            .map_err(DurableError::from)
+            .and_then(|f| {
+                let mut w = FrameWriter::new(f)?;
+                self.encode_body(&mut w)?;
+                Ok(w.finish()?.sync_data()?)
+            });
+        if let Err(e) = written {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e);
         }
         std::fs::rename(&tmp, path)?;
         if let Some(dir) = path.parent() {
@@ -258,8 +251,7 @@ mod tests {
         ck.write(&path).unwrap();
         // The reference: the whole body in one buffer, through the wire
         // codec's own `put_bag`.
-        let mut framed = bytes::BytesMut::new();
-        crate::record::put_frame(&mut framed, ck.encoded_len(), |e| {
+        let body = |e: &mut eca_wire::Encoder| {
             e.put_u64(ck.epoch);
             e.put_u64(ck.next_global_id);
             e.put_u64(ck.notifications_applied);
@@ -273,8 +265,11 @@ mod tests {
                     e.put_bag(&a.bag);
                 }
             }
-        })
-        .unwrap();
+        };
+        let mut sized = eca_wire::Encoder::new();
+        body(&mut sized);
+        let mut framed = bytes::BytesMut::new();
+        crate::record::put_frame(&mut framed, sized.len(), body).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), framed.as_ref());
         assert_eq!(SourceCheckpoint::load(&path).unwrap().unwrap(), ck);
         let _ = std::fs::remove_dir_all(&dir);

@@ -24,11 +24,19 @@
 //! auxiliary bags + a handful of counters — no in-flight compensation
 //! state ever needs serializing.
 //!
-//! Frames reuse the `eca-wire` codec discipline: `[u32 len][u64
-//! fnv1a(body)][body]`, capped at [`eca_wire::MAX_FRAME_LEN`]. A torn or corrupt
-//! tail (partial final write, bit rot) is detected by the length/
-//! checksum pair and the scan stops cleanly at the last valid record —
-//! see [`Wal::scan`].
+//! Frames reuse the `eca-wire` codec discipline: `[u32 MARK | len][u64
+//! checksum(body)][body]`, capped at [`eca_wire::MAX_FRAME_LEN`]. The
+//! length word's top bit is set in every frame, and the checksum folds
+//! the body in 64-bit words (DESIGN §15). A torn or corrupt tail (partial
+//! final write, bit rot) is detected by the length/checksum pair and the
+//! scan stops cleanly at the last valid record — see [`Wal::scan`].
+//!
+//! The log file grows a [`SEGMENT_LEN`] segment of zeros at a time, and
+//! syncs overwrite those zeros in place, so most of them flush data
+//! without a journal commit for a new file size. Zeros never validate as
+//! a frame, so a segment's unused tail is not a torn tail, and
+//! [`Wal::open`] resumes right after the last valid frame. Checkpoints
+//! are written in one pass, checksummed as they stream to the file.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +50,7 @@ use std::path::PathBuf;
 
 pub use checkpoint::{AuxCheckpoint, SourceCheckpoint, ViewCheckpoint};
 pub use record::WalRecord;
-pub use wal::{Wal, WalScan};
+pub use wal::{Wal, WalScan, SEGMENT_LEN};
 
 use eca_wire::DecodeError;
 

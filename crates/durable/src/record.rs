@@ -18,6 +18,12 @@ use crate::DurableError;
 /// Byte length of the `[u32 len][u64 checksum]` frame header.
 pub(crate) const HEADER_LEN: usize = 12;
 
+/// Set in every frame's length word (big-endian, so in its first byte):
+/// a frame never begins with a zero byte, and a write cut short anywhere
+/// in one leaves a non-zero byte where the log's zero fill was. Lengths
+/// stay below it ([`MAX_FRAME_LEN`] is far smaller).
+const FRAME_MARK: u32 = 1 << 31;
+
 /// One committed maintenance event on one source channel.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WalRecord {
@@ -121,18 +127,82 @@ impl WalRecord {
     }
 }
 
-/// FNV-1a over `bytes`: the frame checksum.
-fn fnv1a_checksum(bytes: &[u8]) -> u64 {
-    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+/// The frame checksum, fed in pieces. The body is read as little-endian
+/// 64-bit words, each folded in as `h = (h ^ w)·K; h ^= h >> 29`; a last
+/// partial word is zero-padded, and the byte count is folded in after it.
+/// Both halves of the step are bijections of `h`, so any change confined
+/// to one word changes the result; the seed is non-zero, so the checksum
+/// of the empty body is non-zero and an all-zero header never validates.
+/// Words are carried across [`Checksum::update`] calls, so a body fed in
+/// pieces sums exactly as it does whole.
+pub(crate) struct Checksum {
+    h: u64,
+    /// Bytes of a word not yet complete, and how many of them there are.
+    tail: [u8; 8],
+    tail_len: usize,
+    len: u64,
 }
 
-/// FNV-1a continued from the hash `h` of the bytes before `bytes`.
-fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
+impl Checksum {
+    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    pub(crate) fn new() -> Self {
+        Checksum {
+            h: Self::SEED,
+            tail: [0; 8],
+            tail_len: 0,
+            len: 0,
+        }
     }
-    h
+
+    /// The checksum of `bytes` on its own.
+    pub(crate) fn of(bytes: &[u8]) -> u64 {
+        let mut c = Checksum::new();
+        c.update(bytes);
+        c.finish()
+    }
+
+    fn step(h: u64, w: u64) -> u64 {
+        let h = (h ^ w).wrapping_mul(Self::K);
+        h ^ (h >> 29)
+    }
+
+    /// Fold in the next `bytes` of the body.
+    pub(crate) fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.tail_len > 0 {
+            let take = (8 - self.tail_len).min(bytes.len());
+            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(&bytes[..take]);
+            self.tail_len += take;
+            bytes = &bytes[take..];
+            if self.tail_len < 8 {
+                return;
+            }
+            self.h = Self::step(self.h, u64::from_le_bytes(self.tail));
+            self.tail_len = 0;
+        }
+        let words = bytes.chunks_exact(8);
+        let rest = words.remainder();
+        for word in words {
+            let mut w = [0; 8];
+            w.copy_from_slice(word);
+            self.h = Self::step(self.h, u64::from_le_bytes(w));
+        }
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.tail_len = rest.len();
+    }
+
+    /// The checksum of everything fed in so far.
+    pub(crate) fn finish(&self) -> u64 {
+        let mut h = self.h;
+        if self.tail_len > 0 {
+            let mut w = [0; 8];
+            w[..self.tail_len].copy_from_slice(&self.tail[..self.tail_len]);
+            h = Self::step(h, u64::from_le_bytes(w));
+        }
+        Self::step(h, self.len)
+    }
 }
 
 /// One frame laid out as [`put_frame`] lays it out, written to the start
@@ -143,7 +213,7 @@ fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
 pub(crate) struct FrameWriter<W: Write + Seek> {
     out: W,
     pending: Encoder,
-    checksum: u64,
+    checksum: Checksum,
     written: usize,
 }
 
@@ -156,7 +226,7 @@ impl<W: Write + Seek> FrameWriter<W> {
         Ok(FrameWriter {
             out,
             pending: Encoder::new(),
-            checksum: fnv1a_checksum(&[]),
+            checksum: Checksum::new(),
             written: 0,
         })
     }
@@ -177,7 +247,7 @@ impl<W: Write + Seek> FrameWriter<W> {
 
     fn flush(&mut self) -> std::io::Result<()> {
         let mut buf = std::mem::take(&mut self.pending).into_buf();
-        self.checksum = fnv1a_extend(self.checksum, buf.as_ref());
+        self.checksum.update(buf.as_ref());
         self.written += buf.len();
         self.out.write_all(buf.as_ref())?;
         buf.clear();
@@ -186,25 +256,25 @@ impl<W: Write + Seek> FrameWriter<W> {
     }
 
     /// Write the last bytes and then the header; hand the writer back.
-    /// `body_len` is the length the body was expected to have.
+    /// The body's length is what was written: nothing is counted ahead.
     ///
     /// # Errors
     /// [`DurableError::RecordTooLarge`] past [`MAX_FRAME_LEN`]; I/O
     /// errors.
-    pub(crate) fn finish(mut self, body_len: usize) -> Result<W, DurableError> {
+    pub(crate) fn finish(mut self) -> Result<W, DurableError> {
         self.flush()?;
-        debug_assert_eq!(self.written, body_len, "frame body length hint");
         if self.written > MAX_FRAME_LEN {
             return Err(DurableError::RecordTooLarge { len: self.written });
         }
         self.out.seek(SeekFrom::Start(0))?;
-        self.out.write_all(&(self.written as u32).to_be_bytes())?;
-        self.out.write_all(&self.checksum.to_be_bytes())?;
+        self.out
+            .write_all(&(self.written as u32 | FRAME_MARK).to_be_bytes())?;
+        self.out.write_all(&self.checksum.finish().to_be_bytes())?;
         Ok(self.out)
     }
 }
 
-/// Append one frame `[u32 len][u64 fnv1a(body)][body]` to `out`, with
+/// Append one frame `[u32 FRAME_MARK | len][u64 checksum(body)][body]` to `out`, with
 /// the body encoded in place: room for the header and the `body_len`
 /// bytes `encode` will write is reserved first, the header is written as
 /// zeros and back-filled once the body is there. No intermediate buffer,
@@ -231,8 +301,8 @@ pub(crate) fn put_frame(
         return Err(DurableError::RecordTooLarge { len });
     }
     let frame = &mut out.as_mut()[start..];
-    let checksum = fnv1a_checksum(&frame[HEADER_LEN..]);
-    frame[..4].copy_from_slice(&(len as u32).to_be_bytes());
+    let checksum = Checksum::of(&frame[HEADER_LEN..]);
+    frame[..4].copy_from_slice(&(len as u32 | FRAME_MARK).to_be_bytes());
     frame[4..HEADER_LEN].copy_from_slice(&checksum.to_be_bytes());
     Ok(())
 }
@@ -240,9 +310,9 @@ pub(crate) fn put_frame(
 /// Try to lift one frame off `buf[offset..]`.
 ///
 /// Returns `Some((body, next_offset))` when a complete frame with a
-/// valid length and matching checksum starts at `offset`; `None` for
-/// anything else — a partial header, a length past the cap or past the
-/// buffer end, or a checksum mismatch. `None` is the torn-tail signal:
+/// marked length word, a valid length and a matching checksum starts at
+/// `offset`; `None` for anything else — a partial header, zeros, a length
+/// past the cap or past the buffer end, or a checksum mismatch. `None` is the torn-tail signal:
 /// the caller stops scanning and truncates at `offset`.
 ///
 /// The body is a slice of `buf`, sharing its allocation.
@@ -251,13 +321,17 @@ pub(crate) fn unframe(buf: &Bytes, offset: usize) -> Option<(Bytes, usize)> {
     if rest.len() < HEADER_LEN {
         return None;
     }
-    let len = u32::from_be_bytes(rest[0..4].try_into().ok()?) as usize;
+    let word = u32::from_be_bytes(rest[0..4].try_into().ok()?);
+    if word & FRAME_MARK == 0 {
+        return None;
+    }
+    let len = (word & !FRAME_MARK) as usize;
     if len > MAX_FRAME_LEN || rest.len() < HEADER_LEN + len {
         return None;
     }
     let want = u64::from_be_bytes(rest[4..12].try_into().ok()?);
     let body = &rest[HEADER_LEN..HEADER_LEN + len];
-    if fnv1a_checksum(body) != want {
+    if Checksum::of(body) != want {
         return None;
     }
     let body_start = offset + HEADER_LEN;
@@ -328,6 +402,44 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn checksum_fed_in_pieces_is_the_checksum_of_the_whole() {
+        let body: Vec<u8> = (0..61u32).map(|i| (i * 37 + 11) as u8).collect();
+        let whole = Checksum::of(&body);
+        for a in 0..=body.len() {
+            for b in a..=body.len() {
+                let mut c = Checksum::new();
+                c.update(&body[..a]);
+                c.update(&body[a..b]);
+                c.update(&body[b..]);
+                assert_eq!(c.finish(), whole, "split at {a}, {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_sees_every_word_change_and_length() {
+        let body = [0x5au8; 40];
+        let sum = Checksum::of(&body);
+        for byte in 0..body.len() {
+            for v in [0u8, 1, 0x5b, 0xa5, 0xff] {
+                let mut evil = body;
+                evil[byte] = v;
+                assert_ne!(Checksum::of(&evil), sum, "byte {byte} := {v}");
+            }
+        }
+        // Zero padding of the last word does not alias a longer body.
+        assert_ne!(Checksum::of(&[1]), Checksum::of(&[1, 0]));
+        assert_ne!(Checksum::of(&[]), 0, "a zero header must never validate");
+    }
+
+    #[test]
+    fn zeros_never_unframe() {
+        for len in 0..64 {
+            assert!(unframe(&Bytes::from(vec![0u8; len]), 0).is_none());
         }
     }
 

@@ -1,14 +1,23 @@
-//! The append-only log file: buffered writes, policy-driven syncs,
-//! torn-tail scanning.
+//! The append-only log file: buffered writes, policy-driven syncs into
+//! zero-filled segments, torn-tail scanning.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use bytes::{Bytes, BytesMut};
 
 use crate::record::{put_frame, unframe, WalRecord};
 use crate::{DurableError, FsyncPolicy};
+
+/// The log file grows by whole segments of this many bytes: a sync whose
+/// frames run past the zero-filled end writes zeros up to the next
+/// multiple of it.
+pub const SEGMENT_LEN: u64 = 1 << 20;
+
+/// The zeros a segment is filled from, a page at a time: a larger block
+/// would sit resident in every process that ever fills a segment.
+static ZEROS: [u8; 4096] = [0; 4096];
 
 /// One source channel's write-ahead log.
 ///
@@ -18,6 +27,12 @@ use crate::{DurableError, FsyncPolicy};
 /// simulated crash look like a clean shutdown. Dropping a `Wal` loses
 /// exactly the unflushed records, which is the crash window the policy
 /// promises.
+///
+/// The file is grown a [`SEGMENT_LEN`] segment of zeros at a time and
+/// frames overwrite those zeros in place, so most syncs change no file
+/// size and flush data alone, with no journal commit of a new length.
+/// Zeros never scan as a frame ([`Wal::scan`]), so the tail of a segment
+/// is not a torn tail.
 #[derive(Debug)]
 pub struct Wal {
     path: PathBuf,
@@ -28,6 +43,10 @@ pub struct Wal {
     buf: BytesMut,
     /// Records in `buf`.
     buffered: u64,
+    /// End of the last frame handed to the OS: where `buf` is written.
+    pos: u64,
+    /// End of the file; every byte from `pos` up to it is zero.
+    zeroed_end: u64,
 }
 
 /// The result of scanning a log file from disk.
@@ -36,32 +55,73 @@ pub struct WalScan {
     /// Every record up to the last valid frame, in append order.
     pub records: Vec<WalRecord>,
     /// Byte offset of the end of the last valid frame — where a torn
-    /// tail was (or would be) truncated.
+    /// tail was (or would be) truncated, and where appends resume.
     pub valid_len: u64,
-    /// Whether bytes past `valid_len` existed (partial write or
-    /// corruption); they are never replayed.
+    /// Whether non-zero bytes follow `valid_len` (partial write or
+    /// corruption); they are never replayed. The zeros of a segment's
+    /// unused tail are not a tear.
     pub torn: bool,
 }
 
+/// The whole file at `path`; a missing file reads as empty.
+fn read_log(path: &Path) -> Result<Bytes, DurableError> {
+    match std::fs::read(path) {
+        Ok(raw) => Ok(Bytes::from(raw)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Bytes::new()),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// The end of the valid frame prefix of `raw`, and whether anything but
+/// zeros follows it.
+fn valid_prefix(
+    raw: &Bytes,
+    mut each: impl FnMut(Bytes) -> Result<(), DurableError>,
+) -> Result<(usize, bool), DurableError> {
+    let mut offset = 0usize;
+    while let Some((body, next)) = unframe(raw, offset) {
+        each(body)?;
+        offset = next;
+    }
+    let zeros = raw[offset..]
+        .chunks(ZEROS.len())
+        .all(|c| c == &ZEROS[..c.len()]);
+    Ok((offset, !zeros))
+}
+
 impl Wal {
-    /// Open (creating if absent) the log at `path` for appending.
+    /// Open (creating if absent) the log at `path` for appending. An
+    /// existing file resumes at the end of its last valid frame, over
+    /// the zeros that follow it; a torn tail (non-zero bytes past the
+    /// valid frames) is cut off first, so no frame is ever written in
+    /// front of garbage. A fresh file stays empty until its first sync.
     ///
     /// # Errors
     /// Filesystem errors.
     pub fn open(path: impl Into<PathBuf>, policy: FsyncPolicy) -> Result<Self, DurableError> {
         let path = path.into();
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .create(true)
             .read(true)
-            .append(true)
+            .write(true)
+            .truncate(false)
             .open(&path)?;
-        file.seek(SeekFrom::End(0))?;
+        let raw = read_log(&path)?;
+        let (pos, torn) = valid_prefix(&raw, |_| Ok(()))?;
+        let (pos, mut zeroed_end) = (pos as u64, raw.len() as u64);
+        if torn {
+            file.set_len(pos)?;
+            file.sync_data()?;
+            zeroed_end = pos;
+        }
         Ok(Wal {
             path,
             file,
             policy,
             buf: BytesMut::new(),
             buffered: 0,
+            pos,
+            zeroed_end,
         })
     }
 
@@ -89,16 +149,30 @@ impl Wal {
         Ok(())
     }
 
-    /// Force every buffered record to disk (`write` + `fdatasync`).
+    /// Force every buffered record to disk (`write` + `fdatasync`). The
+    /// frames overwrite zeros in place; a batch that runs past the
+    /// zero-filled end is followed by zeros up to the next segment
+    /// boundary before the one `fdatasync`.
     ///
     /// # Errors
     /// Filesystem errors.
     pub fn sync(&mut self) -> Result<(), DurableError> {
         if !self.buf.is_empty() {
-            self.file.write_all(self.buf.as_ref())?;
+            self.file.write_all_at(self.buf.as_ref(), self.pos)?;
+            self.pos += self.buf.len() as u64;
             self.buf.clear();
         }
         self.buffered = 0;
+        if self.pos > self.zeroed_end {
+            let end = self.pos.div_ceil(SEGMENT_LEN) * SEGMENT_LEN;
+            let mut at = self.pos;
+            while at < end {
+                let n = (end - at).min(ZEROS.len() as u64);
+                self.file.write_all_at(&ZEROS[..n as usize], at)?;
+                at += n;
+            }
+            self.zeroed_end = end;
+        }
         self.file.sync_data()?;
         Ok(())
     }
@@ -118,34 +192,30 @@ impl Wal {
     }
 
     /// Scan a log file, stopping cleanly at the first torn or corrupt
-    /// frame. A missing file scans as empty.
+    /// frame, or at the zeros of a segment's unused tail (a zero header
+    /// never validates). A missing file scans as empty.
     ///
     /// # Errors
     /// Filesystem errors other than "not found"; [`DurableError::Decode`]
     /// when a checksum-valid body fails to parse (version skew — never
     /// silently skipped).
     pub fn scan(path: &Path) -> Result<WalScan, DurableError> {
-        let raw = match std::fs::read(path) {
-            Ok(raw) => Bytes::from(raw),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Bytes::new(),
-            Err(e) => return Err(e.into()),
-        };
+        let raw = read_log(path)?;
         let mut records = Vec::new();
-        let mut offset = 0usize;
-        while let Some((body, next)) = unframe(&raw, offset) {
+        let (valid_len, torn) = valid_prefix(&raw, |body| {
             records.push(WalRecord::decode_body(body)?);
-            offset = next;
-        }
+            Ok(())
+        })?;
         Ok(WalScan {
             records,
-            valid_len: offset as u64,
-            torn: offset < raw.len(),
+            valid_len: valid_len as u64,
+            torn,
         })
     }
 
     /// Truncate a log file at its last valid record, so future appends
     /// never interleave with garbage. No-op for a clean (or missing)
-    /// file.
+    /// file, zero tail included.
     ///
     /// # Errors
     /// Filesystem errors.
@@ -228,8 +298,8 @@ mod tests {
             wal.append(r).unwrap();
         }
         drop(wal);
-        let full = std::fs::read(&path).unwrap();
         let intact = Wal::scan(&path).unwrap();
+        let full = std::fs::read(&path).unwrap()[..intact.valid_len as usize].to_vec();
         assert_eq!(intact.valid_len as usize, full.len());
 
         // Find each record's frame boundary by rescanning prefixes.

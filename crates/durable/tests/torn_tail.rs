@@ -13,7 +13,9 @@ use eca_durable::{FsyncPolicy, SourceCheckpoint, Wal, WalRecord};
 use eca_relational::{SignedBag, Tuple, Update};
 use proptest::prelude::*;
 
-/// Frame header layout: `[u32 len][u64 fnv1a(body)]`.
+/// Frame header layout: `[u32 len][u64 checksum(body)]`; the log file
+/// runs on past its last frame in zeros to the end of its segment, so
+/// each image below is read up to `Wal::scan(..).valid_len`.
 const LEN_BYTES: std::ops::Range<usize> = 0..4;
 const CHECKSUM_BYTES: std::ops::Range<usize> = 4..12;
 
@@ -34,10 +36,11 @@ fn written_image(dir: &Path, records: &[WalRecord]) -> (Vec<u8>, Vec<usize>) {
     let mut boundaries = vec![0usize];
     for r in records {
         wal.append(r).unwrap();
-        boundaries.push(std::fs::metadata(&path).unwrap().len() as usize);
+        boundaries.push(Wal::scan(&path).unwrap().valid_len as usize);
     }
     drop(wal);
-    let image = std::fs::read(&path).unwrap();
+    let valid_len = Wal::scan(&path).unwrap().valid_len as usize;
+    let image = std::fs::read(&path).unwrap()[..valid_len].to_vec();
     assert_eq!(*boundaries.last().unwrap(), image.len());
     (image, boundaries)
 }

@@ -228,7 +228,9 @@ impl Decoder {
     /// Read a tuple.
     pub fn get_tuple(&mut self) -> Result<Tuple, DecodeError> {
         let arity = self.get_u16()? as usize;
-        let mut values = Vec::with_capacity(arity);
+        // A value takes at least 5 bytes (a tag and a string length), so
+        // a hostile arity cannot reserve more than the buffer could fill.
+        let mut values = Vec::with_capacity(arity.min(self.remaining() / 5));
         for _ in 0..arity {
             values.push(self.get_value()?);
         }

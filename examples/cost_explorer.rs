@@ -13,7 +13,7 @@ use eca_bench::{measure, Corner};
 use eca_storage::Scenario;
 use eca_workload::Params;
 
-fn main() {
+fn main() -> Result<(), eca_bench::BenchError> {
     let mut args = std::env::args().skip(1);
     let k: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(20);
     let c: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(100);
@@ -32,8 +32,8 @@ fn main() {
     );
 
     for corner in Corner::all() {
-        let s1 = measure(params, 1, k, corner, Scenario::Indexed);
-        let s2 = measure(params, 1, k, corner, Scenario::nested_loop_default());
+        let s1 = measure(params, 1, k, corner, Scenario::Indexed)?;
+        let s2 = measure(params, 1, k, corner, Scenario::nested_loop_default())?;
         let analytic_b = match corner {
             Corner::RvBest => eca_analytic::bytes::b_rv_best(&params),
             Corner::RvWorst => eca_analytic::bytes::b_rv_worst(&params, k),
@@ -52,8 +52,8 @@ fn main() {
         assert!(s1.converged && s2.converged, "all corners must converge");
     }
 
-    let eca = measure(params, 1, k, Corner::EcaBest, Scenario::Indexed);
-    let rv = measure(params, 1, k, Corner::RvBest, Scenario::Indexed);
+    let eca = measure(params, 1, k, Corner::EcaBest, Scenario::Indexed)?;
+    let rv = measure(params, 1, k, Corner::RvBest, Scenario::Indexed)?;
     println!();
     if eca.paper_bytes < rv.paper_bytes {
         println!(
@@ -68,4 +68,5 @@ fn main() {
             rv.paper_bytes, eca.paper_bytes
         );
     }
+    Ok(())
 }

@@ -14,19 +14,19 @@ fn p() -> Params {
 #[test]
 fn message_counts_are_exact() {
     for k in [1u64, 5, 12] {
-        let eca = measure(p(), 3, k, Corner::EcaBest, Scenario::Indexed);
+        let eca = measure(p(), 3, k, Corner::EcaBest, Scenario::Indexed).unwrap();
         assert_eq!(
             eca.maintenance_messages,
             eca_analytic::messages::m_eca(k),
             "k={k}"
         );
-        let rv1 = measure(p(), 3, k, Corner::RvWorst, Scenario::Indexed);
+        let rv1 = measure(p(), 3, k, Corner::RvWorst, Scenario::Indexed).unwrap();
         assert_eq!(
             rv1.maintenance_messages,
             eca_analytic::messages::m_rv(k, 1),
             "k={k}"
         );
-        let rvk = measure(p(), 3, k, Corner::RvBest, Scenario::Indexed);
+        let rvk = measure(p(), 3, k, Corner::RvBest, Scenario::Indexed).unwrap();
         assert_eq!(
             rvk.maintenance_messages,
             eca_analytic::messages::m_rv(k, k),
@@ -44,8 +44,8 @@ fn fig62_eca_dominates_for_realistic_c() {
             cardinality: c,
             ..Params::default()
         };
-        let eca = measure(params, 3, 3, Corner::EcaWorst, Scenario::Indexed);
-        let rv = measure(params, 3, 3, Corner::RvBest, Scenario::Indexed);
+        let eca = measure(params, 3, 3, Corner::EcaWorst, Scenario::Indexed).unwrap();
+        let rv = measure(params, 3, 3, Corner::RvBest, Scenario::Indexed).unwrap();
         assert!(
             (eca.paper_bytes as f64) < rv.paper_bytes as f64 / 2.0,
             "C={c}: eca {} rv {}",
@@ -63,8 +63,8 @@ fn fig62_advantage_vanishes_for_tiny_c() {
         cardinality: 4,
         ..Params::default()
     };
-    let eca = measure(params, 3, 3, Corner::EcaBest, Scenario::Indexed);
-    let rv = measure(params, 3, 3, Corner::RvBest, Scenario::Indexed);
+    let eca = measure(params, 3, 3, Corner::EcaBest, Scenario::Indexed).unwrap();
+    let rv = measure(params, 3, 3, Corner::RvBest, Scenario::Indexed).unwrap();
     assert!(
         eca.paper_bytes * 4.0 > rv.paper_bytes,
         "at C=4 the gap must be small: eca {} rv {}",
@@ -78,7 +78,7 @@ fn fig62_advantage_vanishes_for_tiny_c() {
 #[test]
 fn fig63_eca_best_tracks_closed_form() {
     for k in [15u64, 45, 90] {
-        let m = measure(p(), 3, k, Corner::EcaBest, Scenario::Indexed);
+        let m = measure(p(), 3, k, Corner::EcaBest, Scenario::Indexed).unwrap();
         let analytic = eca_analytic::bytes::b_eca_best(&p(), k);
         let ratio = m.paper_bytes / analytic;
         assert!(
@@ -94,8 +94,8 @@ fn fig63_eca_best_tracks_closed_form() {
 #[test]
 fn fig63_crossover_reached() {
     let k = 120;
-    let eca = measure(p(), 3, k, Corner::EcaBest, Scenario::Indexed);
-    let rv = measure(p(), 3, k, Corner::RvBest, Scenario::Indexed);
+    let eca = measure(p(), 3, k, Corner::EcaBest, Scenario::Indexed).unwrap();
+    let rv = measure(p(), 3, k, Corner::RvBest, Scenario::Indexed).unwrap();
     assert!(
         rv.paper_bytes < eca.paper_bytes,
         "rv {} should beat eca {} at k={k}",
@@ -109,7 +109,7 @@ fn fig63_crossover_reached() {
 #[test]
 fn fig64_scenario1_shapes() {
     let params = p();
-    let rv = measure(params, 3, 5, Corner::RvBest, Scenario::Indexed);
+    let rv = measure(params, 3, 5, Corner::RvBest, Scenario::Indexed).unwrap();
     // One recompute reads each relation once (relations grew slightly
     // from churn inserts, so allow one extra block per relation).
     let i = params.blocks_per_relation();
@@ -120,11 +120,11 @@ fn fig64_scenario1_shapes() {
     );
 
     // ECA at k=2 beats RV; at k=6 RV wins (paper crossover k=3).
-    let eca2 = measure(params, 3, 2, Corner::EcaBest, Scenario::Indexed);
-    let rv2 = measure(params, 3, 2, Corner::RvBest, Scenario::Indexed);
+    let eca2 = measure(params, 3, 2, Corner::EcaBest, Scenario::Indexed).unwrap();
+    let rv2 = measure(params, 3, 2, Corner::RvBest, Scenario::Indexed).unwrap();
     assert!(eca2.io_reads < rv2.io_reads);
-    let eca6 = measure(params, 3, 6, Corner::EcaBest, Scenario::Indexed);
-    let rv6 = measure(params, 3, 6, Corner::RvBest, Scenario::Indexed);
+    let eca6 = measure(params, 3, 6, Corner::EcaBest, Scenario::Indexed).unwrap();
+    let rv6 = measure(params, 3, 6, Corner::RvBest, Scenario::Indexed).unwrap();
     assert!(eca6.io_reads > rv6.io_reads);
 }
 
@@ -134,7 +134,7 @@ fn fig64_scenario1_shapes() {
 fn fig65_scenario2_shapes() {
     let params = p();
     let s2 = Scenario::nested_loop_default();
-    let rv = measure(params, 3, 4, Corner::RvBest, s2);
+    let rv = measure(params, 3, 4, Corner::RvBest, s2).unwrap();
     let i = params.blocks_per_relation();
     // Our executor charges I + I² + I³ (paper quotes the dominant I³);
     // churn may add one block per relation.
@@ -144,16 +144,16 @@ fn fig65_scenario2_shapes() {
         rv.io_reads
     );
 
-    let eca3 = measure(params, 3, 3, Corner::EcaBest, s2);
-    let rv3 = measure(params, 3, 3, Corner::RvBest, s2);
+    let eca3 = measure(params, 3, 3, Corner::EcaBest, s2).unwrap();
+    let rv3 = measure(params, 3, 3, Corner::RvBest, s2).unwrap();
     assert!(
         eca3.io_reads < rv3.io_reads,
         "eca {} rv {}",
         eca3.io_reads,
         rv3.io_reads
     );
-    let eca12 = measure(params, 3, 12, Corner::EcaBest, s2);
-    let rv12 = measure(params, 3, 12, Corner::RvBest, s2);
+    let eca12 = measure(params, 3, 12, Corner::EcaBest, s2).unwrap();
+    let rv12 = measure(params, 3, 12, Corner::RvBest, s2).unwrap();
     assert!(
         eca12.io_reads > rv12.io_reads,
         "eca {} rv {}",
@@ -172,7 +172,7 @@ fn fig65_scenario2_shapes() {
 #[test]
 fn selfmaint_messages_match_closed_form_exactly() {
     for (k, seed) in [(8u64, 2u64), (16, 5), (24, 9), (24, 1)] {
-        for point in eca_bench::selfmaint::storage_curve(k, seed) {
+        for point in eca_bench::selfmaint::storage_curve(k, seed).unwrap() {
             assert!(point.converged, "k={k} coverage {}", point.covered);
             assert_eq!(
                 point.messages_measured, point.messages_analytic,
@@ -206,7 +206,7 @@ fn selfmaint_messages_match_closed_form_exactly() {
 /// all; remote updates transfer what ECA would.
 #[test]
 fn selfmaint_bytes_track_remote_updates() {
-    let curve = eca_bench::selfmaint::storage_curve(16, 4);
+    let curve = eca_bench::selfmaint::storage_curve(16, 4).unwrap();
     assert_eq!(curve[3].paper_bytes, 0.0, "full coverage transfers nothing");
     // Zero coverage behaves exactly like ECA on the same script.
     assert_eq!(curve[0].paper_bytes, curve[0].paper_bytes_eca);
@@ -222,7 +222,7 @@ fn selfmaint_bytes_track_remote_updates() {
 fn all_cost_corners_remain_correct() {
     for scenario in [Scenario::Indexed, Scenario::nested_loop_default()] {
         for corner in Corner::all() {
-            let m = measure(p(), 9, 10, corner, scenario);
+            let m = measure(p(), 9, 10, corner, scenario).unwrap();
             assert!(m.converged, "{corner:?} {scenario:?}");
             assert!(
                 m.consistency == "StronglyConsistent" || m.consistency == "Complete",
