@@ -44,7 +44,7 @@ pub struct BenchError {
 
 impl BenchError {
     /// `what` failed because of `cause`.
-    pub fn new(what: &'static str, cause: impl std::fmt::Display) -> Self {
+    pub(crate) fn new(what: &'static str, cause: impl std::fmt::Display) -> Self {
         BenchError {
             what,
             cause: cause.to_string(),
