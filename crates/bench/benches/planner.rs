@@ -4,7 +4,9 @@
 //! by the `planner_report` binary into `results/planner.json`:
 //!
 //! * planned SPJ evaluation (`spj`) beats the cross-select-project oracle
-//!   (`spj_naive`) on 2/3/4-relation chain terms;
+//!   (`spj_naive`) on 2/3/4-relation chain terms; `spj_term/bound_vs_10k`
+//!   and `spj_term/chain3_10k` time the planned path alone on the
+//!   benchmark's main-site shape;
 //! * predicate pushdown pays off most on selective single-relation
 //!   conjuncts;
 //! * multi-term queries (1/4/16 terms) answer faster with term batching
@@ -61,7 +63,36 @@ fn bench_spj_terms(c: &mut Criterion) {
             b.iter(|| spj_naive(black_box(&refs), &cond, &proj).unwrap())
         });
     }
+    bench_main_site_terms(&mut group);
     group.finish();
+}
+
+/// The two terms the benchmark's main site evaluates most, on its shape:
+/// 10k rows per relation, `X` in a domain of 5,000 and `Y` of 2,000.
+///
+/// * `bound_vs_10k`: one bound `r1` tuple against all of `r2`, as a
+///   substituted query term asks;
+/// * `chain3_10k`: `V2 = π_{W,Z}(r1 ⋈ r2 ⋈ r3)` from scratch (100k rows),
+///   as the initial view evaluation (and a recompute) does.
+fn bench_main_site_terms(group: &mut criterion::BenchmarkGroup<'_>) {
+    const ROWS: i64 = 10_000;
+    let r1: SignedBag = (0..ROWS).map(|i| Tuple::ints([i, i % 5_000])).collect();
+    let r2: SignedBag = (0..ROWS)
+        .map(|i| Tuple::ints([i % 5_000, (i * 7_919) % 2_000]))
+        .collect();
+    let r3: SignedBag = (0..ROWS).map(|i| Tuple::ints([i % 2_000, i])).collect();
+    let bound = SignedBag::singleton(Tuple::ints([17, 42]));
+    let pair = [&bound, &r2];
+    let cond = Predicate::col_eq(1, 2);
+    group.bench_function("bound_vs_10k", |b| {
+        b.iter(|| spj(black_box(&pair), &cond, &[0, 3]).unwrap())
+    });
+    let chain = [&r1, &r2, &r3];
+    let cond = chain_cond(3);
+    assert_eq!(spj(&chain, &cond, &[0, 5]).unwrap().pos_len(), 100_000);
+    group.bench_function("chain3_10k", |b| {
+        b.iter(|| spj(black_box(&chain), &cond, &[0, 5]).unwrap())
+    });
 }
 
 fn bench_pushdown_selectivity(c: &mut Criterion) {

@@ -35,7 +35,10 @@
 //! syncs overwrite those zeros in place, so most of them flush data
 //! without a journal commit for a new file size. Zeros never validate as
 //! a frame, so a segment's unused tail is not a torn tail, and
-//! [`Wal::open`] resumes right after the last valid frame. Checkpoints
+//! [`Wal::open`] resumes right after the last valid frame. Recovery,
+//! which has just scanned the log to replay it, resumes with
+//! [`Wal::resume`] at the offset that scan found instead of reading the
+//! file a second time. Checkpoints
 //! are written in one pass, checksummed as they stream to the file.
 
 #![forbid(unsafe_code)]

@@ -100,27 +100,54 @@ impl Wal {
     /// Filesystem errors.
     pub fn open(path: impl Into<PathBuf>, policy: FsyncPolicy) -> Result<Self, DurableError> {
         let path = path.into();
+        let raw = read_log(&path)?;
+        let (valid_len, torn) = valid_prefix(&raw, |_| Ok(()))?;
+        Wal::open_at(path, policy, valid_len as u64, torn)
+    }
+
+    /// [`Wal::open`] for a file already read by [`Wal::scan`]: appends
+    /// resume at `scan.valid_len` and a torn tail is cut off there, with
+    /// no second read of the file. `scan` must describe the file as it
+    /// is now.
+    ///
+    /// # Errors
+    /// Filesystem errors.
+    pub fn resume(
+        path: impl Into<PathBuf>,
+        policy: FsyncPolicy,
+        scan: &WalScan,
+    ) -> Result<Self, DurableError> {
+        Wal::open_at(path.into(), policy, scan.valid_len, scan.torn)
+    }
+
+    /// Open the log at `path` to append at `valid_len`, the end of its
+    /// valid frames, cutting the file there first if it is `torn`.
+    fn open_at(
+        path: PathBuf,
+        policy: FsyncPolicy,
+        valid_len: u64,
+        torn: bool,
+    ) -> Result<Self, DurableError> {
         let file = OpenOptions::new()
             .create(true)
             .read(true)
             .write(true)
             .truncate(false)
             .open(&path)?;
-        let raw = read_log(&path)?;
-        let (pos, torn) = valid_prefix(&raw, |_| Ok(()))?;
-        let (pos, mut zeroed_end) = (pos as u64, raw.len() as u64);
-        if torn {
-            file.set_len(pos)?;
+        let zeroed_end = if torn {
+            file.set_len(valid_len)?;
             file.sync_data()?;
-            zeroed_end = pos;
-        }
+            valid_len
+        } else {
+            file.metadata()?.len()
+        };
         Ok(Wal {
             path,
             file,
             policy,
             buf: BytesMut::new(),
             buffered: 0,
-            pos,
+            pos: valid_len,
             zeroed_end,
         })
     }
@@ -321,6 +348,33 @@ mod tests {
             assert_eq!(again.records, scan.records);
         }
         assert_eq!(boundaries.len(), records.len() + 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_appends_where_the_scan_stopped() {
+        let dir = tmpdir("resume");
+        for torn in [false, true] {
+            let path = dir.join(format!("torn-{torn}.wal"));
+            let _ = std::fs::remove_file(&path);
+            let mut wal = Wal::open(&path, FsyncPolicy::PerRecord).unwrap();
+            wal.append(&recs(1)[0]).unwrap();
+            drop(wal);
+            if torn {
+                // Garbage inside the zero-filled segment, past the frame.
+                let valid = Wal::scan(&path).unwrap().valid_len;
+                let f = OpenOptions::new().write(true).open(&path).unwrap();
+                f.write_all_at(&[0xAB; 7], valid + 3).unwrap();
+            }
+            let scan = Wal::scan(&path).unwrap();
+            assert_eq!(scan.torn, torn);
+            let mut wal = Wal::resume(&path, FsyncPolicy::PerRecord, &scan).unwrap();
+            wal.append(&recs(2)[1]).unwrap();
+            drop(wal);
+            let again = Wal::scan(&path).unwrap();
+            assert_eq!(again.records, recs(2), "torn: {torn}");
+            assert!(!again.torn, "torn: {torn}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -73,12 +73,6 @@ pub fn equijoin(
     equijoin_multi(left, right, &[(left_col, right_col)])
 }
 
-/// Total number of tuple occurrences in a bag, counting duplicates and
-/// pending deletions alike — the real cost of hashing or probing it.
-fn total_occurrences(bag: &SignedBag) -> u64 {
-    bag.pos_len() + bag.neg_len()
-}
-
 /// Hash equi-join on a composite key: `left ⋈ right` on
 /// `∧ left[l_i] = right[r_i]` for every `(l_i, r_i)` in `keys`.
 ///
@@ -86,54 +80,14 @@ fn total_occurrences(bag: &SignedBag) -> u64 {
 /// builds the hash table. The build side is the one with fewer total
 /// tuple *occurrences* (duplicates included): `distinct_len` undercounts
 /// skewed bags where one distinct tuple carries a large replication count,
-/// and the hash table stores every occurrence.
+/// and the hash table stores every occurrence. This is the join step of
+/// the planned SPJ executor ([`crate::planner`]).
 ///
 /// Tuples missing any key column (arity too small) join nothing, matching
 /// `σ(left × right)` semantics where the equality cannot hold.
 #[must_use]
 pub fn equijoin_multi(left: &SignedBag, right: &SignedBag, keys: &[(usize, usize)]) -> SignedBag {
-    use std::collections::HashMap;
-    if keys.is_empty() {
-        return cross(left, right);
-    }
-    let build_is_left = total_occurrences(left) <= total_occurrences(right);
-    let (build, probe) = if build_is_left {
-        (left, right)
-    } else {
-        (right, left)
-    };
-    fn key_of<'a>(
-        t: &'a Tuple,
-        keys: &[(usize, usize)],
-        left_side: bool,
-    ) -> Option<Vec<&'a crate::value::Value>> {
-        keys.iter()
-            .map(|&(l, r)| t.get(if left_side { l } else { r }))
-            .collect()
-    }
-    let mut table: HashMap<Vec<&crate::value::Value>, Vec<(&Tuple, i64)>> = HashMap::new();
-    for (t, c) in build.iter() {
-        if let Some(key) = key_of(t, keys, build_is_left) {
-            table.entry(key).or_default().push((t, c));
-        }
-    }
-    let mut out = SignedBag::new();
-    for (pt, pc) in probe.iter() {
-        let Some(key) = key_of(pt, keys, !build_is_left) else {
-            continue;
-        };
-        if let Some(matches) = table.get(&key) {
-            for (bt, bc) in matches {
-                let joined = if build_is_left {
-                    bt.concat(pt)
-                } else {
-                    pt.concat(bt)
-                };
-                out.add(joined, bc * pc);
-            }
-        }
-    }
-    out
+    crate::planner::equijoin_bags(left, right, keys)
 }
 
 /// Evaluate a full SPJ term `π_proj(σ_cond(r1 × r2 × … × rn))`.

@@ -67,8 +67,15 @@ fn slot(value: Option<&Value>) -> (u32, bool) {
 /// prefixes (DESIGN §6): comparing prefixes decides most comparisons
 /// without following either tuple's pointer.
 fn prefix(tuple: &Tuple) -> u64 {
-    let (high, exact) = slot(tuple.get(0));
-    let low = if exact { slot(tuple.get(1)).0 } else { 0 };
+    prefix_of(tuple.get(0), tuple.get(1))
+}
+
+/// [`prefix`] of a tuple not yet built, from its first two values — so
+/// the SPJ executor can sort its rows into bag order before it
+/// allocates a tuple.
+pub(crate) fn prefix_of(first: Option<&Value>, second: Option<&Value>) -> u64 {
+    let (high, exact) = slot(first);
+    let low = if exact { slot(second).0 } else { 0 };
     (u64::from(high) << 32) | u64::from(low)
 }
 

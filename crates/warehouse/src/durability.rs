@@ -29,7 +29,7 @@
 
 use eca_core::QueryId;
 use eca_durable::{
-    DurabilityConfig, DurableError, SourceCheckpoint, ViewCheckpoint, Wal, WalRecord,
+    DurabilityConfig, DurableError, SourceCheckpoint, ViewCheckpoint, Wal, WalRecord, WalScan,
 };
 use eca_wire::Message;
 
@@ -74,18 +74,20 @@ impl SourceDurability {
         })
     }
 
-    /// Resume appending to an existing generation after recovery
-    /// (`replayed` records already in the file count against the
-    /// checkpoint cadence; `watermark` is the recovered, hence durable,
-    /// notification watermark).
+    /// Resume appending to an existing generation after recovery, at the
+    /// end of the valid frames `scan` found in it (a torn tail is cut
+    /// there; the file is not read again). The `replayed` records already
+    /// in the file count against the checkpoint cadence; `watermark` is
+    /// the recovered, hence durable, notification watermark.
     fn resume(
         config: &DurabilityConfig,
         source: usize,
         gen: u64,
+        scan: &WalScan,
         replayed: u64,
         watermark: u64,
     ) -> Result<Self, DurableError> {
-        let wal = Wal::open(config.wal_path(source, gen), config.fsync)?;
+        let wal = Wal::resume(config.wal_path(source, gen), config.fsync, scan)?;
         config.remove_stale_wals(source, gen);
         Ok(SourceDurability {
             config: config.clone(),
@@ -203,9 +205,11 @@ impl RecoveryOutcome {
 /// Per-source recovery plan assembled from the on-disk state before any
 /// warehouse state is touched.
 enum Plan {
+    /// The checkpoint and the one scan of the log it pairs with: its
+    /// records to replay, and where appends resume.
     Incremental {
         ckpt: SourceCheckpoint,
-        records: Vec<WalRecord>,
+        scan: WalScan,
     },
     Full,
 }
@@ -230,11 +234,7 @@ impl Plan {
         let Ok(scan) = Wal::scan(&wal_path) else {
             return Ok(Plan::Full);
         };
-        Wal::truncate_torn_tail(&wal_path, &scan)?;
-        Ok(Plan::Incremental {
-            ckpt,
-            records: scan.records,
-        })
+        Ok(Plan::Incremental { ckpt, scan })
     }
 }
 
@@ -316,31 +316,35 @@ impl Shard {
         // Replay runs with no log installed: the events it applies are
         // the ones already in the log being replayed.
         let resumed = match plan {
-            Plan::Incremental { ckpt, records } => {
+            Plan::Incremental { ckpt, mut scan } => {
+                let records = std::mem::take(&mut scan.records);
                 let (gen, replayed) = (ckpt.wal_gen, records.len() as u64);
                 if self.restore_and_replay(ckpt, records) {
-                    Some((gen, replayed))
+                    Some((gen, scan, replayed))
                 } else {
                     // Partial replay may have left garbage: restart the
                     // durable lineage and let the resync overwrite the
                     // in-memory state wholesale.
-                    for v in &mut self.views {
-                        v.states = vec![v.maintainer.materialized().clone()];
-                    }
+                    self.restart_history();
                     None
                 }
             }
             Plan::Full => None,
         };
-        self.durability = Some(match resumed {
-            Some((gen, replayed)) => {
-                SourceDurability::resume(config, source.0, gen, replayed, self.notifications_seen)?
-            }
+        self.durability = Some(match &resumed {
+            Some((gen, scan, replayed)) => SourceDurability::resume(
+                config,
+                source.0,
+                *gen,
+                scan,
+                *replayed,
+                self.notifications_seen,
+            )?,
             None => SourceDurability::fresh(config, source.0)?,
         });
         let messages = self.on_reset(resumed.is_none())?;
         Ok(match resumed {
-            Some((_, replayed)) => RecoveryOutcome::Incremental {
+            Some((_, _, replayed)) => RecoveryOutcome::Incremental {
                 source,
                 replayed,
                 notifications_seen: self.notifications_seen,
@@ -366,8 +370,8 @@ impl Shard {
                 return false;
             }
             entry.status = ViewStatus::Active;
-            entry.states = vec![entry.maintainer.materialized().clone()];
         }
+        self.restart_history();
         records.into_iter().all(|record| match record {
             WalRecord::Update(update) => self.on_update(&update).is_ok(),
             WalRecord::Answer { id, answer } => self.on_answer(QueryId(id), answer).is_ok(),
@@ -450,12 +454,13 @@ impl Warehouse {
     /// warehouse with the *same* sources and views (same registration
     /// order) as the crashed deployment, before any traffic.
     ///
-    /// Per source channel: load the checkpoint, restore view bags and
-    /// session counters from it, truncate the log's torn tail at the
-    /// last valid record, replay the tail through the ordinary event
+    /// Per source channel: load the checkpoint and scan the log once,
+    /// restore view bags and session counters from the checkpoint,
+    /// replay the log's valid records through the ordinary event
     /// handlers (re-deriving pending queries under their original ids),
-    /// and finally reset the channel — re-issuing the in-flight work
-    /// under a fresh epoch. A missing/damaged checkpoint, an
+    /// resume the log at its last valid record (cutting a torn tail
+    /// there), and finally reset the channel — re-issuing the in-flight
+    /// work under a fresh epoch. A missing/damaged checkpoint, an
     /// undecodable log, or a replay mismatch falls back to
     /// [`RecoveryOutcome::Full`]: every view over that source degrades
     /// and resyncs from a fresh `V(ss)`.
@@ -744,6 +749,79 @@ mod tests {
         }
         assert_eq!(plain.view_states(v1), durable.view_states(v2));
         assert_eq!(plain.epoch(src1), durable.epoch(src2));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// History off keeps no state: not at registration, not per event,
+    /// not when recovery restores and replays a channel, not when it
+    /// falls back to a full resync. Switching it on starts the history
+    /// at the current `MV`; switching it off drops it.
+    #[test]
+    fn history_off_keeps_no_state_across_events_and_recovery() {
+        let dir = tmpdir("history");
+        let mut db = base_db();
+        let build_off = || {
+            let v = view_def();
+            let mut wh = Warehouse::new();
+            wh.set_record_history(false);
+            let src = wh.add_source("src");
+            let initial = v.eval(&base_db()).unwrap();
+            let id = wh
+                .add_view(src, AlgorithmKind::Eca.instantiate(&v, initial).unwrap())
+                .unwrap();
+            (wh, src, id)
+        };
+        let (mut wh, src, view) = build_off();
+        assert!(wh.view_states(view).is_empty(), "no initial state");
+        let cfg = DurabilityConfig::new(&dir).with_checkpoint_every(1_000);
+        wh.enable_durability(cfg.clone()).unwrap();
+        for i in 0..3i64 {
+            let u = Update::insert("r2", Tuple::ints([2, 40 + i]));
+            db.apply(&u);
+            for q in wh.on_update(src, &u).unwrap() {
+                wh.on_answer(src, q.id, q.query.eval(&db).unwrap()).unwrap();
+            }
+        }
+        let u = Update::insert("r1", Tuple::ints([6, 2]));
+        db.apply(&u);
+        assert_eq!(wh.on_update(src, &u).unwrap().len(), 1);
+        assert!(wh.view_states(view).is_empty(), "no state per event");
+        drop(wh); // crash with the last query in flight
+
+        let (mut wh, src, view) = build_off();
+        let outcomes = wh.recover_durability(cfg.clone()).unwrap();
+        assert!(outcomes[0].is_incremental(), "{:?}", outcomes[0]);
+        assert!(wh.view_states(view).is_empty(), "none restored or replayed");
+        answer_all(
+            &mut wh,
+            src,
+            &db,
+            outcomes.into_iter().next().unwrap().messages().to_vec(),
+        );
+        assert_eq!(*wh.materialized(view), view_def().eval(&db).unwrap());
+        assert!(wh.view_states(view).is_empty());
+
+        wh.set_record_history(true);
+        assert_eq!(wh.view_states(view), [wh.materialized(view).clone()]);
+        let u = Update::delete("r2", Tuple::ints([2, 40]));
+        db.apply(&u);
+        for q in wh.on_update(src, &u).unwrap() {
+            wh.on_answer(src, q.id, q.query.eval(&db).unwrap()).unwrap();
+        }
+        let states = wh.view_states(view);
+        assert_eq!(states.len(), 3, "start, update event, answer event");
+        assert_eq!(states[2], view_def().eval(&db).unwrap());
+        wh.set_record_history(false);
+        assert!(wh.view_states(view).is_empty(), "switching off drops it");
+        wh.sync_durability().unwrap();
+        drop(wh);
+
+        // The full fallback keeps nothing either.
+        std::fs::remove_file(cfg.checkpoint_path(0)).unwrap();
+        let (mut wh, _, view) = build_off();
+        let outcomes = wh.recover_durability(cfg).unwrap();
+        assert!(!outcomes[0].is_incremental());
+        assert!(wh.view_states(view).is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

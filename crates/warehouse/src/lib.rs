@@ -297,16 +297,24 @@ impl Warehouse {
     }
 
     /// Toggle per-event state-history recording (on by default). The
-    /// history feeds the §3.1 consistency checker. Each recorded state
-    /// is a clone of `MV`, which shares its pages with the live bag and
-    /// with its neighbours in the history, so an entry costs its page
-    /// vector (one pointer pair per page, a page per 900–2,048 tuples)
-    /// plus the pages and chunks that event changed — not a copy of the
-    /// view. Long throughput runs can still switch it off: the history
-    /// grows by one entry per event for as long as the run lasts.
-    /// Initial states are always kept.
+    /// history feeds the §3.1 consistency checker ([`Warehouse::view_states`]).
+    /// Each recorded state is a clone of `MV`, which shares its pages with
+    /// the live bag and with its neighbours in the history, so an entry
+    /// costs its page vector (one pointer pair per page, a page per
+    /// 900–2,048 tuples) plus the pages and chunks that event changed —
+    /// not a copy of the view. But every entry, the first included, pins
+    /// the chunks it shares: the live bag's first write to one copies it.
+    ///
+    /// Off means no history at all: no view keeps a state, not even its
+    /// initial one, so the warehouse holds each view once. Switching off
+    /// drops what was recorded; switching on starts every view's history
+    /// at its current `MV`. Views added and channels recovered while it
+    /// is off record nothing.
     pub fn set_record_history(&mut self, on: bool) {
-        self.configure(|s| s.record_history = on);
+        self.settings.record_history = on;
+        for shard in &mut self.shards {
+            shard.set_record_history(on);
+        }
     }
 
     /// Register a source channel.
@@ -361,8 +369,13 @@ impl Warehouse {
         self.view(view).maintainer.materialized()
     }
 
-    /// Every `MV` state a view passed through, starting with its initial
-    /// state — the warehouse half of the §3.1 consistency check.
+    /// Every `MV` state a view passed through since its history started,
+    /// starting with the state it started at — the warehouse half of the
+    /// §3.1 consistency check. A history starts when the view is added
+    /// (at its initial state), when its channel is recovered from disk
+    /// (at the recovered state) and when recording is switched on (at
+    /// the current state). Empty while recording is off
+    /// ([`Warehouse::set_record_history`]).
     pub fn view_states(&self, view: ViewId) -> &[SignedBag] {
         &self.view(view).states
     }

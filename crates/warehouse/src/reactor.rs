@@ -146,8 +146,9 @@ impl ReactorWarehouse {
         shard.views[local].maintainer.materialized().clone()
     }
 
-    /// Every `MV` state a view passed through, starting with its initial
-    /// state — the warehouse half of the §3.1 consistency check.
+    /// A copy of [`crate::Warehouse::view_states`]: the states a view
+    /// passed through since its history started, empty while recording
+    /// is off.
     pub fn view_states(&self, view: ViewId) -> Vec<SignedBag> {
         let (shard, local) = self.set.view_index[view.0];
         lock(&self.set.shards[shard]).views[local].states.clone()

@@ -44,16 +44,28 @@ pub(crate) struct Settings {
 pub(crate) struct ShardView {
     pub(crate) maintainer: Box<dyn ViewMaintainer>,
     pub(crate) status: ViewStatus,
-    /// `MV` after the initial state and each event that reached this
-    /// view, including every intermediate state a maintainer reports via
+    /// While history is recorded: `MV` when recording started and after
+    /// each event that reached this view since, including every
+    /// intermediate state a maintainer reports via
     /// [`ViewMaintainer::drain_intermediate_states`] — the history the
-    /// §3.1 consistency checker needs.
+    /// §3.1 consistency checker needs. Empty while it is not, so no
+    /// old state pins chunks the live bag has since rewritten.
     pub(crate) states: Vec<SignedBag>,
 }
 
 impl ShardView {
     fn settled(&self) -> bool {
         self.status == ViewStatus::Active && self.maintainer.is_quiescent()
+    }
+
+    /// Start the history over at the current `MV`, or drop it when
+    /// history is off.
+    fn restart_history(&mut self, record: bool) {
+        self.states = if record {
+            vec![self.maintainer.materialized().clone()]
+        } else {
+            Vec::new()
+        };
     }
 }
 
@@ -97,14 +109,34 @@ impl Shard {
 
     /// Host a view; returns its shard-local index.
     pub(crate) fn add_view(&mut self, id: ViewId, maintainer: Box<dyn ViewMaintainer>) -> usize {
-        let initial = maintainer.materialized().clone();
-        self.views.push(ShardView {
+        let mut view = ShardView {
             maintainer,
             status: ViewStatus::Active,
-            states: vec![initial],
-        });
+            states: Vec::new(),
+        };
+        view.restart_history(self.settings.record_history);
+        self.views.push(view);
         self.view_ids.push(id);
         self.views.len() - 1
+    }
+
+    /// See [`crate::Warehouse::set_record_history`]: switching on starts
+    /// every view's history at its current `MV`, switching off drops it.
+    pub(crate) fn set_record_history(&mut self, on: bool) {
+        if self.settings.record_history == on {
+            return;
+        }
+        self.settings.record_history = on;
+        self.restart_history();
+    }
+
+    /// Start every view's history over at its current `MV` (nothing
+    /// while history is off).
+    pub(crate) fn restart_history(&mut self) {
+        let record = self.settings.record_history;
+        for view in &mut self.views {
+            view.restart_history(record);
+        }
     }
 
     /// Nothing pending on the session and every view healthy and

@@ -161,7 +161,7 @@ mod planner_properties {
 
     use super::*;
     use eca_relational::algebra::{spj, spj_naive};
-    use eca_relational::SignedBag;
+    use eca_relational::{SignedBag, Value};
     use proptest::prelude::*;
 
     /// A signed bag of binary tuples — negative counts included, since
@@ -220,6 +220,124 @@ mod planner_properties {
             let naive = spj_naive(&inputs, &cond, &proj).unwrap();
             prop_assert_eq!(planned, naive);
         }
+    }
+
+    /// One random SPJ term of every shape the planner distinguishes:
+    /// 1–4 inputs of arity 1–3 over integers or strings, each adjacent
+    /// pair linked by zero (a cross product), one or two equalities (a
+    /// composite key), plus pushable and residual comparisons; signed
+    /// counts throughout. With `cancel`, every row of the first input
+    /// has a twin of opposite count that differs only in a column the
+    /// projection drops, so the answer cancels to zero where nothing
+    /// else tells the twins apart.
+    struct ShapedTerm {
+        inputs: Vec<SignedBag>,
+        cond: Predicate,
+        proj: Vec<usize>,
+    }
+
+    fn shaped_term(seed: u64) -> ShapedTerm {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..=4usize);
+        let arities: Vec<usize> = (0..n).map(|_| rng.gen_range(1..=3)).collect();
+        let offsets: Vec<usize> = arities
+            .iter()
+            .scan(0, |at, &a| {
+                *at += a;
+                Some(*at - a)
+            })
+            .collect();
+        let total: usize = arities.iter().sum();
+        let strings = rng.gen_bool(0.4);
+        let value = |v: i64| -> Value {
+            if strings {
+                Value::str(format!("s{v}"))
+            } else {
+                Value::Int(v)
+            }
+        };
+        let cancel = arities[0] >= 2 && rng.gen_bool(0.4);
+        let mut inputs = Vec::with_capacity(n);
+        for (i, &arity) in arities.iter().enumerate() {
+            let mut bag = SignedBag::new();
+            for _ in 0..rng.gen_range(0..7) {
+                let vals: Vec<i64> = (0..arity).map(|_| rng.gen_range(0..3)).collect();
+                let count: i64 = [-2, -1, 1, 2][rng.gen_range(0..4usize)];
+                bag.add(Tuple::new(vals.iter().map(|&v| value(v))), count);
+                if cancel && i == 0 {
+                    let mut twin = vals.clone();
+                    twin[arity - 1] += 10;
+                    bag.add(Tuple::new(twin.iter().map(|&v| value(v))), -count);
+                }
+            }
+            inputs.push(bag);
+        }
+        let mut cond = Predicate::True;
+        for i in 1..n {
+            // 0 edges: a cross product; 2: a composite key.
+            for _ in 0..rng.gen_range(0..=2) {
+                let a = offsets[i - 1] + rng.gen_range(0..arities[i - 1]);
+                let b = offsets[i] + rng.gen_range(0..arities[i]);
+                cond = cond.and(Predicate::col_eq(a, b));
+            }
+        }
+        let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Ge];
+        if rng.gen_bool(0.5) {
+            let op = ops[rng.gen_range(0..ops.len())];
+            cond = cond.and(Predicate::col_const(
+                rng.gen_range(0..total),
+                op,
+                value(rng.gen_range(0..3)),
+            ));
+        }
+        if rng.gen_bool(0.4) {
+            let op = ops[rng.gen_range(0..ops.len())];
+            cond = cond.and(Predicate::col_cmp(
+                rng.gen_range(0..total),
+                op,
+                rng.gen_range(0..total),
+            ));
+        }
+        // A cancelling term never projects the column its twins differ in.
+        let dropped = cancel.then_some(arities[0] - 1);
+        let kept: Vec<usize> = (0..total).filter(|&c| Some(c) != dropped).collect();
+        let proj = (0..rng.gen_range(1..=3))
+            .map(|_| kept[rng.gen_range(0..kept.len())])
+            .collect();
+        ShapedTerm { inputs, cond, proj }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn planned_spj_matches_oracle_on_every_shape(seed in 0u64..u64::MAX) {
+            let term = shaped_term(seed);
+            let inputs: Vec<&SignedBag> = term.inputs.iter().collect();
+            let planned = spj(&inputs, &term.cond, &term.proj).unwrap();
+            let naive = spj_naive(&inputs, &term.cond, &term.proj).unwrap();
+            prop_assert_eq!(planned, naive);
+        }
+    }
+
+    /// The cancelling shape, pinned: twins of opposite count that differ
+    /// only in a dropped column join the same rows and sum to nothing.
+    #[test]
+    fn planned_spj_cancels_to_zero_like_the_oracle() {
+        let mut r1 = SignedBag::new();
+        r1.add(Tuple::new([Value::str("a"), Value::Int(1)]), 2);
+        r1.add(Tuple::new([Value::str("a"), Value::Int(2)]), -2);
+        let r2 = SignedBag::from_tuples([
+            Tuple::new([Value::str("a"), Value::str("x")]),
+            Tuple::new([Value::str("a"), Value::str("y")]),
+        ]);
+        let inputs = [&r1, &r2];
+        let cond = Predicate::col_eq(0, 2);
+        let joined = spj(&inputs, &cond, &[0, 1, 3]).unwrap();
+        assert_eq!(joined.distinct_len(), 4, "the twins join before projection");
+        let planned = spj(&inputs, &cond, &[0, 3]).unwrap();
+        assert!(planned.is_empty());
+        assert_eq!(planned, spj_naive(&inputs, &cond, &[0, 3]).unwrap());
     }
 
     proptest! {
