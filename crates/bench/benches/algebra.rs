@@ -1,6 +1,7 @@
 //! Substrate microbenchmarks: signed-bag algebra, SPJ evaluation, the
-//! physical engine's access paths, the wire codec and in-process
-//! channel, a compensating query's path from maintainer to source,
+//! physical engine's access paths, the wire codec, the in-process
+//! channel and one loopback TCP turn through the station pool, a
+//! compensating query's path from maintainer to source,
 //! epoch publication for read serving, and the write-ahead log's syncs
 //! and checkpoint writes.
 
@@ -14,7 +15,10 @@ use eca_relational::{Schema, SignedBag, Tuple, Update, Value};
 use eca_source::Source;
 use eca_storage::{IoMeter, Scenario, StorageEngine, Table};
 use eca_warehouse::EpochRegistry;
-use eca_wire::{Message, ReadLevel, SharedFifo, TransferMeter, Transport, WireQuery};
+use eca_wire::{
+    Exit, Message, ReadLevel, Role, SharedFifo, StationOwner, StationPool, TcpTransport,
+    TransferMeter, Transport, WireQuery,
+};
 use eca_workload::{Example6, Params};
 
 fn calibrated_db() -> (ViewDef, eca_core::BaseDb) {
@@ -263,6 +267,57 @@ fn bench_wire_codec(c: &mut Criterion) {
     group.finish();
 }
 
+/// A station owner answering every request with `.0` copies of it.
+struct Turn(usize);
+
+impl StationOwner for Turn {
+    type Key = usize;
+
+    fn handle(&self, _: usize, msg: Message, replies: &mut Vec<Message>) {
+        replies.extend(std::iter::repeat(msg).take(self.0));
+    }
+
+    fn closed(&self, _: usize, _: Exit) {}
+
+    fn gate(&self, _: &std::net::TcpStream) -> Option<usize> {
+        None
+    }
+}
+
+/// One request/response turn over loopback TCP: a client sends one
+/// small notification and a one-worker station pool answers it with one
+/// frame or two, the shape of a `tcp_stream` update's two halves.
+fn bench_wire_tcp(c: &mut Criterion) {
+    let request = Message::UpdateNotification {
+        update: Update::insert("r1", Tuple::ints([9, 3])),
+    };
+    let mut group = c.benchmark_group("wire_tcp");
+    for frames in [1, 2] {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpTransport::connect(
+            listener.local_addr().unwrap(),
+            Role::Source,
+            TransferMeter::new(),
+        )
+        .unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let server = TcpTransport::new(stream, Role::Warehouse, TransferMeter::new()).unwrap();
+        let stations: Vec<(usize, Box<dyn Transport + Send>)> = vec![(0, Box::new(server))];
+        let pool = StationPool::start(Turn(frames), 1, stations).unwrap();
+        group.bench_function(BenchmarkId::new("turn", frames), |b| {
+            b.iter(|| {
+                client.send(&request).unwrap();
+                for _ in 0..frames {
+                    client.recv().unwrap().unwrap();
+                }
+            })
+        });
+        drop(client);
+        pool.stop().unwrap();
+    }
+    group.finish();
+}
+
 /// One compensating query's path from the maintainer to the source:
 /// ECA's `W_up` with eight queries in `UQS`, the wire form, a copy of the
 /// message, and the source answering a query whose header it has
@@ -418,6 +473,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_signed_bags, bench_spj, bench_physical_engine, bench_wire_codec,
-        bench_query_path, bench_serving, bench_durable
+        bench_wire_tcp, bench_query_path, bench_serving, bench_durable
 }
 criterion_main!(benches);

@@ -647,6 +647,67 @@ mod tests {
         );
     }
 
+    /// A raw "warehouse" that writes two queries in one segment, reads
+    /// both answers and hangs up, against a source driven over TCP by
+    /// `drive`. Over TCP the first answer is held back while the second
+    /// query waits decoded; the serve loop must still get both out.
+    fn two_queries_in_one_segment(
+        drive: impl FnOnce(Source, eca_wire::TcpTransport) -> ServeStats,
+    ) {
+        use eca_wire::{read_frame, write_frame, Role, TcpTransport, TransferMeter};
+        use std::io::Write as _;
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (s, view) = example_source(Scenario::Indexed);
+        let query = WireQuery::from_query(&view.as_query());
+        let warehouse = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream
+                .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+                .unwrap();
+            let mut segment = Vec::new();
+            for id in 1..=2 {
+                let q = Message::QueryRequest {
+                    id: QueryId(id),
+                    query: query.clone(),
+                };
+                write_frame(&mut segment, &q).unwrap();
+            }
+            stream.write_all(&segment).unwrap();
+            (0..2)
+                .map(|_| {
+                    let frame = read_frame(&mut stream).unwrap().unwrap();
+                    match Message::decode(frame) {
+                        Ok(Message::QueryAnswer { id, .. }) => id,
+                        other => panic!("expected an answer, got {other:?}"),
+                    }
+                })
+                .collect::<Vec<_>>()
+        });
+        let link = TcpTransport::connect(addr, Role::Source, TransferMeter::new()).unwrap();
+        let stats = drive(s, link);
+        assert_eq!(warehouse.join().unwrap(), vec![QueryId(1), QueryId(2)]);
+        assert_eq!(stats.answers, 2);
+    }
+
+    #[test]
+    fn serve_answers_two_queries_from_one_segment() {
+        two_queries_in_one_segment(|mut s, mut link| s.serve(&mut link, &[]).unwrap());
+    }
+
+    #[test]
+    fn serve_fleet_answers_two_queries_from_one_segment() {
+        two_queries_in_one_segment(|source, link| {
+            let mut members = [FleetMember {
+                source,
+                transport: Box::new(link),
+                script: Vec::new(),
+            }];
+            serve_fleet(&mut members).unwrap().remove(0)
+        });
+    }
+
     /// Only queries travel toward a source: an ack or a notification is
     /// refused without touching the state.
     #[test]

@@ -201,15 +201,22 @@ impl Message {
     /// Encode to bytes.
     pub fn encode(&self) -> Bytes {
         let mut e = Encoder::new();
+        self.encode_into(&mut e);
+        e.finish()
+    }
+
+    /// Encode at the end of `e`'s buffer: the bytes [`Message::encode`]
+    /// returns, written in place behind whatever `e` already holds.
+    pub(crate) fn encode_into(&self, e: &mut Encoder) {
         match self {
             Message::UpdateNotification { update } => {
                 e.put_u8(0);
-                put_update(&mut e, update);
+                put_update(e, update);
             }
             Message::QueryRequest { id, query } => {
                 e.put_u8(1);
                 e.put_u64(id.0);
-                put_wire_query(&mut e, query);
+                put_wire_query(e, query);
             }
             Message::QueryAnswer { id, answer } => {
                 e.put_u8(2);
@@ -257,7 +264,6 @@ impl Message {
                 e.put_str(reason);
             }
         }
-        e.finish()
     }
 
     /// Decode from bytes.

@@ -7,8 +7,9 @@
 //! *station* pinned to home worker `admission index % workers`, the only
 //! thread that ever touches its transport. A worker's scan visits its
 //! home stations, drains up to 64 messages from each, hands each to
-//! [`StationOwner::handle`] in arrival order and sends the replies on the
-//! same transport.
+//! [`StationOwner::handle`] in arrival order and sends the visit's
+//! replies on the same transport in one [`Transport::send_all`], which a
+//! socket makes one write.
 //!
 //! Each worker sleeps on its own [`PollWaker`], in one `poll(2)` over its
 //! home sockets and its wake socket. An in-process station
@@ -381,9 +382,7 @@ impl<O: StationOwner> Shared<O> {
         for msg in batch.drain(..) {
             self.owner.handle(st.key, msg, replies);
         }
-        for reply in replies.drain(..) {
-            st.transport.send(&reply).map_err(Exit::Faulted)?;
-        }
+        st.transport.send_all(replies).map_err(Exit::Faulted)?;
         drained.map_err(Exit::Faulted)?;
         if taken > 0 {
             return Ok(taken == QUANTUM);

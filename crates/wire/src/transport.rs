@@ -17,17 +17,24 @@
 //! * [`TcpTransport`] — length-prefixed frames over a *non-blocking*
 //!   `std::net::TcpStream`: an incremental [`FrameDecoder`] reassembles
 //!   frames across partial reads, sends queue into a bounded outbound
-//!   buffer when the socket would block, and [`Transport::poll_fd`]
-//!   hands a poll loop the descriptor to sleep on, so hundreds of
-//!   connections multiplex onto a few [`PollWaker::wait`] calls with
-//!   **zero** per-connection threads. TCP's in-order delivery preserves
-//!   the §3 ordering assumption per connection.
+//!   buffer, and [`Transport::poll_fd`] hands a poll loop the
+//!   descriptor to sleep on, so hundreds of connections multiplex onto a
+//!   few [`PollWaker::wait`] calls with **zero** per-connection threads.
+//!   TCP's in-order delivery preserves the §3 ordering assumption per
+//!   connection.
+//!
+//! A socket endpoint writes when it runs out of input, not once per
+//! message, and receives answer from decoded frames before touching the
+//! socket ([`TcpTransport`], "When bytes reach the socket"). The paper
+//! asks only for FIFO channels (§3) and counts messages, not writes
+//! (§6), so neither order nor any meter changes. [`Transport::send`]
+//! names the one caller shape a deferred send does not suit.
 //!
 //! Metering convention: each message is charged once per meter, in its
 //! direction of travel. A [`SharedFifo`] pair shares one meter and
 //! charges at send time; each [`TcpTransport`] endpoint owns its meter
-//! and charges sends at write time and receives at decode time, so
-//! either side of a real deployment observes the same per-direction
+//! and charges sends when it buffers them and receives at decode time,
+//! so either side of a real deployment observes the same per-direction
 //! totals the simulator would.
 
 use std::collections::VecDeque;
@@ -39,9 +46,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
-use crate::codec::DecodeError;
+use crate::codec::{DecodeError, Encoder};
 use crate::message::Message;
 use crate::meter::{Direction, TransferMeter};
 
@@ -298,10 +305,33 @@ pub trait Transport {
 
     /// Send a message toward the peer, charging the meter.
     ///
+    /// A transport may hold the bytes back while a received message is
+    /// still waiting to be taken, as [`TcpTransport`] does: they leave
+    /// with the next send that finds nothing waiting, or before the
+    /// endpoint next reads from or sleeps on its channel. Per-direction
+    /// FIFO order holds either way. So a caller must not keep messages
+    /// unread and then wait on something other than this endpoint for
+    /// the peer to act: the peer may not have the reply yet. A caller
+    /// that receives again before it sleeps, as every loop in this
+    /// workspace does, never notices.
+    ///
     /// # Errors
     /// [`TransportError::Closed`] / [`TransportError::Io`] when the peer
     /// is unreachable.
     fn send(&mut self, msg: &Message) -> Result<(), TransportError>;
+
+    /// Send every message of `msgs` in order and leave `msgs` empty. The
+    /// bytes are handed over at once, even while received messages wait:
+    /// these are one turn's replies, and the turn is over. The default
+    /// loops [`Transport::send`]; [`TcpTransport`] makes one write of
+    /// the whole batch.
+    ///
+    /// # Errors
+    /// As [`Transport::send`]; the messages after a failed one are
+    /// dropped.
+    fn send_all(&mut self, msgs: &mut Vec<Message>) -> Result<(), TransportError> {
+        msgs.drain(..).try_for_each(|msg| self.send(&msg))
+    }
 
     /// Take the oldest inbound message without blocking. `Ok(None)` means
     /// nothing is available *right now* (the peer may still send more).
@@ -426,11 +456,26 @@ pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 /// # Errors
 /// Propagates I/O errors from the writer.
 pub fn write_frame(w: &mut impl Write, msg: &Message) -> Result<(), TransportError> {
-    let payload = msg.encode();
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(&payload)?;
+    let mut frame = BytesMut::new();
+    put_frame(&mut frame, msg);
+    w.write_all(frame.as_ref())?;
     w.flush()?;
     Ok(())
+}
+
+/// Append `msg` to `out` as one frame, encoded in place behind a 4-byte
+/// placeholder whose length is patched in afterwards: no intermediate
+/// buffer, no copy. Returns the payload length, the figure a meter is
+/// charged.
+fn put_frame(out: &mut BytesMut, msg: &Message) -> usize {
+    let start = out.len();
+    let mut e = Encoder::with_buf(std::mem::take(out));
+    e.put_u32(0);
+    msg.encode_into(&mut e);
+    *out = e.into_buf();
+    let len = out.len() - start - 4;
+    out.as_mut()[start..start + 4].copy_from_slice(&(len as u32).to_be_bytes());
+    len
 }
 
 /// Read one length-prefixed frame. `Ok(None)` on clean EOF at a frame
@@ -924,16 +969,25 @@ const TCP_READ_CHUNK: usize = 16 * 1024;
 /// A [`Transport`] over a real TCP connection — readiness-driven, with
 /// **no** per-connection threads.
 ///
-/// The stream runs in non-blocking mode. Every operation first runs a
+/// The stream runs in non-blocking mode. A receive takes an
+/// already-decoded frame if one waits, and only otherwise runs a
 /// *service pass* ([`TcpTransport`] internal `pump`): flush whatever the
-/// kernel will take of the bounded outbound buffer, then read until
-/// `WouldBlock`, feeding an incremental [`FrameDecoder`] whose complete
-/// frames (length prefix stripped, payload metered at decode) queue for
-/// `try_recv`/`drain_into`. Sends append a length-prefixed frame
-/// ([`write_frame`] rules) to the outbound buffer and block only when
-/// the buffer would exceed its cap — while blocked, the service pass
-/// keeps draining inbound so two peers flooding each other cannot
-/// deadlock. Blocking receives sleep in `poll(2)` on this socket alone.
+/// kernel will take of the bounded outbound buffer, then read until a
+/// short read, `WouldBlock` or EOF, feeding an incremental
+/// [`FrameDecoder`] whose complete frames (length prefix stripped,
+/// payload metered at decode) queue for `try_recv`/`drain_into`. Sends
+/// encode a length-prefixed frame ([`write_frame`] rules) in place at
+/// the end of the outbound buffer and block only when the buffer would
+/// exceed its cap — while blocked, the service pass keeps draining
+/// inbound so two peers flooding each other cannot deadlock. Blocking
+/// receives sleep in `poll(2)` on this socket alone.
+///
+/// **When bytes reach the socket.** [`Transport::send_all`] writes its
+/// whole batch at once; [`Transport::send`] writes only while no
+/// received frame waits, and otherwise leaves its frame for the next
+/// send that finds the queue empty or for the service pass before the
+/// endpoint next reads or sleeps (`close` too). A request/response turn
+/// thus costs each side one write, however many frames it carries.
 ///
 /// For *multiplexed* deployments the endpoint cannot notify a
 /// [`PollWaker`] ([`Transport::set_waker`] reports `false`: nothing runs
@@ -951,8 +1005,8 @@ pub struct TcpTransport {
     decoder: FrameDecoder,
     /// Complete inbound frames, already metered, awaiting decode.
     inbound: VecDeque<Bytes>,
-    /// Encoded-but-unsent bytes; `out_pos` marks the flushed prefix.
-    outbound: Vec<u8>,
+    /// Encoded-but-unsent frames; `out_pos` marks the flushed prefix.
+    outbound: BytesMut,
     out_pos: usize,
     /// An I/O fault observed by a probe before any `recv` asked for it.
     /// Surfaced (once) by the next receive or poll, so a mid-stream
@@ -984,7 +1038,7 @@ impl TcpTransport {
             stream,
             decoder: FrameDecoder::new(),
             inbound: VecDeque::new(),
-            outbound: Vec::new(),
+            outbound: BytesMut::new(),
             out_pos: 0,
             fault: None,
             eof: false,
@@ -1026,7 +1080,7 @@ impl TcpTransport {
     /// Write buffered outbound bytes until done or `WouldBlock`.
     fn flush_outbound(&mut self) -> Result<(), TransportError> {
         while self.out_pos < self.outbound.len() {
-            match self.stream.write(&self.outbound[self.out_pos..]) {
+            match self.stream.write(&self.outbound.as_ref()[self.out_pos..]) {
                 Ok(0) => {
                     return Err(TransportError::Io(std::io::Error::new(
                         std::io::ErrorKind::WriteZero,
@@ -1043,7 +1097,9 @@ impl TcpTransport {
             self.outbound.clear();
             self.out_pos = 0;
         } else if self.out_pos >= 4096 {
-            self.outbound.drain(..self.out_pos);
+            let pending = self.outbound_pending();
+            self.outbound.as_mut().copy_within(self.out_pos.., 0);
+            self.outbound.truncate(pending);
             self.out_pos = 0;
         }
         Ok(())
@@ -1053,10 +1109,38 @@ impl TcpTransport {
         self.outbound.len() - self.out_pos
     }
 
+    /// Append `msg` to the outbound buffer and charge the meter.
+    fn queue(&mut self, msg: &Message) {
+        let len = put_frame(&mut self.outbound, msg);
+        self.meter.record(self.role.outbound(), len as u64);
+    }
+
+    /// Write what the kernel takes of the outbound buffer. Past the cap,
+    /// wait for it to drain — but keep servicing reads meanwhile, so two
+    /// endpoints flooding each other make progress instead of
+    /// deadlocking.
+    fn write_out(&mut self) -> Result<(), TransportError> {
+        self.flush_outbound()?;
+        while self.outbound_pending() > TCP_OUTBOUND_CAP {
+            self.wait_io(-1)?;
+            self.pump();
+            if let Some(e) = self.fault.take() {
+                return Err(TransportError::Io(e));
+            }
+            self.flush_outbound()?;
+            if self.eof && self.outbound_pending() > TCP_OUTBOUND_CAP {
+                // Peer is gone and the kernel buffer is wedged full.
+                return Err(TransportError::Closed);
+            }
+        }
+        Ok(())
+    }
+
     /// The service pass: flush pending writes (best-effort — a write
     /// fault will re-surface as a read fault or on the next `send`),
-    /// then read until `WouldBlock`/EOF, queueing every complete frame
-    /// (metered at decode time).
+    /// then read until a short read, `WouldBlock` or EOF, queueing every
+    /// complete frame (metered at decode time). A read that fills the
+    /// chunk may have left more behind, so only that one reads again.
     fn pump(&mut self) {
         let _ = self.flush_outbound();
         if self.eof || self.closed {
@@ -1069,7 +1153,12 @@ impl TcpTransport {
                     self.eof = true;
                     break;
                 }
-                Ok(n) => self.decoder.extend(&chunk[..n]),
+                Ok(n) => {
+                    self.decoder.extend(&chunk[..n]);
+                    if n < TCP_READ_CHUNK {
+                        break;
+                    }
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => {
@@ -1142,14 +1231,6 @@ impl TcpTransport {
             revents: 0,
         }
     }
-
-    /// Pop the next already-pumped frame, decoding it to a message.
-    fn pop_inbound(&mut self) -> Result<Option<Message>, TransportError> {
-        match self.inbound.pop_front() {
-            Some(frame) => Ok(Some(Message::decode(frame)?)),
-            None => Ok(None),
-        }
-    }
 }
 
 impl Transport for TcpTransport {
@@ -1158,50 +1239,38 @@ impl Transport for TcpTransport {
     }
 
     fn send(&mut self, msg: &Message) -> Result<(), TransportError> {
-        let payload = msg.encode();
-        self.meter
-            .record(self.role.outbound(), payload.len() as u64);
-        self.outbound
-            .extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        self.outbound.extend_from_slice(&payload);
-        self.flush_outbound()?;
-        // Backpressure: past the cap, wait for the kernel to drain —
-        // but keep servicing reads meanwhile, so two endpoints flooding
-        // each other make progress instead of deadlocking.
-        while self.outbound_pending() > TCP_OUTBOUND_CAP {
-            self.wait_io(-1)?;
-            self.pump();
-            if let Some(e) = self.fault.take() {
-                return Err(TransportError::Io(e));
-            }
-            self.flush_outbound()?;
-            if self.eof && self.outbound_pending() > TCP_OUTBOUND_CAP {
-                // Peer is gone and the kernel buffer is wedged full.
-                return Err(TransportError::Closed);
-            }
+        self.queue(msg);
+        // A waiting frame means the caller's turn goes on: these bytes
+        // leave with its last reply or before its next read.
+        if self.inbound.is_empty() || self.outbound_pending() > TCP_OUTBOUND_CAP {
+            self.write_out()?;
         }
         Ok(())
     }
 
+    fn send_all(&mut self, msgs: &mut Vec<Message>) -> Result<(), TransportError> {
+        for msg in msgs.drain(..) {
+            self.queue(&msg);
+        }
+        self.write_out()
+    }
+
     fn try_recv(&mut self) -> Result<Option<Message>, TransportError> {
-        self.pump();
-        if let Some(msg) = self.pop_inbound()? {
-            return Ok(Some(msg));
+        // A decoded frame answers without a syscall; a stashed fault
+        // surfaces once the queue is empty.
+        if self.inbound.is_empty() {
+            self.pump();
         }
-        if let Some(fault) = self.take_fault() {
-            return Err(fault);
+        match self.inbound.pop_front() {
+            Some(frame) => Ok(Some(Message::decode(frame)?)),
+            None => self.take_fault().map_or(Ok(None), Err),
         }
-        Ok(None)
     }
 
     fn recv(&mut self) -> Result<Option<Message>, TransportError> {
         loop {
-            self.pump();
-            if let Some(msg) = self.pop_inbound()? {
+            if let Some(msg) = self.try_recv()? {
                 return Ok(Some(msg));
-            }
-            if let Some(fault) = self.take_fault() {
-                return Err(fault);
             }
             if self.eof || self.closed {
                 return Ok(None); // peer hung up cleanly
@@ -1216,12 +1285,8 @@ impl Transport for TcpTransport {
     ) -> Result<Option<Message>, TransportError> {
         let deadline = std::time::Instant::now() + timeout;
         loop {
-            self.pump();
-            if let Some(msg) = self.pop_inbound()? {
+            if let Some(msg) = self.try_recv()? {
                 return Ok(Some(msg));
-            }
-            if let Some(fault) = self.take_fault() {
-                return Err(fault);
             }
             if self.eof || self.closed {
                 return Ok(None); // peer hung up cleanly
@@ -1239,9 +1304,11 @@ impl Transport for TcpTransport {
     }
 
     fn drain_into(&mut self, out: &mut Vec<Message>, max: usize) -> Result<usize, TransportError> {
-        // One service pass, then decode straight out of the frame
-        // queue: the whole batch costs one read syscall sequence.
-        self.pump();
+        // At most one service pass, and none when the queue fills the
+        // batch; then decode straight out of the frame queue.
+        if self.inbound.len() < max {
+            self.pump();
+        }
         let mut take = 0;
         while take < max {
             let Some(frame) = self.inbound.pop_front() else {
@@ -1259,7 +1326,9 @@ impl Transport for TcpTransport {
     }
 
     fn poll(&mut self) -> Result<Readiness, TransportError> {
-        self.pump();
+        if self.inbound.is_empty() {
+            self.pump();
+        }
         if !self.inbound.is_empty() {
             return Ok(Readiness::Ready);
         }
@@ -1808,6 +1877,119 @@ mod tests {
         // ...and afterwards the channel reads closed.
         assert_eq!(src.poll().unwrap(), Readiness::Closed);
         assert_eq!(src.recv().unwrap(), None);
+    }
+
+    /// A connected `(transport, raw blocking peer)` pair over loopback.
+    fn tcp_with_raw_peer(role: Role) -> (TcpTransport, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let t = TcpTransport::connect(listener.local_addr().unwrap(), role, TransferMeter::new())
+            .unwrap();
+        let (peer, _) = listener.accept().unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        (t, peer)
+    }
+
+    /// `msgs` framed one by one by [`write_frame`].
+    fn framed(msgs: &[Message]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for m in msgs {
+            write_frame(&mut buf, m).unwrap();
+        }
+        buf
+    }
+
+    #[test]
+    fn send_all_writes_a_turn_in_one_write() {
+        let (mut t, mut peer) = tcp_with_raw_peer(Role::Warehouse);
+        let turn = [notification(1), notification(2)];
+        let expected = framed(&turn);
+        t.send_all(&mut turn.to_vec()).unwrap();
+        // One blocking read sees both frames: they left in one write,
+        // byte for byte what `write_frame` lays out.
+        let mut buf = vec![0u8; 4096];
+        let n = peer.read(&mut buf).unwrap();
+        assert_eq!(&buf[..n], &expected[..]);
+        assert_eq!(t.meter().messages_w2s(), 2);
+        assert_eq!(
+            t.meter().bytes_w2s(),
+            turn.iter().map(|m| m.encoded_len() as u64).sum::<u64>()
+        );
+    }
+
+    #[test]
+    fn deferred_reply_reaches_the_peer_before_the_endpoint_sleeps() {
+        let (mut t, mut peer) = tcp_with_raw_peer(Role::Source);
+        let (written, arrived) = std::sync::mpsc::channel();
+        let peer = std::thread::spawn(move || {
+            // Two frames in one segment, so both wait decoded at once.
+            peer.write_all(&framed(&[notification(1), notification(2)]))
+                .unwrap();
+            written.send(()).unwrap();
+            let reply = read_frame(&mut peer).map(|f| Message::decode(f.unwrap()));
+            drop(peer); // hang up once the reply is in, or on timeout
+            reply
+        });
+        arrived.recv().unwrap();
+        assert_eq!(t.recv().unwrap(), Some(notification(1)));
+        t.send(&notification(10)).unwrap();
+        // The second frame still waits, so the reply was held back...
+        assert_ne!(t.poll_fd().unwrap().events & libc::POLLOUT, 0);
+        assert_eq!(t.poll().unwrap(), Readiness::Ready);
+        assert_eq!(t.recv().unwrap(), Some(notification(2)));
+        // ...and leaves before the endpoint sleeps: the peer answers the
+        // reply by hanging up long before the timeout.
+        let start = Instant::now();
+        assert_eq!(t.recv_timeout(Duration::from_secs(30)).unwrap(), None);
+        assert!(start.elapsed() < Duration::from_secs(4));
+        assert_eq!(peer.join().unwrap().unwrap().unwrap(), notification(10));
+    }
+
+    /// A `ReadError` whose frame is exactly `len` bytes long.
+    fn frame_of_len(len: usize) -> Message {
+        let msg = Message::ReadError {
+            id: QueryId(1),
+            reason: "x".repeat(len - 17),
+        };
+        assert_eq!(framed(std::slice::from_ref(&msg)).len(), len);
+        msg
+    }
+
+    /// Frames filling whole read chunks, then the peer's FIN: every read
+    /// comes back full until the EOF, which must still be seen.
+    fn chunk_aligned_stream(tail: &[u8]) -> (TcpTransport, Vec<Message>) {
+        let (t, mut peer) = tcp_with_raw_peer(Role::Source);
+        let msgs: Vec<Message> = (0..4).map(|_| frame_of_len(TCP_READ_CHUNK / 2)).collect();
+        let mut bytes = framed(&msgs);
+        assert_eq!(bytes.len(), 2 * TCP_READ_CHUNK);
+        bytes.extend_from_slice(tail);
+        peer.write_all(&bytes).unwrap();
+        drop(peer);
+        (t, msgs)
+    }
+
+    #[test]
+    fn chunk_aligned_frames_decode_and_eof_is_clean() {
+        let (mut t, msgs) = chunk_aligned_stream(&[]);
+        for m in &msgs {
+            assert_eq!(t.recv().unwrap().as_ref(), Some(m));
+        }
+        assert_eq!(t.recv().unwrap(), None);
+    }
+
+    #[test]
+    fn chunk_aligned_frames_then_a_partial_frame_fault_once() {
+        let mut tail = 100u32.to_be_bytes().to_vec();
+        tail.extend_from_slice(&[1, 2, 3]);
+        let (mut t, msgs) = chunk_aligned_stream(&tail);
+        for m in &msgs {
+            assert_eq!(t.recv().unwrap().as_ref(), Some(m));
+        }
+        let Err(TransportError::Io(e)) = t.recv() else {
+            panic!("a truncated frame must fault");
+        };
+        assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert_eq!(t.recv().unwrap(), None);
+        assert_eq!(t.poll().unwrap(), Readiness::Closed);
     }
 
     #[test]
