@@ -217,7 +217,7 @@ fn run_reactor(case: EquivCase, workers: usize) -> Result<EquivOutcome, SimError
             )
         })
         .collect();
-    let mut members: Vec<FleetMember> = w
+    let members: Vec<FleetMember> = w
         .sources
         .into_iter()
         .zip(w.src_ends)
@@ -229,7 +229,7 @@ fn run_reactor(case: EquivCase, workers: usize) -> Result<EquivOutcome, SimError
         })
         .collect();
     std::thread::scope(|scope| -> Result<(), SimError> {
-        let fleet = scope.spawn(move || serve_fleet(&mut members));
+        let fleet = scope.spawn(move || serve_fleet(members));
         let run = rw.run(endpoints);
         // A panic on the fleet thread is a bug: re-raise it as it was.
         let served = fleet
@@ -248,7 +248,7 @@ fn run_reactor(case: EquivCase, workers: usize) -> Result<EquivOutcome, SimError
 /// `run_reactor`, but every link is a socket — sources dial a
 /// [`eca_warehouse::ReactorWarehouse::run_listener`] endpoint, open with
 /// the `Hello` handshake, and each pool worker sleeps in `poll(2)` on its
-/// own sockets while the one `serve_fleet` thread sleeps on the source
+/// own sockets while `serve_fleet`'s one pool worker sleeps on the source
 /// ends the same way. Meters are read on the *source*
 /// side of each link (the metering point of every threaded run; the
 /// handshake frame travels outside it), so the outcome must
@@ -290,7 +290,7 @@ pub fn run_reactor_tcp(case: EquivCase, workers: usize) -> Result<EquivOutcome, 
         });
     }
     std::thread::scope(|scope| -> Result<(), SimError> {
-        let fleet = scope.spawn(move || serve_fleet(&mut members));
+        let fleet = scope.spawn(move || serve_fleet(members));
         let run = rw.run_listener(listener, &Poller::new().map_err(io_err)?, &expected);
         // A panic on the fleet thread is a bug: re-raise it as it was.
         let served = fleet

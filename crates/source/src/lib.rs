@@ -12,20 +12,27 @@
 //! here. Query evaluation runs on the metered [`StorageEngine`], so every
 //! run produces honest block-read counts under either Appendix-D cost
 //! scenario.
+//!
+//! Deployed, a source steps the same two calls over a [`Transport`]:
+//! [`Source::serve`] drives one site, blocking in `recv`, and
+//! [`serve_fleet`] makes many sites stations of a one-worker
+//! [`StationPool`], the event loop the warehouse's reactor runs on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::VecDeque;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use eca_core::basedb::BaseDb;
 use eca_core::{QueryHeader, ViewDef};
 use eca_relational::{Schema, SignedBag, Update};
 use eca_storage::{IoMeter, PreparedView, Scenario, StorageEngine, StorageError};
-use eca_wire::{Message, PollWaker, Readiness, Transport, TransportError, WireQuery};
+use eca_wire::{
+    Exit, Message, StartError, StationOwner, StationPool, TransferMeter, Transport, TransportError,
+    WireQuery,
+};
 
 /// Errors raised by the source.
 #[derive(Debug)]
@@ -289,7 +296,9 @@ impl Source {
     ) -> Result<ServeStats, SourceError> {
         let mut stats = self.run_script(transport, script)?;
         while let Some(msg) = transport.recv()? {
-            self.reply(transport, msg, &mut stats)?;
+            let answer = self.metered_reply(msg, transport.meter())?;
+            transport.send(&answer)?;
+            stats.answers += 1;
         }
         Ok(stats)
     }
@@ -312,22 +321,19 @@ impl Source {
         Ok(stats)
     }
 
-    /// Answer one received message on `transport`, charging the payload
-    /// to the transport's meter (the paper's `B`): the `S_qu` step behind
-    /// [`Source::serve`] and [`serve_fleet`].
-    fn reply(
+    /// Answer one received message, charging the answer's payload to
+    /// `meter` (the paper's `B`): the `S_qu` step behind [`Source::serve`]
+    /// and [`serve_fleet`].
+    fn metered_reply(
         &mut self,
-        transport: &mut dyn Transport,
         msg: Message,
-        stats: &mut ServeStats,
-    ) -> Result<(), SourceError> {
+        meter: &TransferMeter,
+    ) -> Result<Message, SourceError> {
         let answer = self.on_message(msg)?;
         if let Message::QueryAnswer { answer, .. } = &answer {
-            transport.meter().record_answer(answer);
+            meter.record_answer(answer);
         }
-        transport.send(&answer)?;
-        stats.answers += 1;
-        Ok(())
+        Ok(answer)
     }
 
     /// A logical snapshot of the current base relations — used by the
@@ -360,91 +366,157 @@ pub struct FleetMember {
     pub script: Vec<Update>,
 }
 
-/// Drive a whole fleet of sources from **one** thread, multiplexed over
-/// `Transport::poll()` readiness — the source-side mirror of the
-/// warehouse reactor.
+/// Drive a whole fleet of sources on **one** worker thread — the
+/// source-side mirror of the warehouse reactor, on the same
+/// [`StationPool`].
 ///
-/// Each member runs the same protocol as [`Source::serve`] (script first,
-/// then answer every query on the current state until its warehouse end
-/// hangs up), but instead of one blocked thread per source a single loop
-/// scans all transports and, when nothing is ready, parks in one
-/// [`PollWaker::wait`]: in-process members notify the waker, sockets hand
-/// the wait their descriptors. Per-channel FIFO is untouched: each
+/// Each member runs the same protocol as [`Source::serve`]: its script
+/// first, on the calling thread, in member order, then every query
+/// answered on the current state until its warehouse end hangs up. For
+/// the answer phase each member is a station of a one-worker pool whose
+/// handler is [`Source::on_message`]; each answer is charged to the
+/// member's meter (the paper's `B`). Per-channel FIFO is untouched: each
 /// channel still sends its script in order and answers its queries in
-/// arrival order.
+/// arrival order. Returns once every station has closed, one
+/// [`ServeStats`] per member, in member order.
 ///
 /// This is how 100+ sources are driven against the reactor without a
 /// source-side thread per site.
 ///
 /// # Errors
-/// First member failure wins; as [`Source::serve`]. A member whose
-/// transport can neither notify a waker nor hand over a descriptor is
-/// refused with an `Unsupported` [`TransportError::Io`] before its
-/// answer phase, since nothing could wake the loop for it.
-pub fn serve_fleet(members: &mut [FleetMember]) -> Result<Vec<ServeStats>, SourceError> {
-    // Phase 1: every script in full, member order. Scripts only send, so
-    // over unbounded links this cannot block; interleaving across members
-    // is irrelevant to correctness (sources are autonomous — nothing
-    // orders updates across sites).
-    let mut stats = Vec::with_capacity(members.len());
-    for m in members.iter_mut() {
-        stats.push(m.source.run_script(m.transport.as_mut(), &m.script)?);
+/// First member failure wins, stops the pool and hangs up every member;
+/// as [`Source::serve`]. A member whose transport can neither notify a
+/// waker nor hand over a descriptor is refused with an `Unsupported`
+/// [`TransportError::Io`] before the answer phase, since nothing could
+/// wake the worker for it.
+pub fn serve_fleet(members: Vec<FleetMember>) -> Result<Vec<ServeStats>, SourceError> {
+    let mut sites = Vec::with_capacity(members.len());
+    let mut stations = Vec::with_capacity(members.len());
+    for (key, mut m) in members.into_iter().enumerate() {
+        let stats = m.source.run_script(m.transport.as_mut(), &m.script)?;
+        sites.push(Mutex::new(Site {
+            source: m.source,
+            meter: m.transport.meter().clone(),
+            stats,
+        }));
+        stations.push((key, m.transport));
+    }
+    let fleet = Fleet {
+        open: Mutex::new((stations.len(), None)),
+        done: Condvar::new(),
+        sites,
+    };
+    let pool = StationPool::start(fleet, 1, stations).map_err(|e| match e {
+        StartError::Io(e) => SourceError::Transport(TransportError::Io(e)),
+        StartError::Refused(..) => SourceError::Transport(TransportError::Io(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "a fleet member's transport can neither wake nor be polled",
+        ))),
+    })?;
+    let fleet = pool.owner();
+    let error = {
+        let mut open = lock(&fleet.open);
+        while open.0 > 0 && open.1.is_none() {
+            open = fleet
+                .done
+                .wait(open)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        open.1.take()
+    };
+    let outcome = match error {
+        Some(err) => Err(err),
+        None => Ok(fleet.sites.iter().map(|site| lock(site).stats).collect()),
+    };
+    pool.stop()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+    outcome
+}
+
+/// One member's answer-phase state.
+struct Site {
+    source: Source,
+    meter: TransferMeter,
+    stats: ServeStats,
+}
+
+/// What [`serve_fleet`] shares with its pool. Keys are member indices.
+struct Fleet {
+    sites: Vec<Mutex<Site>>,
+    /// Members still open, and the first error. The calling thread waits
+    /// on `done` until the one is zero or the other is set.
+    open: Mutex<(usize, Option<SourceError>)>,
+    done: Condvar,
+}
+
+impl Fleet {
+    /// Count one member closed, or record the run's first error.
+    fn finish(&self, error: Option<SourceError>) {
+        let mut open = lock(&self.open);
+        match error {
+            Some(err) => {
+                open.1.get_or_insert(err);
+            }
+            None => open.0 -= 1,
+        }
+        self.done.notify_all();
+    }
+}
+
+impl StationOwner for Fleet {
+    type Key = usize;
+
+    fn handle(&self, key: usize, msg: Message, replies: &mut Vec<Message>) {
+        if lock(&self.open).1.is_some() {
+            return; // the run failed: answer nothing more
+        }
+        // A panicking handler kills the worker; wake the calling thread,
+        // whose `stop` then raises the panic, instead of leaving it
+        // waiting on a station no one will close.
+        let _unwinding = Unwinding(self);
+        let mut site = lock(&self.sites[key]);
+        let Site {
+            source,
+            meter,
+            stats,
+        } = &mut *site;
+        match source.metered_reply(msg, meter) {
+            Ok(answer) => {
+                stats.answers += 1;
+                replies.push(answer);
+            }
+            Err(err) => self.finish(Some(err)),
+        }
     }
 
-    // Phase 2: multiplexed answer loop.
-    let io = |e| SourceError::Transport(TransportError::Io(e));
-    let waker = PollWaker::new().map_err(io)?;
-    for m in members.iter_mut() {
-        if !m.transport.set_waker(std::sync::Arc::clone(&waker)) && m.transport.poll_fd().is_none()
-        {
-            return Err(io(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "a fleet member's transport can neither wake nor be polled",
-            )));
+    fn closed(&self, _: usize, exit: Exit) {
+        // Keys are distinct and nothing listens, so a station leaves
+        // only by hanging up or faulting.
+        match exit {
+            Exit::Faulted(e) => self.finish(Some(SourceError::Transport(e))),
+            _ => self.finish(None),
         }
     }
-    let mut open: Vec<bool> = vec![true; members.len()];
-    let mut live = members.len();
-    let mut fds = Vec::new();
-    while live > 0 {
-        let seen = waker.epoch();
-        let mut progress = false;
-        for (i, m) in members.iter_mut().enumerate() {
-            if !open[i] {
-                continue;
-            }
-            loop {
-                match m.transport.poll()? {
-                    Readiness::Idle => break,
-                    Readiness::Closed => {
-                        open[i] = false;
-                        live -= 1;
-                        break;
-                    }
-                    Readiness::Ready => {
-                        if let Some(msg) = m.transport.try_recv()? {
-                            m.source.reply(m.transport.as_mut(), msg, &mut stats[i])?;
-                            progress = true;
-                        }
-                    }
-                }
-            }
-        }
-        if !progress && live > 0 {
-            // Full scan found nothing: park until any channel speaks or
-            // hangs up. Bounded as a lost-notification backstop.
-            fds.clear();
-            fds.extend(
-                members
-                    .iter()
-                    .zip(&open)
-                    .filter(|(_, open)| **open)
-                    .filter_map(|(m, _)| m.transport.poll_fd()),
-            );
-            waker.wait(seen, &mut fds, Duration::from_millis(50));
+
+    fn gate(&self, _: &std::net::TcpStream) -> Option<usize> {
+        None
+    }
+}
+
+/// Held while a fleet handler runs; fails the run if it unwinds.
+struct Unwinding<'a>(&'a Fleet);
+
+impl Drop for Unwinding<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0
+                .finish(Some(SourceError::Protocol("a fleet handler panicked")));
         }
     }
-    Ok(stats)
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -699,12 +771,12 @@ mod tests {
     #[test]
     fn serve_fleet_answers_two_queries_from_one_segment() {
         two_queries_in_one_segment(|source, link| {
-            let mut members = [FleetMember {
+            let members = vec![FleetMember {
                 source,
                 transport: Box::new(link),
                 script: Vec::new(),
             }];
-            serve_fleet(&mut members).unwrap().remove(0)
+            serve_fleet(members).unwrap().remove(0)
         });
     }
 
@@ -759,7 +831,7 @@ mod tests {
         );
     }
 
-    /// One fleet thread driving three sources against three scripted
+    /// One fleet worker driving three sources against three scripted
     /// "warehouses" answers every channel correctly and in FIFO order,
     /// with stats matching what per-source `serve` would report.
     #[test]
@@ -770,9 +842,11 @@ mod tests {
         let mut members = Vec::new();
         let mut wh_ends = Vec::new();
         let mut views = Vec::new();
+        let mut io = Vec::new();
         for _ in 0..N {
             let (src_end, wh_end) = SharedFifo::pair(TransferMeter::new());
             let (s, view) = example_source(Scenario::Indexed);
+            io.push(s.io_meter().clone());
             members.push(FleetMember {
                 source: s,
                 transport: Box::new(src_end),
@@ -782,10 +856,7 @@ mod tests {
             views.push(view);
         }
 
-        let fleet = std::thread::spawn(move || {
-            let stats = serve_fleet(&mut members).unwrap();
-            (stats, members)
-        });
+        let fleet = std::thread::spawn(move || serve_fleet(members).unwrap());
 
         // Each "warehouse": consume the notification, fire two queries,
         // expect two FIFO answers.
@@ -815,7 +886,7 @@ mod tests {
             }
         }
         drop(wh_ends); // hang every channel up
-        let (stats, members) = fleet.join().unwrap();
+        let stats = fleet.join().unwrap();
         // The reads of evaluating each channel's two queries once each.
         let (mut reference, view) = example_source(Scenario::Indexed);
         reference.execute_update(&Update::insert("r2", Tuple::ints([2, 3])));
@@ -828,10 +899,44 @@ mod tests {
             assert_eq!(st.updates, 1);
             assert_eq!(st.notifications, 1);
             assert_eq!(st.answers, 2);
-            assert_eq!(members[i].source.io_meter().query_reads(), two_answers);
+            assert_eq!(io[i].query_reads(), two_answers);
         }
         // All channels saw the same state, so all answers agree.
         assert!(expected.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    /// A member whose warehouse end sends a non-query fails the fleet
+    /// with a protocol error: before `serve_fleet` returns, the pool's
+    /// worker is joined and every member, the others still mid-session,
+    /// is hung up.
+    #[test]
+    fn serve_fleet_stops_on_a_protocol_error() {
+        use eca_wire::{SharedFifo, TransferMeter};
+
+        let mut members = Vec::new();
+        let mut wh_ends = Vec::new();
+        for _ in 0..3 {
+            let (src_end, wh_end) = SharedFifo::pair(TransferMeter::new());
+            members.push(FleetMember {
+                source: example_source(Scenario::Indexed).0,
+                transport: Box::new(src_end),
+                script: Vec::new(),
+            });
+            wh_ends.push(wh_end);
+        }
+        wh_ends[1]
+            .send(&Message::Ack { epoch: 0, next: 1 })
+            .unwrap();
+        let served = serve_fleet(members);
+        assert!(
+            matches!(served, Err(SourceError::Protocol(_))),
+            "{served:?}"
+        );
+        // Stopping the pool joins its worker before it drops the
+        // stations, so a hung-up member also shows the worker is gone.
+        for wh_end in &mut wh_ends {
+            assert_eq!(wh_end.recv().unwrap(), None, "every member hung up");
+        }
     }
 
     /// Example 1's join under `proj`, with one term: `r1` free and `r2`

@@ -34,7 +34,6 @@ pub mod session;
 mod shard;
 
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
 
 use eca_core::maintainer::OutboundQuery;
 use eca_core::{CoreError, QueryId, ViewMaintainer};
@@ -86,17 +85,16 @@ pub enum WarehouseError {
     },
     /// The underlying transport failed.
     Transport(TransportError),
-    /// A source disconnected before its shard settled (the reactor and
-    /// [`Warehouse::pump_until_settled`]; the non-blocking
-    /// [`Warehouse::pump`] treats hang-up as end of input).
+    /// A source disconnected before its shard settled (the reactor; the
+    /// non-blocking [`Warehouse::pump`] treats hang-up as end of input).
     SourceHungUp {
         /// The offending source's shard index.
         source: usize,
     },
-    /// A blocking pump waited its full stall timeout without receiving a
-    /// message while queries were still outstanding. The channel may be
-    /// wedged; the caller should reset it and run
-    /// [`Warehouse::on_reset`].
+    /// The reactor handled no message on any station for its full stall
+    /// timeout ([`ReactorWarehouse::set_stall_timeout`]) while this
+    /// source was unsettled. The channel may be wedged; the caller
+    /// should reset it and run [`Warehouse::on_reset`].
     SourceStalled {
         /// The offending source's index.
         source: usize,
@@ -506,38 +504,15 @@ impl Warehouse {
     ) -> Result<usize, WarehouseError> {
         let mut processed = 0;
         while let Some(msg) = transport.try_recv()? {
-            shard::meter_answer(transport, &msg);
+            if let Message::QueryAnswer { answer, .. } = &msg {
+                transport.meter().record_answer(answer);
+            }
             for reply in self.on_message(source, msg)? {
                 transport.send(&reply)?;
             }
             processed += 1;
         }
         Ok(processed)
-    }
-
-    /// Pump `source`'s transport until `expected_notifications` update
-    /// notifications have arrived and the channel is settled (nothing
-    /// pending on its session, every view over it healthy and
-    /// quiescent), blocking at most `stall` for each message. Answer payloads are charged to the transport's
-    /// meter, as in [`Warehouse::pump`]. Returns the number of messages
-    /// processed.
-    ///
-    /// # Errors
-    /// [`WarehouseError::SourceStalled`] when nothing arrives for a full
-    /// `stall` while queries are outstanding (the fault-recovery signal —
-    /// reset the channel and call [`Warehouse::on_reset`]);
-    /// [`WarehouseError::SourceHungUp`] on disconnect before settling;
-    /// [`WarehouseError::UnknownSource`]; transport, routing and
-    /// maintainer failures.
-    pub fn pump_until_settled(
-        &mut self,
-        source: SourceId,
-        transport: &mut dyn Transport,
-        expected_notifications: u64,
-        stall: Duration,
-    ) -> Result<usize, WarehouseError> {
-        let shard = self.shard_mut(source)?;
-        shard::pump_until_settled(shard, source, transport, expected_notifications, stall)
     }
 }
 
@@ -1095,47 +1070,37 @@ mod tests {
             .is_none());
     }
 
-    /// The blocking pump charges each answer's payload to the transport
-    /// meter exactly once (the paper's `B`): the scripted source on the
-    /// far end of the shared-meter link records nothing itself.
+    /// The pump charges each answer's payload to the transport meter
+    /// exactly once (the paper's `B`): the scripted source on the far
+    /// end of the shared-meter link records nothing itself.
     #[test]
-    fn pump_until_settled_meters_each_answer_once() {
+    fn pump_meters_each_answer_once() {
         use eca_wire::{SharedFifo, TransferMeter};
         let (mut wh, src, i1, i2, v1, v2, mut db) = hub_over_one_source();
         let meter = TransferMeter::new();
         let (mut src_end, mut wh_end) = SharedFifo::pair(meter.clone());
         let u = Update::insert("r2", Tuple::ints([2, 8])); // both views
         db.apply(&u);
+        src_end
+            .send(&Message::UpdateNotification { update: u })
+            .unwrap();
+        let mut processed = wh.pump(src, &mut wh_end).unwrap();
 
-        let (processed, payload_bytes, payload_tuples) = std::thread::scope(|scope| {
-            let db = &db;
-            let source = scope.spawn(move || {
-                src_end
-                    .send(&Message::UpdateNotification { update: u })
-                    .unwrap();
-                let catalog: Vec<_> = [("r1", ["W", "X"]), ("r2", ["X", "Y"]), ("r3", ["Y", "Z"])]
-                    .iter()
-                    .map(|(r, c)| Schema::new(*r, c))
-                    .collect();
-                let (mut bytes, mut tuples) = (0u64, 0u64);
-                while let Some(msg) = src_end.recv().unwrap() {
-                    let Message::QueryRequest { id, query } = msg else {
-                        panic!("unexpected message at source");
-                    };
-                    let answer = query.to_query(&catalog).unwrap().eval(db).unwrap();
-                    bytes += answer.encoded_len() as u64;
-                    tuples += answer.pos_len() + answer.neg_len();
-                    src_end.send(&Message::QueryAnswer { id, answer }).unwrap();
-                }
-                (bytes, tuples)
-            });
-            let processed = wh
-                .pump_until_settled(src, &mut wh_end, 1, Duration::from_secs(30))
-                .unwrap();
-            drop(wh_end); // hang up the scripted source
-            let (bytes, tuples) = source.join().unwrap();
-            (processed, bytes, tuples)
-        });
+        let catalog: Vec<_> = [("r1", ["W", "X"]), ("r2", ["X", "Y"]), ("r3", ["Y", "Z"])]
+            .iter()
+            .map(|(r, c)| Schema::new(*r, c))
+            .collect();
+        let (mut payload_bytes, mut payload_tuples) = (0u64, 0u64);
+        while let Some(msg) = src_end.try_recv().unwrap() {
+            let Message::QueryRequest { id, query } = msg else {
+                panic!("unexpected message at source");
+            };
+            let answer = query.to_query(&catalog).unwrap().eval(&db).unwrap();
+            payload_bytes += answer.encoded_len() as u64;
+            payload_tuples += answer.pos_len() + answer.neg_len();
+            src_end.send(&Message::QueryAnswer { id, answer }).unwrap();
+        }
+        processed += wh.pump(src, &mut wh_end).unwrap();
 
         assert_eq!(processed, 3, "one notification + one answer per view");
         assert!(wh.source_quiescent(src));
@@ -1144,37 +1109,6 @@ mod tests {
         assert!(payload_bytes > 0);
         assert_eq!(meter.answer_bytes(), payload_bytes);
         assert_eq!(meter.answer_tuples(), payload_tuples);
-    }
-
-    /// The blocking pump's failure modes are typed errors, raised without
-    /// touching any maintainer: a silent peer stalls out, a vanished
-    /// peer is a hang-up, an unregistered handle is rejected up front.
-    #[test]
-    fn pump_until_settled_stall_and_hangup_are_typed_errors() {
-        use eca_wire::{SharedFifo, TransferMeter};
-        let (mut wh, src, ..) = hub_over_one_source();
-        let stall = Duration::from_millis(20);
-
-        let (src_end, mut wh_end) = SharedFifo::pair(TransferMeter::new());
-        // Peer stays connected but never sends the promised update.
-        assert!(matches!(
-            wh.pump_until_settled(src, &mut wh_end, 1, stall),
-            Err(WarehouseError::SourceStalled { source: 0 })
-        ));
-        assert!(matches!(
-            wh.pump_until_settled(SourceId(7), &mut wh_end, 1, stall),
-            Err(WarehouseError::UnknownSource { id: 7 })
-        ));
-        drop(src_end);
-        assert!(matches!(
-            wh.pump_until_settled(src, &mut wh_end, 1, stall),
-            Err(WarehouseError::SourceHungUp { source: 0 })
-        ));
-        // Nothing owed and nothing pending: settled without a message.
-        assert_eq!(
-            wh.pump_until_settled(src, &mut wh_end, 0, stall).unwrap(),
-            0
-        );
     }
 
     #[test]

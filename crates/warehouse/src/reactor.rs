@@ -693,14 +693,18 @@ mod tests {
         // `poll_fd`.
         struct NoWaker(TransferMeter);
         impl Transport for NoWaker {
-            fn role(&self) -> eca_wire::Role {
-                eca_wire::Role::Warehouse
-            }
             fn send(&mut self, _msg: &Message) -> Result<(), TransportError> {
                 Ok(())
             }
             fn try_recv(&mut self) -> Result<Option<Message>, TransportError> {
                 Ok(None)
+            }
+            fn drain_into(
+                &mut self,
+                _: &mut Vec<Message>,
+                _: usize,
+            ) -> Result<usize, TransportError> {
+                Ok(0)
             }
             fn recv(&mut self) -> Result<Option<Message>, TransportError> {
                 Ok(None)
@@ -947,13 +951,11 @@ mod tests {
         assert_eq!(rw.materialized(vid), view.eval(&db).unwrap());
     }
 
-    /// Backpressure: a scripted flooder over a 1-slot bounded link
-    /// blocks deterministically — before the reactor
-    /// starts, capacity caps its completed sends at exactly the link
-    /// bound — and once the reactor runs, the flood drains fully without
-    /// deadlocking a second, well-behaved source.
+    /// Fairness: a scripted flooder streaming notifications that touch
+    /// no view shares the single worker with a well-behaved source, and
+    /// both settle: the flood drains fully without starving the other.
     #[test]
-    fn flooding_source_blocks_without_deadlocking_others() {
+    fn flooding_source_does_not_starve_others() {
         let mut wh = Warehouse::new();
         let flooder = wh.add_source("flooder");
         let polite = wh.add_source("polite");
@@ -974,14 +976,10 @@ mod tests {
             .unwrap();
         let rw = wh.into_reactor(1);
 
-        const FLOOD: u64 = 64;
-        let sent = Arc::new(AtomicU64::new(0));
+        const FLOOD: u64 = 256;
 
         std::thread::scope(|scope| {
-            // Flooder: 1-slot link. The first send fills the link; every
-            // later send must wait for a reactor pop.
-            let (mut flood_src, flood_wh) = SharedFifo::bounded_pair(TransferMeter::new(), 1);
-            let sent_w = Arc::clone(&sent);
+            let (mut flood_src, flood_wh) = SharedFifo::pair(TransferMeter::new());
             scope.spawn(move || {
                 for i in 0..FLOOD {
                     flood_src
@@ -989,18 +987,8 @@ mod tests {
                             update: Update::insert("noise", Tuple::ints([i as i64])),
                         })
                         .unwrap();
-                    sent_w.fetch_add(1, Ordering::SeqCst);
                 }
             });
-
-            // Deterministic blocking check: nothing pops the link until
-            // the reactor starts, so no matter how long the flooder
-            // runs, at most ONE send (the link capacity) can complete.
-            std::thread::sleep(Duration::from_millis(30));
-            assert!(
-                sent.load(Ordering::SeqCst) <= 1,
-                "flooder ran past link capacity with no consumer"
-            );
 
             // Polite source: normal script, must settle even while the
             // flooder hammers the same single worker.
@@ -1026,6 +1014,7 @@ mod tests {
                 }
             });
 
+            // Settles only once every flooded notification is handled.
             rw.run(vec![
                 (flooder, Box::new(flood_wh), FLOOD),
                 (polite, Box::new(polite_wh), 1),
@@ -1033,7 +1022,7 @@ mod tests {
             .unwrap();
         });
 
-        // The polite source made full progress despite the flood...
+        // The polite source made full progress despite the flood.
         assert!(rw.is_quiescent());
         let expect = view
             .eval(&{
@@ -1046,7 +1035,5 @@ mod tests {
             })
             .unwrap();
         assert_eq!(rw.materialized(vid), expect);
-        // ...and the whole flood eventually drained (no deadlock).
-        assert_eq!(sent.load(Ordering::SeqCst), FLOOD);
     }
 }

@@ -2,7 +2,7 @@
 //! demux.
 //!
 //! Every source the warehouse talks to gets its own [`Session`] with its
-//! own [`QueryIdGen`] and pending-query FIFO. Maintainers allocate
+//! own [`QueryIdGen`] and pending-query table. Maintainers allocate
 //! *local* query ids independently (each starts at 1); the session remaps
 //! them onto a per-source global space so that many views can share one
 //! channel to the source, and demultiplexes each answer **strictly by
@@ -19,7 +19,7 @@
 //! the warehouse can re-issue in-flight queries of a dead epoch under
 //! fresh ids.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use eca_core::maintainer::QueryIdGen;
 use eca_core::{CoreError, Query, QueryId};
@@ -70,12 +70,12 @@ pub struct PendingQuery {
 pub struct Session {
     ids: QueryIdGen,
     epoch: u64,
-    pending: BTreeMap<QueryId, PendingQuery>,
-    /// Global ids in emission order — the FIFO the paper's §3 ordering
+    /// Outstanding queries by global id. The generator never rewinds, so
+    /// key order is emission order — the FIFO the paper's §3 ordering
     /// assumption says answers will respect. Demux never *relies* on it
     /// (answers route by id), but it names the oldest outstanding query
-    /// for introspection and back-pressure decisions.
-    fifo: VecDeque<QueryId>,
+    /// and orders a reset's re-issues.
+    pending: BTreeMap<QueryId, PendingQuery>,
 }
 
 impl Session {
@@ -85,7 +85,6 @@ impl Session {
             ids: QueryIdGen::new(),
             epoch: 0,
             pending: BTreeMap::new(),
-            fifo: VecDeque::new(),
         }
     }
 
@@ -151,7 +150,6 @@ impl Session {
     fn insert(&mut self, pq: PendingQuery) -> QueryId {
         let global = self.ids.fresh();
         self.pending.insert(global, pq);
-        self.fifo.push_back(global);
         global
     }
 
@@ -167,7 +165,6 @@ impl Session {
             .pending
             .remove(&id)
             .ok_or(CoreError::UnknownQuery { id: id.0 })?;
-        self.fifo.retain(|&q| q != id);
         Ok(pq.route)
     }
 
@@ -179,14 +176,7 @@ impl Session {
     /// maintainer state.
     pub fn bump_epoch(&mut self) -> Vec<PendingQuery> {
         self.epoch += 1;
-        let mut drained = Vec::with_capacity(self.fifo.len());
-        for id in std::mem::take(&mut self.fifo) {
-            if let Some(pq) = self.pending.remove(&id) {
-                drained.push(pq);
-            }
-        }
-        self.pending.clear();
-        drained
+        std::mem::take(&mut self.pending).into_values().collect()
     }
 
     /// Number of outstanding queries on this channel.
@@ -196,7 +186,7 @@ impl Session {
 
     /// The oldest outstanding global id, if any.
     pub fn oldest_pending(&self) -> Option<QueryId> {
-        self.fifo.front().copied()
+        self.pending.keys().next().copied()
     }
 }
 
@@ -307,5 +297,28 @@ mod tests {
         assert!(a2 > r, "ids keep growing across epochs");
         let route = s.take(a2).unwrap();
         assert_eq!((route.view, route.local), (0, QueryId(1)));
+    }
+
+    /// Key order is emission order: after out-of-order takes, the oldest
+    /// pending id is the oldest one left, and after re-issues in a new
+    /// order, a reset drains them in that new order.
+    #[test]
+    fn oldest_pending_and_bump_epoch_follow_emission_order() {
+        let views = |d: &[PendingQuery]| d.iter().map(|pq| pq.route.view).collect::<Vec<_>>();
+        let mut s = Session::new();
+        let ids: Vec<QueryId> = (0..5).map(|v| s.register(v, QueryId(1), q())).collect();
+        s.take(ids[2]).unwrap();
+        s.take(ids[0]).unwrap();
+        assert_eq!(s.oldest_pending(), Some(ids[1]));
+        let drained = s.bump_epoch();
+        assert_eq!(views(&drained), [1, 3, 4]);
+
+        let [one, three, four]: [PendingQuery; 3] = drained.try_into().unwrap();
+        let (four_again, _) = s.reissue(four);
+        s.reissue(one);
+        s.reissue(three);
+        assert_eq!(s.oldest_pending(), Some(four_again));
+        assert_eq!(views(&s.bump_epoch()), [4, 1, 3]);
+        assert_eq!(s.oldest_pending(), None);
     }
 }

@@ -13,13 +13,12 @@
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::Duration;
 
 use eca_core::maintainer::OutboundQuery;
 use eca_core::{QueryId, ViewMaintainer};
 use eca_durable::WalRecord;
 use eca_relational::{SignedBag, Update};
-use eca_wire::{Message, Transport, TransportError, WireQuery};
+use eca_wire::{Message, WireQuery};
 
 use crate::durability::SourceDurability;
 use crate::publish::EpochRegistry;
@@ -358,44 +357,4 @@ pub(crate) fn checked(source: SourceId, registered: usize) -> Result<usize, Ware
     } else {
         Err(WarehouseError::UnknownSource { id: source.0 })
     }
-}
-
-/// Charge an answer's payload to the transport's meter (the paper's `B`).
-pub(crate) fn meter_answer(transport: &mut dyn Transport, msg: &Message) {
-    if let Message::QueryAnswer { answer, .. } = msg {
-        transport.meter().record_answer(answer);
-    }
-}
-
-/// Pump `transport` until `expected_notifications` update notifications
-/// have arrived and the shard is quiescent, blocking at most `stall` for
-/// each message and charging answer payloads to the transport's meter.
-/// Returns the number of messages processed.
-pub(crate) fn pump_until_settled(
-    shard: &mut Shard,
-    source: SourceId,
-    transport: &mut dyn Transport,
-    expected_notifications: u64,
-    stall: Duration,
-) -> Result<usize, WarehouseError> {
-    let (mut notifications, mut processed) = (0u64, 0usize);
-    while notifications < expected_notifications || !shard.is_quiescent() {
-        let msg = match transport.recv_timeout(stall) {
-            Ok(Some(msg)) => msg,
-            Ok(None) => return Err(WarehouseError::SourceHungUp { source: source.0 }),
-            Err(TransportError::Timeout) => {
-                return Err(WarehouseError::SourceStalled { source: source.0 })
-            }
-            Err(e) => return Err(e.into()),
-        };
-        if matches!(msg, Message::UpdateNotification { .. }) {
-            notifications += 1;
-        }
-        meter_answer(transport, &msg);
-        for reply in shard.on_message(msg)? {
-            transport.send(&reply)?;
-        }
-        processed += 1;
-    }
-    Ok(processed)
 }

@@ -1,6 +1,6 @@
 //! Wire-level recovery semantics over real TCP sockets: strict answer
 //! demux (unknown ids), stale-epoch rejection after a session bump, and
-//! the bounded-wait stall detection that triggers recovery in the first
+//! the reactor's stall detection that triggers recovery in the first
 //! place.
 
 use std::net::TcpListener;
@@ -96,15 +96,15 @@ fn unknown_answer_id_is_rejected_and_session_survives() {
     // The maintainer was never touched.
     assert_eq!(wh.materialized(eca_warehouse::ViewId(0)).pos_len(), 0);
 
-    // The legitimate exchange still runs to quiescence.
-    wh.pump_until_settled(src, &mut t, 1, Duration::from_secs(5))
-        .unwrap();
-    assert!(wh.is_quiescent());
+    // The legitimate exchange still runs to quiescence on the reactor,
+    // which hangs the socket up once the source settles.
+    let rw = wh.into_reactor(1);
+    rw.run(vec![(src, Box::new(t), 1)]).unwrap();
+    assert!(rw.is_quiescent());
     assert_eq!(
-        wh.materialized(eca_warehouse::ViewId(0)),
-        &SignedBag::from_tuples([Tuple::ints([1])])
+        rw.materialized(eca_warehouse::ViewId(0)),
+        SignedBag::from_tuples([Tuple::ints([1])])
     );
-    drop(t);
     source_thread.join().unwrap();
 }
 
@@ -198,9 +198,9 @@ fn stale_epoch_answer_after_bump_is_rejected() {
     source_thread.join().unwrap();
 }
 
-/// A source that goes silent with a query outstanding trips the bounded
-/// wait: `pump_until_settled` reports `SourceStalled` (the signal to run
-/// `on_reset`) instead of blocking forever.
+/// A source that goes silent with a query outstanding trips the
+/// reactor's stall timeout: the run reports `SourceStalled` (the signal
+/// to run `on_reset`) instead of blocking forever.
 #[test]
 fn silent_source_trips_stall_timeout() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -219,13 +219,14 @@ fn silent_source_trips_stall_timeout() {
     });
 
     let view = view2();
-    let (mut wh, src) = warehouse_over(&view);
-    let mut t = TcpTransport::connect(addr, Role::Warehouse, TransferMeter::new()).unwrap();
-    let got = wh.pump_until_settled(src, &mut t, 1, Duration::from_millis(200));
+    let (wh, src) = warehouse_over(&view);
+    let t = TcpTransport::connect(addr, Role::Warehouse, TransferMeter::new()).unwrap();
+    let mut rw = wh.into_reactor(1);
+    rw.set_stall_timeout(Duration::from_millis(200));
+    let got = rw.run(vec![(src, Box::new(t), 1)]);
     assert!(
         matches!(got, Err(WarehouseError::SourceStalled { source: 0 })),
         "expected SourceStalled, got {got:?}"
     );
-    drop(t);
     source_thread.join().unwrap();
 }
