@@ -32,8 +32,10 @@
 //! scan stops cleanly at the last valid record — see [`Wal::scan`].
 //!
 //! The log file grows a [`SEGMENT_LEN`] segment of zeros at a time, and
-//! syncs overwrite those zeros in place, so most of them flush data
-//! without a journal commit for a new file size. Zeros never validate as
+//! writes overwrite those zeros in place, so most syncs flush data
+//! without a journal commit for a new file size. The caller writes; a
+//! thread per log runs the `fdatasync`s, and nothing on the maintenance
+//! path waits for them ([`Wal`]). Zeros never validate as
 //! a frame, so a segment's unused tail is not a torn tail, and
 //! [`Wal::open`] resumes right after the last valid frame. Recovery,
 //! which has just scanned the log to replay it, resumes with
@@ -57,22 +59,27 @@ pub use wal::{Wal, WalScan, SEGMENT_LEN};
 
 use eca_wire::DecodeError;
 
-/// When the WAL forces its buffered records to disk.
+/// When the WAL writes its buffered records and requests a sync of
+/// them.
 ///
-/// The buffer is the crash window: records not yet flushed are lost
-/// with the process. Recovery is correct under every policy — the
-/// incremental-resync protocol re-covers lost records from the source —
-/// but the amount of resync traffic after a crash grows with the
-/// window.
+/// The policy bounds what a *process* crash loses: the records still
+/// buffered, since every record before the last policy point is in the
+/// file. A *machine* crash can also lose the requested syncs that have
+/// not completed — the sync thread runs them in the background — but no
+/// ack covers those: a warehouse acknowledges a notification only once
+/// a completed sync holds it. Recovery is correct under every policy —
+/// the incremental-resync protocol re-covers lost records from the
+/// source — but the amount of resync traffic after a crash grows with
+/// the window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// Flush and sync after every record: zero-record crash window,
-    /// one `fdatasync` per maintenance event.
+    /// Write and request a sync after every record: a zero-record
+    /// window, one request per maintenance event.
     PerRecord,
-    /// Flush and sync every `n` records: bounded window, amortized
-    /// syncs.
+    /// Write and request a sync every `n` records: a bounded window,
+    /// amortized syncs.
     PerBatch(u64),
-    /// Flush and sync only when a checkpoint is cut: everything since
+    /// Write and sync only when a checkpoint is cut: everything since
     /// the last checkpoint may need re-fetching after a crash.
     OnCheckpoint,
 }

@@ -1,17 +1,21 @@
-//! The append-only log file: buffered writes, policy-driven syncs into
-//! zero-filled segments, torn-tail scanning.
+//! The append-only log file: buffered writes into zero-filled segments
+//! at policy points, `fdatasync` on a thread of its own, torn-tail
+//! scanning.
 
 use std::fs::{File, OpenOptions};
+use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
 use bytes::{Bytes, BytesMut};
 
 use crate::record::{put_frame, unframe, WalRecord};
 use crate::{DurableError, FsyncPolicy};
 
-/// The log file grows by whole segments of this many bytes: a sync whose
-/// frames run past the zero-filled end writes zeros up to the next
+/// The log file grows by whole segments of this many bytes: a write
+/// whose frames run past the zero-filled end writes zeros up to the next
 /// multiple of it.
 pub const SEGMENT_LEN: u64 = 1 << 20;
 
@@ -19,14 +23,26 @@ pub const SEGMENT_LEN: u64 = 1 << 20;
 /// would sit resident in every process that ever fills a segment.
 static ZEROS: [u8; 4096] = [0; 4096];
 
+/// Stack of a log's sync thread, which only waits on a lock and calls
+/// `fdatasync`.
+const SYNC_STACK: usize = 64 << 10;
+
 /// One source channel's write-ahead log.
 ///
-/// Appends go through an internal buffer that is only written (and
-/// synced) at the points the [`FsyncPolicy`] dictates — deliberately
-/// *not* a `BufWriter`, whose `Drop` flushes and would make every
-/// simulated crash look like a clean shutdown. Dropping a `Wal` loses
-/// exactly the unflushed records, which is the crash window the policy
-/// promises.
+/// Appends go through an internal buffer that is only written at the
+/// points the [`FsyncPolicy`] dictates — deliberately *not* a
+/// `BufWriter`, whose `Drop` flushes and would make every simulated
+/// crash look like a clean shutdown. Dropping a `Wal` loses exactly the
+/// buffered records, which is the crash window the policy promises.
+///
+/// At a policy point the calling thread writes the buffered frames with
+/// `pwrite` and *requests* a sync; the log's sync thread, started at the
+/// first request, runs `fdatasync` up to the newest request and
+/// publishes it as done, so requests made during one sync share the
+/// next. The caller never waits for it: [`Wal::synced`] says how far
+/// the syncs have got, and [`Wal::wait_synced`], [`Wal::sync`] and
+/// `Drop` wait. A failed sync is sticky: every later append, sync or
+/// wait returns it, and [`Wal::synced`] never passes it.
 ///
 /// The file is grown a [`SEGMENT_LEN`] segment of zeros at a time and
 /// frames overwrite those zeros in place, so most syncs change no file
@@ -36,17 +52,91 @@ static ZEROS: [u8; 4096] = [0; 4096];
 #[derive(Debug)]
 pub struct Wal {
     path: PathBuf,
-    file: File,
+    file: Arc<File>,
     policy: FsyncPolicy,
-    /// Encoded frames not yet handed to the OS; each record is encoded
-    /// straight into it.
+    /// Encoded frames not yet written; each record is encoded straight
+    /// into it.
     buf: BytesMut,
     /// Records in `buf`.
     buffered: u64,
-    /// End of the last frame handed to the OS: where `buf` is written.
+    /// End of the last frame written: where `buf` is written.
     pos: u64,
     /// End of the file; every byte from `pos` up to it is zero.
     zeroed_end: u64,
+    syncs: Arc<Syncs>,
+    /// The sync thread, started at the first request.
+    thread: Option<JoinHandle<()>>,
+}
+
+/// What a log shares with its sync thread.
+#[derive(Debug, Default)]
+struct Syncs {
+    state: Mutex<SyncState>,
+    /// The thread sleeps here until a request or `closing`.
+    requested: Condvar,
+    /// Waiters sleep here until `done` moves or a sync fails.
+    done: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct SyncState {
+    /// Sync requests made so far; each covers every frame written before
+    /// it.
+    requested: u64,
+    /// The newest request a completed `fdatasync` covers.
+    done: u64,
+    /// The first failed `fdatasync`. A later success would not bring the
+    /// failed pages back, so the thread stops and `done` stays.
+    failed: Option<io::Error>,
+    /// The log is dropped: sync what was requested, then exit.
+    closing: bool,
+}
+
+impl SyncState {
+    /// The sticky failure, as an error of its own for each caller.
+    fn check(&self) -> Result<(), DurableError> {
+        match &self.failed {
+            None => Ok(()),
+            Some(e) => Err(DurableError::Io(match e.raw_os_error() {
+                Some(code) => io::Error::from_raw_os_error(code),
+                None => io::Error::new(e.kind(), e.to_string()),
+            })),
+        }
+    }
+}
+
+impl Syncs {
+    /// Every update of the state is a single store, so a lock poisoned
+    /// by a panic elsewhere still guards a consistent state.
+    fn lock(&self) -> MutexGuard<'_, SyncState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The sync thread: `fdatasync` up to the newest request, publish
+    /// it, repeat; exit once closing with nothing left, or on a failure.
+    fn run(&self, file: &File) {
+        let mut state = self.lock();
+        while state.failed.is_none() {
+            if state.done < state.requested {
+                let target = state.requested;
+                drop(state);
+                let synced = file.sync_data();
+                state = self.lock();
+                match synced {
+                    Ok(()) => state.done = target,
+                    Err(e) => state.failed = Some(e),
+                }
+                self.done.notify_all();
+            } else if state.closing {
+                return;
+            } else {
+                state = self
+                    .requested
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+    }
 }
 
 /// The result of scanning a log file from disk.
@@ -89,12 +179,20 @@ fn valid_prefix(
     Ok((offset, !zeros))
 }
 
+/// Cut a torn tail off `file` at `len` and sync the cut, so that no
+/// frame is ever written in front of garbage.
+fn cut_torn_tail(file: &File, len: u64) -> Result<(), DurableError> {
+    file.set_len(len)?;
+    file.sync_data()?;
+    Ok(())
+}
+
 impl Wal {
     /// Open (creating if absent) the log at `path` for appending. An
     /// existing file resumes at the end of its last valid frame, over
     /// the zeros that follow it; a torn tail (non-zero bytes past the
     /// valid frames) is cut off first, so no frame is ever written in
-    /// front of garbage. A fresh file stays empty until its first sync.
+    /// front of garbage. A fresh file stays empty until its first write.
     ///
     /// # Errors
     /// Filesystem errors.
@@ -135,20 +233,21 @@ impl Wal {
             .truncate(false)
             .open(&path)?;
         let zeroed_end = if torn {
-            file.set_len(valid_len)?;
-            file.sync_data()?;
+            cut_torn_tail(&file, valid_len)?;
             valid_len
         } else {
             file.metadata()?.len()
         };
         Ok(Wal {
             path,
-            file,
+            file: Arc::new(file),
             policy,
             buf: BytesMut::new(),
             buffered: 0,
             pos: valid_len,
             zeroed_end,
+            syncs: Arc::default(),
+            thread: None,
         })
     }
 
@@ -157,33 +256,65 @@ impl Wal {
         &self.path
     }
 
-    /// Append one record, flushing and syncing per the policy.
+    /// Append one record. At a policy point, write the buffered records
+    /// and request a sync of them, without waiting for it.
     ///
     /// # Errors
-    /// [`DurableError::RecordTooLarge`]; filesystem errors.
+    /// [`DurableError::RecordTooLarge`]; filesystem errors, among them
+    /// an earlier request's failed sync.
     pub fn append(&mut self, record: &WalRecord) -> Result<(), DurableError> {
+        if self.thread.is_some() {
+            self.syncs.lock().check()?;
+        }
         put_frame(&mut self.buf, record.encoded_len(), |e| record.encode(e))?;
         self.buffered += 1;
-        match self.policy {
-            FsyncPolicy::PerRecord => self.sync()?,
-            FsyncPolicy::PerBatch(n) => {
-                if self.buffered >= n.max(1) {
-                    self.sync()?;
-                }
-            }
-            FsyncPolicy::OnCheckpoint => {}
+        let due = match self.policy {
+            FsyncPolicy::PerRecord => true,
+            FsyncPolicy::PerBatch(n) => self.buffered >= n.max(1),
+            FsyncPolicy::OnCheckpoint => false,
+        };
+        if due {
+            self.request()?;
         }
         Ok(())
     }
 
-    /// Force every buffered record to disk (`write` + `fdatasync`). The
-    /// frames overwrite zeros in place; a batch that runs past the
-    /// zero-filled end is followed by zeros up to the next segment
-    /// boundary before the one `fdatasync`.
+    /// Write every buffered record and wait until an `fdatasync` covers
+    /// it (clean shutdown).
     ///
     /// # Errors
-    /// Filesystem errors.
+    /// Filesystem errors, the failed sync included.
     pub fn sync(&mut self) -> Result<(), DurableError> {
+        let request = self.request()?;
+        self.wait_synced(request)
+    }
+
+    /// Write the buffered records and request a sync that covers them;
+    /// returns the request.
+    fn request(&mut self) -> Result<u64, DurableError> {
+        self.write()?;
+        if self.thread.is_none() {
+            let (file, syncs) = (Arc::clone(&self.file), Arc::clone(&self.syncs));
+            self.thread = Some(
+                std::thread::Builder::new()
+                    .name("eca-wal-sync".into())
+                    .stack_size(SYNC_STACK)
+                    .spawn(move || syncs.run(&file))?,
+            );
+        }
+        let mut state = self.syncs.lock();
+        state.check()?;
+        state.requested += 1;
+        let request = state.requested;
+        drop(state);
+        self.syncs.requested.notify_one();
+        Ok(request)
+    }
+
+    /// Write the buffered frames over the zeros at `pos`; a batch that
+    /// runs past the zero-filled end is followed by zeros up to the next
+    /// segment boundary.
+    fn write(&mut self) -> Result<(), DurableError> {
         if !self.buf.is_empty() {
             self.file.write_all_at(self.buf.as_ref(), self.pos)?;
             self.pos += self.buf.len() as u64;
@@ -200,13 +331,45 @@ impl Wal {
             }
             self.zeroed_end = end;
         }
-        self.file.sync_data()?;
         Ok(())
     }
 
-    /// Records currently exposed to a crash (appended but not synced).
-    pub fn unsynced(&self) -> u64 {
+    /// Records appended since the last sync request: what the process
+    /// dying now would lose.
+    pub fn buffered(&self) -> u64 {
         self.buffered
+    }
+
+    /// Sync requests made so far. Request `r` covers every record
+    /// appended before it; the policy makes one at each of its points.
+    pub fn requested(&self) -> u64 {
+        self.syncs.lock().requested
+    }
+
+    /// The newest request a completed `fdatasync` covers: the records
+    /// before it survive a machine crash. It never passes a failed sync.
+    pub fn synced(&self) -> u64 {
+        self.syncs.lock().done
+    }
+
+    /// Wait until the syncs cover request `request` (capped at
+    /// [`Wal::requested`]).
+    ///
+    /// # Errors
+    /// The failed sync that stopped them.
+    pub fn wait_synced(&self, request: u64) -> Result<(), DurableError> {
+        let mut state = self.syncs.lock();
+        loop {
+            state.check()?;
+            if state.done >= request.min(state.requested) {
+                return Ok(());
+            }
+            state = self
+                .syncs
+                .done
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
     }
 
     /// Drop every buffered (unsynced) record — the in-process stand-in
@@ -250,10 +413,19 @@ impl Wal {
         if !scan.torn {
             return Ok(());
         }
-        let f = OpenOptions::new().write(true).open(path)?;
-        f.set_len(scan.valid_len)?;
-        f.sync_data()?;
-        Ok(())
+        cut_torn_tail(&OpenOptions::new().write(true).open(path)?, scan.valid_len)
+    }
+}
+
+impl Drop for Wal {
+    /// Waits for the sync thread to finish the requests made so far;
+    /// the buffered records are dropped, as a crash would lose them.
+    fn drop(&mut self) {
+        if let Some(thread) = self.thread.take() {
+            self.syncs.lock().closing = true;
+            self.syncs.requested.notify_one();
+            let _ = thread.join();
+        }
     }
 }
 
@@ -312,6 +484,31 @@ mod tests {
             assert!(!scan.torn, "{policy:?}: a lost buffer is not a torn file");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `pwrite` succeeds on `/dev/null` but `fdatasync` fails there with
+    /// `EINVAL`. The sync thread's failure comes back from the next
+    /// append, sync or wait and from every one after it, and the synced
+    /// mark never passes it.
+    #[test]
+    fn a_failed_sync_is_returned_from_every_later_call() {
+        let einval = |e: DurableError| match e {
+            DurableError::Io(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
+            e => panic!("expected an I/O error, got {e}"),
+        };
+        let record = &recs(1)[0];
+
+        // Noticed by a wait, then by every later call, an append that
+        // requests no sync included.
+        let mut wal = Wal::open("/dev/null", FsyncPolicy::PerBatch(2)).unwrap();
+        wal.append(record).unwrap();
+        wal.append(record).unwrap();
+        assert_eq!(wal.requested(), 1);
+        einval(wal.wait_synced(1).unwrap_err());
+        einval(wal.append(record).unwrap_err());
+        einval(wal.sync().unwrap_err());
+        einval(wal.wait_synced(1).unwrap_err());
+        assert_eq!(wal.synced(), 0);
     }
 
     #[test]

@@ -852,7 +852,7 @@ impl ChaosSimulation {
         for query in queries {
             site.w2s.send(query);
         }
-        if let Some(ack) = self.warehouse.ack(source_id) {
+        if let Some(ack) = self.warehouse.ack(source_id)? {
             site.w2s.carry(ack);
         }
         Ok(())

@@ -470,10 +470,6 @@ impl StationOwner for Fleet {
         if lock(&self.open).1.is_some() {
             return; // the run failed: answer nothing more
         }
-        // A panicking handler kills the worker; wake the calling thread,
-        // whose `stop` then raises the panic, instead of leaving it
-        // waiting on a station no one will close.
-        let _unwinding = Unwinding(self);
         let mut site = lock(&self.sites[key]);
         let Site {
             source,
@@ -491,27 +487,19 @@ impl StationOwner for Fleet {
 
     fn closed(&self, _: usize, exit: Exit) {
         // Keys are distinct and nothing listens, so a station leaves
-        // only by hanging up or faulting.
+        // only by hanging up, faulting or a panicking handler. The panic
+        // wakes the calling thread, whose `stop` then raises it.
         match exit {
             Exit::Faulted(e) => self.finish(Some(SourceError::Transport(e))),
+            Exit::Panicked => {
+                self.finish(Some(SourceError::Protocol("a fleet handler panicked")));
+            }
             _ => self.finish(None),
         }
     }
 
     fn gate(&self, _: &std::net::TcpStream) -> Option<usize> {
         None
-    }
-}
-
-/// Held while a fleet handler runs; fails the run if it unwinds.
-struct Unwinding<'a>(&'a Fleet);
-
-impl Drop for Unwinding<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0
-                .finish(Some(SourceError::Protocol("a fleet handler panicked")));
-        }
     }
 }
 

@@ -27,6 +27,8 @@
 //! crash between "checkpoint written" and "old log removed" can never
 //! replay pre-checkpoint records on top of the new checkpoint.
 
+use std::collections::VecDeque;
+
 use eca_core::QueryId;
 use eca_durable::{
     DurabilityConfig, DurableError, SourceCheckpoint, ViewCheckpoint, Wal, WalRecord, WalScan,
@@ -50,10 +52,13 @@ pub(crate) struct SourceDurability {
     /// quiescent): cut one at the first quiescent point regardless of
     /// cadence. Until it lands, a crash recovers via the full path.
     needs_baseline: bool,
-    /// The channel's notification watermark as of the last record handed
-    /// to the OS (or checkpoint cut): what a crash cannot take back, so
-    /// what the warehouse may acknowledge to the source.
+    /// The channel's notification watermark as of the last record a
+    /// completed sync covers (or the checkpoint cut): what a crash cannot
+    /// take back, so what the warehouse may acknowledge to the source.
     synced_watermark: u64,
+    /// Sync requests not yet seen complete, oldest first, each with the
+    /// watermark of the last record it covers.
+    requests: VecDeque<(u64, u64)>,
 }
 
 impl SourceDurability {
@@ -71,6 +76,7 @@ impl SourceDurability {
             records_since_checkpoint: 0,
             needs_baseline: true,
             synced_watermark: 0,
+            requests: VecDeque::new(),
         })
     }
 
@@ -97,16 +103,50 @@ impl SourceDurability {
             records_since_checkpoint: replayed,
             needs_baseline: false,
             synced_watermark: watermark,
+            requests: VecDeque::new(),
         })
     }
 
-    /// Append `record`, logged at notification watermark `watermark`.
+    /// Append `record`, logged at notification watermark `watermark`. At
+    /// a policy point the log requests a sync of it, which this pairs
+    /// with `watermark`; nothing here waits for the sync.
     pub(crate) fn log(&mut self, record: &WalRecord, watermark: u64) -> Result<(), DurableError> {
         self.wal.append(record)?;
         self.records_since_checkpoint += 1;
-        if self.wal.unsynced() == 0 {
-            self.synced_watermark = watermark;
+        if self.wal.buffered() == 0 {
+            self.settle_completed();
+            self.requests.push_back((self.wal.requested(), watermark));
         }
+        Ok(())
+    }
+
+    /// Move `synced_watermark` over every request whose sync completed.
+    fn settle_completed(&mut self) {
+        let synced = self.wal.synced();
+        while let Some(&(request, watermark)) = self.requests.front() {
+            if request > synced {
+                break;
+            }
+            self.synced_watermark = watermark;
+            self.requests.pop_front();
+        }
+    }
+
+    /// The watermark of the newest record a completed sync covers.
+    pub(crate) fn ack_watermark(&self) -> u64 {
+        let synced = self.wal.synced();
+        self.requests
+            .iter()
+            .take_while(|(request, _)| *request <= synced)
+            .last()
+            .map_or(self.synced_watermark, |(_, watermark)| *watermark)
+    }
+
+    /// Wait for every sync requested so far, so the ack watermark covers
+    /// every record written at a policy point.
+    pub(crate) fn wait_requested(&mut self) -> Result<(), DurableError> {
+        self.wal.wait_synced(self.wal.requested())?;
+        self.settle_completed();
         Ok(())
     }
 
@@ -130,6 +170,7 @@ impl SourceDurability {
         self.records_since_checkpoint = 0;
         self.needs_baseline = false;
         self.synced_watermark = ckpt.notifications_applied;
+        self.requests.clear();
         Ok(())
     }
 
@@ -143,6 +184,7 @@ impl SourceDurability {
     pub(crate) fn sync(&mut self, watermark: u64) -> Result<(), DurableError> {
         self.wal.sync()?;
         self.synced_watermark = watermark;
+        self.requests.clear();
         Ok(())
     }
 }
@@ -294,13 +336,13 @@ impl Shard {
     }
 
     /// The notification watermark this channel may acknowledge to its
-    /// source: everything applied on a volatile channel, everything the
-    /// log has handed to the OS (or a checkpoint holds) on a durable one
-    /// — never more than a crash would recover.
+    /// source: everything applied on a volatile channel, everything a
+    /// completed sync of the log covers (or a checkpoint holds) on a
+    /// durable one — never more than a crash would recover.
     pub(crate) fn ack_watermark(&self) -> u64 {
         self.durability
             .as_ref()
-            .map_or(self.notifications_seen, |d| d.synced_watermark)
+            .map_or(self.notifications_seen, SourceDurability::ack_watermark)
     }
 
     /// Bring this channel back per `plan`: restore + replay, resume (or
@@ -397,18 +439,25 @@ impl Warehouse {
 
     /// The notification watermark `source`'s channel may acknowledge, so
     /// the source can trim its outbox: [`Warehouse::notifications_seen`]
-    /// on a volatile warehouse, and on a durable one only as far as the
-    /// log has handed records to the OS (per its
-    /// [`eca_durable::FsyncPolicy`]) or a checkpoint holds them.
+    /// on a volatile warehouse, and on a durable one only as far as a
+    /// completed sync of the log covers records (written per its
+    /// [`eca_durable::FsyncPolicy`]) or a checkpoint holds them. It does
+    /// not wait for a sync in flight.
     pub fn ack_watermark(&self, source: SourceId) -> u64 {
         self.shards[source.0].ack_watermark()
     }
 
     /// The [`Message::Ack`] of [`Warehouse::ack_watermark`], or `None`
     /// when it has not advanced since the last ack on this connection;
-    /// [`Warehouse::on_reset`] (so every recovery) re-arms it. Panics on
-    /// an unregistered handle, as [`Warehouse::ack_watermark`] does.
-    pub fn ack(&mut self, source: SourceId) -> Option<Message> {
+    /// [`Warehouse::on_reset`] (so every recovery) re-arms it. On a
+    /// durable warehouse it first waits for the log syncs already
+    /// requested, so the ack covers every record written at a policy
+    /// point, as if the maintainer had synced them itself. Panics on an
+    /// unregistered handle, as [`Warehouse::ack_watermark`] does.
+    ///
+    /// # Errors
+    /// [`WarehouseError::Durability`] if a sync of the log failed.
+    pub fn ack(&mut self, source: SourceId) -> Result<Option<Message>, WarehouseError> {
         self.shards[source.0].ack()
     }
 
@@ -826,7 +875,7 @@ mod tests {
     }
 
     /// The watermark a channel acknowledges to its source only moves
-    /// forward, trails records the log has not yet handed to the OS, and
+    /// forward, trails records no completed sync of the log covers, and
     /// never exceeds what recovery brings back — so a source that trims
     /// its outbox to it can always serve the post-crash tail.
     #[test]
@@ -875,5 +924,111 @@ mod tests {
         );
         assert_eq!(wh.ack_watermark(src), wh.notifications_seen(src));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A log whose syncs fail: `/dev/null` in its place takes every
+    /// write, and its `fdatasync` returns `EINVAL`. The failure comes back
+    /// from the next ack, logged event and clean shutdown, and the ack
+    /// watermark stays where it was before the failed sync.
+    #[test]
+    fn a_failed_log_sync_fails_the_ack_and_holds_the_watermark() {
+        let dir = tmpdir("failed-sync");
+        let mut db = base_db();
+        let (mut wh, _, _) = build(&db);
+        let cfg = DurabilityConfig::new(&dir)
+            .with_fsync(eca_durable::FsyncPolicy::PerBatch(2))
+            .with_checkpoint_every(1_000);
+        wh.enable_durability(cfg.clone()).unwrap();
+        drop(wh);
+        let ckpt = SourceCheckpoint::load(&cfg.checkpoint_path(0))
+            .unwrap()
+            .unwrap();
+        let live = cfg.wal_path(0, ckpt.wal_gen);
+        std::fs::remove_file(&live).unwrap();
+        std::os::unix::fs::symlink("/dev/null", &live).unwrap();
+
+        let (mut wh, src, _) = build(&base_db());
+        assert!(wh.recover_durability(cfg).unwrap()[0].is_incremental());
+        let before = wh.ack_watermark(src);
+        // Recovery's epoch bump and this update fill one batch: its frames
+        // are written and a sync requested, which fails on the thread.
+        let u = Update::insert("r2", Tuple::ints([2, 50]));
+        db.apply(&u);
+        let qs = wh.on_update(src, &u).unwrap();
+        assert_eq!(wh.notifications_seen(src), before + 1);
+        let einval = |r: Result<(), WarehouseError>| match r {
+            Err(WarehouseError::Durability(DurableError::Io(e))) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}");
+            }
+            other => panic!("expected the failed sync, got {other:?}"),
+        };
+        einval(wh.ack(src).map(drop));
+        assert_eq!(wh.ack_watermark(src), before, "no ack past a failed sync");
+        einval(
+            wh.on_answer(src, qs[0].id, qs[0].query.eval(&db).unwrap())
+                .map(drop),
+        );
+        einval(wh.sync_durability());
+        einval(wh.ack(src).map(drop));
+        assert_eq!(wh.ack_watermark(src), before);
+        drop(wh);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// However many records a sync batches, every notification an ack
+    /// covers is in the files when the ack is made: under the
+    /// checkpoint's watermark or an `Update` record of the log it pairs
+    /// with — across checkpoint rotations too.
+    #[test]
+    fn an_ack_never_runs_ahead_of_the_files() {
+        for n in [1, 2, 3, 5, 8] {
+            let dir = tmpdir(&format!("ack-ahead-{n}"));
+            let mut db = base_db();
+            let (mut wh, src, view) = build(&db);
+            let cfg = DurabilityConfig::new(&dir)
+                .with_fsync(eca_durable::FsyncPolicy::PerBatch(n))
+                .with_checkpoint_every(7);
+            wh.enable_durability(cfg.clone()).unwrap();
+            let mut last = (0, 0);
+            let mut check = |wh: &mut Warehouse| {
+                let Some(Message::Ack { next, .. }) = wh.ack(src).unwrap() else {
+                    return;
+                };
+                let ckpt = SourceCheckpoint::load(&cfg.checkpoint_path(0))
+                    .unwrap()
+                    .unwrap();
+                let logged = Wal::scan(&cfg.wal_path(0, ckpt.wal_gen))
+                    .unwrap()
+                    .records
+                    .iter()
+                    .filter(|r| matches!(r, WalRecord::Update(_)))
+                    .count() as u64;
+                assert!(
+                    next <= ckpt.notifications_applied + logged,
+                    "PerBatch({n}): ack {next} past checkpoint {} + {logged} logged",
+                    ckpt.notifications_applied
+                );
+                last = (next, ckpt.wal_gen);
+            };
+            for i in 0..24i64 {
+                let u = match i % 3 {
+                    0 => Update::insert("r1", Tuple::ints([100 + i, 2])),
+                    1 => Update::insert("r2", Tuple::ints([2, 100 + i])),
+                    _ => Update::delete("r2", Tuple::ints([2, 99 + i])),
+                };
+                db.apply(&u);
+                let qs = wh.on_update(src, &u).unwrap();
+                check(&mut wh);
+                for q in qs {
+                    wh.on_answer(src, q.id, q.query.eval(&db).unwrap()).unwrap();
+                    check(&mut wh);
+                }
+            }
+            let (acked, gen) = last;
+            assert!(acked >= 24 - n, "PerBatch({n}): acks stopped at {acked}");
+            assert!(gen >= 3, "PerBatch({n}): only generation {gen} was reached");
+            assert_eq!(*wh.materialized(view), view_def().eval(&db).unwrap());
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

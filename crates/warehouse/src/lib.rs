@@ -957,19 +957,25 @@ mod tests {
     #[test]
     fn ack_is_sent_when_the_watermark_advances_and_after_a_reset() {
         let (mut wh, src, ..) = hub_over_one_source();
-        assert_eq!(wh.ack(src), None, "watermark 0 needs no ack");
+        assert_eq!(wh.ack(src).unwrap(), None, "watermark 0 needs no ack");
         let qs = wh
             .on_update(src, &Update::insert("r1", Tuple::ints([5, 9])))
             .unwrap();
-        assert_eq!(wh.ack(src), Some(Message::Ack { epoch: 0, next: 1 }));
-        assert_eq!(wh.ack(src), None, "not advanced");
+        assert_eq!(
+            wh.ack(src).unwrap(),
+            Some(Message::Ack { epoch: 0, next: 1 })
+        );
+        assert_eq!(wh.ack(src).unwrap(), None, "not advanced");
         for q in qs {
             wh.on_answer(src, q.id, SignedBag::new()).unwrap();
         }
-        assert_eq!(wh.ack(src), None, "answers move no watermark");
+        assert_eq!(wh.ack(src).unwrap(), None, "answers move no watermark");
         wh.on_reset(src, false).unwrap();
-        assert_eq!(wh.ack(src), Some(Message::Ack { epoch: 1, next: 1 }));
-        assert_eq!(wh.ack(src), None);
+        assert_eq!(
+            wh.ack(src).unwrap(),
+            Some(Message::Ack { epoch: 1, next: 1 })
+        );
+        assert_eq!(wh.ack(src).unwrap(), None);
     }
 
     /// A source restart (possible lost notifications) degrades every view

@@ -421,6 +421,8 @@ fn exit_error(source: usize, exit: Exit) -> WarehouseError {
         Exit::Faulted(e) => WarehouseError::Transport(e),
         Exit::Duplicate => WarehouseError::DuplicateSource { source },
         Exit::WakerRejected => WarehouseError::WakerRejected { source },
+        // `drive` raises the panic itself once this error stops the run.
+        Exit::Panicked => io_error(std::io::Error::other("a pool worker panicked")),
     }
 }
 

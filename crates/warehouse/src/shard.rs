@@ -336,16 +336,19 @@ impl Shard {
     }
 
     /// See [`crate::Warehouse::ack`].
-    pub(crate) fn ack(&mut self) -> Option<Message> {
+    pub(crate) fn ack(&mut self) -> Result<Option<Message>, WarehouseError> {
+        if let Some(d) = &mut self.durability {
+            d.wait_requested()?;
+        }
         let next = self.ack_watermark();
         if self.acked.is_some_and(|acked| next <= acked) {
-            return None;
+            return Ok(None);
         }
         self.acked = Some(next);
-        Some(Message::Ack {
+        Ok(Some(Message::Ack {
             epoch: self.session.epoch(),
             next,
-        })
+        }))
     }
 }
 

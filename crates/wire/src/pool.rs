@@ -25,9 +25,11 @@
 //! accept thread ([`StationPool::listen`]) names each TCP connection
 //! through [`StationOwner::gate`] or drops it. A station that hangs up,
 //! faults or is refused is reported to [`StationOwner::closed`]; the
-//! owner decides what that means. Dropping the pool stops it, joins every
-//! thread and hangs up every station. A pool with `w` workers and a
-//! listener runs `w + 1` threads.
+//! owner decides what that means. A handler that panics kills its
+//! worker, which hangs up every station it served and reports each as
+//! [`Exit::Panicked`]; [`StationPool::stop`] then returns the panic.
+//! Dropping the pool stops it, joins every thread and hangs up every
+//! station. A pool with `w` workers and a listener runs `w + 1` threads.
 
 use std::collections::HashSet;
 use std::hash::Hash;
@@ -100,6 +102,9 @@ pub enum Exit {
     /// Its transport can neither notify a waker nor hand over a
     /// descriptor to poll.
     WakerRejected,
+    /// A handler panicked on its home worker, which hung up every station
+    /// it served; [`StationPool::stop`] returns the panic.
+    Panicked,
 }
 
 /// Why [`StationPool::start`] failed. Any worker it had started is
@@ -306,6 +311,7 @@ impl<O: StationOwner> Shared<O> {
     /// station still holds messages.
     fn work(&self, home: usize) {
         let home = &self.homes[home];
+        let _orphans = Orphans { shared: self, home };
         let mut batch = Vec::new();
         let mut replies = Vec::new();
         // The idle sockets' poll entries and their stations' positions.
@@ -396,6 +402,27 @@ impl<O: StationOwner> Shared<O> {
     }
 }
 
+/// Held by a worker for its whole life. If a handler panics, the worker
+/// unwinds through it, and every station the worker served leaves the
+/// pool as [`Exit::Panicked`] instead of waiting for a visit that never
+/// comes.
+struct Orphans<'a, O: StationOwner> {
+    shared: &'a Shared<O>,
+    home: &'a Home<O::Key>,
+}
+
+impl<O: StationOwner> Drop for Orphans<'_, O> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        for st in std::mem::take(&mut *lock(&self.home.stations)) {
+            lock(&self.shared.keys).remove(&st.key);
+            self.shared.owner.closed(st.key, Exit::Panicked);
+        }
+    }
+}
+
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -420,6 +447,59 @@ mod tests {
 
         fn gate(&self, _: &TcpStream) -> Option<usize> {
             Some(self.0.fetch_add(1, Ordering::Relaxed))
+        }
+    }
+
+    /// Echoes every message but `Hello { epoch: 99 }`, on which it
+    /// panics, and records every station that leaves.
+    struct Fragile(Arc<Mutex<Vec<(usize, Exit)>>>);
+
+    impl StationOwner for Fragile {
+        type Key = usize;
+
+        fn handle(&self, _: usize, msg: Message, replies: &mut Vec<Message>) {
+            assert_ne!(msg, Message::Hello { epoch: 99 }, "the handler's bug");
+            replies.push(msg);
+        }
+
+        fn closed(&self, key: usize, exit: Exit) {
+            lock(&self.0).push((key, exit));
+        }
+
+        fn gate(&self, _: &TcpStream) -> Option<usize> {
+            None
+        }
+    }
+
+    #[test]
+    fn a_panicking_handler_closes_every_station_of_its_worker() {
+        let (mut clients, ends): (Vec<_>, Vec<_>) = (0..3)
+            .map(|_| SharedFifo::pair(TransferMeter::new()))
+            .unzip();
+        let stations = ends
+            .into_iter()
+            .enumerate()
+            .map(|(key, end)| (key, Box::new(end) as Box<dyn Transport + Send>))
+            .collect();
+        let closed = Arc::new(Mutex::new(Vec::new()));
+        let pool = StationPool::start(Fragile(Arc::clone(&closed)), 1, stations).unwrap();
+        round_trip(&mut clients[0], 1);
+        clients[1].send(&Message::Hello { epoch: 99 }).unwrap();
+        // The other clients are hung up on, not left waiting.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        for client in &mut clients {
+            while client.poll().unwrap() != Readiness::Closed {
+                assert!(Instant::now() < deadline, "a station outlived its worker");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        assert!(pool.stop().is_err(), "stop returns the worker's panic");
+        let mut closed = std::mem::take(&mut *lock(&closed));
+        closed.sort_by_key(|(key, _)| *key);
+        assert_eq!(closed.len(), 3, "{closed:?}");
+        for (i, (key, exit)) in closed.iter().enumerate() {
+            assert_eq!(*key, i);
+            assert!(matches!(exit, Exit::Panicked), "{key}: {exit:?}");
         }
     }
 

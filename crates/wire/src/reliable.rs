@@ -12,8 +12,8 @@
 //!   numbered by the notification watermark the warehouse counts (the
 //!   number of notifications it has applied on the channel);
 //! * the warehouse sends a cumulative [`Message::Ack`] once a watermark
-//!   is safe — applied by a volatile warehouse, handed to the OS by a
-//!   durable warehouse's log — and the source [`trim`](Outbox::trim)s to
+//!   is safe — applied by a volatile warehouse, covered by a completed
+//!   sync of a durable warehouse's log — and the source [`trim`](Outbox::trim)s to
 //!   it;
 //! * on a fresh connection the source [`resume`](Outbox::resume)s at the
 //!   warehouse's watermark and re-sends the tail past it before anything
