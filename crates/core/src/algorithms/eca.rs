@@ -91,7 +91,7 @@ pub enum LocalRule {
 enum Local {
     Nothing,
     FullyBound,
-    Aux(AuxStore),
+    Aux(Box<AuxStore>),
 }
 
 /// The Eager Compensating Algorithm.
@@ -207,7 +207,7 @@ impl Eca {
             LocalRule::FullyBound => ("ECA", Local::FullyBound),
             LocalRule::Auxiliaries(covered) => {
                 let store = AuxStore::new(&view, covered.as_deref(), base)?;
-                ("ECA-Aux", Local::Aux(store))
+                ("ECA-Aux", Local::Aux(Box::new(store)))
             }
         };
         Ok(Eca {

@@ -34,12 +34,12 @@
 
 use std::collections::BTreeMap;
 
-use eca_relational::algebra::spj;
-use eca_relational::{Predicate, SignedBag, Update};
+use eca_relational::planner::{Executor, TermPlan};
+use eca_relational::{Predicate, SignedBag, Tuple, Update};
 
 use crate::basedb::{BaseDb, BaseLookup};
 use crate::error::CoreError;
-use crate::expr::{scale, Atom, QueryId, Term};
+use crate::expr::{Atom, QueryId, Term};
 use crate::maintainer::{AuxDurableState, AuxSnapshot, OutboundQuery, QueryIdGen, SelfMaintStats};
 use crate::view::ViewDef;
 
@@ -66,7 +66,8 @@ pub(super) struct AuxStore {
     slots: Vec<Slot>,
     /// In-flight rebuild queries → slot.
     refreshing: BTreeMap<QueryId, usize>,
-    local_cond: Predicate,
+    /// The view's condition planned over the retained columns.
+    local_plan: TermPlan,
     local_proj: Vec<usize>,
     /// Rebuild queries sent for stale auxiliaries.
     refresh_queries: u64,
@@ -149,7 +150,10 @@ impl AuxStore {
             new_off += slot.retained.len();
         }
         Ok(AuxStore {
-            local_cond: view.cond().map_columns(&|c| map[c]),
+            local_plan: TermPlan::new(
+                slots.iter().map(|s| s.retained.len()).collect(),
+                &view.cond().map_columns(&|c| map[c]),
+            ),
             local_proj: view.proj().iter().map(|&c| map[c]).collect(),
             slots,
             refreshing: BTreeMap::new(),
@@ -224,30 +228,24 @@ impl AuxStore {
     pub(super) fn eval(&self, terms: &[Term]) -> Result<SignedBag, CoreError> {
         let mut out = SignedBag::new();
         for term in terms {
-            let singletons: Vec<SignedBag> = term
+            let bound: Vec<(usize, Tuple, i64)> = term
                 .atoms()
                 .iter()
                 .zip(&self.slots)
-                .map(|(atom, slot)| {
-                    let mut bag = SignedBag::new();
-                    if let Atom::Bound(st) = atom {
-                        bag.add(st.tuple.project(&slot.retained), st.sign.factor());
+                .enumerate()
+                .filter_map(|(i, (atom, slot))| match atom {
+                    Atom::Bound(st) => {
+                        Some((i, st.tuple.project(&slot.retained), st.sign.factor()))
                     }
-                    bag
+                    Atom::Rel(_) => None,
                 })
                 .collect();
-            let inputs: Vec<&SignedBag> = term
-                .atoms()
-                .iter()
-                .zip(&self.slots)
-                .zip(&singletons)
-                .map(|((atom, slot), single)| match atom {
-                    Atom::Rel(_) => &slot.bag,
-                    Atom::Bound(_) => single,
-                })
-                .collect();
-            let value = spj(&inputs, &self.local_cond, &self.local_proj)?;
-            out.merge(&scale(&value, term.factor()));
+            let factor = bound.iter().fold(term.factor(), |f, (_, _, sign)| f * sign);
+            let plan = &self.local_plan;
+            let mut exec = Executor::default();
+            exec.seed(plan, factor, bound.iter().map(|(i, t, _)| (*i, t)))?;
+            exec.join_greedy(plan, |i| Some(&self.slots[i].bag))?;
+            exec.finish(plan, &self.local_proj, &mut out)?;
         }
         Ok(out)
     }

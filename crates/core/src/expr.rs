@@ -13,7 +13,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use eca_relational::algebra::spj;
+use eca_relational::planner::{Executor, TermPlan};
 use eca_relational::{RelationalError, SignedBag, SignedTuple, Update};
 
 use crate::basedb::BaseLookup;
@@ -196,38 +196,54 @@ impl Term {
         }
     }
 
+    /// Start `exec` on this term of a view with plan `plan`: its bound
+    /// tuples in one row, counted by the coefficient times their signs.
+    ///
+    /// # Errors
+    /// As [`Executor::seed`].
+    pub fn seed<'a>(
+        &'a self,
+        plan: &TermPlan,
+        exec: &mut Executor<'a>,
+    ) -> Result<(), RelationalError> {
+        let bound = self
+            .atoms
+            .iter()
+            .enumerate()
+            .filter_map(|(i, atom)| match atom {
+                Atom::Bound(st) => Some((i, st)),
+                Atom::Rel(_) => None,
+            });
+        let factor = bound
+            .clone()
+            .fold(self.factor, |f, (_, st)| f * st.sign.factor());
+        exec.seed(plan, factor, bound.map(|(i, st)| (i, &st.tuple)))
+    }
+
     /// Evaluate this term against base relation contents, including the
     /// coefficient.
     ///
     /// # Errors
     /// Propagates relational evaluation errors.
     pub fn eval(&self, view: &ViewDef, db: &impl BaseLookup) -> Result<SignedBag, RelationalError> {
-        let mut singletons: Vec<SignedBag> = Vec::new();
-        // Pre-materialize bound singletons so we can borrow uniformly.
-        for atom in &self.atoms {
-            if let Atom::Bound(st) = atom {
-                let mut bag = SignedBag::new();
-                bag.add(st.tuple.clone(), st.sign.factor());
-                singletons.push(bag);
-            }
-        }
-        let empty = SignedBag::new();
-        let mut inputs: Vec<&SignedBag> = Vec::with_capacity(self.atoms.len());
-        let mut si = 0usize;
-        for (i, atom) in self.atoms.iter().enumerate() {
-            match atom {
-                Atom::Rel(_) => {
-                    let name = view.base()[i].relation();
-                    inputs.push(db.bag(name).unwrap_or(&empty));
-                }
-                Atom::Bound(_) => {
-                    inputs.push(&singletons[si]);
-                    si += 1;
-                }
-            }
-        }
-        let result = spj(&inputs, view.cond(), view.proj())?;
-        Ok(scale(&result, self.factor))
+        let mut out = SignedBag::new();
+        self.eval_into(view, db, &mut Executor::default(), &mut out)?;
+        Ok(out)
+    }
+
+    /// Add this term's value into `out`: seeded with its bound tuples,
+    /// the relations it leaves joined from `db` in greedy order.
+    fn eval_into<'a>(
+        &'a self,
+        view: &ViewDef,
+        db: &'a impl BaseLookup,
+        exec: &mut Executor<'a>,
+        out: &mut SignedBag,
+    ) -> Result<(), RelationalError> {
+        let plan = view.plan();
+        self.seed(plan, exec)?;
+        exec.join_greedy(plan, |i| db.bag(view.base()[i].relation()))?;
+        exec.finish(plan, view.proj(), out)
     }
 
     /// Encoded payload size of this term under the wire codec: 1 byte
@@ -268,22 +284,6 @@ impl fmt::Debug for Term {
             write!(f, "{a:?}")?;
         }
         write!(f, "))")
-    }
-}
-
-/// Scale every count of `bag` by `factor`.
-pub(crate) fn scale(bag: &SignedBag, factor: i64) -> SignedBag {
-    match factor {
-        1 => bag.clone(),
-        -1 => bag.negated(),
-        0 => SignedBag::new(),
-        f => {
-            let mut out = SignedBag::new();
-            for (t, c) in bag.iter() {
-                out.add(t.clone(), c * f);
-            }
-            out
-        }
     }
 }
 
@@ -361,9 +361,10 @@ impl Query {
     /// # Errors
     /// Propagates relational evaluation errors.
     pub fn eval(&self, db: &impl BaseLookup) -> Result<SignedBag, RelationalError> {
+        let mut exec = Executor::default();
         let mut out = SignedBag::new();
         for term in self.terms.iter() {
-            out.merge(&term.eval(&self.view, db)?);
+            term.eval_into(&self.view, db, &mut exec, &mut out)?;
         }
         Ok(out)
     }

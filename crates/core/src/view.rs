@@ -4,6 +4,7 @@
 use std::fmt;
 use std::sync::Arc;
 
+use eca_relational::planner::TermPlan;
 use eca_relational::{Predicate, RelationalError, Schema, SignedBag, Update};
 
 use crate::basedb::BaseLookup;
@@ -72,6 +73,8 @@ struct ViewInner {
     /// Cumulative column offsets of each base relation in the product.
     offsets: Vec<usize>,
     total_arity: usize,
+    /// Where each conjunct of the condition is applied, for every term.
+    plan: TermPlan,
 }
 
 impl ViewDef {
@@ -159,6 +162,7 @@ impl ViewDef {
         if let Some(&p) = header.proj.iter().find(|&&p| p >= total) {
             return out_of_range(p);
         }
+        let plan = TermPlan::new(base.iter().map(Schema::arity).collect(), &header.cond);
         Ok(ViewDef {
             inner: Arc::new(ViewInner {
                 name,
@@ -166,6 +170,7 @@ impl ViewDef {
                 header,
                 offsets,
                 total_arity: total,
+                plan,
             }),
         })
     }
@@ -188,6 +193,12 @@ impl ViewDef {
     /// The projection positions over product columns.
     pub fn proj(&self) -> &[usize] {
         &self.inner.header.proj
+    }
+
+    /// The condition's plan: what each term's inputs push down, join on,
+    /// and leave to the residual.
+    pub fn plan(&self) -> &TermPlan {
+        &self.inner.plan
     }
 
     /// The header every query of this view carries to the source.

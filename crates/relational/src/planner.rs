@@ -1,32 +1,46 @@
-//! Per-term SPJ planning and execution: predicate pushdown, composite
-//! hash-join keys, greedy data-dependent join order, and a pipelined
-//! executor that joins borrowed rows and builds only the output bag.
+//! The one SPJ executor, on both sides of the wire: per-term planning
+//! (predicate pushdown, composite hash-join keys) and a pipelined join
+//! over borrowed rows that builds only the output bag.
 //!
 //! An SPJ term `π_proj(σ_cond(r1 × … × rn))` names its columns relative
-//! to the full product. The planner splits `cond` into its AND-skeleton
+//! to the full product. [`TermPlan`] splits `cond` into its AND-skeleton
 //! conjuncts and classifies each one:
 //!
 //! * every referenced column falls inside one input's slice → **pushdown**:
 //!   the conjunct is rewritten into that input's local coordinates and
-//!   applied as a pre-selection before any join;
+//!   applied to each of the input's tuples as it is joined in;
 //! * `Column = Column` equality spanning two inputs → **join edge**: it
-//!   becomes (part of) a composite hash-join key and is never re-checked;
+//!   becomes (part of) a composite join key and is never re-checked;
 //! * anything else (cross-input inequalities, disjunctions, column-free
 //!   conjuncts) → **residual**: re-applied once on each joined row.
 //!
-//! Join order is chosen greedily at execution time from the actual
-//! post-pushdown input sizes: start from the smallest input, then
-//! repeatedly attach the candidate minimizing the estimated cardinality
-//! `|acc| · |cand| / distinct-keys(cand)` (or the plain product for a
-//! cross); the last input left needs no estimate.
+//! An [`Executor`] runs one term at a time in three steps, joining the
+//! inputs in whatever order its caller drives:
 //!
-//! Nothing is materialized between the stages. Pushdown lends each
-//! input's tuples as rows of one borrowed tuple; each join appends to a
+//! * [`Executor::seed`] starts one row holding the term's bound tuples,
+//!   counted by the term's factor;
+//! * [`Executor::join`] joins one input's tuples, a bag's or a heap's, by
+//!   a chained hash join, and [`Executor::join_probe`] joins an input
+//!   through a probe callback (an index lookup) once per row. Each tuple
+//!   joined in passes its input's pushdown and every edge to the inputs
+//!   already joined;
+//! * [`Executor::finish`] applies the residual and adds each row's
+//!   projection into a caller's bag.
+//!
+//! [`spj_planned`] and [`Executor::join_greedy`] drive it over bags in a
+//! greedy, data-dependent order: from the smallest input, then the
+//! candidate minimizing the estimated cardinality `|cand| /
+//! distinct-keys(cand)` per accumulated row (or `|cand|` for a cross); the
+//! last input left needs no estimate. The source's storage engine drives
+//! it in its own order, through index probes and scans of its heaps, and
+//! charges its block reads apart from the rows.
+//!
+//! Nothing is materialized between the stages. Each join appends to a
 //! flat buffer of borrowed tuples per row (one per input joined so far,
 //! in join order) plus the row's multiplied count. The residual runs on
-//! a row's values in canonical order. The surviving rows are sorted by
-//! their projected values and each is projected once, in that order, so
-//! the output bag is built by appends alone.
+//! a row's values in canonical order. Beyond a few rows, the surviving
+//! rows are sorted by their projected values and each is projected once,
+//! in that order, so an empty output bag is built by appends alone.
 
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
@@ -45,8 +59,8 @@ use crate::value::Value;
 #[derive(Debug, Clone)]
 pub struct TermPlan {
     arities: Vec<usize>,
-    offsets: Vec<usize>,
-    total: usize,
+    /// Per canonical column: the input owning it and its position there.
+    columns: Vec<(usize, usize)>,
     /// Per input: the conjunction pushed below the joins, rewritten to
     /// that input's local columns (`True` when nothing pushed).
     pub pushdown: Vec<Predicate>,
@@ -62,19 +76,17 @@ impl TermPlan {
     /// Classify the conjuncts of `cond` for inputs with these arities.
     #[must_use]
     pub fn new(arities: Vec<usize>, cond: &Predicate) -> TermPlan {
-        let mut offsets = Vec::with_capacity(arities.len());
-        let mut total = 0usize;
-        for &a in &arities {
-            offsets.push(total);
-            total += a;
-        }
+        let columns = arities
+            .iter()
+            .enumerate()
+            .flat_map(|(input, &arity)| (0..arity).map(move |col| (input, col)))
+            .collect();
         let mut plan = TermPlan {
             pushdown: vec![Predicate::True; arities.len()],
             edges: Vec::new(),
             residual: Predicate::True,
             arities,
-            offsets,
-            total,
+            columns,
         };
         for conj in cond.conjuncts() {
             plan.classify(conj);
@@ -82,16 +94,21 @@ impl TermPlan {
         plan
     }
 
-    /// The input owning canonical column `col`, if it is in range.
-    fn owner(&self, col: usize) -> Option<usize> {
-        (col < self.total).then(|| self.locate(col).0)
+    /// The number of inputs.
+    #[must_use]
+    #[inline]
+    pub fn inputs(&self) -> usize {
+        self.arities.len()
     }
 
-    /// The input owning in-range canonical column `col`, and the column's
-    /// position within that input.
-    fn locate(&self, col: usize) -> (usize, usize) {
-        let owner = self.offsets.partition_point(|&o| o <= col) - 1;
-        (owner, col - self.offsets[owner])
+    /// The number of columns of the product.
+    fn width(&self) -> usize {
+        self.columns.len()
+    }
+
+    /// The input owning canonical column `col`, if it is in range.
+    fn owner(&self, col: usize) -> Option<usize> {
+        self.columns.get(col).map(|&(input, _)| input)
     }
 
     fn classify(&mut self, conj: &Predicate) {
@@ -120,8 +137,7 @@ impl TermPlan {
         };
         match single_owner {
             Some(i) => {
-                let lo = self.offsets[i];
-                let local = conj.map_columns(&|c| c - lo);
+                let local = conj.map_columns(&|c| self.columns[c].1);
                 self.pushdown[i] =
                     std::mem::replace(&mut self.pushdown[i], Predicate::True).and(local);
             }
@@ -132,30 +148,50 @@ impl TermPlan {
         }
     }
 
-    /// The canonical join-key columns `(acc_side, cand_side)` linking
-    /// input `cand` to the set of already-joined inputs.
-    fn edges_to(&self, cand: usize, joined: &[bool]) -> Vec<(usize, usize)> {
-        self.edges
-            .iter()
-            .filter_map(|&(a, b)| {
-                let (oa, ob) = (self.owner(a)?, self.owner(b)?);
-                if ob == cand && joined[oa] {
-                    Some((a, b))
-                } else if oa == cand && joined[ob] {
-                    Some((b, a))
-                } else {
-                    None
-                }
-            })
-            .collect()
+    /// The edges linking input `cand` to the inputs `joined` accepts, in
+    /// edge order: each as the joined side's canonical column and
+    /// `cand`'s local column.
+    pub fn edges_into<'p>(
+        &'p self,
+        cand: usize,
+        joined: impl Fn(usize) -> bool + 'p,
+    ) -> impl Iterator<Item = (usize, usize)> + 'p {
+        self.edges.iter().filter_map(move |&(a, b)| {
+            let (oa, ob) = (self.owner(a)?, self.owner(b)?);
+            if ob == cand && joined(oa) {
+                Some((a, self.columns[b].1))
+            } else if oa == cand && joined(ob) {
+                Some((b, self.columns[a].1))
+            } else {
+                None
+            }
+        })
+    }
+
+    /// Whether `tuple` of input `input` passes the input's pushdown. The
+    /// arity is checked first, so that every later step indexes the tuple
+    /// without a check.
+    #[inline]
+    fn admits(&self, input: usize, tuple: &Tuple) -> Result<bool, RelationalError> {
+        if tuple.arity() != self.arities[input] {
+            return Err(RelationalError::ArityMismatch {
+                context: "SPJ term input".into(),
+                expected: self.arities[input],
+                actual: tuple.arity(),
+            });
+        }
+        match &self.pushdown[input] {
+            Predicate::True => Ok(true),
+            pred => pred.eval(tuple),
+        }
     }
 }
 
 /// The rows of a join in progress, in one flat buffer: `width` borrowed
 /// tuples per row (one per input joined so far, in join order) and one
-/// multiplied count per row. An input after pushdown is a `Rows` of
-/// width 1. Nothing is copied out of the input bags until a surviving
-/// row is projected.
+/// multiplied count per row. Nothing is copied out of the inputs until a
+/// surviving row is projected.
+#[derive(Default)]
 struct Rows<'a> {
     width: usize,
     tuples: Vec<&'a Tuple>,
@@ -163,27 +199,35 @@ struct Rows<'a> {
 }
 
 impl<'a> Rows<'a> {
-    fn with_capacity(width: usize, rows: usize) -> Self {
-        Rows {
-            width,
-            tuples: Vec::with_capacity(width * rows),
-            counts: Vec::with_capacity(rows),
-        }
+    /// Empty the rows and give them `width` tuples each.
+    fn reset(&mut self, width: usize) {
+        self.width = width;
+        self.tuples.clear();
+        self.counts.clear();
     }
 
+    #[inline]
     fn len(&self) -> usize {
         self.counts.len()
+    }
+
+    /// Make room for `rows` more rows.
+    fn reserve(&mut self, rows: usize) {
+        self.tuples.reserve(rows * self.width);
+        self.counts.reserve(rows);
     }
 
     fn is_empty(&self) -> bool {
         self.counts.is_empty()
     }
 
+    #[inline]
     fn row(&self, r: usize) -> &[&'a Tuple] {
         &self.tuples[r * self.width..(r + 1) * self.width]
     }
 
     /// Append the row `left ++ [right]` with count `count`.
+    #[inline]
     fn push(&mut self, left: &[&'a Tuple], right: &'a Tuple, count: i64) {
         self.tuples.extend_from_slice(left);
         self.tuples.push(right);
@@ -197,87 +241,110 @@ impl<'a> Rows<'a> {
     }
 }
 
-/// `σ_pred(input)` as borrowed width-1 rows. Every tuple must have
-/// `arity` attributes, so later steps index tuples without a check.
-fn pushdown<'a>(
-    input: &'a SignedBag,
-    pred: &Predicate,
-    arity: usize,
-) -> Result<Rows<'a>, RelationalError> {
-    let mut rows = Rows::with_capacity(1, input.distinct_len());
-    for (tuple, count) in input.iter() {
-        if tuple.arity() != arity {
-            return Err(RelationalError::ArityMismatch {
-                context: "SPJ term input".into(),
-                expected: arity,
-                actual: tuple.arity(),
-            });
-        }
-        if pred.eval(tuple)? {
-            rows.tuples.push(tuple);
-            rows.counts.push(count);
-        }
-    }
-    Ok(rows)
+/// One join edge as a row reads it: the slot and column of the joined
+/// side, and the column of the input being joined.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Link {
+    slot: usize,
+    col: usize,
+    /// The column of the input being joined.
+    pub attr: usize,
 }
 
-/// One side of a hash join: rows, and the `(slot, column)` each key
-/// component reads from a row.
+/// The edges into `input` from the inputs that have a slot.
+fn links<'p>(
+    plan: &'p TermPlan,
+    slots: &'p [Option<usize>],
+    input: usize,
+) -> impl Iterator<Item = Link> + 'p {
+    plan.edges_into(input, |i| slots[i].is_some())
+        .filter_map(move |(from, attr)| {
+            let (owner, col) = plan.columns[from];
+            Some(Link {
+                slot: slots[owner]?,
+                col,
+                attr,
+            })
+        })
+}
+
+/// Whether `tuple`, joined onto `row`, agrees with it on every key.
+#[inline]
+fn keys_match(keys: impl IntoIterator<Item = Link>, row: &[&Tuple], tuple: &Tuple) -> bool {
+    keys.into_iter()
+        .all(|k| row[k.slot].values()[k.col] == tuple.values()[k.attr])
+}
+
+/// One side of a hash join: its rows, and whether it is the accumulated
+/// side (keys read at a link's slot and column) or the joined input
+/// (width-1 rows, keys read at a link's `attr`).
 struct KeySide<'r, 'a> {
     rows: &'r Rows<'a>,
-    cols: Vec<(usize, usize)>,
+    keys: &'r [Link],
+    acc: bool,
 }
 
 impl<'r, 'a> KeySide<'r, 'a> {
-    fn value(&self, r: usize, k: usize) -> &'a Value {
-        let (slot, col) = self.cols[k];
-        &self.rows.row(r)[slot].values()[col]
+    fn value(&self, r: usize, k: &Link) -> &'a Value {
+        let row = self.rows.row(r);
+        if self.acc {
+            &row[k.slot].values()[k.col]
+        } else {
+            &row[0].values()[k.attr]
+        }
     }
 
     fn hash(&self, state: &RandomState, r: usize) -> u64 {
         let mut h = state.build_hasher();
-        for k in 0..self.cols.len() {
+        for k in self.keys {
             self.value(r, k).hash(&mut h);
         }
         h.finish()
     }
 
     fn key_eq(&self, r: usize, other: &KeySide<'_, '_>, s: usize) -> bool {
-        (0..self.cols.len()).all(|k| self.value(r, k) == other.value(s, k))
+        self.keys
+            .iter()
+            .all(|k| self.value(r, k) == other.value(s, k))
     }
 }
 
 /// No further row in a hash chain.
 const END: usize = usize::MAX;
 
-/// Join `next` (width-1 rows) onto `acc` on the composite key `keys`
-/// (`(acc slot, acc column)` paired with a column of `next`), or cross
-/// the two when `keys` is empty. Output rows are `acc`'s followed by
-/// `next`'s tuple, counts multiplied.
+/// Join width-1 `next` onto `acc` on the composite key `keys`, or cross
+/// the two when `keys` is empty, appending to `out`. Output rows are
+/// `acc`'s followed by `next`'s tuple, counts multiplied.
 ///
-/// The hash table is built on the side with fewer total occurrences
-/// (duplicates included: a distinct count undercounts a skewed side, and
-/// the table holds every row). It is one map from key hash to the first
-/// build row, and a chain through the build rows sharing a hash. Probes
-/// compare key values in place, so no key is ever built.
-fn join<'a>(acc: &Rows<'a>, next: &Rows<'a>, keys: &[((usize, usize), usize)]) -> Rows<'a> {
-    let mut out = Rows::with_capacity(acc.width + 1, acc.len().max(next.len()));
-    if keys.is_empty() {
-        for a in 0..acc.len() {
-            for n in 0..next.len() {
-                out.push(acc.row(a), next.tuples[n], acc.counts[a] * next.counts[n]);
-            }
-        }
-        return out;
-    }
+/// A cross, or a side of one row, is a nested loop that compares keys in
+/// place. Otherwise the hash table is built on the side with fewer total
+/// occurrences (duplicates included: a distinct count undercounts a
+/// skewed side, and the table holds every row). It is one map from key
+/// hash to the first build row, and a chain through the build rows
+/// sharing a hash. Probes compare key values in place, so no key is ever
+/// built.
+fn hash_join<'a>(acc: &Rows<'a>, next: &Rows<'a>, keys: &[Link], out: &mut Rows<'a>) {
+    out.reserve(acc.len().max(next.len()));
     let acc_side = KeySide {
         rows: acc,
-        cols: keys.iter().map(|&(a, _)| a).collect(),
+        keys,
+        acc: true,
     };
     let next_side = KeySide {
         rows: next,
-        cols: keys.iter().map(|&(_, n)| (0, n)).collect(),
+        keys,
+        acc: false,
     };
+    if keys.is_empty() || acc.len() == 1 || next.len() == 1 {
+        for a in 0..acc.len() {
+            for n in 0..next.len() {
+                if acc_side.key_eq(a, &next_side, n) {
+                    out.push(acc.row(a), next.tuples[n], acc.counts[a] * next.counts[n]);
+                }
+            }
+        }
+        return;
+    }
     let build_is_acc = acc.occurrences() <= next.occurrences();
     let (build, probe) = if build_is_acc {
         (&acc_side, &next_side)
@@ -300,7 +367,6 @@ fn join<'a>(acc: &Rows<'a>, next: &Rows<'a>, keys: &[((usize, usize), usize)]) -
             b = chain[b];
         }
     }
-    out
 }
 
 /// [`crate::algebra::equijoin_multi`]: the executor's join over two
@@ -313,7 +379,10 @@ pub(crate) fn equijoin_bags(
     /// `bag` as width-1 rows, without the tuples too short to have
     /// column `need`: they join nothing.
     fn rows(bag: &SignedBag, need: Option<usize>) -> Rows<'_> {
-        let mut rows = Rows::with_capacity(1, bag.distinct_len());
+        let mut rows = Rows {
+            width: 1,
+            ..Rows::default()
+        };
         for (tuple, count) in bag.iter() {
             if need.map_or(true, |col| col < tuple.arity()) {
                 rows.tuples.push(tuple);
@@ -324,8 +393,13 @@ pub(crate) fn equijoin_bags(
     }
     let left = rows(left, keys.iter().map(|&(l, _)| l).max());
     let right = rows(right, keys.iter().map(|&(_, r)| r).max());
-    let keys: Vec<((usize, usize), usize)> = keys.iter().map(|&(l, r)| ((0, l), r)).collect();
-    let joined = join(&left, &right, &keys);
+    let keys: Vec<Link> = keys
+        .iter()
+        .map(|&(col, attr)| Link { slot: 0, col, attr })
+        .collect();
+    let mut joined = Rows::default();
+    joined.reset(2);
+    hash_join(&left, &right, &keys, &mut joined);
     let mut concatenated: Vec<(Tuple, i64)> = (0..joined.len())
         .map(|r| {
             let row = joined.row(r);
@@ -341,77 +415,374 @@ pub(crate) fn equijoin_bags(
     out
 }
 
-/// Distinct composite-key count of width-1 `rows` over `cols`, floored
-/// at 1. Keys are counted by hash: an estimate needs no exact count.
-fn distinct_keys(rows: &Rows<'_>, cols: &[usize]) -> f64 {
-    let side = KeySide {
-        rows,
-        cols: cols.iter().map(|&c| (0, c)).collect(),
-    };
-    let state = RandomState::new();
-    let keys: HashSet<u64> = (0..rows.len()).map(|r| side.hash(&state, r)).collect();
-    (keys.len().max(1)) as f64
+/// The most rows [`Executor::finish`] projects in join order; more are
+/// sorted into bag order first.
+const UNSORTED_ROWS: usize = 16;
+
+/// A term's join in progress, and the buffers it reuses from one term to
+/// the next: see the [module docs](self) for its three steps.
+#[derive(Default)]
+pub struct Executor<'a> {
+    rows: Rows<'a>,
+    /// The rows the next join step builds.
+    next: Rows<'a>,
+    /// Per input: its slot in a row, once joined.
+    slots: Vec<Option<usize>>,
+    /// Whether the seeded bound tuples pass their own pushdowns and the
+    /// edges among them.
+    seeds_match: bool,
+    /// The key of the join step in progress.
+    keys: Vec<Link>,
+    /// The admitted tuples of an input about to be hash joined.
+    input: Rows<'a>,
+    /// The surviving rows, each keyed by its projection's prefix.
+    kept: Vec<(u64, usize)>,
 }
 
-/// Greedy join order over the post-pushdown inputs: start from the
-/// smallest, then repeatedly pick the candidate with the smallest
-/// estimated joined cardinality — `|acc| · |cand| / distinct-keys(cand)`
-/// when an equality edge links it to the accumulator, `|acc| · |cand|`
-/// for a cross product. The last input needs no estimate.
-#[must_use]
-fn greedy_order(plan: &TermPlan, selected: &[Rows<'_>]) -> Vec<usize> {
-    let n = selected.len();
-    let totals: Vec<f64> = selected.iter().map(Rows::occurrences).collect();
-    let Some(start) = (0..n).min_by(|&a, &b| totals[a].total_cmp(&totals[b])) else {
-        return Vec::new();
-    };
-    let mut order = Vec::with_capacity(n);
-    order.push(start);
-    let mut joined = vec![false; n];
-    joined[start] = true;
-    let mut acc_est = totals[start];
-    for step in 1..n {
-        if step == n - 1 {
-            order.extend((0..n).filter(|&cand| !joined[cand]));
-            break;
+impl<'a> Executor<'a> {
+    /// Start a term of `plan`: one row holding the `bound` tuples (each
+    /// with its input), counted by `factor`.
+    ///
+    /// The row stands for the term in every step that follows, whether
+    /// or not the bound tuples pass their own pushdowns and the edges
+    /// among them; [`Self::finish`] drops it if they do not. So a caller
+    /// that charges per row (the source's probes) charges a bound term
+    /// the same either way.
+    ///
+    /// # Errors
+    /// [`RelationalError::ArityMismatch`] for a bound tuple of the wrong
+    /// arity; predicate evaluation errors.
+    pub fn seed(
+        &mut self,
+        plan: &TermPlan,
+        factor: i64,
+        bound: impl IntoIterator<Item = (usize, &'a Tuple)>,
+    ) -> Result<(), RelationalError> {
+        self.slots.clear();
+        self.slots.resize(plan.inputs(), None);
+        self.rows.reset(0);
+        self.seeds_match = true;
+        for (input, tuple) in bound {
+            // The arity is checked before any key reads the tuple.
+            let admitted = plan.admits(input, tuple)?;
+            let joins = keys_match(links(plan, &self.slots, input), &self.rows.tuples, tuple);
+            self.seeds_match &= admitted && joins;
+            self.slots[input] = Some(self.rows.tuples.len());
+            self.rows.tuples.push(tuple);
         }
-        let mut best: Option<(f64, usize)> = None;
-        for cand in 0..n {
-            if joined[cand] {
-                continue;
-            }
-            let key_cols: Vec<usize> = plan
-                .edges_to(cand, &joined)
-                .iter()
-                .map(|&(_, c)| c - plan.offsets[cand])
-                .collect();
-            let est = if key_cols.is_empty() {
-                acc_est * totals[cand]
-            } else {
-                acc_est * totals[cand] / distinct_keys(&selected[cand], &key_cols)
-            };
-            if best.map_or(true, |(b, _)| est < b) {
-                best = Some((est, cand));
-            }
-        }
-        let Some((est, cand)) = best else {
-            break;
-        };
-        order.push(cand);
-        joined[cand] = true;
-        acc_est = est.max(1.0);
+        self.rows.width = self.rows.tuples.len();
+        self.rows.counts.push(factor);
+        Ok(())
     }
-    order
+
+    /// Whether input `input` is joined in.
+    #[must_use]
+    #[inline]
+    pub fn is_joined(&self, input: usize) -> bool {
+        self.slots[input].is_some()
+    }
+
+    /// The number of rows.
+    #[must_use]
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether no row is left.
+    #[must_use]
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The edges into input `input` from the inputs joined so far, in
+    /// `plan`'s edge order.
+    pub fn links<'p>(
+        &'p self,
+        plan: &'p TermPlan,
+        input: usize,
+    ) -> impl Iterator<Item = Link> + 'p {
+        links(plan, &self.slots, input)
+    }
+
+    /// The value each row offers `link`, in row order.
+    pub fn probe_values(&self, link: Link) -> impl Iterator<Item = &'a Value> + '_ {
+        (0..self.rows.len()).map(move |r| &self.rows.row(r)[link.slot].values()[link.col])
+    }
+
+    /// Join input `input`'s `tuples`, each with its count.
+    ///
+    /// Onto one row (a seeded term) the tuples stream by and are compared
+    /// with it in place; otherwise the admitted ones are gathered and
+    /// hash joined.
+    ///
+    /// # Errors
+    /// [`RelationalError::ArityMismatch`] for a tuple of the wrong arity;
+    /// predicate evaluation errors.
+    pub fn join(
+        &mut self,
+        plan: &TermPlan,
+        input: usize,
+        tuples: impl IntoIterator<Item = (&'a Tuple, i64)>,
+    ) -> Result<(), RelationalError> {
+        let tuples = tuples.into_iter();
+        self.join_sized(plan, input, tuples.size_hint().0, tuples)
+    }
+
+    /// [`Self::join`], with room made for `admitted` tuples where they
+    /// are gathered, or where each of them makes a row.
+    fn join_sized(
+        &mut self,
+        plan: &TermPlan,
+        input: usize,
+        admitted: usize,
+        tuples: impl Iterator<Item = (&'a Tuple, i64)>,
+    ) -> Result<(), RelationalError> {
+        let mut next = self.start_step(plan, input);
+        if self.rows.len() == 1 {
+            if self.keys.is_empty() {
+                next.reserve(admitted);
+            }
+            let (row, count) = (self.rows.row(0), self.rows.counts[0]);
+            for (tuple, c) in tuples {
+                if plan.admits(input, tuple)? && keys_match(self.keys.iter().copied(), row, tuple) {
+                    next.push(row, tuple, count * c);
+                }
+            }
+        } else if !self.rows.is_empty() {
+            let mut selected = std::mem::take(&mut self.input);
+            selected.reset(1);
+            selected.reserve(admitted);
+            for (tuple, count) in tuples {
+                if plan.admits(input, tuple)? {
+                    selected.push(&[], tuple, count);
+                }
+            }
+            hash_join(&self.rows, &selected, &self.keys, &mut next);
+            self.input = selected;
+        }
+        self.end_step(input, next);
+        Ok(())
+    }
+
+    /// Join input `input` through `probe`, once per row: `probe` gets
+    /// the value the row offers `link` and hands each tuple whose
+    /// `link.attr` equals it (an index lookup's matches) to the callback
+    /// it is given. The other edges into `input` are checked here.
+    ///
+    /// # Errors
+    /// As [`Self::join`].
+    pub fn join_probe(
+        &mut self,
+        plan: &TermPlan,
+        input: usize,
+        link: Link,
+        mut probe: impl FnMut(&'a Value, &mut dyn FnMut(&'a Tuple)),
+    ) -> Result<(), RelationalError> {
+        let mut next = self.start_step(plan, input);
+        self.keys.retain(|&k| k != link);
+        let mut failed = Ok(());
+        for r in 0..self.rows.len() {
+            let (row, count) = (self.rows.row(r), self.rows.counts[r]);
+            let tuple: &'a Tuple = row[link.slot];
+            probe(
+                &tuple.values()[link.col],
+                &mut |tuple| match plan.admits(input, tuple) {
+                    Ok(true) if keys_match(self.keys.iter().copied(), row, tuple) => {
+                        next.push(row, tuple, count)
+                    }
+                    Ok(_) => {}
+                    Err(e) => failed = Err(e),
+                },
+            );
+        }
+        self.end_step(input, next);
+        failed
+    }
+
+    /// The key into `input`, and the emptied buffer its rows go to.
+    fn start_step(&mut self, plan: &TermPlan, input: usize) -> Rows<'a> {
+        self.keys.clear();
+        self.keys.extend(links(plan, &self.slots, input));
+        let mut next = std::mem::take(&mut self.next);
+        next.reset(self.rows.width + 1);
+        next
+    }
+
+    /// Make `next` the rows, with `input` in their last slot.
+    fn end_step(&mut self, input: usize, next: Rows<'a>) {
+        self.slots[input] = Some(self.rows.width);
+        self.next = std::mem::replace(&mut self.rows, next);
+    }
+
+    /// Join every input not joined yet, in greedy order (see the
+    /// [module docs](self)); `input` lends each one's bag, and an input
+    /// without one is empty.
+    ///
+    /// # Errors
+    /// As [`Self::join`].
+    pub fn join_greedy(
+        &mut self,
+        plan: &TermPlan,
+        input: impl Fn(usize) -> Option<&'a SignedBag>,
+    ) -> Result<(), RelationalError> {
+        let bag = |i: usize| input(i).into_iter().flat_map(SignedBag::iter);
+        // Occurrences after pushdown; an input it empties empties the
+        // term.
+        let mut totals = vec![0.0; plan.inputs()];
+        let mut admitted = vec![0; plan.inputs()];
+        for i in (0..plan.inputs()).filter(|&i| !self.is_joined(i)) {
+            for (tuple, count) in bag(i) {
+                if plan.admits(i, tuple)? {
+                    totals[i] += count.unsigned_abs() as f64;
+                    admitted[i] += 1;
+                }
+            }
+            if totals[i] == 0.0 {
+                self.rows.reset(self.rows.width);
+                return Ok(());
+            }
+        }
+        loop {
+            let left = {
+                let mut left = self.unjoined();
+                (left.next(), left.next())
+            };
+            let next = match left {
+                (None, _) => return Ok(()),
+                (Some(last), None) => last,
+                _ if self.rows.is_empty() => return Ok(()),
+                _ => self.cheapest(plan, &totals, &bag)?,
+            };
+            self.join_sized(plan, next, admitted[next], bag(next))?;
+        }
+    }
+
+    /// The inputs not joined yet, in input order.
+    fn unjoined(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| slot.is_none().then_some(i))
+    }
+
+    /// The unjoined input of the smallest estimated join per row:
+    /// `totals[cand]` occurrences over the distinct values of its key to
+    /// the joined inputs (counted by hash: an estimate needs no exact
+    /// count), or all of them for a cross. The first wins a tie.
+    fn cheapest<I>(
+        &mut self,
+        plan: &TermPlan,
+        totals: &[f64],
+        bag: &impl Fn(usize) -> I,
+    ) -> Result<usize, RelationalError>
+    where
+        I: Iterator<Item = (&'a Tuple, i64)>,
+    {
+        let candidates: Vec<usize> = self.unjoined().collect();
+        let mut best = (f64::INFINITY, candidates[0]);
+        let state = RandomState::new();
+        let mut seen = HashSet::new();
+        for cand in candidates {
+            self.keys.clear();
+            self.keys.extend(links(plan, &self.slots, cand));
+            seen.clear();
+            if !self.keys.is_empty() {
+                for (tuple, _) in bag(cand) {
+                    if plan.admits(cand, tuple)? {
+                        let mut h = state.build_hasher();
+                        for k in &self.keys {
+                            tuple.values()[k.attr].hash(&mut h);
+                        }
+                        seen.insert(h.finish());
+                    }
+                }
+            }
+            let est = totals[cand] / seen.len().max(1) as f64;
+            if est < best.0 {
+                best = (est, cand);
+            }
+        }
+        Ok(best.1)
+    }
+
+    /// Add each row's projection onto `proj` into `out`, once the
+    /// residual and the seeded tuples' own conjuncts pass it.
+    ///
+    /// # Errors
+    /// [`RelationalError::PositionOutOfRange`] when an input is not joined
+    /// (at its first column) or `proj` reads a column past the product;
+    /// predicate evaluation errors.
+    pub fn finish(
+        &mut self,
+        plan: &TermPlan,
+        proj: &[usize],
+        out: &mut SignedBag,
+    ) -> Result<(), RelationalError> {
+        if self.rows.is_empty() || !self.seeds_match {
+            return Ok(());
+        }
+        let Executor {
+            rows, slots, kept, ..
+        } = self;
+        let unjoined = || plan.columns.iter().position(|&(i, _)| slots[i].is_none());
+        let past_product = proj.iter().copied().find(|&p| p >= plan.width());
+        if let Some(position) = past_product.or_else(unjoined) {
+            return Err(RelationalError::PositionOutOfRange {
+                position,
+                arity: plan.width(),
+            });
+        }
+        // Canonical column `c` of row `r`; every input has a slot.
+        let value = |r: usize, c: usize| {
+            let (input, col) = plan.columns[c];
+            &rows.row(r)[slots[input].unwrap_or_default()].values()[col]
+        };
+        let passes = |r: usize| match &plan.residual {
+            Predicate::True => Ok(true),
+            residual => residual.eval_columns(plan.width(), &|c| value(r, c)),
+        };
+        let projected = |r: usize| proj.iter().map(move |&c| value(r, c));
+        // A few rows gain nothing from being sorted first.
+        if rows.len() <= UNSORTED_ROWS {
+            for r in 0..rows.len() {
+                if passes(r)? {
+                    out.add(Tuple::new(projected(r).cloned()), rows.counts[r]);
+                }
+            }
+            return Ok(());
+        }
+        let keyed = |r: usize| {
+            let mut values = projected(r);
+            (prefix_of(values.next(), values.next()), r)
+        };
+        // The residual, once per joined row.
+        kept.clear();
+        kept.reserve(rows.len());
+        for r in 0..rows.len() {
+            if passes(r)? {
+                kept.push(keyed(r));
+            }
+        }
+        // The projection, once per surviving row, in bag order: into an
+        // empty bag every `add` appends or adjusts the last entry, and
+        // the tuples are allocated in the order the bag holds them.
+        kept.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0)
+                .then_with(|| projected(a.1).cmp(projected(b.1)))
+        });
+        for &(_, r) in kept.iter() {
+            out.add(Tuple::new(projected(r).cloned()), rows.counts[r]);
+        }
+        Ok(())
+    }
 }
 
-/// Planned evaluation of `π_proj(σ_cond(inputs[0] × … ))`: pushdown,
-/// composite-key hash joins in greedy order over borrowed rows, then the
-/// residual selection and one projection per surviving row. Answers
-/// equal [`crate::algebra::spj_naive`] exactly.
-///
-/// Only the output bag is built: rows are projected in the order of
-/// their projected values, so the bag appends and packs its chunks full,
-/// and its tuples are allocated in the order it holds them.
+/// Planned evaluation of `π_proj(σ_cond(inputs[0] × … ))`: an
+/// [`Executor`] seeded with no bound tuple joins the inputs in greedy
+/// order, then projects into a fresh bag. Answers equal
+/// [`crate::algebra::spj_naive`] exactly.
 ///
 /// # Errors
 /// Returns [`RelationalError::PositionOutOfRange`] when `cond` or `proj`
@@ -437,105 +808,18 @@ pub fn spj_planned(
         .map(|b| b.iter().next().map(|(t, _)| t.arity()).unwrap_or(0))
         .collect();
     let plan = TermPlan::new(arities, cond);
-    if let Some(&position) = proj.iter().find(|&&p| p >= plan.total) {
+    let mut columns = proj.iter().copied().chain(cond.columns());
+    if let Some(position) = columns.find(|&c| c >= plan.width()) {
         return Err(RelationalError::PositionOutOfRange {
             position,
-            arity: plan.total,
+            arity: plan.width(),
         });
     }
-    if let Some(position) = cond.columns().into_iter().find(|&c| c >= plan.total) {
-        return Err(RelationalError::PositionOutOfRange {
-            position,
-            arity: plan.total,
-        });
-    }
-
-    // Pushdown: borrowed rows per input; an emptied input empties the
-    // term.
-    let mut selected = Vec::with_capacity(inputs.len());
-    for ((input, pred), &arity) in inputs.iter().zip(&plan.pushdown).zip(&plan.arities) {
-        let rows = pushdown(input, pred, arity)?;
-        if rows.is_empty() {
-            return Ok(SignedBag::new());
-        }
-        selected.push(rows);
-    }
-
-    let order = greedy_order(&plan, &selected);
-
-    // Join, tracking the slot each input's tuple takes in a row.
-    let mut slot_of = vec![0usize; inputs.len()];
-    let mut joined = vec![false; inputs.len()];
-    let first = order[0];
-    joined[first] = true;
-    let mut acc = std::mem::replace(&mut selected[first], Rows::with_capacity(1, 0));
-    for (slot, &next) in order.iter().enumerate().skip(1) {
-        // Every edge into `next` starts at a column already joined.
-        let keys: Vec<((usize, usize), usize)> = plan
-            .edges_to(next, &joined)
-            .into_iter()
-            .map(|(acc_col, cand_col)| {
-                let (owner, local) = plan.locate(acc_col);
-                ((slot_of[owner], local), cand_col - plan.offsets[next])
-            })
-            .collect();
-        acc = join(&acc, &selected[next], &keys);
-        slot_of[next] = slot;
-        joined[next] = true;
-        if acc.is_empty() {
-            return Ok(SignedBag::new());
-        }
-    }
-    drop(selected);
-
-    // Each surviving row keyed for bag order: the bag's order-preserving
-    // prefix of its first two projected values, read in place; ties are
-    // compared in full when sorting.
-    let located: Vec<(usize, usize)> = proj
-        .iter()
-        .map(|&p| {
-            let (owner, local) = plan.locate(p);
-            (slot_of[owner], local)
-        })
-        .collect();
-    let projected = |r: usize| {
-        let row = acc.row(r);
-        located
-            .iter()
-            .map(move |&(slot, local)| &row[slot].values()[local])
-    };
-    let keyed = |r: usize| {
-        let mut values = projected(r);
-        (prefix_of(values.next(), values.next()), r)
-    };
-    // The residual, once per joined row, on the row's values in
-    // canonical order.
-    let mut kept: Vec<(u64, usize)> = Vec::with_capacity(acc.len());
-    if matches!(plan.residual, Predicate::True) {
-        kept.extend((0..acc.len()).map(keyed));
-    } else {
-        let mut values: Vec<Value> = Vec::with_capacity(plan.total);
-        for r in 0..acc.len() {
-            values.clear();
-            for &slot in &slot_of {
-                values.extend_from_slice(acc.row(r)[slot].values());
-            }
-            if plan.residual.eval_values(&values)? {
-                kept.push(keyed(r));
-            }
-        }
-    }
-    // The projection, once per surviving row, in bag order: every `add`
-    // appends or adjusts the last entry, and the tuples are allocated in
-    // the order the bag holds them.
-    kept.sort_unstable_by(|a, b| {
-        a.0.cmp(&b.0)
-            .then_with(|| projected(a.1).cmp(projected(b.1)))
-    });
+    let mut exec = Executor::default();
+    exec.seed(&plan, 1, [])?;
+    exec.join_greedy(&plan, |i| Some(inputs[i]))?;
     let mut out = SignedBag::new();
-    for (_, r) in kept {
-        out.add(Tuple::new(projected(r).cloned()), acc.counts[r]);
-    }
+    exec.finish(&plan, proj, &mut out)?;
     Ok(out)
 }
 
@@ -549,11 +833,14 @@ mod tests {
         Tuple::ints(vals.iter().copied())
     }
 
-    /// Each bag as unfiltered width-1 rows of binary tuples.
-    fn rows<'a>(bags: &[&'a SignedBag]) -> Vec<Rows<'a>> {
-        bags.iter()
-            .map(|b| pushdown(b, &Predicate::True, 2).unwrap())
-            .collect()
+    /// The order [`Executor::join_greedy`] joins `bags` in.
+    fn greedy_order(plan: &TermPlan, bags: &[&SignedBag]) -> Vec<usize> {
+        let mut exec = Executor::default();
+        exec.seed(plan, 1, []).unwrap();
+        exec.join_greedy(plan, |i| Some(bags[i])).unwrap();
+        let mut order: Vec<usize> = (0..bags.len()).collect();
+        order.sort_by_key(|&i| exec.slots[i]);
+        order
     }
 
     fn chain_cond() -> Predicate {
@@ -611,7 +898,7 @@ mod tests {
         let big = SignedBag::from_tuples((0..50).map(|i| t(&[i, i])));
         let small = SignedBag::from_tuples([t(&[1, 2])]);
         let plan = TermPlan::new(vec![2, 2], &Predicate::col_eq(1, 2));
-        let order = greedy_order(&plan, &rows(&[&big, &small]));
+        let order = greedy_order(&plan, &[&big, &small]);
         assert_eq!(order[0], 1);
     }
 
@@ -624,7 +911,7 @@ mod tests {
         let r1 = SignedBag::from_tuples((0..10).map(|i| t(&[i, i])));
         let r2 = SignedBag::from_tuples((0..10).map(|i| t(&[i, i])));
         let plan = TermPlan::new(vec![2, 2, 2], &Predicate::col_eq(1, 2));
-        let order = greedy_order(&plan, &rows(&[&r0, &r1, &r2]));
+        let order = greedy_order(&plan, &[&r0, &r1, &r2]);
         assert_eq!(order, vec![0, 1, 2]);
     }
 
@@ -667,6 +954,46 @@ mod tests {
         let planned = spj_planned(&[&r1, &r2], &cond, &[0, 1, 2]).unwrap();
         let naive = spj_naive(&[&r1, &r2], &cond, &[0, 1, 2]).unwrap();
         assert_eq!(planned, naive);
+    }
+
+    #[test]
+    fn one_row_build_side_matches_naive_with_signed_counts_on_a_composite_key() {
+        // One bound tuple (count −2) against a bag on a two-column key,
+        // and the mirror shape, where the bag's side is the one row:
+        // either way the keys are compared in place, with no hash table.
+        let mut bound = SignedBag::new();
+        bound.add(t(&[1, 2, 9]), -2);
+        let mut r2 = SignedBag::new();
+        for (x, y, c) in [(1, 2, 3), (1, 2, -1), (1, 3, 2), (2, 2, 5), (1, 2, 1)] {
+            r2.add(t(&[x, y, c]), c);
+        }
+        let cond = Predicate::col_eq(0, 3).and(Predicate::col_eq(1, 4));
+        for inputs in [[&bound, &r2], [&r2, &bound]] {
+            let proj = [2, 5];
+            let planned = spj_planned(&inputs, &cond, &proj).unwrap();
+            assert_eq!(planned, spj_naive(&inputs, &cond, &proj).unwrap());
+            assert_eq!(planned.distinct_len(), 3);
+        }
+        let planned = spj_planned(&[&bound, &r2], &cond, &[0, 1]).unwrap();
+        // (3 − 1 + 1) matches of count −2 each.
+        assert_eq!(planned.count(&t(&[1, 2])), -6);
+    }
+
+    #[test]
+    fn seeded_tuples_that_do_not_join_still_make_one_row() {
+        // r1(W,X) and r2(X,Y) bound with X 1 ≠ 2: the row stays for the
+        // steps that follow, and finish adds nothing.
+        let plan = TermPlan::new(vec![2, 2, 2], &chain_cond());
+        let (a, b) = (t(&[9, 1]), t(&[2, 3]));
+        let r3 = SignedBag::from_tuples([t(&[3, 4])]);
+        let mut exec = Executor::default();
+        exec.seed(&plan, 1, [(0, &a), (1, &b)]).unwrap();
+        assert_eq!(exec.len(), 1);
+        exec.join(&plan, 2, r3.iter()).unwrap();
+        assert_eq!(exec.len(), 1);
+        let mut out = SignedBag::new();
+        exec.finish(&plan, &[0, 5], &mut out).unwrap();
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -63,11 +63,16 @@ pub enum Operand {
 }
 
 impl Operand {
-    fn resolve<'a>(&'a self, values: &'a [Value]) -> Result<&'a Value, RelationalError> {
+    fn resolve<'a>(
+        &'a self,
+        arity: usize,
+        column: &impl Fn(usize) -> &'a Value,
+    ) -> Result<&'a Value, RelationalError> {
         match self {
-            Operand::Column(i) => values.get(*i).ok_or(RelationalError::PositionOutOfRange {
+            Operand::Column(i) if *i < arity => Ok(column(*i)),
+            Operand::Column(i) => Err(RelationalError::PositionOutOfRange {
                 position: *i,
-                arity: values.len(),
+                arity,
             }),
             Operand::Const(v) => Ok(v),
         }
@@ -182,21 +187,38 @@ impl Predicate {
         self.eval_values(tuple.values())
     }
 
-    /// Evaluate the predicate on the values of a tuple not yet built — a
-    /// row an evaluator assembles in a reused buffer.
+    /// Evaluate the predicate on the values of a tuple not yet built.
     ///
     /// # Errors
     /// As [`Predicate::eval`], against `values.len()`.
     pub fn eval_values(&self, values: &[Value]) -> Result<bool, RelationalError> {
+        self.eval_columns(values.len(), &|i| &values[i])
+    }
+
+    /// Evaluate the predicate on a row of `arity` columns that `column`
+    /// reads one at a time — a joined row whose columns sit in several
+    /// tuples.
+    ///
+    /// # Errors
+    /// As [`Predicate::eval`], against `arity`.
+    pub fn eval_columns<'a>(
+        &'a self,
+        arity: usize,
+        column: &impl Fn(usize) -> &'a Value,
+    ) -> Result<bool, RelationalError> {
         match self {
             Predicate::True => Ok(true),
             Predicate::False => Ok(false),
             Predicate::Cmp { lhs, op, rhs } => {
-                Ok(op.eval(lhs.resolve(values)?, rhs.resolve(values)?))
+                Ok(op.eval(lhs.resolve(arity, column)?, rhs.resolve(arity, column)?))
             }
-            Predicate::And(a, b) => Ok(a.eval_values(values)? && b.eval_values(values)?),
-            Predicate::Or(a, b) => Ok(a.eval_values(values)? || b.eval_values(values)?),
-            Predicate::Not(p) => Ok(!p.eval_values(values)?),
+            Predicate::And(a, b) => {
+                Ok(a.eval_columns(arity, column)? && b.eval_columns(arity, column)?)
+            }
+            Predicate::Or(a, b) => {
+                Ok(a.eval_columns(arity, column)? || b.eval_columns(arity, column)?)
+            }
+            Predicate::Not(p) => Ok(!p.eval_columns(arity, column)?),
         }
     }
 
@@ -219,15 +241,6 @@ impl Predicate {
             Predicate::And(a, b) | Predicate::Or(a, b) => a.max_column().max(b.max_column()),
             Predicate::Not(p) => p.max_column(),
         }
-    }
-
-    /// Collect all `(left, right)` column pairs joined by equality in the
-    /// conjunctive skeleton of this predicate. Used by the planner to find
-    /// equi-join opportunities.
-    pub fn equijoin_pairs(&self) -> Vec<(usize, usize)> {
-        let mut pairs = Vec::new();
-        self.collect_equijoins(&mut pairs);
-        pairs
     }
 
     /// The conjuncts of the AND-skeleton, left to right. `Or`/`Not`
@@ -298,21 +311,6 @@ impl Predicate {
                 Predicate::Or(Box::new(a.map_columns(f)), Box::new(b.map_columns(f)))
             }
             Predicate::Not(p) => Predicate::Not(Box::new(p.map_columns(f))),
-        }
-    }
-
-    fn collect_equijoins(&self, pairs: &mut Vec<(usize, usize)>) {
-        match self {
-            Predicate::Cmp {
-                lhs: Operand::Column(a),
-                op: CmpOp::Eq,
-                rhs: Operand::Column(b),
-            } => pairs.push((*a, *b)),
-            Predicate::And(a, b) => {
-                a.collect_equijoins(pairs);
-                b.collect_equijoins(pairs);
-            }
-            _ => {}
         }
     }
 }
@@ -412,10 +410,11 @@ mod tests {
         let p = Predicate::col_eq(1, 2)
             .and(Predicate::col_eq(3, 4))
             .and(Predicate::col_cmp(0, CmpOp::Gt, 5));
-        assert_eq!(p.equijoin_pairs(), vec![(1, 2), (3, 4)]);
+        let edges = |p: &Predicate| crate::planner::TermPlan::new(vec![2, 2, 2], p).edges;
+        assert_eq!(edges(&p), vec![(1, 2), (3, 4)]);
         // Disjunctions are not equi-join opportunities.
         let q = Predicate::col_eq(1, 2).or(Predicate::col_eq(3, 4));
-        assert!(q.equijoin_pairs().is_empty());
+        assert!(edges(&q).is_empty());
     }
 
     #[test]

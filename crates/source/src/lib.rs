@@ -28,7 +28,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use eca_core::basedb::BaseDb;
 use eca_core::{QueryHeader, ViewDef};
 use eca_relational::{Schema, SignedBag, Update};
-use eca_storage::{IoMeter, PreparedView, Scenario, StorageEngine, StorageError};
+use eca_storage::{IoMeter, Scenario, StorageEngine, StorageError};
 use eca_wire::{
     Exit, Message, StartError, StationOwner, StationPool, TransferMeter, Transport, TransportError,
     WireQuery,
@@ -98,7 +98,7 @@ const PREPARED_CAP: usize = 16;
 /// first schema.
 #[derive(Default)]
 struct Prepared {
-    entries: VecDeque<(Arc<QueryHeader>, PreparedView)>,
+    entries: VecDeque<(Arc<QueryHeader>, ViewDef)>,
 }
 
 impl Prepared {
@@ -116,11 +116,7 @@ impl Prepared {
     /// The resolved view of `query`'s header, once every term is checked
     /// to fit it. A header is kept only once it resolved and a query's
     /// terms fit it.
-    fn prepare(
-        &mut self,
-        query: &WireQuery,
-        catalog: &[Schema],
-    ) -> Result<&PreparedView, SourceError> {
+    fn prepare(&mut self, query: &WireQuery, catalog: &[Schema]) -> Result<&ViewDef, SourceError> {
         let fits = |view: &ViewDef| {
             query
                 .terms
@@ -129,7 +125,7 @@ impl Prepared {
                 .map_err(SourceError::BadQuery)
         };
         if let Some(at) = self.position(&query.header) {
-            fits(self.entries[at].1.view())?;
+            fits(&self.entries[at].1)?;
             return Ok(&self.entries[at].1);
         }
         let view = ViewDef::resolve("wire", Arc::clone(&query.header), catalog)
@@ -138,8 +134,7 @@ impl Prepared {
         if self.entries.len() == PREPARED_CAP {
             self.entries.pop_front();
         }
-        self.entries
-            .push_back((Arc::clone(&query.header), PreparedView::new(view)));
+        self.entries.push_back((Arc::clone(&query.header), view));
         Ok(&self.entries[self.entries.len() - 1].1)
     }
 }
@@ -210,12 +205,6 @@ impl Source {
         self.engine.meter()
     }
 
-    /// Enable an LRU block cache at this source (the paper's caching
-    /// ablation, §6.3). Returns a handle for hit/miss statistics.
-    pub fn enable_cache(&mut self, capacity: usize) -> eca_storage::BlockCache {
-        self.engine.enable_cache(capacity)
-    }
-
     /// Enable multi-term batching: the terms of one incoming query share
     /// scans and index-probe results, so a k-term compensating query reads
     /// each base relation roughly once instead of k times. Off by default
@@ -241,7 +230,7 @@ impl Source {
     /// arity); storage errors otherwise.
     pub fn answer(&mut self, query: &WireQuery) -> Result<SignedBag, SourceError> {
         let prepared = self.prepared.prepare(query, &self.catalog)?;
-        Ok(self.engine.eval_prepared(prepared, &query.terms)?)
+        Ok(self.engine.eval_terms(prepared, &query.terms)?)
     }
 
     /// An `S_up` event: execute `update` and return the notification to

@@ -139,11 +139,6 @@ impl HeapFile {
         self.tuples.len().div_ceil(self.tuples_per_block) as u64
     }
 
-    /// Tuples per block (`K`).
-    pub fn tuples_per_block(&self) -> usize {
-        self.tuples_per_block
-    }
-
     /// All stored tuples in heap order.
     pub fn tuples(&self) -> &[Tuple] {
         &self.tuples

@@ -20,9 +20,11 @@
 //! * [`Table`] — a heap plus index metadata, with metered access paths
 //!   (scan, clustered lookup, unclustered lookup).
 //! * [`StorageEngine`] — evaluates the warehouse's [`Query`] expressions
-//!   physically with a small cost-based planner per scenario, so measured
-//!   I/O counts can be compared against the paper's closed-form formulas
-//!   (reproduced in `eca-analytic`).
+//!   with the SPJ executor the warehouse also runs
+//!   ([`eca_relational::planner`]), choosing and charging each relation's
+//!   access path per scenario, so measured I/O counts can be compared
+//!   against the paper's closed-form formulas (reproduced in
+//!   `eca-analytic`).
 //!
 //! The engine is deliberately honest rather than formula-fitted: it counts
 //! the block reads its plans actually perform. Lower-order deviations from
@@ -35,15 +37,13 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod engine;
 pub mod error;
 pub mod heap;
 pub mod io;
 pub mod table;
 
-pub use cache::BlockCache;
-pub use engine::{PreparedView, Scenario, StorageEngine};
+pub use engine::{Scenario, StorageEngine};
 pub use error::StorageError;
 pub use heap::HeapFile;
 pub use io::IoMeter;

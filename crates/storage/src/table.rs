@@ -2,7 +2,6 @@
 
 use eca_relational::{Schema, SignedBag, Tuple, Value};
 
-use crate::cache::BlockCache;
 use crate::error::StorageError;
 use crate::heap::HeapFile;
 use crate::io::IoMeter;
@@ -32,9 +31,6 @@ pub struct Table {
     /// `(attribute position, kind)` of each available index.
     indexes: Vec<(usize, IndexKind)>,
     meter: IoMeter,
-    /// Optional shared LRU over data blocks (the paper's caching
-    /// ablation); `None` reproduces Appendix D's no-caching pessimism.
-    cache: Option<BlockCache>,
 }
 
 impl Table {
@@ -79,33 +75,7 @@ impl Table {
             schema,
             indexes,
             meter,
-            cache: None,
         })
-    }
-
-    /// Attach a shared block cache; subsequent reads of cached blocks are
-    /// free. Updates invalidate the table's cached blocks.
-    pub fn set_cache(&mut self, cache: BlockCache) {
-        self.cache = Some(cache);
-    }
-
-    /// Charge a read of the given block, unless cached.
-    fn charge_block(&self, block: u64) {
-        let hit = self
-            .cache
-            .as_ref()
-            .map(|c| c.access(self.schema.relation(), block))
-            .unwrap_or(false);
-        if !hit {
-            self.meter.charge_read(1);
-        }
-    }
-
-    /// Charge reads of a contiguous block range.
-    fn charge_block_range(&self, first: u64, count: u64) {
-        for b in first..first + count {
-            self.charge_block(b);
-        }
     }
 
     /// The table's schema.
@@ -144,9 +114,6 @@ impl Table {
     pub fn insert(&mut self, tuple: Tuple) -> Result<(), StorageError> {
         self.heap.insert(tuple)?;
         self.meter.charge_update(1);
-        if let Some(c) = &self.cache {
-            c.invalidate_table(self.schema.relation());
-        }
         Ok(())
     }
 
@@ -158,12 +125,7 @@ impl Table {
     /// [`StorageError::HeapFull`], with nothing loaded or charged.
     pub fn load(&mut self, tuples: impl IntoIterator<Item = Tuple>) -> Result<(), StorageError> {
         let added = self.heap.load(tuples)?;
-        if added > 0 {
-            self.meter.charge_update(added as u64);
-            if let Some(c) = &self.cache {
-                c.invalidate_table(self.schema.relation());
-            }
-        }
+        self.meter.charge_update(added as u64);
         Ok(())
     }
 
@@ -173,16 +135,13 @@ impl Table {
         let found = self.heap.delete(tuple);
         if found {
             self.meter.charge_update(1);
-            if let Some(c) = &self.cache {
-                c.invalidate_table(self.schema.relation());
-            }
         }
         found
     }
 
     /// Full scan: reads every block, lends all tuples in heap order.
     pub fn scan(&self) -> &[Tuple] {
-        self.charge_block_range(0, self.heap.num_blocks());
+        self.meter.charge_read(self.heap.num_blocks());
         self.heap.tuples()
     }
 
@@ -192,10 +151,8 @@ impl Table {
         self.heap.tuples()
     }
 
-    /// Scan block by block without buffering the whole table — used by the
-    /// nested-loop executor. Each yielded chunk charges one block read
-    /// (the cache is deliberately bypassed: Scenario 2's premise is three
-    /// memory blocks and no more).
+    /// Scan block by block without buffering the whole table. Each
+    /// yielded chunk charges one block read.
     #[cfg(test)]
     fn scan_blocks(&self) -> impl Iterator<Item = &[Tuple]> + '_ {
         self.heap.blocks().inspect(|_| self.meter.charge_read(1))
@@ -220,20 +177,16 @@ impl Table {
         mut visit: impl FnMut(&'t Tuple),
     ) -> bool {
         let tuples = self.heap.tuples();
-        let per_block = self.heap.tuples_per_block();
         match self.index_on(attr) {
             None => return false,
             Some(IndexKind::Clustered) => {
                 let range = self.clustered_run(value);
-                if !range.is_empty() {
-                    let first = (range.start / per_block) as u64;
-                    self.charge_block_range(first, self.heap.blocks_spanned(&range));
-                }
+                self.meter.charge_read(self.heap.blocks_spanned(&range));
                 tuples[range].iter().for_each(visit);
             }
             Some(IndexKind::Unclustered) => {
                 self.heap.visit_positions_with(attr, value, |p| {
-                    self.charge_block((p / per_block) as u64);
+                    self.meter.charge_read(1);
                     visit(&tuples[p]);
                 });
             }

@@ -148,7 +148,7 @@ const ON_UPDATE_BUDGET: u64 = 24;
 
 /// Measured: the answer's tuples and bag, and the evaluator's per-query
 /// buffers; resolving the header and copying the terms cost nothing.
-const ANSWER_BUDGET: u64 = 28;
+const ANSWER_BUDGET: u64 = 26;
 
 /// The third update event reaches three views, each with two queries in
 /// `UQS`: each view substitutes, compensates both, and ships one query.

@@ -232,6 +232,7 @@ mod planner_properties {
     /// else tells the twins apart.
     struct ShapedTerm {
         inputs: Vec<SignedBag>,
+        arities: Vec<usize>,
         cond: Predicate,
         proj: Vec<usize>,
     }
@@ -304,7 +305,12 @@ mod planner_properties {
         let proj = (0..rng.gen_range(1..=3))
             .map(|_| kept[rng.gen_range(0..kept.len())])
             .collect();
-        ShapedTerm { inputs, cond, proj }
+        ShapedTerm {
+            inputs,
+            arities,
+            cond,
+            proj,
+        }
     }
 
     proptest! {
@@ -338,6 +344,117 @@ mod planner_properties {
         let planned = spj(&inputs, &cond, &[0, 3]).unwrap();
         assert!(planned.is_empty());
         assert_eq!(planned, spj_naive(&inputs, &cond, &[0, 3]).unwrap());
+    }
+
+    /// A source holding `shaped_term(seed)`'s inputs, and a query of one
+    /// to three terms over them with the oracle's answer. Each input is
+    /// a stored relation holding the input's positive occurrences; an
+    /// input may read an earlier relation of its arity again (a
+    /// self-join). Per term, an input is bound to one of its tuples with
+    /// one chance in three, signed as the tuple's count. Under Scenario 1
+    /// each relation is clustered on one attribute and indexed on
+    /// another, at two tuples per block, so probes and scans both occur.
+    fn shaped_source(seed: u64, scenario: Scenario) -> (Source, WireQuery, SignedBag) {
+        use eca_core::{Atom, Query, Term};
+        use eca_relational::SignedTuple;
+        let term = shaped_term(seed);
+        let mut rng = StdRng::seed_from_u64(seed.rotate_left(17) ^ 0x5eed);
+        let mut source = Source::new(scenario);
+        // Per input: its relation's schema and stored bag.
+        let mut stored: Vec<(Schema, SignedBag)> = Vec::new();
+        let mut reads = Vec::with_capacity(term.inputs.len());
+        for (i, (bag, &arity)) in term.inputs.iter().zip(&term.arities).enumerate() {
+            let again = stored
+                .iter()
+                .position(|(s, _)| s.arity() == arity)
+                .filter(|_| rng.gen_bool(0.3));
+            let rel = match again {
+                Some(rel) => rel,
+                None => {
+                    let names: Vec<String> = (0..arity).map(|a| format!("a{a}")).collect();
+                    let attrs: Vec<&str> = names.iter().map(String::as_str).collect();
+                    let schema = Schema::new(format!("t{i}"), &attrs);
+                    let (clustered, indexed) = match scenario {
+                        Scenario::Indexed => (
+                            Some(attrs[rng.gen_range(0..arity)]),
+                            vec![attrs[rng.gen_range(0..arity)]],
+                        ),
+                        Scenario::NestedLoop { .. } => (None, vec![]),
+                    };
+                    source
+                        .add_relation(schema.clone(), 2, clustered, &indexed)
+                        .unwrap();
+                    let mut positive = SignedBag::new();
+                    let mut occurrences = Vec::new();
+                    for (t, c) in bag.iter().filter(|&(_, c)| c > 0) {
+                        positive.add(t.clone(), c);
+                        occurrences.extend(std::iter::repeat(t.clone()).take(c as usize));
+                    }
+                    source.load(schema.relation(), occurrences).unwrap();
+                    stored.push((schema, positive));
+                    stored.len() - 1
+                }
+            };
+            reads.push(rel);
+        }
+        let base = reads.iter().map(|&rel| stored[rel].0.clone()).collect();
+        let view = ViewDef::new("shaped", base, term.cond.clone(), term.proj.clone()).unwrap();
+        let mut terms = Vec::new();
+        let mut oracle = SignedBag::new();
+        for _ in 0..rng.gen_range(1..=3) {
+            let factor = [-1, 1, 2][rng.gen_range(0..3usize)];
+            let mut atoms = Vec::new();
+            let mut inputs = Vec::new();
+            for (i, (bag, &rel)) in term.inputs.iter().zip(&reads).enumerate() {
+                let tuples: Vec<(&Tuple, i64)> = bag.iter().collect();
+                if !tuples.is_empty() && rng.gen_bool(0.33) {
+                    let (t, c) = tuples[rng.gen_range(0..tuples.len())];
+                    let st = if c > 0 {
+                        SignedTuple::pos(t.clone())
+                    } else {
+                        SignedTuple::neg(t.clone())
+                    };
+                    let mut single = SignedBag::new();
+                    single.add(t.clone(), c.signum());
+                    atoms.push(Atom::Bound(st));
+                    inputs.push(single);
+                } else {
+                    atoms.push(Atom::Rel(i));
+                    inputs.push(stored[rel].1.clone());
+                }
+            }
+            let refs: Vec<&SignedBag> = inputs.iter().collect();
+            for (t, c) in spj_naive(&refs, &term.cond, &term.proj).unwrap().iter() {
+                oracle.add(t.clone(), c * factor);
+            }
+            terms.push(Term::new(factor, atoms));
+        }
+        let query = WireQuery::from_query(&Query::from_terms(view, terms));
+        (source, query, oracle)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The source's answers equal the oracle's on every term shape
+        /// (pushdown, composite edges, crosses, residuals, self-joins,
+        /// bound tuples), under Scenario 1 with term batching off and on,
+        /// and under Scenario 2.
+        #[test]
+        fn source_matches_oracle_on_every_shape(seed in 0u64..u64::MAX) {
+            for (scenario, batching) in [
+                (Scenario::Indexed, false),
+                (Scenario::Indexed, true),
+                (Scenario::nested_loop_default(), false),
+            ] {
+                let (mut source, query, oracle) = shaped_source(seed, scenario);
+                if batching {
+                    source.enable_term_batching();
+                }
+                let answer = source.answer(&query).unwrap();
+                prop_assert_eq!(answer, oracle, "{:?} batching {}", scenario, batching);
+            }
+        }
     }
 
     proptest! {
