@@ -244,7 +244,9 @@ impl AuxStore {
             let plan = &self.local_plan;
             let mut exec = Executor::default();
             exec.seed(plan, factor, bound.iter().map(|(i, t, _)| (*i, t)))?;
-            exec.join_greedy(plan, |i| Some(&self.slots[i].bag))?;
+            while let Some(i) = exec.next_input(plan) {
+                exec.join(plan, i, self.slots[i].bag.iter())?;
+            }
             exec.finish(plan, &self.local_proj, &mut out)?;
         }
         Ok(out)

@@ -13,8 +13,9 @@
 //! each compensating term `−Q_j⟨U_i⟩` corrects the in-flight answer of the
 //! *earlier* update that `Q_j`'s terms descend from. We therefore:
 //!
-//! 1. tag every term with its **owner** — the update whose `V⟨U⟩` it
-//!    descends from; substitution preserves ownership;
+//! 1. keep every in-flight term's **owner** beside it — the update whose
+//!    `V⟨U⟩` it descends from; a compensating term inherits the owner of
+//!    the term it was substituted from;
 //! 2. send each term as its own single-term query so answers can be routed
 //!    to owners (this is why LCA sends more messages than ECA);
 //! 3. accumulate per-owner deltas; owner `j`'s delta is closed when all its
@@ -139,13 +140,8 @@ impl ViewMaintainer for Lca {
 
         // V⟨U⟩ may expand to several terms for self-join views; they all
         // belong to this update's delta.
-        let own_terms: Vec<Term> = self
-            .view
-            .substitute(update)?
-            .terms()
-            .iter()
-            .map(|t| t.with_owner(seq))
-            .collect();
+        let mut own_terms = Vec::new();
+        self.view.substitute_into(update, &mut own_terms)?;
 
         let mut out = Vec::with_capacity(own_terms.len() + compensations.len());
         for t in own_terms {

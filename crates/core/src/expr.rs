@@ -48,33 +48,16 @@ impl fmt::Debug for Atom {
 }
 
 /// A single SPJ term with an integer coefficient.
-///
-/// The `owner` tags which update's delta this term contributes to — used by
-/// the Lazy Compensating Algorithm; plain ECA ignores it.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Term {
     factor: i64,
     atoms: Vec<Atom>,
-    owner: Option<u64>,
 }
 
 impl Term {
     /// Build a term with the given coefficient and atoms.
     pub fn new(factor: i64, atoms: Vec<Atom>) -> Self {
-        Term {
-            factor,
-            atoms,
-            owner: None,
-        }
-    }
-
-    /// Build a term owned by update sequence number `owner` (LCA).
-    pub fn owned(factor: i64, atoms: Vec<Atom>, owner: u64) -> Self {
-        Term {
-            factor,
-            atoms,
-            owner: Some(owner),
-        }
+        Term { factor, atoms }
     }
 
     /// The coefficient (±1 in the paper's algorithms).
@@ -85,11 +68,6 @@ impl Term {
     /// The atoms in relation order.
     pub fn atoms(&self) -> &[Atom] {
         &self.atoms
-    }
-
-    /// The owning update sequence number, if tagged.
-    pub fn owner(&self) -> Option<u64> {
-        self.owner
     }
 
     /// Number of atoms still referring to base relations (unbound).
@@ -124,15 +102,7 @@ impl Term {
             matches!(self.atoms.get(i), Some(Atom::Rel(_)))
         });
         let atom = |i: usize| self.atoms[i].clone();
-        Term::expand(
-            self.factor,
-            self.owner,
-            slots,
-            self.atoms.len(),
-            atom,
-            update,
-            out,
-        );
+        Term::expand(self.factor, slots, self.atoms.len(), atom, update, out);
     }
 
     /// Append one term per non-empty subset `S` of the `slots` mask, in
@@ -140,7 +110,6 @@ impl Term {
     /// inside, and `factor · (−1)^{|S|+1}`.
     pub(crate) fn expand(
         factor: i64,
-        owner: Option<u64>,
         slots: u32,
         width: usize,
         atom: impl Fn(usize) -> Atom,
@@ -166,7 +135,6 @@ impl Term {
             out.push(Term {
                 factor: factor * sign,
                 atoms,
-                owner,
             });
         }
     }
@@ -182,17 +150,6 @@ impl Term {
         Term {
             factor: -self.factor,
             atoms: self.atoms.clone(),
-            owner: self.owner,
-        }
-    }
-
-    /// A copy re-tagged with `owner`.
-    #[must_use]
-    pub fn with_owner(&self, owner: u64) -> Term {
-        Term {
-            factor: self.factor,
-            atoms: self.atoms.clone(),
-            owner: Some(owner),
         }
     }
 
@@ -232,7 +189,8 @@ impl Term {
     }
 
     /// Add this term's value into `out`: seeded with its bound tuples,
-    /// the relations it leaves joined from `db` in greedy order.
+    /// the relations it leaves joined from `db` in
+    /// [`Executor::next_input`] order (a relation `db` lacks is empty).
     fn eval_into<'a>(
         &'a self,
         view: &ViewDef,
@@ -242,7 +200,10 @@ impl Term {
     ) -> Result<(), RelationalError> {
         let plan = view.plan();
         self.seed(plan, exec)?;
-        exec.join_greedy(plan, |i| db.bag(view.base()[i].relation()))?;
+        while let Some(i) = exec.next_input(plan) {
+            let bag = db.bag(view.base()[i].relation());
+            exec.join(plan, i, bag.into_iter().flat_map(SignedBag::iter))?;
+        }
         exec.finish(plan, view.proj(), out)
     }
 
@@ -553,20 +514,6 @@ mod tests {
             sum.merge(&part.eval(&db).unwrap());
         }
         assert_eq!(whole, sum);
-    }
-
-    #[test]
-    fn owner_tags_propagate_through_substitution() {
-        let v = view2();
-        let base = Term::owned(1, vec![Atom::Rel(0), Atom::Rel(1)], 3);
-        let u = Update::insert("r1", Tuple::ints([4, 2]));
-        let mut subs = Vec::new();
-        base.substitute_all_occurrences(&v, &u, &mut subs);
-        let sub = subs.pop().unwrap();
-        assert!(subs.is_empty());
-        assert_eq!(sub.owner(), Some(3));
-        assert_eq!(sub.negated().owner(), Some(3));
-        assert_eq!(base.with_owner(9).owner(), Some(9));
     }
 
     #[test]

@@ -311,15 +311,7 @@ impl ViewDef {
                 relation: update.relation.clone(),
             });
         }
-        Term::expand(
-            1,
-            None,
-            slots,
-            self.inner.base.len(),
-            Atom::Rel,
-            update,
-            out,
-        );
+        Term::expand(1, slots, self.inner.base.len(), Atom::Rel, update, out);
         Ok(())
     }
 

@@ -60,44 +60,15 @@ pub fn cross(left: &SignedBag, right: &SignedBag) -> SignedBag {
     out
 }
 
-/// Hash equi-join: `left ⋈ right` on `left[left_col] = right[right_col]`,
-/// output tuples are concatenations. Equivalent to
-/// `σ_{l=r}(left × right)` but avoids materializing the product.
-#[must_use]
-pub fn equijoin(
-    left: &SignedBag,
-    right: &SignedBag,
-    left_col: usize,
-    right_col: usize,
-) -> SignedBag {
-    equijoin_multi(left, right, &[(left_col, right_col)])
-}
-
-/// Hash equi-join on a composite key: `left ⋈ right` on
-/// `∧ left[l_i] = right[r_i]` for every `(l_i, r_i)` in `keys`.
-///
-/// Output tuples are left-right concatenations regardless of which side
-/// builds the hash table. The build side is the one with fewer total
-/// tuple *occurrences* (duplicates included): `distinct_len` undercounts
-/// skewed bags where one distinct tuple carries a large replication count,
-/// and the hash table stores every occurrence. This is the join step of
-/// the planned SPJ executor ([`crate::planner`]).
-///
-/// Tuples missing any key column (arity too small) join nothing, matching
-/// `σ(left × right)` semantics where the equality cannot hold.
-#[must_use]
-pub fn equijoin_multi(left: &SignedBag, right: &SignedBag, keys: &[(usize, usize)]) -> SignedBag {
-    crate::planner::equijoin_bags(left, right, keys)
-}
-
 /// Evaluate a full SPJ term `π_proj(σ_cond(r1 × r2 × … × rn))`.
 ///
 /// This is the *planned* path (see [`crate::planner`]): single-relation
 /// conjuncts of `cond` are pushed down into pre-selections on each input,
-/// cross-input equalities become (composite) hash-join keys, the join
-/// order is chosen greedily by estimated cardinality, and only the
-/// residual conjuncts not consumed by pushdown or joins are re-applied
-/// at the end. Answers are identical to [`spj_naive`].
+/// cross-input equalities become (composite) hash-join keys, each next
+/// input is the first one linked to the inputs joined so far
+/// ([`crate::planner::Executor::next_input`]), and only the residual
+/// conjuncts not consumed by pushdown or joins are re-applied at the end.
+/// Answers are identical to [`spj_naive`].
 ///
 /// # Errors
 /// Propagates predicate and projection errors.
@@ -205,6 +176,18 @@ mod tests {
         assert_eq!(lhs, rhs);
     }
 
+    /// `left ⋈ right` on the composite key `keys` (left column, right
+    /// column), every column kept: an SPJ term over the two bags.
+    fn join(left: &SignedBag, right: &SignedBag, keys: &[(usize, usize)]) -> SignedBag {
+        let width = |b: &SignedBag| b.iter().next().map_or(0, |(t, _)| t.arity());
+        let offset = width(left);
+        let cond = keys.iter().fold(Predicate::True, |cond, &(l, r)| {
+            cond.and(Predicate::col_eq(l, offset + r))
+        });
+        let all: Vec<usize> = (0..offset + width(right)).collect();
+        spj(&[left, right], &cond, &all).unwrap()
+    }
+
     #[test]
     fn equijoin_matches_cross_select() {
         let r1 = SignedBag::from_tuples([t(&[1, 2]), t(&[4, 2]), t(&[5, 9])]);
@@ -212,37 +195,40 @@ mod tests {
         r2.add(t(&[2, 3]), 1);
         r2.add(t(&[2, 4]), -1);
         r2.add(t(&[9, 9]), 1);
-        let joined = equijoin(&r1, &r2, 1, 0);
+        let joined = join(&r1, &r2, &[(1, 0)]);
         let expected = select(&cross(&r1, &r2), &Predicate::col_eq(1, 2)).unwrap();
         assert_eq!(joined, expected);
     }
 
     #[test]
     fn equijoin_build_side_choice_is_transparent() {
-        // Force each side to be the build side and compare.
-        let small = SignedBag::from_tuples([t(&[2, 3])]);
+        // Either input first, so either side may build the hash table.
+        let small = SignedBag::from_tuples([t(&[2, 3]), t(&[6, 1])]);
         let large = SignedBag::from_tuples([t(&[1, 2]), t(&[4, 2]), t(&[6, 7])]);
-        let a = equijoin(&large, &small, 1, 0);
+        let a = join(&large, &small, &[(1, 0)]);
         let b = select(&cross(&large, &small), &Predicate::col_eq(1, 2)).unwrap();
+        assert_eq!(a, b);
+        let a = join(&small, &large, &[(0, 1)]);
+        let b = select(&cross(&small, &large), &Predicate::col_eq(0, 3)).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn equijoin_skewed_duplicates_match_cross_select() {
         // One distinct tuple with a huge replication count on the left:
-        // `distinct_len` would call the left side "smaller" (1 distinct vs
+        // `distinct_len` would call the left side "smaller" (2 distinct vs
         // 3), but by total occurrences it is far larger. Whichever side
         // builds, the answer must equal σ(×) with multiplied counts.
         let mut skewed = SignedBag::new();
         skewed.add(t(&[7, 2]), 1000);
         skewed.add(t(&[8, 9]), -500);
         let flat = SignedBag::from_tuples([t(&[2, 1]), t(&[2, 2]), t(&[3, 3])]);
-        let joined = equijoin(&skewed, &flat, 1, 0);
+        let joined = join(&skewed, &flat, &[(1, 0)]);
         let expected = select(&cross(&skewed, &flat), &Predicate::col_eq(1, 2)).unwrap();
         assert_eq!(joined, expected);
         assert_eq!(joined.count(&t(&[7, 2, 2, 1])), 1000);
         // And flipped operand order as well.
-        let joined_rev = equijoin(&flat, &skewed, 0, 1);
+        let joined_rev = join(&flat, &skewed, &[(0, 1)]);
         let expected_rev = select(&cross(&flat, &skewed), &Predicate::col_eq(0, 3)).unwrap();
         assert_eq!(joined_rev, expected_rev);
     }
@@ -254,7 +240,7 @@ mod tests {
         r2.add(t(&[1, 2, 7]), 2);
         r2.add(t(&[1, 5, 7]), 1);
         r2.add(t(&[9, 9, 0]), -1);
-        let joined = equijoin_multi(&r1, &r2, &[(0, 0), (1, 1)]);
+        let joined = join(&r1, &r2, &[(0, 0), (1, 1)]);
         let cond = Predicate::col_eq(0, 3).and(Predicate::col_eq(1, 4));
         let expected = select(&cross(&r1, &r2), &cond).unwrap();
         assert_eq!(joined, expected);
@@ -266,16 +252,17 @@ mod tests {
     fn equijoin_multi_empty_key_is_cross() {
         let l = SignedBag::from_tuples([t(&[1])]);
         let r = SignedBag::from_tuples([t(&[2]), t(&[3])]);
-        assert_eq!(equijoin_multi(&l, &r, &[]), cross(&l, &r));
+        assert_eq!(join(&l, &r, &[]), cross(&l, &r));
     }
 
     #[test]
-    fn equijoin_multi_short_tuples_join_nothing() {
-        // A key column beyond a tuple's arity can never satisfy the
-        // equality, so that tuple silently joins nothing.
-        let l = SignedBag::from_tuples([t(&[1])]);
-        let r = SignedBag::from_tuples([t(&[1, 5])]);
-        assert!(equijoin_multi(&l, &r, &[(1, 0)]).is_empty());
+    fn spj_rejects_an_input_that_mixes_arities() {
+        // A tuple too short for its input's key column is an error, not a
+        // row that joins nothing.
+        let l = SignedBag::from_tuples([t(&[1, 5]), t(&[1])]);
+        let r = SignedBag::from_tuples([t(&[5, 2])]);
+        let err = spj(&[&l, &r], &Predicate::col_eq(1, 2), &[0]).unwrap_err();
+        assert!(matches!(err, RelationalError::ArityMismatch { .. }));
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! * anything else (cross-input inequalities, disjunctions, column-free
 //!   conjuncts) → **residual**: re-applied once on each joined row.
 //!
-//! An [`Executor`] runs one term at a time in three steps, joining the
-//! inputs in whatever order its caller drives:
+//! An [`Executor`] runs one term at a time in three steps:
 //!
 //! * [`Executor::seed`] starts one row holding the term's bound tuples,
 //!   counted by the term's factor;
@@ -23,17 +22,19 @@
 //!   a chained hash join, and [`Executor::join_probe`] joins an input
 //!   through a probe callback (an index lookup) once per row. Each tuple
 //!   joined in passes its input's pushdown and every edge to the inputs
-//!   already joined;
+//!   already joined, so each input is read once, as it is joined;
 //! * [`Executor::finish`] applies the residual and adds each row's
 //!   projection into a caller's bag.
 //!
-//! [`spj_planned`] and [`Executor::join_greedy`] drive it over bags in a
-//! greedy, data-dependent order: from the smallest input, then the
-//! candidate minimizing the estimated cardinality `|cand| /
-//! distinct-keys(cand)` per accumulated row (or `|cand|` for a cross); the
-//! last input left needs no estimate. The source's storage engine drives
-//! it in its own order, through index probes and scans of its heaps, and
-//! charges its block reads apart from the rows.
+//! The executor also picks the join order, one rule for every caller:
+//! [`Executor::next_input`] is the first unjoined input with an edge into
+//! the joined ones, else the first unjoined input. [`spj_planned`], the
+//! warehouse's terms and the source's storage engine all loop on it; the
+//! engine picks each input's access path (index probes or a scan of its
+//! heap) and charges its block reads apart from the rows. The paper's
+//! cost model charges block reads and never the join order, so the order
+//! moves no charge, and [`Executor::finish`] adds the same answer in any
+//! order.
 //!
 //! Nothing is materialized between the stages. Each join appends to a
 //! flat buffer of borrowed tuples per row (one per input joined so far,
@@ -43,7 +44,7 @@
 //! in that order, so an empty output bag is built by appends alone.
 
 use std::collections::hash_map::RandomState;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
 
 use crate::algebra::{project, select};
@@ -369,52 +370,6 @@ fn hash_join<'a>(acc: &Rows<'a>, next: &Rows<'a>, keys: &[Link], out: &mut Rows<
     }
 }
 
-/// [`crate::algebra::equijoin_multi`]: the executor's join over two
-/// bags, each output row concatenated and the bag built in tuple order.
-pub(crate) fn equijoin_bags(
-    left: &SignedBag,
-    right: &SignedBag,
-    keys: &[(usize, usize)],
-) -> SignedBag {
-    /// `bag` as width-1 rows, without the tuples too short to have
-    /// column `need`: they join nothing.
-    fn rows(bag: &SignedBag, need: Option<usize>) -> Rows<'_> {
-        let mut rows = Rows {
-            width: 1,
-            ..Rows::default()
-        };
-        for (tuple, count) in bag.iter() {
-            if need.map_or(true, |col| col < tuple.arity()) {
-                rows.tuples.push(tuple);
-                rows.counts.push(count);
-            }
-        }
-        rows
-    }
-    let left = rows(left, keys.iter().map(|&(l, _)| l).max());
-    let right = rows(right, keys.iter().map(|&(_, r)| r).max());
-    let keys: Vec<Link> = keys
-        .iter()
-        .map(|&(col, attr)| Link { slot: 0, col, attr })
-        .collect();
-    let mut joined = Rows::default();
-    joined.reset(2);
-    hash_join(&left, &right, &keys, &mut joined);
-    let mut concatenated: Vec<(Tuple, i64)> = (0..joined.len())
-        .map(|r| {
-            let row = joined.row(r);
-            (row[0].concat(row[1]), joined.counts[r])
-        })
-        .collect();
-    // Sorted, so that every `add` appends or adjusts the last entry.
-    concatenated.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    let mut out = SignedBag::new();
-    for (tuple, count) in concatenated {
-        out.add(tuple, count);
-    }
-    out
-}
-
 /// The most rows [`Executor::finish`] projects in join order; more are
 /// sorted into bag order first.
 const UNSORTED_ROWS: usize = 16;
@@ -475,6 +430,19 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
+    /// The input to join next, `None` once every input is joined: the
+    /// first unjoined input with an edge into the joined ones, else the
+    /// first unjoined input. Each caller loops on it, so a term's join
+    /// order is one rule on both sides of the wire.
+    #[must_use]
+    pub fn next_input(&self, plan: &TermPlan) -> Option<usize> {
+        let mut unjoined = (0..plan.inputs()).filter(|&i| !self.is_joined(i));
+        let first = unjoined.clone().next();
+        unjoined
+            .find(|&i| self.links(plan, i).next().is_some())
+            .or(first)
+    }
+
     /// Whether input `input` is joined in.
     #[must_use]
     #[inline]
@@ -515,7 +483,7 @@ impl<'a> Executor<'a> {
     ///
     /// Onto one row (a seeded term) the tuples stream by and are compared
     /// with it in place; otherwise the admitted ones are gathered and
-    /// hash joined.
+    /// hash joined. Onto no row, the tuples are not read.
     ///
     /// # Errors
     /// [`RelationalError::ArityMismatch`] for a tuple of the wrong arity;
@@ -527,22 +495,11 @@ impl<'a> Executor<'a> {
         tuples: impl IntoIterator<Item = (&'a Tuple, i64)>,
     ) -> Result<(), RelationalError> {
         let tuples = tuples.into_iter();
-        self.join_sized(plan, input, tuples.size_hint().0, tuples)
-    }
-
-    /// [`Self::join`], with room made for `admitted` tuples where they
-    /// are gathered, or where each of them makes a row.
-    fn join_sized(
-        &mut self,
-        plan: &TermPlan,
-        input: usize,
-        admitted: usize,
-        tuples: impl Iterator<Item = (&'a Tuple, i64)>,
-    ) -> Result<(), RelationalError> {
+        let room = tuples.size_hint().0;
         let mut next = self.start_step(plan, input);
         if self.rows.len() == 1 {
             if self.keys.is_empty() {
-                next.reserve(admitted);
+                next.reserve(room);
             }
             let (row, count) = (self.rows.row(0), self.rows.counts[0]);
             for (tuple, c) in tuples {
@@ -553,7 +510,7 @@ impl<'a> Executor<'a> {
         } else if !self.rows.is_empty() {
             let mut selected = std::mem::take(&mut self.input);
             selected.reset(1);
-            selected.reserve(admitted);
+            selected.reserve(room);
             for (tuple, count) in tuples {
                 if plan.admits(input, tuple)? {
                     selected.push(&[], tuple, count);
@@ -614,97 +571,6 @@ impl<'a> Executor<'a> {
     fn end_step(&mut self, input: usize, next: Rows<'a>) {
         self.slots[input] = Some(self.rows.width);
         self.next = std::mem::replace(&mut self.rows, next);
-    }
-
-    /// Join every input not joined yet, in greedy order (see the
-    /// [module docs](self)); `input` lends each one's bag, and an input
-    /// without one is empty.
-    ///
-    /// # Errors
-    /// As [`Self::join`].
-    pub fn join_greedy(
-        &mut self,
-        plan: &TermPlan,
-        input: impl Fn(usize) -> Option<&'a SignedBag>,
-    ) -> Result<(), RelationalError> {
-        let bag = |i: usize| input(i).into_iter().flat_map(SignedBag::iter);
-        // Occurrences after pushdown; an input it empties empties the
-        // term.
-        let mut totals = vec![0.0; plan.inputs()];
-        let mut admitted = vec![0; plan.inputs()];
-        for i in (0..plan.inputs()).filter(|&i| !self.is_joined(i)) {
-            for (tuple, count) in bag(i) {
-                if plan.admits(i, tuple)? {
-                    totals[i] += count.unsigned_abs() as f64;
-                    admitted[i] += 1;
-                }
-            }
-            if totals[i] == 0.0 {
-                self.rows.reset(self.rows.width);
-                return Ok(());
-            }
-        }
-        loop {
-            let left = {
-                let mut left = self.unjoined();
-                (left.next(), left.next())
-            };
-            let next = match left {
-                (None, _) => return Ok(()),
-                (Some(last), None) => last,
-                _ if self.rows.is_empty() => return Ok(()),
-                _ => self.cheapest(plan, &totals, &bag)?,
-            };
-            self.join_sized(plan, next, admitted[next], bag(next))?;
-        }
-    }
-
-    /// The inputs not joined yet, in input order.
-    fn unjoined(&self) -> impl Iterator<Item = usize> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.is_none().then_some(i))
-    }
-
-    /// The unjoined input of the smallest estimated join per row:
-    /// `totals[cand]` occurrences over the distinct values of its key to
-    /// the joined inputs (counted by hash: an estimate needs no exact
-    /// count), or all of them for a cross. The first wins a tie.
-    fn cheapest<I>(
-        &mut self,
-        plan: &TermPlan,
-        totals: &[f64],
-        bag: &impl Fn(usize) -> I,
-    ) -> Result<usize, RelationalError>
-    where
-        I: Iterator<Item = (&'a Tuple, i64)>,
-    {
-        let candidates: Vec<usize> = self.unjoined().collect();
-        let mut best = (f64::INFINITY, candidates[0]);
-        let state = RandomState::new();
-        let mut seen = HashSet::new();
-        for cand in candidates {
-            self.keys.clear();
-            self.keys.extend(links(plan, &self.slots, cand));
-            seen.clear();
-            if !self.keys.is_empty() {
-                for (tuple, _) in bag(cand) {
-                    if plan.admits(cand, tuple)? {
-                        let mut h = state.build_hasher();
-                        for k in &self.keys {
-                            tuple.values()[k.attr].hash(&mut h);
-                        }
-                        seen.insert(h.finish());
-                    }
-                }
-            }
-            let est = totals[cand] / seen.len().max(1) as f64;
-            if est < best.0 {
-                best = (est, cand);
-            }
-        }
-        Ok(best.1)
     }
 
     /// Add each row's projection onto `proj` into `out`, once the
@@ -780,9 +646,9 @@ impl<'a> Executor<'a> {
 }
 
 /// Planned evaluation of `π_proj(σ_cond(inputs[0] × … ))`: an
-/// [`Executor`] seeded with no bound tuple joins the inputs in greedy
-/// order, then projects into a fresh bag. Answers equal
-/// [`crate::algebra::spj_naive`] exactly.
+/// [`Executor`] seeded with no bound tuple joins the inputs in
+/// [`Executor::next_input`] order, then projects into a fresh bag.
+/// Answers equal [`crate::algebra::spj_naive`] exactly.
 ///
 /// # Errors
 /// Returns [`RelationalError::PositionOutOfRange`] when `cond` or `proj`
@@ -817,7 +683,9 @@ pub fn spj_planned(
     }
     let mut exec = Executor::default();
     exec.seed(&plan, 1, [])?;
-    exec.join_greedy(&plan, |i| Some(inputs[i]))?;
+    while let Some(i) = exec.next_input(&plan) {
+        exec.join(&plan, i, inputs[i].iter())?;
+    }
     let mut out = SignedBag::new();
     exec.finish(&plan, proj, &mut out)?;
     Ok(out)
@@ -833,13 +701,21 @@ mod tests {
         Tuple::ints(vals.iter().copied())
     }
 
-    /// The order [`Executor::join_greedy`] joins `bags` in.
-    fn greedy_order(plan: &TermPlan, bags: &[&SignedBag]) -> Vec<usize> {
+    /// The order [`Executor::next_input`] joins the inputs of `plan` in,
+    /// once the inputs `seeded` are bound.
+    fn join_order(plan: &TermPlan, seeded: &[usize]) -> Vec<usize> {
+        let bound: Vec<Tuple> = seeded
+            .iter()
+            .map(|&i| Tuple::ints((0..plan.arities[i] as i64).map(|_| 0)))
+            .collect();
         let mut exec = Executor::default();
-        exec.seed(plan, 1, []).unwrap();
-        exec.join_greedy(plan, |i| Some(bags[i])).unwrap();
-        let mut order: Vec<usize> = (0..bags.len()).collect();
-        order.sort_by_key(|&i| exec.slots[i]);
+        exec.seed(plan, 1, seeded.iter().copied().zip(&bound))
+            .unwrap();
+        let mut order = Vec::new();
+        while let Some(i) = exec.next_input(plan) {
+            order.push(i);
+            exec.join(plan, i, std::iter::empty()).unwrap();
+        }
         order
     }
 
@@ -894,38 +770,69 @@ mod tests {
     }
 
     #[test]
-    fn greedy_order_starts_with_smallest_bag() {
-        let big = SignedBag::from_tuples((0..50).map(|i| t(&[i, i])));
-        let small = SignedBag::from_tuples([t(&[1, 2])]);
+    fn next_input_walks_an_unseeded_chain_in_input_order() {
+        let plan = TermPlan::new(vec![2, 2, 2], &chain_cond());
+        assert_eq!(join_order(&plan, &[]), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn next_input_takes_a_chain_seeded_in_the_middle_from_its_first_neighbour() {
+        let plan = TermPlan::new(vec![2, 2, 2], &chain_cond());
+        assert_eq!(join_order(&plan, &[1]), vec![0, 2]);
+    }
+
+    #[test]
+    fn next_input_walks_a_chain_seeded_at_its_end_back_along_the_edges() {
+        let plan = TermPlan::new(vec![2, 2, 2], &chain_cond());
+        assert_eq!(join_order(&plan, &[2]), vec![1, 0]);
+        assert_eq!(join_order(&plan, &[0]), vec![1, 2]);
+    }
+
+    #[test]
+    fn next_input_joins_the_unbound_occurrence_of_a_self_join() {
+        // r(A,B) ⋈_{B = A} r(A,B): the substitution binds one occurrence.
         let plan = TermPlan::new(vec![2, 2], &Predicate::col_eq(1, 2));
-        let order = greedy_order(&plan, &[&big, &small]);
-        assert_eq!(order[0], 1);
+        assert_eq!(join_order(&plan, &[]), vec![0, 1]);
+        assert_eq!(join_order(&plan, &[0]), vec![1]);
+        assert_eq!(join_order(&plan, &[1]), vec![0]);
+        assert!(join_order(&plan, &[0, 1]).is_empty());
+    }
+
+    #[test]
+    fn next_input_crosses_in_input_order() {
+        let plan = TermPlan::new(vec![1, 1, 1], &Predicate::col_cmp(0, CmpOp::Lt, 2));
+        assert!(plan.edges.is_empty());
+        assert_eq!(join_order(&plan, &[]), vec![0, 1, 2]);
+        assert_eq!(join_order(&plan, &[1]), vec![0, 2]);
     }
 
     #[test]
     fn greedy_order_prefers_linked_inputs_over_cross() {
-        // r0 small; r1 linked to r0 by an edge, r2 unlinked. The linked
-        // join estimate divides by distinct keys, so r1 must come before
-        // the forced cross with r2.
-        let r0 = SignedBag::from_tuples([t(&[1, 2])]);
-        let r1 = SignedBag::from_tuples((0..10).map(|i| t(&[i, i])));
-        let r2 = SignedBag::from_tuples((0..10).map(|i| t(&[i, i])));
-        let plan = TermPlan::new(vec![2, 2, 2], &Predicate::col_eq(1, 2));
-        let order = greedy_order(&plan, &[&r0, &r1, &r2]);
-        assert_eq!(order, vec![0, 1, 2]);
+        // r0 linked to r2 by an edge, r1 to neither: r2 comes before the
+        // cross with r1, though r1 comes first in input order.
+        let plan = TermPlan::new(vec![2, 2, 2], &Predicate::col_eq(1, 4));
+        assert_eq!(join_order(&plan, &[]), vec![0, 2, 1]);
+        assert_eq!(join_order(&plan, &[2]), vec![0, 1]);
     }
 
     #[test]
     fn planned_matches_naive_on_chain_with_reordering() {
-        // Data sized so the greedy order differs from input order: r3 is
-        // the smallest input and becomes the start.
+        // r1(W,X) ⋈ r3(Y,Z) ⋈ r2(X,Y) given in that input order: the
+        // second input is not linked to the first, so r2 is joined before
+        // it, and a cross never happens.
         let r1 = SignedBag::from_tuples((0..12).map(|i| t(&[i, i % 4])));
         let r2 = SignedBag::from_tuples((0..8).map(|i| t(&[i % 4, i % 3])));
         let r3 = SignedBag::from_tuples([t(&[1, 7]), t(&[2, 9])]);
-        let cond = chain_cond();
-        for proj in [&[0usize, 5][..], &[5, 0], &[2, 2, 4]] {
-            let planned = spj_planned(&[&r1, &r2, &r3], &cond, proj).unwrap();
-            let naive = spj_naive(&[&r1, &r2, &r3], &cond, proj).unwrap();
+        let cond = Predicate::col_eq(1, 4)
+            .and(Predicate::col_eq(5, 2))
+            .and(Predicate::col_const(0, CmpOp::Gt, 5));
+        assert_eq!(
+            join_order(&TermPlan::new(vec![2, 2, 2], &cond), &[]),
+            vec![0, 2, 1]
+        );
+        for proj in [&[0usize, 3][..], &[3, 0], &[4, 4, 2]] {
+            let planned = spj_planned(&[&r1, &r3, &r2], &cond, proj).unwrap();
+            let naive = spj_naive(&[&r1, &r3, &r2], &cond, proj).unwrap();
             assert_eq!(planned, naive, "proj {proj:?}");
         }
     }

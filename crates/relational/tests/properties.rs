@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use eca_relational::algebra::{cross, equijoin, project, select};
+use eca_relational::algebra::{cross, project, select, spj};
 use eca_relational::{CmpOp, Predicate, SignedBag, Tuple, Value};
 use proptest::prelude::*;
 
@@ -419,7 +419,8 @@ proptest! {
 
     #[test]
     fn equijoin_equals_cross_then_select(a in signed_bag(), b in signed_bag()) {
-        let joined = equijoin(&a, &b, 1, 0);
+        // An SPJ term of one edge, projecting every column.
+        let joined = spj(&[&a, &b], &Predicate::col_eq(1, 2), &[0, 1, 2, 3]).unwrap();
         let expected = select(&cross(&a, &b), &Predicate::col_eq(1, 2)).unwrap();
         prop_assert_eq!(joined, expected);
     }

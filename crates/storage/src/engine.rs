@@ -3,10 +3,11 @@
 //!
 //! The rows come from the one SPJ executor the warehouse also runs
 //! ([`eca_relational::planner::Executor`]): each term is seeded with its
-//! bound tuples, and the engine joins the other relations in one at a
-//! time, each next one linked to the joined ones where one is. What the
-//! engine adds is the access path per relation and its charge; answers
-//! are exact and differentially tested against the logical evaluator.
+//! bound tuples, and the engine joins the other relations in the order
+//! the executor picks ([`Executor::next_input`]), the one the warehouse's
+//! terms are joined in too. What the engine adds is the access path per
+//! relation and its charge; answers are exact and differentially tested
+//! against the logical evaluator.
 //!
 //! ## Scenario 1 — indexes + ample memory
 //!
@@ -29,7 +30,9 @@
 //! `EXPERIMENTS.md`. The charge is a formula over the relations' block
 //! counts; the rows are computed by hash joins over the heaps.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
 use eca_core::{Query, Term, ViewDef};
 use eca_relational::planner::{Executor, TermPlan};
@@ -37,7 +40,7 @@ use eca_relational::{SignedBag, Tuple, Update, UpdateKind, Value};
 
 use crate::error::StorageError;
 use crate::io::IoMeter;
-use crate::table::Table;
+use crate::table::{IndexKind, Table};
 
 /// Which Appendix-D cost scenario the engine runs under.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -115,11 +118,12 @@ struct BatchMemo<'a> {
     probes: HashMap<(&'a str, usize, Value), Vec<&'a Tuple>>,
 }
 
-/// What one query's terms share: the executor's buffers and the batching
-/// memo (if on).
+/// What one query's terms share: the executor's buffers, the batching
+/// memo (if on) and the runs of a step's clustered probes.
 struct QueryState<'a> {
     exec: Executor<'a>,
     memo: Option<BatchMemo<'a>>,
+    runs: Vec<Range<usize>>,
 }
 
 /// The metered physical engine: a set of [`Table`]s plus a scenario.
@@ -128,6 +132,8 @@ pub struct StorageEngine {
     scenario: Scenario,
     meter: IoMeter,
     batching: bool,
+    /// [`QueryState::runs`] between queries, so a query reuses its room.
+    runs: Cell<Vec<Range<usize>>>,
 }
 
 impl StorageEngine {
@@ -138,6 +144,7 @@ impl StorageEngine {
             scenario,
             meter: IoMeter::new(),
             batching: false,
+            runs: Cell::default(),
         }
     }
 
@@ -265,15 +272,17 @@ impl StorageEngine {
         let mut state = QueryState {
             exec: Executor::default(),
             memo: self.batching.then(BatchMemo::default),
+            runs: self.runs.take(),
         };
-        for term in terms {
+        let evaluated = terms.iter().try_for_each(|term| {
             let steps = plans.as_deref_mut().map(|plans| {
                 plans.push(Vec::new());
                 plans.last_mut()
             });
-            self.eval_term(view, term, &mut state, out, steps.flatten())?;
-        }
-        Ok(())
+            self.eval_term(view, term, &mut state, out, steps.flatten())
+        });
+        self.runs.set(state.runs);
+        evaluated
     }
 
     fn table_for(&self, view: &ViewDef, rel_idx: usize) -> Result<&Table, StorageError> {
@@ -299,7 +308,7 @@ impl StorageEngine {
         if let Scenario::NestedLoop { memory_blocks } = self.scenario {
             self.charge_nested_loop(view, &state.exec, memory_blocks, steps.as_deref_mut())?;
         }
-        while let Some(next) = pick_next(plan, &state.exec) {
+        while let Some(next) = state.exec.next_input(plan) {
             let table = self.table_for(view, next)?;
             match self.scenario {
                 Scenario::Indexed => {
@@ -330,7 +339,7 @@ impl StorageEngine {
         state: &mut QueryState<'a>,
         steps: Option<&mut Vec<PlanStep>>,
     ) -> Result<(), StorageError> {
-        let QueryState { exec, memo } = state;
+        let QueryState { exec, memo, runs } = state;
         if let Some(tuples) = memo.as_ref().and_then(|m| m.scans.get(relation).copied()) {
             record(steps, relation, |relation| PlanStep::SharedScan {
                 relation,
@@ -344,35 +353,51 @@ impl StorageEngine {
             .find(|link| table.index_on(link.attr).is_some());
         if let Some(link) = probe {
             let attr = link.attr;
-            let probe_cost: u64 = exec
-                .probe_values(link)
-                .map(|v| {
-                    let memoized = memo
-                        .as_ref()
-                        .is_some_and(|m| m.probes.contains_key(&(relation, attr, v.clone())));
-                    if memoized {
-                        0
+            // A clustered probe's run is searched for once, here, and read
+            // from `runs` below; a memoized one costs nothing.
+            let clustered = table.index_on(attr) == Some(IndexKind::Clustered);
+            runs.clear();
+            let mut probe_cost = 0;
+            for v in exec.probe_values(link) {
+                let memoized = memo
+                    .as_ref()
+                    .is_some_and(|m| m.probes.contains_key(&(relation, attr, v.clone())));
+                if clustered {
+                    let run = if memoized {
+                        0..0
                     } else {
-                        table.index_lookup_cost(attr, v).unwrap_or(scan_cost)
-                    }
-                })
-                .sum();
+                        table.clustered_run(v)
+                    };
+                    probe_cost += table.run_blocks(&run);
+                    runs.push(run);
+                } else if !memoized {
+                    probe_cost += table.index_lookup_cost(attr, v).unwrap_or(scan_cost);
+                }
+            }
             if probe_cost <= scan_cost || exec.is_empty() {
                 let probes = exec.len() as u64;
                 let before = self.meter.query_reads();
-                exec.join_probe(plan, next, link, |value, emit| match memo {
-                    Some(m) => m
-                        .probes
-                        .entry((relation, attr, value.clone()))
-                        .or_insert_with(|| {
-                            let mut fetched = Vec::new();
-                            table.index_visit(attr, value, |t| fetched.push(t));
-                            fetched
-                        })
-                        .iter()
-                        .for_each(|&t| emit(t)),
-                    None => {
-                        table.index_visit(attr, value, emit);
+                let mut runs = runs.drain(..);
+                exec.join_probe(plan, next, link, |value, emit| {
+                    let run = runs.next();
+                    let read = |emit: &mut dyn FnMut(&'a Tuple)| match run {
+                        Some(run) => table.visit_run(run, emit),
+                        None => {
+                            table.index_visit(attr, value, emit);
+                        }
+                    };
+                    match memo {
+                        Some(m) => m
+                            .probes
+                            .entry((relation, attr, value.clone()))
+                            .or_insert_with(|| {
+                                let mut fetched = Vec::new();
+                                read(&mut |t| fetched.push(t));
+                                fetched
+                            })
+                            .iter()
+                            .for_each(|&t| emit(t)),
+                        None => read(emit),
                     }
                 })?;
                 let blocks = self.meter.query_reads() - before;
@@ -443,16 +468,6 @@ fn record(
 /// A heap's tuples as the executor joins them: each occurrence once.
 fn heap_rows(tuples: &[Tuple]) -> impl Iterator<Item = (&Tuple, i64)> {
     tuples.iter().map(|t| (t, 1))
-}
-
-/// The next relation to join: the first one linked by an edge to a
-/// joined relation, else the first not joined.
-fn pick_next(plan: &TermPlan, exec: &Executor<'_>) -> Option<usize> {
-    let mut unjoined = (0..plan.inputs()).filter(|&i| !exec.is_joined(i));
-    let first = unjoined.clone().next();
-    unjoined
-        .find(|&i| exec.links(plan, i).next().is_some())
-        .or(first)
 }
 
 #[cfg(test)]

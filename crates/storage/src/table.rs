@@ -1,5 +1,7 @@
 //! Tables: a heap file plus index metadata and metered access paths.
 
+use std::ops::Range;
+
 use eca_relational::{Schema, SignedBag, Tuple, Value};
 
 use crate::error::StorageError;
@@ -176,15 +178,11 @@ impl Table {
         value: &Value,
         mut visit: impl FnMut(&'t Tuple),
     ) -> bool {
-        let tuples = self.heap.tuples();
         match self.index_on(attr) {
             None => return false,
-            Some(IndexKind::Clustered) => {
-                let range = self.clustered_run(value);
-                self.meter.charge_read(self.heap.blocks_spanned(&range));
-                tuples[range].iter().for_each(visit);
-            }
+            Some(IndexKind::Clustered) => self.visit_run(self.clustered_run(value), visit),
             Some(IndexKind::Unclustered) => {
+                let tuples = self.heap.tuples();
                 self.heap.visit_positions_with(attr, value, |p| {
                     self.meter.charge_read(1);
                     visit(&tuples[p]);
@@ -197,15 +195,27 @@ impl Table {
     /// The heap positions a clustered lookup of `value` reads. A table
     /// registers a clustered index exactly when its heap is clustered, so
     /// the heap's error cannot arise here.
-    fn clustered_run(&self, value: &Value) -> std::ops::Range<usize> {
+    pub(crate) fn clustered_run(&self, value: &Value) -> Range<usize> {
         self.heap.clustered_range(value).unwrap_or_default()
+    }
+
+    /// The blocks reading `run` charges.
+    pub(crate) fn run_blocks(&self, run: &Range<usize>) -> u64 {
+        self.heap.blocks_spanned(run)
+    }
+
+    /// Read `run` as a clustered lookup does: charge its blocks, then
+    /// let `visit` see its tuples in heap order.
+    pub(crate) fn visit_run<'t>(&'t self, run: Range<usize>, visit: impl FnMut(&'t Tuple)) {
+        self.meter.charge_read(self.run_blocks(&run));
+        self.heap.tuples()[run].iter().for_each(visit);
     }
 
     /// Predicted I/O cost of an index lookup for `value` without touching
     /// the meter (used by the planner to compare access paths).
     pub fn index_lookup_cost(&self, attr: usize, value: &Value) -> Option<u64> {
         match self.index_on(attr)? {
-            IndexKind::Clustered => Some(self.heap.blocks_spanned(&self.clustered_run(value))),
+            IndexKind::Clustered => Some(self.run_blocks(&self.clustered_run(value))),
             IndexKind::Unclustered => {
                 let mut matches = 0;
                 self.heap

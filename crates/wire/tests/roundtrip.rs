@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use eca_core::algorithms::{Eca, Lca};
+use eca_core::algorithms::Eca;
 use eca_core::{Atom, Query, QueryHeader, QueryId, Term, ViewDef, ViewMaintainer};
 use eca_relational::{
     CmpOp, Operand, Predicate, Schema, Sign, SignedBag, SignedTuple, Tuple, Update, Value,
@@ -430,30 +430,4 @@ fn example6_compensating_query_bytes_are_pinned() {
     assert_eq!(hex(&bytes), EXAMPLE6_Q3_HEX);
     assert_eq!(m.encoded_len(), bytes.len());
     assert_eq!(Message::decode(bytes).unwrap(), m);
-}
-
-/// LCA tags each term with the update it belongs to; the tag stays at
-/// the warehouse, so a tagged term encodes to the bytes of an untagged
-/// one.
-#[test]
-fn owner_tags_do_not_reach_the_wire() {
-    let queries = example6_queries(&mut Lca::new(example6_view(), SignedBag::new()));
-    assert!(queries.len() > 3, "LCA ships compensating terms");
-    for (id, q) in queries {
-        assert!(q.terms().iter().all(|t| t.owner().is_some()));
-        let untagged: Vec<Term> = q
-            .terms()
-            .iter()
-            .map(|t| Term::new(t.factor(), t.atoms().to_vec()))
-            .collect();
-        let plain = Query::from_terms(q.view().clone(), untagged);
-        let encode = |q: &Query| {
-            Message::QueryRequest {
-                id,
-                query: WireQuery::from_query(q),
-            }
-            .encode()
-        };
-        assert_eq!(encode(&q), encode(&plain));
-    }
 }
