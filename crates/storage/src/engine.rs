@@ -721,8 +721,9 @@ mod tests {
         }
     }
 
-    /// Example 6's queries: the recompute, one, two and three bound
-    /// tuples, and the 3- and 4-term compensating queries.
+    /// Example 6's queries: the recompute, one bound tuple (on r1, and on
+    /// r3, which reaches r2 through its unclustered index on Y), two and
+    /// three bound tuples, and the 3- and 4-term compensating queries.
     fn example6_queries(view: &ViewDef) -> Vec<(&'static str, Query)> {
         let u1 = Update::insert("r1", Tuple::ints([3, 2]));
         let u2 = Update::insert("r3", Tuple::ints([4, 1]));
@@ -733,6 +734,7 @@ mod tests {
         vec![
             ("recompute", view.as_query()),
             ("one bound", q1.clone()),
+            ("one bound on r3", view.substitute(&u2).unwrap()),
             ("two bound", q1.substitute(&u2)),
             ("three bound", q1.substitute(&u2).substitute(&u3)),
             ("3-term", three_terms),
@@ -785,18 +787,21 @@ mod tests {
     const PINNED_CHARGES: &str = "
     indexed / recompute: 24 | scan r1 8, scan r2 8, scan r3 8
     indexed / one bound: 10 | probe r2 x1 2, scan r3 8
+    indexed / one bound on r3: 12 | probe r2 x1 4, probe r1 x4 8
     indexed / two bound: 2 | probe r2 x1 2
     indexed / three bound: 0 | -
     indexed / 3-term: 12 | probe r1 x1 2, scan r3 8 | probe r1 x1 2 | -
     indexed / 4-term: 14 | probe r1 x1 2, scan r3 8 | probe r3 x1 2 | probe r1 x1 2 | -
     indexed+batching / recompute: 24 | scan r1 8, scan r2 8, scan r3 8
     indexed+batching / one bound: 10 | probe r2 x1 2, scan r3 8
+    indexed+batching / one bound on r3: 12 | probe r2 x1 4, probe r1 x4 8
     indexed+batching / two bound: 2 | probe r2 x1 2
     indexed+batching / three bound: 0 | -
     indexed+batching / 3-term: 10 | probe r1 x1 2, scan r3 8 | probe r1 x1 0 | -
     indexed+batching / 4-term: 10 | probe r1 x1 2, scan r3 8 | shared r3 | probe r1 x1 0 | -
     nested loop / recompute: 584 | loop r1 x1 8, loop r2 x8 64, loop r3 x64 512
     nested loop / one bound: 40 | loop r2 x1 8, loop r3 x4 32
+    nested loop / one bound on r3: 40 | loop r1 x1 8, loop r2 x4 32
     nested loop / two bound: 8 | loop r2 x1 8
     nested loop / three bound: 0 | -
     nested loop / 3-term: 48 | loop r1 x1 8, loop r3 x4 32 | loop r1 x1 8 | -
