@@ -149,6 +149,33 @@ struct Page {
     fences: Vec<Key>,
 }
 
+/// An iterator over a bag's entries that reports how many are left,
+/// which the chunks it flattens cannot.
+struct Counted<I> {
+    inner: I,
+    left: usize,
+}
+
+impl<I: Iterator> Iterator for Counted<I> {
+    type Item = I::Item;
+
+    fn next(&mut self) -> Option<I::Item> {
+        let item = self.inner.next()?;
+        self.left -= 1;
+        Some(item)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+
+    fn fold<B, F: FnMut(B, I::Item) -> B>(self, init: B, f: F) -> B {
+        self.inner.fold(init, f)
+    }
+}
+
+impl<I: Iterator> ExactSizeIterator for Counted<I> {}
+
 /// Whether two adjacent runs (chunks, or pages) of these sizes should
 /// become one: a removal that leaves a run below a quarter of `cap`
 /// merges it into a neighbour when the two fit in one, so the bag holds
@@ -611,9 +638,14 @@ impl SignedBag {
         self.iter().all(|(_, c)| c > 0)
     }
 
-    /// Iterate `(tuple, signed count)` pairs in deterministic order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Tuple, i64)> + '_ {
-        self.entries().map(|entry| (&entry.key.tuple, entry.count))
+    /// Iterate `(tuple, signed count)` pairs in deterministic order. The
+    /// iterator knows its exact length, so a consumer can size a buffer
+    /// for the whole bag up front.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&Tuple, i64)> + '_ {
+        Counted {
+            inner: self.entries().map(|entry| (&entry.key.tuple, entry.count)),
+            left: self.len,
+        }
     }
 
     /// Iterate each occurrence as a [`SignedTuple`], expanding counts.
@@ -879,6 +911,17 @@ mod tests {
         assert_eq!(n, 2);
         assert_eq!(b.distinct_len(), 1);
         assert_eq!(b.count(&t(&[2, 3])), 1);
+    }
+
+    /// `iter` reports its exact length at every step, across chunks.
+    #[test]
+    fn iter_knows_its_exact_length() {
+        let bag: SignedBag = (0..300).map(|i| t(&[i])).collect();
+        let mut it = bag.iter();
+        for left in (0..=300).rev() {
+            assert_eq!(it.size_hint(), (left, Some(left)));
+            assert_eq!(it.next().is_some(), left > 0);
+        }
     }
 
     #[test]

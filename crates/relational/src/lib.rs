@@ -28,7 +28,6 @@ pub mod error;
 pub mod modify;
 pub mod planner;
 pub mod predicate;
-pub mod relation;
 pub mod schema;
 pub mod tuple;
 pub mod update;
@@ -38,7 +37,6 @@ pub use bag::SignedBag;
 pub use error::RelationalError;
 pub use modify::Modification;
 pub use predicate::{CmpOp, Operand, Predicate};
-pub use relation::Relation;
 pub use schema::Schema;
 pub use tuple::{Sign, SignedTuple, Tuple};
 pub use update::{Update, UpdateKind};

@@ -523,10 +523,11 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
-    /// Join input `input` through `probe`, once per row: `probe` gets
-    /// the value the row offers `link` and hands each tuple whose
-    /// `link.attr` equals it (an index lookup's matches) to the callback
-    /// it is given. The other edges into `input` are checked here.
+    /// Join input `input` through `probe`, called once per row in row
+    /// order: it hands each tuple whose `link.attr` equals the value the
+    /// row offers `link` ([`Self::probe_values`]; an index lookup's
+    /// matches) to the callback it is given. The other edges into `input`
+    /// are checked here.
     ///
     /// # Errors
     /// As [`Self::join`].
@@ -535,24 +536,20 @@ impl<'a> Executor<'a> {
         plan: &TermPlan,
         input: usize,
         link: Link,
-        mut probe: impl FnMut(&'a Value, &mut dyn FnMut(&'a Tuple)),
+        mut probe: impl FnMut(&mut dyn FnMut(&'a Tuple)),
     ) -> Result<(), RelationalError> {
         let mut next = self.start_step(plan, input);
         self.keys.retain(|&k| k != link);
         let mut failed = Ok(());
         for r in 0..self.rows.len() {
             let (row, count) = (self.rows.row(r), self.rows.counts[r]);
-            let tuple: &'a Tuple = row[link.slot];
-            probe(
-                &tuple.values()[link.col],
-                &mut |tuple| match plan.admits(input, tuple) {
-                    Ok(true) if keys_match(self.keys.iter().copied(), row, tuple) => {
-                        next.push(row, tuple, count)
-                    }
-                    Ok(_) => {}
-                    Err(e) => failed = Err(e),
-                },
-            );
+            probe(&mut |tuple| match plan.admits(input, tuple) {
+                Ok(true) if keys_match(self.keys.iter().copied(), row, tuple) => {
+                    next.push(row, tuple, count)
+                }
+                Ok(_) => {}
+                Err(e) => failed = Err(e),
+            });
         }
         self.end_step(input, next);
         failed

@@ -205,14 +205,6 @@ impl Source {
         self.engine.meter()
     }
 
-    /// Enable multi-term batching: the terms of one incoming query share
-    /// scans and index-probe results, so a k-term compensating query reads
-    /// each base relation roughly once instead of k times. Off by default
-    /// to preserve the paper's pessimistic per-term cost accounting.
-    pub fn enable_term_batching(&mut self) {
-        self.engine.enable_term_batching();
-    }
-
     /// Execute an update locally (the first half of an `S_up` event).
     /// Returns `false` when a delete found nothing to remove.
     pub fn execute_update(&mut self, update: &Update) -> bool {

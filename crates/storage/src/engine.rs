@@ -13,10 +13,12 @@
 //!
 //! Bound tuples are in-memory and free. Each remaining relation is brought
 //! in either by **index probes** (one lookup per current intermediate row,
-//! no caching across probes — the paper's pessimistic assumption) or by a
-//! **full scan** followed by an in-memory hash join; the engine picks the
-//! cheaper by exact cost, which reproduces the paper's `min(J, I)`
-//! behaviour.
+//! no caching across probes or terms — the paper's pessimistic
+//! assumption) or by a **full scan** followed by an in-memory hash join;
+//! the engine picks the cheaper by exact cost, which reproduces the
+//! paper's `min(J, I)` behaviour. Each row's lookup is searched for once,
+//! whatever its index kind: the choice costs the run [`Table::lookup`]
+//! names, and the probes read the runs the choice kept.
 //!
 //! ## Scenario 2 — no indexes, `m` free memory blocks
 //!
@@ -31,16 +33,16 @@
 //! counts; the rows are computed by hash joins over the heaps.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
-use std::ops::Range;
+use std::collections::BTreeMap;
 
 use eca_core::{Query, Term, ViewDef};
 use eca_relational::planner::{Executor, TermPlan};
-use eca_relational::{SignedBag, Tuple, Update, UpdateKind, Value};
+use eca_relational::{SignedBag, Tuple, Update, UpdateKind};
 
 use crate::error::StorageError;
+use crate::heap::Run;
 use crate::io::IoMeter;
-use crate::table::{IndexKind, Table};
+use crate::table::Table;
 
 /// Which Appendix-D cost scenario the engine runs under.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -90,40 +92,13 @@ pub enum PlanStep {
         /// Total blocks read.
         blocks: u64,
     },
-    /// The relation's tuples were reused from the term-batching memo: an
-    /// earlier term of the same query already paid for the scan, so no
-    /// blocks are charged.
-    SharedScan {
-        /// Relation name.
-        relation: String,
-    },
 }
 
-/// Per-query memo shared by the terms of one batched evaluation: full
-/// scans and index-probe results already paid for by an earlier term are
-/// reused in memory instead of being re-read (and re-charged).
-///
-/// This is the "multiple term optimization" the paper's Appendix D
-/// deliberately leaves out of its pessimistic analysis ("whenever we probe
-/// a relation, we go to disk to read the block") and §6.3 calls out as the
-/// obvious improvement. It assumes Scenario 1's ample memory; Scenario 2
-/// (whose premise is three memory blocks) never consults it. It lends the
-/// heaps' tuples rather than copying them.
-#[derive(Default)]
-struct BatchMemo<'a> {
-    /// Relation → tuples of a completed full scan (the relation is now
-    /// memory-resident for the rest of the query).
-    scans: HashMap<&'a str, &'a [Tuple]>,
-    /// `(relation, attribute, value)` → matches of a completed index probe.
-    probes: HashMap<(&'a str, usize, Value), Vec<&'a Tuple>>,
-}
-
-/// What one query's terms share: the executor's buffers, the batching
-/// memo (if on) and the runs of a step's clustered probes.
+/// What one query's terms share: the executor's buffers and the runs of
+/// a step's index lookups.
 struct QueryState<'a> {
     exec: Executor<'a>,
-    memo: Option<BatchMemo<'a>>,
-    runs: Vec<Range<usize>>,
+    runs: Vec<Run>,
 }
 
 /// The metered physical engine: a set of [`Table`]s plus a scenario.
@@ -131,9 +106,8 @@ pub struct StorageEngine {
     tables: BTreeMap<String, Table>,
     scenario: Scenario,
     meter: IoMeter,
-    batching: bool,
     /// [`QueryState::runs`] between queries, so a query reuses its room.
-    runs: Cell<Vec<Range<usize>>>,
+    runs: Cell<Vec<Run>>,
 }
 
 impl StorageEngine {
@@ -143,18 +117,8 @@ impl StorageEngine {
             tables: BTreeMap::new(),
             scenario,
             meter: IoMeter::new(),
-            batching: false,
             runs: Cell::default(),
         }
-    }
-
-    /// Enable multi-term batching: the terms of one query share a memo of
-    /// completed scans and index probes, so a k-term query reads each base
-    /// relation roughly once instead of k times. Off by default — the
-    /// paper's Appendix-D costs assume every term pays for its own reads,
-    /// and the cost-model tests pin that pessimistic behaviour.
-    pub fn enable_term_batching(&mut self) {
-        self.batching = true;
     }
 
     /// The shared I/O meter.
@@ -271,7 +235,6 @@ impl StorageEngine {
     ) -> Result<(), StorageError> {
         let mut state = QueryState {
             exec: Executor::default(),
-            memo: self.batching.then(BatchMemo::default),
             runs: self.runs.take(),
         };
         let evaluated = terms.iter().try_for_each(|term| {
@@ -325,79 +288,37 @@ impl StorageEngine {
     }
 
     /// Scenario 1: join relation `next` by index probes or by a scan and
-    /// hash join, whichever reads fewer blocks. With a batch memo, a
-    /// relation already scanned by an earlier term of the same query is
-    /// memory-resident (free), and repeated index probes for the same
-    /// `(attribute, value)` are served from the memo without re-reading
-    /// blocks.
+    /// hash join, whichever reads fewer blocks.
     fn join_indexed<'a>(
         &self,
         plan: &TermPlan,
         next: usize,
-        relation: &'a str,
+        relation: &str,
         table: &'a Table,
         state: &mut QueryState<'a>,
         steps: Option<&mut Vec<PlanStep>>,
     ) -> Result<(), StorageError> {
-        let QueryState { exec, memo, runs } = state;
-        if let Some(tuples) = memo.as_ref().and_then(|m| m.scans.get(relation).copied()) {
-            record(steps, relation, |relation| PlanStep::SharedScan {
-                relation,
-            });
-            return Ok(exec.join(plan, next, heap_rows(tuples))?);
-        }
+        let QueryState { exec, runs } = state;
         let scan_cost = table.num_blocks();
         // The first link into `next` whose attribute has an index.
         let probe = exec
             .links(plan, next)
             .find(|link| table.index_on(link.attr).is_some());
         if let Some(link) = probe {
-            let attr = link.attr;
-            // A clustered probe's run is searched for once, here, and read
-            // from `runs` below; a memoized one costs nothing.
-            let clustered = table.index_on(attr) == Some(IndexKind::Clustered);
+            // One run per row, searched for here and read below.
             runs.clear();
-            let mut probe_cost = 0;
-            for v in exec.probe_values(link) {
-                let memoized = memo
-                    .as_ref()
-                    .is_some_and(|m| m.probes.contains_key(&(relation, attr, v.clone())));
-                if clustered {
-                    let run = if memoized {
-                        0..0
-                    } else {
-                        table.clustered_run(v)
-                    };
-                    probe_cost += table.run_blocks(&run);
-                    runs.push(run);
-                } else if !memoized {
-                    probe_cost += table.index_lookup_cost(attr, v).unwrap_or(scan_cost);
-                }
-            }
+            runs.extend(
+                exec.probe_values(link)
+                    .map(|v| table.lookup(link.attr, v).unwrap_or_default()),
+            );
+            let probe_cost: u64 = runs.iter().map(Run::blocks).sum();
             if probe_cost <= scan_cost || exec.is_empty() {
                 let probes = exec.len() as u64;
                 let before = self.meter.query_reads();
-                let mut runs = runs.drain(..);
-                exec.join_probe(plan, next, link, |value, emit| {
-                    let run = runs.next();
-                    let read = |emit: &mut dyn FnMut(&'a Tuple)| match run {
-                        Some(run) => table.visit_run(run, emit),
-                        None => {
-                            table.index_visit(attr, value, emit);
-                        }
-                    };
-                    match memo {
-                        Some(m) => m
-                            .probes
-                            .entry((relation, attr, value.clone()))
-                            .or_insert_with(|| {
-                                let mut fetched = Vec::new();
-                                read(&mut |t| fetched.push(t));
-                                fetched
-                            })
-                            .iter()
-                            .for_each(|&t| emit(t)),
-                        None => read(emit),
+                let mut runs = runs.iter();
+                exec.join_probe(plan, next, link, |emit| {
+                    if let Some(run) = runs.next() {
+                        table.read(run, emit);
                     }
                 })?;
                 let blocks = self.meter.query_reads() - before;
@@ -409,15 +330,11 @@ impl StorageEngine {
                 return Ok(());
             }
         }
-        let tuples = table.scan();
-        if let Some(m) = memo {
-            m.scans.insert(relation, tuples);
-        }
         record(steps, relation, |relation| PlanStep::Scan {
             relation,
             blocks: scan_cost,
         });
-        Ok(exec.join(plan, next, heap_rows(tuples))?)
+        Ok(exec.join(plan, next, heap_rows(table.scan()))?)
     }
 
     /// Scenario 2: charge the left-deep block-nested loop over the
@@ -717,7 +634,6 @@ mod tests {
                 passes,
                 blocks,
             } => format!("loop {relation} x{passes} {blocks}"),
-            PlanStep::SharedScan { relation } => format!("shared {relation}"),
         }
     }
 
@@ -743,24 +659,20 @@ mod tests {
     }
 
     /// What each Example 6 query charges, pinned per term and per plan
-    /// step under Scenario 1 with term batching off and on, and under
-    /// Scenario 2: the charge model is kept apart from how the rows are
+    /// step under both scenarios: the charge model is kept apart from how the rows are
     /// computed, so a change to the executor must leave every line as it
     /// is.
     #[test]
     fn example6_charges_are_pinned() {
         let view = example6_view();
         let mut lines = Vec::new();
-        for mode in ["indexed", "indexed+batching", "nested loop"] {
+        for mode in ["indexed", "nested loop"] {
             for (name, query) in example6_queries(&view) {
                 let mut engine = match mode {
                     "nested loop" => scenario2_engine(4),
                     _ => scenario1_engine(4),
                 };
                 populate(&mut engine, &view);
-                if mode == "indexed+batching" {
-                    engine.enable_term_batching();
-                }
                 let plans = engine.explain_query(&query).unwrap();
                 let terms: Vec<String> = plans
                     .iter()
@@ -792,13 +704,6 @@ mod tests {
     indexed / three bound: 0 | -
     indexed / 3-term: 12 | probe r1 x1 2, scan r3 8 | probe r1 x1 2 | -
     indexed / 4-term: 14 | probe r1 x1 2, scan r3 8 | probe r3 x1 2 | probe r1 x1 2 | -
-    indexed+batching / recompute: 24 | scan r1 8, scan r2 8, scan r3 8
-    indexed+batching / one bound: 10 | probe r2 x1 2, scan r3 8
-    indexed+batching / one bound on r3: 12 | probe r2 x1 4, probe r1 x4 8
-    indexed+batching / two bound: 2 | probe r2 x1 2
-    indexed+batching / three bound: 0 | -
-    indexed+batching / 3-term: 10 | probe r1 x1 2, scan r3 8 | probe r1 x1 0 | -
-    indexed+batching / 4-term: 10 | probe r1 x1 2, scan r3 8 | shared r3 | probe r1 x1 0 | -
     nested loop / recompute: 584 | loop r1 x1 8, loop r2 x8 64, loop r3 x64 512
     nested loop / one bound: 40 | loop r2 x1 8, loop r3 x4 32
     nested loop / one bound on r3: 40 | loop r1 x1 8, loop r2 x4 32
@@ -806,51 +711,6 @@ mod tests {
     nested loop / three bound: 0 | -
     nested loop / 3-term: 48 | loop r1 x1 8, loop r3 x4 32 | loop r1 x1 8 | -
     nested loop / 4-term: 56 | loop r1 x1 8, loop r3 x4 32 | loop r3 x1 8 | loop r1 x1 8 | -";
-
-    #[test]
-    fn term_batching_same_answer_fewer_reads() {
-        let view = example6_view();
-        let query = four_term_query(&view);
-
-        let mut plain = scenario1_engine(4);
-        let db = populate(&mut plain, &view);
-        let mut batched = scenario1_engine(4);
-        populate(&mut batched, &view);
-        batched.enable_term_batching();
-
-        let a_plain = plain.eval_query(&query).unwrap();
-        let a_batched = batched.eval_query(&query).unwrap();
-        assert_eq!(a_plain, a_batched);
-        assert_eq!(a_plain, query.eval(&db).unwrap());
-
-        let io_plain = plain.meter().query_reads();
-        let io_batched = batched.meter().query_reads();
-        assert!(
-            io_batched < io_plain,
-            "batched {io_batched} should beat per-term {io_plain}"
-        );
-    }
-
-    #[test]
-    fn term_batching_off_by_default_keeps_paper_costs() {
-        let engine = StorageEngine::new(Scenario::Indexed);
-        assert!(!engine.batching);
-    }
-
-    #[test]
-    fn shared_scan_appears_in_explain_output() {
-        let view = example6_view();
-        let mut engine = scenario1_engine(4);
-        populate(&mut engine, &view);
-        engine.enable_term_batching();
-        // Two full-recompute terms: the second must reuse all three scans.
-        let q = view.as_query().minus(&view.as_query());
-        let plans = engine.explain_query(&q).unwrap();
-        assert!(plans[0].iter().all(|s| matches!(s, PlanStep::Scan { .. })));
-        assert!(plans[1]
-            .iter()
-            .all(|s| matches!(s, PlanStep::SharedScan { .. })));
-    }
 
     #[test]
     fn unknown_table_is_an_error() {

@@ -12,6 +12,11 @@
 //! `(value, position)`, 4 bytes per row and no tuple copies. They change
 //! which CPU work finds a match, never which positions match, so block
 //! charges derived from them are the ones a linear filter would give.
+//!
+//! Both index kinds answer through one call: [`HeapFile::lookup`] searches
+//! once and names where the matches are (a [`Run`] of heap positions or of
+//! index entries) with what reading them costs, and [`HeapFile::visit`]
+//! reads that run.
 
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -19,6 +24,38 @@ use std::ops::Range;
 use eca_relational::{Tuple, Value};
 
 use crate::error::StorageError;
+
+/// The kind of index available on an attribute (paper §6.3 Scenario 1:
+/// clustered indexes on the join attributes plus one non-clustered index).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum IndexKind {
+    /// Tuples with equal key are contiguous; a lookup reads the blocks the
+    /// run spans (`≈ ⌈matches/K⌉`).
+    Clustered,
+    /// Matches are scattered; a lookup reads one block per matching tuple
+    /// (the paper's no-caching assumption).
+    Unclustered,
+}
+
+/// Where the occurrences an index lookup matches are, found by one
+/// search ([`HeapFile::lookup`]): a run of heap positions under the
+/// cluster order, or a run of a secondary index's entries.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Run {
+    /// The secondary index whose entries `range` spans; `None` when it
+    /// spans heap positions.
+    index: Option<usize>,
+    range: Range<usize>,
+    blocks: u64,
+}
+
+impl Run {
+    /// The blocks reading the run costs: every block a run of heap
+    /// positions spans, once; one per entry of a secondary index.
+    pub fn blocks(&self) -> u64 {
+        self.blocks
+    }
+}
 
 /// A block-organized tuple store.
 #[derive(Clone, Debug)]
@@ -50,12 +87,13 @@ impl SecondaryIndex {
         })
     }
 
-    /// Entries whose tuple has `attr == value`, in ascending position.
-    fn matches(&self, tuples: &[Tuple], value: &Value) -> &[u32] {
+    /// The entries whose tuple has `attr == value`; they hold ascending
+    /// positions.
+    fn entries(&self, tuples: &[Tuple], value: &Value) -> Range<usize> {
         let key = |p: &u32| tuples[*p as usize].get(self.attr);
         let start = self.positions.partition_point(|p| key(p) < Some(value));
         let len = self.positions[start..].partition_point(|p| key(p) == Some(value));
-        &self.positions[start..start + len]
+        start..start + len
     }
 }
 
@@ -106,8 +144,9 @@ impl HeapFile {
     }
 
     /// Maintain a secondary index on `attr` from now on (built over the
-    /// current contents; a no-op if one exists). [`HeapFile::positions_with`]
-    /// on `attr` then answers from it instead of scanning.
+    /// current contents; a no-op if one exists). [`HeapFile::lookup`] on
+    /// `attr` then finds its matches there, and
+    /// [`HeapFile::positions_with`] answers from it instead of scanning.
     ///
     /// # Errors
     /// [`StorageError::HeapFull`] if the heap holds more occurrences than
@@ -271,32 +310,68 @@ impl HeapFile {
         self.tuples.chunks(self.tuples_per_block)
     }
 
+    /// The secondary index on `attr`, if there is one.
+    fn index(&self, attr: usize) -> Option<usize> {
+        self.indexes.iter().position(|ix| ix.attr == attr)
+    }
+
+    /// The index that answers lookups on `attr`: the cluster order when
+    /// the heap is clustered on it, else its secondary index, if any.
+    pub fn index_on(&self, attr: usize) -> Option<IndexKind> {
+        if self.cluster_attr == Some(attr) {
+            return Some(IndexKind::Clustered);
+        }
+        self.index(attr).map(|_| IndexKind::Unclustered)
+    }
+
+    /// Where the occurrences with `attr == value` are, found by one
+    /// search of the index [`HeapFile::index_on`] names; `None` when
+    /// there is none.
+    pub fn lookup(&self, attr: usize, value: &Value) -> Option<Run> {
+        if self.cluster_attr == Some(attr) {
+            let range = self.key_range(attr, Some(value));
+            let blocks = self.blocks_spanned(&range);
+            return Some(Run {
+                index: None,
+                range,
+                blocks,
+            });
+        }
+        let index = self.index(attr)?;
+        let range = self.indexes[index].entries(&self.tuples, value);
+        Some(Run {
+            index: Some(index),
+            blocks: range.len() as u64,
+            range,
+        })
+    }
+
+    /// Let `visit` see the occurrences `run` names, in heap order. A run
+    /// is read on the heap it was looked up on, before the heap changes.
+    pub fn visit<'h>(&'h self, run: &Run, visit: impl FnMut(&'h Tuple)) {
+        let range = run.range.clone();
+        match run.index {
+            None => self.tuples[range].iter().for_each(visit),
+            Some(index) => self.indexes[index].positions[range]
+                .iter()
+                .map(|&p| &self.tuples[p as usize])
+                .for_each(visit),
+        }
+    }
+
     /// Positions (heap offsets) of every occurrence with `attr == value`,
     /// ascending — the access an unclustered index provides. Answered from
     /// the secondary index on `attr` in O(log n + matches) when there is
     /// one, by a scan otherwise.
     pub fn positions_with(&self, attr: usize, value: &Value) -> Vec<usize> {
-        let mut positions = Vec::new();
-        self.visit_positions_with(attr, value, |p| positions.push(p));
-        positions
-    }
-
-    /// [`HeapFile::positions_with`] without the vector: `visit` sees each
-    /// position in ascending order.
-    pub fn visit_positions_with(&self, attr: usize, value: &Value, mut visit: impl FnMut(usize)) {
-        match self.indexes.iter().find(|ix| ix.attr == attr) {
-            Some(index) => {
-                for &p in index.matches(&self.tuples, value) {
-                    visit(p as usize);
-                }
-            }
-            None => {
-                for (i, t) in self.tuples.iter().enumerate() {
-                    if t.get(attr) == Some(value) {
-                        visit(i);
-                    }
-                }
-            }
+        match self.index(attr).map(|index| &self.indexes[index]) {
+            Some(index) => index.positions[index.entries(&self.tuples, value)]
+                .iter()
+                .map(|&p| p as usize)
+                .collect(),
+            None => (0..self.tuples.len())
+                .filter(|&i| self.tuples[i].get(attr) == Some(value))
+                .collect(),
         }
     }
 }

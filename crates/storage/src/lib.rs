@@ -45,6 +45,6 @@ pub mod table;
 
 pub use engine::{Scenario, StorageEngine};
 pub use error::StorageError;
-pub use heap::HeapFile;
+pub use heap::{HeapFile, IndexKind, Run};
 pub use io::IoMeter;
-pub use table::{IndexKind, Table};
+pub use table::Table;

@@ -1,24 +1,15 @@
-//! Tables: a heap file plus index metadata and metered access paths.
-
-use std::ops::Range;
+//! Tables: a heap file plus metered access paths.
+//!
+//! A table reads its heap three ways: a full scan, and a lookup through
+//! either index kind. A lookup is searched for once ([`Table::lookup`],
+//! which charges nothing and says what reading costs), then read; the
+//! source's engine costs its probes and reads them from the same runs.
 
 use eca_relational::{Schema, SignedBag, Tuple, Value};
 
 use crate::error::StorageError;
-use crate::heap::HeapFile;
+use crate::heap::{HeapFile, IndexKind, Run};
 use crate::io::IoMeter;
-
-/// The kind of index available on an attribute (paper §6.3 Scenario 1:
-/// clustered indexes on the join attributes plus one non-clustered index).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum IndexKind {
-    /// Tuples with equal key are contiguous; a lookup reads the blocks the
-    /// run spans (`≈ ⌈matches/K⌉`).
-    Clustered,
-    /// Matches are scattered; a lookup reads one block per matching tuple
-    /// (the paper's no-caching assumption).
-    Unclustered,
-}
 
 /// A stored base relation with metered access paths.
 ///
@@ -30,8 +21,6 @@ pub enum IndexKind {
 pub struct Table {
     schema: Schema,
     heap: HeapFile,
-    /// `(attribute position, kind)` of each available index.
-    indexes: Vec<(usize, IndexKind)>,
     meter: IoMeter,
 }
 
@@ -60,13 +49,8 @@ impl Table {
         };
         let cluster_pos = clustered_on.map(resolve).transpose()?;
         let mut heap = HeapFile::new(tuples_per_block, cluster_pos)?;
-        let mut indexes = Vec::new();
-        if let Some(p) = cluster_pos {
-            indexes.push((p, IndexKind::Clustered));
-        }
         for attr in unclustered_on {
             let p = resolve(attr)?;
-            indexes.push((p, IndexKind::Unclustered));
             // Lookups on the cluster attribute use the cluster order.
             if cluster_pos != Some(p) {
                 heap.add_index(p)?;
@@ -75,7 +59,6 @@ impl Table {
         Ok(Table {
             heap,
             schema,
-            indexes,
             meter,
         })
     }
@@ -97,16 +80,7 @@ impl Table {
 
     /// The index available on `attr`, preferring clustered.
     pub fn index_on(&self, attr: usize) -> Option<IndexKind> {
-        let mut found = None;
-        for (pos, kind) in &self.indexes {
-            if *pos == attr {
-                if *kind == IndexKind::Clustered {
-                    return Some(IndexKind::Clustered);
-                }
-                found = Some(*kind);
-            }
-        }
-        found
+        self.heap.index_on(attr)
     }
 
     /// Insert one occurrence (charged as one update touch).
@@ -163,66 +137,25 @@ impl Table {
     /// Index lookup: all occurrences with `attr == value`, charged per the
     /// index kind. Returns `None` when no index exists on `attr`.
     pub fn index_lookup(&self, attr: usize, value: &Value) -> Option<Vec<Tuple>> {
+        let run = self.lookup(attr, value)?;
         let mut matches = Vec::new();
-        self.index_visit(attr, value, |t| matches.push(t.clone()))
-            .then_some(matches)
+        self.read(&run, |t| matches.push(t.clone()));
+        Some(matches)
     }
 
-    /// [`Table::index_lookup`] without the vector: the same reads, charged
-    /// in the same order, and `visit` sees each match in place, in the
-    /// order the lookup returns them. Returns whether an index exists on
-    /// `attr` (if not, nothing is visited or charged).
-    pub fn index_visit<'t>(
-        &'t self,
-        attr: usize,
-        value: &Value,
-        mut visit: impl FnMut(&'t Tuple),
-    ) -> bool {
-        match self.index_on(attr) {
-            None => return false,
-            Some(IndexKind::Clustered) => self.visit_run(self.clustered_run(value), visit),
-            Some(IndexKind::Unclustered) => {
-                let tuples = self.heap.tuples();
-                self.heap.visit_positions_with(attr, value, |p| {
-                    self.meter.charge_read(1);
-                    visit(&tuples[p]);
-                });
-            }
-        }
-        true
+    /// Where the occurrences with `attr == value` are, searched for once
+    /// in the index on `attr` without touching the meter; `None` when
+    /// there is no index. [`Run::blocks`] is what reading the run charges,
+    /// so a planner compares access paths by it and then reads the run.
+    pub fn lookup(&self, attr: usize, value: &Value) -> Option<Run> {
+        self.heap.lookup(attr, value)
     }
 
-    /// The heap positions a clustered lookup of `value` reads. A table
-    /// registers a clustered index exactly when its heap is clustered, so
-    /// the heap's error cannot arise here.
-    pub(crate) fn clustered_run(&self, value: &Value) -> Range<usize> {
-        self.heap.clustered_range(value).unwrap_or_default()
-    }
-
-    /// The blocks reading `run` charges.
-    pub(crate) fn run_blocks(&self, run: &Range<usize>) -> u64 {
-        self.heap.blocks_spanned(run)
-    }
-
-    /// Read `run` as a clustered lookup does: charge its blocks, then
-    /// let `visit` see its tuples in heap order.
-    pub(crate) fn visit_run<'t>(&'t self, run: Range<usize>, visit: impl FnMut(&'t Tuple)) {
-        self.meter.charge_read(self.run_blocks(&run));
-        self.heap.tuples()[run].iter().for_each(visit);
-    }
-
-    /// Predicted I/O cost of an index lookup for `value` without touching
-    /// the meter (used by the planner to compare access paths).
-    pub fn index_lookup_cost(&self, attr: usize, value: &Value) -> Option<u64> {
-        match self.index_on(attr)? {
-            IndexKind::Clustered => Some(self.run_blocks(&self.clustered_run(value))),
-            IndexKind::Unclustered => {
-                let mut matches = 0;
-                self.heap
-                    .visit_positions_with(attr, value, |_| matches += 1);
-                Some(matches)
-            }
-        }
+    /// Read `run`, found by [`Table::lookup`]: charge its blocks, then let
+    /// `visit` see its tuples in heap order.
+    pub(crate) fn read<'t>(&'t self, run: &Run, visit: impl FnMut(&'t Tuple)) {
+        self.meter.charge_read(run.blocks());
+        self.heap.visit(run, visit);
     }
 
     /// The logical contents as a signed bag (no I/O charged — used by
@@ -270,7 +203,7 @@ mod tests {
         let hits = t.index_lookup(0, &Value::Int(1)).unwrap();
         assert_eq!(hits.len(), 3);
         assert_eq!(t.meter.query_reads(), 2);
-        assert_eq!(t.index_lookup_cost(0, &Value::Int(1)), Some(2));
+        assert_eq!(t.lookup(0, &Value::Int(1)).map(|run| run.blocks()), Some(2));
     }
 
     #[test]
@@ -279,7 +212,10 @@ mod tests {
         let hits = t.index_lookup(1, &Value::Int(10)).unwrap();
         assert_eq!(hits.len(), 2);
         assert_eq!(t.meter.query_reads(), 2);
-        assert_eq!(t.index_lookup_cost(1, &Value::Int(12)), Some(2));
+        assert_eq!(
+            t.lookup(1, &Value::Int(12)).map(|run| run.blocks()),
+            Some(2)
+        );
     }
 
     #[test]
@@ -287,7 +223,7 @@ mod tests {
         let schema = Schema::new("r", &["A", "B"]);
         let t = Table::new(schema, 2, None, &[], IoMeter::new()).unwrap();
         assert!(t.index_lookup(0, &Value::Int(1)).is_none());
-        assert!(t.index_lookup_cost(0, &Value::Int(1)).is_none());
+        assert!(t.lookup(0, &Value::Int(1)).is_none());
         assert!(t.index_on(0).is_none());
     }
 

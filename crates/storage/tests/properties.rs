@@ -150,7 +150,7 @@ proptest! {
 
     /// Lookups on both index kinds return the brute-force matches in heap
     /// order and charge exactly the blocks those matches occupy, which is
-    /// also what `index_lookup_cost` predicts.
+    /// also what the run `Table::lookup` finds predicts.
     #[test]
     fn lookups_charge_the_brute_force_blocks(case in history()) {
         let (strs, ops) = case;
@@ -175,7 +175,7 @@ proptest! {
                     let want: Vec<Tuple> = hits.iter().map(|&i| order[i].clone()).collect();
 
                     plain_meter.reset();
-                    let predicted = plain.index_lookup_cost(attr, &probe).unwrap();
+                    let predicted = plain.lookup(attr, &probe).unwrap().blocks();
                     prop_assert_eq!(plain_meter.query_reads(), 0);
                     prop_assert_eq!(plain.index_lookup(attr, &probe).unwrap(), want);
                     prop_assert_eq!(plain_meter.query_reads(), predicted);
@@ -254,17 +254,28 @@ proptest! {
         }
         meter.reset();
 
-        // Predicted cost must equal the charge actually incurred.
-        let predicted = table.index_lookup_cost(0, &Value::Int(probe)).unwrap();
-        table.index_lookup(0, &Value::Int(probe)).unwrap();
-        prop_assert_eq!(meter.query_reads(), predicted);
-
-        meter.reset();
-        let predicted = table.index_lookup_cost(1, &Value::Int(probe)).unwrap();
-        let hits = table.index_lookup(1, &Value::Int(probe)).unwrap();
-        prop_assert_eq!(meter.query_reads(), predicted);
-        // Unclustered: one read per match, exactly.
-        prop_assert_eq!(predicted, hits.len() as u64);
+        // The blocks a lookup's run predicts are the ones reading it
+        // charges, and the ones its matches occupy.
+        let probe = Value::Int(probe);
+        let heap = table.scan();
+        for attr in 0..2 {
+            meter.reset();
+            let predicted = table.lookup(attr, &probe).unwrap().blocks();
+            prop_assert_eq!(meter.query_reads(), 0);
+            let hits = table.index_lookup(attr, &probe).unwrap();
+            prop_assert_eq!(meter.query_reads(), predicted);
+            let mut blocks: Vec<usize> = (0..heap.len())
+                .filter(|&i| heap[i].get(attr) == Some(&probe))
+                .map(|i| i / 4)
+                .collect();
+            prop_assert_eq!(hits.len(), blocks.len());
+            if attr == 0 {
+                // Clustered: each spanned block once.
+                blocks.dedup();
+            }
+            // Unclustered: one read per match, exactly.
+            prop_assert_eq!(predicted, blocks.len() as u64);
+        }
     }
 
     #[test]

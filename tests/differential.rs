@@ -153,11 +153,10 @@ fn answers_match_after_update_replay() {
 }
 
 mod planner_properties {
-    //! Property-based differentials for the SPJ planner and the
-    //! multi-term evaluation modes: whatever the data, condition, and
-    //! projection, the planned pipeline must agree with the
-    //! cross-select-project oracle, and batched evaluation must agree
-    //! with plain per-term evaluation.
+    //! Property-based differentials for the SPJ planner and the source's
+    //! evaluation: whatever the data, condition, and projection, the
+    //! planned pipeline must agree with the cross-select-project oracle,
+    //! and the source's multi-term answers with the logical evaluator's.
 
     use super::*;
     use eca_relational::algebra::{spj, spj_naive};
@@ -438,21 +437,13 @@ mod planner_properties {
 
         /// The source's answers equal the oracle's on every term shape
         /// (pushdown, composite edges, crosses, residuals, self-joins,
-        /// bound tuples), under Scenario 1 with term batching off and on,
-        /// and under Scenario 2.
+        /// bound tuples), under both scenarios.
         #[test]
         fn source_matches_oracle_on_every_shape(seed in 0u64..u64::MAX) {
-            for (scenario, batching) in [
-                (Scenario::Indexed, false),
-                (Scenario::Indexed, true),
-                (Scenario::nested_loop_default(), false),
-            ] {
+            for scenario in [Scenario::Indexed, Scenario::nested_loop_default()] {
                 let (mut source, query, oracle) = shaped_source(seed, scenario);
-                if batching {
-                    source.enable_term_batching();
-                }
                 let answer = source.answer(&query).unwrap();
-                prop_assert_eq!(answer, oracle, "{:?} batching {}", scenario, batching);
+                prop_assert_eq!(answer, oracle, "{:?}", scenario);
             }
         }
     }
@@ -460,11 +451,12 @@ mod planner_properties {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
+        /// The source answers the full view and the compensated 3-update
+        /// query (up to four SPJ terms, each paying for its own reads) as
+        /// the logical evaluator does.
         #[test]
-        fn batched_matches_plain_source(seed in 0u64..1000) {
+        fn compensated_query_matches_logical(seed in 0u64..1000) {
             let (view, db, updates) = random_setup(seed);
-            // The compensated 3-update query: up to four SPJ terms
-            // sharing probe values — the shape term batching targets.
             let q1 = view.substitute(&updates[0]).unwrap();
             let q2 = view
                 .substitute(&updates[1])
@@ -476,21 +468,9 @@ mod planner_properties {
                 .minus(&q1.substitute(&updates[2]))
                 .minus(&q2.substitute(&updates[2]));
             for q in [&view.as_query(), &q3] {
-                let wq = WireQuery::from_query(q);
-                let logical = q.eval(&db).unwrap();
-
-                let mut plain = build_source(&view, &db, Scenario::Indexed);
-                let sequential = plain.answer(&wq).unwrap();
-                let io_plain = plain.io_meter().query_reads();
-
-                let mut batched = build_source(&view, &db, Scenario::Indexed);
-                batched.enable_term_batching();
-                prop_assert_eq!(batched.answer(&wq).unwrap(), sequential.clone());
-                let io_batched = batched.io_meter().query_reads();
-
-                prop_assert_eq!(sequential, logical);
-                // Sharing scans and probes can only reduce block reads.
-                prop_assert!(io_batched <= io_plain);
+                let mut source = build_source(&view, &db, Scenario::Indexed);
+                let answer = source.answer(&WireQuery::from_query(q)).unwrap();
+                prop_assert_eq!(answer, q.eval(&db).unwrap());
             }
         }
     }
