@@ -305,11 +305,12 @@ impl StorageEngine {
             .links(plan, next)
             .find(|link| table.index_on(link.attr).is_some());
         if let Some(link) = probe {
-            // One run per row, searched for here and read below.
+            // One run per row (the attribute has an index, so every
+            // lookup finds one), searched for here and read below.
             runs.clear();
             runs.extend(
                 exec.probe_values(link)
-                    .map(|v| table.lookup(link.attr, v).unwrap_or_default()),
+                    .filter_map(|v| table.lookup(link.attr, v)),
             );
             let probe_cost: u64 = runs.iter().map(Run::blocks).sum();
             if probe_cost <= scan_cost || exec.is_empty() {

@@ -40,7 +40,7 @@ pub enum IndexKind {
 /// Where the occurrences an index lookup matches are, found by one
 /// search ([`HeapFile::lookup`]): a run of heap positions under the
 /// cluster order, or a run of a secondary index's entries.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Run {
     /// The secondary index whose entries `range` spans; `None` when it
     /// spans heap positions.
